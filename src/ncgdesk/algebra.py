@@ -282,8 +282,7 @@ class SpectralForm:
     @staticmethod
     def from_pairs(algebra, amplification, pairs):
         """Build a spectral form, deriving the kernel projection from the pairs."""
-        exact = all(is_exact_scalar(v) for v, _ in pairs) and \
-            all(p.element.is_exact() for _, p in pairs)
+        exact = all(p.element.is_exact() for _, p in pairs)
         total = AlgebraElement.zero(algebra, amplification, exact)
         kept = []
         for v, p in pairs:
@@ -306,7 +305,7 @@ class SpectralForm:
         exact = self.is_exact()
         acc = AlgebraElement.zero(self.algebra, self.amplification, exact)
         for v, p in self.pairs:
-            acc = acc + p.element.scale(v)
+            acc = acc + p.element.scale(v if exact else to_complex(v))
         return acc
 
     def is_exact(self) -> bool:
@@ -320,7 +319,8 @@ class SpectralForm:
         if self.algebra != other.algebra:
             raise ValidationError("algebra mismatch in direct sum")
         m1, m2 = self.amplification, other.amplification
-        exact = self.is_exact() and other.is_exact()
+        exact = self.kernel_projection.element.is_exact() and \
+            other.kernel_projection.element.is_exact()
         zero1 = AlgebraElement.zero(self.algebra, m1, exact)
         zero2 = AlgebraElement.zero(self.algebra, m2, exact)
         merged = {}
@@ -482,8 +482,8 @@ def _spectral_decompose_exact(x):
 
 def spectral_projection(a: SpectralForm, e: BorelSetModel) -> Projection:
     """P_a(E): the sum of eigenprojections whose eigenvalue lies in E."""
-    exact = a.is_exact() and all(is_exact_scalar(p) for p in e.points)
-    acc = AlgebraElement.zero(a.algebra, a.amplification, exact)
+    acc = AlgebraElement.zero(a.algebra, a.amplification,
+                              a.kernel_projection.element.is_exact())
     for v, p in a.pairs:
         if e.contains(v):
             acc = acc + p.element
@@ -536,39 +536,29 @@ class StarHomomorphism:
         return StarHomomorphism(algebra, algebra, mult)
 
 
-def _grid_cell(block, r, s, t):
-    return tuple(row[t * r:(t + 1) * r] for row in block[s * r:(s + 1) * r])
-
-
 def apply_hom(phi: StarHomomorphism, x: AlgebraElement) -> AlgebraElement:
     """Entrywise application of phi to an element of M_m(source)."""
     if x.algebra != phi.source:
         raise ValidationError("element is not over the homomorphism source")
     m = x.amplification
-    exact = x.is_exact()
     out_blocks = []
-    for i, ri in enumerate(phi.target.block_dims):
+    for i in range(phi.target.num_factors):
         u = phi.unitaries[i] if phi.unitaries is not None else None
-        grid = [[None] * m for _ in range(m)]
+        u_star = la.conj_transpose(u) if u is not None else None
+        grid = []
         for s in range(m):
+            row = []
             for t in range(m):
-                cells = []
-                for j, rj in enumerate(phi.source.block_dims):
-                    cell = _grid_cell(x.blocks[j], rj, s, t)
-                    cells.extend([cell] * phi.multiplicities[i][j])
-                sub = la.block_diag(*cells) if cells else la.zeros(ri, ri, exact)
-                if la.shape(sub) != (ri, ri):
-                    sub = la.block_diag(sub, la.zeros(ri - la.shape(sub)[0],
-                                                      ri - la.shape(sub)[1], exact))
+                # unital, so the copies fill the target block exactly
+                sub = la.block_diag(*(
+                    la.grid_cell(x.blocks[j], rj, s, t)
+                    for j, rj in enumerate(phi.source.block_dims)
+                    for _ in range(phi.multiplicities[i][j])))
                 if u is not None:
-                    sub = la.mat_mul(la.mat_mul(u, sub), la.conj_transpose(u))
-                grid[s][t] = sub
-        rows = []
-        for s in range(m):
-            for rr in range(ri):
-                rows.append(tuple(grid[s][t][rr][cc]
-                                  for t in range(m) for cc in range(ri)))
-        out_blocks.append(tuple(rows))
+                    sub = la.mat_mul(la.mat_mul(u, sub), u_star)
+                row.append(sub)
+            grid.append(row)
+        out_blocks.append(la.block_matrix(grid))
     return AlgebraElement(phi.target, m, tuple(out_blocks))
 
 

@@ -15,10 +15,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, MultiMatrixAlgebra, _grid_cell
+from . import linalg as la
+from .algebra import AlgebraElement, MultiMatrixAlgebra
 from .budget import check_budget
 from .errors import DomainError, ValidationError
-from .linalg import op_norm
 from .scalars import is_exact_scalar, scalar_is_zero, scalars_equal, to_complex
 
 # A basis unit of M_m(A) is (factor index j, row a, col b) with a, b < m*r_j.
@@ -88,7 +88,7 @@ class TensorElement:
                 raise ValidationError("tensor factors over different algebras")
             entries = []
             for j, block in enumerate(x.blocks):
-                for a, row in enumerate(block):
+                for a, row in enumerate(la.entries(block)):
                     for b, c in enumerate(row):
                         if not scalar_is_zero(c):
                             entries.append(((j, a, b), c))
@@ -607,7 +607,7 @@ def _entry_elements(x: AlgebraElement):
     grid = [[None] * m for _ in range(m)]
     for s in range(m):
         for t in range(m):
-            blocks = tuple(_grid_cell(x.blocks[j], r, s, t)
+            blocks = tuple(la.grid_cell(x.blocks[j], r, s, t)
                            for j, r in enumerate(x.algebra.block_dims))
             grid[s][t] = AlgebraElement(x.algebra, 1, blocks)
     return grid

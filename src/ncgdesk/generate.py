@@ -161,10 +161,8 @@ def random_hom(rng: random.Random, max_factors: int = 2):
 # equivariant complexes
 
 def _kron(a, b):
-    ra, ca = la.shape(a)
-    rb, cb = la.shape(b)
-    return tuple(tuple(a[s // rb][t // cb] * b[s % rb][t % cb]
-                       for t in range(ca * cb)) for s in range(ra * rb))
+    return la.block_matrix([[la.scalar_mul(x, b) for x in row]
+                            for row in la.entries(a)])
 
 
 def _module_action(algebra, rep_matrices, p: Projection):
@@ -289,8 +287,6 @@ def _pad_target_rows(d: ModuleMap, q: Projection) -> ModuleMap:
     extra = q.amplification
     blocks = []
     for b, r in zip(d.blocks, d.algebra.block_dims):
-        rows = list(b) + [tuple(Fraction(0) for _ in range(la.shape(b)[1]))
-                          for _ in range(extra * r)]
-        blocks.append(tuple(rows))
+        blocks.append(la.stack_rows(b, la.zeros(extra * r, la.shape(b)[1])))
     return ModuleMap(d.algebra, d.target_size + extra, d.source_size,
                      tuple(blocks))

@@ -18,10 +18,10 @@ from .algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
     spectral_decompose
 from .chern import chern_projection, generalized_chern
 from .cyclic import HCClass, hc_space
-from .errors import ConsistencyError, DomainError, ValidationError
+from .errors import ConsistencyError, DomainError, NumericalError, \
+    ValidationError
 from .ngroup import K0Class, K0TensorC, N0Class, k0_of_projection, n_class
-from .scalars import Cyclotomic, conj_scalar, scalar_is_zero, scalars_equal, \
-    to_complex
+from .scalars import Cyclotomic, conj_scalar, scalar_is_zero, scalars_equal
 
 
 # ---------------------------------------------------------------------------
@@ -351,29 +351,22 @@ def validate_complex(c: GAComplex) -> list:
     return problems
 
 
-def _nullspace_projection(stacked_blocks, sizes, exact=True):
+def _nullspace_projection(stacked_blocks):
     """Per-factor orthogonal projection onto the joint kernel."""
     out = []
-    for rows, d in zip(stacked_blocks, sizes):
-        basis = la.nullspace(rows) if la.shape(rows)[0] else \
-            [tuple(Fraction(1) if i == j else Fraction(0) for i in range(d))
-             for j in range(d)]
-        if not basis:
-            out.append(la.zeros(d, d, exact))
-        else:
-            out.append(la.projection_onto_columns(basis))
+    for rows in stacked_blocks:
+        basis = la.nullspace(rows)
+        d = la.shape(rows)[1]
+        out.append(la.projection_onto_columns(basis) if basis else la.zeros(d, d))
     return tuple(out)
 
 
 def kernel_projection(d: ModuleMap, q: Projection) -> AlgebraElement:
     """Projection onto Ker d intersected with the range of q."""
     comp = _range_complement(q)
-    stacked = []
-    for b, cb in zip(d.blocks, comp.blocks):
-        stacked.append(tuple(b) + tuple(cb))
-    sizes = [d.source_size * r for r in d.algebra.block_dims]
+    stacked = [la.stack_rows(b, cb) for b, cb in zip(d.blocks, comp.blocks)]
     return AlgebraElement(d.algebra, d.source_size,
-                          _nullspace_projection(stacked, sizes))
+                          _nullspace_projection(stacked))
 
 
 def _range_complement(q: Projection) -> AlgebraElement:
@@ -391,20 +384,18 @@ def harmonic_modules(c: GAComplex):
     """
     out = []
     for j, q in enumerate(c.modules):
-        n_j = q.amplification
-        sizes = [n_j * r for r in c.algebra.block_dims]
         stacked = []
         comp = _range_complement(q)
         for f in range(c.algebra.num_factors):
-            rows = []
+            parts = []
             if j >= 1:
-                rows.extend(c.diffs[j - 1].blocks[f])
+                parts.append(c.diffs[j - 1].blocks[f])
             if j < c.length - 1:
-                rows.extend(la.conj_transpose(c.diffs[j].blocks[f]))
-            rows.extend(comp.blocks[f])
-            stacked.append(tuple(rows))
-        h = AlgebraElement(c.algebra, n_j,
-                           _nullspace_projection(stacked, sizes))
+                parts.append(la.conj_transpose(c.diffs[j].blocks[f]))
+            parts.append(comp.blocks[f])
+            stacked.append(la.stack_rows(*parts))
+        h = AlgebraElement(c.algebra, q.amplification,
+                           _nullspace_projection(stacked))
         restricted = [h * c.action[g][j] * h for g in c.group.elements()]
         out.append((Projection(h), restricted))
     return out
@@ -517,9 +508,8 @@ def _restricted_n_class(h: Projection, u: AlgebraElement) -> N0Class:
             return N0Class(algebra, tuple(support))
     try:
         return n_class(spectral_decompose(v))
-    except Exception:
-        blocks = tuple(tuple(tuple(to_complex(x) for x in row) for row in b)
-                       for b in v.blocks)
+    except NumericalError:
+        blocks = tuple(la.from_numpy(la.to_numpy(b)) for b in v.blocks)
         v_float = AlgebraElement(algebra, v.amplification, blocks)
         return n_class(spectral_decompose(v_float))
 

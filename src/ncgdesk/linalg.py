@@ -1,177 +1,529 @@
 """Dense matrix helpers over either scalar backend.
 
-Matrices are immutable tuples of row tuples.  Exact matrices hold
-``Fraction`` / :class:`~ncgdesk.scalars.Cyclotomic` entries and go through
-exact Gauss elimination; float matrices hold ``complex`` entries and go
-through numpy (SVD ranks, least-squares solves).  The two kinds are never
-mixed inside one matrix.
+Exact matrices are :class:`ExactMatrix` values.  An r x c matrix over the
+cyclotomic field Q(zeta_N) is stored as its shape, the order N, phi(N)
+numpy ``object`` arrays of Python-int numerators (the coefficients of
+1, zeta, ..., zeta^(phi(N)-1)) and one positive common denominator.  The
+form is canonical: the denominator is in lowest terms against every
+numerator and N is the smallest order whose field holds every entry, so
+equal matrices have equal fields.  Every exact operation works on the
+numerator arrays; a product takes all phi(N)^2 products of numerator
+planes in one integer matmul and folds them back into the power basis
+with a precomputed integer table of x^k mod Phi_N.
+
+Entries become scalars (``Fraction`` when rational,
+:class:`~ncgdesk.scalars.Cyclotomic` otherwise) only at the edges:
+:func:`entries` (and indexing or iterating a matrix), :func:`trace`, and
+the Gauss elimination behind ``rref``/``rank``/``nullspace``/``solve``/
+``invert``, which unpacks the rows once per call.  :func:`as_matrix`
+packs a nested sequence once and returns a packed matrix unchanged.
+
+Float matrices are tuples of row tuples of ``complex`` and go through
+numpy (SVD ranks, least-squares solves).  An operation given one exact
+and one float matrix raises ValidationError.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
 from .scalars import (
     Cyclotomic,
-    conj_scalar,
+    cyclotomic_poly,
     get_epsilon,
     is_exact_scalar,
     scalar_is_zero,
     to_complex,
 )
 
-Matrix = tuple  # tuple of row tuples
+
+# ---------------------------------------------------------------------------
+# field tables, cached per cyclotomic order
+
+def _phi(n: int) -> int:
+    return len(cyclotomic_poly(n)) - 1
 
 
-def as_matrix(rows) -> Matrix:
+@lru_cache(maxsize=None)
+def _powers(n: int):
+    """Row k holds the integer coefficients of x^k mod Phi_n, for k < n."""
+    phi = _phi(n)
+    low = [int(c) for c in cyclotomic_poly(n)][:phi]  # Phi_n is monic
+    vec = [1] + [0] * (phi - 1)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple(vec))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            vec = [v - top * c for v, c in zip(vec, low)]
+    return tuple(rows)
+
+
+def _table(rows) -> np.ndarray:
+    return np.array(rows, dtype=object)
+
+
+def _fold(table: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Apply a (p x q) table to a stack of q coefficient planes."""
+    q, r, c = planes.shape
+    return (table @ planes.reshape(q, r * c)).reshape(len(table), r, c)
+
+
+@lru_cache(maxsize=None)
+def _mul_table(n: int) -> np.ndarray:
+    """(phi, phi^2) table: plane t of a product gets sum_ij M[t, i*phi+j] A_i B_j."""
+    phi, pw = _phi(n), _powers(n)
+    return _table([[pw[(i + j) % n][t] for i in range(phi) for j in range(phi)]
+                   for t in range(phi)])
+
+
+@lru_cache(maxsize=None)
+def _conj_table(n: int) -> np.ndarray:
+    phi, pw = _phi(n), _powers(n)
+    return _table([[pw[-j % n][t] for j in range(phi)] for t in range(phi)])
+
+
+@lru_cache(maxsize=None)
+def _promotion(n: int, big: int):
+    """Coordinates at order ``big`` of zeta_n^j (n | big), as rows t x cols j."""
+    step, pw = big // n, _powers(big)
+    return tuple(tuple(pw[step * j][t] for j in range(_phi(n)))
+                 for t in range(_phi(big)))
+
+
+@lru_cache(maxsize=None)
+def _promotion_table(n: int, big: int) -> np.ndarray:
+    return _table(_promotion(n, big))
+
+
+@lru_cache(maxsize=None)
+def _subfields(n: int):
+    """Test data for each proper subfield Q(zeta_d), smallest d first.
+
+    With E the embedding of Q(zeta_d) and ``inv`` = scale * (E[rows])^-1
+    for some invertible square row selection, a plane stack v lies in
+    Q(zeta_d) iff E @ inv @ v[rows] == scale * v, and inv @ v[rows] / scale
+    are then its coordinates there.
+    """
+    out = []
+    for d in range(2, n):
+        if n % d or d % 4 == 2:  # Q(zeta_d) = Q(zeta_{d/2}) when d = 2 mod 4
+            continue
+        embed = _promotion(d, n)
+        size = len(embed[0])
+        rows = _rref([[Fraction(x) for x in col] for col in zip(*embed)], len(embed))
+        aug = [[Fraction(x) for x in embed[i]] + [Fraction(int(i == j)) for j in rows]
+               for i in rows]
+        _rref(aug, size)
+        scale = math.lcm(*(x.denominator for row in aug for x in row[size:]))
+        inv = _table([[int(x * scale) for x in row[size:]] for row in aug])
+        out.append((d, rows, inv, _table(embed), scale))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the packed exact matrix
+
+class ExactMatrix:
+    """An exact r x c matrix: entry (i, j) is sum_k nums[k, i, j] zeta^k / den.
+
+    ``nums`` has shape (phi(order), r, c).  Values are treated as
+    immutable; build them with the module functions, which keep the form
+    canonical (see the module docstring).
+    """
+
+    __slots__ = ("shape", "order", "nums", "den")
+
+    def __init__(self, order: int, nums: np.ndarray, den: int):
+        self.order = order
+        self.nums = nums
+        self.den = den
+        self.shape = nums.shape[1:]
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return (self.shape == other.shape and self.order == other.order
+                and self.den == other.den
+                and bool((self.nums == other.nums).all()))
+
+    def __hash__(self):
+        return hash((self.shape, self.order, self.den, tuple(self.nums.flat)))
+
+    def __iter__(self):
+        return iter(entries(self))
+
+    def __getitem__(self, i):
+        return entries(self)[i]
+
+    def __repr__(self):
+        return f"ExactMatrix(order={self.order}, den={self.den}, rows={entries(self)})"
+
+
+def _make(order: int, nums: np.ndarray, den: int) -> ExactMatrix:
+    """Canonical matrix from any numerators/denominator at ``order``."""
+    if den != 1:
+        g = math.gcd(den, *nums.flat)
+        if g != 1:
+            nums, den = nums // g, den // g
+    if order == 1:
+        return ExactMatrix(1, nums, den)
+    if not np.count_nonzero(nums[1:]):
+        return ExactMatrix(1, nums[:1], den)
+    for d, rows, inv, embed, scale in _subfields(order):
+        coords = _fold(inv, nums[rows])
+        if (_fold(embed, coords) == nums * scale).all():
+            den *= scale
+            g = math.gcd(den, *coords.flat)
+            return ExactMatrix(d, coords // g, den // g)
+    return ExactMatrix(order, nums, den)
+
+
+def _at(a: ExactMatrix, order: int) -> np.ndarray:
+    """Numerators of ``a`` in the power basis of Q(zeta_order)."""
+    if a.order == order:
+        return a.nums
+    return _fold(_promotion_table(a.order, order), a.nums)
+
+
+def _common(mats):
+    """(order, den, numerator stacks) of exact matrices over one field and
+    one denominator."""
+    order = math.lcm(*(m.order for m in mats))
+    den = math.lcm(*(m.den for m in mats))
+    stacks = []
+    for m in mats:
+        x = _at(m, order)
+        stacks.append(x if m.den == den else x * (den // m.den))
+    return order, den, stacks
+
+
+def _scalar_coeffs(x):
+    """(order, integer coefficients, denominator) of an exact scalar."""
+    if isinstance(x, Cyclotomic):
+        order, cs = x.order, x.coeffs
+    else:
+        order, cs = 1, (Fraction(x),)
+    den = math.lcm(*(c.denominator for c in cs))
+    return order, [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _scalar(order: int, coeffs, den: int):
+    """The scalar sum_k coeffs[k] zeta_order^k / den."""
+    if not any(coeffs[1:]):
+        return Fraction(coeffs[0], den)
+    if order == 4:
+        return Cyclotomic(4, (Fraction(coeffs[0], den), Fraction(coeffs[1], den)),
+                          _normalized=True)
+    return Cyclotomic(order, [Fraction(c, den) for c in coeffs])
+
+
+def _pack(rows, width: int) -> ExactMatrix:
+    """Pack rows of exact scalars (already validated) into a matrix."""
+    parts = [[_scalar_coeffs(x) for x in row] for row in rows]
+    order = math.lcm(1, *(o for row in parts for o, _, _ in row))
+    den = math.lcm(1, *(d for row in parts for _, _, d in row))
+    phi = _phi(order)
+    planes = [[[0] * width for _ in parts] for _ in range(phi)]
+    for i, row in enumerate(parts):
+        for j, (o, cs, d) in enumerate(row):
+            if o != order:
+                cs = [sum(c * x for c, x in zip(t, cs)) for t in _promotion(o, order)]
+            scale = den // d
+            for k, c in enumerate(cs):
+                if c:
+                    planes[k][i][j] = c * scale
+    nums = np.array(planes, dtype=object).reshape(phi, len(parts), width)
+    return _make(order, nums, den)
+
+
+# ---------------------------------------------------------------------------
+# construction and conversion
+
+def as_matrix(rows):
     """Normalize a nested sequence into a matrix, fixing the backend.
 
-    Integers are promoted to ``Fraction`` so that exact division never
-    silently produces floats.  Mixing exact and float entries is an error.
+    Exact entries (``int``, ``Fraction``, ``Cyclotomic``) are packed into
+    an :class:`ExactMatrix`; float entries give a tuple of ``complex`` row
+    tuples, as does a sequence with no entries at all.  A packed matrix
+    is returned unchanged.  Mixing exact and float entries is an error.
     """
+    if isinstance(rows, ExactMatrix):
+        return rows
     out = []
     saw_exact = saw_float = False
     width = None
     for row in rows:
-        r = []
-        for x in row:
+        r = tuple(row)
+        for x in r:
             if isinstance(x, bool):
                 raise ValidationError("bool is not a scalar")
-            if isinstance(x, int):
-                x = Fraction(x)
-            if isinstance(x, (Fraction, Cyclotomic)):
+            if isinstance(x, (int, Fraction, Cyclotomic)):
                 saw_exact = True
             elif isinstance(x, (float, complex)):
-                x = complex(x)
                 saw_float = True
             else:
                 raise ValidationError(f"unsupported matrix entry {x!r}")
-            r.append(x)
         if width is None:
             width = len(r)
         elif len(r) != width:
             raise ValidationError("ragged matrix rows")
-        out.append(tuple(r))
+        out.append(r)
     if saw_exact and saw_float:
         raise ValidationError("matrix mixes exact and float entries")
-    return tuple(out)
+    if saw_exact:
+        return _pack(out, width)
+    return tuple(tuple(complex(x) for x in r) for r in out)
 
 
-def shape(m: Matrix):
+def entries(a):
+    """Rows of scalars: ``Fraction`` for rational entries of an exact
+    matrix, ``Cyclotomic`` for the others, ``complex`` for a float one."""
+    a = as_matrix(a)
+    if not isinstance(a, ExactMatrix):
+        return a
+    den = a.den
+    if a.order == 1:
+        return tuple(tuple(Fraction(x, den) for x in row) for row in a.nums[0].tolist())
+    return tuple(tuple(_scalar(a.order, cs, den) for cs in row)
+                 for row in a.nums.transpose(1, 2, 0).tolist())
+
+
+def shape(m):
+    if isinstance(m, ExactMatrix):
+        return m.shape
     return (len(m), len(m[0]) if m else 0)
 
 
-def is_exact_matrix(m: Matrix) -> bool:
-    for row in m:
-        for x in row:
-            return is_exact_scalar(x)
-    return True
+def is_exact_matrix(m) -> bool:
+    """True for packed matrices and for nested sequences of exact scalars;
+    a sequence with no entries is float."""
+    return isinstance(as_matrix(m), ExactMatrix)
 
 
-def zeros(r: int, c: int, exact: bool = True) -> Matrix:
-    z = Fraction(0) if exact else 0j
-    return tuple(tuple(z for _ in range(c)) for _ in range(r))
+def zeros(r: int, c: int, exact: bool = True):
+    if exact:
+        return ExactMatrix(1, np.zeros((1, r, c), dtype=object), 1)
+    return tuple((0j,) * c for _ in range(r))
 
 
-def identity(n: int, exact: bool = True) -> Matrix:
-    one, z = (Fraction(1), Fraction(0)) if exact else (1 + 0j, 0j)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+def identity(n: int, exact: bool = True):
+    if not exact:
+        return from_numpy(np.eye(n, dtype=complex))
+    nums = np.zeros((1, n, n), dtype=object)
+    np.fill_diagonal(nums[0], 1)
+    return ExactMatrix(1, nums, 1)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def to_numpy(a) -> np.ndarray:
+    if isinstance(a, ExactMatrix):
+        out = np.zeros(a.shape, dtype=complex)
+        zeta = cmath.exp(2j * math.pi / a.order)
+        for k, plane in enumerate(a.nums):
+            out += (plane / a.den).astype(complex) * zeta ** k
+        return out
+    return np.array(a, dtype=complex).reshape(shape(a))
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def scalar_mul(c, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValidationError(f"matmul shape mismatch {shape(a)} x {shape(b)}")
-    bt = tuple(zip(*b)) if b else ()
-    z = Fraction(0) if (is_exact_matrix(a) and is_exact_matrix(b)) else 0j
-    out = []
-    for row in a:
-        out.append(tuple(sum((x * y for x, y in zip(row, col) if x and y), start=z)
-                         for col in bt))
-    return tuple(out)
-
-
-def conj_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(conj_scalar(a[i][j]) for i in range(len(a)))
-                 for j in range(len(a[0]) if a else 0))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
-def trace(a: Matrix):
-    return sum((a[i][i] for i in range(len(a))),
-               start=Fraction(0) if is_exact_matrix(a) else 0j)
-
-
-def block_diag(*mats: Matrix) -> Matrix:
-    mats = [m for m in mats if shape(m)[0] or shape(m)[1]]
-    if not mats:
-        return ()
-    exact = all(is_exact_matrix(m) for m in mats)
-    rows = sum(shape(m)[0] for m in mats)
-    cols = sum(shape(m)[1] for m in mats)
-    out = [[Fraction(0) if exact else 0j] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in mats:
-        mr, mc = shape(m)
-        for i in range(mr):
-            for j in range(mc):
-                out[r0 + i][c0 + j] = m[i][j]
-        r0 += mr
-        c0 += mc
-    return tuple(tuple(row) for row in out)
-
-
-def mat_equal(a: Matrix, b: Matrix, eps: float | None = None) -> bool:
-    if shape(a) != shape(b):
-        return False
-    return is_zero_matrix(mat_sub(a, b), eps)
-
-
-def is_zero_matrix(a: Matrix, eps: float | None = None) -> bool:
-    return all(scalar_is_zero(x, eps) for row in a for x in row)
-
-
-def is_hermitian(a: Matrix, eps: float | None = None) -> bool:
-    return mat_equal(a, conj_transpose(a), eps)
-
-
-def to_numpy(a: Matrix) -> np.ndarray:
-    r, c = shape(a)
-    out = np.zeros((r, c), dtype=complex)
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            out[i, j] = to_complex(x)
-    return out
-
-
-def from_numpy(a: np.ndarray) -> Matrix:
+def from_numpy(a: np.ndarray):
     return tuple(tuple(complex(x) for x in row) for row in a)
 
 
-def op_norm(a: Matrix) -> float:
+def _kind(*mats):
+    """Normalize the operands; True when exact, ValidationError if mixed."""
+    mats = [as_matrix(m) for m in mats]
+    exact = {isinstance(m, ExactMatrix) for m in mats}
+    if len(exact) > 1:
+        raise ValidationError("operation mixes exact and float matrices")
+    return exact != {False}, mats
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+
+def _entrywise(a, b, op, name):
+    exact, (a, b) = _kind(a, b)
+    if shape(a) != shape(b):
+        raise ValidationError(f"{name} shape mismatch {shape(a)} vs {shape(b)}")
+    if not exact:
+        return from_numpy(op(to_numpy(a), to_numpy(b)))
+    order, den, (x, y) = _common((a, b))
+    return _make(order, op(x, y), den)
+
+
+def mat_add(a, b):
+    return _entrywise(a, b, operator.add, "add")
+
+
+def mat_sub(a, b):
+    return _entrywise(a, b, operator.sub, "sub")
+
+
+def mat_neg(a):
+    a = as_matrix(a)
+    if not isinstance(a, ExactMatrix):
+        return from_numpy(-to_numpy(a))
+    return ExactMatrix(a.order, -a.nums, a.den)
+
+
+def scalar_mul(c, a):
+    """c * a; a float scalar or matrix makes the product float."""
+    a = as_matrix(a)
+    if not (isinstance(a, ExactMatrix) and is_exact_scalar(c)):
+        return from_numpy(to_complex(c) * to_numpy(a))
+    c_order, coeffs, c_den = _scalar_coeffs(c)
+    den = c_den * a.den
+    if c_order == 1:
+        return _make(a.order, a.nums * coeffs[0], den)
+    order = math.lcm(c_order, a.order)
+    cvec = _table(coeffs)
+    if c_order != order:
+        cvec = _promotion_table(c_order, order) @ cvec
+    x = _at(a, order)
+    prod = np.multiply.outer(cvec, x).reshape((len(x) ** 2,) + a.shape)
+    return _make(order, _fold(_mul_table(order), prod), den)
+
+
+def mat_mul(a, b):
+    exact, (a, b) = _kind(a, b)
+    (r, k), (kb, c) = shape(a), shape(b)
+    if k != kb:
+        raise ValidationError(f"matmul shape mismatch {shape(a)} x {shape(b)}")
+    if not exact:
+        return from_numpy(to_numpy(a) @ to_numpy(b))
+    den = a.den * b.den
+    if b.order == 1:
+        phi = len(a.nums)
+        nums = (a.nums.reshape(phi * r, k) @ b.nums[0]).reshape(phi, r, c)
+        return _make(a.order, nums, den)
+    if a.order == 1:
+        phi = len(b.nums)
+        wide = b.nums.transpose(1, 0, 2).reshape(k, phi * c)
+        nums = (a.nums[0] @ wide).reshape(r, phi, c).transpose(1, 0, 2)
+        return _make(b.order, nums, den)
+    order = math.lcm(a.order, b.order)
+    x, y = _at(a, order), _at(b, order)
+    phi = len(x)
+    # every plane product A_i B_j in one matmul, then fold i + j mod Phi
+    prod = x.reshape(phi * r, k) @ y.transpose(1, 0, 2).reshape(k, phi * c)
+    prod = prod.reshape(phi, r, phi, c).transpose(0, 2, 1, 3).reshape(phi * phi, r, c)
+    return _make(order, _fold(_mul_table(order), prod), den)
+
+
+def conj_transpose(a):
+    a = as_matrix(a)
+    if not isinstance(a, ExactMatrix):
+        return from_numpy(to_numpy(a).conj().T)
+    nums = a.nums.transpose(0, 2, 1)
+    if a.order > 2:
+        nums = _fold(_conj_table(a.order), nums)
+    return ExactMatrix(a.order, nums, a.den)
+
+
+def transpose(a):
+    a = as_matrix(a)
+    if not isinstance(a, ExactMatrix):
+        return tuple(zip(*a))
+    return ExactMatrix(a.order, a.nums.transpose(0, 2, 1), a.den)
+
+
+def trace(a):
+    a = as_matrix(a)
+    if not isinstance(a, ExactMatrix):
+        return sum((a[i][i] for i in range(len(a))), start=0j)
+    return _scalar(a.order, np.trace(a.nums, axis1=1, axis2=2).tolist(), a.den)
+
+
+# ---------------------------------------------------------------------------
+# assembling and slicing
+
+def block_diag(*mats):
+    """Block-diagonal matrix; with no arguments, the exact 0 x 0 matrix."""
+    exact, mats = _kind(*mats)
+    rows = sum(shape(m)[0] for m in mats)
+    cols = sum(shape(m)[1] for m in mats)
+    if not exact:
+        out = np.zeros((rows, cols), dtype=complex)
+    else:
+        order, den, stacks = _common(mats) if mats else (1, 1, [])
+        out = np.zeros((_phi(order), rows, cols), dtype=object)
+    r0 = c0 = 0
+    for i, m in enumerate(mats):
+        mr, mc = shape(m)
+        if exact:
+            out[:, r0:r0 + mr, c0:c0 + mc] = stacks[i]
+        else:
+            out[r0:r0 + mr, c0:c0 + mc] = to_numpy(m)
+        r0 += mr
+        c0 += mc
+    # a lowest-terms block sets every prime power of den, so out is canonical
+    return ExactMatrix(order, out, den) if exact else from_numpy(out)
+
+
+def _concat(mats, axis: int):
+    exact, mats = _kind(*mats)
+    other = 1 - axis
+    if not mats or len({shape(m)[other] for m in mats}) > 1:
+        raise ValidationError("matrices to stack are missing or differ in size")
+    if len(mats) == 1:
+        return mats[0]
+    if not exact:
+        return from_numpy(np.concatenate([to_numpy(m) for m in mats], axis=axis))
+    order, den, stacks = _common(mats)
+    return ExactMatrix(order, np.concatenate(stacks, axis=axis + 1), den)
+
+
+def stack_rows(*mats):
+    """The rows of every matrix, in order, as one matrix."""
+    return _concat(mats, 0)
+
+
+def block_matrix(grid):
+    """Assemble a block matrix from a grid (list of rows) of matrices."""
+    return _concat([_concat(row, 1) for row in grid], 0)
+
+
+def grid_cell(a, size: int, s: int, t: int):
+    """Cell (s, t) of ``a`` viewed as a grid of size x size cells."""
+    a = as_matrix(a)
+    rs, cs = slice(s * size, (s + 1) * size), slice(t * size, (t + 1) * size)
+    if not isinstance(a, ExactMatrix):
+        return tuple(row[cs] for row in a[rs])
+    return _make(a.order, a.nums[:, rs, cs], a.den)
+
+
+# ---------------------------------------------------------------------------
+# comparison and norms
+
+def mat_equal(a, b, eps: float | None = None) -> bool:
+    exact, (a, b) = _kind(a, b)
+    if shape(a) != shape(b):
+        return False
+    if exact:
+        return a == b
+    return is_zero_matrix(mat_sub(a, b), eps)
+
+
+def is_zero_matrix(a, eps: float | None = None) -> bool:
+    a = as_matrix(a)
+    if isinstance(a, ExactMatrix):
+        return not np.count_nonzero(a.nums)
+    return all(scalar_is_zero(x, eps) for row in a for x in row)
+
+
+def is_hermitian(a, eps: float | None = None) -> bool:
+    return mat_equal(a, conj_transpose(a), eps)
+
+
+def op_norm(a) -> float:
     """Largest singular value; empty matrices have norm 0."""
     r, c = shape(a)
     if r == 0 or c == 0:
@@ -210,35 +562,44 @@ def _rref(rows, ncols):
     return pivots
 
 
-def rref(a: Matrix):
+def _rows(a):
+    """(exact?, mutable rows of scalars, column count)."""
+    a = as_matrix(a)
+    return isinstance(a, ExactMatrix), [list(row) for row in entries(a)], shape(a)[1]
+
+
+def rref(a):
     """(reduced matrix, pivot columns) for an exact matrix."""
-    rows = [list(row) for row in a]
-    pivots = _rref(rows, shape(a)[1])
-    return tuple(tuple(row) for row in rows), pivots
+    exact, rows, c = _rows(a)
+    pivots = _rref(rows, c)
+    return (_pack(rows, c) if exact else as_matrix(rows)), pivots
 
 
-def rank(a: Matrix) -> int:
+def _float_tol(m: np.ndarray) -> float:
+    return get_epsilon() * max(1.0, float(np.linalg.norm(m, 2)))
+
+
+def rank(a) -> int:
     r, c = shape(a)
     if r == 0 or c == 0:
         return 0
-    if is_exact_matrix(a):
-        rows = [list(row) for row in a]
+    exact, rows, c = _rows(a)
+    if exact:
         return len(_rref(rows, c))
     m = to_numpy(a)
-    tol = get_epsilon() * max(1.0, float(np.linalg.norm(m, 2)))
-    return int(np.linalg.matrix_rank(m, tol=tol))
+    return int(np.linalg.matrix_rank(m, tol=_float_tol(m)))
 
 
-def pivot_columns(a: Matrix):
+def pivot_columns(a):
     """Indices of a maximal independent column subset, leftmost-greedy."""
     r, c = shape(a)
     if r == 0 or c == 0:
         return []
-    if is_exact_matrix(a):
-        rows = [list(row) for row in a]
+    exact, rows, c = _rows(a)
+    if exact:
         return _rref(rows, c)
     m = to_numpy(a)
-    tol = get_epsilon() * max(1.0, float(np.linalg.norm(m, 2)))
+    tol = _float_tol(m)
     pivots = []
     basis = np.zeros((r, 0), dtype=complex)
     for j in range(c):
@@ -249,27 +610,24 @@ def pivot_columns(a: Matrix):
     return pivots
 
 
-def nullspace(a: Matrix):
+def nullspace(a):
     """Basis of the right kernel, as a list of column tuples."""
-    r, c = shape(a)
-    if c == 0:
-        return []
-    if r == 0:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for i in range(c))
-                for j in range(c)]
-    if is_exact_matrix(a):
-        rows = [list(row) for row in a]
+    exact, rows, c = _rows(a)
+    if exact or not rows:
         pivots = _rref(rows, c)
         pivot_set = set(pivots)
-        free = [j for j in range(c) if j not in pivot_set]
         basis = []
-        for f in free:
+        for f in range(c):
+            if f in pivot_set:
+                continue
             vec = [Fraction(0)] * c
             vec[f] = Fraction(1)
             for i, p in enumerate(pivots):
                 vec[p] = -rows[i][f]
             basis.append(tuple(vec))
         return basis
+    if c == 0:
+        return []
     m = to_numpy(a)
     u, s, vh = np.linalg.svd(m)
     tol = get_epsilon() * max(1.0, float(s[0]) if len(s) else 1.0)
@@ -277,7 +635,7 @@ def nullspace(a: Matrix):
     return [tuple(complex(x) for x in vh[i, :].conjugate()) for i in range(nz, c)]
 
 
-def solve(a: Matrix, b) -> tuple | None:
+def solve(a, b) -> tuple | None:
     """One solution x of a @ x = b (b a column tuple), or None."""
     r, c = shape(a)
     b = tuple(b)
@@ -285,9 +643,10 @@ def solve(a: Matrix, b) -> tuple | None:
         raise ValidationError("solve: dimension mismatch")
     if c == 0:
         return () if all(scalar_is_zero(x) for x in b) else None
-    if is_exact_matrix(a) and all(is_exact_scalar(x) for x in b):
-        b = tuple(Fraction(x) if isinstance(x, int) else x for x in b)
-        rows = [list(row) + [bx] for row, bx in zip(a, b)]
+    exact, rows, c = _rows(a)
+    if exact and all(is_exact_scalar(x) for x in b):
+        for row, bx in zip(rows, b):
+            row.append(Fraction(bx) if isinstance(bx, int) else bx)
         pivots = _rref(rows, c)
         for row in rows:
             if all(scalar_is_zero(x) for x in row[:c]) and row[c]:
@@ -300,37 +659,38 @@ def solve(a: Matrix, b) -> tuple | None:
     vec = np.array([to_complex(x) for x in b], dtype=complex)
     sol, *_ = np.linalg.lstsq(m, vec, rcond=None)
     resid = m @ sol - vec
-    tol = get_epsilon() * max(1.0, float(np.linalg.norm(m, 2)))
-    if float(np.linalg.norm(resid, np.inf)) > 10 * tol:
+    if float(np.linalg.norm(resid, np.inf)) > 10 * _float_tol(m):
         return None
     return tuple(complex(x) for x in sol)
 
 
-def invert(a: Matrix) -> Matrix:
+def invert(a):
     r, c = shape(a)
     if r != c:
         raise ValidationError("invert: matrix not square")
-    if not is_exact_matrix(a):
+    exact, rows, _ = _rows(a)
+    if not exact:
         return from_numpy(np.linalg.inv(to_numpy(a)))
-    rows = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(r)]
-            for i, row in enumerate(a)]
-    pivots = _rref(rows, r)
-    if len(pivots) != r:
+    for i, row in enumerate(rows):
+        row.extend(Fraction(int(i == j)) for j in range(r))
+    if len(_rref(rows, r)) != r:
         raise ValidationError("invert: singular matrix")
-    return tuple(tuple(row[r:]) for row in rows)
+    return _pack([row[r:] for row in rows], r)
 
 
-def columns(a: Matrix):
-    return [tuple(row[j] for row in a) for j in range(shape(a)[1])]
+def columns(a):
+    return [tuple(col) for col in entries(transpose(a))]
 
 
-def from_columns(cols, nrows=None) -> Matrix:
+def from_columns(cols, nrows=None):
+    """Matrix with the given column tuples; ``nrows`` sizes an empty list."""
     if not cols:
-        return tuple(() for _ in range(nrows or 0))
-    return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
+        return zeros(nrows or 0, 0)
+    rows = list(zip(*cols))
+    return as_matrix(rows) if rows else zeros(0, len(cols))
 
 
-def projection_onto_columns(cols) -> Matrix:
+def projection_onto_columns(cols):
     """Orthogonal projection onto span(cols) w.r.t. the standard inner product."""
     if not cols:
         raise ValidationError("projection_onto_columns: empty basis")

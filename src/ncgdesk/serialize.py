@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import linalg as la
 from .algebra import (
     AlgebraElement,
     MultiMatrixAlgebra,
@@ -44,7 +45,7 @@ def _parse_entry(v):
 
 
 def matrix_to_json(m):
-    return [[format_scalar(x) for x in row] for row in m]
+    return [[format_scalar(x) for x in row] for row in la.entries(m)]
 
 
 def matrix_from_json(rows):

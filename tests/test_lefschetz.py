@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgdesk import lefschetz
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
-from ncgdesk.errors import ConsistencyError, DomainError, ValidationError
+from ncgdesk.errors import ConsistencyError, DomainError, NumericalError, \
+    ValidationError
 from ncgdesk.generate import acyclic_augmentation, random_ga_complex
 from ncgdesk.lefschetz import (
     FiniteGroup,
@@ -111,6 +113,35 @@ class TestComplexes:
         action = tuple((q.element,) for _ in group.elements())
         with pytest.raises(ValidationError):
             GAComplex(A, group, (q,), (d,), action)  # too many differentials
+
+    def _rotation_on_c(self):
+        """C with a trivial action, and the infinite-order unitary (3+4i)/5."""
+        q = Projection.identity(C)
+        c = GAComplex(C, FiniteGroup.cyclic_group(1), (q,), (), ((q.element,),))
+        phase = Cyclotomic.gaussian(Fraction(3, 5), Fraction(4, 5))
+        return c, AlgebraElement(C, 1, (((phase,),),))
+
+    def _fail_exact(self, monkeypatch, error):
+        real = lefschetz.spectral_decompose
+
+        def decompose(x):
+            if x.is_exact():
+                raise error("exact decomposition failed")
+            return real(x)
+        monkeypatch.setattr(lefschetz, "spectral_decompose", decompose)
+
+    def test_numerical_error_falls_back_to_floats(self, monkeypatch):
+        self._fail_exact(monkeypatch, NumericalError)
+        c, u = self._rotation_on_c()
+        (value, cls), = generalized_lefschetz(c, [u]).value.support
+        assert isinstance(value, complex) and abs(value - (0.6 + 0.8j)) < 1e-9
+        assert cls.ranks == (1,)
+
+    def test_other_errors_are_not_retried_in_floats(self, monkeypatch):
+        self._fail_exact(monkeypatch, TypeError)
+        c, u = self._rotation_on_c()
+        with pytest.raises(TypeError):
+            generalized_lefschetz(c, [u])
 
     def test_non_invariant_endomorphism_rejected(self):
         c = two_term_complex(A)

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgdesk import linalg as la
+from ncgdesk.errors import ValidationError
 from ncgdesk.scalars import Cyclotomic, scalar_is_zero, scalars_equal
 
 fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -112,3 +114,40 @@ def square_matrices(n=2):
 def test_trace_linear(m, c):
     assert scalars_equal(la.trace(la.scalar_mul(c, m)), c * la.trace(m)) \
         or scalar_is_zero(la.trace(la.scalar_mul(c, m)) - c * la.trace(m))
+
+
+EXACT = la.as_matrix([[1, 2], [3, 4]])
+FLOAT = la.as_matrix([[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("op", [
+    la.mat_mul, la.mat_add, la.mat_sub, la.mat_equal, la.block_diag,
+    la.stack_rows, lambda a, b: la.block_matrix([[a, b]]),
+], ids=["mat_mul", "mat_add", "mat_sub", "mat_equal", "block_diag",
+        "stack_rows", "block_matrix"])
+def test_mixed_exact_and_float_operands_rejected(op):
+    with pytest.raises(ValidationError):
+        op(EXACT, FLOAT)
+    with pytest.raises(ValidationError):
+        op(FLOAT, EXACT)
+
+
+def test_empty_shape_is_kept():
+    assert la.shape(la.zeros(0, 3)) == (0, 3)
+    assert la.shape(la.transpose(la.zeros(2, 0))) == (0, 2)
+
+
+def test_nullspace_of_zero_row_matrix_is_everything():
+    basis = la.nullspace(la.zeros(0, 3))
+    assert len(basis) == 3
+    assert la.mat_equal(la.from_columns(basis), la.identity(3))
+
+
+def test_mat_mul_through_empty_inner_dimension():
+    out = la.mat_mul(la.zeros(2, 0), la.zeros(0, 3))
+    assert la.shape(out) == (2, 3) and la.is_zero_matrix(out)
+
+
+def test_empty_float_matrix_is_not_exact():
+    assert not la.is_exact_matrix(la.zeros(0, 3, exact=False))
+    assert not la.is_exact_matrix(la.zeros(2, 0, exact=False))

@@ -1,0 +1,185 @@
+"""The packed exact kernel against a plain triple-loop reference.
+
+The reference works on lists of row lists of Cyclotomic scalars, one
+entry at a time.  Every property requires the packed result to equal the
+reference exactly, entry by entry and as a canonical packed matrix.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ncgdesk import linalg as la
+from ncgdesk.scalars import Cyclotomic
+
+ZERO = Cyclotomic.from_rational(0)
+ORDERS = (1, 3, 4, 12)
+PHI = {1: 1, 3: 2, 4: 2, 12: 4}
+NEAR_2_64 = st.integers(2 ** 64 - 2 ** 8, 2 ** 64 + 2 ** 8)
+
+
+# -- reference --------------------------------------------------------------
+
+def ref_mul(a, b, inner, cols):
+    return [[sum((row[k] * b[k][j] for k in range(inner)), ZERO)
+             for j in range(cols)] for row in a]
+
+
+def ref_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def ref_conj_transpose(a, rows, cols):
+    return [[a[i][j].conjugate() for i in range(rows)] for j in range(cols)]
+
+
+def ref_trace(a):
+    return sum((a[i][i] for i in range(len(a))), ZERO)
+
+
+def ref_block_diag(parts):
+    cols = sum(c for _, _, c in parts)
+    out = []
+    c0 = 0
+    for m, r, c in parts:
+        for i in range(r):
+            out.append([ZERO] * c0 + list(m[i]) + [ZERO] * (cols - c0 - c))
+        c0 += c
+    return out
+
+
+def ref_equal(a, b):
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+# -- strategies -------------------------------------------------------------
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), NEAR_2_64),
+)
+
+
+@st.composite
+def scalars(draw, orders=ORDERS):
+    order = draw(st.sampled_from(orders))
+    coeffs = draw(st.lists(rationals, min_size=PHI[order], max_size=PHI[order]))
+    return Cyclotomic(order, coeffs)
+
+
+# one field per matrix, or entries of every order mixed in one matrix
+fields = st.sampled_from([(1,), (3,), (4,), (12,), ORDERS])
+
+
+def matrices(rows, cols):
+    return fields.flatmap(lambda orders: st.lists(
+        st.lists(scalars(orders), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows))
+
+
+sizes = st.integers(0, 3)
+
+
+def pack(rows, r, c):
+    """Exact matrix of shape (r, c) from reference rows."""
+    return la.as_matrix(rows) if r and c else la.zeros(r, c)
+
+
+def same(packed, ref, r, c):
+    """Equal entry by entry, and equal to the reference packed afresh."""
+    got = la.entries(packed)
+    return la.shape(packed) == (r, c) and len(got) == len(ref) \
+        and ref_equal(got, ref) and packed == pack(ref, r, c)
+
+
+@st.composite
+def one_matrix(draw):
+    r, c = draw(sizes), draw(sizes)
+    return draw(matrices(r, c)), r, c
+
+
+# -- properties -------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mat_mul_matches_reference(data):
+    r, k, c = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    a, b = data.draw(matrices(r, k)), data.draw(matrices(k, c))
+    out = la.mat_mul(pack(a, r, k), pack(b, k, c))
+    assert same(out, ref_mul(a, b, k, c), r, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_add_and_sub_match_reference(data):
+    a, r, c = data.draw(one_matrix())
+    b = data.draw(matrices(r, c))
+    pa, pb = pack(a, r, c), pack(b, r, c)
+    assert same(la.mat_add(pa, pb), ref_add(a, b), r, c)
+    assert same(la.mat_sub(pa, pb), ref_sub(a, b), r, c)
+    assert same(la.mat_neg(pa), ref_scale(Fraction(-1), a), r, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_matrix(), st.one_of(scalars(), rationals))
+def test_scalar_mul_matches_reference(mat, s):
+    a, r, c = mat
+    assert same(la.scalar_mul(s, pack(a, r, c)), ref_scale(s, a), r, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_matrix())
+def test_conj_transpose_matches_reference(mat):
+    a, r, c = mat
+    assert same(la.conj_transpose(pack(a, r, c)), ref_conj_transpose(a, r, c),
+                c, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trace_matches_reference(data):
+    n = data.draw(sizes)
+    a = data.draw(matrices(n, n))
+    assert la.trace(pack(a, n, n)) == ref_trace(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(one_matrix(), max_size=3))
+def test_block_diag_matches_reference(mats):
+    out = la.block_diag(*(pack(m, r, c) for m, r, c in mats))
+    rows = sum(r for _, r, _ in mats)
+    cols = sum(c for _, _, c in mats)
+    assert same(out, ref_block_diag(mats), rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mat_equal_matches_reference(data):
+    a, r, c = data.draw(one_matrix())
+    b = data.draw(st.one_of(st.just(a), matrices(r, c)))
+    pa, pb = pack(a, r, c), pack(b, r, c)
+    assert la.mat_equal(pa, pb) == ref_equal(a, b)
+    assert la.mat_equal(pa, pb) == (pa == pb)
+    if pa == pb:
+        assert hash(pa) == hash(pb)
+    assert la.is_zero_matrix(la.mat_sub(pa, pb)) == ref_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_matrix())
+def test_as_matrix_round_trip(mat):
+    a, r, c = mat
+    packed = pack(a, r, c)
+    assert la.as_matrix(packed) is packed
+    assert ref_equal(la.entries(packed), a) and len(la.entries(packed)) == r
+    if r and c:
+        assert la.as_matrix(la.entries(packed)) == packed
