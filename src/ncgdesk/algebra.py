@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg as la
 from .errors import DomainError, NumericalError, ValidationError
@@ -91,7 +90,8 @@ class AlgebraElement:
         for d, diag in zip(algebra.ambient_dims(m), diagonals):
             if len(diag) != d:
                 raise ValidationError("diagonal length mismatch")
-            blocks.append(tuple(tuple(diag[i] if i == j else 0 for j in range(d))
+            zero = 0 * diag[0]  # float for a float diagonal, exact otherwise
+            blocks.append(tuple(tuple(diag[i] if i == j else zero for j in range(d))
                                 for i in range(d)))
         return AlgebraElement(algebra, m, tuple(blocks))
 
@@ -350,8 +350,13 @@ def is_normal(x: AlgebraElement, eps=None) -> bool:
     return worst <= eps
 
 
-def _cluster(values, radius):
-    """Single-linkage clusters of complex values; returns lists of indices."""
+def _cluster(values, radius, bounded=True):
+    """Single-linkage clusters of complex values; returns lists of indices.
+
+    A chain of values, each within ``radius`` of the next, links values
+    farther apart than ``radius``; when ``bounded``, a cluster that wide
+    raises NumericalError instead of passing as one eigenvalue.
+    """
     n = len(values)
     parent = list(range(n))
 
@@ -370,7 +375,13 @@ def _cluster(values, radius):
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    groups = list(groups.values())
+    if bounded and any(abs(values[i] - values[j]) > radius
+                       for g in groups for i in g for j in g):
+        raise NumericalError(
+            f"eigenvalues chain into a cluster wider than {radius:g}; "
+            "lower the epsilon or use exact input")
+    return groups
 
 
 def _snap_gaussian(z: complex) -> Cyclotomic:
@@ -379,23 +390,37 @@ def _snap_gaussian(z: complex) -> Cyclotomic:
     return Cyclotomic.gaussian(re, im)
 
 
+def _split(part, basis, bounded):
+    """Bases of the eigenvalue clusters of the Hermitian ``part`` on span(basis).
+
+    span(basis) must be invariant under ``part``; the bases are orthonormal.
+    """
+    try:
+        vals, vecs = np.linalg.eigh(basis.conj().T @ part @ basis)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    return [basis @ vecs[:, idx]
+            for idx in _cluster(list(vals), 2 * get_epsilon(), bounded)]
+
+
 def _float_eigensystem(block):
-    """(eigenvalue cluster means, orthogonal projections) for a normal matrix."""
+    """(eigenvalues, orthogonal eigenprojections) for a normal matrix.
+
+    The Hermitian part (m + m*)/2 and the skew part (m - m*)/2i commute and
+    carry the real and imaginary parts of the eigenvalues.  Splitting by
+    the first, then each piece by the second and again by the first gives
+    the joint eigenspaces.  The first split may merge a chain of real parts
+    whose imaginary parts differ, which the later, bounded splits separate.
+    """
     m = la.to_numpy(block)
     if m.size == 0:
         return [], []
-    try:
-        t, z = scipy.linalg.schur(m, output="complex")
-    except Exception as exc:  # pragma: no cover - backend failure
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    eigs = np.diag(t)
-    clusters = _cluster(list(eigs), 2 * get_epsilon())
-    vals, projs = [], []
-    for idx in clusters:
-        vals.append(complex(np.mean([eigs[i] for i in idx])))
-        vecs = z[:, idx]
-        projs.append(la.from_numpy(vecs @ vecs.conjugate().T))
-    return vals, projs
+    herm, skew = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
+    spaces = [np.eye(len(m), dtype=complex)]
+    for part, bounded in ((herm, False), (skew, True), (herm, True)):
+        spaces = [piece for basis in spaces for piece in _split(part, basis, bounded)]
+    vals = [complex(np.trace(b.conj().T @ m @ b)) / b.shape[1] for b in spaces]
+    return vals, [la.from_numpy(b @ b.conj().T) for b in spaces]
 
 
 def spectral_decompose(x: AlgebraElement) -> SpectralForm:
@@ -403,8 +428,9 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
 
     Exact elements are decomposed exactly when their eigenvalues are Gaussian
     rationals (float eigenvalues are snapped and the candidate decomposition
-    is verified by exact arithmetic).  Float elements go through a Schur
-    decomposition with 2*eps eigenvalue clustering.
+    is verified by exact arithmetic).  Float elements go through Hermitian
+    eigensolvers with 2*eps eigenvalue clustering; eigenvalues that chain
+    into a cluster wider than 2*eps raise NumericalError.
     """
     if not is_normal(x):
         raise DomainError("spectral_decompose requires a normal element")
@@ -414,24 +440,15 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
 
 
 def _spectral_decompose_float(x):
-    vals = []
-    per_block = []
-    for b in x.blocks:
-        v, p = _float_eigensystem(b)
-        per_block.append((v, p))
-        vals.extend(v)
-    clusters = _cluster(vals, 2 * get_epsilon())
-    reps = [complex(np.mean([vals[i] for i in c])) for c in clusters]
-    pairs = []
     dims = x.algebra.ambient_dims(x.amplification)
-    for rep in reps:
-        blocks = []
-        for (bvals, bprojs), d in zip(per_block, dims):
-            acc = la.zeros(d, d, exact=False)
-            for v, p in zip(bvals, bprojs):
-                if abs(v - rep) <= 2 * get_epsilon():
-                    acc = la.mat_add(acc, p)
-            blocks.append(acc)
+    found = [(f, v, p) for f, b in enumerate(x.blocks)
+             for v, p in zip(*_float_eigensystem(b))]
+    pairs = []
+    for idx in _cluster([v for _, v, _ in found], 2 * get_epsilon()):
+        blocks = [la.zeros(d, d, exact=False) for d in dims]
+        for f, _, p in (found[i] for i in idx):
+            blocks[f] = la.mat_add(blocks[f], p)
+        rep = complex(np.mean([found[i][1] for i in idx]))
         proj = AlgebraElement(x.algebra, x.amplification, tuple(blocks))
         pairs.append((rep, Projection(proj)))
     return SpectralForm.from_pairs(x.algebra, x.amplification, pairs)
@@ -446,7 +463,8 @@ def _spectral_decompose_exact(x):
     if not candidates:
         snapped = []
     else:
-        clusters = _cluster([complex(v) for v in candidates], 2 * get_epsilon())
+        clusters = _cluster([complex(v) for v in candidates], 2 * get_epsilon(),
+                            bounded=False)
         snapped = []
         for c in clusters:
             z = _snap_gaussian(complex(np.mean([candidates[i] for i in c])))

@@ -1,13 +1,15 @@
 """Command-line front end: JSON in, JSON out.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numerical or resource
-error, 3 verification failure (some checked identity did not hold).
+Exit codes: 0 success, 1 validation/usage error (including a missing,
+unreadable or malformed input document), 2 numerical or resource error,
+3 verification failure (some checked identity did not hold, or an internal
+cross-check raised ConsistencyError).  Every error ends with a single
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -17,6 +19,7 @@ from .budget import set_budget
 from .chern import T_cover, T_direct, chern_projection, generalized_chern
 from .cyclic import hc_class, hc_dims, trace_map
 from .errors import (
+    ConsistencyError,
     DomainError,
     NumericalError,
     ResourceError,
@@ -60,7 +63,7 @@ def _emit(doc) -> None:
 
 def _load_spectral(path):
     doc = sz.load_file(path)
-    if "pairs" in doc:
+    if isinstance(doc, dict) and "pairs" in doc:
         return sz.spectral_from_json(doc)
     return spectral_decompose(sz.element_from_json(doc))
 
@@ -350,12 +353,9 @@ def main(argv=None) -> int:
     except (NumericalError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
+    except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

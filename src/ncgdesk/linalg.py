@@ -8,8 +8,10 @@ form is canonical: the denominator is in lowest terms against every
 numerator and N is the smallest order whose field holds every entry, so
 equal matrices have equal fields.  Every exact operation works on the
 numerator arrays; a product takes all phi(N)^2 products of numerator
-planes in one integer matmul and folds them back into the power basis
-with a precomputed integer table of x^k mod Phi_N.
+planes in one integer matmul and folds them back into the power basis.
+The field tables, the canonical form (:func:`~ncgdesk.scalars.minimal_field`)
+and the Gauss-Jordan elimination are those of :mod:`ncgdesk.scalars`,
+where a :class:`~ncgdesk.scalars.Cyclotomic` is the 1 x 1 case.
 
 Entries become scalars (``Fraction`` when rational,
 :class:`~ncgdesk.scalars.Cyclotomic` otherwise) only at the edges:
@@ -29,104 +31,25 @@ import cmath
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
 from .scalars import (
     Cyclotomic,
-    cyclotomic_poly,
+    _fold,
+    _galois,
+    _mul_table,
+    _phi,
+    _promotion,
+    _rref,
+    _table,
     get_epsilon,
     is_exact_scalar,
+    minimal_field,
     scalar_is_zero,
     to_complex,
 )
-
-
-# ---------------------------------------------------------------------------
-# field tables, cached per cyclotomic order
-
-def _phi(n: int) -> int:
-    return len(cyclotomic_poly(n)) - 1
-
-
-@lru_cache(maxsize=None)
-def _powers(n: int):
-    """Row k holds the integer coefficients of x^k mod Phi_n, for k < n."""
-    phi = _phi(n)
-    low = [int(c) for c in cyclotomic_poly(n)][:phi]  # Phi_n is monic
-    vec = [1] + [0] * (phi - 1)
-    rows = []
-    for _ in range(n):
-        rows.append(tuple(vec))
-        top = vec[-1]
-        vec = [0] + vec[:-1]
-        if top:
-            vec = [v - top * c for v, c in zip(vec, low)]
-    return tuple(rows)
-
-
-def _table(rows) -> np.ndarray:
-    return np.array(rows, dtype=object)
-
-
-def _fold(table: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """Apply a (p x q) table to a stack of q coefficient planes."""
-    q, r, c = planes.shape
-    return (table @ planes.reshape(q, r * c)).reshape(len(table), r, c)
-
-
-@lru_cache(maxsize=None)
-def _mul_table(n: int) -> np.ndarray:
-    """(phi, phi^2) table: plane t of a product gets sum_ij M[t, i*phi+j] A_i B_j."""
-    phi, pw = _phi(n), _powers(n)
-    return _table([[pw[(i + j) % n][t] for i in range(phi) for j in range(phi)]
-                   for t in range(phi)])
-
-
-@lru_cache(maxsize=None)
-def _conj_table(n: int) -> np.ndarray:
-    phi, pw = _phi(n), _powers(n)
-    return _table([[pw[-j % n][t] for j in range(phi)] for t in range(phi)])
-
-
-@lru_cache(maxsize=None)
-def _promotion(n: int, big: int):
-    """Coordinates at order ``big`` of zeta_n^j (n | big), as rows t x cols j."""
-    step, pw = big // n, _powers(big)
-    return tuple(tuple(pw[step * j][t] for j in range(_phi(n)))
-                 for t in range(_phi(big)))
-
-
-@lru_cache(maxsize=None)
-def _promotion_table(n: int, big: int) -> np.ndarray:
-    return _table(_promotion(n, big))
-
-
-@lru_cache(maxsize=None)
-def _subfields(n: int):
-    """Test data for each proper subfield Q(zeta_d), smallest d first.
-
-    With E the embedding of Q(zeta_d) and ``inv`` = scale * (E[rows])^-1
-    for some invertible square row selection, a plane stack v lies in
-    Q(zeta_d) iff E @ inv @ v[rows] == scale * v, and inv @ v[rows] / scale
-    are then its coordinates there.
-    """
-    out = []
-    for d in range(2, n):
-        if n % d or d % 4 == 2:  # Q(zeta_d) = Q(zeta_{d/2}) when d = 2 mod 4
-            continue
-        embed = _promotion(d, n)
-        size = len(embed[0])
-        rows = _rref([[Fraction(x) for x in col] for col in zip(*embed)], len(embed))
-        aug = [[Fraction(x) for x in embed[i]] + [Fraction(int(i == j)) for j in rows]
-               for i in rows]
-        _rref(aug, size)
-        scale = math.lcm(*(x.denominator for row in aug for x in row[size:]))
-        inv = _table([[int(x * scale) for x in row[size:]] for row in aug])
-        out.append((d, rows, inv, _table(embed), scale))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -170,28 +93,14 @@ class ExactMatrix:
 
 def _make(order: int, nums: np.ndarray, den: int) -> ExactMatrix:
     """Canonical matrix from any numerators/denominator at ``order``."""
-    if den != 1:
-        g = math.gcd(den, *nums.flat)
-        if g != 1:
-            nums, den = nums // g, den // g
-    if order == 1:
-        return ExactMatrix(1, nums, den)
-    if not np.count_nonzero(nums[1:]):
-        return ExactMatrix(1, nums[:1], den)
-    for d, rows, inv, embed, scale in _subfields(order):
-        coords = _fold(inv, nums[rows])
-        if (_fold(embed, coords) == nums * scale).all():
-            den *= scale
-            g = math.gcd(den, *coords.flat)
-            return ExactMatrix(d, coords // g, den // g)
-    return ExactMatrix(order, nums, den)
+    return ExactMatrix(*minimal_field(order, nums, den))
 
 
 def _at(a: ExactMatrix, order: int) -> np.ndarray:
     """Numerators of ``a`` in the power basis of Q(zeta_order)."""
     if a.order == order:
         return a.nums
-    return _fold(_promotion_table(a.order, order), a.nums)
+    return _fold(_promotion(a.order, order), a.nums)
 
 
 def _common(mats):
@@ -220,10 +129,7 @@ def _scalar(order: int, coeffs, den: int):
     """The scalar sum_k coeffs[k] zeta_order^k / den."""
     if not any(coeffs[1:]):
         return Fraction(coeffs[0], den)
-    if order == 4:
-        return Cyclotomic(4, (Fraction(coeffs[0], den), Fraction(coeffs[1], den)),
-                          _normalized=True)
-    return Cyclotomic(order, [Fraction(c, den) for c in coeffs])
+    return Cyclotomic._from_planes(order, _table(coeffs), den)
 
 
 def _pack(rows, width: int) -> ExactMatrix:
@@ -236,7 +142,7 @@ def _pack(rows, width: int) -> ExactMatrix:
     for i, row in enumerate(parts):
         for j, (o, cs, d) in enumerate(row):
             if o != order:
-                cs = [sum(c * x for c, x in zip(t, cs)) for t in _promotion(o, order)]
+                cs = (_promotion(o, order) @ _table(cs)).tolist()
             scale = den // d
             for k, c in enumerate(cs):
                 if c:
@@ -386,7 +292,7 @@ def scalar_mul(c, a):
     order = math.lcm(c_order, a.order)
     cvec = _table(coeffs)
     if c_order != order:
-        cvec = _promotion_table(c_order, order) @ cvec
+        cvec = _promotion(c_order, order) @ cvec
     x = _at(a, order)
     prod = np.multiply.outer(cvec, x).reshape((len(x) ** 2,) + a.shape)
     return _make(order, _fold(_mul_table(order), prod), den)
@@ -424,7 +330,7 @@ def conj_transpose(a):
         return from_numpy(to_numpy(a).conj().T)
     nums = a.nums.transpose(0, 2, 1)
     if a.order > 2:
-        nums = _fold(_conj_table(a.order), nums)
+        nums = _fold(_galois(a.order, a.order - 1), nums)
     return ExactMatrix(a.order, nums, a.den)
 
 
@@ -533,34 +439,6 @@ def op_norm(a) -> float:
 
 # ---------------------------------------------------------------------------
 # exact elimination
-
-def _rref(rows, ncols):
-    """In-place RREF of a list of row lists; returns pivot column list."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
 
 def _rows(a):
     """(exact?, mutable rows of scalars, column count)."""

@@ -11,14 +11,24 @@ Two kinds of scalars flow through the package:
 Plain ``int`` / ``Fraction`` values interoperate with :class:`Cyclotomic`
 through the usual arithmetic operators, so exact matrices may freely store
 rationals without wrapping.
+
+This module is also the one implementation of the field Q(zeta_n): the
+integer tables of x^k mod Phi_n, products, Galois automorphisms and
+promotion to a larger field, and :func:`minimal_field`, which puts a stack
+of integer numerator planes over one denominator into canonical form.
+:class:`Cyclotomic` is the case of one scalar per plane;
+:mod:`ncgdesk.linalg` stores whole matrices the same way.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+
+import numpy as np
 
 _EPSILON = 1e-9
 
@@ -35,133 +45,159 @@ def set_epsilon(eps: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Fraction (coefficients low -> high)
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    # b has nonzero leading coefficient
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] / lead
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] -= coef * y
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_mod(a, m):
-    return _poly_divmod(a, m)[1]
-
+# the field tables, cached per cyclotomic order
+#
+# An element of Q(zeta_n) is a stack of phi(n) integer numerator planes
+# (the coefficients of 1, zeta, ..., zeta^(phi(n)-1)) over one positive
+# denominator; a plane is a scalar for Cyclotomic and a matrix in linalg.
 
 @lru_cache(maxsize=None)
-def _totient(n: int) -> int:
-    phi, d, m = 1, 2, n
-    while d * d <= m:
-        if m % d == 0:
-            phi *= d - 1
-            m //= d
-            while m % d == 0:
-                phi *= d
-                m //= d
-        d += 1
-    if m > 1:
-        phi *= m - 1
-    return phi
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n: int):
-    """Coefficients (low -> high) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+def cyclotomic_poly(n: int) -> tuple:
+    """Integer coefficients (low -> high) of the n-th cyclotomic polynomial."""
+    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1, the product of Phi_d over d | n
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_poly(d)))
-            assert not rem
+            div = cyclotomic_poly(d)
+            quo = [0] * (len(num) - len(div) + 1)
+            for k in reversed(range(len(quo))):  # every Phi_d is monic
+                quo[k] = c = num[k + len(div) - 1]
+                for i, y in enumerate(div):
+                    num[k + i] -= c * y
+            num = quo
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int):
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+def _phi(n: int) -> int:
+    return len(cyclotomic_poly(n)) - 1
 
 
 @lru_cache(maxsize=None)
-def _embedded_basis(n: int, d: int):
-    """Canonical coordinates (at order n) of zeta_d^j for j < phi(d)."""
-    phi_n = _totient(n)
-    mod = list(cyclotomic_poly(n))
-    step = n // d
-    vecs = []
-    for j in range(_totient(d)):
-        poly = [Fraction(0)] * (step * j) + [Fraction(1)]
-        poly = _poly_mod(poly, mod)
-        vecs.append(tuple(poly + [Fraction(0)] * (phi_n - len(poly))))
-    return tuple(vecs)
+def _powers(n: int):
+    """Row k holds the integer coefficients of x^k mod Phi_n, for k < n."""
+    phi = _phi(n)
+    low = cyclotomic_poly(n)[:phi]
+    vec = [1] + [0] * (phi - 1)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple(vec))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            vec = [v - top * c for v, c in zip(vec, low)]
+    return tuple(rows)
 
 
-def _solve_in_span(vecs, target):
-    """Express target as a rational combination of vecs, or return None."""
-    if not vecs:
-        return None
-    ncols = len(vecs)
-    rows = len(target)
-    aug = [[vecs[c][r] for c in range(ncols)] + [target[r]] for r in range(rows)]
-    piv_cols = []
+def _table(rows) -> np.ndarray:
+    return np.array(rows, dtype=object)
+
+
+def _fold(table: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Apply a (p x q) table to a stack of q coefficient planes."""
+    q = len(planes)
+    return (table @ planes.reshape(q, -1)).reshape((len(table),) + planes.shape[1:])
+
+
+@lru_cache(maxsize=None)
+def _mul_table(n: int) -> np.ndarray:
+    """(phi, phi^2) table: plane t of a product gets sum_ij M[t, i*phi+j] A_i B_j."""
+    phi, pw = _phi(n), _powers(n)
+    return _table([[pw[(i + j) % n][t] for i in range(phi) for j in range(phi)]
+                   for t in range(phi)])
+
+
+@lru_cache(maxsize=None)
+def _galois(n: int, k: int) -> np.ndarray:
+    """Table of the automorphism zeta -> zeta^k of Q(zeta_n), gcd(k, n) = 1.
+
+    Complex conjugation is k = n - 1.
+    """
+    phi, pw = _phi(n), _powers(n)
+    return _table([[pw[j * k % n][t] for j in range(phi)] for t in range(phi)])
+
+
+@lru_cache(maxsize=None)
+def _promotion(n: int, big: int) -> np.ndarray:
+    """Coordinates at order ``big`` of zeta_n^j (n | big), as rows t x cols j."""
+    step, pw = big // n, _powers(big)
+    return _table([[pw[step * j][t] for j in range(_phi(n))]
+                   for t in range(_phi(big))])
+
+
+def _rref(rows, ncols):
+    """In-place RREF of a list of row lists; returns pivot column list."""
+    pivots = []
     r = 0
+    nrows = len(rows)
     for c in range(ncols):
-        piv = next((i for i in range(r, rows) if aug[i][c]), None)
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                piv = i
+                break
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        if inv != 1:
+            rows[r] = [x / inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
         r += 1
-        if r == rows:
+        if r == nrows:
             break
-    # consistency: rows past rank must have zero RHS
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][ncols]
-    # verify (free columns may make the system underdetermined; basis vecs
-    # are independent in our usage so this always checks out)
-    for r_ in range(rows):
-        acc = sum((vecs[c][r_] * sol[c] for c in range(ncols)), Fraction(0))
-        if acc != target[r_]:
-            return None
-    return sol
+    return pivots
+
+
+@lru_cache(maxsize=None)
+def _subfields(n: int):
+    """Test data for each proper subfield Q(zeta_d), smallest d first.
+
+    With E the embedding of Q(zeta_d) and ``inv`` = scale * (E[rows])^-1
+    for some invertible square row selection, a plane stack v lies in
+    Q(zeta_d) iff E @ inv @ v[rows] == scale * v, and inv @ v[rows] / scale
+    are then its coordinates there.
+    """
+    out = []
+    for d in range(2, n):
+        if n % d or d % 4 == 2:  # Q(zeta_d) = Q(zeta_{d/2}) when d = 2 mod 4
+            continue
+        embed = _promotion(d, n)
+        size = embed.shape[1]
+        cols = [[Fraction(x) for x in col] for col in embed.T.tolist()]
+        rows = _rref(cols, len(embed))
+        aug = [[Fraction(x) for x in embed[i]] + [Fraction(int(i == j)) for j in rows]
+               for i in rows]
+        _rref(aug, size)
+        scale = math.lcm(*(x.denominator for row in aug for x in row[size:]))
+        inv = _table([[int(x * scale) for x in row[size:]] for row in aug])
+        out.append((d, rows, inv, embed, scale))
+    return tuple(out)
+
+
+def minimal_field(order: int, nums: np.ndarray, den: int):
+    """Canonical (order, nums, den) of the stack nums / den over Q(zeta_order).
+
+    The denominator ends in lowest terms against every numerator, and the
+    order is the smallest whose field holds every plane of the stack.
+    """
+    if den != 1:
+        g = math.gcd(den, *nums.flat)
+        if g != 1:
+            nums, den = nums // g, den // g
+    if order == 1:
+        return 1, nums, den
+    if not np.count_nonzero(nums[1:]):
+        return 1, nums[:1], den
+    for d, rows, inv, embed, scale in _subfields(order):
+        coords = _fold(inv, nums[rows])
+        if (_fold(embed, coords) == nums * scale).all():
+            den *= scale
+            g = math.gcd(den, *coords.flat)
+            return d, coords // g, den // g
+    return order, nums, den
 
 
 class Cyclotomic:
@@ -174,16 +210,18 @@ class Cyclotomic:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs, _normalized=False):
-        if _normalized:
-            object.__setattr__(self, "order", order)
-            object.__setattr__(self, "coeffs", coeffs)
-            return
-        poly = _poly_mod([Fraction(c) for c in coeffs], list(cyclotomic_poly(order)))
-        phi = _totient(order)
-        vec = tuple(poly + [Fraction(0)] * (phi - len(poly)))
-        o, v = _minimalize(order, vec)
-        object.__setattr__(self, "order", o)
-        object.__setattr__(self, "coeffs", v)
+        if not _normalized:
+            coeffs = [Fraction(c) for c in coeffs]
+            den = math.lcm(1, *(c.denominator for c in coeffs))
+            nums = [0] * _phi(order)
+            for k, c in enumerate(coeffs):
+                c = c.numerator * (den // c.denominator)
+                for t, p in enumerate(_powers(order)[k % order]):
+                    nums[t] += c * p
+            value = Cyclotomic._from_planes(order, _table(nums), den)
+            order, coeffs = value.order, value.coeffs
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Cyclotomic is immutable")
@@ -202,20 +240,29 @@ class Cyclotomic:
 
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> "Cyclotomic":
-        k %= n
-        poly = [Fraction(0)] * k + [Fraction(1)]
-        return Cyclotomic(n, poly)
+        return Cyclotomic(n, [0] * (k % n) + [1])
+
+    @staticmethod
+    def _from_planes(order, nums, den) -> "Cyclotomic":
+        """The scalar sum_k nums[k] zeta_order^k / den."""
+        order, nums, den = minimal_field(order, nums, den)
+        coeffs = tuple(Fraction(x, den) for x in nums)
+        return Cyclotomic(order, coeffs, _normalized=True)
 
     # -- ring/field structure ----------------------------------------------
-    def _promoted(self, n):
-        """Coefficient vector at order n (self.order | n), reduced mod Phi_n."""
-        if n == self.order:
-            return list(self.coeffs)
-        step = n // self.order
-        poly = [Fraction(0)] * (_totient(self.order) * step)
-        for j, c in enumerate(self.coeffs):
-            poly[step * j] = c
-        return _poly_mod(poly, list(cyclotomic_poly(n)))
+    def _planes(self, n):
+        """(integer numerators at order n, denominator); self.order | n."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums = _table([c.numerator * (den // c.denominator) for c in self.coeffs])
+        if n != self.order:
+            nums = _fold(_promotion(self.order, n), nums)
+        return nums, den
+
+    def _sigma(self, k: int) -> "Cyclotomic":
+        """The Galois conjugate zeta -> zeta^k, gcd(k, order) = 1."""
+        nums, den = self._planes(self.order)
+        n = self.order
+        return Cyclotomic._from_planes(n, _fold(_galois(n, k), nums), den)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -233,14 +280,9 @@ class Cyclotomic:
             g, q = (self, other) if self.order == 4 else (other, self)
             return Cyclotomic(4, (g.coeffs[0] + q.coeffs[0], g.coeffs[1]),
                               _normalized=True)
-        n = _lcm(self.order, other.order)
-        a, b = self._promoted(n), other._promoted(n)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Cyclotomic(n, out)
+        n = math.lcm(self.order, other.order)
+        (a, da), (b, db) = self._planes(n), other._planes(n)
+        return Cyclotomic._from_planes(n, a * db + b * da, da * db)
 
     __radd__ = __add__
 
@@ -280,9 +322,10 @@ class Cyclotomic:
             if not im:
                 return Cyclotomic(1, (re,), _normalized=True)
             return Cyclotomic(4, (re, im), _normalized=True)
-        n = _lcm(self.order, other.order)
-        prod = _poly_mul(self._promoted(n), other._promoted(n))
-        return Cyclotomic(n, prod or [Fraction(0)])
+        n = math.lcm(self.order, other.order)
+        (a, da), (b, db) = self._planes(n), other._planes(n)
+        prod = np.multiply.outer(a, b).reshape(-1)
+        return Cyclotomic._from_planes(n, _fold(_mul_table(n), prod), da * db)
 
     __rmul__ = __mul__
 
@@ -291,18 +334,11 @@ class Cyclotomic:
             raise ZeroDivisionError("division by zero scalar")
         if self.order == 1:
             return Cyclotomic(1, (1 / self.coeffs[0],), _normalized=True)
-        # extended Euclid: u*self + v*Phi_n = 1
-        mod = list(cyclotomic_poly(self.order))
-        a, b = list(self.coeffs), mod
-        u0, u1 = [Fraction(1)], []
-        while b:
-            q, r = _poly_divmod(a, b)
-            a, b = b, r
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        # a is now the gcd (a nonzero constant, since Phi_n is irreducible)
-        c = a[0]
-        inv = [x / c for x in u0]
-        return Cyclotomic(self.order, _poly_mod(inv, mod))
+        # self times the product of its other Galois conjugates is its norm
+        n = self.order
+        rest = reduce(operator.mul, (
+            self._sigma(k) for k in range(2, n) if math.gcd(k, n) == 1))
+        return rest * (1 / (self * rest).rational_value())
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -334,14 +370,7 @@ class Cyclotomic:
         if self.order == 4:
             return Cyclotomic(4, (self.coeffs[0], -self.coeffs[1]),
                               _normalized=True)
-        n = self.order
-        mod = list(cyclotomic_poly(n))
-        out = [Fraction(0)]
-        for j, c in enumerate(self.coeffs):
-            if c:
-                term = [Fraction(0)] * ((n - 1) * j) + [c]
-                out = _poly_add(out, _poly_mod(term, mod))
-        return Cyclotomic(n, out or [Fraction(0)])
+        return self._sigma(self.order - 1)
 
     # -- predicates / views -------------------------------------------------
     def is_zero(self) -> bool:
@@ -399,41 +428,6 @@ class Cyclotomic:
         if self.order == 4:
             return f"Cyc({self.coeffs[0]}+{self.coeffs[1]}i)"
         return f"Cyc(order={self.order}, coeffs={self.coeffs})"
-
-
-def _poly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    return _poly_add(a, [-c for c in b])
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
-@lru_cache(maxsize=4096)
-def _minimalize_cached(order, vec):
-    for d in _divisors(order):
-        if d == order:
-            break
-        basis = _embedded_basis(order, d)
-        sol = _solve_in_span(basis, vec)
-        if sol is not None:
-            return _minimalize_cached(d, tuple(sol))
-    return order, vec
-
-
-def _minimalize(order, vec):
-    if order == 1:
-        return 1, vec
-    return _minimalize_cached(order, vec)
 
 
 def _coerce(x):
@@ -519,6 +513,8 @@ def parse_scalar(v):
         return complex(float(re), float(im))
     if isinstance(v, dict):
         order = int(v["order"])
+        if order < 1:
+            raise ValueError(f"cyclotomic order must be positive: {order}")
         coeffs = [Fraction(c) for c in v["coeffs"]]
         return Cyclotomic(order, coeffs)
     re = parse_real(v)

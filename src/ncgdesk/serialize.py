@@ -3,7 +3,8 @@
 Exact rationals travel as strings "p/q", complex values as [re, im]
 pairs, and non-Gaussian exact scalars as {"order", "coeffs"} records.
 Every document carries a schema_version field and emits its collections
-in canonical order so round-trips are stable.
+in canonical order so round-trips are stable.  The loaders check each
+field they read: a malformed document raises ValidationError.
 """
 
 from __future__ import annotations
@@ -40,8 +41,53 @@ def _simplify(x):
     return x
 
 
+# -- checked field access ---------------------------------------------------
+
+def _field(doc, key, *default):
+    """doc[key] of a JSON object, or ``default`` when given and key is absent."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
+    if key in doc:
+        return doc[key]
+    if default:
+        return default[0]
+    raise ValidationError(f"missing field {key!r}")
+
+
+def _items(v, what):
+    if not isinstance(v, list):
+        raise ValidationError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
+def _int(v, what):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValidationError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _ints(v, what):
+    return tuple(_int(x, what) for x in _items(v, what))
+
+
+def _scalar(v):
+    try:
+        return parse_scalar(v)
+    except (ValueError, TypeError, ZeroDivisionError, KeyError) as exc:
+        raise ValidationError(f"bad scalar {v!r}: {exc}") from None
+
+
 def _parse_entry(v):
-    return _simplify(parse_scalar(v))
+    return _simplify(_scalar(v))
+
+
+def _algebra(doc) -> MultiMatrixAlgebra:
+    return MultiMatrixAlgebra(_ints(_field(doc, "blocks"), "block dimension"))
+
+
+def _group(doc) -> FiniteGroup:
+    return FiniteGroup(tuple(_ints(row, "group table row")
+                             for row in _items(_field(doc, "table"), "group table")))
 
 
 def matrix_to_json(m):
@@ -49,11 +95,16 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(rows):
-    return tuple(tuple(_parse_entry(x) for x in row) for row in rows)
+    return tuple(tuple(_parse_entry(x) for x in _items(row, "matrix row"))
+                 for row in _items(rows, "matrix"))
+
+
+def _matrices(v, what):
+    return tuple(matrix_from_json(m) for m in _items(v, what))
 
 
 def _check_version(doc):
-    v = doc.get("schema_version", SCHEMA_VERSION)
+    v = _field(doc, "schema_version", SCHEMA_VERSION)
     if v != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema version {v}")
 
@@ -66,7 +117,7 @@ def algebra_to_json(a: MultiMatrixAlgebra) -> dict:
 
 def algebra_from_json(doc: dict) -> MultiMatrixAlgebra:
     _check_version(doc)
-    return MultiMatrixAlgebra(tuple(doc["blocks"]))
+    return _algebra(doc)
 
 
 def element_to_json(x: AlgebraElement) -> dict:
@@ -78,9 +129,9 @@ def element_to_json(x: AlgebraElement) -> dict:
 
 def element_from_json(doc: dict) -> AlgebraElement:
     _check_version(doc)
-    algebra = MultiMatrixAlgebra(tuple(doc["algebra"]["blocks"]))
-    return AlgebraElement(algebra, int(doc.get("m", 1)),
-                          tuple(matrix_from_json(b) for b in doc["blocks"]))
+    return AlgebraElement(_algebra(_field(doc, "algebra")),
+                          _int(_field(doc, "m", 1), "m"),
+                          _matrices(_field(doc, "blocks"), "blocks"))
 
 
 def projection_to_json(p: Projection) -> dict:
@@ -102,13 +153,12 @@ def spectral_to_json(a: SpectralForm) -> dict:
 
 def spectral_from_json(doc: dict) -> SpectralForm:
     _check_version(doc)
-    algebra = MultiMatrixAlgebra(tuple(doc["algebra"]["blocks"]))
-    m = int(doc.get("m", 1))
+    algebra = _algebra(_field(doc, "algebra"))
+    m = _int(_field(doc, "m", 1), "m")
     pairs = tuple(
-        (parse_scalar(item["lambda"]),
-         Projection(AlgebraElement(algebra, m, tuple(
-             matrix_from_json(b) for b in item["P"]))))
-        for item in doc["pairs"])
+        (_scalar(_field(item, "lambda")),
+         Projection(AlgebraElement(algebra, m, _matrices(_field(item, "P"), "P"))))
+        for item in _items(_field(doc, "pairs"), "pairs"))
     return SpectralForm.from_pairs(algebra, m, pairs)
 
 
@@ -123,10 +173,10 @@ def n0_to_json(x: N0Class) -> dict:
 
 def n0_from_json(doc: dict) -> N0Class:
     _check_version(doc)
-    algebra = MultiMatrixAlgebra(tuple(doc["algebra"]["blocks"]))
-    support = tuple((parse_scalar(item["lambda"]),
-                     K0Class(tuple(item["ranks"])))
-                    for item in doc["support"])
+    algebra = _algebra(_field(doc, "algebra"))
+    support = tuple((_scalar(_field(item, "lambda")),
+                     K0Class(_ints(_field(item, "ranks"), "rank")))
+                    for item in _items(_field(doc, "support"), "support"))
     return N0Class(algebra, support)
 
 
@@ -137,7 +187,8 @@ def k0c_to_json(v: K0TensorC) -> dict:
 
 def k0c_from_json(doc: dict) -> K0TensorC:
     _check_version(doc)
-    return K0TensorC(tuple(_parse_entry(c) for c in doc["coeffs"]))
+    coeffs = _items(_field(doc, "coeffs"), "coeffs")
+    return K0TensorC(tuple(_parse_entry(c) for c in coeffs))
 
 
 def hc_class_to_json(c: HCClass) -> dict:
@@ -147,8 +198,9 @@ def hc_class_to_json(c: HCClass) -> dict:
 
 def hc_class_from_json(doc: dict) -> HCClass:
     _check_version(doc)
-    return HCClass(int(doc["degree"]),
-                   tuple(_parse_entry(x) for x in doc["coords"]))
+    coords = _items(_field(doc, "coords"), "coords")
+    return HCClass(_int(_field(doc, "degree"), "degree"),
+                   tuple(_parse_entry(x) for x in coords))
 
 
 # -- tensors ----------------------------------------------------------------
@@ -163,13 +215,14 @@ def tensor_to_json(xi: TensorElement) -> dict:
 
 def tensor_from_json(doc: dict) -> TensorElement:
     _check_version(doc)
-    algebra = MultiMatrixAlgebra(tuple(doc["algebra"]["blocks"]))
+    algebra = _algebra(_field(doc, "algebra"))
     coeffs = {}
-    for term in doc["terms"]:
-        key = tuple(tuple(int(i) for i in u) for u in term["indices"])
-        coeffs[key] = _parse_entry(term["coeff"])
-    return TensorElement(algebra, int(doc.get("m", 1)),
-                         int(doc["degree"]), coeffs)
+    for term in _items(_field(doc, "terms"), "terms"):
+        key = tuple(_ints(u, "tensor index")
+                    for u in _items(_field(term, "indices"), "indices"))
+        coeffs[key] = _parse_entry(_field(term, "coeff"))
+    return TensorElement(algebra, _int(_field(doc, "m", 1), "m"),
+                         _int(_field(doc, "degree"), "degree"), coeffs)
 
 
 # -- homomorphisms ----------------------------------------------------------
@@ -186,13 +239,14 @@ def hom_to_json(phi: StarHomomorphism) -> dict:
 
 def hom_from_json(doc: dict) -> StarHomomorphism:
     _check_version(doc)
-    unitaries = doc.get("unitaries")
+    unitaries = _field(doc, "unitaries", None)
     if unitaries is not None:
-        unitaries = tuple(matrix_from_json(u) for u in unitaries)
+        unitaries = _matrices(unitaries, "unitaries")
     return StarHomomorphism(
-        MultiMatrixAlgebra(tuple(doc["source"]["blocks"])),
-        MultiMatrixAlgebra(tuple(doc["target"]["blocks"])),
-        tuple(tuple(row) for row in doc["multiplicities"]),
+        _algebra(_field(doc, "source")),
+        _algebra(_field(doc, "target")),
+        tuple(_ints(row, "multiplicity")
+              for row in _items(_field(doc, "multiplicities"), "multiplicities")),
         unitaries)
 
 
@@ -212,18 +266,18 @@ def irreps_to_json(table: IrrepTable) -> dict:
 
 def irreps_from_json(doc: dict) -> IrrepTable:
     """Either a built-in reference {"kind": "cyclic"|"s3"} or a full table."""
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", None)
     if kind == "cyclic":
-        return IrrepTable.cyclic(int(doc["n"]))
+        return IrrepTable.cyclic(_int(_field(doc, "n"), "n"))
     if kind == "s3":
         return IrrepTable.symmetric_3()
     if kind is not None:
         raise ValidationError(f"unknown group kind {kind!r}")
     _check_version(doc)
-    group = FiniteGroup(tuple(tuple(r) for r in doc["group"]["table"]))
-    irreps = tuple(Irrep(p["name"], int(p["dim"]),
-                         tuple(matrix_from_json(m) for m in p["matrices"]))
-                   for p in doc["irreps"])
+    group = _group(_field(doc, "group"))
+    irreps = tuple(Irrep(_field(p, "name"), _int(_field(p, "dim"), "dim"),
+                         _matrices(_field(p, "matrices"), "matrices"))
+                   for p in _items(_field(doc, "irreps"), "irreps"))
     return IrrepTable(group, irreps)
 
 
@@ -242,22 +296,26 @@ def complex_to_json(c: GAComplex) -> dict:
 
 def complex_from_json(doc: dict) -> GAComplex:
     _check_version(doc)
-    algebra = MultiMatrixAlgebra(tuple(doc["algebra"]["blocks"]))
-    group = FiniteGroup(tuple(tuple(r) for r in doc["group"]["table"]))
+    algebra = _algebra(_field(doc, "algebra"))
+    group = _group(_field(doc, "group"))
     modules = tuple(
-        Projection(AlgebraElement(algebra, int(item["n"]), tuple(
-            matrix_from_json(b) for b in item["q"])))
-        for item in doc["modules"])
+        Projection(AlgebraElement(algebra, _int(_field(item, "n"), "n"),
+                                  _matrices(_field(item, "q"), "q")))
+        for item in _items(_field(doc, "modules"), "modules"))
+    diffs = _items(_field(doc, "diffs"), "diffs")
+    action = _items(_field(doc, "action"), "action")
+    if len(diffs) != max(len(modules) - 1, 0) or any(
+            len(_items(row, "action row")) != len(modules) for row in action):
+        raise ValidationError("complex needs one differential between each pair of "
+                              "adjacent modules and one action block per module")
     diffs = tuple(
         ModuleMap(algebra, modules[i].amplification,
-                  modules[i + 1].amplification,
-                  tuple(matrix_from_json(b) for b in blocks))
-        for i, blocks in enumerate(doc["diffs"]))
+                  modules[i + 1].amplification, _matrices(blocks, "diff"))
+        for i, blocks in enumerate(diffs))
     action = tuple(
-        tuple(AlgebraElement(algebra, modules[j].amplification, tuple(
-            matrix_from_json(b) for b in u))
-            for j, u in enumerate(row))
-        for row in doc["action"])
+        tuple(AlgebraElement(algebra, modules[j].amplification, _matrices(u, "action"))
+              for j, u in enumerate(row))
+        for row in action)
     return GAComplex(algebra, group, modules, diffs, action)
 
 
@@ -268,5 +326,9 @@ def dumps(doc: dict) -> str:
 
 
 def load_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a JSON file; an unreadable file or bad JSON is a ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+        raise ValidationError(f"cannot load {path}: {exc}") from None

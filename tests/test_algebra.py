@@ -18,14 +18,14 @@ from ncgdesk.algebra import (
     spectral_decompose,
     spectral_projection,
 )
-from ncgdesk.errors import DomainError, ValidationError
+from ncgdesk.errors import DomainError, NumericalError, ValidationError
 from ncgdesk.generate import (
     random_exact_unitary,
     random_hom,
     random_normal,
     random_projection,
 )
-from ncgdesk.scalars import Cyclotomic
+from ncgdesk.scalars import Cyclotomic, get_epsilon
 
 A = MultiMatrixAlgebra((1, 2))
 seeds = st.integers(0, 10 ** 6)
@@ -180,3 +180,29 @@ class TestStarHomomorphism:
         a = random_normal(phi.source, rng)
         b = apply_hom_spectral(phi, a)
         assert set(map(str, b.eigenvalues())) <= set(map(str, a.eigenvalues()))
+
+
+class TestFloatSpectrum:
+    @pytest.mark.parametrize("blocks", [(4,), (1, 1, 1, 1)])
+    def test_chain_of_close_eigenvalues_is_rejected(self, blocks):
+        # each value is within 2 eps of the next, the ends 4.5 eps apart;
+        # merged into one cluster the decomposition would not rebuild x
+        eps = get_epsilon()
+        values = [1.0, 1 + 1.5 * eps, 1 + 3 * eps, 1 + 4.5 * eps]
+        alg = MultiMatrixAlgebra(blocks)
+        parts = [values] if len(blocks) == 1 else [[v] for v in values]
+        with pytest.raises(NumericalError):
+            spectral_decompose(AlgebraElement.diagonal(alg, parts))
+
+    def test_chain_of_real_parts_with_distinct_imaginary_parts(self):
+        eps = get_epsilon()
+        x = AlgebraElement.diagonal(MultiMatrixAlgebra((3,)),
+                                    [[0j, 1.5 * eps + 1j, 3 * eps + 2j]])
+        a = spectral_decompose(x)
+        assert len(a.pairs) == 2 and a.element().equals(x)
+
+    def test_float_diagonal_is_the_explicit_float_matrix(self):
+        x = AlgebraElement.diagonal(A, [[2.0], [0.5, -1j]])
+        explicit = AlgebraElement(A, 1, (((2.0,),), ((0.5, 0.0), (0.0, -1j))))
+        assert not x.is_exact() and x.equals(explicit)
+        assert spectral_decompose(x).element().equals(x)

@@ -7,6 +7,7 @@ import pytest
 
 from ncgdesk import serialize as sz
 from ncgdesk.budget import set_budget
+from ncgdesk.errors import ConsistencyError
 from ncgdesk.cli import main
 
 
@@ -177,3 +178,43 @@ def test_eq_json_roundtrip_through_files(tmp_path, capsys):
     b = write(tmp_path, "b.json", json.loads(json.dumps(x)))
     code, out = run_cli(capsys, "n0", "eq", "--a", a, "--b", b)
     assert code == 0 and out == {"equal": True}
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ncgdesk; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+MALFORMED_ELEMENTS = {
+    "non-integer block": {"schema_version": 1, "algebra": {"blocks": [1, "x"]},
+                          "m": 1, "blocks": [[["1"]], [["1"]]]},
+    "missing blocks": {"schema_version": 1, "algebra": {}, "m": 1,
+                       "blocks": [[["1"]]]},
+    "zero denominator": {"schema_version": 1, "algebra": {"blocks": [1]},
+                         "m": 1, "blocks": [[["1/0"]]]},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_ELEMENTS.values(),
+                         ids=MALFORMED_ELEMENTS.keys())
+def test_malformed_document_is_one_error_line(tmp_path, doc):
+    path = write(tmp_path, "x.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncgdesk.cli", "n0", "class", "--element", path],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_consistency_error_exits_three(monkeypatch, capsys):
+    import ncgdesk.cli as cli_mod
+
+    def broken(argv):
+        raise ConsistencyError("cross-check failed")
+
+    monkeypatch.setattr(cli_mod, "run", broken)
+    assert main([]) == 3
+    assert capsys.readouterr().err == "error: cross-check failed\n"

@@ -1,8 +1,9 @@
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncgdesk.scalars import (
     Cyclotomic,
@@ -19,6 +20,22 @@ from ncgdesk.scalars import (
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 gaussians = st.builds(Cyclotomic.gaussian, fractions, fractions)
+
+# (n, coefficients of 1, zeta_n, ..., zeta_n^(n-1)), checked against complex
+# arithmetic, which shares no table with the field.
+ORACLE_ORDERS = (1, 3, 4, 5, 8, 12, 24)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+coefficient_lists = st.sampled_from(ORACLE_ORDERS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(small, min_size=1, max_size=n)))
+elements = coefficient_lists.map(lambda nc: Cyclotomic(*nc))
+
+
+def value(n, coeffs):
+    return sum(float(c) * cmath.exp(2j * math.pi * k / n) for k, c in enumerate(coeffs))
+
+
+def close(z, w):
+    return abs(z - w) <= 1e-9 * (1 + abs(w))
 
 
 class TestCyclotomic:
@@ -73,6 +90,36 @@ class TestCyclotomic:
     def test_complex_embedding_is_homomorphic(self, a):
         b = Cyclotomic.gaussian(Fraction(1, 3), Fraction(2))
         assert abs(complex(a * b) - complex(a) * complex(b)) < 1e-9
+
+
+class TestFieldOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists, coefficient_lists)
+    def test_operations_match_complex(self, xs, ys):
+        x, y = Cyclotomic(*xs), Cyclotomic(*ys)
+        zx, zy = value(*xs), value(*ys)
+        assert close(complex(x), zx) and close(complex(y), zy)
+        assert close(complex(x + y), zx + zy)
+        assert close(complex(x - y), zx - zy)
+        assert close(complex(x * y), zx * zy)
+        assert close(complex(x.conjugate()), zx.conjugate())
+        if not y.is_zero():
+            assert close(complex(x / y), zx / zy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(elements)
+    def test_inverse(self, x):
+        assume(not x.is_zero())
+        assert x * x.inverse() == 1
+
+    @pytest.mark.parametrize("make, order", [
+        (lambda: Cyclotomic.root_of_unity(8) + Cyclotomic.root_of_unity(8, 7), 8),
+        (lambda: Cyclotomic.root_of_unity(12, 4), 3),
+        (lambda: Cyclotomic.root_of_unity(6), 3),
+        (lambda: Cyclotomic.gaussian(0, 1) * Cyclotomic.root_of_unity(3), 12),
+    ], ids=["z8+z8^7", "z12^4", "z6", "i*z3"])
+    def test_conductor(self, make, order):
+        assert make().order == order
 
 
 class TestHelpers:
