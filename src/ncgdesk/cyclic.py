@@ -4,14 +4,32 @@ Tensors over M_m(A) are sparse linear combinations of matrix-unit tuples.
 The quotient by the image of (1 - cyclic operator) is realized by orbit
 canonicalization: each basis tuple is replaced by the lexicographically
 smallest rotation, carrying the accumulated sign; orbits whose stabilizer
-flips the sign die in the quotient.  Homology comes from sparse exact
-Gaussian elimination with combination tracking, which also yields boundary
-witnesses and canonical quotient coordinates.
+flips the sign die in the quotient.
+
+The complex is graded by weight: for each (factor, index), the number of
+times the index is a row index of a tuple minus the number of times it is
+a column index.  The face map and rotation preserve it, so CC splits into
+one block per weight.  The diagonal unitary torus acts on the weight-w
+block by the character t^w, and inner automorphisms act trivially on
+cyclic homology, so every block of nonzero weight is acyclic and HC comes
+from the weight-0 block alone.  Homology spaces enumerate and eliminate
+only that block; ``hc_class`` drops the other weights of a cycle, and
+``boundary_witness`` solves block by block, building a nonzero-weight
+block the first time a query needs it.
+
+Homology comes from sparse exact Gaussian elimination with combination
+tracking, which also yields boundary witnesses and canonical quotient
+coordinates.  Boundary columns are integer vectors, and rows stay Python
+ints while the pivot is +-1.  The elimination of b: CC_n -> CC_{n-1} is
+done once per (algebra, amplification, n, weight): it is the image of the
+boundary for HC_{n-1} and the kernel of the boundary for HC_n.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -220,27 +238,46 @@ def cc_reduce(xi: TensorElement) -> dict:
     return {k: v for k, v in out.items() if not (is_exact_scalar(v) and scalar_is_zero(v))}
 
 
+def _weight(key) -> tuple:
+    """Weight of a unit tuple: for each (factor, index), row uses minus column
+    uses, as sorted ((factor, index), count) pairs with count != 0.
+
+    The face map and rotation preserve it; () is weight zero.
+    """
+    w = {}
+    for j, a, b in key:
+        if a != b:
+            w[j, a] = w.get((j, a), 0) + 1
+            w[j, b] = w.get((j, b), 0) - 1
+    return tuple(sorted((p, c) for p, c in w.items() if c))
+
+
 @dataclass(frozen=True)
 class CyclicSpace:
-    """Basis of CC_n(M_m(A)) by canonical cyclic-orbit representatives."""
+    """Basis of one weight block of CC_n(M_m(A)) by canonical cyclic-orbit
+    representatives, sorted."""
 
     algebra: MultiMatrixAlgebra
     amplification: int
     degree: int
     basis: tuple
     index: dict
+    weight: tuple = ()
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def coordinates(self, xi: TensorElement) -> dict:
-        """Sparse CC coordinates {basis position: coefficient}."""
+        """Sparse CC coordinates {basis position: coefficient} of the
+        component of xi in this weight block."""
         if (xi.algebra != self.algebra
                 or xi.amplification != self.amplification
                 or xi.degree != self.degree):
             raise ValidationError("tensor does not live in this space")
-        return {self.index[k]: c for k, c in cc_reduce(xi).items()}
+        # a key of this weight missing from the index is a bug: KeyError
+        return {self.index[k]: c for k, c in cc_reduce(xi).items()
+                if _weight(k) == self.weight}
 
 
 _CYCLIC_CACHE: dict = {}
@@ -253,25 +290,92 @@ def _all_units(algebra, m):
     return units
 
 
+def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
+    """Canonical orbit representatives of the given weight in CC_n, sorted.
+
+    Walks unit tuples depth-first in lexicographic order.  A prefix is cut
+    when the L1 distance from its weight to the target exceeds 2 x (slots
+    left), since one unit moves that distance by at most 2, or when a unit
+    is smaller than the first one, since a smaller rotation then exists.
+    """
+    units = _all_units(algebra, m)
+    pos = {}
+    for j, a, _ in units:
+        pos.setdefault((j, a), len(pos))
+    moves = [(u, pos[u[0], u[1]], pos[u[0], u[2]]) for u in units]
+    gap = [0] * len(pos)  # prefix weight minus target weight
+    for p, c in weight:
+        gap[pos[p]] -= c
+    basis = []
+    prefix = []
+
+    def walk(first, dist, left):
+        if dist > 2 * left:
+            return
+        if not left:
+            key = tuple(prefix)
+            rep, sign = _cc_canonical(key, n)
+            if sign == 1 and rep == key:
+                basis.append(key)
+            return
+        for i in range(first, len(moves)):
+            u, r, c = moves[i]
+            prefix.append(u)
+            nxt = i if left == n + 1 else first
+            if r == c:
+                walk(nxt, dist, left - 1)
+            else:
+                gr, gc = gap[r], gap[c]
+                gap[r], gap[c] = gr + 1, gc - 1
+                walk(nxt, dist - abs(gr) - abs(gc) + abs(gr + 1)
+                     + abs(gc - 1), left - 1)
+                gap[r], gap[c] = gr, gc
+            prefix.pop()
+
+    walk(0, sum(abs(g) for g in gap), n + 1)
+    return basis
+
+
 def build_cyclic_space(algebra: MultiMatrixAlgebra, n: int,
-                       amplification: int = 1) -> CyclicSpace:
-    key = (algebra.block_dims, amplification, n)
+                       amplification: int = 1,
+                       weight: tuple = ()) -> CyclicSpace:
+    key = (algebra.block_dims, amplification, n, weight)
     cached = _CYCLIC_CACHE.get(key)
     if cached is not None:
         return cached
     dim = algebra.dimension(amplification)
     check_budget(dim ** (n + 1), f"CC basis at degree {n}")
-    units = _all_units(algebra, amplification)
-    basis = []
-    for key_tuple in itertools.product(units, repeat=n + 1):
-        rep, sign = _cc_canonical(key_tuple, n)
-        if rep == key_tuple and sign == 1:
-            basis.append(key_tuple)
-    basis.sort()
+    basis = _orbit_basis(algebra, amplification, n, weight)
     space = CyclicSpace(algebra, amplification, n, tuple(basis),
-                        {k: i for i, k in enumerate(basis)})
+                        {k: i for i, k in enumerate(basis)}, weight)
     _CYCLIC_CACHE[key] = space
     return space
+
+
+def _boundary_column(key, n: int, index: dict) -> dict:
+    """b(key) in CC_{n-1} coordinates {position in index: int}."""
+    col = {}
+    for i in range(n + 1):
+        if i < n:
+            u = _unit_mul(key[i], key[i + 1])
+            if u is None:
+                continue
+            nk = key[:i] + (u,) + key[i + 2:]
+        else:
+            u = _unit_mul(key[n], key[0])
+            if u is None:
+                continue
+            nk = (u,) + key[1:n]
+        rep, sign = _cc_canonical(nk, n - 1)
+        if sign == 0:
+            continue
+        p = index[rep]
+        c = col.get(p, 0) + (sign if i % 2 == 0 else -sign)
+        if c:
+            col[p] = c
+        else:
+            del col[p]
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -282,64 +386,108 @@ class _SparseReducer:
 
     Each stored row has a pivot (its smallest index) normalized to 1; rows
     may overlap on non-pivot indices, which still yields canonical residues
-    because any row-space element has a pivot as smallest index.  When
-    ``track`` is set, each row remembers its expression in the originally
-    inserted vectors, so reductions can report preimage combinations.
+    because any row-space element has a pivot as smallest index.  Each row
+    remembers its expression in the originally inserted vectors, so
+    reductions can report preimage combinations.  Inserted vectors are
+    rational; a row stays in Python ints while its pivot is +-1.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self):
         self.rows = {}  # pivot index -> row dict
-        self.combos = {} if track else None
+        self.combos = {}  # pivot index -> {insertion tag: coefficient}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict, want_combo: bool = False):
-        vec = {k: v for k, v in vec.items() if not scalar_is_zero(v)}
-        combo = {} if want_combo else None
-        while True:
-            candidates = [k for k in vec if k in self.rows]
-            if not candidates:
-                break
-            hit = min(candidates)
-            f = vec[hit]
-            row = self.rows[hit]
-            for k, v in row.items():
+    def reduce(self, vec: dict, want_combo: bool = False,
+               is_zero=scalar_is_zero):
+        """Residue of vec modulo the rows (and the subtracted combination).
+
+        Pivots are cleared in increasing order; a row only reaches indices
+        above its pivot, so a heap of the pivots present suffices.
+        """
+        rows = self.rows
+        vec = {k: v for k, v in vec.items() if not is_zero(v)}
+        hits = [k for k in vec if k in rows]
+        heapq.heapify(hits)
+        combo = {}
+        while hits:
+            hit = heapq.heappop(hits)
+            f = vec.get(hit)
+            if f is None:
+                continue
+            for k, v in rows[hit].items():
                 acc = vec.get(k, 0) - f * v
-                if is_exact_scalar(acc) and scalar_is_zero(acc):
+                if is_zero(acc):
                     vec.pop(k, None)
                 else:
+                    if k not in vec and k in rows:
+                        heapq.heappush(hits, k)
                     vec[k] = acc
-            vec.pop(hit, None)
-            vec = {k: v for k, v in vec.items() if not scalar_is_zero(v)}
             if want_combo:
                 for cid, cv in self.combos[hit].items():
                     combo[cid] = combo.get(cid, 0) + f * cv
         if want_combo:
-            combo = {k: v for k, v in combo.items() if not scalar_is_zero(v)}
-            return vec, combo
+            return vec, {k: v for k, v in combo.items() if not is_zero(v)}
         return vec
 
-    def insert(self, vec: dict, tag=None) -> bool:
-        """Add a vector; returns True when it enlarges the row space."""
-        if self.combos is not None:
-            vec, combo = self.reduce(vec, want_combo=True)
-        else:
-            vec = self.reduce(vec)
+    def insert(self, vec: dict, tag) -> bool:
+        """Add a rational vector; returns True when it enlarges the row space.
+
+        Otherwise ``_last_combo`` holds vec as a combination of the earlier
+        inserted vectors.
+        """
+        vec, combo = self.reduce(vec, True, operator.not_)
         if not vec:
-            self._last_combo = combo if self.combos is not None else None
+            self._last_combo = combo
             return False
         pivot = min(vec)
         pv = vec[pivot]
-        row = {k: v / pv for k, v in vec.items()}
-        self.rows[pivot] = row
-        if self.combos is not None:
-            combo = {k: -v / pv for k, v in combo.items()}
-            combo[tag] = combo.get(tag, 0) + 1 / pv if tag in combo else 1 / pv
-            self.combos[pivot] = combo
-            self._last_combo = None
+        inv = pv if pv in (1, -1) else 1 / Fraction(pv)
+        self.rows[pivot] = {k: v * inv for k, v in vec.items()}
+        combo = {k: -v * inv for k, v in combo.items()}
+        combo[tag] = combo.get(tag, 0) + inv
+        self.combos[pivot] = combo
         return True
+
+
+@dataclass(frozen=True)
+class _Boundary:
+    """Tracked elimination of b: CC_n -> CC_{n-1} on one weight block.
+
+    Columns are inserted in basis order, tagged by basis position; the
+    reducer spans the image, and each dependent column gives a kernel
+    vector.
+    """
+
+    source: CyclicSpace
+    target: CyclicSpace
+    reducer: _SparseReducer
+    kernel: list
+
+
+_BOUNDARY_CACHE: dict = {}
+
+
+def _boundary(algebra, n: int, amplification: int,
+              weight: tuple) -> _Boundary:
+    key = (algebra.block_dims, amplification, n, weight)
+    cached = _BOUNDARY_CACHE.get(key)
+    if cached is not None:
+        return cached
+    target = build_cyclic_space(algebra, n - 1, amplification, weight)
+    source = build_cyclic_space(algebra, n, amplification, weight)
+    red = _SparseReducer()
+    kernel = []
+    for pos, basis_key in enumerate(source.basis):
+        if not red.insert(_boundary_column(basis_key, n, target.index), pos):
+            vec = {pos: 1}
+            for cid, cv in red._last_combo.items():
+                vec[cid] = vec.get(cid, 0) - cv
+            kernel.append({k: v for k, v in vec.items() if v})
+    block = _BOUNDARY_CACHE[key] = _Boundary(source, target, red, kernel)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +537,10 @@ class HCClass:
 class HomologySpace:
     """HC_n of an amplified multi-matrix algebra, with solve machinery.
 
-    At finite dimension images are closed, so this space simultaneously
-    realizes the Banach variant and the comparison map between them is the
-    identity on coordinates.
+    Built from the weight-0 block: ``cc``, ``cycle_basis`` and
+    ``boundary_rank`` are its sizes.  At finite dimension images are
+    closed, so this space simultaneously realizes the Banach variant and
+    the comparison map between them is the identity on coordinates.
     """
 
     def __init__(self, algebra: MultiMatrixAlgebra, n: int,
@@ -399,42 +548,27 @@ class HomologySpace:
         self.algebra = algebra
         self.amplification = amplification
         self.degree = n
-        self.cc = build_cyclic_space(algebra, n, amplification)
-        self.cc_above = build_cyclic_space(algebra, n + 1, amplification)
-
+        above = _boundary(algebra, n + 1, amplification, ())
+        self.cc = above.target
+        self.cc_above = above.source
         # image of the boundary from one degree up, with witness tracking
-        self._image = _SparseReducer(track=True)
-        for pos, key in enumerate(self.cc_above.basis):
-            col = self.cc.coordinates(face_op(
-                TensorElement.basis(algebra, amplification, key)))
-            self._image.insert(col, tag=pos)
-
-        # kernel of the boundary out of degree n
-        kernel = []
-        if n == 0:
-            kernel = [{i: Fraction(1)} for i in range(self.cc.dimension)]
-            rank_b = 0
-        else:
-            below = build_cyclic_space(algebra, n - 1, amplification)
-            red = _SparseReducer(track=True)
-            for pos, key in enumerate(self.cc.basis):
-                col = below.coordinates(face_op(
-                    TensorElement.basis(algebra, amplification, key)))
-                if not red.insert(col, tag=pos):
-                    vec = {pos: Fraction(1)}
-                    for cid, cv in red._last_combo.items():
-                        vec[cid] = vec.get(cid, 0) - cv
-                    kernel.append({k: v for k, v in vec.items()
-                                   if not scalar_is_zero(v)})
-            rank_b = red.rank
-        self.cycle_basis = kernel
+        self._image = above.reducer
         self.boundary_rank = self._image.rank
 
+        # kernel of the boundary out of degree n
+        if n == 0:
+            kernel = [{i: 1} for i in range(self.cc.dimension)]
+            rank_b = 0
+        else:
+            below = _boundary(algebra, n, amplification, ())
+            kernel, rank_b = below.kernel, below.reducer.rank
+        self.cycle_basis = kernel
+
         # quotient basis: kernel vectors surviving modulo the image
-        self._quotient = _SparseReducer(track=True)
+        self._quotient = _SparseReducer()
         self.quotient_tags = []
         for i, vec in enumerate(kernel):
-            residue = self._image.reduce(dict(vec))
+            residue = self._image.reduce(vec, is_zero=operator.not_)
             if self._quotient.insert(residue, tag=i):
                 self.quotient_tags.append(i)
         self.dimension = len(self.quotient_tags)
@@ -450,6 +584,7 @@ class HomologySpace:
     def hc_class(self, xi: TensorElement) -> HCClass:
         if not self.is_cycle(xi):
             raise DomainError("tensor is not a cycle in CC coordinates")
+        # the other weight blocks are acyclic: only the weight-0 part counts
         residue = self._image.reduce(self.cc.coordinates(xi))
         rest, combo = self._quotient.reduce(residue, want_combo=True)
         if any(not scalar_is_zero(v) for v in rest.values()):
@@ -467,18 +602,24 @@ class HomologySpace:
         return HCClass(self.degree, (z,) * self.dimension)
 
     def boundary_witness(self, xi: TensorElement):
-        """A preimage of xi under the boundary from one degree up, or None."""
-        residue, combo = self._image.reduce(self.cc.coordinates(xi),
-                                            want_combo=True)
-        if any(not scalar_is_zero(v) for v in residue.values()):
-            return None
-        out = TensorElement.zero(self.algebra, self.amplification,
-                                 self.degree + 1)
-        for tag, f in combo.items():
-            out = out + TensorElement.basis(
-                self.algebra, self.amplification,
-                self.cc_above.basis[tag]).scale(f)
-        return out
+        """A preimage of xi under the boundary from one degree up, or None.
+
+        Solved weight block by weight block; a block of nonzero weight is
+        built the first time a query needs it.
+        """
+        weights = {()} | {_weight(k) for k in cc_reduce(xi)}
+        out = {}
+        for weight in sorted(weights):
+            block = _boundary(self.algebra, self.degree + 1,
+                              self.amplification, weight)
+            residue, combo = block.reducer.reduce(
+                block.target.coordinates(xi), want_combo=True)
+            if any(not scalar_is_zero(v) for v in residue.values()):
+                return None
+            for tag, f in combo.items():
+                out[block.source.basis[tag]] = f
+        return TensorElement(self.algebra, self.amplification,
+                             self.degree + 1, out)
 
 
 _HC_CACHE: dict = {}

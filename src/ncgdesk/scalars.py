@@ -30,6 +30,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .budget import check_budget
+
 _EPSILON = 1e-9
 
 
@@ -499,7 +501,10 @@ def parse_real(v):
         return Fraction(v)
     if isinstance(v, int):
         return Fraction(v)
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number: {v!r}")
+    return x
 
 
 def parse_scalar(v):
@@ -515,7 +520,9 @@ def parse_scalar(v):
         order = int(v["order"])
         if order < 1:
             raise ValueError(f"cyclotomic order must be positive: {order}")
-        coeffs = [Fraction(c) for c in v["coeffs"]]
+        # the field tables of order N hold about N^2 integers
+        check_budget(order * order, f"cyclotomic order {order}")
+        coeffs = [Fraction(parse_real(c)) for c in v["coeffs"]]
         return Cyclotomic(order, coeffs)
     re = parse_real(v)
     if isinstance(re, Fraction):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -207,6 +208,50 @@ def test_malformed_document_is_one_error_line(tmp_path, doc):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+# JSON texts the standard parser reads as inf or nan, in float documents
+# (and one exact one)
+NON_FINITE_ELEMENTS = {
+    "overflowing pair entry":
+        '[[[[1e400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]',
+    "nan entry": '[[[NaN, 0.0], [0.0, 1.0]]]',
+    "negative infinity": '[[[-Infinity, 0.0], [0.0, 1.0]]]',
+    "overflowing cyclotomic coefficient":
+        '[[[{"order": 4, "coeffs": [1e400, 0]}, "0"], ["0", "1"]]]',
+}
+
+
+@pytest.mark.parametrize("blocks", NON_FINITE_ELEMENTS.values(),
+                         ids=NON_FINITE_ELEMENTS.keys())
+def test_non_finite_number_is_one_error_line(tmp_path, blocks):
+    path = tmp_path / "x.json"
+    path.write_text('{"schema_version": 1, "algebra": {"blocks": [2]}, '
+                    '"m": 1, "blocks": ' + blocks + '}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncgdesk.cli", "n0", "class", "--element",
+         str(path)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def cyclotomic_element(tmp_path, order):
+    coeffs = ["1"] + ["0"] * (order - 1)
+    return write(tmp_path, "x.json", {
+        "schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
+        "blocks": [[[{"order": order, "coeffs": coeffs}]]]})
+
+
+def test_cyclotomic_order_is_charged_to_the_budget(tmp_path, capsys):
+    path = cyclotomic_element(tmp_path, 3000)
+    start = time.perf_counter()
+    assert main(["n0", "class", "--element", path]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "cyclotomic order 3000" in capsys.readouterr().err
+    code, doc = run_cli(capsys, "n0", "class", "--element",
+                        cyclotomic_element(tmp_path, 24))
+    assert code == 0 and doc["support"][0]["ranks"] == [1]
 
 
 def test_consistency_error_exits_three(monkeypatch, capsys):

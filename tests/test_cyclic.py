@@ -1,13 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgdesk import serialize as sz
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
 from ncgdesk.cyclic import (
+    CyclicSpace,
     DecompositionRep,
     TensorElement,
+    build_cyclic_space,
     cc_reduce,
     check_face_bound,
     check_trace_bound,
@@ -22,10 +26,12 @@ from ncgdesk.cyclic import (
     trace_rep,
 )
 from ncgdesk.errors import DomainError
+from ncgdesk.scalars import Cyclotomic
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
 M2 = MultiMatrixAlgebra((2,))
+CM2 = MultiMatrixAlgebra((1, 2))
 seeds = st.integers(0, 10 ** 6)
 
 
@@ -183,3 +189,172 @@ class TestNormBounds:
         two = DecompositionRep(rep.summands[1:])
         assert decomposition_norm(rep) \
             <= decomposition_norm(one) + decomposition_norm(two) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the weight grading
+
+def weight(key):
+    """Per (factor, index): row uses minus column uses, zeros dropped."""
+    w = {}
+    for j, a, b in key:
+        w[j, a] = w.get((j, a), 0) + 1
+        w[j, b] = w.get((j, b), 0) - 1
+    return {p: c for p, c in w.items() if c}
+
+
+def weight_zero_part(xi):
+    return TensorElement(xi.algebra, xi.amplification, xi.degree,
+                         {k: c for k, c in xi.coeffs.items() if not weight(k)})
+
+
+def brute_force_orbits(algebra, m, n):
+    """Every canonical orbit of CC_n: the smallest rotation of its tuple,
+    kept unless a rotation by k fixes it with sign (-1)^(nk) = -1."""
+    units = sorted((j, a, b) for j, d in enumerate(algebra.ambient_dims(m))
+                   for a in range(d) for b in range(d))
+    out = []
+    for key in itertools.product(units, repeat=n + 1):
+        rotations = [key[k:] + key[:k] for k in range(n + 1)]
+        if key == min(rotations) and not any(
+                rotations[k] == key and (n * k) % 2
+                for k in range(1, n + 1)):
+            out.append(key)
+    return out
+
+
+def power(x, k):
+    return TensorElement.from_summand((x,) * k)
+
+
+# tensors of nonzero weight over M_2, by degree, whose boundaries survive
+# in CC
+OFF_WEIGHT = {
+    2: TensorElement.basis(M2, 1, ((0, 0, 0), (0, 0, 1), (0, 1, 1))),
+    3: TensorElement.basis(M2, 1, ((0, 0, 1), (0, 1, 0), (0, 0, 1),
+                                   (0, 1, 1))),
+}
+HALF = Fraction(1, 2)
+P_CM2 = AlgebraElement(CM2, 1, (((Fraction(1),),),
+                                ((HALF, HALF), (HALF, HALF))))
+Q_CM2 = AlgebraElement(CM2, 1, (((Fraction(0),),),
+                                ((Fraction(1, 5), Fraction(2, 5)),
+                                 (Fraction(2, 5), Fraction(4, 5)))))
+P_M2 = AlgebraElement(M2, 1, (((Fraction(1, 5), Fraction(2, 5)),
+                               (Fraction(2, 5), Fraction(4, 5))),))
+I = Cyclotomic.gaussian(0, 1)
+P_GAUSS = AlgebraElement(M2, 1, (((HALF, I * HALF), (-I * HALF, HALF)),))
+P_AMP = AlgebraElement(C, 2, (((Fraction(1, 5), Fraction(2, 5)),
+                               (Fraction(2, 5), Fraction(4, 5))),))
+
+
+def golden_cycles():
+    """Fixed cycles: projection powers plus boundaries of mixed weight."""
+    return {
+        "cm2_deg2": power(P_CM2, 3).scale(Fraction(2, 3))
+        + power(Q_CM2, 3).scale(Fraction(-5, 4))
+        + face_op(random_tensor(CM2, 1, 3, random.Random(11), 6)),
+        "cm2_deg2_float": power(P_CM2, 3).scale(0.25 + 0.5j)
+        + power(Q_CM2, 3).scale(-1.5)
+        + face_op(random_tensor(CM2, 1, 3, random.Random(15), 6)).scale(0.1),
+        "cm2_deg0": power(P_CM2, 1),
+        "m2_deg4": power(P_M2, 5).scale(Fraction(3, 7))
+        + face_op(random_tensor(M2, 1, 5, random.Random(12), 5)),
+        "gauss_deg2": power(P_GAUSS, 3).scale(I * Fraction(3, 2))
+        + face_op(random_tensor(M2, 1, 3, random.Random(13), 5)),
+        "amp_deg2": power(P_AMP, 3)
+        + face_op(random_tensor(C, 2, 3, random.Random(14), 5)),
+    }
+
+
+def golden_boundaries():
+    return {
+        "m2_deg1": face_op(random_tensor(M2, 1, 2, random.Random(21), 8)),
+        "m2_deg2": face_op(random_tensor(M2, 1, 3, random.Random(22), 8)),
+        "cm2_deg1": face_op(random_tensor(CM2, 1, 2, random.Random(23), 8)),
+        "amp_deg2": face_op(random_tensor(C, 2, 3, random.Random(24), 6)),
+    }
+
+
+# Recorded from the ungraded complex, which eliminated every weight block.
+GOLDEN_COORDS = {
+    "cm2_deg2": [["2/3", "0"], ["-7/12", "0"]],
+    "cm2_deg2_float": [[0.25, 0.5], [-1.25, 0.5]],
+    "cm2_deg0": [["1", "0"], ["1", "0"]],
+    "m2_deg4": [["3/7", "0"]],
+    "gauss_deg2": [["0", "3/2"]],
+    "amp_deg2": [["1", "0"]],
+}
+GOLDEN_WITNESSES = {
+    "m2_deg1": [
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 1]], ["4", "0"]],
+        [[[0, 0, 0], [0, 0, 1], [0, 1, 1]], ["3", "0"]]],
+    "m2_deg2": [
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]], ["3", "0"]],
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1]], ["-3", "0"]],
+        [[[0, 0, 0], [0, 1, 0], [0, 1, 1], [0, 1, 0]], ["-2", "0"]]],
+    "cm2_deg1": [
+        [[[0, 0, 0], [0, 0, 0], [1, 0, 1]], ["1", "0"]],
+        [[[0, 0, 0], [0, 0, 0], [1, 1, 0]], ["-3", "0"]],
+        [[[0, 0, 0], [0, 0, 0], [1, 1, 1]], ["2", "0"]],
+        [[[1, 0, 0], [1, 1, 1], [1, 1, 0]], ["-1", "0"]]],
+    "amp_deg2": [
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1]], ["3", "0"]],
+        [[[0, 0, 0], [0, 0, 1], [0, 0, 1], [0, 0, 1]], ["2", "0"]],
+        [[[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 1]], ["-2", "0"]],
+        [[[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0]], ["-1", "0"]]],
+}
+
+
+class TestWeightGrading:
+    @pytest.mark.parametrize("blocks, m, max_degree", [
+        ((2,), 1, 4), ((1, 2), 1, 3), ((2, 2), 1, 2), ((1, 1), 2, 3)])
+    def test_basis_is_the_weight_zero_orbits(self, blocks, m, max_degree):
+        algebra = MultiMatrixAlgebra(blocks)
+        for n in range(max_degree + 1):
+            expected = [k for k in brute_force_orbits(algebra, m, n)
+                        if not weight(k)]
+            assert list(build_cyclic_space(algebra, n, m).basis) == expected
+
+    def test_missing_weight_zero_key_fails_loudly(self):
+        full = build_cyclic_space(M2, 2)
+        short = full.basis[1:]
+        broken = CyclicSpace(M2, 1, 2, short,
+                             {k: i for i, k in enumerate(short)})
+        with pytest.raises(KeyError):
+            broken.coordinates(TensorElement.basis(M2, 1, full.basis[0]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds, st.integers(1, 2))
+    def test_class_ignores_nonzero_weights(self, seed, degree):
+        rng = random.Random(seed)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        # integer random terms cannot cancel the sevenths of weight != 0
+        xi = power(P_M2, degree + 1).scale(c) \
+            + face_op(random_tensor(M2, 1, degree + 1, rng, terms=6)) \
+            + face_op(OFF_WEIGHT[degree + 1]).scale(Fraction(1, 7))
+        assert any(weight(k) for k in cc_reduce(xi))
+        assert hc_class(xi) == hc_class(weight_zero_part(xi))
+
+    def test_golden_classes(self):
+        got = {name: sz.hc_class_to_json(hc_class(xi))["coords"]
+               for name, xi in golden_cycles().items()}
+        assert got == GOLDEN_COORDS
+
+    def test_golden_witnesses(self):
+        got = {name: [[t["indices"], t["coeff"]]
+                      for t in sz.tensor_to_json(is_boundary(xi))["terms"]]
+               for name, xi in golden_boundaries().items()}
+        assert got == GOLDEN_WITNESSES
+
+    @pytest.mark.parametrize("eta", [
+        *OFF_WEIGHT.values(),
+        TensorElement.basis(C, 2, ((0, 0, 0),) * 3 + ((0, 0, 1),)),
+        TensorElement.basis(CM2, 1, ((0, 0, 0), (0, 0, 0), (1, 0, 1)))])
+    def test_witness_for_a_boundary_of_nonzero_weight(self, eta):
+        xi = face_op(eta)
+        reduced = cc_reduce(xi)
+        assert reduced and all(weight(k) for k in reduced)
+        witness = is_boundary(xi)
+        assert witness is not None
+        assert cc_reduce(face_op(witness)) == reduced
