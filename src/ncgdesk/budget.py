@@ -25,10 +25,15 @@ def _initial_budget() -> int:
     return value
 
 
-_BUDGET = _initial_budget()
+# read from NCG_BUDGET on first use, so that a bad value is reported where
+# the caller handles errors rather than at import
+_BUDGET = None
 
 
 def get_budget() -> int:
+    global _BUDGET
+    if _BUDGET is None:
+        _BUDGET = _initial_budget()
     return _BUDGET
 
 
@@ -40,7 +45,8 @@ def set_budget(value: int) -> None:
 
 
 def check_budget(required: int, what: str) -> None:
-    if required > _BUDGET:
+    budget = get_budget()
+    if required > budget:
         raise ResourceError(
-            f"{what} needs ambient dimension {required}, budget is {_BUDGET}",
-            required=required, budget=_BUDGET)
+            f"{what} needs ambient dimension {required}, budget is {budget}",
+            required=required, budget=budget)

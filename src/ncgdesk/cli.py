@@ -10,6 +10,7 @@ cross-check raised ConsistencyError).  Every error ends with a single
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -58,7 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc) -> None:
-    print(sz.dumps(doc))
+    # flushed here, so a closed pipe raises inside main
+    print(sz.dumps(doc), flush=True)
 
 
 def _load_spectral(path):
@@ -356,6 +358,11 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except BrokenPipeError:
+        # the reader closed stdout early: the interpreter's last flush goes
+        # to the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

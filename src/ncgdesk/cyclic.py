@@ -17,17 +17,19 @@ only that block; ``hc_class`` drops the other weights of a cycle, and
 ``boundary_witness`` solves block by block, building a nonzero-weight
 block the first time a query needs it.
 
-Homology comes from sparse exact Gaussian elimination with combination
-tracking, which also yields boundary witnesses and canonical quotient
-coordinates.  Boundary columns are integer vectors, and rows stay Python
-ints while the pivot is +-1.  The elimination of b: CC_n -> CC_{n-1} is
-done once per (algebra, amplification, n, weight): it is the image of the
-boundary for HC_{n-1} and the kernel of the boundary for HC_n.
+Homology comes from the package's one exact eliminator,
+:func:`~ncgdesk.scalars.eliminate`: a sparse echelon form with
+combination tracking, which also yields boundary witnesses and canonical
+quotient coordinates.  Boundary columns are integer vectors, and rows
+stay Python ints while the pivot is +-1.  The elimination of
+b: CC_n -> CC_{n-1} is done once per (algebra, amplification, n,
+weight): it is the image of the boundary for HC_{n-1} and the kernel of
+the boundary for HC_n, and HC_n's quotient basis is one more elimination,
+of the cycles' residues modulo that image.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -37,7 +39,8 @@ from . import linalg as la
 from .algebra import AlgebraElement, MultiMatrixAlgebra
 from .budget import check_budget
 from .errors import DomainError, ValidationError
-from .scalars import is_exact_scalar, scalar_is_zero, scalars_equal, to_complex
+from .scalars import (_SparseReducer, eliminate, is_exact_scalar, scalar_is_zero,
+                      scalars_equal, to_complex)
 
 # A basis unit of M_m(A) is (factor index j, row a, col b) with a, b < m*r_j.
 Unit = tuple
@@ -378,80 +381,6 @@ def _boundary_column(key, n: int, index: dict) -> dict:
     return col
 
 
-# ---------------------------------------------------------------------------
-# sparse exact elimination with combination tracking
-
-class _SparseReducer:
-    """Incremental row space in echelon form over sparse {index: scalar} rows.
-
-    Each stored row has a pivot (its smallest index) normalized to 1; rows
-    may overlap on non-pivot indices, which still yields canonical residues
-    because any row-space element has a pivot as smallest index.  Each row
-    remembers its expression in the originally inserted vectors, so
-    reductions can report preimage combinations.  Inserted vectors are
-    rational; a row stays in Python ints while its pivot is +-1.
-    """
-
-    def __init__(self):
-        self.rows = {}  # pivot index -> row dict
-        self.combos = {}  # pivot index -> {insertion tag: coefficient}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: dict, want_combo: bool = False,
-               is_zero=scalar_is_zero):
-        """Residue of vec modulo the rows (and the subtracted combination).
-
-        Pivots are cleared in increasing order; a row only reaches indices
-        above its pivot, so a heap of the pivots present suffices.
-        """
-        rows = self.rows
-        vec = {k: v for k, v in vec.items() if not is_zero(v)}
-        hits = [k for k in vec if k in rows]
-        heapq.heapify(hits)
-        combo = {}
-        while hits:
-            hit = heapq.heappop(hits)
-            f = vec.get(hit)
-            if f is None:
-                continue
-            for k, v in rows[hit].items():
-                acc = vec.get(k, 0) - f * v
-                if is_zero(acc):
-                    vec.pop(k, None)
-                else:
-                    if k not in vec and k in rows:
-                        heapq.heappush(hits, k)
-                    vec[k] = acc
-            if want_combo:
-                for cid, cv in self.combos[hit].items():
-                    combo[cid] = combo.get(cid, 0) + f * cv
-        if want_combo:
-            return vec, {k: v for k, v in combo.items() if not is_zero(v)}
-        return vec
-
-    def insert(self, vec: dict, tag) -> bool:
-        """Add a rational vector; returns True when it enlarges the row space.
-
-        Otherwise ``_last_combo`` holds vec as a combination of the earlier
-        inserted vectors.
-        """
-        vec, combo = self.reduce(vec, True, operator.not_)
-        if not vec:
-            self._last_combo = combo
-            return False
-        pivot = min(vec)
-        pv = vec[pivot]
-        inv = pv if pv in (1, -1) else 1 / Fraction(pv)
-        self.rows[pivot] = {k: v * inv for k, v in vec.items()}
-        combo = {k: -v * inv for k, v in combo.items()}
-        combo[tag] = combo.get(tag, 0) + inv
-        self.combos[pivot] = combo
-        return True
-
-
 @dataclass(frozen=True)
 class _Boundary:
     """Tracked elimination of b: CC_n -> CC_{n-1} on one weight block.
@@ -478,14 +407,8 @@ def _boundary(algebra, n: int, amplification: int,
         return cached
     target = build_cyclic_space(algebra, n - 1, amplification, weight)
     source = build_cyclic_space(algebra, n, amplification, weight)
-    red = _SparseReducer()
-    kernel = []
-    for pos, basis_key in enumerate(source.basis):
-        if not red.insert(_boundary_column(basis_key, n, target.index), pos):
-            vec = {pos: 1}
-            for cid, cv in red._last_combo.items():
-                vec[cid] = vec.get(cid, 0) - cv
-            kernel.append({k: v for k, v in vec.items() if v})
+    red, _, kernel = eliminate(_boundary_column(k, n, target.index)
+                               for k in source.basis)
     block = _BOUNDARY_CACHE[key] = _Boundary(source, target, red, kernel)
     return block
 
@@ -565,12 +488,8 @@ class HomologySpace:
         self.cycle_basis = kernel
 
         # quotient basis: kernel vectors surviving modulo the image
-        self._quotient = _SparseReducer()
-        self.quotient_tags = []
-        for i, vec in enumerate(kernel):
-            residue = self._image.reduce(vec, is_zero=operator.not_)
-            if self._quotient.insert(residue, tag=i):
-                self.quotient_tags.append(i)
+        self._quotient, self.quotient_tags, _ = eliminate(
+            self._image.reduce(vec, is_zero=operator.not_) for vec in kernel)
         self.dimension = len(self.quotient_tags)
         assert self.dimension == (self.cc.dimension - rank_b) - self.boundary_rank
 

@@ -10,14 +10,17 @@ equal matrices have equal fields.  Every exact operation works on the
 numerator arrays; a product takes all phi(N)^2 products of numerator
 planes in one integer matmul and folds them back into the power basis.
 The field tables, the canonical form (:func:`~ncgdesk.scalars.minimal_field`)
-and the Gauss-Jordan elimination are those of :mod:`ncgdesk.scalars`,
-where a :class:`~ncgdesk.scalars.Cyclotomic` is the 1 x 1 case.
+and the exact eliminator (:func:`~ncgdesk.scalars.eliminate`) are those
+of :mod:`ncgdesk.scalars`, where a :class:`~ncgdesk.scalars.Cyclotomic` is
+the 1 x 1 case.
 
 Entries become scalars (``Fraction`` when rational,
 :class:`~ncgdesk.scalars.Cyclotomic` otherwise) only at the edges:
 :func:`entries` (and indexing or iterating a matrix), :func:`trace`, and
-the Gauss elimination behind ``rref``/``rank``/``nullspace``/``solve``/
-``invert``, which unpacks the rows once per call.  :func:`as_matrix`
+exact elimination: ``rank``, ``pivot_columns``, ``nullspace``, ``rref``,
+``solve`` and ``invert`` hand a matrix's columns to ``eliminate`` once
+per call, and the pivots, kernel vectors and column combinations it
+returns are those of the reduced row echelon form.  :func:`as_matrix`
 packs a nested sequence once and returns a packed matrix unchanged.
 
 Float matrices are tuples of row tuples of ``complex`` and go through
@@ -42,8 +45,8 @@ from .scalars import (
     _mul_table,
     _phi,
     _promotion,
-    _rref,
     _table,
+    eliminate,
     get_epsilon,
     is_exact_scalar,
     minimal_field,
@@ -440,17 +443,28 @@ def op_norm(a) -> float:
 # ---------------------------------------------------------------------------
 # exact elimination
 
-def _rows(a):
-    """(exact?, mutable rows of scalars, column count)."""
-    a = as_matrix(a)
-    return isinstance(a, ExactMatrix), [list(row) for row in entries(a)], shape(a)[1]
+def _eliminate(a: ExactMatrix):
+    """:func:`~ncgdesk.scalars.eliminate` on the columns of ``a``."""
+    return eliminate({i: x for i, x in enumerate(col) if x}
+                     for col in columns(a))
 
 
 def rref(a):
-    """(reduced matrix, pivot columns) for an exact matrix."""
-    exact, rows, c = _rows(a)
-    pivots = _rref(rows, c)
-    return (_pack(rows, c) if exact else as_matrix(rows)), pivots
+    """(reduced matrix, pivot columns) for an exact matrix.
+
+    Column j holds column j's coefficients on the pivot columns, one row
+    per pivot: e_j minus its kernel vector for a dependent column j, and a
+    unit vector for a pivot column.
+    """
+    a = as_matrix(a)
+    if not isinstance(a, ExactMatrix):
+        raise ValidationError("rref: exact matrix required")
+    r, c = shape(a)
+    _, pivots, kernel = _eliminate(a)
+    vecs = dict(zip(sorted(set(range(c)) - set(pivots)), kernel))
+    rows = [[int(p == j) - vecs.get(j, {}).get(p, 0) for j in range(c)]
+            for p in pivots]
+    return _pack(rows + [[0] * c] * (r - len(pivots)), c), pivots
 
 
 def _float_tol(m: np.ndarray) -> float:
@@ -461,9 +475,9 @@ def rank(a) -> int:
     r, c = shape(a)
     if r == 0 or c == 0:
         return 0
-    exact, rows, c = _rows(a)
+    exact, (a,) = _kind(a)
     if exact:
-        return len(_rref(rows, c))
+        return len(_eliminate(a)[1])
     m = to_numpy(a)
     return int(np.linalg.matrix_rank(m, tol=_float_tol(m)))
 
@@ -473,9 +487,9 @@ def pivot_columns(a):
     r, c = shape(a)
     if r == 0 or c == 0:
         return []
-    exact, rows, c = _rows(a)
+    exact, (a,) = _kind(a)
     if exact:
-        return _rref(rows, c)
+        return _eliminate(a)[1]
     m = to_numpy(a)
     tol = _float_tol(m)
     pivots = []
@@ -490,20 +504,10 @@ def pivot_columns(a):
 
 def nullspace(a):
     """Basis of the right kernel, as a list of column tuples."""
-    exact, rows, c = _rows(a)
-    if exact or not rows:
-        pivots = _rref(rows, c)
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(c):
-            if f in pivot_set:
-                continue
-            vec = [Fraction(0)] * c
-            vec[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                vec[p] = -rows[i][f]
-            basis.append(tuple(vec))
-        return basis
+    exact, (a,) = _kind(a)
+    c = shape(a)[1]
+    if exact:
+        return [tuple(vec.get(j, 0) for j in range(c)) for vec in _eliminate(a)[2]]
     if c == 0:
         return []
     m = to_numpy(a)
@@ -521,18 +525,11 @@ def solve(a, b) -> tuple | None:
         raise ValidationError("solve: dimension mismatch")
     if c == 0:
         return () if all(scalar_is_zero(x) for x in b) else None
-    exact, rows, c = _rows(a)
+    exact, (a,) = _kind(a)
     if exact and all(is_exact_scalar(x) for x in b):
-        for row, bx in zip(rows, b):
-            row.append(Fraction(bx) if isinstance(bx, int) else bx)
-        pivots = _rref(rows, c)
-        for row in rows:
-            if all(scalar_is_zero(x) for x in row[:c]) and row[c]:
-                return None
-        x = [Fraction(0)] * c
-        for i, p in enumerate(pivots):
-            x[p] = rows[i][c]
-        return tuple(x)
+        residue, combo = _eliminate(a)[0].reduce(dict(enumerate(b)),
+                                                 want_combo=True)
+        return None if residue else tuple(combo.get(j, 0) for j in range(c))
     m = to_numpy(a)
     vec = np.array([to_complex(x) for x in b], dtype=complex)
     sol, *_ = np.linalg.lstsq(m, vec, rcond=None)
@@ -543,17 +540,19 @@ def solve(a, b) -> tuple | None:
 
 
 def invert(a):
+    """Inverse of a square matrix; exact ones solve against each identity
+    column."""
     r, c = shape(a)
     if r != c:
         raise ValidationError("invert: matrix not square")
-    exact, rows, _ = _rows(a)
+    exact, (a,) = _kind(a)
     if not exact:
         return from_numpy(np.linalg.inv(to_numpy(a)))
-    for i, row in enumerate(rows):
-        row.extend(Fraction(int(i == j)) for j in range(r))
-    if len(_rref(rows, r)) != r:
+    red, pivots, _ = _eliminate(a)
+    if len(pivots) != r:
         raise ValidationError("invert: singular matrix")
-    return _pack([row[r:] for row in rows], r)
+    cols = [red.reduce({i: 1}, want_combo=True)[1] for i in range(r)]
+    return _pack([[col.get(i, 0) for col in cols] for i in range(r)], r)
 
 
 def columns(a):

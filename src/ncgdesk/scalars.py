@@ -18,11 +18,15 @@ promotion to a larger field, and :func:`minimal_field`, which puts a stack
 of integer numerator planes over one denominator into canonical form.
 :class:`Cyclotomic` is the case of one scalar per plane;
 :mod:`ncgdesk.linalg` stores whole matrices the same way.
+
+It also holds the one exact eliminator, :func:`eliminate`, behind the
+subfield tables, :mod:`ncgdesk.linalg` and :mod:`ncgdesk.cyclic`.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 import operator
 from fractions import Fraction
@@ -125,34 +129,6 @@ def _promotion(n: int, big: int) -> np.ndarray:
                    for t in range(_phi(big))])
 
 
-def _rref(rows, ncols):
-    """In-place RREF of a list of row lists; returns pivot column list."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 @lru_cache(maxsize=None)
 def _subfields(n: int):
     """Test data for each proper subfield Q(zeta_d), smallest d first.
@@ -167,14 +143,14 @@ def _subfields(n: int):
         if n % d or d % 4 == 2:  # Q(zeta_d) = Q(zeta_{d/2}) when d = 2 mod 4
             continue
         embed = _promotion(d, n)
-        size = embed.shape[1]
-        cols = [[Fraction(x) for x in col] for col in embed.T.tolist()]
-        rows = _rref(cols, len(embed))
-        aug = [[Fraction(x) for x in embed[i]] + [Fraction(int(i == j)) for j in rows]
-               for i in rows]
-        _rref(aug, size)
-        scale = math.lcm(*(x.denominator for row in aug for x in row[size:]))
-        inv = _table([[int(x * scale) for x in row[size:]] for row in aug])
+        red, rows, _ = eliminate({j: x for j, x in enumerate(row) if x}
+                                 for row in embed.tolist())
+        # e_j as a combination of the rows E[rows[k]] is row j of (E[rows])^-1
+        combos = [red.reduce({j: 1}, want_combo=True)[1]
+                  for j in range(embed.shape[1])]
+        inv = [[combo.get(t, 0) for t in rows] for combo in combos]
+        scale = math.lcm(*(x.denominator for row in inv for x in row))
+        inv = _table([[int(x * scale) for x in row] for row in inv])
         out.append((d, rows, inv, embed, scale))
     return tuple(out)
 
@@ -491,6 +467,97 @@ def sort_key(x):
     z = to_complex(x)
     tie = repr(x) if isinstance(x, Cyclotomic) else ""
     return (round(z.real, 12), round(z.imag, 12), tie)
+
+
+# ---------------------------------------------------------------------------
+# the one exact eliminator: sparse echelon form with combination tracking
+
+class _SparseReducer:
+    """Incremental row space in echelon form over sparse {index: scalar} rows.
+
+    Each stored row has a pivot (its smallest index) normalized to 1; rows
+    may overlap on non-pivot indices, which still yields canonical residues
+    because any row-space element has a pivot as smallest index.  Each row
+    remembers its expression in the originally inserted vectors, so
+    reductions can report preimage combinations.  Inserted vectors are
+    exact (int, Fraction or Cyclotomic entries); a row stays in Python ints
+    while its pivot is +-1.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot index -> row dict
+        self.combos = {}  # pivot index -> {insertion tag: coefficient}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict, want_combo: bool = False,
+               is_zero=scalar_is_zero):
+        """Residue of vec modulo the rows (and the subtracted combination).
+
+        Pivots are cleared in increasing order; a row only reaches indices
+        above its pivot, so a heap of the pivots present suffices.
+        """
+        rows = self.rows
+        vec = {k: v for k, v in vec.items() if not is_zero(v)}
+        hits = [k for k in vec if k in rows]
+        heapq.heapify(hits)
+        combo = {}
+        while hits:
+            hit = heapq.heappop(hits)
+            f = vec.get(hit)
+            if f is None:
+                continue
+            for k, v in rows[hit].items():
+                acc = vec.get(k, 0) - f * v
+                if is_zero(acc):
+                    vec.pop(k, None)
+                else:
+                    if k not in vec and k in rows:
+                        heapq.heappush(hits, k)
+                    vec[k] = acc
+            if want_combo:
+                for cid, cv in self.combos[hit].items():
+                    combo[cid] = combo.get(cid, 0) + f * cv
+        if want_combo:
+            return vec, {k: v for k, v in combo.items() if not is_zero(v)}
+        return vec
+
+    def insert(self, vec: dict, tag):
+        """Add an exact vector.  Returns None when it enlarges the row space,
+        and otherwise vec as a combination {tag: coefficient} of the earlier
+        inserted vectors."""
+        vec, combo = self.reduce(vec, True, operator.not_)
+        if not vec:
+            return combo
+        pivot = min(vec)
+        pv = vec[pivot]
+        inv = pv if pv in (1, -1) else Fraction(1) / pv
+        self.rows[pivot] = {k: v * inv for k, v in vec.items()}
+        combo = {k: -v * inv for k, v in combo.items()}
+        combo[tag] = combo.get(tag, 0) + inv
+        self.combos[pivot] = combo
+        return None
+
+
+def eliminate(columns):
+    """Insert sparse exact columns in order, each tagged by its position.
+
+    Returns the reducer, the independent tags (the leftmost-greedy pivot
+    columns) and one kernel vector e_j - combo per dependent column j,
+    where combo is the unique expression of column j in the earlier pivot
+    columns: the column j of the reduced row echelon form.
+    """
+    red = _SparseReducer()
+    independent, kernel = [], []
+    for j, col in enumerate(columns):
+        combo = red.insert(col, j)
+        if combo is None:
+            independent.append(j)
+        else:
+            kernel.append({j: 1, **{k: -v for k, v in combo.items()}})
+    return red, independent, kernel
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,29 @@ def test_env_budget_override():
     assert proc.returncode == 2
 
 
+def test_bad_env_budget_is_one_error_line(tmp_path):
+    alg = write(tmp_path, "alg.json", {"schema_version": 1, "blocks": [2]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncgdesk.cli", "hc", "dims", "--algebra", alg,
+         "--max-degree", "2"],
+        env=dict(os.environ, NCG_BUDGET="abc"), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: NCG_BUDGET is not an integer: 'abc'\n"
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    alg = write(tmp_path, "alg.json", {"schema_version": 1, "blocks": [2]})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncgdesk.cli", "hc", "dims", "--algebra", alg,
+         "--max-degree", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # before the interpreter has even started up
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == ""
+
+
 def test_eq_json_roundtrip_through_files(tmp_path, capsys):
     code, x = run_cli(capsys, "generate", "--kind", "n0class", "--seed", "8")
     assert code == 0

@@ -5,15 +5,24 @@ entry at a time.  Every property requires the packed result to equal the
 reference exactly, entry by entry and as a canonical packed matrix.
 The reference's Cyclotomic scalars use the same field tables as the
 kernel, so products are also checked against numpy complex matmul.
+
+The exact eliminator (the sparse reducer behind ``rank``,
+``pivot_columns``, ``nullspace``, ``rref``, ``solve``, ``invert`` and the
+subfield tables) is checked against a dense Gauss-Jordan elimination on
+the same row lists, value for value.
 """
 
 from fractions import Fraction
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgdesk import linalg as la
-from ncgdesk.scalars import Cyclotomic
+from ncgdesk.errors import ValidationError
+from ncgdesk.scalars import Cyclotomic, _promotion, _subfields
 
 ZERO = Cyclotomic.from_rational(0)
 ORDERS = (1, 3, 4, 12)
@@ -61,6 +70,69 @@ def ref_block_diag(parts):
 
 def ref_equal(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def ref_rref(rows, ncols):
+    """Dense Gauss-Jordan: rows (lists) to RREF in place; the pivot columns."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        if inv != 1:
+            rows[r] = [x / inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def ref_nullspace(a, c):
+    rows = [list(row) for row in a]
+    pivots = ref_rref(rows, c)
+    basis = []
+    for f in range(c):
+        if f in pivots:
+            continue
+        vec = [ZERO] * c
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -rows[i][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def ref_solve(a, b, c):
+    rows = [list(row) + [bx] for row, bx in zip(a, b)]
+    pivots = ref_rref(rows, c)
+    if any(not any(row[:c]) and row[c] for row in rows):
+        return None
+    x = [ZERO] * c
+    for i, p in enumerate(pivots):
+        x[p] = rows[i][c]
+    return tuple(x)
+
+
+def ref_invert(a, n):
+    """The inverse as row lists, or None when a is singular."""
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    if len(ref_rref(rows, n)) != n:
+        return None
+    return [row[n:] for row in rows]
 
 
 # -- strategies -------------------------------------------------------------
@@ -205,3 +277,100 @@ def test_mat_mul_matches_complex_matmul(data):
                                 min_size=k, max_size=k)), k, c)
     want = la.to_numpy(a) @ la.to_numpy(b)
     assert np.allclose(la.to_numpy(la.mat_mul(a, b)), want, rtol=1e-9, atol=1e-9)
+
+
+# -- the exact eliminator ---------------------------------------------------
+
+elim_sizes = st.integers(0, 4)
+
+
+@st.composite
+def deficient(draw, r, c):
+    """An r x c matrix of rank at most min(r, c) - 1 (r, c > 0), as a
+    product through a narrower inner dimension."""
+    k = draw(st.integers(0, min(r, c) - 1))
+    orders = draw(fields)
+    x = draw(st.lists(st.lists(scalars(orders), min_size=k, max_size=k),
+                      min_size=r, max_size=r))
+    y = draw(st.lists(st.lists(scalars(orders), min_size=c, max_size=c),
+                      min_size=k, max_size=k))
+    return ref_mul(x, y, k, c)
+
+
+@st.composite
+def elim_matrix(draw, square=False):
+    r = draw(elim_sizes)
+    c = r if square else draw(elim_sizes)
+    if r and c and draw(st.booleans()):
+        return draw(deficient(r, c)), r, c
+    return draw(matrices(r, c)), r, c
+
+
+@settings(max_examples=80, deadline=None)
+@given(elim_matrix())
+def test_rank_pivots_and_rref_match_reference(mat):
+    a, r, c = mat
+    packed = pack(a, r, c)
+    rows = [list(row) for row in a]
+    pivots = ref_rref(rows, c)
+    assert la.rank(packed) == len(pivots)
+    assert la.pivot_columns(packed) == pivots
+    reduced, got = la.rref(packed)
+    assert got == pivots and same(reduced, rows, r, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(elim_matrix())
+def test_nullspace_matches_reference(mat):
+    a, r, c = mat
+    assert la.nullspace(pack(a, r, c)) == ref_nullspace(a, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solve_matches_reference(data):
+    a, r, c = data.draw(elim_matrix())
+    consistent = data.draw(st.booleans())
+    if consistent and c:  # b is a combination of the columns
+        x = data.draw(st.lists(scalars(), min_size=c, max_size=c))
+        b = [row[0] for row in ref_mul(a, [[v] for v in x], c, 1)]
+    elif consistent:
+        b = [ZERO] * r
+    else:
+        b = data.draw(st.lists(scalars(), min_size=r, max_size=r))
+    want = ref_solve(a, b, c)
+    assert want is not None or not consistent
+    if data.draw(st.booleans()):  # rational entries as plain Fractions
+        b = [v.rational_value() if v.is_rational() else v for v in b]
+    assert la.solve(pack(a, r, c), b) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(elim_matrix(square=True))
+def test_invert_matches_reference(mat):
+    a, n, _ = mat
+    want = ref_invert(a, n)
+    if want is None:
+        with pytest.raises(ValidationError, match="singular"):
+            la.invert(pack(a, n, n))
+    else:
+        assert same(la.invert(pack(a, n, n)), want, n, n)
+
+
+@pytest.mark.parametrize("n", [8, 12, 24])
+def test_subfield_tables_match_reference(n):
+    want = []
+    for d in range(2, n):
+        if n % d or d % 4 == 2:
+            continue
+        embed = _promotion(d, n)
+        size = embed.shape[1]
+        cols = [[Fraction(x) for x in col] for col in embed.T.tolist()]
+        rows = ref_rref(cols, len(embed))
+        inv = ref_invert([[Fraction(x) for x in embed[i]] for i in rows], size)
+        scale = math.lcm(*(x.denominator for row in inv for x in row))
+        want.append((d, rows, [[x * scale for x in row] for row in inv],
+                     embed.tolist(), scale))
+    got = [(d, list(rows), inv.tolist(), embed.tolist(), scale)
+           for d, rows, inv, embed, scale in _subfields(n)]
+    assert got == want
