@@ -4,6 +4,12 @@ The extension T is computed two ways: directly from the spectral form, and
 by refining dyadic square covers of the spectrum until every cell isolates
 one spectral point (at which point the class sequence is constant).  Both
 must agree, and the mixed-tensor obstruction eta is checked to vanish.
+
+Classes are read by the trace cocycles of :mod:`ncgdesk.cyclic`, and no
+matrix-unit tensor is built: sum of c * p x ... x p (2l+1 factors) stays
+a ``DecompositionRep``, phi_f of a summand is tr_f(p^(2l+1)), and its
+cycle check sees b(p^(2l+1)) = p^(2l) die in odd degree since p^2 = p.
+The generalized character needs no tensor: rank vector r has phi_f = r_f.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from fractions import Fraction
 
 from .algebra import MultiMatrixAlgebra, Projection, SpectralForm
 from .budget import check_budget
-from .cyclic import HCClass, TensorElement, hc_class, hc_space, trace_map
+from .cyclic import DecompositionRep, HCClass, TensorElement, hc_space, \
+    trace_map
 from .errors import DomainError, NumericalError, ValidationError
 from .ngroup import N0Class, h_map
 from .scalars import Cyclotomic, get_epsilon, sort_key
@@ -29,16 +36,22 @@ def _check_degree_budget(algebra: MultiMatrixAlgebra, l: int,
                  f"Chern character at l={l}")
 
 
-def _odd_power_tensor(p: Projection, l: int) -> TensorElement:
-    return TensorElement.from_summand((p.element,) * (2 * l + 1))
+def _power_class(algebra: MultiMatrixAlgebra, terms, l: int,
+                 exact: bool = True) -> HCClass:
+    """Class in HC_2l(A) of sum c * Tr(p^tensor(2l+1)) over (c, p) in terms,
+    read from the factored tensor."""
+    _check_degree_budget(algebra, l)
+    space = hc_space(algebra, 2 * l)
+    if not terms:
+        return space.zero_class(exact)
+    return space.hc_class(DecompositionRep(
+        tuple((p.element,) * (2 * l + 1) for _, p in terms),
+        tuple(c for c, _ in terms)))
 
 
 def chern_projection(p: Projection, l: int) -> HCClass:
     """Class of (-1)^l Tr(p tensor ... tensor p), 2l+1 factors, in HC_2l(A)."""
-    _check_degree_budget(p.algebra, l)
-    xi = trace_map(_odd_power_tensor(p, l))
-    cls = hc_class(xi)
-    return cls if l % 2 == 0 else -cls
+    return _power_class(p.algebra, [((-1) ** l, p)], l)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +134,6 @@ def _merge_cells(a: SpectralForm, cover):
     return [merged[k] for k in order]
 
 
-def approximant(a: SpectralForm, cover) -> SpectralForm:
-    """a_n = sum over cells of (merged spectral projection) * tag."""
-    return SpectralForm.from_pairs(a.algebra, a.amplification,
-                                   tuple(_merge_cells(a, cover)))
-
-
-def tensor_approximant(a: SpectralForm, cover, l: int) -> TensorElement:
-    """The odd tensor power approximant: sum of tag * P_cell^(2l+1)."""
-    out = TensorElement.zero(a.algebra, a.amplification, 2 * l)
-    for tag, proj in _merge_cells(a, cover):
-        out = out + _odd_power_tensor(proj, l).scale(tag)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the mixed-tensor obstruction
 
@@ -152,7 +151,7 @@ def eta_cycle(ps, l: int) -> TensorElement:
         total = total + p.element
     eta = TensorElement.from_summand((total,) * (2 * l + 1))
     for p in ps:
-        eta = eta - _odd_power_tensor(p, l)
+        eta = eta - TensorElement.from_summand((p.element,) * (2 * l + 1))
     return eta
 
 
@@ -184,14 +183,15 @@ def verify_eta_vanishes(ps, l: int, witness: bool = False) -> EtaReport:
     m = ps[0].amplification
     algebra = ps[0].algebra
     _check_degree_budget(algebra, l)
-    space = hc_space(algebra, 2 * l)
-    cycle = space.is_cycle(trace_map(eta))
-    traced_zero = hc_class(trace_map(eta)).is_zero(get_epsilon())
+    traced = trace_map(eta)
+    cycle = traced.is_cycle()
+    traced_zero = cycle and hc_space(algebra, 2 * l).read(
+        traced.trace_values()).is_zero(get_epsilon())
     found = None
     if witness:
         _check_degree_budget(algebra, l, m)
         amp_space = hc_space(algebra, 2 * l, m)
-        found = amp_space.is_cycle(eta) \
+        found = eta.is_cycle() \
             and amp_space.boundary_witness(eta) is not None
     return EtaReport(False, cycle, traced_zero, found)
 
@@ -201,11 +201,7 @@ def verify_eta_vanishes(ps, l: int, witness: bool = False) -> EtaReport:
 
 def T_direct(a: SpectralForm, l: int) -> HCClass:
     """Sum over spectrum of lambda * class(Tr(P^(2l+1)))."""
-    _check_degree_budget(a.algebra, l)
-    out = hc_space(a.algebra, 2 * l).zero_class(exact=a.is_exact())
-    for value, proj in a.pairs:
-        out = out + hc_class(trace_map(_odd_power_tensor(proj, l))).scale(value)
-    return out
+    return _power_class(a.algebra, a.pairs, l, a.is_exact())
 
 
 def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
@@ -217,19 +213,16 @@ def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
     the limit is reached.  The limit is tag-policy independent (checked
     elsewhere by running both policies).
     """
-    _check_degree_budget(a.algebra, l)
     spectrum = a.eigenvalues()
     if not spectrum:
-        return hc_space(a.algebra, 2 * l).zero_class(exact=a.is_exact())
-    exact = a.is_exact()
-    eps = get_epsilon()
+        return T_direct(a, l)
+    eps = None if a.is_exact() else get_epsilon()
     prev = None
     for depth in range(max_depth + 1):
         cover = dyadic_cover(spectrum, depth, policy)
-        cls = hc_class(trace_map(tensor_approximant(a, cover, l)))
+        cls = _power_class(a.algebra, _merge_cells(a, cover), l)
         separated = all(len(c.points) == 1 for c in cover)
-        if prev is not None and separated and (
-                cls.equals(prev) if exact else cls.equals(prev, eps)):
+        if prev is not None and separated and cls.equals(prev, eps):
             return cls
         prev = cls
     raise NumericalError(
@@ -237,23 +230,18 @@ def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
         f"last class {prev.coords}")
 
 
-def _basis_classes(algebra: MultiMatrixAlgebra, l: int):
-    """Chern class (sign-free) of one rank-one diagonal unit per factor."""
-    return [hc_class(trace_map(_odd_power_tensor(
-        Projection.diagonal_unit(algebra, f), l)))
-        for f in range(algebra.num_factors)]
-
-
 def generalized_chern(x: N0Class, l: int) -> HCClass:
-    """(-1)^l sum over support of lambda * (rank-determined Chern class)."""
+    """(-1)^l sum over support of lambda * (rank-determined Chern class).
+
+    A projection of rank vector r has phi_f(p, ..., p) = tr_f(p) = r_f, so
+    the class is read from phi_f = sum of lambda * r_f.
+    """
     _check_degree_budget(x.algebra, l)
-    basis = _basis_classes(x.algebra, l)
-    out = hc_space(x.algebra, 2 * l).zero_class()
+    phi = [0] * x.algebra.num_factors
     for value, cls in x.support:
         for i, r in enumerate(cls.ranks):
-            if r:
-                out = out + basis[i].scale(value * r)
-    return out if l % 2 == 0 else -out
+            phi[i] += (-1) ** l * value * r
+    return hc_space(x.algebra, 2 * l).read(phi)
 
 
 def verify_th7(p: Projection, l: int) -> bool:

@@ -6,30 +6,35 @@ canonicalization: each basis tuple is replaced by the lexicographically
 smallest rotation, carrying the accumulated sign; orbits whose stabilizer
 flips the sign die in the quotient.
 
-The complex is graded by weight: for each (factor, index), the number of
-times the index is a row index of a tuple minus the number of times it is
-a column index.  The face map and rotation preserve it, so CC splits into
-one block per weight.  The diagonal unitary torus acts on the weight-w
-block by the character t^w, and inner automorphisms act trivially on
-cyclic homology, so every block of nonzero weight is acyclic and HC comes
-from the weight-0 block alone.  Homology spaces enumerate and eliminate
-only that block; ``hc_class`` drops the other weights of a cycle, and
-``boundary_witness`` solves block by block, building a nonzero-weight
-block the first time a query needs it.
+The complex is graded by weight: for each (factor, index), row uses minus
+column uses of the index in a tuple.  The face map and rotation preserve
+it, the diagonal unitary torus acts on the weight-w block by t^w, and
+inner automorphisms act trivially on cyclic homology, so blocks of
+nonzero weight are acyclic.  Homology spaces enumerate and eliminate the
+weight-0 block only; ``boundary_witness`` solves block by block, building
+a nonzero-weight block the first time a query needs it.  The elimination
+(:func:`~ncgdesk.scalars.eliminate`, on integer boundary columns) of
+b: CC_n -> CC_{n-1} is done once per (algebra, amplification, n, weight):
+it is the image for HC_{n-1} and the kernel for HC_n, and HC_n's quotient
+basis is one more elimination, of the cycles' residues modulo the image.
 
-Homology comes from the package's one exact eliminator,
-:func:`~ncgdesk.scalars.eliminate`: a sparse echelon form with
-combination tracking, which also yields boundary witnesses and canonical
-quotient coordinates.  Boundary columns are integer vectors, and rows
-stay Python ints while the pivot is +-1.  The elimination of
-b: CC_n -> CC_{n-1} is done once per (algebra, amplification, n,
-weight): it is the image of the boundary for HC_{n-1} and the kernel of
-the boundary for HC_n, and HC_n's quotient basis is one more elimination,
-of the cycles' residues modulo that image.
+Classes are read by trace cocycles (Connes, Publ. IHES 62, 1985; Loday,
+Cyclic Homology, 1992, 1.2 and ch. 8): phi_f(a_0, ..., a_n) =
+tr_f(a_0 ... a_n) on factor f is a cyclic cocycle in even degree, and the
+k of them are a dual basis of HC_2l = C^k (HC is 0 in odd degree).  Each
+space inverts, once, the matrix of phi on its quotient-basis cycles; a
+cycle's coordinates are that inverse times phi(xi), the numbers that
+``reduced_class``, reduction modulo the boundaries, also finds.  phi
+commutes with the generalized trace, so a tensor over M_m(A) is read in
+HC(A) directly.  A ``DecompositionRep`` (sum of c * x_0 x ... x x_n) is
+read unexpanded: phi_f of a summand is tr_f of one product, and its cycle
+check sums the face products by cyclic orbit, expanding into matrix units
+only when they do not visibly cancel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -87,6 +92,18 @@ class TensorElement:
         self.degree = degree
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, algebra, amplification: int, degree: int,
+                 coeffs: dict) -> "TensorElement":
+        """A result built inside the library, whose keys are valid unit
+        tuples, each once: only zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.amplification = amplification
+        out.degree = degree
+        out.coeffs = {k: c for k, c in coeffs.items() if not scalar_is_zero(c)}
+        return out
+
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero(algebra, m: int, degree: int) -> "TensorElement":
@@ -121,8 +138,8 @@ class TensorElement:
             for _, cc in combo[1:]:
                 c = c * cc
             coeffs[key] = coeffs.get(key, 0) + c if key in coeffs else c
-        return TensorElement(first.algebra, first.amplification,
-                             len(elements) - 1, coeffs)
+        return TensorElement._trusted(first.algebra, first.amplification,
+                                      len(elements) - 1, coeffs)
 
     # -- linear structure ---------------------------------------------------
     def _check(self, other):
@@ -136,7 +153,8 @@ class TensorElement:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return TensorElement(self.algebra, self.amplification, self.degree, out)
+        return TensorElement._trusted(self.algebra, self.amplification,
+                                      self.degree, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -145,8 +163,9 @@ class TensorElement:
         return self.scale(-1)
 
     def scale(self, c) -> "TensorElement":
-        return TensorElement(self.algebra, self.amplification, self.degree,
-                             {k: c * v for k, v in self.coeffs.items()})
+        return TensorElement._trusted(self.algebra, self.amplification,
+                                      self.degree,
+                                      {k: c * v for k, v in self.coeffs.items()})
 
     def is_zero(self, eps=None) -> bool:
         return all(scalar_is_zero(c, eps) for c in self.coeffs.values())
@@ -161,6 +180,22 @@ class TensorElement:
             return False
         return (self - other).is_zero(eps)
 
+    # -- cycles and the trace cocycles ------------------------------------
+    def is_cycle(self, eps=None) -> bool:
+        """b xi = 0 in CC_{n-1}, decided on the matrix units."""
+        return self.degree == 0 or not any(
+            not scalar_is_zero(v, eps) for v in cc_reduce(face_op(self)).values())
+
+    def trace_values(self) -> list:
+        """(phi_f(xi))_f: e_{a_0 b_0} ... e_{a_n b_n} is a unit e_{a_0 b_n}
+        of factor f, or 0, and its trace is 1 when a_0 = b_n."""
+        phi = [0] * self.algebra.num_factors
+        for key, c in self.coeffs.items():
+            u = functools.reduce(lambda u, v: u and _unit_mul(u, v), key)
+            if u and u[1] == u[2]:
+                phi[u[0]] += c
+        return phi
+
     def __repr__(self):
         return (f"TensorElement(degree={self.degree}, "
                 f"terms={len(self.coeffs)})")
@@ -174,30 +209,36 @@ def cyclic_op(xi: TensorElement) -> TensorElement:
     for key, c in xi.coeffs.items():
         rk = key[-1:] + key[:-1]
         out[rk] = out.get(rk, 0) + sign * c
-    return TensorElement(xi.algebra, xi.amplification, n, out)
+    return TensorElement._trusted(xi.algebra, xi.amplification, n, out)
+
+
+def _face(word, i: int, mul):
+    """d_i(word): letters i and i + 1 multiplied, the last wrapping around;
+    None when the product vanishes (mul returns None)."""
+    n = len(word) - 1
+    u = mul(word[i], word[(i + 1) % (n + 1)])
+    if u is not None:
+        return word[:i] + (u,) + word[i + 2:] if i < n else (u,) + word[1:n]
+
+
+def _face_terms(terms, mul):
+    """The terms (d_i(word), (-1)^i c) of b(sum of c * word)."""
+    for word, c in terms:
+        for i in range(len(word)):
+            face = _face(word, i, mul)
+            if face is not None:
+                yield face, (c if i % 2 == 0 else -c)
 
 
 def face_op(xi: TensorElement) -> TensorElement:
     """b_n = sum of signed multiplications of adjacent factors (last wraps)."""
-    n = xi.degree
-    if n < 1:
+    if xi.degree < 1:
         raise DomainError("face operator needs degree >= 1")
     out = {}
-    for key, c in xi.coeffs.items():
-        for i in range(n + 1):
-            if i < n:
-                u = _unit_mul(key[i], key[i + 1])
-                if u is None:
-                    continue
-                nk = key[:i] + (u,) + key[i + 2:]
-            else:
-                u = _unit_mul(key[n], key[0])
-                if u is None:
-                    continue
-                nk = (u,) + key[1:n]
-            s = c if i % 2 == 0 else -c
-            out[nk] = out.get(nk, 0) + s
-    return TensorElement(xi.algebra, xi.amplification, n - 1, out)
+    for key, c in _face_terms(xi.coeffs.items(), _unit_mul):
+        out[key] = out.get(key, 0) + c
+    return TensorElement._trusted(xi.algebra, xi.amplification,
+                                  xi.degree - 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +266,21 @@ def _cc_canonical(key, n):
     return best, sign
 
 
+def _cc_sum(terms, n: int) -> dict:
+    """The sum of c * word over (word, c) in CC_n, keyed by canonical words;
+    exact zeros are dropped."""
+    out = {}
+    for key, c in terms:
+        rep, sign = _cc_canonical(key, n)
+        if sign:
+            out[rep] = out.get(rep, 0) + sign * c
+    return {k: v for k, v in out.items()
+            if not (is_exact_scalar(v) and scalar_is_zero(v))}
+
+
 def cc_reduce(xi: TensorElement) -> dict:
     """Coordinates of the class of xi in CC_n, keyed by canonical tuples."""
-    n = xi.degree
-    out = {}
-    for key, c in xi.coeffs.items():
-        rep, sign = _cc_canonical(key, n)
-        if sign == 0:
-            continue
-        acc = out.get(rep, 0) + sign * c
-        if scalar_is_zero(acc) and is_exact_scalar(acc):
-            out.pop(rep, None)
-        else:
-            out[rep] = acc
-    return {k: v for k, v in out.items() if not (is_exact_scalar(v) and scalar_is_zero(v))}
+    return _cc_sum(xi.coeffs.items(), xi.degree)
 
 
 def _weight(key) -> tuple:
@@ -494,14 +536,42 @@ class HomologySpace:
         assert self.dimension == (self.cc.dimension - rank_b) - self.boundary_rank
 
     # -- queries ------------------------------------------------------------
-    def is_cycle(self, xi: TensorElement, eps=None) -> bool:
-        if self.degree == 0:
-            return True
-        return not any(not scalar_is_zero(v, eps)
-                       for v in cc_reduce(face_op(xi)).values())
+    def is_cycle(self, xi, eps=None) -> bool:
+        return xi.is_cycle(eps)
 
-    def hc_class(self, xi: TensorElement) -> HCClass:
-        if not self.is_cycle(xi):
+    @functools.cached_property
+    def _readout(self) -> tuple:
+        """Rows of C, the inverse of the matrix of the trace cocycles on the
+        quotient-basis cycles; empty in odd degree, where HC_n = 0."""
+        if self.degree % 2:
+            return ()
+        phi = [TensorElement._trusted(
+            self.algebra, self.amplification, self.degree,
+            {self.cc.basis[p]: c for p, c in self.cycle_basis[t].items()}
+        ).trace_values() for t in self.quotient_tags]
+        return la.entries(la.invert(la.transpose(phi)))
+
+    def read(self, phi) -> HCClass:
+        """The class on which the trace cocycles take the values phi."""
+        return HCClass(self.degree, tuple(
+            sum((c * v for c, v in zip(row, phi)), Fraction(0))
+            for row in self._readout))
+
+    def hc_class(self, xi) -> HCClass:
+        """Coordinates of a cycle (a TensorElement or a DecompositionRep) in
+        the quotient basis, C . phi(xi); a space of A reads a tensor over
+        M_m(A) as the class of its generalized trace."""
+        if (xi.algebra != self.algebra or xi.degree != self.degree
+                or self.amplification not in (1, xi.amplification)):
+            raise ValidationError("tensor does not live in this space")
+        if not xi.is_cycle():
+            raise DomainError("tensor is not a cycle in CC coordinates")
+        return self.read(xi.trace_values())
+
+    def reduced_class(self, xi: TensorElement) -> HCClass:
+        """The class of a cycle by reduction modulo the boundaries: the
+        oracle for :meth:`hc_class`."""
+        if not xi.is_cycle():
             raise DomainError("tensor is not a cycle in CC coordinates")
         # the other weight blocks are acyclic: only the weight-0 part counts
         residue = self._image.reduce(self.cc.coordinates(xi))
@@ -537,8 +607,8 @@ class HomologySpace:
                 return None
             for tag, f in combo.items():
                 out[block.source.basis[tag]] = f
-        return TensorElement(self.algebra, self.amplification,
-                             self.degree + 1, out)
+        return TensorElement._trusted(self.algebra, self.amplification,
+                                      self.degree + 1, out)
 
 
 _HC_CACHE: dict = {}
@@ -601,7 +671,7 @@ def trace_map(xi: TensorElement) -> TensorElement:
             continue
         nk = tuple(inner)
         out[nk] = out.get(nk, 0) + c
-    return TensorElement(xi.algebra, 1, xi.degree, out)
+    return TensorElement._trusted(xi.algebra, 1, xi.degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +679,11 @@ def trace_map(xi: TensorElement) -> TensorElement:
 
 @dataclass(frozen=True)
 class DecompositionRep:
-    """A sum of elementary tensors with remembered factorizations."""
+    """A sum of scaled elementary tensors with remembered factorizations:
+    sum over s of coeffs[s] * summands[s][0] x ... x summands[s][n]."""
 
     summands: tuple  # tuple of tuples of AlgebraElement
+    coeffs: tuple = None  # one scalar per summand; None means all 1
 
     def __post_init__(self):
         if not self.summands:
@@ -619,23 +691,82 @@ class DecompositionRep:
         lengths = {len(s) for s in self.summands}
         if len(lengths) != 1 or 0 in lengths:
             raise ValidationError("summands must be nonempty and equal length")
+        if self.coeffs is None:
+            object.__setattr__(self, "coeffs", (1,) * len(self.summands))
+        elif len(self.coeffs) != len(self.summands):
+            raise ValidationError("one coefficient per summand required")
 
     @property
     def degree(self) -> int:
         return len(self.summands[0]) - 1
 
+    @property
+    def algebra(self) -> MultiMatrixAlgebra:
+        return self.summands[0][0].algebra
+
+    @property
+    def amplification(self) -> int:
+        return self.summands[0][0].amplification
+
     def expand(self) -> TensorElement:
-        out = TensorElement.from_summand(self.summands[0])
-        for s in self.summands[1:]:
-            out = out + TensorElement.from_summand(s)
+        out = TensorElement.zero(self.algebra, self.amplification, self.degree)
+        for c, s in zip(self.coeffs, self.summands):
+            out = out + TensorElement.from_summand(s).scale(c)
         return out
+
+    @functools.cached_property
+    def _spelling(self):
+        """(words, product, elements): the summands as (word, coefficient),
+        a word numbering its factors by value (equal elements share a
+        number), and the memoized product of two numbers."""
+        elements = []
+
+        def letter(x):
+            if x not in elements:
+                elements.append(x)
+            return elements.index(x)
+
+        @functools.cache
+        def product(i, j):
+            return letter(elements[i] * elements[j])
+
+        return ([(tuple(map(letter, s)), c)
+                 for c, s in zip(self.coeffs, self.summands)],
+                product, elements)
+
+    def is_cycle(self, eps=None) -> bool:
+        """b xi = 0 in CC_{n-1}, decided on the factored form when it can be.
+
+        The face products are summed by cyclic orbit, with rotation signs;
+        an orbit fixed by a rotation of sign -1 dies, so b(p x ... x p) =
+        p x ... x p vanishes when p^2 = p.  If a sum is left (a float sum is
+        kept even when it cancels), xi is expanded into matrix units and
+        checked there.
+        """
+        if self.degree == 0:
+            return True
+        words, product, _ = self._spelling
+        return not _cc_sum(_face_terms(words, product), self.degree - 1) \
+            or self.expand().is_cycle(eps)
+
+    def trace_values(self) -> list:
+        """(phi_f(xi))_f: phi_f of a summand is tr_f of the product
+        x_0 x_1 ... x_n, over the f-block of M_m(A)."""
+        words, product, elements = self._spelling
+        phi = [0] * self.algebra.num_factors
+        for word, c in words:
+            x = elements[functools.reduce(product, word)]
+            for f, block in enumerate(x.blocks):
+                phi[f] += c * la.trace(block)
+        return phi
 
 
 def decomposition_norm(rep: DecompositionRep) -> float:
-    """Sum over summands of the product of factor operator norms."""
+    """Sum over summands of |coefficient| times the product of factor
+    operator norms."""
     total = 0.0
-    for s in rep.summands:
-        prod = 1.0
+    for c, s in zip(rep.coeffs, rep.summands):
+        prod = abs(to_complex(c))
         for x in s:
             prod *= x.norm()
         total += prod
@@ -646,13 +777,8 @@ def _face_of_rep(rep: DecompositionRep, i: int) -> DecompositionRep:
     n = rep.degree
     if not 0 <= i <= n:
         raise DomainError(f"face index {i} out of range for degree {n}")
-    out = []
-    for s in rep.summands:
-        if i < n:
-            out.append(s[:i] + (s[i] * s[i + 1],) + s[i + 2:])
-        else:
-            out.append((s[n] * s[0],) + s[1:n])
-    return DecompositionRep(tuple(out))
+    return DecompositionRep(tuple(_face(s, i, operator.mul)
+                                  for s in rep.summands), rep.coeffs)
 
 
 def check_face_bound(rep: DecompositionRep, i: int, tol: float = 1e-9) -> bool:
@@ -677,13 +803,14 @@ def trace_rep(rep: DecompositionRep) -> DecompositionRep:
     """The expanded index-chain representative of the traced tensor."""
     m = rep.summands[0][0].amplification
     n = rep.degree
-    out = []
-    for s in rep.summands:
+    out, coeffs = [], []
+    for c, s in zip(rep.coeffs, rep.summands):
         grids = [_entry_elements(x) for x in s]
         for chain in itertools.product(range(m), repeat=n + 1):
             out.append(tuple(grids[t][chain[t]][chain[(t + 1) % (n + 1)]]
                              for t in range(n + 1)))
-    return DecompositionRep(tuple(out))
+            coeffs.append(c)
+    return DecompositionRep(tuple(out), tuple(coeffs))
 
 
 def check_trace_bound(rep: DecompositionRep, tol: float = 1e-9) -> bool:

@@ -18,9 +18,10 @@ Entries become scalars (``Fraction`` when rational,
 :class:`~ncgdesk.scalars.Cyclotomic` otherwise) only at the edges:
 :func:`entries` (and indexing or iterating a matrix), :func:`trace`, and
 exact elimination: ``rank``, ``pivot_columns``, ``nullspace``, ``rref``,
-``solve`` and ``invert`` hand a matrix's columns to ``eliminate`` once
-per call, and the pivots, kernel vectors and column combinations it
-returns are those of the reduced row echelon form.  :func:`as_matrix`
+``solve`` and ``invert`` hand the columns of den x the matrix (Python
+ints when it is rational) to ``eliminate`` once per call, and the pivots,
+kernel vectors and column combinations it returns are those of the
+reduced row echelon form.  :func:`as_matrix`
 packs a nested sequence once and returns a packed matrix unchanged.
 
 Float matrices are tuples of row tuples of ``complex`` and go through
@@ -444,9 +445,15 @@ def op_norm(a) -> float:
 # exact elimination
 
 def _eliminate(a: ExactMatrix):
-    """:func:`~ncgdesk.scalars.eliminate` on the columns of ``a``."""
-    return eliminate({i: x for i, x in enumerate(col) if x}
-                     for col in columns(a))
+    """:func:`~ncgdesk.scalars.eliminate` on the columns of den * ``a``.
+
+    den * a has the pivots and kernel of ``a``, and its solutions are those
+    of ``a`` divided by den.  A rational matrix enters as Python ints, so
+    the reducer's +-1 fast path applies.
+    """
+    cols = a.nums[0].T.tolist() if a.order == 1 \
+        else columns(ExactMatrix(a.order, a.nums, 1))
+    return eliminate({i: x for i, x in enumerate(col) if x} for col in cols)
 
 
 def rref(a):
@@ -529,7 +536,8 @@ def solve(a, b) -> tuple | None:
     if exact and all(is_exact_scalar(x) for x in b):
         residue, combo = _eliminate(a)[0].reduce(dict(enumerate(b)),
                                                  want_combo=True)
-        return None if residue else tuple(combo.get(j, 0) for j in range(c))
+        return None if residue \
+            else tuple(a.den * combo.get(j, 0) for j in range(c))
     m = to_numpy(a)
     vec = np.array([to_complex(x) for x in b], dtype=complex)
     sol, *_ = np.linalg.lstsq(m, vec, rcond=None)
@@ -552,7 +560,8 @@ def invert(a):
     if len(pivots) != r:
         raise ValidationError("invert: singular matrix")
     cols = [red.reduce({i: 1}, want_combo=True)[1] for i in range(r)]
-    return _pack([[col.get(i, 0) for col in cols] for i in range(r)], r)
+    return _pack([[a.den * col.get(i, 0) for col in cols] for i in range(r)],
+                 r)
 
 
 def columns(a):

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgdesk.algebra import MultiMatrixAlgebra, Projection, SpectralForm
+from ncgdesk import linalg as la
+from ncgdesk.algebra import (AlgebraElement, MultiMatrixAlgebra, Projection,
+                             SpectralForm)
 from ncgdesk.budget import set_budget
 from ncgdesk.chern import (
     T_cover,
     T_direct,
+    _merge_cells,
     chern_projection,
     dyadic_cover,
     eta_cycle,
@@ -17,6 +20,7 @@ from ncgdesk.chern import (
     verify_th7,
     verify_th8,
 )
+from ncgdesk.cyclic import TensorElement, hc_space, trace_map
 from ncgdesk.errors import DomainError, ResourceError, ValidationError
 from ncgdesk.generate import (
     random_n0class,
@@ -26,7 +30,7 @@ from ncgdesk.generate import (
     random_spectrum,
 )
 from ncgdesk.ngroup import K0Class, N0Class
-from ncgdesk.scalars import Cyclotomic
+from ncgdesk.scalars import Cyclotomic, get_epsilon
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -176,3 +180,95 @@ class TestCommutingSquares:
         cls = generalized_chern(x, 0)
         from ncgdesk.scalars import scalar_is_zero
         assert cls.coords[0] == v and scalar_is_zero(cls.coords[1])
+
+
+# ---------------------------------------------------------------------------
+# the expanded Chern path: matrix-unit tensors, trace_map, the reducer
+
+def expanded_class(algebra, m, terms, l):
+    """Class of sum c * Tr(p^(2l+1)) over (c, p): expanded into matrix
+    units, traced, and reduced modulo the boundaries."""
+    xi = TensorElement.zero(algebra, m, 2 * l)
+    for c, p in terms:
+        xi = xi + TensorElement.from_summand(
+            (p.element,) * (2 * l + 1)).scale(c)
+    return hc_space(algebra, 2 * l).reduced_class(trace_map(xi))
+
+
+def expanded_T_cover(a, l, policy):
+    eps = None if a.is_exact() else get_epsilon()
+    prev = None
+    for depth in range(13):
+        cover = dyadic_cover(a.eigenvalues(), depth, policy)
+        cls = expanded_class(a.algebra, a.amplification,
+                             _merge_cells(a, cover), l)
+        if prev is not None and all(len(c.points) == 1 for c in cover) \
+                and cls.equals(prev, eps):
+            return cls
+        prev = cls
+    raise AssertionError("expanded cover refinement did not stabilize")
+
+
+def to_float(a):
+    """The spectral form a over the float backend."""
+    def element(x):
+        return AlgebraElement(x.algebra, x.amplification, tuple(
+            la.from_numpy(la.to_numpy(b)) for b in x.blocks))
+    return SpectralForm.from_pairs(a.algebra, a.amplification, tuple(
+        (complex(v), Projection(element(p.element))) for v, p in a.pairs))
+
+
+CM2 = MultiMatrixAlgebra((1, 2))
+EXPANDED_CASES = [(A, 1, 0), (M2, 1, 1), (CM2, 1, 1), (A, 2, 1), (M2, 2, 0),
+                  (C, 2, 2), (CM2, 1, 2)]
+
+
+class TestAgainstExpandedPath:
+    @pytest.mark.parametrize("algebra, m, l", EXPANDED_CASES)
+    def test_projection_and_spectral_classes(self, algebra, m, l):
+        rng = random.Random(hash((algebra.block_dims, m, l)) % 1000)
+        for _ in range(2):
+            p = random_projection(algebra, rng, m=m)
+            sign = 1 if l % 2 == 0 else -1
+            assert chern_projection(p, l) \
+                == expanded_class(algebra, m, [(sign, p)], l)
+            gap = Fraction(1, 512) if rng.random() < 0.5 else None
+            a = random_normal(algebra, rng, m=m, near_gap=gap)
+            assert T_direct(a, l) \
+                == expanded_class(algebra, m, a.pairs, l)
+            assert T_cover(a, l, policy="largest") \
+                == expanded_T_cover(a, l, "largest")
+
+    @pytest.mark.parametrize("algebra, l", [(A, 1), (M2, 2), (CM2, 1)])
+    def test_generalized_character(self, algebra, l):
+        rng = random.Random(l)
+        units = [Projection.diagonal_unit(algebra, f)
+                 for f in range(algebra.num_factors)]
+        for _ in range(3):
+            x = random_n0class(algebra, rng)
+            terms = [((-1) ** l * value * r, units[f])
+                     for value, cls in x.support
+                     for f, r in enumerate(cls.ranks)]
+            assert generalized_chern(x, l) \
+                == expanded_class(algebra, 1, terms, l)
+
+    @pytest.mark.parametrize("algebra, m, l", [(A, 1, 1), (M2, 2, 0),
+                                               (CM2, 1, 1)])
+    def test_float_backend(self, algebra, m, l):
+        rng = random.Random(7)
+        a = to_float(random_normal(algebra, rng, m=m))
+        assert T_direct(a, l).equals(
+            expanded_class(algebra, m, a.pairs, l), 1e-9)
+        assert T_cover(a, l).equals(expanded_T_cover(a, l, "smallest"), 1e-9)
+
+    def test_near_gap_c_plus_m2_at_l2(self):
+        rng = random.Random(2)
+        while True:  # values 0 and 2 are 1/512 apart, each with support
+            values = random_spectrum(rng, 2, Fraction(1, 512))
+            family = random_orthogonal_family(CM2, rng, len(values) + 1)
+            if not any(p.element.is_zero() for p in family[:3]):
+                break
+        a = SpectralForm.from_pairs(CM2, 1, tuple(zip(values, family)))
+        direct = T_direct(a, 2)
+        assert direct == expanded_class(CM2, 1, a.pairs, 2)
+        assert T_cover(a, 2) == expanded_T_cover(a, 2, "smallest") == direct

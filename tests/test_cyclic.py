@@ -25,7 +25,7 @@ from ncgdesk.cyclic import (
     trace_map,
     trace_rep,
 )
-from ncgdesk.errors import DomainError
+from ncgdesk.errors import DomainError, ValidationError
 from ncgdesk.scalars import Cyclotomic
 
 C = MultiMatrixAlgebra((1,))
@@ -358,3 +358,149 @@ class TestWeightGrading:
         witness = is_boundary(xi)
         assert witness is not None
         assert cc_reduce(face_op(witness)) == reduced
+
+
+# ---------------------------------------------------------------------------
+# key validation where a tensor enters the library
+
+class TestKeyValidation:
+    def test_constructor_rejects_out_of_range_keys(self):
+        for key in [((0, 0, 2), (0, 0, 0)), ((1, 0, 0), (0, 0, 0)),
+                    ((0, -1, 0), (0, 0, 0))]:
+            with pytest.raises(ValidationError):
+                TensorElement(M2, 1, 1, {key: Fraction(1)})
+
+    def test_basis_rejects_out_of_range_keys(self):
+        with pytest.raises(ValidationError):
+            TensorElement.basis(M2, 1, ((0, 0, 0), (0, 2, 0)))
+        with pytest.raises(ValidationError):
+            TensorElement.basis(C, 1, ((0, 0, 0), (1, 0, 0)))
+
+    def test_serializer_rejects_out_of_range_keys(self):
+        doc = sz.tensor_to_json(TensorElement.basis(C, 2, ((0, 0, 1),)))
+        doc["terms"][0]["indices"] = [[0, 0, 2]]
+        with pytest.raises(ValidationError):
+            sz.tensor_from_json(doc)
+
+    def test_internal_results_keep_valid_keys(self):
+        xi = random_tensor(CM2, 2, 2, random.Random(5), terms=6)
+        for out in (xi + xi, xi.scale(Fraction(1, 3)), face_op(xi),
+                    cyclic_op(xi), trace_map(xi)):
+            again = TensorElement(out.algebra, out.amplification, out.degree,
+                                  out.coeffs)
+            assert again.coeffs == out.coeffs
+
+
+# ---------------------------------------------------------------------------
+# the trace-cocycle readout against the reducer
+
+# (blocks, amplification, largest degree) within the default budget
+READOUT_SPACES = [((1, 1), 1, 4), ((2,), 1, 4), ((1, 2), 1, 4),
+                  ((1, 1), 2, 3), ((2,), 2, 2), ((1, 2), 2, 1)]
+
+
+def random_scalar(rng, order, exact):
+    if not exact:
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    return Cyclotomic(order, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(rng.randint(1, order))])
+
+
+class TestReadout:
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.sampled_from(READOUT_SPACES), st.sampled_from([1, 4, 12]),
+           st.booleans(), st.data())
+    def test_readout_equals_reducer(self, seed, case, order, exact, data):
+        blocks, m, top = case
+        algebra = MultiMatrixAlgebra(blocks)
+        n = data.draw(st.integers(0, top))
+        rng = random.Random(seed)
+        space = hc_space(algebra, n, m)
+        xi = TensorElement.zero(algebra, m, n)
+        for t in space.quotient_tags:
+            cycle = {space.cc.basis[p]: c
+                     for p, c in space.cycle_basis[t].items()}
+            xi = xi + TensorElement(algebra, m, n, cycle).scale(
+                random_scalar(rng, order, exact))
+        for _ in range(3):
+            xi = xi + face_op(random_tensor(algebra, m, n + 1, rng)).scale(
+                random_scalar(rng, order, exact))
+        readout, reduced = space.hc_class(xi), space.reduced_class(xi)
+        assert readout.equals(reduced, None if exact else 1e-9)
+        assert len(readout.coords) == (algebra.num_factors if n % 2 == 0
+                                       else 0)
+
+    def test_base_space_reads_the_trace(self):
+        xi = golden_cycles()["amp_deg2"]
+        assert hc_space(C, 2).hc_class(xi) == hc_class(trace_map(xi))
+        with pytest.raises(ValidationError):
+            hc_space(C, 2, 3).hc_class(xi)
+
+
+# ---------------------------------------------------------------------------
+# the cycle check on factored tensors
+
+def unit_element(algebra, j, a, b, m=1):
+    blocks = [[[Fraction(0)] * d for _ in range(d)]
+              for d in algebra.ambient_dims(m)]
+    blocks[j][a][b] = Fraction(1)
+    return AlgebraElement(algebra, m, tuple(blocks))
+
+
+class TestFactoredCycles:
+    def test_projection_powers_are_visibly_cycles(self, monkeypatch):
+        monkeypatch.setattr(DecompositionRep, "expand", None)
+        rep = DecompositionRep(((P_CM2,) * 5, (Q_CM2,) * 5),
+                               (Fraction(2, 3), I))
+        assert rep.is_cycle()
+        assert hc_space(CM2, 4).hc_class(rep) \
+            == hc_class(power(P_CM2, 5).scale(Fraction(2, 3))
+                        + power(Q_CM2, 5).scale(I))
+
+    def test_non_cycle_raises_through_the_expansion(self, monkeypatch):
+        expanded = []
+        expand = DecompositionRep.expand
+        monkeypatch.setattr(DecompositionRep, "expand",
+                            lambda rep: expanded.append(rep) or expand(rep))
+        # b(e00 x e01 x e11) = e01 x e11 - e00 x e01 survives in CC_1
+        rep = DecompositionRep(((unit_element(M2, 0, 0, 0),
+                                 unit_element(M2, 0, 0, 1),
+                                 unit_element(M2, 0, 1, 1)),))
+        assert not rep.is_cycle()
+        with pytest.raises(DomainError):
+            hc_space(M2, 2).hc_class(rep)
+        assert expanded
+
+    def test_cancellation_seen_only_after_expansion(self):
+        # x(y + z) is a new element, so the faces do not visibly cancel,
+        # but x y + x z - x (y + z) = 0
+        x, y, z = P_M2, unit_element(M2, 0, 0, 1), unit_element(M2, 0, 1, 1)
+        rep = DecompositionRep(((x, y), (x, z), (x, y + z)),
+                               (1, 1, -1))
+        assert rep.is_cycle()
+        assert hc_space(M2, 1).hc_class(rep).coords == ()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds, st.sampled_from([(CM2, 1), (M2, 1), (C, 2)]),
+           st.integers(0, 3))
+    def test_trace_values_equal_the_expanded_ones(self, seed, case, degree):
+        algebra, m = case
+        rng = random.Random(seed)
+
+        def element():
+            return AlgebraElement(algebra, m, tuple(
+                tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                            for _ in range(d)) for _ in range(d))
+                for d in algebra.ambient_dims(m)))
+
+        rep = DecompositionRep(
+            tuple(tuple(element() for _ in range(degree + 1))
+                  for _ in range(2)),
+            (Fraction(rng.randint(-3, 3)), I))
+        assert rep.trace_values() == rep.expand().trace_values()
+
+    def test_trace_values_of_amplified_summands(self):
+        rep = DecompositionRep(((P_AMP,) * 3,), (Fraction(5),))
+        assert rep.trace_values() \
+            == power(P_AMP, 3).scale(Fraction(5)).trace_values() \
+            == trace_map(power(P_AMP, 3).scale(Fraction(5))).trace_values()
