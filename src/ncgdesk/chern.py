@@ -9,6 +9,8 @@ Classes are read by the trace cocycles of :mod:`ncgdesk.cyclic`, and no
 matrix-unit tensor is built: sum of c * p x ... x p (2l+1 factors) stays
 a ``DecompositionRep``, phi_f of a summand is tr_f(p^(2l+1)), and its
 cycle check sees b(p^(2l+1)) = p^(2l) die in odd degree since p^2 = p.
+The obstruction eta = (sum p_j)^(2l+1) - sum p_j^(2l+1) is such a sum,
+with coefficients 1, -1, ..., -1; only its witness route expands it.
 The generalized character needs no tensor: rank vector r has phi_f = r_f.
 """
 
@@ -20,8 +22,7 @@ from fractions import Fraction
 
 from .algebra import MultiMatrixAlgebra, Projection, SpectralForm
 from .budget import check_budget
-from .cyclic import DecompositionRep, HCClass, TensorElement, hc_space, \
-    trace_map
+from .cyclic import DecompositionRep, HCClass, TensorElement, hc_space
 from .errors import DomainError, NumericalError, ValidationError
 from .ngroup import N0Class, h_map
 from .scalars import Cyclotomic, get_epsilon, sort_key
@@ -137,22 +138,22 @@ def _merge_cells(a: SpectralForm, cover):
 # ---------------------------------------------------------------------------
 # the mixed-tensor obstruction
 
-def eta_cycle(ps, l: int) -> TensorElement:
-    """(sum p_j)^(2l+1) - sum p_j^(2l+1): the cross terms of the expansion."""
-    ps = list(ps)
+def _eta_rep(ps, l: int) -> DecompositionRep:
+    """(sum p_j)^(2l+1) - sum p_j^(2l+1), factored: coefficients 1, -1, ..."""
     if not ps:
         raise DomainError("need at least one projection")
-    for i, p in enumerate(ps):
-        for q in ps[i + 1:]:
-            if not p.orthogonal_to(q):
-                raise DomainError("projections are not pairwise orthogonal")
-    total = ps[0].element
-    for p in ps[1:]:
-        total = total + p.element
-    eta = TensorElement.from_summand((total,) * (2 * l + 1))
-    for p in ps:
-        eta = eta - TensorElement.from_summand((p.element,) * (2 * l + 1))
-    return eta
+    if any(not p.orthogonal_to(q)
+           for i, p in enumerate(ps) for q in ps[i + 1:]):
+        raise DomainError("projections are not pairwise orthogonal")
+    xs = [p.element for p in ps]
+    return DecompositionRep(tuple((x,) * (2 * l + 1)
+                                  for x in [sum(xs[1:], xs[0])] + xs),
+                            (1,) + (-1,) * len(ps))
+
+
+def eta_cycle(ps, l: int) -> TensorElement:
+    """(sum p_j)^(2l+1) - sum p_j^(2l+1): the cross terms of the expansion."""
+    return _eta_rep(list(ps), l).expand()
 
 
 @dataclass(frozen=True)
@@ -170,29 +171,25 @@ class EtaReport:
 
 
 def verify_eta_vanishes(ps, l: int, witness: bool = False) -> EtaReport:
-    """Check the obstruction is a cycle with zero class.
-
-    The cheap route checks the traced tensor's class over A; the induced
-    trace isomorphism makes that equivalent.  With ``witness`` an explicit
-    boundary preimage is solved for in the amplified complex.
+    """Check the obstruction is a cycle with zero class (read in HC(A)
+    through the trace).  It is zero exactly when at most one p_j is nonzero:
+    cross terms of nonzero orthogonal projections are independent.  With
+    ``witness`` a boundary preimage is solved for in the amplified complex.
     """
     ps = list(ps)
-    eta = eta_cycle(ps, l)
-    if eta.is_zero():
+    rep = _eta_rep(ps, l)
+    if sum(not p.element.is_zero() for p in ps) <= 1:
         return EtaReport(True, True, True, True if witness else None)
-    m = ps[0].amplification
     algebra = ps[0].algebra
     _check_degree_budget(algebra, l)
-    traced = trace_map(eta)
-    cycle = traced.is_cycle()
-    traced_zero = cycle and hc_space(algebra, 2 * l).read(
-        traced.trace_values()).is_zero(get_epsilon())
+    cycle = rep.is_cycle()
+    traced_zero = cycle and hc_space(algebra, 2 * l).hc_class(rep).is_zero(
+        get_epsilon())
     found = None
     if witness:
-        _check_degree_budget(algebra, l, m)
-        amp_space = hc_space(algebra, 2 * l, m)
-        found = eta.is_cycle() \
-            and amp_space.boundary_witness(eta) is not None
+        _check_degree_budget(algebra, l, ps[0].amplification)
+        amp_space = hc_space(algebra, 2 * l, ps[0].amplification)
+        found = cycle and amp_space.boundary_witness(rep.expand()) is not None
     return EtaReport(False, cycle, traced_zero, found)
 
 

@@ -3,13 +3,19 @@ Lefschetz numbers.
 
 A complex is a finite chain of projective modules q_j * A^(n_j) with
 A-linear differentials and a commuting unitary action of a finite group.
-Finite-dimensional Hodge theory supplies the harmonic decomposition, and
-the three Lefschetz numbers are computed from isotypic projectors and
-exact spectral resolutions of finite-order unitaries.
+Finite-dimensional Hodge theory supplies the harmonic decomposition, built
+once per complex and kept on it (``GAComplex.harmonic``).  The isotypic
+projections p_chi = (dim chi/|G|) sum_g chi(g)* rho(g) do not depend on g,
+so each (complex, table) pair keeps the alternating multiplicities
+M_chi = sum_j (-1)^j m_chi,j in Z^k, and the numbers are short reads:
+L1(g) = sum_chi chi(g) M_chi, L2(g) = sum_i L1(g)_i ch_l(e_i) for the
+diagonal units e_i, and the refined number takes exact spectral
+resolutions of finite-order unitaries on the stored harmonic projections.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +26,7 @@ from .chern import chern_projection, generalized_chern
 from .cyclic import HCClass, hc_space
 from .errors import ConsistencyError, DomainError, NumericalError, \
     ValidationError
-from .ngroup import K0Class, K0TensorC, N0Class, k0_of_projection, n_class
+from .ngroup import K0TensorC, N0Class, h_map, k0_of_projection, n_class
 from .scalars import Cyclotomic, conj_scalar, scalar_is_zero, scalars_equal
 
 
@@ -268,6 +274,8 @@ class GAComplex:
 
     ``modules[j]`` is the range projection in M_{n_j}(A); ``diffs[i]`` maps
     module i+1 to module i; ``action[g][j]`` is the unitary of g on module j.
+    The harmonic decomposition and, per irrep table, the alternating
+    isotypic multiplicities are built on first use and kept.
     """
 
     algebra: MultiMatrixAlgebra
@@ -303,10 +311,16 @@ class GAComplex:
         object.__setattr__(self, "modules", mods)
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_multiplicities", {})  # IrrepTable -> M
 
     @property
     def length(self) -> int:
         return len(self.modules)
+
+    @functools.cached_property
+    def harmonic(self) -> list:
+        """``harmonic_modules(self)``, built once."""
+        return harmonic_modules(self)
 
     def unitary(self, g: int):
         """The action of g as one AlgebraElement per module."""
@@ -316,9 +330,7 @@ class GAComplex:
 def validate_complex(c: GAComplex) -> list:
     """All structural invariants; returns the list of violations."""
     problems = []
-    q = [Projection(m.element) if not isinstance(m, Projection) else m
-         for m in c.modules]
-    qmaps = [ModuleMap.from_element(m.element) for m in q]
+    qmaps = [ModuleMap.from_element(m.element) for m in c.modules]
     for i, d in enumerate(c.diffs):
         if not qmaps[i].compose(d).compose(qmaps[i + 1]).equals(d):
             problems.append(f"differential {i} does not respect the ranges")
@@ -326,28 +338,33 @@ def validate_complex(c: GAComplex) -> list:
         if not c.diffs[i].compose(c.diffs[i + 1]).is_zero():
             problems.append(f"d{i} o d{i + 1} is not zero")
     e = c.group.identity
-    for j, m in enumerate(q):
+    for j, m in enumerate(c.modules):
         if not c.action[e][j].equals(m.element):
             problems.append(f"identity does not act as the projection on module {j}")
     for g in c.group.elements():
-        for j, m in enumerate(q):
-            u = c.action[g][j]
-            if not (m.element * u * m.element).equals(u):
-                problems.append(f"action of {g} leaves module {j}")
-            if not (u.star() * u).equals(m.element):
-                problems.append(f"action of {g} is not unitary on module {j}")
+        problems += _map_problems(c, c.action[g], f"action of {g}")
         for h in c.group.elements():
             gh = c.group.mul(g, h)
             for j in range(c.length):
                 if not (c.action[g][j] * c.action[h][j]).equals(c.action[gh][j]):
                     problems.append(
                         f"action is not multiplicative at ({g},{h}) on module {j}")
-    for g in c.group.elements():
-        for i, d in enumerate(c.diffs):
-            lhs = ModuleMap.from_element(c.action[g][i]).compose(d)
-            rhs = d.compose(ModuleMap.from_element(c.action[g][i + 1]))
-            if not lhs.equals(rhs):
-                problems.append(f"action of {g} does not commute with d{i}")
+    return problems
+
+
+def _map_problems(c: GAComplex, maps, who: str) -> list:
+    """Where the per-module maps leave their module, fail to be unitary on
+    it, or fail to commute with the differentials."""
+    problems = []
+    for j, (u, q) in enumerate(zip(maps, c.modules)):
+        if not (q.element * u * q.element).equals(u):
+            problems.append(f"{who} leaves module {j}")
+        if not (u.star() * u).equals(q.element):
+            problems.append(f"{who} is not unitary on module {j}")
+    for i, d in enumerate(c.diffs):
+        if not ModuleMap.from_element(maps[i]).compose(d).equals(
+                d.compose(ModuleMap.from_element(maps[i + 1]))):
+            problems.append(f"{who} does not commute with d{i}")
     return problems
 
 
@@ -380,7 +397,8 @@ def harmonic_modules(c: GAComplex):
 
     The harmonic submodule of module j is Ker(outgoing d) intersected with
     Ker(incoming d adjoint) inside the range of q_j; its projection
-    commutes with the group action.
+    commutes with the group action.  Every Lefschetz number reads the copy
+    kept as ``c.harmonic``.
     """
     out = []
     for j, q in enumerate(c.modules):
@@ -404,66 +422,55 @@ def harmonic_modules(c: GAComplex):
 # ---------------------------------------------------------------------------
 # isotypic decomposition and the Lefschetz numbers
 
-def isotypic_decompose(h: Projection, restricted, group: FiniteGroup,
-                       irreps: IrrepTable):
-    """Multiplicity K0 class of each irreducible inside the module."""
-    if irreps.group != group:
+def isotypic_decompose(c: GAComplex, irreps: IrrepTable) -> tuple:
+    """Per irreducible chi, (chi, M_chi): M_chi = sum_j (-1)^j m_chi,j in
+    Z^k, m_chi,j the multiplicity K0 class of chi in harmonic module j.
+
+    Built once per (complex, table) and kept on the complex.
+    """
+    if irreps.group != c.group:
         raise ValidationError("irrep table is for a different group")
+    found = c._multiplicities.get(irreps)
+    if found is not None:
+        return found
+    order = Fraction(c.group.order)
     out = []
-    order = Fraction(group.order)
     for irr in irreps.irreps:
-        acc = AlgebraElement.zero(h.algebra, h.amplification)
-        for g in group.elements():
-            acc = acc + restricted[g].scale(conj_scalar(irr.character(g)))
-        proj = acc.scale(Fraction(irr.dim) / order)
-        ranks = Projection(proj).rank_vector()
-        mult = []
-        for r in ranks:
-            if r % irr.dim != 0:
-                raise ConsistencyError(
-                    f"isotypic rank {r} not divisible by dim {irr.dim}")
-            mult.append(r // irr.dim)
-        out.append((irr, K0Class(tuple(mult))))
+        total = [0] * c.algebra.num_factors
+        for j, (h, restricted) in enumerate(c.harmonic):
+            acc = AlgebraElement.zero(h.algebra, h.amplification)
+            for g in c.group.elements():
+                acc = acc + restricted[g].scale(conj_scalar(irr.character(g)))
+            proj = Projection(acc.scale(Fraction(irr.dim) / order))
+            for i, r in enumerate(proj.rank_vector()):
+                if r % irr.dim != 0:
+                    raise ConsistencyError(
+                        f"isotypic rank {r} not divisible by dim {irr.dim}")
+                total[i] += (-1) ** j * (r // irr.dim)
+        out.append((irr, tuple(total)))
+    c._multiplicities[irreps] = out = tuple(out)
     return out
 
 
 def lefschetz_first(c: GAComplex, g: int, irreps: IrrepTable) -> K0TensorC:
-    """Alternating sum of character-weighted isotypic multiplicities."""
-    k = c.algebra.num_factors
-    coeffs = [Fraction(0)] * k
-    for j, (h, restricted) in enumerate(harmonic_modules(c)):
-        sign = 1 if j % 2 == 0 else -1
-        for irr, mult in isotypic_decompose(h, restricted, c.group, irreps):
-            chi = irr.character(g)
-            for i, m in enumerate(mult.ranks):
-                if m:
-                    coeffs[i] = coeffs[i] + sign * m * chi
-    return K0TensorC(tuple(coeffs))
-
-
-def tau_invariant(h: Projection, restricted, group: FiniteGroup,
-                  irreps: IrrepTable, g: int, l: int) -> HCClass:
-    """Character-weighted Chern classes of the isotypic multiplicities."""
-    algebra = h.algebra
-    out = hc_space(algebra, 2 * l).zero_class()
-    units = [Projection.diagonal_unit(algebra, f)
-             for f in range(algebra.num_factors)]
-    for irr, mult in isotypic_decompose(h, restricted, group, irreps):
+    """sum over irreducibles chi of chi(g) M_chi."""
+    coeffs = [Fraction(0)] * c.algebra.num_factors
+    for irr, mult in isotypic_decompose(c, irreps):
         chi = irr.character(g)
-        if scalar_is_zero(chi):
-            continue
-        for i, m in enumerate(mult.ranks):
+        for i, m in enumerate(mult):
             if m:
-                out = out + chern_projection(units[i], l).scale(m * chi)
-    return out
+                coeffs[i] = coeffs[i] + m * chi
+    return K0TensorC(tuple(coeffs))
 
 
 def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
                      l: int) -> HCClass:
+    """sum over factors i of L1(g)_i ch_l(e_i), e_i the diagonal units."""
     out = hc_space(c.algebra, 2 * l).zero_class()
-    for j, (h, restricted) in enumerate(harmonic_modules(c)):
-        term = tau_invariant(h, restricted, c.group, irreps, g, l)
-        out = out + (term if j % 2 == 0 else -term)
+    for i, coeff in enumerate(lefschetz_first(c, g, irreps).coeffs):
+        if not scalar_is_zero(coeff):
+            unit = Projection.diagonal_unit(c.algebra, i)
+            out = out + chern_projection(unit, l).scale(coeff)
     return out
 
 
@@ -529,18 +536,11 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
     unitaries = list(unitaries)
     if len(unitaries) != c.length:
         raise ValidationError("one unitary per module required")
-    for j, (u, q) in enumerate(zip(unitaries, c.modules)):
-        if not (q.element * u * q.element).equals(u):
-            raise DomainError(f"unitary leaves module {j}")
-        if not (u.star() * u).equals(q.element):
-            raise DomainError(f"endomorphism is not unitary on module {j}")
-    for i, d in enumerate(c.diffs):
-        lhs = ModuleMap.from_element(unitaries[i]).compose(d)
-        rhs = d.compose(ModuleMap.from_element(unitaries[i + 1]))
-        if not lhs.equals(rhs):
-            raise DomainError(f"endomorphism does not commute with d{i}")
+    problems = _map_problems(c, unitaries, "endomorphism")
+    if problems:
+        raise DomainError(problems[0])
     total = N0Class.zero(c.algebra)
-    for j, (h, _) in enumerate(harmonic_modules(c)):
+    for j, (h, _) in enumerate(c.harmonic):
         part = _restricted_n_class(h, unitaries[j])
         total = total + (part if j % 2 == 0 else -part)
     return GeneralizedLefschetz(total)
@@ -549,7 +549,6 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
 def verify_th4(c: GAComplex, g: int, irreps: IrrepTable) -> bool:
     """Collapsing the refined number recovers the character-valued one."""
     refined = generalized_lefschetz(c, c.unitary(g))
-    from .ngroup import h_map
     return h_map(refined.value) == lefschetz_first(c, g, irreps)
 
 

@@ -9,6 +9,7 @@ from ncgdesk.algebra import (AlgebraElement, MultiMatrixAlgebra, Projection,
                              SpectralForm)
 from ncgdesk.budget import set_budget
 from ncgdesk.chern import (
+    EtaReport,
     T_cover,
     T_direct,
     _merge_cells,
@@ -20,7 +21,8 @@ from ncgdesk.chern import (
     verify_th7,
     verify_th8,
 )
-from ncgdesk.cyclic import TensorElement, hc_space, trace_map
+from ncgdesk.cyclic import DecompositionRep, TensorElement, hc_space, \
+    trace_map
 from ncgdesk.errors import DomainError, ResourceError, ValidationError
 from ncgdesk.generate import (
     random_n0class,
@@ -153,6 +155,74 @@ class TestObstruction:
         ps = random_orthogonal_family(C, rng, 2, m=2)
         report = verify_eta_vanishes(ps, 1, witness=True)
         assert report.ok and report.witness_found in (True, None)
+
+
+def expanded_eta(ps, l):
+    """(sum p_j)^(2l+1) and each p_j^(2l+1) expanded and subtracted."""
+    total = ps[0].element
+    for p in ps[1:]:
+        total = total + p.element
+    eta = TensorElement.from_summand((total,) * (2 * l + 1))
+    for p in ps:
+        eta = eta - TensorElement.from_summand((p.element,) * (2 * l + 1))
+    return eta
+
+
+def expanded_eta_report(ps, l, witness=False):
+    """The obstruction checked on matrix units: expanded, traced, and read
+    by the trace cocycles; the witness is solved for in the amplified
+    complex."""
+    eta = expanded_eta(ps, l)
+    if eta.is_zero():
+        return EtaReport(True, True, True, True if witness else None)
+    algebra, m = ps[0].algebra, ps[0].amplification
+    traced = trace_map(eta)
+    cycle = traced.is_cycle()
+    traced_zero = cycle and hc_space(algebra, 2 * l).read(
+        traced.trace_values()).is_zero(get_epsilon())
+    found = None
+    if witness:
+        found = eta.is_cycle() \
+            and hc_space(algebra, 2 * l, m).boundary_witness(eta) is not None
+    return EtaReport(False, cycle, traced_zero, found)
+
+
+class TestFactoredObstruction:
+    def _families(self):
+        """Seeded orthogonal families over C and C+C, m = 1-3, 1-4 members,
+        some with zero members inserted; witnesses where the budget of the
+        amplified complex allows (not C+C at m = 3)."""
+        for seed in range(24):
+            rng = random.Random(7000 + seed)
+            algebra = (C, A)[seed % 2]
+            m = 1 + seed // 2 % 3
+            ps = random_orthogonal_family(algebra, rng, rng.randint(1, 4), m)
+            if seed % 3 == 0:
+                ps.insert(rng.randrange(len(ps) + 1), Projection.zero(algebra, m))
+            yield ps, not (algebra is A and m == 3) and seed % 4 < 2
+
+    def test_same_reports_as_expanded_path(self):
+        kinds = set()
+        for ps, witness in self._families():
+            report = verify_eta_vanishes(ps, 1, witness=witness)
+            assert report == expanded_eta_report(ps, 1, witness)
+            kinds.add((report.trivial, report.witness_found))
+        assert kinds == {(True, True), (True, None), (False, True),
+                         (False, None)}
+
+    def test_eta_cycle_is_the_expanded_difference(self):
+        for ps, _ in list(self._families())[:12]:
+            assert eta_cycle(ps, 1).equals(expanded_eta(ps, 1))
+
+    def test_no_expansion_without_witness(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("expanded")
+        monkeypatch.setattr(DecompositionRep, "expand", refuse)
+        rng = random.Random(5)
+        for m in (1, 2, 3):
+            ps = random_orthogonal_family(A, rng, 3, m)
+            report = verify_eta_vanishes(ps, 1)
+            assert report.ok and report.witness_found is None
 
 
 class TestCommutingSquares:

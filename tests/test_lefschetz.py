@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgdesk import lefschetz
+from ncgdesk import lefschetz, linalg as la
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
 from ncgdesk.errors import ConsistencyError, DomainError, NumericalError, \
     ValidationError
@@ -23,8 +23,10 @@ from ncgdesk.lefschetz import (
     verify_th4,
     verify_th5,
 )
-from ncgdesk.ngroup import h_map
-from ncgdesk.scalars import Cyclotomic
+from ncgdesk.chern import chern_projection
+from ncgdesk.cyclic import hc_space
+from ncgdesk.ngroup import K0Class, K0TensorC, N0Class, h_map
+from ncgdesk.scalars import Cyclotomic, conj_scalar, scalar_is_zero
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -187,3 +189,155 @@ class TestTheorems:
                 == generalized_lefschetz(aug, aug.unitary(g)).value
             assert lefschetz_second(c, g, table, 0) \
                 == lefschetz_second(aug, g, table, 0)
+
+
+# ---------------------------------------------------------------------------
+# the per-g path: harmonic modules, isotypic projections and Chern classes
+# rebuilt for every group element
+
+def per_g_harmonic(c):
+    out = []
+    for j, q in enumerate(c.modules):
+        comp = lefschetz._range_complement(q)
+        stacked = []
+        for f in range(c.algebra.num_factors):
+            parts = []
+            if j >= 1:
+                parts.append(c.diffs[j - 1].blocks[f])
+            if j < c.length - 1:
+                parts.append(la.conj_transpose(c.diffs[j].blocks[f]))
+            parts.append(comp.blocks[f])
+            stacked.append(la.stack_rows(*parts))
+        h = AlgebraElement(c.algebra, q.amplification,
+                           lefschetz._nullspace_projection(stacked))
+        restricted = [h * c.action[g][j] * h for g in c.group.elements()]
+        out.append((Projection(h), restricted))
+    return out
+
+
+def per_g_isotypic(h, restricted, group, irreps):
+    out = []
+    for irr in irreps.irreps:
+        acc = AlgebraElement.zero(h.algebra, h.amplification)
+        for g in group.elements():
+            acc = acc + restricted[g].scale(conj_scalar(irr.character(g)))
+        ranks = Projection(acc.scale(Fraction(irr.dim, group.order))) \
+            .rank_vector()
+        assert all(r % irr.dim == 0 for r in ranks)
+        out.append((irr, K0Class(tuple(r // irr.dim for r in ranks))))
+    return out
+
+
+def per_g_first(c, g, irreps):
+    coeffs = [Fraction(0)] * c.algebra.num_factors
+    for j, (h, restricted) in enumerate(per_g_harmonic(c)):
+        sign = 1 if j % 2 == 0 else -1
+        for irr, mult in per_g_isotypic(h, restricted, c.group, irreps):
+            chi = irr.character(g)
+            for i, m in enumerate(mult.ranks):
+                if m:
+                    coeffs[i] = coeffs[i] + sign * m * chi
+    return K0TensorC(tuple(coeffs))
+
+
+def per_g_tau(h, restricted, group, irreps, g, l):
+    algebra = h.algebra
+    out = hc_space(algebra, 2 * l).zero_class()
+    units = [Projection.diagonal_unit(algebra, f)
+             for f in range(algebra.num_factors)]
+    for irr, mult in per_g_isotypic(h, restricted, group, irreps):
+        chi = irr.character(g)
+        if scalar_is_zero(chi):
+            continue
+        for i, m in enumerate(mult.ranks):
+            if m:
+                out = out + chern_projection(units[i], l).scale(m * chi)
+    return out
+
+
+def per_g_second(c, g, irreps, l):
+    out = hc_space(c.algebra, 2 * l).zero_class()
+    for j, (h, restricted) in enumerate(per_g_harmonic(c)):
+        term = per_g_tau(h, restricted, c.group, irreps, g, l)
+        out = out + (term if j % 2 == 0 else -term)
+    return out
+
+
+def per_g_refined(c, unitaries):
+    total = N0Class.zero(c.algebra)
+    for j, (h, _) in enumerate(per_g_harmonic(c)):
+        part = lefschetz._restricted_n_class(h, unitaries[j])
+        total = total + (part if j % 2 == 0 else -part)
+    return total
+
+
+def seeded_complexes():
+    """Complexes over C+C and M2 for every table and length 1-3, and the
+    acyclic augmentations of those of length 2-3."""
+    for seed in range(18):
+        rng = random.Random(4100 + seed)
+        table = TABLES[seed % 3]
+        algebra = (A, M2)[seed // 3 % 2]
+        c = random_ga_complex(algebra, table, rng, length=1 + seed // 6)
+        yield c, table
+        if c.length >= 2:
+            yield acyclic_augmentation(c, rng), table
+
+
+class TestOneDecomposition:
+    def test_same_numbers_as_per_g_path(self):
+        for c, table in seeded_complexes():
+            assert validate_complex(c) == []
+            for g in table.group.elements():
+                assert lefschetz_first(c, g, table) \
+                    == per_g_first(c, g, table)
+                for l in (0, 1):
+                    assert lefschetz_second(c, g, table, l) \
+                        == per_g_second(c, g, table, l)
+                assert generalized_lefschetz(c, c.unitary(g)).value \
+                    == per_g_refined(c, c.unitary(g))
+
+    def test_decomposition_built_once_per_complex(self, monkeypatch):
+        complexes = list(seeded_complexes())
+        calls = []
+        real = lefschetz._nullspace_projection
+
+        def counted(stacked):
+            calls.append(1)
+            return real(stacked)
+        monkeypatch.setattr(lefschetz, "_nullspace_projection", counted)
+        for c, table in complexes:
+            for g in table.group.elements():
+                assert verify_th4(c, g, table)
+                assert verify_th5(c, g, table, 0)
+                lefschetz_first(c, g, table)
+                lefschetz_second(c, g, table, 1)
+                generalized_lefschetz(c, c.unitary(g))
+        assert len(calls) == sum(c.length for c, _ in complexes)
+
+    def test_multiplicities_kept_per_table(self):
+        c, table = next(seeded_complexes())
+        mult = lefschetz.isotypic_decompose(c, table)
+        assert lefschetz.isotypic_decompose(c, table) is mult
+        assert [irr for irr, _ in mult] == list(table.irreps)
+        # a second table for the same group is kept apart
+        swapped = IrrepTable(table.group, tuple(reversed(table.irreps)))
+        assert lefschetz.isotypic_decompose(c, swapped) == mult[::-1]
+        other = next(t for t in TABLES if t.group != table.group)
+        with pytest.raises(ValidationError):
+            lefschetz.isotypic_decompose(c, other)
+
+    def test_endomorphism_checks_shared_with_validation(self):
+        c = two_term_complex(A)
+        flip = [AlgebraElement.identity(A),
+                AlgebraElement.identity(A).scale(-1)]
+        problems = lefschetz._map_problems(c, flip, "endomorphism")
+        assert problems == ["endomorphism does not commute with d0"]
+        with pytest.raises(DomainError, match="does not commute with d0"):
+            generalized_lefschetz(c, flip)
+        half = [AlgebraElement.identity(A).scale(Fraction(1, 2))] * 2
+        with pytest.raises(DomainError, match="not unitary on module 0"):
+            generalized_lefschetz(c, half)
+        bad = GAComplex(A, c.group, c.modules, c.diffs,
+                        (c.action[0], tuple(flip)))
+        assert "action of 1 does not commute with d0" in validate_complex(bad)
