@@ -135,25 +135,24 @@ class AlgebraElement:
                               tuple(la.block_diag(a, b)
                                     for a, b in zip(self.blocks, other.blocks)))
 
-    def equals(self, other, eps=None) -> bool:
+    def equals(self, other) -> bool:
         if self.algebra != other.algebra or self.amplification != other.amplification:
             return False
-        return all(la.mat_equal(a, b, eps)
-                   for a, b in zip(self.blocks, other.blocks))
+        return all(map(la.mat_equal, self.blocks, other.blocks))
 
-    def is_zero(self, eps=None) -> bool:
-        return all(la.is_zero_matrix(b, eps) for b in self.blocks)
+    def is_zero(self) -> bool:
+        return all(map(la.is_zero_matrix, self.blocks))
 
     def is_exact(self) -> bool:
         return all(la.is_exact_matrix(b) for b in self.blocks)
 
-    def is_projection(self, eps=None) -> bool:
-        return self.equals(self.star(), eps) and (self * self).equals(self, eps)
+    def is_projection(self) -> bool:
+        return self.equals(self.star()) and (self * self).equals(self)
 
-    def is_unitary(self, eps=None) -> bool:
+    def is_unitary(self) -> bool:
         return (self * self.star()).equals(
             AlgebraElement.identity(self.algebra, self.amplification,
-                                    exact=self.is_exact()), eps)
+                                    exact=self.is_exact()))
 
     def norm(self) -> float:
         """Operator norm: max over factors of the largest singular value."""
@@ -211,8 +210,8 @@ class Projection:
                 out.append(int(round(to_complex(t).real)))
         return tuple(out)
 
-    def orthogonal_to(self, other, eps=None) -> bool:
-        return (self.element * other.element).is_zero(eps)
+    def orthogonal_to(self, other) -> bool:
+        return (self.element * other.element).is_zero()
 
     def direct_sum(self, other):
         return Projection(self.element.direct_sum(other.element))
@@ -228,18 +227,11 @@ class BorelSetModel:
         object.__setattr__(self, "points",
                            tuple(sorted(self.points, key=sort_key)))
 
-    def is_admissible(self, eps=None) -> bool:
-        eps = get_epsilon() if eps is None else eps
-        for p in self.points:
-            if is_exact_scalar(p):
-                if scalar_is_zero(p):
-                    return False
-            elif abs(to_complex(p)) <= eps:
-                return False
-        return True
+    def is_admissible(self) -> bool:
+        return not any(map(scalar_is_zero, self.points))
 
-    def contains(self, value, eps=None) -> bool:
-        return any(scalars_equal(value, p, eps) for p in self.points)
+    def contains(self, value) -> bool:
+        return any(scalars_equal(value, p) for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -340,14 +332,8 @@ class SpectralForm:
 # ---------------------------------------------------------------------------
 # operations
 
-def is_normal(x: AlgebraElement, eps=None) -> bool:
-    d = x * x.star() - x.star() * x
-    if x.is_exact():
-        return d.is_zero()
-    eps = get_epsilon() if eps is None else eps
-    worst = max((abs(to_complex(v)) for b in d.blocks for row in b for v in row),
-                default=0.0)
-    return worst <= eps
+def is_normal(x: AlgebraElement) -> bool:
+    return (x * x.star() - x.star() * x).is_zero()
 
 
 def _cluster(values, radius, bounded=True):

@@ -25,7 +25,7 @@ from .budget import check_budget
 from .cyclic import DecompositionRep, HCClass, TensorElement, hc_space
 from .errors import DomainError, NumericalError, ValidationError
 from .ngroup import N0Class, h_map
-from .scalars import Cyclotomic, get_epsilon, sort_key
+from .scalars import Cyclotomic, sort_key
 
 
 def _check_degree_budget(algebra: MultiMatrixAlgebra, l: int,
@@ -183,8 +183,7 @@ def verify_eta_vanishes(ps, l: int, witness: bool = False) -> EtaReport:
     algebra = ps[0].algebra
     _check_degree_budget(algebra, l)
     cycle = rep.is_cycle()
-    traced_zero = cycle and hc_space(algebra, 2 * l).hc_class(rep).is_zero(
-        get_epsilon())
+    traced_zero = cycle and hc_space(algebra, 2 * l).hc_class(rep).is_zero()
     found = None
     if witness:
         _check_degree_budget(algebra, l, ps[0].amplification)
@@ -213,13 +212,12 @@ def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
     spectrum = a.eigenvalues()
     if not spectrum:
         return T_direct(a, l)
-    eps = None if a.is_exact() else get_epsilon()
     prev = None
     for depth in range(max_depth + 1):
         cover = dyadic_cover(spectrum, depth, policy)
         cls = _power_class(a.algebra, _merge_cells(a, cover), l)
         separated = all(len(c.points) == 1 for c in cover)
-        if prev is not None and separated and cls.equals(prev, eps):
+        if prev is not None and separated and cls.equals(prev):
             return cls
         prev = cls
     raise NumericalError(

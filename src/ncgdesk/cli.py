@@ -41,7 +41,7 @@ from .lefschetz import (
 )
 from .ngroup import functorial_map, h_map, n_class, t_map
 from .scalars import parse_scalar, set_epsilon, to_complex
-from .verify import BATTERIES
+from .verify import BATTERIES, run_batteries
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -240,12 +240,11 @@ def _cmd_gchern(args) -> int:
 
 
 def _run_batteries(names, seed: int, count: int) -> int:
-    reports = []
     for name in names:
         if name not in BATTERIES:
             raise ValidationError(f"unknown theorem {name!r}; "
                                   f"choose from {sorted(BATTERIES)}")
-        reports.append(BATTERIES[name](seed, count).to_json())
+    reports = [r.to_json() for r in run_batteries(names, seed, count)]
     _emit({"reports": reports})
     failed = any(r["passes"] < r["instances"] for r in reports)
     return EXIT_VERIFICATION if failed else EXIT_OK

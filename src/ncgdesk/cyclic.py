@@ -44,8 +44,8 @@ from . import linalg as la
 from .algebra import AlgebraElement, MultiMatrixAlgebra
 from .budget import check_budget
 from .errors import DomainError, ValidationError
-from .scalars import (_SparseReducer, eliminate, is_exact_scalar, scalar_is_zero,
-                      scalars_equal, to_complex)
+from .scalars import (_SparseReducer, eliminate, get_epsilon, is_exact_scalar,
+                      scalar_is_zero, scalars_equal, to_complex)
 
 # A basis unit of M_m(A) is (factor index j, row a, col b) with a, b < m*r_j.
 Unit = tuple
@@ -167,24 +167,24 @@ class TensorElement:
                                       self.degree,
                                       {k: c * v for k, v in self.coeffs.items()})
 
-    def is_zero(self, eps=None) -> bool:
-        return all(scalar_is_zero(c, eps) for c in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return all(map(scalar_is_zero, self.coeffs.values()))
 
     def is_exact(self) -> bool:
         return all(is_exact_scalar(c) for c in self.coeffs.values())
 
-    def equals(self, other, eps=None) -> bool:
+    def equals(self, other) -> bool:
         try:
             self._check(other)
         except ValidationError:
             return False
-        return (self - other).is_zero(eps)
+        return (self - other).is_zero()
 
     # -- cycles and the trace cocycles ------------------------------------
-    def is_cycle(self, eps=None) -> bool:
+    def is_cycle(self) -> bool:
         """b xi = 0 in CC_{n-1}, decided on the matrix units."""
-        return self.degree == 0 or not any(
-            not scalar_is_zero(v, eps) for v in cc_reduce(face_op(self)).values())
+        return self.degree == 0 or all(
+            map(scalar_is_zero, cc_reduce(face_op(self)).values()))
 
     def trace_values(self) -> list:
         """(phi_f(xi))_f: e_{a_0 b_0} ... e_{a_n b_n} is a unit e_{a_0 b_n}
@@ -480,15 +480,13 @@ class HCClass:
     def scale(self, c):
         return HCClass(self.degree, tuple(c * x for x in self.coords))
 
-    def is_zero(self, eps=None) -> bool:
-        return all(scalar_is_zero(c, eps) for c in self.coords)
+    def is_zero(self) -> bool:
+        return all(map(scalar_is_zero, self.coords))
 
-    def equals(self, other, eps=None) -> bool:
+    def equals(self, other) -> bool:
         return (self.degree == other.degree
                 and len(self.coords) == len(other.coords)
-                and all(scalars_equal(a, b) if eps is None else
-                        abs(to_complex(a) - to_complex(b)) <= eps
-                        for a, b in zip(self.coords, other.coords)))
+                and all(map(scalars_equal, self.coords, other.coords)))
 
     def __eq__(self, other):
         if not isinstance(other, HCClass):
@@ -536,8 +534,8 @@ class HomologySpace:
         assert self.dimension == (self.cc.dimension - rank_b) - self.boundary_rank
 
     # -- queries ------------------------------------------------------------
-    def is_cycle(self, xi, eps=None) -> bool:
-        return xi.is_cycle(eps)
+    def is_cycle(self, xi) -> bool:
+        return xi.is_cycle()
 
     @functools.cached_property
     def _readout(self) -> tuple:
@@ -734,7 +732,7 @@ class DecompositionRep:
                  for c, s in zip(self.coeffs, self.summands)],
                 product, elements)
 
-    def is_cycle(self, eps=None) -> bool:
+    def is_cycle(self) -> bool:
         """b xi = 0 in CC_{n-1}, decided on the factored form when it can be.
 
         The face products are summed by cyclic orbit, with rotation signs;
@@ -747,7 +745,7 @@ class DecompositionRep:
             return True
         words, product, _ = self._spelling
         return not _cc_sum(_face_terms(words, product), self.degree - 1) \
-            or self.expand().is_cycle(eps)
+            or self.expand().is_cycle()
 
     def trace_values(self) -> list:
         """(phi_f(xi))_f: phi_f of a summand is tr_f of the product
@@ -781,10 +779,10 @@ def _face_of_rep(rep: DecompositionRep, i: int) -> DecompositionRep:
                                   for s in rep.summands), rep.coeffs)
 
 
-def check_face_bound(rep: DecompositionRep, i: int, tol: float = 1e-9) -> bool:
-    """Canonical representative of d_i(rep) has norm <= norm(rep)."""
+def check_face_bound(rep: DecompositionRep, i: int) -> bool:
+    """Canonical representative of d_i(rep) has norm <= norm(rep), up to eps."""
     return decomposition_norm(_face_of_rep(rep, i)) \
-        <= decomposition_norm(rep) + tol
+        <= decomposition_norm(rep) + get_epsilon()
 
 
 def _entry_elements(x: AlgebraElement):
@@ -813,8 +811,9 @@ def trace_rep(rep: DecompositionRep) -> DecompositionRep:
     return DecompositionRep(tuple(out), tuple(coeffs))
 
 
-def check_trace_bound(rep: DecompositionRep, tol: float = 1e-9) -> bool:
-    """Expanded trace representative obeys the r^(n+1) norm inflation bound."""
+def check_trace_bound(rep: DecompositionRep) -> bool:
+    """Expanded trace representative obeys the r^(n+1) norm inflation bound,
+    up to eps."""
     m = rep.summands[0][0].amplification
     bound = float(m) ** (rep.degree + 1) * decomposition_norm(rep)
-    return decomposition_norm(trace_rep(rep)) <= bound + tol
+    return decomposition_norm(trace_rep(rep)) <= bound + get_epsilon()

@@ -257,12 +257,11 @@ class ModuleMap:
         return ModuleMap(self.algebra, self.target_size, self.source_size,
                          tuple(la.scalar_mul(c, b) for b in self.blocks))
 
-    def is_zero(self, eps=None) -> bool:
-        return all(la.is_zero_matrix(b, eps) for b in self.blocks)
+    def is_zero(self) -> bool:
+        return all(map(la.is_zero_matrix, self.blocks))
 
-    def equals(self, other, eps=None) -> bool:
-        return all(la.mat_equal(a, b, eps)
-                   for a, b in zip(self.blocks, other.blocks))
+    def equals(self, other) -> bool:
+        return all(map(la.mat_equal, self.blocks, other.blocks))
 
 
 # ---------------------------------------------------------------------------

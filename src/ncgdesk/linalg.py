@@ -413,24 +413,20 @@ def grid_cell(a, size: int, s: int, t: int):
 # ---------------------------------------------------------------------------
 # comparison and norms
 
-def mat_equal(a, b, eps: float | None = None) -> bool:
+def mat_equal(a, b) -> bool:
     exact, (a, b) = _kind(a, b)
     if shape(a) != shape(b):
         return False
     if exact:
         return a == b
-    return is_zero_matrix(mat_sub(a, b), eps)
+    return is_zero_matrix(mat_sub(a, b))
 
 
-def is_zero_matrix(a, eps: float | None = None) -> bool:
+def is_zero_matrix(a) -> bool:
     a = as_matrix(a)
     if isinstance(a, ExactMatrix):
         return not np.count_nonzero(a.nums)
-    return all(scalar_is_zero(x, eps) for row in a for x in row)
-
-
-def is_hermitian(a, eps: float | None = None) -> bool:
-    return mat_equal(a, conj_transpose(a), eps)
+    return all(scalar_is_zero(x) for row in a for x in row)
 
 
 def op_norm(a) -> float:

@@ -5,8 +5,13 @@ Two kinds of scalars flow through the package:
 * exact scalars -- elements of cyclotomic fields Q(zeta_n), represented by
   :class:`Cyclotomic`.  Gaussian rationals live in Q(zeta_4); roots of unity
   of any small order are exact, which is what the Lefschetz machinery needs.
-* float scalars -- plain Python ``complex``, compared against a global
-  tolerance (default 1e-9).
+* float scalars -- plain Python ``complex``.  One global tolerance eps
+  (default 1e-9, set by :func:`set_epsilon` or the CLI's ``--epsilon``)
+  decides every float comparison: :func:`scalar_is_zero` and
+  :func:`scalars_equal` accept |x| <= eps and |x - y| <= eps.  Two rules
+  are derived from it: eigenvalue clusters and N0 keys merge values
+  within 2*eps, and float ranks and kernels drop singular values at most
+  eps * max(1, ||m||_2).
 
 Plain ``int`` / ``Fraction`` values interoperate with :class:`Cyclotomic`
 through the usual arithmetic operators, so exact matrices may freely store
@@ -448,18 +453,18 @@ def conj_scalar(x):
     return complex(x).conjugate()
 
 
-def scalar_is_zero(x, eps: float | None = None) -> bool:
+def scalar_is_zero(x) -> bool:
     if isinstance(x, Cyclotomic):
         return x.is_zero()
     if isinstance(x, (int, Fraction)):
         return x == 0
-    return abs(complex(x)) <= (eps if eps is not None else _EPSILON)
+    return abs(complex(x)) <= _EPSILON
 
 
-def scalars_equal(x, y, eps: float | None = None) -> bool:
+def scalars_equal(x, y) -> bool:
     if is_exact_scalar(x) and is_exact_scalar(y):
         return ensure_exact(x) == ensure_exact(y)
-    return abs(to_complex(x) - to_complex(y)) <= (eps if eps is not None else _EPSILON)
+    return abs(to_complex(x) - to_complex(y)) <= _EPSILON
 
 
 def sort_key(x):

@@ -4,7 +4,8 @@ Exact rationals travel as strings "p/q", complex values as [re, im]
 pairs, and non-Gaussian exact scalars as {"order", "coeffs"} records.
 Every document carries a schema_version field and emits its collections
 in canonical order so round-trips are stable.  The loaders check each
-field they read: a malformed document raises ValidationError.
+field they read, and a loaded complex must pass ``validate_complex``: a
+malformed document raises ValidationError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .lefschetz import (
     Irrep,
     IrrepTable,
     ModuleMap,
+    validate_complex,
 )
 from .ngroup import K0Class, K0TensorC, N0Class
 from .scalars import Cyclotomic, format_scalar, parse_scalar
@@ -316,7 +318,11 @@ def complex_from_json(doc: dict) -> GAComplex:
         tuple(AlgebraElement(algebra, modules[j].amplification, _matrices(u, "action"))
               for j, u in enumerate(row))
         for row in action)
-    return GAComplex(algebra, group, modules, diffs, action)
+    c = GAComplex(algebra, group, modules, diffs, action)
+    problems = validate_complex(c)
+    if problems:
+        raise ValidationError(f"invalid complex: {problems[0]}")
+    return c
 
 
 # -- files ------------------------------------------------------------------

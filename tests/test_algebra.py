@@ -122,7 +122,7 @@ class TestSpectralForm:
         x = AlgebraElement(MultiMatrixAlgebra((2,)), 1,
                            (((1.0, 0.0), (0.0, 0.5)),))
         a = spectral_decompose(x)
-        assert a.element().equals(x, 1e-8)
+        assert a.element().equals(x)
 
     def test_non_normal_rejected(self):
         x = AlgebraElement(MultiMatrixAlgebra((2,)), 1,

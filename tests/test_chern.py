@@ -32,7 +32,7 @@ from ncgdesk.generate import (
     random_spectrum,
 )
 from ncgdesk.ngroup import K0Class, N0Class
-from ncgdesk.scalars import Cyclotomic, get_epsilon
+from ncgdesk.scalars import Cyclotomic
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -179,7 +179,7 @@ def expanded_eta_report(ps, l, witness=False):
     traced = trace_map(eta)
     cycle = traced.is_cycle()
     traced_zero = cycle and hc_space(algebra, 2 * l).read(
-        traced.trace_values()).is_zero(get_epsilon())
+        traced.trace_values()).is_zero()
     found = None
     if witness:
         found = eta.is_cycle() \
@@ -266,14 +266,13 @@ def expanded_class(algebra, m, terms, l):
 
 
 def expanded_T_cover(a, l, policy):
-    eps = None if a.is_exact() else get_epsilon()
     prev = None
     for depth in range(13):
         cover = dyadic_cover(a.eigenvalues(), depth, policy)
         cls = expanded_class(a.algebra, a.amplification,
                              _merge_cells(a, cover), l)
         if prev is not None and all(len(c.points) == 1 for c in cover) \
-                and cls.equals(prev, eps):
+                and cls.equals(prev):
             return cls
         prev = cls
     raise AssertionError("expanded cover refinement did not stabilize")
@@ -328,8 +327,8 @@ class TestAgainstExpandedPath:
         rng = random.Random(7)
         a = to_float(random_normal(algebra, rng, m=m))
         assert T_direct(a, l).equals(
-            expanded_class(algebra, m, a.pairs, l), 1e-9)
-        assert T_cover(a, l).equals(expanded_T_cover(a, l, "smallest"), 1e-9)
+            expanded_class(algebra, m, a.pairs, l))
+        assert T_cover(a, l).equals(expanded_T_cover(a, l, "smallest"))
 
     def test_near_gap_c_plus_m2_at_l2(self):
         rng = random.Random(2)

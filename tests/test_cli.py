@@ -7,9 +7,12 @@ import time
 import pytest
 
 from ncgdesk import serialize as sz
+from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
 from ncgdesk.budget import set_budget
 from ncgdesk.errors import ConsistencyError
 from ncgdesk.cli import main
+from ncgdesk.lefschetz import FiniteGroup, GAComplex
+from ncgdesk.scalars import Cyclotomic
 
 
 @pytest.fixture(autouse=True)
@@ -129,8 +132,23 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert out["reports"][0]["failures"]
 
 
-def test_unknown_theorem_is_validation_error(capsys):
-    assert main(["verify", "--theorems", "th99"]) == 1
+@pytest.mark.parametrize("command", [["verify"], ["lefschetz", "verify"]],
+                         ids=["verify", "lefschetz verify"])
+def test_unknown_theorem_is_validation_error(capsys, command):
+    assert main(command + ["--theorems", "th99"]) == 1
+
+
+def test_non_equivariant_complex_is_one_error_line(tmp_path, capsys):
+    # C with Z/2 acting by i, whose square -1 is not the identity's action
+    one = AlgebraElement.identity(MultiMatrixAlgebra((1,)))
+    c = GAComplex(one.algebra, FiniteGroup.cyclic_group(2), (Projection(one),),
+                  (), ((one,), (one.scale(Cyclotomic.gaussian(0, 1)),)))
+    path = write(tmp_path, "cx.json", sz.complex_to_json(c))
+    for action in ("l1", "l2", "gl1"):
+        assert main(["lefschetz", action, "--complex", path, "--g", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid complex: action is not multiplicative at (1,1) "
+            "on module 0\n")
 
 
 def test_missing_file_is_validation_error(capsys):

@@ -180,7 +180,7 @@ class TestNormBounds:
         rep = random_rep(random.Random(1))
         lhs = trace_rep(rep).expand()
         rhs = trace_map(rep.expand())
-        assert lhs.equals(rhs, 1e-9)
+        assert lhs.equals(rhs)
 
     def test_norm_is_subadditive_over_summands(self):
         rng = random.Random(2)
@@ -426,7 +426,7 @@ class TestReadout:
             xi = xi + face_op(random_tensor(algebra, m, n + 1, rng)).scale(
                 random_scalar(rng, order, exact))
         readout, reduced = space.hc_class(xi), space.reduced_class(xi)
-        assert readout.equals(reduced, None if exact else 1e-9)
+        assert readout.equals(reduced)
         assert len(readout.coords) == (algebra.num_factors if n % 2 == 0
                                        else 0)
 

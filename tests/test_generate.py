@@ -87,7 +87,7 @@ def test_generated_complexes_validate(seed):
     table = rng.choice([IrrepTable.cyclic(2), IrrepTable.cyclic(3),
                         IrrepTable.symmetric_3()])
     c = random_ga_complex(A, table, rng, length=rng.randint(1, 3))
-    validate_complex(c)
+    assert validate_complex(c) == []
 
 
 @settings(max_examples=6, deadline=None)
@@ -96,6 +96,6 @@ def test_augmented_complexes_validate(seed):
     rng = random.Random(seed)
     c = random_ga_complex(A, IrrepTable.cyclic(2), rng, length=2)
     aug = acyclic_augmentation(c, rng)
-    validate_complex(aug)
+    assert validate_complex(aug) == []
     assert aug.length == c.length
     assert aug.modules[0].amplification > c.modules[0].amplification

@@ -77,7 +77,7 @@ def two_term_complex(algebra, n=1):
 class TestComplexes:
     def test_two_term_identity_is_valid_and_acyclic(self):
         c = two_term_complex(A)
-        validate_complex(c)
+        assert validate_complex(c) == []
         for h, _ in harmonic_modules(c):
             assert h.element.is_zero()
 
@@ -95,7 +95,7 @@ class TestComplexes:
         group = FiniteGroup.cyclic_group(2)
         action = ((q.element, ), (q.element.scale(-1),))
         c = GAComplex(C, group, (q,), (), action)
-        validate_complex(c)
+        assert validate_complex(c) == []
         table = IrrepTable.cyclic(2)
         assert lefschetz_first(c, 0, table).coeffs == (Fraction(1),)
         assert lefschetz_first(c, 1, table).coeffs == (Fraction(-1),)
@@ -181,7 +181,7 @@ class TestTheorems:
         table = rng.choice(TABLES)
         c = random_ga_complex(A, table, rng, length=2)
         aug = acyclic_augmentation(c, rng)
-        validate_complex(aug)
+        assert validate_complex(aug) == []
         for g in table.group.elements():
             assert lefschetz_first(c, g, table) \
                 == lefschetz_first(aug, g, table)

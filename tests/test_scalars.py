@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ncgdesk import linalg as la
+from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra
+from ncgdesk.cyclic import DecompositionRep, HCClass, TensorElement, check_face_bound
 from ncgdesk.scalars import (
     Cyclotomic,
     conj_scalar,
@@ -28,6 +31,11 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 coefficient_lists = st.sampled_from(ORACLE_ORDERS).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(small, min_size=1, max_size=n)))
 elements = coefficient_lists.map(lambda nc: Cyclotomic(*nc))
+
+
+def _point(x):
+    """The float element x of the algebra C."""
+    return AlgebraElement(MultiMatrixAlgebra((1,)), 1, (((x,),),))
 
 
 def value(n, coeffs):
@@ -137,6 +145,27 @@ class TestHelpers:
             set_epsilon(1e-6)
             assert get_epsilon() == 1e-6
             assert scalars_equal(0.0, 1e-7)
+        finally:
+            set_epsilon(old)
+
+    @pytest.mark.parametrize("accepts", [
+        lambda d: scalar_is_zero(d),
+        lambda d: la.mat_equal(((1.0,),), ((1.0 + d,),)),
+        lambda d: _point(1.0).equals(_point(1.0 + d)),
+        lambda d: TensorElement.from_summand((_point(1.0),)).equals(
+            TensorElement.from_summand((_point(1.0 + d),))),
+        lambda d: HCClass(0, (1.0,)).equals(HCClass(0, (1.0 + d,))),
+        # d_0 of a degree-0 summand x is x^2, whose norm is (1 + d) * d
+        # above the norm of x = 1 + d
+        lambda d: check_face_bound(DecompositionRep(((_point(1.0 + d),),)), 0),
+    ], ids=["scalar_is_zero", "mat_equal", "AlgebraElement.equals",
+            "TensorElement.equals", "HCClass.equals", "check_face_bound"])
+    def test_one_epsilon_decides_every_float_comparison(self, accepts):
+        assert not accepts(1e-7)
+        old = get_epsilon()
+        try:
+            set_epsilon(1e-6)
+            assert accepts(1e-7)
         finally:
             set_epsilon(old)
 

@@ -78,7 +78,7 @@ def test_complex_roundtrip_still_validates():
     rng = random.Random(5)
     c = random_ga_complex(A, IrrepTable.cyclic(3), rng, length=2)
     c2 = sz.complex_from_json(reparse(sz.complex_to_json(c)))
-    validate_complex(c2)
+    assert validate_complex(c2) == []
     assert c2.length == c.length
     for d1, d2 in zip(c.diffs, c2.diffs):
         assert d1.equals(d2)
