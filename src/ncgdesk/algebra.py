@@ -4,12 +4,28 @@ An algebra is a finite direct sum of complex matrix blocks.  Elements of the
 amplification M_m(A) are stored per factor in outer-major layout: the block
 for factor j (size m*r_j) is an m x m grid of r_j x r_j cells, cell (s, t)
 being the (s, t) entry of the m x m matrix over A.
+
+The public constructors validate: ``AlgebraElement(...)`` (one block per
+factor, each of its factor's size, one backend throughout), ``diagonal``,
+and through them the serializer and the generators.  Results built
+inside the module are trusted and skip that check, because ``la``
+already guarantees their shapes and backend: sums, differences,
+negations, products, ``scale``, ``star``, ``direct_sum``, ``zero``,
+``identity``, and the blocks of ``apply_hom`` and of the spectral path.
+
+An exact spectral decomposition builds block-local idempotents: each
+factor's eigenprojection for lam is the Lagrange product
+prod (b - mu) / (lam - mu) over that factor's own snapped eigenvalues
+mu != lam, and a factor whose spectrum lacks lam gets the zero block.
+Every candidate is still checked exactly (see :func:`spectral_decompose`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -72,15 +88,25 @@ class AlgebraElement:
             raise ValidationError("element mixes exact and float blocks")
         object.__setattr__(self, "blocks", blocks)
 
+    @classmethod
+    def _trusted(cls, algebra, amplification: int, blocks: tuple) -> "AlgebraElement":
+        """A result built inside the library from ``la`` matrices of the
+        right shapes over one backend: nothing is rechecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "algebra", algebra)
+        object.__setattr__(out, "amplification", amplification)
+        object.__setattr__(out, "blocks", blocks)
+        return out
+
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero(algebra, m=1, exact=True):
-        return AlgebraElement(algebra, m, tuple(
+        return AlgebraElement._trusted(algebra, m, tuple(
             la.zeros(d, d, exact) for d in algebra.ambient_dims(m)))
 
     @staticmethod
     def identity(algebra, m=1, exact=True):
-        return AlgebraElement(algebra, m, tuple(
+        return AlgebraElement._trusted(algebra, m, tuple(
             la.identity(d, exact) for d in algebra.ambient_dims(m)))
 
     @staticmethod
@@ -102,38 +128,38 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return AlgebraElement(self.algebra, self.amplification, tuple(
+        return AlgebraElement._trusted(self.algebra, self.amplification, tuple(
             la.mat_add(a, b) for a, b in zip(self.blocks, other.blocks)))
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return AlgebraElement(self.algebra, self.amplification, tuple(
+        return AlgebraElement._trusted(self.algebra, self.amplification, tuple(
             la.mat_sub(a, b) for a, b in zip(self.blocks, other.blocks)))
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, self.amplification,
-                              tuple(la.mat_neg(b) for b in self.blocks))
+        return AlgebraElement._trusted(self.algebra, self.amplification,
+                                       tuple(la.mat_neg(b) for b in self.blocks))
 
     def __mul__(self, other):
         self._check_compatible(other)
-        return AlgebraElement(self.algebra, self.amplification, tuple(
+        return AlgebraElement._trusted(self.algebra, self.amplification, tuple(
             la.mat_mul(a, b) for a, b in zip(self.blocks, other.blocks)))
 
     def scale(self, c):
-        return AlgebraElement(self.algebra, self.amplification,
-                              tuple(la.scalar_mul(c, b) for b in self.blocks))
+        return AlgebraElement._trusted(self.algebra, self.amplification,
+                                       tuple(la.scalar_mul(c, b) for b in self.blocks))
 
     def star(self):
-        return AlgebraElement(self.algebra, self.amplification,
-                              tuple(la.conj_transpose(b) for b in self.blocks))
+        return AlgebraElement._trusted(self.algebra, self.amplification,
+                                       tuple(la.conj_transpose(b) for b in self.blocks))
 
     def direct_sum(self, other):
         """a + b in M_{m1+m2}(A); outer-major layout makes this block-diagonal."""
         if self.algebra != other.algebra:
             raise ValidationError("algebra mismatch in direct sum")
-        return AlgebraElement(self.algebra, self.amplification + other.amplification,
-                              tuple(la.block_diag(a, b)
-                                    for a, b in zip(self.blocks, other.blocks)))
+        return AlgebraElement._trusted(
+            self.algebra, self.amplification + other.amplification,
+            tuple(la.block_diag(a, b) for a, b in zip(self.blocks, other.blocks)))
 
     def equals(self, other) -> bool:
         if self.algebra != other.algebra or self.amplification != other.amplification:
@@ -171,6 +197,13 @@ class Projection:
     def __post_init__(self):
         if not self.element.is_projection():
             raise DomainError("element is not a projection")
+
+    @classmethod
+    def _trusted(cls, element: AlgebraElement) -> "Projection":
+        """Wrap an element that has just passed ``is_projection``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "element", element)
+        return out
 
     @property
     def algebra(self):
@@ -413,10 +446,23 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
     """Split a normal element into eigenvalue/eigenprojection pairs.
 
     Exact elements are decomposed exactly when their eigenvalues are Gaussian
-    rationals (float eigenvalues are snapped and the candidate decomposition
-    is verified by exact arithmetic).  Float elements go through Hermitian
-    eigensolvers with 2*eps eigenvalue clustering; eigenvalues that chain
-    into a cluster wider than 2*eps raise NumericalError.
+    rationals.  Float eigenvalues of each block are clustered within 2*eps
+    and snapped, and each snapped value remembers the factors it came from.
+    A factor's idempotent for lam is the Lagrange product over its own
+    values only, formed from each b - mu once and scaled once by
+    prod (lam - mu)^-1; a factor without lam gets the zero block.  Where
+    the product over every snapped value succeeds, the two agree: a
+    factor's minimal polynomial divides that product, so each dropped
+    term is invertible on the block or the block is zero.
+
+    Each fact is checked once: the element is normal, each candidate is a
+    projection, sum lam * p rebuilds x, and the kernel and the resolution
+    of the identity are checked by :class:`SpectralForm`.  The
+    NumericalError conditions are unchanged: a candidate that is not a
+    projection or a failed reconstruction raises it.  Float elements go
+    through Hermitian eigensolvers with 2*eps eigenvalue clustering;
+    eigenvalues that chain into a cluster wider than 2*eps raise
+    NumericalError.
     """
     if not is_normal(x):
         raise DomainError("spectral_decompose requires a normal element")
@@ -435,39 +481,51 @@ def _spectral_decompose_float(x):
         for f, _, p in (found[i] for i in idx):
             blocks[f] = la.mat_add(blocks[f], p)
         rep = complex(np.mean([found[i][1] for i in idx]))
-        proj = AlgebraElement(x.algebra, x.amplification, tuple(blocks))
+        proj = AlgebraElement._trusted(x.algebra, x.amplification, tuple(blocks))
         pairs.append((rep, Projection(proj)))
     return SpectralForm.from_pairs(x.algebra, x.amplification, pairs)
 
 
+def _lagrange_idempotents(b, values):
+    """{lam: prod_{mu != lam} (b - mu) / (lam - mu)} over one factor's values.
+
+    Each difference b - mu is formed once; each product stays unscaled until
+    one multiplication by the scalar prod (lam - mu)^-1.
+    """
+    one = la.identity(la.shape(b)[0])
+    if len(values) == 1:
+        return {values[0]: one}
+    shifted = {mu: la.mat_sub(b, la.scalar_mul(mu, one)) for mu in values}
+    out = {}
+    for lam in values:
+        others = [mu for mu in values if mu != lam]
+        prod = reduce(la.mat_mul, (shifted[mu] for mu in others))
+        denom = reduce(operator.mul, (lam - mu for mu in others))
+        out[lam] = la.scalar_mul(denom.inverse(), prod)
+    return out
+
+
 def _spectral_decompose_exact(x):
-    candidates = []
-    for b in x.blocks:
-        m = la.to_numpy(b)
-        if m.size:
-            candidates.extend(np.linalg.eigvals(m))
-    if not candidates:
-        snapped = []
-    else:
-        clusters = _cluster([complex(v) for v in candidates], 2 * get_epsilon(),
-                            bounded=False)
-        snapped = []
-        for c in clusters:
-            z = _snap_gaussian(complex(np.mean([candidates[i] for i in c])))
-            if z not in snapped:
-                snapped.append(z)
+    values, owners = [], []
+    for f, b in enumerate(x.blocks):
+        found = np.linalg.eigvals(la.to_numpy(b))
+        values.extend(found)
+        owners.extend([f] * len(found))
+    # distinct snapped values, and per factor those its own candidates gave
+    snapped, local = [], [[] for _ in x.blocks]
+    for c in _cluster([complex(v) for v in values], 2 * get_epsilon(), bounded=False):
+        z = _snap_gaussian(complex(np.mean([values[i] for i in c])))
+        if z not in snapped:
+            snapped.append(z)
+        for f in {owners[i] for i in c}:
+            if z not in local[f]:
+                local[f].append(z)
+    idempotents = [_lagrange_idempotents(b, vals) for b, vals in zip(x.blocks, local)]
     pairs = []
     for lam in snapped:
-        blocks = []
-        for b, d in zip(x.blocks, x.algebra.ambient_dims(x.amplification)):
-            proj = la.identity(d)
-            for mu in snapped:
-                if mu == lam:
-                    continue
-                diff = la.mat_sub(b, la.scalar_mul(mu, la.identity(d)))
-                proj = la.mat_mul(proj, la.scalar_mul((lam - mu).inverse(), diff))
-            blocks.append(proj)
-        elem = AlgebraElement(x.algebra, x.amplification, tuple(blocks))
+        elem = AlgebraElement._trusted(x.algebra, x.amplification, tuple(
+            idem[lam] if lam in idem else la.zeros(*la.shape(b))
+            for idem, b in zip(idempotents, x.blocks)))
         if not elem.is_projection():
             raise NumericalError(
                 "eigenvalues are not Gaussian rational; use the float backend "
@@ -480,7 +538,7 @@ def _spectral_decompose_exact(x):
         raise NumericalError(
             "exact spectral reconstruction failed; use the float backend "
             "or provide the element as a spectral form")
-    kept = [(lam, Projection(p)) for lam, p in pairs if not p.is_zero()]
+    kept = [(lam, Projection._trusted(p)) for lam, p in pairs if not p.is_zero()]
     return SpectralForm.from_pairs(x.algebra, x.amplification, tuple(kept))
 
 
@@ -563,7 +621,7 @@ def apply_hom(phi: StarHomomorphism, x: AlgebraElement) -> AlgebraElement:
                 row.append(sub)
             grid.append(row)
         out_blocks.append(la.block_matrix(grid))
-    return AlgebraElement(phi.target, m, tuple(out_blocks))
+    return AlgebraElement._trusted(phi.target, m, tuple(out_blocks))
 
 
 def apply_hom_spectral(phi: StarHomomorphism, a: SpectralForm) -> SpectralForm:

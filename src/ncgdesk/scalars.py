@@ -317,6 +317,10 @@ class Cyclotomic:
             raise ZeroDivisionError("division by zero scalar")
         if self.order == 1:
             return Cyclotomic(1, (1 / self.coeffs[0],), _normalized=True)
+        if self.order == 4:  # conj(z) / |z|^2
+            re, im = self.coeffs
+            norm = re * re + im * im
+            return Cyclotomic(4, (re / norm, -im / norm), _normalized=True)
         # self times the product of its other Galois conjugates is its norm
         n = self.order
         rest = reduce(operator.mul, (

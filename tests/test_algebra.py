@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgdesk import linalg as la
 from ncgdesk.algebra import (
     AlgebraElement,
     BorelSetModel,
@@ -11,6 +14,8 @@ from ncgdesk.algebra import (
     Projection,
     SpectralForm,
     StarHomomorphism,
+    _cluster,
+    _snap_gaussian,
     apply_hom,
     apply_hom_spectral,
     check_hom_spectral_commute,
@@ -206,3 +211,110 @@ class TestFloatSpectrum:
         explicit = AlgebraElement(A, 1, (((2.0,),), ((0.5, 0.0), (0.0, -1j))))
         assert not x.is_exact() and x.equals(explicit)
         assert spectral_decompose(x).element().equals(x)
+
+
+def _global_lagrange_decompose(x):
+    """The exact spectral path before block-local idempotents: every
+    factor's idempotent is the Lagrange product over all snapped values,
+    each term scaled on its own, and every kept pair is checked again."""
+    if not is_normal(x):
+        raise DomainError("spectral_decompose requires a normal element")
+    candidates = []
+    for b in x.blocks:
+        candidates.extend(np.linalg.eigvals(la.to_numpy(b)))
+    snapped = []
+    for c in _cluster([complex(v) for v in candidates], 2 * get_epsilon(),
+                      bounded=False):
+        z = _snap_gaussian(complex(np.mean([candidates[i] for i in c])))
+        if z not in snapped:
+            snapped.append(z)
+    pairs = []
+    for lam in snapped:
+        blocks = []
+        for b, d in zip(x.blocks, x.algebra.ambient_dims(x.amplification)):
+            proj = la.identity(d)
+            for mu in snapped:
+                if mu != lam:
+                    diff = la.mat_sub(b, la.scalar_mul(mu, la.identity(d)))
+                    proj = la.mat_mul(proj, la.scalar_mul((lam - mu).inverse(), diff))
+            blocks.append(proj)
+        elem = AlgebraElement(x.algebra, x.amplification, tuple(blocks))
+        if not elem.is_projection():
+            raise NumericalError("eigenvalues are not Gaussian rational")
+        pairs.append((lam, elem))
+    recon = AlgebraElement.zero(x.algebra, x.amplification)
+    for lam, p in pairs:
+        recon = recon + p.scale(lam)
+    if not recon.equals(x):
+        raise NumericalError("exact spectral reconstruction failed")
+    kept = [(lam, Projection(p)) for lam, p in pairs if not p.is_zero()]
+    return SpectralForm.from_pairs(x.algebra, x.amplification, tuple(kept))
+
+
+def _pushed_elements(count):
+    """Seeded normal elements pushed through random homomorphisms."""
+    for seed in range(count):
+        rng = random.Random(f"block-local:{seed}")
+        phi = random_hom(rng, max_factors=3)
+        x = random_normal(phi.source, rng, m=1 + seed % 2).element()
+        yield apply_hom(phi, x)
+
+
+class TestBlockLocalIdempotents:
+    def test_equals_global_lagrange_product(self):
+        partial = 0  # eigenvalues whose projection vanishes on some factor
+        for y in _pushed_elements(200):
+            new, old = spectral_decompose(y), _global_lagrange_decompose(y)
+            assert new.eigenvalues() == old.eigenvalues()
+            assert new == old  # pairs and kernel, value for value
+            partial += sum(any(map(la.is_zero_matrix, p.element.blocks))
+                           for _, p in new.pairs)
+        assert partial > 0
+
+    @pytest.mark.parametrize("decompose", [spectral_decompose,
+                                           _global_lagrange_decompose])
+    def test_error_parity(self, decompose):
+        m2 = MultiMatrixAlgebra((2,))
+        one = Fraction(1)
+        irrational = AlgebraElement(m2, 1, (((one, one), (one, -one)),))  # +-sqrt 2
+        with pytest.raises(NumericalError):
+            decompose(irrational)
+        nilpotent = AlgebraElement(m2, 1, (((0 * one, one), (0 * one, 0 * one)),))
+        with pytest.raises(DomainError):
+            decompose(nilpotent)
+
+    @pytest.mark.parametrize("decompose, checks", [(spectral_decompose, 3),
+                                                   (_global_lagrange_decompose, 5)])
+    def test_each_projection_checked_once(self, monkeypatch, decompose, checks):
+        calls = []
+        original = AlgebraElement.is_projection
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(AlgebraElement, "is_projection", counted)
+        # two snapped values, 2 and 5: one check each, one for the kernel
+        decompose(AlgebraElement.diagonal(
+            A, [[Fraction(2)], [Fraction(2), Fraction(5)]]))
+        assert len(calls) == checks
+
+    def test_internal_results_equal_their_validated_rebuild(self):
+        rng = random.Random(3)
+        phi = random_hom(rng, max_factors=3)
+        x = random_normal(phi.source, rng, m=2).element()
+        y = random_normal(phi.source, rng, m=2).element()
+        f = AlgebraElement.diagonal(A, [[2.0], [0.5, -1j]])
+        alg = phi.source
+        results = [x + y, x - y, -x, x * y, x.scale(Fraction(1, 3)),
+                   x.scale(Cyclotomic.gaussian(1, 2)), x.scale(0.5), x.star(),
+                   x.direct_sum(y), f + f, f * f.star(), f.direct_sum(f),
+                   AlgebraElement.zero(alg, 2), AlgebraElement.identity(alg, 2),
+                   AlgebraElement.zero(alg, 1, exact=False),
+                   AlgebraElement.identity(alg, 1, exact=False),
+                   apply_hom(phi, x)]
+        results += [p.element for form in (spectral_decompose(apply_hom(phi, y)),
+                                           spectral_decompose(f))
+                    for p in (*(p for _, p in form.pairs), form.kernel_projection)]
+        for r in results:
+            assert r == AlgebraElement(r.algebra, r.amplification, r.blocks)

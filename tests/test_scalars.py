@@ -75,6 +75,21 @@ class TestCyclotomic:
         with pytest.raises(ZeroDivisionError):
             Cyclotomic.from_rational(0).inverse()
 
+    @given(gaussians)
+    def test_gaussian_inverse_matches_galois_route(self, z):
+        # the generic route: z times its other Galois conjugates is its norm
+        if z.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                z.inverse()
+            return
+        if z.order == 1:
+            generic = Cyclotomic.from_rational(1 / z.rational_value())
+        else:
+            rest = z._sigma(3)
+            generic = rest * (1 / (z * rest).rational_value())
+        assert z.inverse() == generic
+        assert z * z.inverse() == 1
+
     def test_mixed_order_arithmetic(self):
         # i lives in order 4, w in order 3; the sum needs order 12
         i = Cyclotomic.gaussian(0, 1)
