@@ -200,7 +200,8 @@ class Projection:
 
     @classmethod
     def _trusted(cls, element: AlgebraElement) -> "Projection":
-        """Wrap an element that has just passed ``is_projection``."""
+        """Wrap an element that has just passed ``is_projection``, or a sum
+        of projections that a validated spectral form holds orthogonal."""
         out = object.__new__(cls)
         object.__setattr__(out, "element", element)
         return out
@@ -549,7 +550,8 @@ def spectral_projection(a: SpectralForm, e: BorelSetModel) -> Projection:
     for v, p in a.pairs:
         if e.contains(v):
             acc = acc + p.element
-    return Projection(acc)
+    # a sum of the form's pairwise orthogonal projections
+    return Projection._trusted(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +592,6 @@ class StarHomomorphism:
                                     la.identity(d, la.is_exact_matrix(u))):
                     raise ValidationError("embedding matrix is not unitary")
             object.__setattr__(self, "unitaries", us)
-
-    @staticmethod
-    def identity_hom(algebra):
-        k = algebra.num_factors
-        mult = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-        return StarHomomorphism(algebra, algebra, mult)
 
 
 def apply_hom(phi: StarHomomorphism, x: AlgebraElement) -> AlgebraElement:

@@ -71,10 +71,6 @@ class CoverCell:
     def side(self) -> Fraction:
         return Fraction(1, 2 ** self.level)
 
-    @property
-    def diameter(self) -> float:
-        return float(self.side) * math.sqrt(2.0)
-
 
 def _real_imag(z):
     """(re, im) as Fractions when available, floats otherwise."""
@@ -130,8 +126,10 @@ def _merge_cells(a: SpectralForm, cover):
             merged[key] = (cell.tag, proj)
             order.append(key)
         else:
+            # the form's projections are pairwise orthogonal
             tag, acc = merged[key]
-            merged[key] = (tag, Projection(acc.element + proj.element))
+            merged[key] = (tag,
+                           Projection._trusted(acc.element + proj.element))
     return [merged[k] for k in order]
 
 

@@ -15,21 +15,19 @@ weight-0 block only; ``boundary_witness`` solves block by block, building
 a nonzero-weight block the first time a query needs it.  The elimination
 (:func:`~ncgdesk.scalars.eliminate`, on integer boundary columns) of
 b: CC_n -> CC_{n-1} is done once per (algebra, amplification, n, weight):
-it is the image for HC_{n-1} and the kernel for HC_n, and HC_n's quotient
-basis is one more elimination, of the cycles' residues modulo the image.
+it is the image for HC_{n-1} and the kernel for HC_n.
 
-Classes are read by trace cocycles (Connes, Publ. IHES 62, 1985; Loday,
-Cyclic Homology, 1992, 1.2 and ch. 8): phi_f(a_0, ..., a_n) =
-tr_f(a_0 ... a_n) on factor f is a cyclic cocycle in even degree, and the
-k of them are a dual basis of HC_2l = C^k (HC is 0 in odd degree).  Each
-space inverts, once, the matrix of phi on its quotient-basis cycles; a
-cycle's coordinates are that inverse times phi(xi), the numbers that
-``reduced_class``, reduction modulo the boundaries, also finds.  phi
-commutes with the generalized trace, so a tensor over M_m(A) is read in
-HC(A) directly.  A ``DecompositionRep`` (sum of c * x_0 x ... x x_n) is
-read unexpanded: phi_f of a summand is tr_f of one product, and its cycle
-check sums the face products by cyclic orbit, expanding into matrix units
-only when they do not visibly cancel.
+HC_2l = C^k has a fixed basis, the classes of e_{f,00} x ... x e_{f,00}
+(2l+1 factors), one per factor f, and HC is 0 in odd degree.  The trace
+cocycles (Connes, Publ. IHES 62, 1985; Loday, Cyclic Homology, 1992, 1.2
+and ch. 8) phi_f(a_0, ..., a_n) = tr_f(a_0 ... a_n), cyclic in even
+degree, are its dual basis, so a cycle's coordinates are phi(xi);
+``reduced_class``, reduction modulo the boundaries, finds them without
+phi.  phi commutes with the generalized trace, so a tensor over M_m(A)
+is read in HC(A) directly.  A ``DecompositionRep`` (sum of c * x_0 x ...
+x x_n) is read unexpanded: phi_f of a summand is tr_f of one product,
+and its cycle check sums the face products by cyclic orbit, expanding
+into matrix units only when they do not visibly cancel.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from fractions import Fraction
 from . import linalg as la
 from .algebra import AlgebraElement, MultiMatrixAlgebra
 from .budget import check_budget
-from .errors import DomainError, ValidationError
+from .errors import ConsistencyError, DomainError, ValidationError
 from .scalars import (_SparseReducer, eliminate, get_epsilon, is_exact_scalar,
                       scalar_is_zero, scalars_equal, to_complex)
 
@@ -401,17 +399,10 @@ def _boundary_column(key, n: int, index: dict) -> dict:
     """b(key) in CC_{n-1} coordinates {position in index: int}."""
     col = {}
     for i in range(n + 1):
-        if i < n:
-            u = _unit_mul(key[i], key[i + 1])
-            if u is None:
-                continue
-            nk = key[:i] + (u,) + key[i + 2:]
-        else:
-            u = _unit_mul(key[n], key[0])
-            if u is None:
-                continue
-            nk = (u,) + key[1:n]
-        rep, sign = _cc_canonical(nk, n - 1)
+        face = _face(key, i, _unit_mul)
+        if face is None:
+            continue
+        rep, sign = _cc_canonical(face, n - 1)
         if sign == 0:
             continue
         p = index[rep]
@@ -460,7 +451,7 @@ def _boundary(algebra, n: int, amplification: int,
 
 @dataclass(frozen=True)
 class HCClass:
-    """Coordinates of a cyclic homology class in a space's quotient basis."""
+    """Coordinates of a cyclic homology class in a space's basis."""
 
     degree: int
     coords: tuple
@@ -501,9 +492,12 @@ class HomologySpace:
     """HC_n of an amplified multi-matrix algebra, with solve machinery.
 
     Built from the weight-0 block: ``cc``, ``cycle_basis`` and
-    ``boundary_rank`` are its sizes.  At finite dimension images are
-    closed, so this space simultaneously realizes the Banach variant and
-    the comparison map between them is the identity on coordinates.
+    ``boundary_rank`` are its sizes.  ``basis`` holds the unit tuples
+    (f, 0, 0) x ... x (f, 0, 0), one per factor in even degree and none in
+    odd degree; the boundary ranks must give that dimension.  At finite
+    dimension images are closed, so this space simultaneously realizes
+    the Banach variant and the comparison map between them is the
+    identity on coordinates.
     """
 
     def __init__(self, algebra: MultiMatrixAlgebra, n: int,
@@ -513,52 +507,40 @@ class HomologySpace:
         self.degree = n
         above = _boundary(algebra, n + 1, amplification, ())
         self.cc = above.target
-        self.cc_above = above.source
         # image of the boundary from one degree up, with witness tracking
         self._image = above.reducer
         self.boundary_rank = self._image.rank
 
         # kernel of the boundary out of degree n
         if n == 0:
-            kernel = [{i: 1} for i in range(self.cc.dimension)]
+            self.cycle_basis = [{i: 1} for i in range(self.cc.dimension)]
             rank_b = 0
         else:
             below = _boundary(algebra, n, amplification, ())
-            kernel, rank_b = below.kernel, below.reducer.rank
-        self.cycle_basis = kernel
-
-        # quotient basis: kernel vectors surviving modulo the image
-        self._quotient, self.quotient_tags, _ = eliminate(
-            self._image.reduce(vec, is_zero=operator.not_) for vec in kernel)
-        self.dimension = len(self.quotient_tags)
-        assert self.dimension == (self.cc.dimension - rank_b) - self.boundary_rank
+            self.cycle_basis, rank_b = below.kernel, below.reducer.rank
+        self.dimension = self.cc.dimension - rank_b - self.boundary_rank
+        self.basis = () if n % 2 else tuple(
+            ((f, 0, 0),) * (n + 1) for f in range(algebra.num_factors))
+        if self.dimension != len(self.basis):
+            raise ConsistencyError(f"HC_{n} has dimension {self.dimension}, "
+                                   f"not {len(self.basis)}")
 
     # -- queries ------------------------------------------------------------
     def is_cycle(self, xi) -> bool:
         return xi.is_cycle()
 
-    @functools.cached_property
-    def _readout(self) -> tuple:
-        """Rows of C, the inverse of the matrix of the trace cocycles on the
-        quotient-basis cycles; empty in odd degree, where HC_n = 0."""
-        if self.degree % 2:
-            return ()
-        phi = [TensorElement._trusted(
-            self.algebra, self.amplification, self.degree,
-            {self.cc.basis[p]: c for p, c in self.cycle_basis[t].items()}
-        ).trace_values() for t in self.quotient_tags]
-        return la.entries(la.invert(la.transpose(phi)))
-
     def read(self, phi) -> HCClass:
-        """The class on which the trace cocycles take the values phi."""
-        return HCClass(self.degree, tuple(
-            sum((c * v for c, v in zip(row, phi)), Fraction(0))
-            for row in self._readout))
+        """The class whose coordinates in the basis dual to the trace
+        cocycles are phi; one float value makes every coordinate complex."""
+        if self.degree % 2:
+            return HCClass(self.degree, ())
+        zero = Fraction(0) if all(map(is_exact_scalar, phi)) else 0j
+        return HCClass(self.degree, tuple(zero + v for v in phi))
 
     def hc_class(self, xi) -> HCClass:
         """Coordinates of a cycle (a TensorElement or a DecompositionRep) in
-        the quotient basis, C . phi(xi); a space of A reads a tensor over
-        M_m(A) as the class of its generalized trace."""
+        the basis, phi(xi); a space of A reads a tensor over M_m(A) as the
+        class of its generalized trace."""
         if (xi.algebra != self.algebra or xi.degree != self.degree
                 or self.amplification not in (1, xi.amplification)):
             raise ValidationError("tensor does not live in this space")
@@ -567,22 +549,22 @@ class HomologySpace:
         return self.read(xi.trace_values())
 
     def reduced_class(self, xi: TensorElement) -> HCClass:
-        """The class of a cycle by reduction modulo the boundaries: the
-        oracle for :meth:`hc_class`."""
+        """The class of a cycle by reduction modulo the boundaries, solved
+        in the span of the reduced basis tuples: the oracle for
+        :meth:`hc_class`, which does not use the trace cocycles."""
         if not xi.is_cycle():
             raise DomainError("tensor is not a cycle in CC coordinates")
         # the other weight blocks are acyclic: only the weight-0 part counts
         residue = self._image.reduce(self.cc.coordinates(xi))
-        rest, combo = self._quotient.reduce(residue, want_combo=True)
+        basis, _, _ = eliminate(
+            self._image.reduce({self.cc.index[key]: 1}, is_zero=operator.not_)
+            for key in self.basis)
+        rest, combo = basis.reduce(residue, want_combo=True)
         if any(not scalar_is_zero(v) for v in rest.values()):
-            raise DomainError("cycle does not reduce into the quotient basis")
-        # full reduction leaves residue = sum combo[tag] * (inserted kernel
-        # residue), so combo is the coordinate vector in the quotient basis
-        pos = {t: i for i, t in enumerate(self.quotient_tags)}
-        coords = [Fraction(0) if xi.is_exact() else 0j] * self.dimension
-        for tag, f in combo.items():
-            coords[pos[tag]] = f
-        return HCClass(self.degree, tuple(coords))
+            raise DomainError("cycle does not reduce into the basis")
+        zero = Fraction(0) if xi.is_exact() else 0j
+        return HCClass(self.degree, tuple(combo.get(i, zero)
+                                          for i in range(self.dimension)))
 
     def zero_class(self, exact: bool = True) -> HCClass:
         z = Fraction(0) if exact else 0j

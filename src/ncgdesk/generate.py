@@ -9,7 +9,6 @@ kernel projection forces d o d = 0.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -52,12 +51,6 @@ def random_exact_unitary(d: int, rng: random.Random):
     phase = tuple(tuple(rng.choice(_PHASES) if s == t else Fraction(0)
                         for t in range(d)) for s in range(d))
     return la.mat_mul(u, phase)
-
-
-def random_unitary_element(algebra: MultiMatrixAlgebra, rng: random.Random,
-                           m: int = 1) -> AlgebraElement:
-    return AlgebraElement(algebra, m, tuple(
-        random_exact_unitary(d, rng) for d in algebra.ambient_dims(m)))
 
 
 def random_projection(algebra: MultiMatrixAlgebra, rng: random.Random,

@@ -227,11 +227,6 @@ class ModuleMap:
     def from_element(x: AlgebraElement) -> "ModuleMap":
         return ModuleMap(x.algebra, x.amplification, x.amplification, x.blocks)
 
-    def to_element(self) -> AlgebraElement:
-        if self.target_size != self.source_size:
-            raise ValidationError("only square module maps embed in M_m(A)")
-        return AlgebraElement(self.algebra, self.target_size, self.blocks)
-
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         if self.algebra != other.algebra or self.source_size != other.target_size:
             raise ValidationError("module map composition mismatch")

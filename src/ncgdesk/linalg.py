@@ -17,11 +17,11 @@ the 1 x 1 case.
 Entries become scalars (``Fraction`` when rational,
 :class:`~ncgdesk.scalars.Cyclotomic` otherwise) only at the edges:
 :func:`entries` (and indexing or iterating a matrix), :func:`trace`, and
-exact elimination: ``rank``, ``pivot_columns``, ``nullspace``, ``rref``,
-``solve`` and ``invert`` hand the columns of den x the matrix (Python
-ints when it is rational) to ``eliminate`` once per call, and the pivots,
-kernel vectors and column combinations it returns are those of the
-reduced row echelon form.  :func:`as_matrix`
+exact elimination: ``rank``, ``pivot_columns``, ``nullspace`` and
+``invert`` hand the columns of den x the matrix (Python ints when it is
+rational) to ``eliminate`` once per call, and the pivots, kernel vectors
+and column combinations it returns are those of the reduced row echelon
+form.  :func:`as_matrix`
 packs a nested sequence once and returns a packed matrix unchanged.
 
 Float matrices are tuples of row tuples of ``complex`` and go through
@@ -452,24 +452,6 @@ def _eliminate(a: ExactMatrix):
     return eliminate({i: x for i, x in enumerate(col) if x} for col in cols)
 
 
-def rref(a):
-    """(reduced matrix, pivot columns) for an exact matrix.
-
-    Column j holds column j's coefficients on the pivot columns, one row
-    per pivot: e_j minus its kernel vector for a dependent column j, and a
-    unit vector for a pivot column.
-    """
-    a = as_matrix(a)
-    if not isinstance(a, ExactMatrix):
-        raise ValidationError("rref: exact matrix required")
-    r, c = shape(a)
-    _, pivots, kernel = _eliminate(a)
-    vecs = dict(zip(sorted(set(range(c)) - set(pivots)), kernel))
-    rows = [[int(p == j) - vecs.get(j, {}).get(p, 0) for j in range(c)]
-            for p in pivots]
-    return _pack(rows + [[0] * c] * (r - len(pivots)), c), pivots
-
-
 def _float_tol(m: np.ndarray) -> float:
     return get_epsilon() * max(1.0, float(np.linalg.norm(m, 2)))
 
@@ -518,29 +500,6 @@ def nullspace(a):
     tol = get_epsilon() * max(1.0, float(s[0]) if len(s) else 1.0)
     nz = int(np.sum(s > tol))
     return [tuple(complex(x) for x in vh[i, :].conjugate()) for i in range(nz, c)]
-
-
-def solve(a, b) -> tuple | None:
-    """One solution x of a @ x = b (b a column tuple), or None."""
-    r, c = shape(a)
-    b = tuple(b)
-    if len(b) != r:
-        raise ValidationError("solve: dimension mismatch")
-    if c == 0:
-        return () if all(scalar_is_zero(x) for x in b) else None
-    exact, (a,) = _kind(a)
-    if exact and all(is_exact_scalar(x) for x in b):
-        residue, combo = _eliminate(a)[0].reduce(dict(enumerate(b)),
-                                                 want_combo=True)
-        return None if residue \
-            else tuple(a.den * combo.get(j, 0) for j in range(c))
-    m = to_numpy(a)
-    vec = np.array([to_complex(x) for x in b], dtype=complex)
-    sol, *_ = np.linalg.lstsq(m, vec, rcond=None)
-    resid = m @ sol - vec
-    if float(np.linalg.norm(resid, np.inf)) > 10 * _float_tol(m):
-        return None
-    return tuple(complex(x) for x in sol)
 
 
 def invert(a):

@@ -144,14 +144,6 @@ def n_equiv(a: SpectralForm, b: SpectralForm) -> bool:
     return n_class(a) == n_class(b)
 
 
-def n0_add(x: N0Class, y: N0Class) -> N0Class:
-    return x + y
-
-
-def n0_neg(x: N0Class) -> N0Class:
-    return -x
-
-
 @dataclass(frozen=True)
 class K0TensorC:
     """Element of K0(A) tensor C in the per-factor rank basis."""

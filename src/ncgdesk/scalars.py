@@ -382,12 +382,6 @@ class Cyclotomic:
             return self.coeffs[0], self.coeffs[1]
         raise ValueError("scalar is not a Gaussian rational")
 
-    def real_part(self) -> "Cyclotomic":
-        return (self + self.conjugate()) * Fraction(1, 2)
-
-    def imag_part(self) -> "Cyclotomic":
-        return (self - self.conjugate()) * Cyclotomic.gaussian(0, Fraction(-1, 2))
-
     def __complex__(self):
         z = cmath.exp(2j * math.pi / self.order)
         acc = 0j

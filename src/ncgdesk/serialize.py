@@ -11,7 +11,6 @@ malformed document raises ValidationError.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import linalg as la
 from .algebra import (

@@ -299,6 +299,24 @@ class TestBlockLocalIdempotents:
             A, [[Fraction(2)], [Fraction(2), Fraction(5)]]))
         assert len(calls) == checks
 
+    def test_spectral_projection_trusts_the_form(self, monkeypatch):
+        rng = random.Random(9)
+        cases = []
+        for _ in range(20):
+            a = random_normal(A, rng, m=rng.randint(1, 2))
+            e = BorelSetModel(tuple(v for v in a.eigenvalues()
+                                    if rng.random() < 0.6))
+            cases.append((a, e))
+        calls = []
+        original = AlgebraElement.is_projection
+        monkeypatch.setattr(AlgebraElement, "is_projection",
+                            lambda self: calls.append(self) or original(self))
+        got = [spectral_projection(a, e) for a, e in cases]
+        assert not calls
+        monkeypatch.undo()
+        for p in got:
+            assert p == Projection(p.element)
+
     def test_internal_results_equal_their_validated_rebuild(self):
         rng = random.Random(3)
         phi = random_hom(rng, max_factors=3)

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgdesk import serialize as sz
+from ncgdesk import cyclic, serialize as sz
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
 from ncgdesk.cyclic import (
     CyclicSpace,
     DecompositionRep,
+    HCClass,
     TensorElement,
     build_cyclic_space,
     cc_reduce,
@@ -25,8 +26,8 @@ from ncgdesk.cyclic import (
     trace_map,
     trace_rep,
 )
-from ncgdesk.errors import DomainError, ValidationError
-from ncgdesk.scalars import Cyclotomic
+from ncgdesk.errors import ConsistencyError, DomainError, ValidationError
+from ncgdesk.scalars import Cyclotomic, eliminate
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -417,9 +418,13 @@ class TestReadout:
         rng = random.Random(seed)
         space = hc_space(algebra, n, m)
         xi = TensorElement.zero(algebra, m, n)
-        for t in space.quotient_tags:
-            cycle = {space.cc.basis[p]: c
-                     for p, c in space.cycle_basis[t].items()}
+        for key in space.basis:
+            xi = xi + TensorElement.basis(algebra, m, key).scale(
+                random_scalar(rng, order, exact))
+        # general cycles: random combinations of kernel vectors
+        for vec in rng.sample(space.cycle_basis,
+                              min(3, len(space.cycle_basis))):
+            cycle = {space.cc.basis[p]: c for p, c in vec.items()}
             xi = xi + TensorElement(algebra, m, n, cycle).scale(
                 random_scalar(rng, order, exact))
         for _ in range(3):
@@ -429,6 +434,45 @@ class TestReadout:
         assert readout.equals(reduced)
         assert len(readout.coords) == (algebra.num_factors if n % 2 == 0
                                        else 0)
+
+    @pytest.mark.parametrize("case", READOUT_SPACES)
+    def test_basis_reads_as_unit_vectors(self, case):
+        blocks, m, top = case
+        algebra = MultiMatrixAlgebra(blocks)
+        k = algebra.num_factors
+        for n in range(top + 1):
+            space = hc_space(algebra, n, m)
+            assert len(space.basis) == space.dimension \
+                == (k if n % 2 == 0 else 0)
+            for i, key in enumerate(space.basis):
+                xi = TensorElement.basis(algebra, m, key)
+                unit = HCClass(n, tuple(Fraction(int(i == j))
+                                        for j in range(k)))
+                assert space.hc_class(xi) == unit
+                assert space.reduced_class(xi) == unit
+
+    @pytest.mark.parametrize("blocks, m, n", [
+        ((1, 1), 1, 0), ((1, 1), 1, 2), ((2,), 1, 1), ((2,), 1, 2),
+        ((1, 2), 1, 1), ((1,), 2, 2)])
+    def test_cold_space_eliminates_once_per_boundary(self, monkeypatch,
+                                                     blocks, m, n):
+        for cache in ("_CYCLIC_CACHE", "_BOUNDARY_CACHE", "_HC_CACHE"):
+            monkeypatch.setattr(cyclic, cache, {})
+        calls = []
+        monkeypatch.setattr(cyclic, "eliminate",
+                            lambda cols: calls.append(1) or eliminate(cols))
+        hc_space(MultiMatrixAlgebra(blocks), n, m)
+        assert len(calls) == len(cyclic._BOUNDARY_CACHE) == (1 if n == 0
+                                                              else 2)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_wrong_dimension_raises(self, monkeypatch, n):
+        for cache in ("_CYCLIC_CACHE", "_BOUNDARY_CACHE", "_HC_CACHE"):
+            monkeypatch.setattr(cyclic, cache, {})
+        # a zero boundary leaves every weight-0 orbit as a class
+        monkeypatch.setattr(cyclic, "_boundary_column", lambda *args: {})
+        with pytest.raises(ConsistencyError):
+            hc_space(M2, n)
 
     def test_base_space_reads_the_trace(self):
         xi = golden_cycles()["amp_deg2"]
