@@ -36,7 +36,9 @@ from .cyclic import (
     hc_dims,
     hc_space,
     is_boundary,
+    read_class,
     trace_map,
+    zero_class,
 )
 from .errors import (
     ConsistencyError,
@@ -78,7 +80,8 @@ __all__ = [
     "T_cover", "T_direct", "chern_projection", "dyadic_cover", "eta_cycle",
     "generalized_chern", "verify_eta_vanishes",
     "HCClass", "TensorElement", "cyclic_op", "face_op", "hc_class",
-    "hc_dims", "hc_space", "is_boundary", "trace_map",
+    "hc_dims", "hc_space", "is_boundary", "read_class", "trace_map",
+    "zero_class",
     "ConsistencyError", "DomainError", "NcgError", "NumericalError",
     "ResourceError", "ValidationError",
     "FiniteGroup", "GAComplex", "IrrepTable", "generalized_lefschetz",

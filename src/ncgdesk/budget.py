@@ -1,8 +1,9 @@
-"""Global size budget for tensor-space constructions.
+"""Global size budget for constructions that grow with their input.
 
-The ambient dimension of a degree-n tensor space over an amplified
-multi-matrix algebra grows like (sum of squared block sizes)^(n+1); the
-budget caps it so a typo'd degree fails fast instead of allocating.
+Each construction charges a count of the work it does before or while
+doing it (nodes of an orbit walk, letters of a read, terms of an
+expansion, entries of a field table), so a typo'd degree or order fails
+fast instead of allocating.
 """
 
 import os
@@ -45,8 +46,11 @@ def set_budget(value: int) -> None:
 
 
 def check_budget(required: int, what: str) -> None:
+    """Raise ResourceError when ``required``, a count of ``what``, exceeds
+    the budget."""
     budget = get_budget()
     if required > budget:
-        raise ResourceError(
-            f"{what} needs ambient dimension {required}, budget is {budget}",
-            required=required, budget=budget)
+        # Python will not print an int of more than 4300 digits
+        shown = required if required.bit_length() <= 64 else "over 2^64"
+        raise ResourceError(f"{what}: {shown}, budget is {budget}",
+                            required=required, budget=budget)

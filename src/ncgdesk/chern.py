@@ -5,8 +5,8 @@ by refining dyadic square covers of the spectrum until every cell isolates
 one spectral point (at which point the class sequence is constant).  Both
 must agree, and the mixed-tensor obstruction eta is checked to vanish.
 
-Classes are read by the trace cocycles of :mod:`ncgdesk.cyclic`, and no
-matrix-unit tensor is built: sum of c * p x ... x p (2l+1 factors) stays
+Classes are read by the trace cocycles of :mod:`ncgdesk.cyclic`, building
+no homology space and no matrix-unit tensor: sum of c * p x ... x p stays
 a ``DecompositionRep``, phi_f of a summand is tr_f(p^(2l+1)), and its
 cycle check sees b(p^(2l+1)) = p^(2l) die in odd degree since p^2 = p.
 The obstruction eta = (sum p_j)^(2l+1) - sum p_j^(2l+1) is such a sum,
@@ -21,32 +21,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MultiMatrixAlgebra, Projection, SpectralForm
-from .budget import check_budget
-from .cyclic import DecompositionRep, HCClass, TensorElement, hc_space
+from .cyclic import (DecompositionRep, HCClass, TensorElement, charge_read,
+                     hc_class, is_boundary, read_class, zero_class)
 from .errors import DomainError, NumericalError, ValidationError
 from .ngroup import N0Class, h_map
 from .scalars import Cyclotomic, sort_key
 
 
-def _check_degree_budget(algebra: MultiMatrixAlgebra, l: int,
-                         amplification: int = 1) -> None:
+def _degree(l: int) -> int:
     if l < 0:
         raise ValidationError("degree parameter l must be >= 0")
-    # HC_{2l} needs the CC basis one degree up
-    check_budget(algebra.dimension(amplification) ** (2 * l + 2),
-                 f"Chern character at l={l}")
+    return 2 * l
 
 
 def _power_class(algebra: MultiMatrixAlgebra, terms, l: int,
                  exact: bool = True) -> HCClass:
     """Class in HC_2l(A) of sum c * Tr(p^tensor(2l+1)) over (c, p) in terms,
-    read from the factored tensor."""
-    _check_degree_budget(algebra, l)
-    space = hc_space(algebra, 2 * l)
+    read from the factored tensor, which is charged before it is built."""
+    n = _degree(l)
     if not terms:
-        return space.zero_class(exact)
-    return space.hc_class(DecompositionRep(
-        tuple((p.element,) * (2 * l + 1) for _, p in terms),
+        return zero_class(algebra, n, exact)
+    charge_read(algebra, terms[0][1].amplification, n, len(terms))
+    return hc_class(DecompositionRep(
+        tuple((p.element,) * (n + 1) for _, p in terms),
         tuple(c for c, _ in terms)))
 
 
@@ -178,16 +175,12 @@ def verify_eta_vanishes(ps, l: int, witness: bool = False) -> EtaReport:
     rep = _eta_rep(ps, l)
     if sum(not p.element.is_zero() for p in ps) <= 1:
         return EtaReport(True, True, True, True if witness else None)
-    algebra = ps[0].algebra
-    _check_degree_budget(algebra, l)
-    cycle = rep.is_cycle()
-    traced_zero = cycle and hc_space(algebra, 2 * l).hc_class(rep).is_zero()
-    found = None
-    if witness:
-        _check_degree_budget(algebra, l, ps[0].amplification)
-        amp_space = hc_space(algebra, 2 * l, ps[0].amplification)
-        found = cycle and amp_space.boundary_witness(rep.expand()) is not None
-    return EtaReport(False, cycle, traced_zero, found)
+    try:
+        traced_zero = hc_class(rep).is_zero()
+    except DomainError:  # not a cycle
+        return EtaReport(False, False, False, False if witness else None)
+    found = is_boundary(rep.expand()) is not None if witness else None
+    return EtaReport(False, True, traced_zero, found)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +222,12 @@ def generalized_chern(x: N0Class, l: int) -> HCClass:
     A projection of rank vector r has phi_f(p, ..., p) = tr_f(p) = r_f, so
     the class is read from phi_f = sum of lambda * r_f.
     """
-    _check_degree_budget(x.algebra, l)
+    n = _degree(l)
     phi = [0] * x.algebra.num_factors
     for value, cls in x.support:
         for i, r in enumerate(cls.ranks):
             phi[i] += (-1) ** l * value * r
-    return hc_space(x.algebra, 2 * l).read(phi)
+    return read_class(n, phi)
 
 
 def verify_th7(p: Projection, l: int) -> bool:
@@ -251,7 +244,7 @@ def verify_th8(x: N0Class, l: int) -> bool:
     """The generalized character factors through the collapse to K0 x C."""
     lhs = generalized_chern(x, l)
     coeffs = h_map(x).coeffs
-    rhs = hc_space(x.algebra, 2 * l).zero_class()
+    rhs = zero_class(x.algebra, 2 * l)
     for i in range(x.algebra.num_factors):
         cls = chern_projection(Projection.diagonal_unit(x.algebra, i), l)
         rhs = rhs + cls.scale(coeffs[i])

@@ -317,8 +317,6 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.epsilon is not None:
-        if args.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
         set_epsilon(args.epsilon)
     if args.budget is not None:
         set_budget(args.budget)

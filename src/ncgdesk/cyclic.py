@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
 from .algebra import AlgebraElement, MultiMatrixAlgebra
-from .budget import check_budget
+from .budget import check_budget, get_budget
 from .errors import ConsistencyError, DomainError, ValidationError
 from .scalars import (_SparseReducer, eliminate, get_epsilon, is_exact_scalar,
                       scalar_is_zero, scalars_equal, to_complex)
@@ -56,6 +57,13 @@ def _unit_mul(u: Unit, v: Unit):
     if j != j2 or b != c:
         return None
     return (j, a, d)
+
+
+def _nonzero_entries(x: AlgebraElement) -> list:
+    """(unit, coefficient) for each nonzero entry of x."""
+    return [((j, a, b), c) for j, block in enumerate(x.blocks)
+            for a, row in enumerate(la.entries(block))
+            for b, c in enumerate(row) if not scalar_is_zero(c)]
 
 
 class TensorElement:
@@ -118,24 +126,12 @@ class TensorElement:
         if not elements:
             raise ValidationError("empty tensor summand")
         first = elements[0]
-        per_factor = []
         for x in elements:
             if x.algebra != first.algebra or x.amplification != first.amplification:
                 raise ValidationError("tensor factors over different algebras")
-            entries = []
-            for j, block in enumerate(x.blocks):
-                for a, row in enumerate(la.entries(block)):
-                    for b, c in enumerate(row):
-                        if not scalar_is_zero(c):
-                            entries.append(((j, a, b), c))
-            per_factor.append(entries)
-        coeffs = {}
-        for combo in itertools.product(*per_factor):
-            key = tuple(u for u, _ in combo)
-            c = combo[0][1]
-            for _, cc in combo[1:]:
-                c = c * cc
-            coeffs[key] = coeffs.get(key, 0) + c if key in coeffs else c
+        coeffs = {tuple(u for u, _ in combo):
+                  functools.reduce(operator.mul, (c for _, c in combo))
+                  for combo in itertools.product(*map(_nonzero_entries, elements))}
         return TensorElement._trusted(first.algebra, first.amplification,
                                       len(elements) - 1, coeffs)
 
@@ -266,10 +262,11 @@ def _cc_canonical(key, n):
 
 def _cc_sum(terms, n: int) -> dict:
     """The sum of c * word over (word, c) in CC_n, keyed by canonical words;
-    exact zeros are dropped."""
+    each distinct word is canonicalized once, and exact zeros are dropped."""
+    canonical = functools.cache(lambda key: _cc_canonical(key, n))
     out = {}
     for key, c in terms:
-        rep, sign = _cc_canonical(key, n)
+        rep, sign = canonical(key)
         if sign:
             out[rep] = out.get(rep, 0) + sign * c
     return {k: v for k, v in out.items()
@@ -340,7 +337,10 @@ def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
     when the L1 distance from its weight to the target exceeds 2 x (slots
     left), since one unit moves that distance by at most 2, or when a unit
     is smaller than the first one, since a smaller rotation then exists.
+    Each node visited is charged to the budget, a node's children at once.
     """
+    budget = get_budget()
+    visited = 1  # the root
     units = _all_units(algebra, m)
     pos = {}
     for j, a, _ in units:
@@ -353,6 +353,7 @@ def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
     prefix = []
 
     def walk(first, dist, left):
+        nonlocal visited
         if dist > 2 * left:
             return
         if not left:
@@ -361,6 +362,9 @@ def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
             if sign == 1 and rep == key:
                 basis.append(key)
             return
+        visited += len(moves) - first
+        if visited > budget:
+            check_budget(visited, f"nodes walked so far for the CC_{n} basis")
         for i in range(first, len(moves)):
             u, r, c = moves[i]
             prefix.append(u)
@@ -383,16 +387,11 @@ def build_cyclic_space(algebra: MultiMatrixAlgebra, n: int,
                        amplification: int = 1,
                        weight: tuple = ()) -> CyclicSpace:
     key = (algebra.block_dims, amplification, n, weight)
-    cached = _CYCLIC_CACHE.get(key)
-    if cached is not None:
-        return cached
-    dim = algebra.dimension(amplification)
-    check_budget(dim ** (n + 1), f"CC basis at degree {n}")
-    basis = _orbit_basis(algebra, amplification, n, weight)
-    space = CyclicSpace(algebra, amplification, n, tuple(basis),
-                        {k: i for i, k in enumerate(basis)}, weight)
-    _CYCLIC_CACHE[key] = space
-    return space
+    if key not in _CYCLIC_CACHE:
+        basis = _orbit_basis(algebra, amplification, n, weight)
+        _CYCLIC_CACHE[key] = CyclicSpace(algebra, amplification, n, tuple(basis),
+                                         {k: i for i, k in enumerate(basis)}, weight)
+    return _CYCLIC_CACHE[key]
 
 
 def _boundary_column(key, n: int, index: dict) -> dict:
@@ -435,15 +434,13 @@ _BOUNDARY_CACHE: dict = {}
 def _boundary(algebra, n: int, amplification: int,
               weight: tuple) -> _Boundary:
     key = (algebra.block_dims, amplification, n, weight)
-    cached = _BOUNDARY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    target = build_cyclic_space(algebra, n - 1, amplification, weight)
-    source = build_cyclic_space(algebra, n, amplification, weight)
-    red, _, kernel = eliminate(_boundary_column(k, n, target.index)
-                               for k in source.basis)
-    block = _BOUNDARY_CACHE[key] = _Boundary(source, target, red, kernel)
-    return block
+    if key not in _BOUNDARY_CACHE:
+        target = build_cyclic_space(algebra, n - 1, amplification, weight)
+        source = build_cyclic_space(algebra, n, amplification, weight)
+        red, _, kernel = eliminate(_boundary_column(k, n, target.index)
+                                   for k in source.basis)
+        _BOUNDARY_CACHE[key] = _Boundary(source, target, red, kernel)
+    return _BOUNDARY_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +448,7 @@ def _boundary(algebra, n: int, amplification: int,
 
 @dataclass(frozen=True)
 class HCClass:
-    """Coordinates of a cyclic homology class in a space's basis."""
+    """Coordinates of a cyclic homology class in the fixed basis of HC_n."""
 
     degree: int
     coords: tuple
@@ -502,6 +499,7 @@ class HomologySpace:
 
     def __init__(self, algebra: MultiMatrixAlgebra, n: int,
                  amplification: int = 1):
+        _check_degree(n, amplification)
         self.algebra = algebra
         self.amplification = amplification
         self.degree = n
@@ -526,32 +524,10 @@ class HomologySpace:
                                    f"not {len(self.basis)}")
 
     # -- queries ------------------------------------------------------------
-    def is_cycle(self, xi) -> bool:
-        return xi.is_cycle()
-
-    def read(self, phi) -> HCClass:
-        """The class whose coordinates in the basis dual to the trace
-        cocycles are phi; one float value makes every coordinate complex."""
-        if self.degree % 2:
-            return HCClass(self.degree, ())
-        zero = Fraction(0) if all(map(is_exact_scalar, phi)) else 0j
-        return HCClass(self.degree, tuple(zero + v for v in phi))
-
-    def hc_class(self, xi) -> HCClass:
-        """Coordinates of a cycle (a TensorElement or a DecompositionRep) in
-        the basis, phi(xi); a space of A reads a tensor over M_m(A) as the
-        class of its generalized trace."""
-        if (xi.algebra != self.algebra or xi.degree != self.degree
-                or self.amplification not in (1, xi.amplification)):
-            raise ValidationError("tensor does not live in this space")
-        if not xi.is_cycle():
-            raise DomainError("tensor is not a cycle in CC coordinates")
-        return self.read(xi.trace_values())
-
     def reduced_class(self, xi: TensorElement) -> HCClass:
         """The class of a cycle by reduction modulo the boundaries, solved
         in the span of the reduced basis tuples: the oracle for
-        :meth:`hc_class`, which does not use the trace cocycles."""
+        :func:`hc_class`, which does not use the trace cocycles."""
         if not xi.is_cycle():
             raise DomainError("tensor is not a cycle in CC coordinates")
         # the other weight blocks are acyclic: only the weight-0 part counts
@@ -565,10 +541,6 @@ class HomologySpace:
         zero = Fraction(0) if xi.is_exact() else 0j
         return HCClass(self.degree, tuple(combo.get(i, zero)
                                           for i in range(self.dimension)))
-
-    def zero_class(self, exact: bool = True) -> HCClass:
-        z = Fraction(0) if exact else 0j
-        return HCClass(self.degree, (z,) * self.dimension)
 
     def boundary_witness(self, xi: TensorElement):
         """A preimage of xi under the boundary from one degree up, or None.
@@ -597,15 +569,47 @@ _HC_CACHE: dict = {}
 def hc_space(algebra: MultiMatrixAlgebra, n: int,
              amplification: int = 1) -> HomologySpace:
     key = (algebra.block_dims, amplification, n)
-    cached = _HC_CACHE.get(key)
-    if cached is None:
-        cached = HomologySpace(algebra, n, amplification)
-        _HC_CACHE[key] = cached
-    return cached
+    if key not in _HC_CACHE:
+        _HC_CACHE[key] = HomologySpace(algebra, n, amplification)
+    return _HC_CACHE[key]
 
 
-def hc_class(xi: TensorElement) -> HCClass:
-    return hc_space(xi.algebra, xi.degree, xi.amplification).hc_class(xi)
+def _check_degree(n: int, amplification: int = 1) -> None:
+    if n < 0:
+        raise ValidationError(f"homology degree must be >= 0, not {n}")
+    if amplification < 1:
+        raise ValidationError(f"amplification must be >= 1, not {amplification}")
+
+
+def read_class(n: int, phi) -> HCClass:
+    """The class in HC_n(A) with trace-cocycle values phi: empty in odd
+    degree, and one float value makes every coordinate complex."""
+    _check_degree(n)
+    if n % 2:
+        return HCClass(n, ())
+    zero = Fraction(0) if all(map(is_exact_scalar, phi)) else 0j
+    return HCClass(n, tuple(zero + v for v in phi))
+
+
+def zero_class(algebra: MultiMatrixAlgebra, n: int, exact: bool = True) -> HCClass:
+    return read_class(n, [Fraction(0) if exact else 0j] * algebra.num_factors)
+
+
+def charge_read(algebra: MultiMatrixAlgebra, m: int, n: int, words: int):
+    """Charge a read of ``words`` words of degree n over M_m(A): n + 1 faces
+    per word, and n + 1 letters or products of size up to dim M_m(A)."""
+    check_budget(words * (n + 1) * max(n + 1, algebra.dimension(m)),
+                 "letters read for a class")
+
+
+def hc_class(xi) -> HCClass:
+    """The class phi(xi) in HC_n(A) of a cycle xi, a TensorElement or a
+    DecompositionRep over any M_m(A); no homology space is built."""
+    # a tensor's coeffs hold its terms, a decomposition's its summands
+    charge_read(xi.algebra, xi.amplification, xi.degree, len(xi.coeffs))
+    if not xi.is_cycle():
+        raise DomainError("tensor is not a cycle in CC coordinates")
+    return read_class(xi.degree, xi.trace_values())
 
 
 def is_boundary(xi: TensorElement):
@@ -616,6 +620,7 @@ def is_boundary(xi: TensorElement):
 
 def hc_dims(algebra: MultiMatrixAlgebra, max_degree: int,
             amplification: int = 1):
+    _check_degree(max_degree, amplification)
     return [hc_space(algebra, n, amplification).dimension
             for n in range(max_degree + 1)]
 
@@ -636,18 +641,13 @@ def trace_map(xi: TensorElement) -> TensorElement:
     dims = xi.algebra.block_dims
     out = {}
     for key, c in xi.coeffs.items():
-        ok = True
         inner = []
         outers = []
         for j, a, b in key:
             r = dims[j]
             inner.append((j, a % r, b % r))
             outers.append((a // r, b // r))
-        for t in range(len(key)):
-            if outers[t][1] != outers[(t + 1) % len(key)][0]:
-                ok = False
-                break
-        if not ok:
+        if any(outers[t - 1][1] != outers[t][0] for t in range(len(key))):
             continue
         nk = tuple(inner)
         out[nk] = out.get(nk, 0) + c
@@ -689,6 +689,12 @@ class DecompositionRep:
         return self.summands[0][0].amplification
 
     def expand(self) -> TensorElement:
+        """The sum in matrix units.  Its term count, the sum over summands of
+        the product of the factors' nonzero entry counts, is charged first."""
+        words, _, elements = self._spelling
+        sizes = [len(_nonzero_entries(x)) for x in elements]
+        check_budget(sum(math.prod(sizes[i] for i in w) for w, _ in words),
+                     f"matrix-unit terms expanded at degree {self.degree}")
         out = TensorElement.zero(self.algebra, self.amplification, self.degree)
         for c, s in zip(self.coeffs, self.summands):
             out = out + TensorElement.from_summand(s).scale(c)

@@ -23,7 +23,7 @@ from . import linalg as la
 from .algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
     spectral_decompose
 from .chern import chern_projection, generalized_chern
-from .cyclic import HCClass, hc_space
+from .cyclic import HCClass, zero_class
 from .errors import ConsistencyError, DomainError, NumericalError, \
     ValidationError
 from .ngroup import K0TensorC, N0Class, h_map, k0_of_projection, n_class
@@ -460,7 +460,7 @@ def lefschetz_first(c: GAComplex, g: int, irreps: IrrepTable) -> K0TensorC:
 def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
                      l: int) -> HCClass:
     """sum over factors i of L1(g)_i ch_l(e_i), e_i the diagonal units."""
-    out = hc_space(c.algebra, 2 * l).zero_class()
+    out = zero_class(c.algebra, 2 * l)
     for i, coeff in enumerate(lefschetz_first(c, g, irreps).coeffs):
         if not scalar_is_zero(coeff):
             unit = Projection.diagonal_unit(c.algebra, i)

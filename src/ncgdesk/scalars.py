@@ -40,6 +40,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .budget import check_budget
+from .errors import ValidationError
 
 _EPSILON = 1e-9
 
@@ -50,8 +51,8 @@ def get_epsilon() -> float:
 
 def set_epsilon(eps: float) -> None:
     global _EPSILON
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError("epsilon must be a positive finite number")
     _EPSILON = eps
 
 
@@ -591,7 +592,8 @@ def parse_scalar(v):
         if order < 1:
             raise ValueError(f"cyclotomic order must be positive: {order}")
         # the field tables of order N hold about N^2 integers
-        check_budget(order * order, f"cyclotomic order {order}")
+        check_budget(order * order,
+                     f"field-table entries for cyclotomic order {order}")
         coeffs = [Fraction(parse_real(c)) for c in v["coeffs"]]
         return Cyclotomic(order, coeffs)
     re = parse_real(v)

@@ -22,7 +22,7 @@ from .algebra import (
 from .chern import T_cover, T_direct, verify_eta_vanishes, verify_th7, \
     verify_th8
 from .cyclic import DecompositionRep, check_face_bound, check_trace_bound
-from .errors import NcgError
+from .errors import NcgError, ValidationError
 from .generate import (
     random_exact_unitary,
     random_ga_complex,
@@ -71,6 +71,8 @@ def _small_algebras():
 
 
 def _run(theorem, seed, count, one):
+    if count < 1:
+        raise ValidationError(f"battery count must be >= 1, not {count}")
     rng = random.Random(seed)
     report = VerificationReport(theorem, count, 0)
     for i in range(count):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from ncgdesk.chern import (
     verify_th8,
 )
 from ncgdesk.cyclic import DecompositionRep, TensorElement, hc_space, \
-    trace_map
+    read_class, trace_map
 from ncgdesk.errors import DomainError, ResourceError, ValidationError
 from ncgdesk.generate import (
     random_n0class,
@@ -178,8 +179,8 @@ def expanded_eta_report(ps, l, witness=False):
     algebra, m = ps[0].algebra, ps[0].amplification
     traced = trace_map(eta)
     cycle = traced.is_cycle()
-    traced_zero = cycle and hc_space(algebra, 2 * l).read(
-        traced.trace_values()).is_zero()
+    traced_zero = cycle and read_class(
+        2 * l, traced.trace_values()).is_zero()
     found = None
     if witness:
         found = eta.is_cycle() \
@@ -341,3 +342,96 @@ class TestAgainstExpandedPath:
         direct = T_direct(a, 2)
         assert direct == expanded_class(CM2, 1, a.pairs, 2)
         assert T_cover(a, 2) == expanded_T_cover(a, 2, "smallest") == direct
+
+
+# ---------------------------------------------------------------------------
+# reads build no homology space, and the budget charges what is built
+
+class TestReadsBuildNoSpace:
+    def test_every_read_gives_the_space_built_values(self, monkeypatch, capsys,
+                                                     tmp_path):
+        from ncgdesk import cyclic, lefschetz, serialize as sz
+        from ncgdesk.cli import main
+        from ncgdesk.cyclic import face_op, hc_class
+        from ncgdesk.generate import random_ga_complex
+        rng = random.Random(12)
+        p = random_projection(CM2, rng, nonzero=True)
+        a = random_normal(CM2, rng)
+        x = random_n0class(CM2, rng)
+        ps = random_orthogonal_family(A, rng, 3, 2)
+        table = lefschetz.IrrepTable.cyclic(2)
+        c = random_ga_complex(A, table, rng)
+        xi = face_op(TensorElement.basis(M2, 1, ((0, 0, 1), (0, 1, 0),
+                                                 (0, 0, 0), (0, 0, 1)))) \
+            + TensorElement.from_summand((random_projection(
+                M2, rng, nonzero=True).element,) * 3).scale(Fraction(3))
+        rep = DecompositionRep(((p.element,) * 5, (Projection.identity(
+            CM2).element,) * 5), (Fraction(2, 3), Fraction(-1)))
+        path = tmp_path / "xi.json"
+        path.write_text(sz.dumps(sz.tensor_to_json(xi)))
+        # the values of the path that builds each space and reduces in it
+        l1 = lefschetz.lefschetz_first(c, 1, table).coeffs
+        expected = {
+            "chern": expanded_class(CM2, 1, [(-1, p)], 1),
+            "direct": expanded_class(CM2, 1, a.pairs, 1),
+            "general": read_class(2, [-sum(v * k.ranks[f] for v, k in
+                                           x.support)
+                                      for f in range(2)]),
+            "eta": expanded_eta_report(ps, 1),
+            "second": read_class(2, [-v for v in l1]),
+            "tensor": hc_space(M2, 2).reduced_class(xi),
+            "rep": hc_space(CM2, 4).reduced_class(rep.expand()),
+        }
+
+        def refuse(*args):
+            raise AssertionError("a read built a homology space")
+        monkeypatch.setattr(cyclic, "_HC_CACHE", {})
+        monkeypatch.setattr(cyclic, "HomologySpace", refuse)
+        assert chern_projection(p, 1) == expected["chern"]
+        assert T_direct(a, 1) == expected["direct"]
+        for policy in ("smallest", "largest"):
+            assert T_cover(a, 1, policy=policy) == expected["direct"]
+        assert generalized_chern(x, 1) == expected["general"]
+        assert verify_th7(p, 1) and verify_th8(x, 1)
+        assert verify_eta_vanishes(ps, 1) == expected["eta"]
+        assert lefschetz.lefschetz_second(c, 1, table, 1) == expected["second"]
+        assert hc_class(xi) == expected["tensor"]
+        assert hc_class(rep) == expected["rep"]
+        assert main(["hc", "class", "--tensor", str(path)]) == 0
+        assert sz.hc_class_from_json(json.loads(capsys.readouterr().out)) \
+            == expected["tensor"]
+
+
+class TestBudgetCharges:
+    def test_high_degree_reads_answer_or_raise(self):
+        p = Projection.diagonal_unit(M2, 0)
+        assert verify_th7(p, 50)
+        assert chern_projection(p, 50).coords == (Fraction(1),)
+        for l in (10 ** 6, 10 ** 2200):
+            with pytest.raises(ResourceError, match="letters read"):
+                chern_projection(p, l)
+
+    def test_factored_cycle_check_canonicalizes_each_face_once(
+            self, monkeypatch):
+        from ncgdesk import cyclic
+        calls = []
+        canonical = cyclic._cc_canonical
+        monkeypatch.setattr(cyclic, "_cc_canonical",
+                            lambda key, n: calls.append(1) or canonical(key, n))
+        p, q = Projection.diagonal_unit(CM2, 0), Projection.diagonal_unit(CM2, 1)
+        rep = DecompositionRep(((p.element,) * 201, (q.element,) * 201))
+        assert rep.is_cycle()
+        assert len(calls) == 2
+
+    def test_expansion_is_charged_before_it_is_built(self, monkeypatch):
+        def refuse(elements):
+            raise AssertionError("expanded before the charge")
+        monkeypatch.setattr(TensorElement, "from_summand", refuse)
+        full = AlgebraElement(M2, 1, (((Fraction(1), Fraction(2)),
+                                       (Fraction(3), Fraction(4))),))
+        set_budget(2 * 4 ** 3 - 1)
+        try:
+            with pytest.raises(ResourceError, match="matrix-unit terms"):
+                DecompositionRep(((full,) * 3, (full,) * 3)).expand()
+        finally:
+            set_budget(100_000)

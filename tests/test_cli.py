@@ -304,3 +304,49 @@ def test_consistency_error_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "run", broken)
     assert main([]) == 3
     assert capsys.readouterr().err == "error: cross-check failed\n"
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    return len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_high_degree_characters_exit_two(tmp_path, capsys):
+    m2 = {"blocks": [2]}
+    p = write(tmp_path, "p.json", sz.projection_to_json(
+        Projection.diagonal_unit(MultiMatrixAlgebra((2,)), 0)))
+    x = write(tmp_path, "x.json", {
+        "schema_version": 1, "algebra": m2, "m": 1,
+        "blocks": [[["2", "0"], ["0", "-1"]]]})
+    for argv in (["chern", "--projection", p, "--l", "5000"],
+                 ["gchern", "--element", x, "--l", "5000", "--path", "direct"]):
+        assert main(argv) == 2
+        assert one_error_line(capsys)
+
+
+def test_walk_budget_reaches_hc7_of_m2(tmp_path, capsys):
+    alg = write(tmp_path, "alg.json", {"schema_version": 1, "blocks": [2]})
+    code, doc = run_cli(capsys, "hc", "dims", "--algebra", alg,
+                        "--max-degree", "7")
+    assert code == 0 and doc == {"dims": [1, 0, 1, 0, 1, 0, 1, 0]}
+    assert main(["hc", "dims", "--algebra", alg, "--max-degree", "8"]) == 2
+    assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--epsilon", "nan"], ["--epsilon", "inf"], ["--epsilon", "0"],
+    ["--max-degree", "-1"]])
+def test_bad_epsilon_or_degree_is_one_error_line(tmp_path, capsys, argv):
+    alg = write(tmp_path, "alg.json", {"schema_version": 1, "blocks": [2]})
+    assert main(["hc", "dims", "--algebra", alg, "--max-degree", "1"]
+                + argv) == 1
+    assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorems", "th1,th6", "--count", "-1"],
+    ["verify", "--theorems", "th8", "--count", "0"],
+    ["lefschetz", "verify", "--count", "0"]])
+def test_battery_count_below_one_is_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    assert one_error_line(capsys)

@@ -26,7 +26,9 @@ from ncgdesk.cyclic import (
     trace_map,
     trace_rep,
 )
-from ncgdesk.errors import ConsistencyError, DomainError, ValidationError
+from ncgdesk.budget import set_budget
+from ncgdesk.errors import ConsistencyError, DomainError, ResourceError, \
+    ValidationError
 from ncgdesk.scalars import Cyclotomic, eliminate
 
 C = MultiMatrixAlgebra((1,))
@@ -107,9 +109,8 @@ class TestHomology:
     def test_boundaries_have_zero_class(self, seed, degree):
         eta = random_tensor(M2, 1, degree + 1, random.Random(seed))
         xi = face_op(eta)
-        space = hc_space(M2, degree)
-        assert space.is_cycle(xi)
-        assert space.hc_class(xi).is_zero()
+        assert xi.is_cycle()
+        assert hc_class(xi).is_zero()
 
     @settings(max_examples=15, deadline=None)
     @given(seeds)
@@ -123,10 +124,9 @@ class TestHomology:
     def test_non_cycle_rejected(self):
         # e00 x e01 has boundary e01, which survives in degree 0
         xi = TensorElement.basis(M2, 1, ((0, 0, 0), (0, 0, 1)))
-        space = hc_space(M2, 1)
-        assert not space.is_cycle(xi)
+        assert not xi.is_cycle()
         with pytest.raises(DomainError):
-            space.hc_class(xi)
+            hc_class(xi)
 
 
 class TestTraceMap:
@@ -391,6 +391,37 @@ class TestKeyValidation:
                                   out.coeffs)
             assert again.coeffs == out.coeffs
 
+    @pytest.mark.parametrize("n, m", [(-1, 1), (2, 0), (2, -1)])
+    def test_spaces_reject_bad_degree_and_amplification(self, n, m):
+        with pytest.raises(ValidationError):
+            hc_space(M2, n, m)
+        with pytest.raises(ValidationError):
+            hc_dims(M2, n, m)
+
+
+# ---------------------------------------------------------------------------
+# the orbit walk is charged the nodes it visits
+
+class TestWalkBudget:
+    @pytest.mark.parametrize("blocks, n, nodes", [((2,), 3, 122),
+                                                  ((3,), 4, 10_017)])
+    def test_walk_is_charged_its_nodes(self, monkeypatch, blocks, n, nodes):
+        monkeypatch.setattr(cyclic, "_CYCLIC_CACHE", {})
+        try:
+            set_budget(nodes - 1)
+            with pytest.raises(ResourceError, match=f"CC_{n} basis"):
+                build_cyclic_space(MultiMatrixAlgebra(blocks), n)
+            set_budget(nodes)
+            build_cyclic_space(MultiMatrixAlgebra(blocks), n)
+        finally:
+            set_budget(100_000)
+
+    def test_default_budget_reaches_hc4_of_m3(self):
+        M3 = MultiMatrixAlgebra((3,))
+        assert hc_dims(M3, 4) == [1, 0, 1, 0, 1]
+        with pytest.raises(ResourceError):
+            hc_dims(M3, 5)
+
 
 # ---------------------------------------------------------------------------
 # the trace-cocycle readout against the reducer
@@ -430,7 +461,7 @@ class TestReadout:
         for _ in range(3):
             xi = xi + face_op(random_tensor(algebra, m, n + 1, rng)).scale(
                 random_scalar(rng, order, exact))
-        readout, reduced = space.hc_class(xi), space.reduced_class(xi)
+        readout, reduced = hc_class(xi), space.reduced_class(xi)
         assert readout.equals(reduced)
         assert len(readout.coords) == (algebra.num_factors if n % 2 == 0
                                        else 0)
@@ -448,7 +479,7 @@ class TestReadout:
                 xi = TensorElement.basis(algebra, m, key)
                 unit = HCClass(n, tuple(Fraction(int(i == j))
                                         for j in range(k)))
-                assert space.hc_class(xi) == unit
+                assert hc_class(xi) == unit
                 assert space.reduced_class(xi) == unit
 
     @pytest.mark.parametrize("blocks, m, n", [
@@ -476,9 +507,7 @@ class TestReadout:
 
     def test_base_space_reads_the_trace(self):
         xi = golden_cycles()["amp_deg2"]
-        assert hc_space(C, 2).hc_class(xi) == hc_class(trace_map(xi))
-        with pytest.raises(ValidationError):
-            hc_space(C, 2, 3).hc_class(xi)
+        assert hc_class(xi) == hc_class(trace_map(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +526,7 @@ class TestFactoredCycles:
         rep = DecompositionRep(((P_CM2,) * 5, (Q_CM2,) * 5),
                                (Fraction(2, 3), I))
         assert rep.is_cycle()
-        assert hc_space(CM2, 4).hc_class(rep) \
+        assert hc_class(rep) \
             == hc_class(power(P_CM2, 5).scale(Fraction(2, 3))
                         + power(Q_CM2, 5).scale(I))
 
@@ -512,7 +541,7 @@ class TestFactoredCycles:
                                  unit_element(M2, 0, 1, 1)),))
         assert not rep.is_cycle()
         with pytest.raises(DomainError):
-            hc_space(M2, 2).hc_class(rep)
+            hc_class(rep)
         assert expanded
 
     def test_cancellation_seen_only_after_expansion(self):
@@ -522,7 +551,7 @@ class TestFactoredCycles:
         rep = DecompositionRep(((x, y), (x, z), (x, y + z)),
                                (1, 1, -1))
         assert rep.is_cycle()
-        assert hc_space(M2, 1).hc_class(rep).coords == ()
+        assert hc_class(rep).coords == ()
 
     @settings(max_examples=25, deadline=None)
     @given(seeds, st.sampled_from([(CM2, 1), (M2, 1), (C, 2)]),

@@ -24,7 +24,7 @@ from ncgdesk.lefschetz import (
     verify_th5,
 )
 from ncgdesk.chern import chern_projection
-from ncgdesk.cyclic import hc_space
+from ncgdesk.cyclic import zero_class
 from ncgdesk.ngroup import K0Class, K0TensorC, N0Class, h_map
 from ncgdesk.scalars import Cyclotomic, conj_scalar, scalar_is_zero
 
@@ -242,7 +242,7 @@ def per_g_first(c, g, irreps):
 
 def per_g_tau(h, restricted, group, irreps, g, l):
     algebra = h.algebra
-    out = hc_space(algebra, 2 * l).zero_class()
+    out = zero_class(algebra, 2 * l)
     units = [Projection.diagonal_unit(algebra, f)
              for f in range(algebra.num_factors)]
     for irr, mult in per_g_isotypic(h, restricted, group, irreps):
@@ -256,7 +256,7 @@ def per_g_tau(h, restricted, group, irreps, g, l):
 
 
 def per_g_second(c, g, irreps, l):
-    out = hc_space(c.algebra, 2 * l).zero_class()
+    out = zero_class(c.algebra, 2 * l)
     for j, (h, restricted) in enumerate(per_g_harmonic(c)):
         term = per_g_tau(h, restricted, c.group, irreps, g, l)
         out = out + (term if j % 2 == 0 else -term)
