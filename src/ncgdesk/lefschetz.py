@@ -3,14 +3,23 @@ Lefschetz numbers.
 
 A complex is a finite chain of projective modules q_j * A^(n_j) with
 A-linear differentials and a commuting unitary action of a finite group.
-Finite-dimensional Hodge theory supplies the harmonic decomposition, built
-once per complex and kept on it (``GAComplex.harmonic``).  The isotypic
-projections p_chi = (dim chi/|G|) sum_g chi(g)* rho(g) do not depend on g,
-so each (complex, table) pair keeps the alternating multiplicities
-M_chi = sum_j (-1)^j m_chi,j in Z^k, and the numbers are short reads:
-L1(g) = sum_chi chi(g) M_chi, L2(g) = sum_i L1(g)_i ch_l(e_i) for the
-diagonal units e_i, and the refined number takes exact spectral
-resolutions of finite-order unitaries on the stored harmonic projections.
+Finite-dimensional Hodge theory supplies the harmonic projections h_j,
+built once per complex and kept on it (``GAComplex.harmonic``).
+
+Every rank is read as a trace.  Once g -> h_j U_g is checked to be a
+representation on each range (``_check_representation``), the complex
+keeps its character table tr_i(h_j U_g) (``GAComplex.characters``), and
+the multiplicity m_chi,j,i = (1/|G|) sum_g conj chi(g) tr_i(h_j U_g) is
+the trace of the idempotent (dim chi/|G|) sum_g conj chi(g) h_j U_g over
+dim chi.  Each (complex, irrep table) keeps M_chi = sum_j (-1)^j m_chi,j
+in Z^k, so L1(g) = sum_chi chi(g) M_chi and L2(g) = sum_i L1(g)_i
+ch_l(e_i), e_i the diagonal units, are short reads.  The refined number
+resolves v = h_j u h_j: if v^t = h_j, the zeta_t^k eigenspace has rank
+(1/t) sum_s zeta_t^(-ks) tr_i(v^s), read from the powers that found t;
+otherwise ``spectral_decompose`` splits v.  It is kept on the complex per
+tuple of unitary objects, so Theorems 4 and 5 share one computation.
+Multiplicities and ranks that are not natural numbers raise
+ConsistencyError.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .chern import chern_projection, generalized_chern
 from .cyclic import HCClass, zero_class
 from .errors import ConsistencyError, DomainError, NumericalError, \
     ValidationError
-from .ngroup import K0TensorC, N0Class, h_map, k0_of_projection, n_class
+from .ngroup import K0TensorC, N0Class, h_map, n_class
 from .scalars import Cyclotomic, conj_scalar, scalar_is_zero, scalars_equal
 
 
@@ -67,6 +76,14 @@ class FiniteGroup:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_identity", e)
         object.__setattr__(self, "_inverses", tuple(inv))
+        gens, reached = [], {e}
+        for g in range(n):
+            if g not in reached:  # g is outside the subgroup generated so far
+                gens.append(g)
+                while not reached.issuperset(
+                        grown := {table[x][s] for x in reached for s in gens}):
+                    reached |= grown
+        object.__setattr__(self, "_generators", tuple(gens))
 
     @property
     def order(self) -> int:
@@ -81,6 +98,11 @@ class FiniteGroup:
 
     def inverse(self, g: int) -> int:
         return self._inverses[g]
+
+    @property
+    def generators(self) -> tuple:
+        """A generating set: each element not generated by the earlier ones."""
+        return self._generators
 
     def elements(self):
         return range(self.order)
@@ -119,9 +141,10 @@ class Irrep:
             if not la.is_exact_matrix(m):
                 raise ValidationError(f"irrep {self.name}: matrices must be exact")
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "_characters", tuple(map(la.trace, mats)))
 
     def character(self, g: int):
-        return la.trace(self.matrices[g])
+        return self._characters[g]
 
 
 @dataclass(frozen=True)
@@ -143,16 +166,17 @@ class IrrepTable:
                     if not la.mat_equal(prod, p.matrices[self.group.mul(g, h)]):
                         raise ValidationError(
                             f"irrep {p.name}: not a representation at ({g},{h})")
+        duals = la.as_matrix([[conj_scalar(x) for x in p._characters]
+                              for p in irreps])  # row chi: conj chi(g)
+        gram = la.entries(la.mat_mul(la.as_matrix(
+            [p._characters for p in irreps]), la.transpose(duals)))
         for i, p in enumerate(irreps):
             for j, q in enumerate(irreps):
-                acc = Fraction(0)
-                for g in range(n):
-                    acc = acc + p.character(g) * conj_scalar(q.character(g))
-                want = Fraction(n) if i == j else Fraction(0)
-                if not scalars_equal(acc, want):
+                if not scalars_equal(gram[i][j], n if i == j else 0):
                     raise ValidationError(
                         f"character orthogonality fails for ({p.name},{q.name})")
         object.__setattr__(self, "irreps", irreps)
+        object.__setattr__(self, "_duals", duals)
 
     @staticmethod
     def cyclic(n: int) -> "IrrepTable":
@@ -234,18 +258,9 @@ class ModuleMap:
                          tuple(la.mat_mul(a, b)
                                for a, b in zip(self.blocks, other.blocks)))
 
-    def star(self) -> "ModuleMap":
-        return ModuleMap(self.algebra, self.source_size, self.target_size,
-                         tuple(la.conj_transpose(b) for b in self.blocks))
-
     def __add__(self, other):
         return ModuleMap(self.algebra, self.target_size, self.source_size,
                          tuple(la.mat_add(a, b)
-                               for a, b in zip(self.blocks, other.blocks)))
-
-    def __sub__(self, other):
-        return ModuleMap(self.algebra, self.target_size, self.source_size,
-                         tuple(la.mat_sub(a, b)
                                for a, b in zip(self.blocks, other.blocks)))
 
     def scale(self, c) -> "ModuleMap":
@@ -268,8 +283,9 @@ class GAComplex:
 
     ``modules[j]`` is the range projection in M_{n_j}(A); ``diffs[i]`` maps
     module i+1 to module i; ``action[g][j]`` is the unitary of g on module j.
-    The harmonic decomposition and, per irrep table, the alternating
-    isotypic multiplicities are built on first use and kept.
+    The harmonic projections, their character table, the alternating
+    isotypic multiplicities per irrep table and the refined number per
+    tuple of unitaries are built on first use and kept.
     """
 
     algebra: MultiMatrixAlgebra
@@ -306,6 +322,9 @@ class GAComplex:
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "_multiplicities", {})  # IrrepTable -> M
+        # ids of the unitaries -> (the unitaries, their refined number); the
+        # entry holds the objects, so their ids are not reused while it lives
+        object.__setattr__(self, "_refined", {})
 
     @property
     def length(self) -> int:
@@ -315,6 +334,19 @@ class GAComplex:
     def harmonic(self) -> list:
         """``harmonic_modules(self)``, built once."""
         return harmonic_modules(self)
+
+    @functools.cached_property
+    def characters(self):
+        """The harmonic character table, built once: tr_i(h_j U_g) in row
+        g, column j * k + i (k factors), read after every module passes
+        ``_check_representation``."""
+        hs = [h.element for h in self.harmonic]
+        for j, h in enumerate(hs):
+            _check_representation(self, j, h)
+        return la.as_matrix([[la.trace_product(hb, ub)
+                              for j, h in enumerate(hs)
+                              for hb, ub in zip(h.blocks, self.action[g][j].blocks)]
+                             for g in self.group.elements()])
 
     def unitary(self, g: int):
         """The action of g as one AlgebraElement per module."""
@@ -337,12 +369,14 @@ def validate_complex(c: GAComplex) -> list:
             problems.append(f"identity does not act as the projection on module {j}")
     for g in c.group.elements():
         problems += _map_problems(c, c.action[g], f"action of {g}")
-        for h in c.group.elements():
-            gh = c.group.mul(g, h)
+    # U_s U_g = U_sg for generators s suffices: every element is a word in S
+    for s in c.group.generators:
+        for g in c.group.elements():
+            sg = c.group.mul(s, g)
             for j in range(c.length):
-                if not (c.action[g][j] * c.action[h][j]).equals(c.action[gh][j]):
+                if not (c.action[s][j] * c.action[g][j]).equals(c.action[sg][j]):
                     problems.append(
-                        f"action is not multiplicative at ({g},{h}) on module {j}")
+                        f"action is not multiplicative at ({s},{g}) on module {j}")
     return problems
 
 
@@ -368,16 +402,23 @@ def _nullspace_projection(stacked_blocks):
     for rows in stacked_blocks:
         basis = la.nullspace(rows)
         d = la.shape(rows)[1]
-        out.append(la.projection_onto_columns(basis) if basis else la.zeros(d, d))
+        out.append(la.projection_onto_columns(basis) if basis
+                   else la.zeros(d, d, la.is_exact_matrix(rows)))
     return tuple(out)
 
 
 def kernel_projection(d: ModuleMap, q: Projection) -> AlgebraElement:
     """Projection onto Ker d intersected with the range of q."""
+    return _joint_kernel(q, [d.blocks])
+
+
+def _joint_kernel(q: Projection, maps) -> AlgebraElement:
+    """Projection onto the joint kernel of ``maps`` (per-factor blocks on
+    q's module) intersected with the range of q."""
     comp = _range_complement(q)
-    stacked = [la.stack_rows(b, cb) for b, cb in zip(d.blocks, comp.blocks)]
-    return AlgebraElement(d.algebra, d.source_size,
-                          _nullspace_projection(stacked))
+    return AlgebraElement(q.algebra, q.amplification, _nullspace_projection(
+        [la.stack_rows(*(m[f] for m in maps), cb)
+         for f, cb in enumerate(comp.blocks)]))
 
 
 def _range_complement(q: Projection) -> AlgebraElement:
@@ -387,7 +428,7 @@ def _range_complement(q: Projection) -> AlgebraElement:
 
 
 def harmonic_modules(c: GAComplex):
-    """Per module: the harmonic projection and the restricted action.
+    """Per module: the harmonic projection.
 
     The harmonic submodule of module j is Ker(outgoing d) intersected with
     Ker(incoming d adjoint) inside the range of q_j; its projection
@@ -396,21 +437,44 @@ def harmonic_modules(c: GAComplex):
     """
     out = []
     for j, q in enumerate(c.modules):
-        stacked = []
-        comp = _range_complement(q)
-        for f in range(c.algebra.num_factors):
-            parts = []
-            if j >= 1:
-                parts.append(c.diffs[j - 1].blocks[f])
-            if j < c.length - 1:
-                parts.append(la.conj_transpose(c.diffs[j].blocks[f]))
-            parts.append(comp.blocks[f])
-            stacked.append(la.stack_rows(*parts))
-        h = AlgebraElement(c.algebra, q.amplification,
-                           _nullspace_projection(stacked))
-        restricted = [h * c.action[g][j] * h for g in c.group.elements()]
-        out.append((Projection(h), restricted))
+        maps = [c.diffs[j - 1].blocks] if j >= 1 else []
+        if j < c.length - 1:
+            maps.append([la.conj_transpose(b) for b in c.diffs[j].blocks])
+        out.append(Projection(_joint_kernel(q, maps)))
     return out
+
+
+def _check_representation(c: GAComplex, j: int, h: AlgebraElement):
+    """DomainError unless g -> h U_g is a representation on the range of h.
+
+    Checked: h U_g = U_g h for every g, h U_e = h, and h U_s U_g = h U_sg
+    for every generator s and every g.  Then (h U_a)(h U_b) = h U_ab for
+    all a, b, so each (dim chi/|G|) sum_g conj chi(g) h U_g is an
+    idempotent, and its rank is its trace.
+    """
+    if h.is_zero():  # every condition reads 0 = 0
+        return
+    group = c.group
+    row = [c.action[g][j] for g in group.elements()]
+    hu = [h * u for u in row]
+    if not (hu[group.identity].equals(h)
+            and all((u * h).equals(x) for u, x in zip(row, hu))
+            and all((hu[s] * u).equals(hu[group.mul(s, g)])
+                    for s in group.generators for g, u in enumerate(row))):
+        raise DomainError(
+            f"the action is not a representation on harmonic module {j}")
+
+
+def _natural(x, what: str) -> int:
+    """x as a natural number (a float within epsilon of one), else
+    ConsistencyError."""
+    if isinstance(x, complex):
+        n = round(x.real)
+        if n >= 0 and scalars_equal(x, n):
+            return n
+    elif isinstance(x, Fraction) and x.denominator == 1 and x >= 0:
+        return int(x)
+    raise ConsistencyError(f"{what} {x} is not a natural number")
 
 
 # ---------------------------------------------------------------------------
@@ -420,27 +484,27 @@ def isotypic_decompose(c: GAComplex, irreps: IrrepTable) -> tuple:
     """Per irreducible chi, (chi, M_chi): M_chi = sum_j (-1)^j m_chi,j in
     Z^k, m_chi,j the multiplicity K0 class of chi in harmonic module j.
 
-    Built once per (complex, table) and kept on the complex.
+    m_chi,j,i = (1/|G|) sum_g conj chi(g) tr_i(h_j U_g): one product of the
+    table's dual characters with ``c.characters``.  Built once per
+    (complex, table) and kept on the complex.
     """
     if irreps.group != c.group:
         raise ValidationError("irrep table is for a different group")
     found = c._multiplicities.get(irreps)
     if found is not None:
         return found
-    order = Fraction(c.group.order)
+    table, duals = c.characters, irreps._duals
+    if not la.is_exact_matrix(table):
+        duals = la.from_numpy(la.to_numpy(duals))
+    k = c.algebra.num_factors
+    sums = la.entries(la.scalar_mul(Fraction(1, c.group.order),
+                                    la.mat_mul(duals, table)))
     out = []
-    for irr in irreps.irreps:
-        total = [0] * c.algebra.num_factors
-        for j, (h, restricted) in enumerate(c.harmonic):
-            acc = AlgebraElement.zero(h.algebra, h.amplification)
-            for g in c.group.elements():
-                acc = acc + restricted[g].scale(conj_scalar(irr.character(g)))
-            proj = Projection(acc.scale(Fraction(irr.dim) / order))
-            for i, r in enumerate(proj.rank_vector()):
-                if r % irr.dim != 0:
-                    raise ConsistencyError(
-                        f"isotypic rank {r} not divisible by dim {irr.dim}")
-                total[i] += (-1) ** j * (r // irr.dim)
+    for irr, row in zip(irreps.irreps, sums):
+        total = [0] * k
+        for col, m in enumerate(row):
+            j, i = divmod(col, k)
+            total[i] += (-1) ** j * _natural(m, "isotypic multiplicity")
         out.append((irr, tuple(total)))
     c._multiplicities[irreps] = out = tuple(out)
     return out
@@ -468,20 +532,33 @@ def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
     return out
 
 
-def _finite_order(v: AlgebraElement, h: AlgebraElement, cap: int = 24):
-    power = v
-    for t in range(1, cap + 1):
-        if power.equals(h):
-            return t
+def _powers_to_order(v: AlgebraElement, h: AlgebraElement, cap: int = 24):
+    """[h, v, ..., v^(t-1)] for the least t <= cap with v^t = h, else None."""
+    powers, power = [h], v
+    while not power.equals(h):
+        if len(powers) == cap:
+            return None
+        powers.append(power)
         power = power * v
-    return None
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def _fourier(t: int):
+    """The t x t matrix zeta_t^(-ks)/t: row k maps (tr v^s)_s to the rank of
+    the zeta_t^k eigenspace of v when v^t = 1."""
+    return la.scalar_mul(Fraction(1, t), la.as_matrix(
+        [[Cyclotomic.root_of_unity(t, -k * s % t) for s in range(t)]
+         for k in range(t)]))
 
 
 def _restricted_n_class(h: Projection, u: AlgebraElement) -> N0Class:
     """N0 class of a unitary restricted to the range of h.
 
-    Finite-order restrictions get exact root-of-unity spectral projections
-    via the Fourier resolution; otherwise the element is diagonalized
+    For v = h u h with v^t = h, the zeta_t^k eigenspace has per-factor rank
+    (1/t) sum_s zeta_t^(-ks) tr(v^s): v is unitary on the range of h (the
+    caller's ``_map_problems`` check), so these are the traces of its
+    Fourier spectral projections.  Otherwise the element is diagonalized
     directly (exactly when its eigenvalues allow, in floats as a fallback).
     """
     v = h.element * u * h.element
@@ -489,24 +566,15 @@ def _restricted_n_class(h: Projection, u: AlgebraElement) -> N0Class:
     if v.is_zero():
         return N0Class.zero(algebra)
     if v.is_exact():
-        t = _finite_order(v, h.element)
-        if t is not None:
-            support = []
-            powers = [h.element]
-            for _ in range(t - 1):
-                powers.append(powers[-1] * v)
-            inv_t = Fraction(1, t)
-            for k in range(t):
-                acc = AlgebraElement.zero(algebra, h.amplification)
-                for s in range(t):
-                    root = Cyclotomic.root_of_unity(t, (-k * s) % t)
-                    acc = acc + powers[s].scale(root)
-                proj = acc.scale(inv_t)
-                if proj.is_zero():
-                    continue
-                support.append((Cyclotomic.root_of_unity(t, k),
-                                k0_of_projection(Projection(proj))))
-            return N0Class(algebra, tuple(support))
+        powers = _powers_to_order(v, h.element)
+        if powers is not None:
+            t = len(powers)
+            traces = la.as_matrix([p.trace_vector() for p in powers])
+            ranks = la.entries(la.mat_mul(_fourier(t), traces))
+            return N0Class(algebra, tuple(
+                (Cyclotomic.root_of_unity(t, k),
+                 tuple(_natural(r, "eigenspace rank") for r in row))
+                for k, row in enumerate(ranks)))
     try:
         return n_class(spectral_decompose(v))
     except NumericalError:
@@ -525,19 +593,25 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
 
     ``unitaries`` is one AlgebraElement per module; it must be unitary on
     each module and commute with the differentials, but need not come from
-    the group action.
+    the group action.  The result is kept on the complex, keyed by the
+    identity of the unitary objects; a call that raises keeps nothing.
     """
-    unitaries = list(unitaries)
+    unitaries = tuple(unitaries)
     if len(unitaries) != c.length:
         raise ValidationError("one unitary per module required")
+    key = tuple(map(id, unitaries))
+    if key in c._refined:
+        return c._refined[key][1]
     problems = _map_problems(c, unitaries, "endomorphism")
     if problems:
         raise DomainError(problems[0])
     total = N0Class.zero(c.algebra)
-    for j, (h, _) in enumerate(c.harmonic):
+    for j, h in enumerate(c.harmonic):
         part = _restricted_n_class(h, unitaries[j])
         total = total + (part if j % 2 == 0 else -part)
-    return GeneralizedLefschetz(total)
+    result = GeneralizedLefschetz(total)
+    c._refined[key] = (unitaries, result)
+    return result
 
 
 def verify_th4(c: GAComplex, g: int, irreps: IrrepTable) -> bool:

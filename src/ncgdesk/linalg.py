@@ -352,6 +352,22 @@ def trace(a):
     return _scalar(a.order, np.trace(a.nums, axis1=1, axis2=2).tolist(), a.den)
 
 
+def trace_product(a, b):
+    """tr(a b) = sum_ij a_ij b_ji, without forming the product a b."""
+    exact, (a, b) = _kind(a, b)
+    if shape(a) != shape(b)[::-1]:
+        raise ValidationError(f"trace_product shape mismatch {shape(a)} x {shape(b)}")
+    if not exact:
+        return complex(np.sum(to_numpy(a) * to_numpy(b).T))
+    order = math.lcm(a.order, b.order)
+    x, y = _at(a, order), _at(b, order)
+    phi = len(x)
+    # every plane pairing sum_ij A_k[i, j] B_l[j, i] in one matmul, then fold
+    pairs = x.reshape(phi, -1) @ y.transpose(0, 2, 1).reshape(phi, -1).T
+    coeffs = _mul_table(order) @ pairs.reshape(phi * phi)
+    return _scalar(order, coeffs.tolist(), a.den * b.den)
+
+
 # ---------------------------------------------------------------------------
 # assembling and slicing
 

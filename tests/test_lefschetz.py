@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgdesk import lefschetz, linalg as la
-from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
+from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
+    spectral_decompose
 from ncgdesk.errors import ConsistencyError, DomainError, NumericalError, \
     ValidationError
 from ncgdesk.generate import acyclic_augmentation, random_ga_complex
@@ -25,7 +26,8 @@ from ncgdesk.lefschetz import (
 )
 from ncgdesk.chern import chern_projection
 from ncgdesk.cyclic import zero_class
-from ncgdesk.ngroup import K0Class, K0TensorC, N0Class, h_map
+from ncgdesk.ngroup import K0Class, K0TensorC, N0Class, h_map, \
+    k0_of_projection, n_class
 from ncgdesk.scalars import Cyclotomic, conj_scalar, scalar_is_zero
 
 C = MultiMatrixAlgebra((1,))
@@ -55,6 +57,14 @@ class TestFiniteGroup:
         for table in TABLES:
             assert sum(p.dim ** 2 for p in table.irreps) == table.group.order
 
+    def test_generators(self):
+        assert FiniteGroup.cyclic_group(1).generators == ()
+        assert FiniteGroup.cyclic_group(4).generators == (1,)
+        assert FiniteGroup.symmetric_group_3().generators == (1, 3)
+        klein = FiniteGroup(tuple(tuple(a ^ b for b in range(4))
+                                  for a in range(4)))
+        assert klein.generators == (1, 2)
+
     def test_character_orthogonality_enforced(self):
         g = FiniteGroup.cyclic_group(2)
         one = Fraction(1)
@@ -78,7 +88,7 @@ class TestComplexes:
     def test_two_term_identity_is_valid_and_acyclic(self):
         c = two_term_complex(A)
         assert validate_complex(c) == []
-        for h, _ in harmonic_modules(c):
+        for h in harmonic_modules(c):
             assert h.element.is_zero()
 
     def test_lefschetz_of_acyclic_is_zero(self):
@@ -152,6 +162,97 @@ class TestComplexes:
         with pytest.raises(DomainError):
             generalized_lefschetz(c, bad)  # does not commute with d
 
+    def test_rejected_endomorphism_raises_on_every_call(self):
+        c = two_term_complex(A)
+        bad = [AlgebraElement.identity(A),
+               AlgebraElement.identity(A).scale(-1)]
+        for _ in range(3):
+            with pytest.raises(DomainError, match="does not commute with d0"):
+                generalized_lefschetz(c, bad)
+
+    def test_distinct_unitaries_never_share_a_memo_entry(self):
+        c, u = self._rotation_on_c()
+        first = generalized_lefschetz(c, [u])
+        assert generalized_lefschetz(c, (u,)) is first
+        twin = AlgebraElement(C, 1, u.blocks)  # equal, but another object
+        again = generalized_lefschetz(c, [twin])
+        assert again is not first and again == first
+        other = generalized_lefschetz(c, [u.star()])
+        assert other is not first and other != first
+        assert generalized_lefschetz(c, [twin]) is again
+
+    def _i_on_c(self):
+        """C with Z/2 acting by i: i * i = -1 is not the identity's action."""
+        one = AlgebraElement.identity(C)
+        return GAComplex(C, FiniteGroup.cyclic_group(2), (Projection(one),),
+                         (), ((one,), (one.scale(Cyclotomic.gaussian(0, 1)),)))
+
+    def _swap_against_d(self):
+        """0 -> C -> C^2 -> 0 with d = e1, so the harmonic part of C^2 is
+        e2, and Z/2 swapping e1 and e2: a representation, but one that
+        does not commute with that harmonic projection."""
+        q0, q1 = Projection.identity(C, 2), Projection.identity(C)
+        swap = AlgebraElement(C, 2, (((0, 1), (1, 0)),))
+        return GAComplex(C, FiniteGroup.cyclic_group(2), (q0, q1),
+                         (ModuleMap(C, 2, 1, (((1,), (0,)),)),),
+                         ((q0.element, q1.element), (swap, q1.element)))
+
+    def _zero_on_c(self):
+        """C with Z/2 acting by 0: multiplicative, but e does not act as 1."""
+        zero = AlgebraElement.zero(C)
+        return GAComplex(C, FiniteGroup.cyclic_group(2),
+                         (Projection.identity(C),), (), ((zero,), (zero,)))
+
+    @pytest.mark.parametrize("build",
+                             ["_i_on_c", "_swap_against_d", "_zero_on_c"])
+    def test_non_representation_rejected(self, build):
+        c = getattr(self, build)()
+        assert validate_complex(c)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="not a representation "
+                                                  "on harmonic module 0"):
+                lefschetz_first(c, 1, IrrepTable.cyclic(2))
+
+    def test_non_unitary_representation_has_multiplicities(self):
+        # C^2 with Z/2 acting by the involution [[1, 1], [0, -1]]: a
+        # representation, so its isotypic idempotents have ranks, although
+        # they are not self-adjoint
+        q = Projection.identity(C, 2)
+        flip = AlgebraElement(C, 2, (((1, 1), (0, -1)),))
+        c = GAComplex(C, FiniteGroup.cyclic_group(2), (q,), (),
+                      ((q.element,), (flip,)))
+        assert validate_complex(c) == ["action of 1 is not unitary on module 0"]
+        table = IrrepTable.cyclic(2)
+        assert lefschetz_first(c, 0, table).coeffs == (2,)
+        assert lefschetz_first(c, 1, table).coeffs == (0,)
+
+    def test_float_complex_matches_exact(self):
+        def floated(x):
+            return tuple(la.from_numpy(la.to_numpy(b)) for b in x.blocks)
+
+        def element(x):
+            return AlgebraElement(x.algebra, x.amplification, floated(x))
+        for seed, table in enumerate(TABLES):
+            c = random_ga_complex(A, table, random.Random(seed), length=3)
+            f = GAComplex(A, c.group,
+                          tuple(Projection(element(q.element)) for q in c.modules),
+                          tuple(ModuleMap(A, d.target_size, d.source_size,
+                                          floated(d)) for d in c.diffs),
+                          tuple(tuple(map(element, row)) for row in c.action))
+            for g in table.group.elements():
+                assert lefschetz_first(f, g, table) \
+                    == lefschetz_first(c, g, table)
+                assert generalized_lefschetz(f, f.unitary(g)).value \
+                    == generalized_lefschetz(c, c.unitary(g)).value
+
+    def test_multiplicities_and_ranks_must_be_natural(self):
+        assert lefschetz._natural(Fraction(3), "rank") == 3
+        assert lefschetz._natural(complex(2, 1e-12), "rank") == 2
+        for bad in (Fraction(1, 2), Fraction(-1), Cyclotomic.gaussian(0, 1),
+                    0.5 + 0j, -1 + 0j):
+            with pytest.raises(ConsistencyError, match="not a natural number"):
+                lefschetz._natural(bad, "rank")
+
 
 class TestTheorems:
     @settings(max_examples=12, deadline=None)
@@ -192,8 +293,9 @@ class TestTheorems:
 
 
 # ---------------------------------------------------------------------------
-# the per-g path: harmonic modules, isotypic projections and Chern classes
-# rebuilt for every group element
+# the per-g path: harmonic modules, isotypic and Fourier projections and
+# Chern classes rebuilt for every group element, ranks read from checked
+# projections
 
 def per_g_harmonic(c):
     out = []
@@ -263,10 +365,32 @@ def per_g_second(c, g, irreps, l):
     return out
 
 
+def per_g_restricted(h, u, cap=24):
+    """Fourier spectral projections of v = h u h when v^t = h, t <= cap;
+    spectral_decompose otherwise."""
+    v = h.element * u * h.element
+    powers = [h.element]
+    while len(powers) <= cap and not (powers[-1] * v).equals(h.element):
+        powers.append(powers[-1] * v)
+    if len(powers) > cap:
+        return n_class(spectral_decompose(v))
+    t = len(powers)
+    support = []
+    for k in range(t):
+        acc = AlgebraElement.zero(h.algebra, h.amplification)
+        for s in range(t):
+            acc = acc + powers[s].scale(Cyclotomic.root_of_unity(t, -k * s % t))
+        proj = acc.scale(Fraction(1, t))
+        if not proj.is_zero():
+            support.append((Cyclotomic.root_of_unity(t, k),
+                            k0_of_projection(Projection(proj))))
+    return N0Class(h.algebra, tuple(support))
+
+
 def per_g_refined(c, unitaries):
     total = N0Class.zero(c.algebra)
     for j, (h, _) in enumerate(per_g_harmonic(c)):
-        part = lefschetz._restricted_n_class(h, unitaries[j])
+        part = per_g_restricted(h, unitaries[j])
         total = total + (part if j % 2 == 0 else -part)
     return total
 
@@ -296,6 +420,25 @@ class TestOneDecomposition:
                         == per_g_second(c, g, table, l)
                 assert generalized_lefschetz(c, c.unitary(g)).value \
                     == per_g_refined(c, c.unitary(g))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seeds)
+    def test_projection_route_equals_trace_route(self, seed):
+        rng = random.Random(seed)
+        for table in TABLES:
+            algebra = rng.choice([A, M2])
+            c = random_ga_complex(algebra, table, rng,
+                                  length=rng.randint(1, 3))
+            totals = {irr: K0Class((0,) * algebra.num_factors)
+                      for irr in table.irreps}
+            for j, (h, restricted) in enumerate(per_g_harmonic(c)):
+                for irr, mult in per_g_isotypic(h, restricted, c.group, table):
+                    totals[irr] += mult if j % 2 == 0 else -mult
+            assert lefschetz.isotypic_decompose(c, table) == tuple(
+                (irr, totals[irr].ranks) for irr in table.irreps)
+            for g in table.group.elements():
+                assert lefschetz_first(c, g, table) \
+                    == per_g_first(c, g, table)
 
     def test_decomposition_built_once_per_complex(self, monkeypatch):
         complexes = list(seeded_complexes())
