@@ -69,8 +69,20 @@ from .ngroup import (
     t_map,
 )
 from .scalars import Cyclotomic, get_epsilon, set_epsilon
+from . import chern as _chern, cyclic as _cyclic
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty the module caches: cyclic spaces, boundaries, homology spaces
+    and the diagonal-unit Chern classes.  Answers do not change; the next
+    call that needs a structure builds it again."""
+    for cache in (_cyclic._CYCLIC_CACHE, _cyclic._BOUNDARY_CACHE,
+                  _cyclic._HC_CACHE):
+        cache.clear()
+    _chern._unit_class.cache_clear()
+
 
 __all__ = [
     "AlgebraElement", "BorelSetModel", "MultiMatrixAlgebra", "Projection",
@@ -90,4 +102,5 @@ __all__ = [
     "K0Class", "K0TensorC", "N0Class", "functorial_map", "h_map", "n_class",
     "n_equiv", "t_map",
     "Cyclotomic", "get_epsilon", "set_epsilon",
+    "clear_caches",
 ]

@@ -16,6 +16,7 @@ The generalized character needs no tensor: rank vector r has phi_f = r_f.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,14 @@ def chern_projection(p: Projection, l: int) -> HCClass:
     return _power_class(p.algebra, [((-1) ** l, p)], l)
 
 
+@functools.lru_cache(maxsize=256)
+def _unit_class(algebra: MultiMatrixAlgebra, i: int, l: int) -> HCClass:
+    """``chern_projection`` of the diagonal unit e_i, built once per
+    (algebra, i, l); a hit builds nothing and is charged nothing, and a
+    ResourceError is raised again on the next call (it is not cached)."""
+    return chern_projection(Projection.diagonal_unit(algebra, i), l)
+
+
 # ---------------------------------------------------------------------------
 # dyadic covers
 
@@ -82,28 +91,33 @@ def _real_imag(z):
     return c.real, c.imag
 
 
-def _cell_index(z, level: int):
-    re, im = _real_imag(z)
+def _split_spectrum(spectrum):
+    """(z, re, im) per point, ordered by ``sort_key``: the part of a cover
+    that does not depend on its level."""
+    return sorted(((z,) + _real_imag(z) for z in spectrum),
+                  key=lambda point: sort_key(point[0]))
+
+
+def _cover_cells(points, level: int, policy: str):
+    """Level-n cells of split points; each cell keeps the sort order."""
+    if policy not in ("smallest", "largest"):
+        raise ValidationError(f"unknown tag policy {policy!r}")
     scale = 2 ** level
-    return math.floor(re * scale), math.floor(im * scale)
+    buckets = {}
+    for z, re, im in points:
+        buckets.setdefault((math.floor(re * scale), math.floor(im * scale)),
+                           []).append(z)
+    side = Fraction(1, scale)
+    return [CoverCell(level, (i * side, j * side), tuple(pts),
+                      pts[0] if policy == "smallest" else pts[-1])
+            for (i, j), pts in sorted(buckets.items())]
 
 
 def dyadic_cover(spectrum, level: int, policy: str = "smallest"):
     """Level-n dyadic squares meeting the spectrum, each with a tag point."""
     if level < 0:
         raise ValidationError("cover level must be >= 0")
-    if policy not in ("smallest", "largest"):
-        raise ValidationError(f"unknown tag policy {policy!r}")
-    buckets = {}
-    for z in spectrum:
-        buckets.setdefault(_cell_index(z, level), []).append(z)
-    side = Fraction(1, 2 ** level)
-    cells = []
-    for (i, j), pts in sorted(buckets.items()):
-        pts.sort(key=sort_key)
-        tag = pts[0] if policy == "smallest" else pts[-1]
-        cells.append(CoverCell(level, (i * side, j * side), tuple(pts), tag))
-    return cells
+    return _cover_cells(_split_spectrum(spectrum), level, policy)
 
 
 def _merge_cells(a: SpectralForm, cover):
@@ -198,19 +212,27 @@ def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
     Refinement stops once consecutive classes agree and every cell isolates
     a single spectral point; past that depth the sequence is constant, so
     the limit is reached.  The limit is tag-policy independent (checked
-    elsewhere by running both policies).
+    elsewhere by running both policies).  A cover's class depends only on
+    its cells (points and tag), so a class is read, and charged, only when
+    the cells change; a depth with the previous depth's cells reuses its
+    class.
     """
+    if max_depth < 0:
+        raise ValidationError("cover depth must be >= 0")
     spectrum = a.eigenvalues()
     if not spectrum:
         return T_direct(a, l)
-    prev = None
+    points = _split_spectrum(spectrum)
+    prev = prev_cells = None
     for depth in range(max_depth + 1):
-        cover = dyadic_cover(spectrum, depth, policy)
-        cls = _power_class(a.algebra, _merge_cells(a, cover), l)
-        separated = all(len(c.points) == 1 for c in cover)
+        cover = _cover_cells(points, depth, policy)
+        cells = tuple((c.points, c.tag) for c in cover)
+        cls = prev if cells == prev_cells else \
+            _power_class(a.algebra, _merge_cells(a, cover), l)
+        separated = all(len(pts) == 1 for pts, _ in cells)
         if prev is not None and separated and cls.equals(prev):
             return cls
-        prev = cls
+        prev, prev_cells = cls, cells
     raise NumericalError(
         f"cover refinement did not stabilize by depth {max_depth}; "
         f"last class {prev.coords}")
@@ -246,6 +268,5 @@ def verify_th8(x: N0Class, l: int) -> bool:
     coeffs = h_map(x).coeffs
     rhs = zero_class(x.algebra, 2 * l)
     for i in range(x.algebra.num_factors):
-        cls = chern_projection(Projection.diagonal_unit(x.algebra, i), l)
-        rhs = rhs + cls.scale(coeffs[i])
+        rhs = rhs + _unit_class(x.algebra, i, l).scale(coeffs[i])
     return lhs == rhs

@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import linalg as la
 from .algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
     spectral_decompose
-from .chern import chern_projection, generalized_chern
+from .chern import _unit_class, generalized_chern
 from .cyclic import HCClass, zero_class
 from .errors import ConsistencyError, DomainError, NumericalError, \
     ValidationError
@@ -527,8 +527,7 @@ def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
     out = zero_class(c.algebra, 2 * l)
     for i, coeff in enumerate(lefschetz_first(c, g, irreps).coeffs):
         if not scalar_is_zero(coeff):
-            unit = Projection.diagonal_unit(c.algebra, i)
-            out = out + chern_projection(unit, l).scale(coeff)
+            out = out + _unit_class(c.algebra, i, l).scale(coeff)
     return out
 
 

@@ -9,11 +9,13 @@ from ncgdesk import linalg as la
 from ncgdesk.algebra import (AlgebraElement, MultiMatrixAlgebra, Projection,
                              SpectralForm)
 from ncgdesk.budget import set_budget
+from ncgdesk import chern
 from ncgdesk.chern import (
     EtaReport,
     T_cover,
     T_direct,
     _merge_cells,
+    _power_class,
     chern_projection,
     dyadic_cover,
     eta_cycle,
@@ -24,7 +26,8 @@ from ncgdesk.chern import (
 )
 from ncgdesk.cyclic import DecompositionRep, TensorElement, hc_space, \
     read_class, trace_map
-from ncgdesk.errors import DomainError, ResourceError, ValidationError
+from ncgdesk.errors import DomainError, NumericalError, ResourceError, \
+    ValidationError
 from ncgdesk.generate import (
     random_n0class,
     random_normal,
@@ -38,6 +41,7 @@ from ncgdesk.scalars import Cyclotomic
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
 M2 = MultiMatrixAlgebra((2,))
+CM2 = MultiMatrixAlgebra((1, 2))
 seeds = st.integers(0, 10 ** 6)
 
 
@@ -132,6 +136,134 @@ class TestExtension:
         p = Projection.diagonal_unit(A, 0)
         a = SpectralForm.scaled_projection(Fraction(5), p)
         assert T_direct(a, 0) == chern_projection(p, 0).scale(Fraction(5))
+
+
+def per_depth_T_cover(a, l, max_depth=12, policy="smallest"):
+    """T_cover as a loop that builds, merges and reads the cover at every
+    depth, whether or not its cells changed."""
+    spectrum = a.eigenvalues()
+    if not spectrum:
+        return T_direct(a, l)
+    prev = None
+    for depth in range(max_depth + 1):
+        cover = dyadic_cover(spectrum, depth, policy)
+        cls = _power_class(a.algebra, _merge_cells(a, cover), l)
+        separated = all(len(c.points) == 1 for c in cover)
+        if prev is not None and separated and cls.equals(prev):
+            return cls
+        prev = cls
+    raise NumericalError(
+        f"cover refinement did not stabilize by depth {max_depth}; "
+        f"last class {prev.coords}")
+
+
+def cover_outcome(cover, a, l, max_depth, policy):
+    """The class coordinates, or the NumericalError message."""
+    try:
+        return cover(a, l, max_depth, policy).coords
+    except NumericalError as err:
+        return str(err)
+
+
+class TestCoverReads:
+    def test_one_read_per_distinct_cover(self, monkeypatch):
+        from ncgdesk.algebra import spectral_decompose
+        a = spectral_decompose(AlgebraElement.diagonal(
+            M2, [[Fraction(1), Fraction(1) + Fraction(1, 512)]]))
+        direct, reads = T_direct(a, 0), []
+        monkeypatch.setattr(chern, "_power_class",
+                            lambda *args: reads.append(1) or _power_class(*args))
+        for policy in ("smallest", "largest"):
+            reads.clear()
+            assert T_cover(a, 0, policy=policy) == direct
+            # depths 0-8 share one cell, depths 9 and 10 split the pair
+            assert len(reads) == 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds, st.sampled_from([A, M2, CM2]), st.booleans(),
+           st.booleans(), st.integers(0, 1))
+    def test_same_classes_as_per_depth_reads(self, seed, algebra, twin,
+                                             exact, l):
+        gap = Fraction(1, 512) if twin else None
+        a = random_normal(algebra, random.Random(seed), near_gap=gap)
+        if not exact:
+            a = to_float(a)
+        for policy in ("smallest", "largest"):
+            for depth in (0, 5, 12):
+                assert cover_outcome(T_cover, a, l, depth, policy) \
+                    == cover_outcome(per_depth_T_cover, a, l, depth, policy)
+
+    def test_negative_depth_rejected(self):
+        a = random_normal(M2, random.Random(3))
+        with pytest.raises(ValidationError, match="cover depth must be >= 0"):
+            T_cover(a, 0, max_depth=-1)
+
+
+class TestUnitClassCache:
+    def test_each_unit_built_once(self, monkeypatch):
+        from ncgdesk import lefschetz
+        from ncgdesk.generate import random_ga_complex
+        rng = random.Random(21)
+        table = lefschetz.IrrepTable.cyclic(2)
+        c = random_ga_complex(CM2, table, rng)
+        xs = [random_n0class(CM2, rng) for _ in range(4)]
+        # the uncached route, before the counter is installed
+        units = {(i, l): chern_projection(Projection.diagonal_unit(CM2, i), l)
+                 for i in range(2) for l in (0, 1)}
+        seconds = {}
+        for g in range(2):
+            for l in (0, 1):
+                out = read_class(2 * l, [0, 0])
+                for i, v in enumerate(
+                        lefschetz.lefschetz_first(c, g, table).coeffs):
+                    out = out + units[i, l].scale(v)
+                seconds[g, l] = out
+        built = []
+        diagonal_unit = Projection.diagonal_unit
+        monkeypatch.setattr(Projection, "diagonal_unit", staticmethod(
+            lambda *args: built.append(args[:2]) or diagonal_unit(*args)))
+        chern._unit_class.cache_clear()
+        for _ in range(3):
+            for l in (0, 1):
+                assert all(verify_th8(x, l) for x in xs)
+                for g in range(2):
+                    assert lefschetz.lefschetz_second(c, g, table, l) \
+                        == seconds[g, l]
+        assert sorted(built) == [(CM2, 0), (CM2, 0), (CM2, 1), (CM2, 1)]
+        for (i, l), cls in units.items():
+            assert chern._unit_class(CM2, i, l) == cls
+
+    def test_hit_is_not_charged_and_errors_are_not_cached(self):
+        chern._unit_class.cache_clear()
+        cls = chern._unit_class(M2, 0, 2)
+        set_budget(1)
+        try:
+            assert chern._unit_class(M2, 0, 2) is cls
+            with pytest.raises(ResourceError):
+                chern._unit_class(M2, 0, 3)
+        finally:
+            set_budget(100_000)
+        with pytest.raises(ResourceError):
+            chern._unit_class(M2, 0, 10 ** 6)
+        assert chern._unit_class.cache_info().currsize == 1
+        assert chern._unit_class(M2, 0, 3) \
+            == chern_projection(Projection.diagonal_unit(M2, 0), 3)
+
+
+def test_clear_caches_empties_every_cache():
+    import ncgdesk
+    from ncgdesk import cyclic
+    from ncgdesk.cyclic import hc_dims
+    x = random_n0class(CM2, random.Random(4))
+
+    def answers():
+        return hc_dims(CM2, 3), hc_space(M2, 2).dimension, verify_th8(x, 1)
+    before = answers()
+    caches = (cyclic._CYCLIC_CACHE, cyclic._BOUNDARY_CACHE, cyclic._HC_CACHE)
+    assert all(caches) and chern._unit_class.cache_info().currsize
+    ncgdesk.clear_caches()
+    assert not any(caches) and chern._unit_class.cache_info().currsize == 0
+    assert answers() == before
 
 
 class TestObstruction:
@@ -288,7 +420,6 @@ def to_float(a):
         (complex(v), Projection(element(p.element))) for v, p in a.pairs))
 
 
-CM2 = MultiMatrixAlgebra((1, 2))
 EXPANDED_CASES = [(A, 1, 0), (M2, 1, 1), (CM2, 1, 1), (A, 2, 1), (M2, 2, 0),
                   (C, 2, 2), (CM2, 1, 2)]
 
