@@ -69,19 +69,23 @@ from .ngroup import (
     t_map,
 )
 from .scalars import Cyclotomic, get_epsilon, set_epsilon
-from . import chern as _chern, cyclic as _cyclic
+from . import (algebra as _algebra, chern as _chern, cyclic as _cyclic,
+               lefschetz as _lefschetz)
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the module caches: cyclic spaces, boundaries, homology spaces
-    and the diagonal-unit Chern classes.  Answers do not change; the next
-    call that needs a structure builds it again."""
+    """Empty the module caches: cyclic spaces, boundaries, homology spaces,
+    the diagonal-unit Chern classes, the exact spectral decompositions and
+    the Fourier matrices of the Lefschetz ranks.  Answers do not change;
+    the next call that needs a structure builds it again."""
     for cache in (_cyclic._CYCLIC_CACHE, _cyclic._BOUNDARY_CACHE,
                   _cyclic._HC_CACHE):
         cache.clear()
-    _chern._unit_class.cache_clear()
+    for cached in (_chern._unit_class, _algebra._spectral_decompose_exact,
+                   _lefschetz._fourier):
+        cached.cache_clear()
 
 
 __all__ = [

@@ -18,10 +18,15 @@ factor's eigenprojection for lam is the Lagrange product
 prod (b - mu) / (lam - mu) over that factor's own snapped eigenvalues
 mu != lam, and a factor whose spectrum lacks lam gets the zero block.
 Every candidate is still checked exactly (see :func:`spectral_decompose`).
+An exact decomposition is kept per (element, epsilon), for at most 256
+inputs: an equal exact input at the same epsilon returns the form that
+was built and checked for the earlier one.  ``ncgdesk.clear_caches``
+empties that cache.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -328,10 +333,15 @@ class SpectralForm:
         return SpectralForm.from_pairs(p.algebra, p.amplification, ((value, p),))
 
     def element(self) -> AlgebraElement:
-        exact = self.is_exact()
-        acc = AlgebraElement.zero(self.algebra, self.amplification, exact)
-        for v, p in self.pairs:
-            acc = acc + p.element.scale(v if exact else to_complex(v))
+        """sum lam * p, built on the first call and kept on the form
+        (outside the fields, so equality, hashing and repr ignore it)."""
+        acc = self.__dict__.get("_element")
+        if acc is None:
+            exact = self.is_exact()
+            acc = AlgebraElement.zero(self.algebra, self.amplification, exact)
+            for v, p in self.pairs:
+                acc = acc + p.element.scale(v if exact else to_complex(v))
+            object.__setattr__(self, "_element", acc)
         return acc
 
     def is_exact(self) -> bool:
@@ -464,15 +474,19 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
     through Hermitian eigensolvers with 2*eps eigenvalue clustering;
     eigenvalues that chain into a cluster wider than 2*eps raise
     NumericalError.
+
+    An exact input equal to one decomposed before at the same eps returns
+    the form built and checked then (at most 256 are kept); an input that
+    raised raises again.  Float inputs are not kept.
     """
-    if not is_normal(x):
-        raise DomainError("spectral_decompose requires a normal element")
     if x.is_exact():
-        return _spectral_decompose_exact(x)
+        return _spectral_decompose_exact(x, get_epsilon())
     return _spectral_decompose_float(x)
 
 
 def _spectral_decompose_float(x):
+    if not is_normal(x):
+        raise DomainError("spectral_decompose requires a normal element")
     dims = x.algebra.ambient_dims(x.amplification)
     found = [(f, v, p) for f, b in enumerate(x.blocks)
              for v, p in zip(*_float_eigensystem(b))]
@@ -506,7 +520,12 @@ def _lagrange_idempotents(b, values):
     return out
 
 
-def _spectral_decompose_exact(x):
+@functools.lru_cache(maxsize=256)
+def _spectral_decompose_exact(x, eps):
+    """Cached on (x, eps): ``eps``, the current epsilon, clusters the
+    numpy eigenvalues before they are snapped."""
+    if not is_normal(x):
+        raise DomainError("spectral_decompose requires a normal element")
     values, owners = [], []
     for f, b in enumerate(x.blocks):
         found = np.linalg.eigvals(la.to_numpy(b))
@@ -514,7 +533,7 @@ def _spectral_decompose_exact(x):
         owners.extend([f] * len(found))
     # distinct snapped values, and per factor those its own candidates gave
     snapped, local = [], [[] for _ in x.blocks]
-    for c in _cluster([complex(v) for v in values], 2 * get_epsilon(), bounded=False):
+    for c in _cluster([complex(v) for v in values], 2 * eps, bounded=False):
         z = _snap_gaussian(complex(np.mean([values[i] for i in c])))
         if z not in snapped:
             snapped.append(z)

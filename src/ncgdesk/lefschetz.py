@@ -531,7 +531,11 @@ def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
     return out
 
 
-def _powers_to_order(v: AlgebraElement, h: AlgebraElement, cap: int = 24):
+_MAX_ORDER = 24  # the largest order t of v that the Fourier path reads
+
+
+def _powers_to_order(v: AlgebraElement, h: AlgebraElement,
+                     cap: int = _MAX_ORDER):
     """[h, v, ..., v^(t-1)] for the least t <= cap with v^t = h, else None."""
     powers, power = [h], v
     while not power.equals(h):
@@ -542,7 +546,7 @@ def _powers_to_order(v: AlgebraElement, h: AlgebraElement, cap: int = 24):
     return powers
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_MAX_ORDER)
 def _fourier(t: int):
     """The t x t matrix zeta_t^(-ks)/t: row k maps (tr v^s)_s to the rank of
     the zeta_t^k eigenspace of v when v^t = 1."""

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgdesk import linalg as la
+import ncgdesk
+from ncgdesk import algebra, linalg as la, serialize
 from ncgdesk.algebra import (
     AlgebraElement,
     BorelSetModel,
@@ -30,7 +31,7 @@ from ncgdesk.generate import (
     random_normal,
     random_projection,
 )
-from ncgdesk.scalars import Cyclotomic, get_epsilon
+from ncgdesk.scalars import Cyclotomic, get_epsilon, set_epsilon
 
 A = MultiMatrixAlgebra((1, 2))
 seeds = st.integers(0, 10 ** 6)
@@ -286,6 +287,7 @@ class TestBlockLocalIdempotents:
     @pytest.mark.parametrize("decompose, checks", [(spectral_decompose, 3),
                                                    (_global_lagrange_decompose, 5)])
     def test_each_projection_checked_once(self, monkeypatch, decompose, checks):
+        ncgdesk.clear_caches()  # an earlier test may have decomposed this input
         calls = []
         original = AlgebraElement.is_projection
 
@@ -336,3 +338,83 @@ class TestBlockLocalIdempotents:
                     for p in (*(p for _, p in form.pairs), form.kernel_projection)]
         for r in results:
             assert r == AlgebraElement(r.algebra, r.amplification, r.blocks)
+
+
+class TestSpectralCache:
+    M2 = MultiMatrixAlgebra((2,))
+
+    def test_warm_equals_cold(self):
+        elements = list(_pushed_elements(200))
+        ncgdesk.clear_caches()
+        cold = [spectral_decompose(y) for y in elements]
+        hits = algebra._spectral_decompose_exact.cache_info().hits
+        warm = [spectral_decompose(y) for y in elements]
+        assert algebra._spectral_decompose_exact.cache_info().hits \
+            == hits + len(elements)
+        for c, w in zip(cold, warm):
+            assert c.pairs == w.pairs
+            assert c.kernel_projection == w.kernel_projection
+
+    def test_epsilon_is_part_of_the_key(self):
+        x = AlgebraElement.diagonal(A, [[Fraction(2)], [Fraction(2), Fraction(5)]])
+        ncgdesk.clear_caches()
+        first = spectral_decompose(x)
+        old = get_epsilon()
+        try:
+            set_epsilon(old / 10)
+            again = spectral_decompose(x)
+        finally:
+            set_epsilon(old)
+        info = algebra._spectral_decompose_exact.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        assert again == first
+
+    def test_float_elements_are_not_kept(self):
+        ncgdesk.clear_caches()
+        x = AlgebraElement(self.M2, 1, (((1.0, 0.0), (0.0, 0.5)),))
+        spectral_decompose(x)
+        spectral_decompose(x)
+        assert algebra._spectral_decompose_exact.cache_info().currsize == 0
+
+    def test_errors_are_raised_on_every_call(self):
+        one = Fraction(1)
+        irrational = AlgebraElement(self.M2, 1, (((one, one), (one, -one)),))
+        nilpotent = AlgebraElement(self.M2, 1, (((0 * one, one),
+                                                 (0 * one, 0 * one)),))
+        ncgdesk.clear_caches()
+        for _ in range(2):
+            with pytest.raises(NumericalError):
+                spectral_decompose(irrational)
+            with pytest.raises(DomainError):
+                spectral_decompose(nilpotent)
+        info = algebra._spectral_decompose_exact.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+
+    def test_bounded(self):
+        ncgdesk.clear_caches()
+        line = MultiMatrixAlgebra((1,))
+        for k in range(1, 258):
+            spectral_decompose(AlgebraElement.diagonal(line, [[Fraction(k)]]))
+        assert algebra._spectral_decompose_exact.cache_info().currsize == 256
+
+
+class TestElementMemo:
+    def test_memo_is_invisible(self):
+        rng = random.Random(5)
+        phi = random_hom(rng, max_factors=3)
+        y = apply_hom(phi, random_normal(phi.source, rng, m=2).element())
+        ncgdesk.clear_caches()
+        a = spectral_decompose(y)
+        ncgdesk.clear_caches()
+        b = spectral_decompose(y)  # equal to a, built apart
+        assert a is not b
+
+        def seen(form):
+            return (form == b, b == form, hash(form), repr(form),
+                    serialize.dumps(serialize.spectral_to_json(form)))
+        before = seen(a)
+        assert before[:2] == (True, True) and before[2] == hash(b)
+        x = a.element()
+        assert a.element() is x
+        assert seen(a) == before
+        assert x.equals(b.element())

@@ -252,17 +252,23 @@ class TestUnitClassCache:
 
 def test_clear_caches_empties_every_cache():
     import ncgdesk
-    from ncgdesk import cyclic
+    from ncgdesk import algebra, cyclic, lefschetz
+    from ncgdesk.algebra import spectral_decompose
     from ncgdesk.cyclic import hc_dims
     x = random_n0class(CM2, random.Random(4))
+    y = random_normal(CM2, random.Random(4)).element()
 
     def answers():
-        return hc_dims(CM2, 3), hc_space(M2, 2).dimension, verify_th8(x, 1)
+        return (hc_dims(CM2, 3), hc_space(M2, 2).dimension, verify_th8(x, 1),
+                spectral_decompose(y), la.entries(lefschetz._fourier(3)))
     before = answers()
     caches = (cyclic._CYCLIC_CACHE, cyclic._BOUNDARY_CACHE, cyclic._HC_CACHE)
-    assert all(caches) and chern._unit_class.cache_info().currsize
+    cached = (chern._unit_class, algebra._spectral_decompose_exact,
+              lefschetz._fourier)
+    assert all(caches) and all(f.cache_info().currsize for f in cached)
     ncgdesk.clear_caches()
-    assert not any(caches) and chern._unit_class.cache_info().currsize == 0
+    assert not any(caches)
+    assert not any(f.cache_info().currsize for f in cached)
     assert answers() == before
 
 
