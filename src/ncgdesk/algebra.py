@@ -85,11 +85,10 @@ class AlgebraElement:
             raise ValidationError("one block per algebra factor required")
         blocks = tuple(la.as_matrix(b) for b in self.blocks)
         for b, d in zip(blocks, self.algebra.ambient_dims(self.amplification)):
-            if la.shape(b) != (d, d):
+            if b.shape != (d, d):
                 raise ValidationError(
-                    f"block of shape {la.shape(b)} does not match dimension {d}")
-        exact_flags = {la.is_exact_matrix(b) for b in blocks}
-        if len(exact_flags) > 1:
+                    f"block of shape {b.shape} does not match dimension {d}")
+        if len({type(b) for b in blocks}) > 1:
             raise ValidationError("element mixes exact and float blocks")
         object.__setattr__(self, "blocks", blocks)
 
@@ -134,12 +133,12 @@ class AlgebraElement:
     def __add__(self, other):
         self._check_compatible(other)
         return AlgebraElement._trusted(self.algebra, self.amplification, tuple(
-            la.mat_add(a, b) for a, b in zip(self.blocks, other.blocks)))
+            map(la.mat_add, self.blocks, other.blocks)))
 
     def __sub__(self, other):
         self._check_compatible(other)
         return AlgebraElement._trusted(self.algebra, self.amplification, tuple(
-            la.mat_sub(a, b) for a, b in zip(self.blocks, other.blocks)))
+            map(la.mat_sub, self.blocks, other.blocks)))
 
     def __neg__(self):
         return AlgebraElement._trusted(self.algebra, self.amplification,
@@ -148,7 +147,7 @@ class AlgebraElement:
     def __mul__(self, other):
         self._check_compatible(other)
         return AlgebraElement._trusted(self.algebra, self.amplification, tuple(
-            la.mat_mul(a, b) for a, b in zip(self.blocks, other.blocks)))
+            map(la.mat_mul, self.blocks, other.blocks)))
 
     def scale(self, c):
         return AlgebraElement._trusted(self.algebra, self.amplification,
@@ -175,7 +174,7 @@ class AlgebraElement:
         return all(map(la.is_zero_matrix, self.blocks))
 
     def is_exact(self) -> bool:
-        return all(la.is_exact_matrix(b) for b in self.blocks)
+        return type(self.blocks[0]) is la.ExactMatrix
 
     def is_projection(self) -> bool:
         return self.equals(self.star()) and (self * self).equals(self)
@@ -450,7 +449,7 @@ def _float_eigensystem(block):
     for part, bounded in ((herm, False), (skew, True), (herm, True)):
         spaces = [piece for basis in spaces for piece in _split(part, basis, bounded)]
     vals = [complex(np.trace(b.conj().T @ m @ b)) / b.shape[1] for b in spaces]
-    return vals, [la.from_numpy(b @ b.conj().T) for b in spaces]
+    return vals, [la.FloatMatrix(b @ b.conj().T) for b in spaces]
 
 
 def spectral_decompose(x: AlgebraElement) -> SpectralForm:
@@ -507,7 +506,7 @@ def _lagrange_idempotents(b, values):
     Each difference b - mu is formed once; each product stays unscaled until
     one multiplication by the scalar prod (lam - mu)^-1.
     """
-    one = la.identity(la.shape(b)[0])
+    one = la.identity(b.shape[0])
     if len(values) == 1:
         return {values[0]: one}
     shifted = {mu: la.mat_sub(b, la.scalar_mul(mu, one)) for mu in values}
@@ -544,7 +543,7 @@ def _spectral_decompose_exact(x, eps):
     pairs = []
     for lam in snapped:
         elem = AlgebraElement._trusted(x.algebra, x.amplification, tuple(
-            idem[lam] if lam in idem else la.zeros(*la.shape(b))
+            idem[lam] if lam in idem else la.zeros(*b.shape)
             for idem, b in zip(idempotents, x.blocks)))
         if not elem.is_projection():
             raise NumericalError(
@@ -605,10 +604,10 @@ class StarHomomorphism:
         if self.unitaries is not None:
             us = tuple(la.as_matrix(u) for u in self.unitaries)
             for u, d in zip(us, self.target.block_dims):
-                if la.shape(u) != (d, d):
+                if u.shape != (d, d):
                     raise ValidationError("embedding unitary has wrong size")
                 if not la.mat_equal(la.mat_mul(u, la.conj_transpose(u)),
-                                    la.identity(d, la.is_exact_matrix(u))):
+                                    la.identity(d, type(u) is la.ExactMatrix)):
                     raise ValidationError("embedding matrix is not unitary")
             object.__setattr__(self, "unitaries", us)
 

@@ -96,10 +96,8 @@ def random_orthogonal_family(algebra: MultiMatrixAlgebra, rng: random.Random,
                              parts: int, m: int = 1):
     """Pairwise orthogonal projections from one conjugated diagonal split."""
     units = [random_exact_unitary(d, rng) for d in algebra.ambient_dims(m)]
-    assignment = {}
-    for f, d in enumerate(algebra.ambient_dims(m)):
-        for s in range(d):
-            assignment[(f, s)] = rng.randrange(parts)
+    assignment = {(f, s): rng.randrange(parts)
+                  for f, d in enumerate(algebra.ambient_dims(m)) for s in range(d)}
     family = []
     for part in range(parts):
         blocks = []
@@ -153,27 +151,19 @@ def random_hom(rng: random.Random, max_factors: int = 2):
 # ---------------------------------------------------------------------------
 # equivariant complexes
 
-def _kron(a, b):
-    return la.block_matrix([[la.scalar_mul(x, b) for x in row]
-                            for row in la.entries(a)])
-
-
 def _module_action(algebra, rep_matrices, p: Projection):
     """Action matrices rho(g) kron p on the module p-stacked-dim(rho) times."""
     out = []
-    for rho in rep_matrices:
-        blocks = tuple(_kron(rho, p.element.blocks[f])
-                       for f in range(algebra.num_factors))
-        out.append(AlgebraElement(algebra, la.shape(rho)[0], blocks))
+    for rho in map(la.as_matrix, rep_matrices):
+        blocks = tuple(la.kron(rho, b) for b in p.element.blocks)
+        out.append(AlgebraElement(algebra, rho.shape[0], blocks))
     return out
 
 
 def _random_module_rep(irreps: IrrepTable, rng: random.Random, max_dim: int):
     """Direct sum of irreps with total dimension within the cap."""
-    chosen = []
-    total = 0
     pool = [p for p in irreps.irreps if p.dim <= max_dim]
-    chosen.append(rng.choice(pool))
+    chosen = [rng.choice(pool)]
     total = chosen[0].dim
     while total < max_dim and rng.random() < 0.5:
         more = [p for p in irreps.irreps if p.dim <= max_dim - total]
@@ -182,20 +172,16 @@ def _random_module_rep(irreps: IrrepTable, rng: random.Random, max_dim: int):
         nxt = rng.choice(more)
         chosen.append(nxt)
         total += nxt.dim
-    mats = []
-    order = irreps.group.order
-    for g in range(order):
-        mats.append(la.block_diag(*[p.matrices[g] for p in chosen]))
-    return mats, total
+    return [la.block_diag(*[p.matrices[g] for p in chosen])
+            for g in irreps.group.elements()], total
 
 
 def _random_a_matrix(algebra, target_size, source_size, rng):
-    blocks = []
-    for r in algebra.block_dims:
-        blocks.append(tuple(tuple(random_gaussian_rational(rng, span=1)
-                                  for _ in range(source_size * r))
-                            for _ in range(target_size * r)))
-    return ModuleMap(algebra, target_size, source_size, tuple(blocks))
+    blocks = tuple(tuple(tuple(random_gaussian_rational(rng, span=1)
+                               for _ in range(source_size * r))
+                         for _ in range(target_size * r))
+                   for r in algebra.block_dims)
+    return ModuleMap(algebra, target_size, source_size, blocks)
 
 
 def random_ga_complex(algebra: MultiMatrixAlgebra, irreps: IrrepTable,
@@ -256,16 +242,12 @@ def acyclic_augmentation(c: GAComplex, rng: random.Random) -> GAComplex:
     new_action = []
     for g in c.group.elements():
         row = [
-            _direct_sum_elements(actions[g][0], act[g]),
-            _direct_sum_elements(actions[g][1], act[g]),
+            actions[g][0].direct_sum(act[g]),
+            actions[g][1].direct_sum(act[g]),
         ] + actions[g][2:]
         new_action.append(tuple(row))
     return GAComplex(c.algebra, c.group, tuple(new_modules), tuple(new_diffs),
                      tuple(new_action))
-
-
-def _direct_sum_elements(a: AlgebraElement, b: AlgebraElement):
-    return a.direct_sum(b)
 
 
 def _direct_sum_maps(d: ModuleMap, e: ModuleMap) -> ModuleMap:
@@ -280,6 +262,6 @@ def _pad_target_rows(d: ModuleMap, q: Projection) -> ModuleMap:
     extra = q.amplification
     blocks = []
     for b, r in zip(d.blocks, d.algebra.block_dims):
-        blocks.append(la.stack_rows(b, la.zeros(extra * r, la.shape(b)[1])))
+        blocks.append(la.stack_rows(b, la.zeros(extra * r, b.shape[1])))
     return ModuleMap(d.algebra, d.target_size + extra, d.source_size,
                      tuple(blocks))

@@ -136,9 +136,9 @@ class Irrep:
     def __post_init__(self):
         mats = tuple(la.as_matrix(m) for m in self.matrices)
         for m in mats:
-            if la.shape(m) != (self.dim, self.dim):
+            if m.shape != (self.dim, self.dim):
                 raise ValidationError(f"irrep {self.name}: matrix size mismatch")
-            if not la.is_exact_matrix(m):
+            if type(m) is not la.ExactMatrix:
                 raise ValidationError(f"irrep {self.name}: matrices must be exact")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_characters", tuple(map(la.trace, mats)))
@@ -177,6 +177,11 @@ class IrrepTable:
                         f"character orthogonality fails for ({p.name},{q.name})")
         object.__setattr__(self, "irreps", irreps)
         object.__setattr__(self, "_duals", duals)
+        # each complex keeps its multiplicities keyed by table: hash it once
+        object.__setattr__(self, "_hash", hash((self.group, irreps)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def cyclic(n: int) -> "IrrepTable":
@@ -237,7 +242,7 @@ class ModuleMap:
         if len(blocks) != self.algebra.num_factors:
             raise ValidationError("one block per algebra factor required")
         for b, r in zip(blocks, self.algebra.block_dims):
-            if la.shape(b) != (self.target_size * r, self.source_size * r):
+            if b.shape != (self.target_size * r, self.source_size * r):
                 raise ValidationError("module map block has wrong shape")
         object.__setattr__(self, "blocks", blocks)
 
@@ -400,10 +405,10 @@ def _nullspace_projection(stacked_blocks):
     """Per-factor orthogonal projection onto the joint kernel."""
     out = []
     for rows in stacked_blocks:
-        basis = la.nullspace(rows)
-        d = la.shape(rows)[1]
-        out.append(la.projection_onto_columns(basis) if basis
-                   else la.zeros(d, d, la.is_exact_matrix(rows)))
+        basis = la.kernel_basis(rows)
+        d, k = basis.shape
+        out.append(la.projection_onto_columns(basis) if k
+                   else la.zeros(d, d, type(basis) is la.ExactMatrix))
     return tuple(out)
 
 
@@ -494,8 +499,8 @@ def isotypic_decompose(c: GAComplex, irreps: IrrepTable) -> tuple:
     if found is not None:
         return found
     table, duals = c.characters, irreps._duals
-    if not la.is_exact_matrix(table):
-        duals = la.from_numpy(la.to_numpy(duals))
+    if type(table) is la.FloatMatrix:
+        duals = la.FloatMatrix(la.to_numpy(duals))
     k = c.algebra.num_factors
     sums = la.entries(la.scalar_mul(Fraction(1, c.group.order),
                                     la.mat_mul(duals, table)))
@@ -581,7 +586,7 @@ def _restricted_n_class(h: Projection, u: AlgebraElement) -> N0Class:
     try:
         return n_class(spectral_decompose(v))
     except NumericalError:
-        blocks = tuple(la.from_numpy(la.to_numpy(b)) for b in v.blocks)
+        blocks = tuple(la.FloatMatrix(la.to_numpy(b)) for b in v.blocks)
         v_float = AlgebraElement(algebra, v.amplification, blocks)
         return n_class(spectral_decompose(v_float))
 

@@ -1,32 +1,27 @@
 """Dense matrix helpers over either scalar backend.
 
-Exact matrices are :class:`ExactMatrix` values.  An r x c matrix over the
-cyclotomic field Q(zeta_N) is stored as its shape, the order N, phi(N)
-numpy ``object`` arrays of Python-int numerators (the coefficients of
-1, zeta, ..., zeta^(phi(N)-1)) and one positive common denominator.  The
-form is canonical: the denominator is in lowest terms against every
-numerator and N is the smallest order whose field holds every entry, so
-equal matrices have equal fields.  Every exact operation works on the
-numerator arrays; a product takes all phi(N)^2 products of numerator
-planes in one integer matmul and folds them back into the power basis.
-The field tables, the canonical form (:func:`~ncgdesk.scalars.minimal_field`)
-and the exact eliminator (:func:`~ncgdesk.scalars.eliminate`) are those
-of :mod:`ncgdesk.scalars`, where a :class:`~ncgdesk.scalars.Cyclotomic` is
-the 1 x 1 case.
+A matrix is one of two packed types.  Packing happens only in
+:func:`as_matrix`, at the public boundary: every operation also accepts
+a nested sequence of scalars, tests the type of each operand once, and
+raises ValidationError when exact and float operands meet.
 
-Entries become scalars (``Fraction`` when rational,
-:class:`~ncgdesk.scalars.Cyclotomic` otherwise) only at the edges:
-:func:`entries` (and indexing or iterating a matrix), :func:`trace`, and
-exact elimination: ``rank``, ``pivot_columns``, ``nullspace`` and
-``invert`` hand the columns of den x the matrix (Python ints when it is
-rational) to ``eliminate`` once per call, and the pivots, kernel vectors
-and column combinations it returns are those of the reduced row echelon
-form.  :func:`as_matrix`
-packs a nested sequence once and returns a packed matrix unchanged.
+- :class:`ExactMatrix`: a matrix over Q(zeta_N) as phi(N) numpy
+  ``object`` planes of Python-int numerators (coefficients of 1, zeta,
+  ..., zeta^(phi(N)-1)) over one positive denominator, in canonical form
+  (:func:`~ncgdesk.scalars.minimal_field`: lowest terms, least N), so
+  equal matrices have equal fields.  Exact operations work on the planes
+  with the field tables of :mod:`ncgdesk.scalars`; a product takes every
+  pair of planes in one integer matmul and folds them into the power basis.
+- :class:`FloatMatrix`: a read-only ``complex`` numpy array; each float
+  operation is numpy on it (SVD ranks and kernels, inverses).
 
-Float matrices are tuples of row tuples of ``complex`` and go through
-numpy (SVD ranks, least-squares solves).  An operation given one exact
-and one float matrix raises ValidationError.
+Exact entries become scalars (``Fraction`` or
+:class:`~ncgdesk.scalars.Cyclotomic`) only in :func:`entries` (and
+indexing or iterating), the traces and elimination: ``pivot_columns``,
+``kernel_basis`` and ``invert`` hand the columns of den x the matrix to
+:func:`~ncgdesk.scalars.eliminate` once, and its kernel vectors and
+column combinations (those of the reduced row echelon form) are packed
+straight back into planes.
 """
 
 from __future__ import annotations
@@ -51,21 +46,32 @@ from .scalars import (
     get_epsilon,
     is_exact_scalar,
     minimal_field,
-    scalar_is_zero,
     to_complex,
 )
 
 
 # ---------------------------------------------------------------------------
-# the packed exact matrix
+# the packed types
 
-class ExactMatrix:
-    """An exact r x c matrix: entry (i, j) is sum_k nums[k, i, j] zeta^k / den.
+class _Rows:
+    """Indexing, iterating and repr give the rows of :func:`entries`."""
 
-    ``nums`` has shape (phi(order), r, c).  Values are treated as
-    immutable; build them with the module functions, which keep the form
-    canonical (see the module docstring).
-    """
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(entries(self))
+
+    def __getitem__(self, i):
+        return entries(self)[i]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({entries(self)})"
+
+
+class ExactMatrix(_Rows):
+    """An exact r x c matrix: entry (i, j) is sum_k nums[k, i, j] zeta^k / den,
+    ``nums`` of shape (phi(order), r, c).  Treated as immutable; the module
+    functions keep the form canonical."""
 
     __slots__ = ("shape", "order", "nums", "den")
 
@@ -78,21 +84,50 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
+        # list equality is several times faster than an object-array compare
         return (self.shape == other.shape and self.order == other.order
                 and self.den == other.den
-                and bool((self.nums == other.nums).all()))
+                and self.nums.ravel().tolist() == other.nums.ravel().tolist())
 
     def __hash__(self):
-        return hash((self.shape, self.order, self.den, tuple(self.nums.flat)))
+        return hash((self.shape, self.order, self.den,
+                     tuple(self.nums.ravel().tolist())))
 
-    def __iter__(self):
-        return iter(entries(self))
 
-    def __getitem__(self, i):
-        return entries(self)[i]
+class FloatMatrix(_Rows):
+    """A float r x c matrix: ``arr``, a ``complex`` array of shape (r, c),
+    made read-only here (:func:`from_numpy` copies first)."""
 
-    def __repr__(self):
-        return f"ExactMatrix(order={self.order}, den={self.den}, rows={entries(self)})"
+    __slots__ = ("shape", "arr")
+
+    def __init__(self, arr: np.ndarray):
+        arr.flags.writeable = False
+        self.arr = arr
+        self.shape = arr.shape
+
+    def __eq__(self, other):
+        if not isinstance(other, FloatMatrix):
+            return NotImplemented
+        return self.shape == other.shape and bool((self.arr == other.arr).all())
+
+    def __hash__(self):
+        return hash((self.shape, tuple(self.arr.ravel().tolist())))
+
+
+_PACKED = (ExactMatrix, FloatMatrix)
+
+
+def _packed(m):
+    """``m`` when it is packed, else ``as_matrix(m)``."""
+    return m if type(m) in _PACKED else as_matrix(m)
+
+
+def _pair(a, b):
+    """Both operands packed; ValidationError unless they share a backend."""
+    a, b = _packed(a), _packed(b)
+    if type(a) is not type(b):
+        raise ValidationError("operation mixes exact and float matrices")
+    return a, b
 
 
 def _make(order: int, nums: np.ndarray, den: int) -> ExactMatrix:
@@ -121,12 +156,10 @@ def _common(mats):
 
 def _scalar_coeffs(x):
     """(order, integer coefficients, denominator) of an exact scalar."""
-    if isinstance(x, Cyclotomic):
-        order, cs = x.order, x.coeffs
-    else:
-        order, cs = 1, (Fraction(x),)
-    den = math.lcm(*(c.denominator for c in cs))
-    return order, [c.numerator * (den // c.denominator) for c in cs], den
+    if not isinstance(x, Cyclotomic):  # an int or a Fraction, in lowest terms
+        return 1, [x.numerator], x.denominator
+    den = math.lcm(*(c.denominator for c in x.coeffs))
+    return x.order, [c.numerator * (den // c.denominator) for c in x.coeffs], den
 
 
 def _scalar(order: int, coeffs, den: int):
@@ -136,37 +169,35 @@ def _scalar(order: int, coeffs, den: int):
     return Cyclotomic._from_planes(order, _table(coeffs), den)
 
 
-def _pack(rows, width: int) -> ExactMatrix:
-    """Pack rows of exact scalars (already validated) into a matrix."""
-    parts = [[_scalar_coeffs(x) for x in row] for row in rows]
-    order = math.lcm(1, *(o for row in parts for o, _, _ in row))
-    den = math.lcm(1, *(d for row in parts for _, _, d in row))
+def _pack(cells: dict, r: int, c: int, scale: int = 1) -> ExactMatrix:
+    """The r x c matrix with entry (i, j) = scale * cells[i, j], exact
+    scalars (already validated); absent cells are 0."""
+    parts = [(i * c + j, *_scalar_coeffs(x)) for (i, j), x in cells.items()]
+    order = math.lcm(1, *(o for _, o, _, _ in parts))
+    den = math.lcm(1, *(d for _, _, _, d in parts))
     phi = _phi(order)
-    planes = [[[0] * width for _ in parts] for _ in range(phi)]
-    for i, row in enumerate(parts):
-        for j, (o, cs, d) in enumerate(row):
-            if o != order:
-                cs = (_promotion(o, order) @ _table(cs)).tolist()
-            scale = den // d
-            for k, c in enumerate(cs):
-                if c:
-                    planes[k][i][j] = c * scale
-    nums = np.array(planes, dtype=object).reshape(phi, len(parts), width)
-    return _make(order, nums, den)
+    flat = [0] * (phi * r * c)  # plane-major, then row-major
+    for at, o, cs, d in parts:
+        if o != order:
+            cs = (_promotion(o, order) @ _table(cs)).tolist()
+        k = den // d * scale
+        for t, x in enumerate(cs):
+            flat[t * r * c + at] = x * k
+    return _make(order, np.array(flat, dtype=object).reshape(phi, r, c), den)
 
 
 # ---------------------------------------------------------------------------
 # construction and conversion
 
 def as_matrix(rows):
-    """Normalize a nested sequence into a matrix, fixing the backend.
+    """Normalize a nested sequence into a packed matrix, fixing the backend.
 
-    Exact entries (``int``, ``Fraction``, ``Cyclotomic``) are packed into
-    an :class:`ExactMatrix`; float entries give a tuple of ``complex`` row
-    tuples, as does a sequence with no entries at all.  A packed matrix
-    is returned unchanged.  Mixing exact and float entries is an error.
+    Exact entries (``int``, ``Fraction``, ``Cyclotomic``) give an
+    :class:`ExactMatrix`; float entries give a :class:`FloatMatrix`, as
+    does a sequence with no entries at all.  A packed matrix is returned
+    unchanged.  Mixing exact and float entries is an error.
     """
-    if isinstance(rows, ExactMatrix):
+    if type(rows) in _PACKED:
         return rows
     out = []
     saw_exact = saw_float = False
@@ -190,16 +221,17 @@ def as_matrix(rows):
     if saw_exact and saw_float:
         raise ValidationError("matrix mixes exact and float entries")
     if saw_exact:
-        return _pack(out, width)
-    return tuple(tuple(complex(x) for x in r) for r in out)
+        return _pack({(i, j): x for i, r in enumerate(out) for j, x in enumerate(r)},
+                     len(out), width)
+    return FloatMatrix(np.array(out, dtype=complex).reshape(len(out), width or 0))
 
 
 def entries(a):
     """Rows of scalars: ``Fraction`` for rational entries of an exact
     matrix, ``Cyclotomic`` for the others, ``complex`` for a float one."""
-    a = as_matrix(a)
-    if not isinstance(a, ExactMatrix):
-        return a
+    a = _packed(a)
+    if type(a) is FloatMatrix:
+        return tuple(map(tuple, a.arr.tolist()))
     den = a.den
     if a.order == 1:
         return tuple(tuple(Fraction(x, den) for x in row) for row in a.nums[0].tolist())
@@ -208,63 +240,52 @@ def entries(a):
 
 
 def shape(m):
-    if isinstance(m, ExactMatrix):
-        return m.shape
-    return (len(m), len(m[0]) if m else 0)
+    return _packed(m).shape
 
 
 def is_exact_matrix(m) -> bool:
-    """True for packed matrices and for nested sequences of exact scalars;
-    a sequence with no entries is float."""
-    return isinstance(as_matrix(m), ExactMatrix)
+    """True for exact matrices and nested sequences of exact scalars."""
+    return type(_packed(m)) is ExactMatrix
 
 
 def zeros(r: int, c: int, exact: bool = True):
     if exact:
         return ExactMatrix(1, np.zeros((1, r, c), dtype=object), 1)
-    return tuple((0j,) * c for _ in range(r))
+    return FloatMatrix(np.zeros((r, c), dtype=complex))
 
 
 def identity(n: int, exact: bool = True):
     if not exact:
-        return from_numpy(np.eye(n, dtype=complex))
-    nums = np.zeros((1, n, n), dtype=object)
-    np.fill_diagonal(nums[0], 1)
-    return ExactMatrix(1, nums, 1)
+        return FloatMatrix(np.eye(n, dtype=complex))
+    return ExactMatrix(1, np.eye(n, dtype=object)[None], 1)
 
 
 def to_numpy(a) -> np.ndarray:
-    if isinstance(a, ExactMatrix):
-        out = np.zeros(a.shape, dtype=complex)
-        zeta = cmath.exp(2j * math.pi / a.order)
-        for k, plane in enumerate(a.nums):
-            out += (plane / a.den).astype(complex) * zeta ** k
-        return out
-    return np.array(a, dtype=complex).reshape(shape(a))
+    """The entries as a ``complex`` array (a float matrix's own, read-only)."""
+    a = _packed(a)
+    if type(a) is FloatMatrix:
+        return a.arr
+    out = np.zeros(a.shape, dtype=complex)
+    zeta = cmath.exp(2j * math.pi / a.order)
+    for k, plane in enumerate(a.nums):
+        out += (plane / a.den).astype(complex) * zeta ** k
+    return out
 
 
-def from_numpy(a: np.ndarray):
-    return tuple(tuple(complex(x) for x in row) for row in a)
-
-
-def _kind(*mats):
-    """Normalize the operands; True when exact, ValidationError if mixed."""
-    mats = [as_matrix(m) for m in mats]
-    exact = {isinstance(m, ExactMatrix) for m in mats}
-    if len(exact) > 1:
-        raise ValidationError("operation mixes exact and float matrices")
-    return exact != {False}, mats
+def from_numpy(a) -> FloatMatrix:
+    """A float matrix holding a copy of the 2-d array ``a``."""
+    return FloatMatrix(np.array(a, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
 # arithmetic
 
 def _entrywise(a, b, op, name):
-    exact, (a, b) = _kind(a, b)
-    if shape(a) != shape(b):
-        raise ValidationError(f"{name} shape mismatch {shape(a)} vs {shape(b)}")
-    if not exact:
-        return from_numpy(op(to_numpy(a), to_numpy(b)))
+    a, b = _pair(a, b)
+    if a.shape != b.shape:
+        raise ValidationError(f"{name} shape mismatch {a.shape} vs {b.shape}")
+    if type(a) is FloatMatrix:
+        return FloatMatrix(op(a.arr, b.arr))
     order, den, (x, y) = _common((a, b))
     return _make(order, op(x, y), den)
 
@@ -278,60 +299,57 @@ def mat_sub(a, b):
 
 
 def mat_neg(a):
-    a = as_matrix(a)
-    if not isinstance(a, ExactMatrix):
-        return from_numpy(-to_numpy(a))
-    return ExactMatrix(a.order, -a.nums, a.den)
+    return scalar_mul(-1, a)
 
 
 def scalar_mul(c, a):
     """c * a; a float scalar or matrix makes the product float."""
-    a = as_matrix(a)
-    if not (isinstance(a, ExactMatrix) and is_exact_scalar(c)):
-        return from_numpy(to_complex(c) * to_numpy(a))
-    c_order, coeffs, c_den = _scalar_coeffs(c)
-    den = c_den * a.den
-    if c_order == 1:
-        return _make(a.order, a.nums * coeffs[0], den)
-    order = math.lcm(c_order, a.order)
-    cvec = _table(coeffs)
-    if c_order != order:
-        cvec = _promotion(c_order, order) @ cvec
-    x = _at(a, order)
-    prod = np.multiply.outer(cvec, x).reshape((len(x) ** 2,) + a.shape)
-    return _make(order, _fold(_mul_table(order), prod), den)
+    a = _packed(a)
+    if type(a) is FloatMatrix or not is_exact_scalar(c):
+        return FloatMatrix(to_complex(c) * to_numpy(a))
+    order, coeffs, den = _scalar_coeffs(c)
+    if order == 1:
+        return _make(a.order, a.nums * coeffs[0], den * a.den)
+    return kron(ExactMatrix(order, _table(coeffs).reshape(-1, 1, 1), den), a)
 
 
 def mat_mul(a, b):
-    exact, (a, b) = _kind(a, b)
-    (r, k), (kb, c) = shape(a), shape(b)
+    a, b = _pair(a, b)
+    (r, k), (kb, c) = a.shape, b.shape
     if k != kb:
-        raise ValidationError(f"matmul shape mismatch {shape(a)} x {shape(b)}")
-    if not exact:
-        return from_numpy(to_numpy(a) @ to_numpy(b))
+        raise ValidationError(f"matmul shape mismatch {a.shape} x {b.shape}")
+    if type(a) is FloatMatrix:
+        return FloatMatrix(a.arr @ b.arr)
     den = a.den * b.den
     if b.order == 1:
-        phi = len(a.nums)
-        nums = (a.nums.reshape(phi * r, k) @ b.nums[0]).reshape(phi, r, c)
-        return _make(a.order, nums, den)
+        return _make(a.order, a.nums @ b.nums[0], den)
     if a.order == 1:
-        phi = len(b.nums)
-        wide = b.nums.transpose(1, 0, 2).reshape(k, phi * c)
-        nums = (a.nums[0] @ wide).reshape(r, phi, c).transpose(1, 0, 2)
-        return _make(b.order, nums, den)
+        return _make(b.order, a.nums[0] @ b.nums, den)
     order = math.lcm(a.order, b.order)
     x, y = _at(a, order), _at(b, order)
-    phi = len(x)
-    # every plane product A_i B_j in one matmul, then fold i + j mod Phi
-    prod = x.reshape(phi * r, k) @ y.transpose(1, 0, 2).reshape(k, phi * c)
-    prod = prod.reshape(phi, r, phi, c).transpose(0, 2, 1, 3).reshape(phi * phi, r, c)
+    # every plane product A_i B_j in one broadcast matmul, then fold i + j mod Phi
+    prod = (x[:, None] @ y[None]).reshape(len(x) ** 2, r, c)
     return _make(order, _fold(_mul_table(order), prod), den)
 
 
+def kron(a, b):
+    """The Kronecker product: block (i, j) is a[i][j] * b."""
+    a, b = _pair(a, b)
+    (r, c), (s, t) = a.shape, b.shape
+    if type(a) is FloatMatrix:
+        return FloatMatrix(np.kron(a.arr, b.arr))
+    order = math.lcm(a.order, b.order)
+    x, y = _at(a, order), _at(b, order)
+    # every plane product A_i (x) B_j at once, then fold i + j mod Phi
+    prod = x[:, None, :, None, :, None] * y[None, :, None, :, None, :]
+    prod = prod.reshape(len(x) ** 2, r * s, c * t)
+    return _make(order, _fold(_mul_table(order), prod), a.den * b.den)
+
+
 def conj_transpose(a):
-    a = as_matrix(a)
-    if not isinstance(a, ExactMatrix):
-        return from_numpy(to_numpy(a).conj().T)
+    a = _packed(a)
+    if type(a) is FloatMatrix:
+        return FloatMatrix(a.arr.conj().T)
     nums = a.nums.transpose(0, 2, 1)
     if a.order > 2:
         nums = _fold(_galois(a.order, a.order - 1), nums)
@@ -339,26 +357,26 @@ def conj_transpose(a):
 
 
 def transpose(a):
-    a = as_matrix(a)
-    if not isinstance(a, ExactMatrix):
-        return tuple(zip(*a))
+    a = _packed(a)
+    if type(a) is FloatMatrix:
+        return FloatMatrix(a.arr.T)
     return ExactMatrix(a.order, a.nums.transpose(0, 2, 1), a.den)
 
 
 def trace(a):
-    a = as_matrix(a)
-    if not isinstance(a, ExactMatrix):
-        return sum((a[i][i] for i in range(len(a))), start=0j)
+    a = _packed(a)
+    if type(a) is FloatMatrix:
+        return sum(a.arr.diagonal().tolist(), start=0j)
     return _scalar(a.order, np.trace(a.nums, axis1=1, axis2=2).tolist(), a.den)
 
 
 def trace_product(a, b):
     """tr(a b) = sum_ij a_ij b_ji, without forming the product a b."""
-    exact, (a, b) = _kind(a, b)
-    if shape(a) != shape(b)[::-1]:
-        raise ValidationError(f"trace_product shape mismatch {shape(a)} x {shape(b)}")
-    if not exact:
-        return complex(np.sum(to_numpy(a) * to_numpy(b).T))
+    a, b = _pair(a, b)
+    if a.shape != b.shape[::-1]:
+        raise ValidationError(f"trace_product shape mismatch {a.shape} x {b.shape}")
+    if type(a) is FloatMatrix:
+        return complex(np.sum(a.arr * b.arr.T))
     order = math.lcm(a.order, b.order)
     x, y = _at(a, order), _at(b, order)
     phi = len(x)
@@ -371,38 +389,43 @@ def trace_product(a, b):
 # ---------------------------------------------------------------------------
 # assembling and slicing
 
+def _operands(mats):
+    """The operands packed; ValidationError unless they share a backend."""
+    mats = [_packed(m) for m in mats]
+    if len({type(m) for m in mats}) > 1:
+        raise ValidationError("operation mixes exact and float matrices")
+    return mats
+
+
 def block_diag(*mats):
     """Block-diagonal matrix; with no arguments, the exact 0 x 0 matrix."""
-    exact, mats = _kind(*mats)
-    rows = sum(shape(m)[0] for m in mats)
-    cols = sum(shape(m)[1] for m in mats)
+    mats = _operands(mats) or [zeros(0, 0)]
+    exact = type(mats[0]) is ExactMatrix
+    rows = sum(m.shape[0] for m in mats)
+    cols = sum(m.shape[1] for m in mats)
     if not exact:
-        out = np.zeros((rows, cols), dtype=complex)
+        out, stacks = np.zeros((rows, cols), dtype=complex), [m.arr for m in mats]
     else:
-        order, den, stacks = _common(mats) if mats else (1, 1, [])
+        order, den, stacks = _common(mats)
         out = np.zeros((_phi(order), rows, cols), dtype=object)
     r0 = c0 = 0
-    for i, m in enumerate(mats):
-        mr, mc = shape(m)
-        if exact:
-            out[:, r0:r0 + mr, c0:c0 + mc] = stacks[i]
-        else:
-            out[r0:r0 + mr, c0:c0 + mc] = to_numpy(m)
-        r0 += mr
-        c0 += mc
+    for m, stack in zip(mats, stacks):
+        mr, mc = m.shape
+        out[..., r0:r0 + mr, c0:c0 + mc] = stack
+        r0, c0 = r0 + mr, c0 + mc
     # a lowest-terms block sets every prime power of den, so out is canonical
-    return ExactMatrix(order, out, den) if exact else from_numpy(out)
+    return ExactMatrix(order, out, den) if exact else FloatMatrix(out)
 
 
 def _concat(mats, axis: int):
-    exact, mats = _kind(*mats)
+    mats = _operands(mats)
     other = 1 - axis
-    if not mats or len({shape(m)[other] for m in mats}) > 1:
+    if not mats or len({m.shape[other] for m in mats}) > 1:
         raise ValidationError("matrices to stack are missing or differ in size")
     if len(mats) == 1:
         return mats[0]
-    if not exact:
-        return from_numpy(np.concatenate([to_numpy(m) for m in mats], axis=axis))
+    if type(mats[0]) is FloatMatrix:
+        return FloatMatrix(np.concatenate([m.arr for m in mats], axis=axis))
     order, den, stacks = _common(mats)
     return ExactMatrix(order, np.concatenate(stacks, axis=axis + 1), den)
 
@@ -419,10 +442,10 @@ def block_matrix(grid):
 
 def grid_cell(a, size: int, s: int, t: int):
     """Cell (s, t) of ``a`` viewed as a grid of size x size cells."""
-    a = as_matrix(a)
+    a = _packed(a)
     rs, cs = slice(s * size, (s + 1) * size), slice(t * size, (t + 1) * size)
-    if not isinstance(a, ExactMatrix):
-        return tuple(row[cs] for row in a[rs])
+    if type(a) is FloatMatrix:
+        return FloatMatrix(a.arr[rs, cs])
     return _make(a.order, a.nums[:, rs, cs], a.den)
 
 
@@ -430,31 +453,31 @@ def grid_cell(a, size: int, s: int, t: int):
 # comparison and norms
 
 def mat_equal(a, b) -> bool:
-    exact, (a, b) = _kind(a, b)
-    if shape(a) != shape(b):
+    a, b = _pair(a, b)
+    if a.shape != b.shape:
         return False
-    if exact:
+    if type(a) is ExactMatrix:
         return a == b
     return is_zero_matrix(mat_sub(a, b))
 
 
 def is_zero_matrix(a) -> bool:
-    a = as_matrix(a)
-    if isinstance(a, ExactMatrix):
+    a = _packed(a)
+    if type(a) is ExactMatrix:
         return not np.count_nonzero(a.nums)
-    return all(scalar_is_zero(x) for row in a for x in row)
+    return bool((np.abs(a.arr) <= get_epsilon()).all())
 
 
 def op_norm(a) -> float:
     """Largest singular value; empty matrices have norm 0."""
-    r, c = shape(a)
-    if r == 0 or c == 0:
+    a = _packed(a)
+    if 0 in a.shape:
         return 0.0
     return float(np.linalg.norm(to_numpy(a), 2))
 
 
 # ---------------------------------------------------------------------------
-# exact elimination
+# elimination
 
 def _eliminate(a: ExactMatrix):
     """:func:`~ncgdesk.scalars.eliminate` on the columns of den * ``a``.
@@ -463,8 +486,11 @@ def _eliminate(a: ExactMatrix):
     of ``a`` divided by den.  A rational matrix enters as Python ints, so
     the reducer's +-1 fast path applies.
     """
-    cols = a.nums[0].T.tolist() if a.order == 1 \
-        else columns(ExactMatrix(a.order, a.nums, 1))
+    if a.order == 1:
+        cols = a.nums[0].T.tolist()
+    else:
+        cols = [[_scalar(a.order, cs, 1) for cs in col]
+                for col in a.nums.transpose(2, 1, 0).tolist()]
     return eliminate({i: x for i, x in enumerate(col) if x} for col in cols)
 
 
@@ -473,70 +499,61 @@ def _float_tol(m: np.ndarray) -> float:
 
 
 def rank(a) -> int:
-    r, c = shape(a)
-    if r == 0 or c == 0:
-        return 0
-    exact, (a,) = _kind(a)
-    if exact:
-        return len(_eliminate(a)[1])
-    m = to_numpy(a)
-    return int(np.linalg.matrix_rank(m, tol=_float_tol(m)))
+    a = _packed(a)
+    if type(a) is FloatMatrix and 0 not in a.shape:
+        return int(np.linalg.matrix_rank(a.arr, tol=_float_tol(a.arr)))
+    return len(pivot_columns(a))
 
 
 def pivot_columns(a):
     """Indices of a maximal independent column subset, leftmost-greedy."""
-    r, c = shape(a)
-    if r == 0 or c == 0:
+    a = _packed(a)
+    if 0 in a.shape:
         return []
-    exact, (a,) = _kind(a)
-    if exact:
+    if type(a) is ExactMatrix:
         return _eliminate(a)[1]
-    m = to_numpy(a)
+    m = a.arr
     tol = _float_tol(m)
     pivots = []
-    basis = np.zeros((r, 0), dtype=complex)
-    for j in range(c):
-        cand = np.column_stack([basis, m[:, j]])
-        if np.linalg.matrix_rank(cand, tol=tol) > basis.shape[1]:
-            basis = cand
+    for j in range(a.shape[1]):
+        if np.linalg.matrix_rank(m[:, pivots + [j]], tol=tol) > len(pivots):
             pivots.append(j)
     return pivots
 
 
+def kernel_basis(a):
+    """The c x k matrix of a basis of the right kernel of the r x c matrix ``a``:
+    reduced row echelon kernel vectors, or orthonormal singular vectors."""
+    a = _packed(a)
+    if type(a) is ExactMatrix:
+        kernel = _eliminate(a)[2]
+        return _pack({(i, j): x for j, vec in enumerate(kernel)
+                      for i, x in vec.items()}, a.shape[1], len(kernel))
+    u, s, vh = np.linalg.svd(a.arr)
+    tol = get_epsilon() * max(1.0, float(s[0]) if len(s) else 1.0)
+    return FloatMatrix(vh[int(np.sum(s > tol)):].conj().T)
+
+
 def nullspace(a):
     """Basis of the right kernel, as a list of column tuples."""
-    exact, (a,) = _kind(a)
-    c = shape(a)[1]
-    if exact:
-        return [tuple(vec.get(j, 0) for j in range(c)) for vec in _eliminate(a)[2]]
-    if c == 0:
-        return []
-    m = to_numpy(a)
-    u, s, vh = np.linalg.svd(m)
-    tol = get_epsilon() * max(1.0, float(s[0]) if len(s) else 1.0)
-    nz = int(np.sum(s > tol))
-    return [tuple(complex(x) for x in vh[i, :].conjugate()) for i in range(nz, c)]
+    return [tuple(col) for col in entries(transpose(kernel_basis(a)))]
 
 
 def invert(a):
-    """Inverse of a square matrix; exact ones solve against each identity
-    column."""
-    r, c = shape(a)
+    """Inverse of a square matrix; column j of an exact inverse is den
+    times the combination of den * a's columns that gives e_j."""
+    a = _packed(a)
+    r, c = a.shape
     if r != c:
         raise ValidationError("invert: matrix not square")
-    exact, (a,) = _kind(a)
-    if not exact:
-        return from_numpy(np.linalg.inv(to_numpy(a)))
+    if type(a) is FloatMatrix:
+        return FloatMatrix(np.linalg.inv(a.arr))
     red, pivots, _ = _eliminate(a)
     if len(pivots) != r:
         raise ValidationError("invert: singular matrix")
-    cols = [red.reduce({i: 1}, want_combo=True)[1] for i in range(r)]
-    return _pack([[a.den * col.get(i, 0) for col in cols] for i in range(r)],
-                 r)
-
-
-def columns(a):
-    return [tuple(col) for col in entries(transpose(a))]
+    combos = (red.reduce({j: 1}, want_combo=True)[1] for j in range(r))
+    return _pack({(i, j): x for j, combo in enumerate(combos)
+                  for i, x in combo.items()}, r, r, a.den)
 
 
 def from_columns(cols, nrows=None):
@@ -548,10 +565,11 @@ def from_columns(cols, nrows=None):
 
 
 def projection_onto_columns(cols):
-    """Orthogonal projection onto span(cols) w.r.t. the standard inner product."""
-    if not cols:
+    """Orthogonal projection onto the span of independent columns, w.r.t.
+    the standard inner product: n (n* n)^-1 n* for the packed matrix n of
+    columns, or for ``from_columns(cols)`` given a list of column tuples."""
+    n = cols if type(cols) in _PACKED else from_columns(cols)
+    if not n.shape[1]:
         raise ValidationError("projection_onto_columns: empty basis")
-    n = from_columns(cols)
     nh = conj_transpose(n)
-    gram = mat_mul(nh, n)
-    return mat_mul(mat_mul(n, invert(gram)), nh)
+    return mat_mul(mat_mul(n, invert(mat_mul(nh, n))), nh)

@@ -168,7 +168,7 @@ def minimal_field(order: int, nums: np.ndarray, den: int):
     order is the smallest whose field holds every plane of the stack.
     """
     if den != 1:
-        g = math.gcd(den, *nums.flat)
+        g = math.gcd(den, *nums.ravel().tolist())
         if g != 1:
             nums, den = nums // g, den // g
     if order == 1:

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgdesk import linalg as la
 from ncgdesk.errors import ValidationError
-from ncgdesk.scalars import Cyclotomic, scalar_is_zero, scalars_equal
+from ncgdesk.scalars import Cyclotomic, get_epsilon, scalar_is_zero, scalars_equal
 
 fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -131,13 +132,136 @@ FLOAT = la.as_matrix([[1.0, 0.0], [0.0, 1.0]])
 @pytest.mark.parametrize("op", [
     la.mat_mul, la.mat_add, la.mat_sub, la.mat_equal, la.block_diag,
     la.stack_rows, lambda a, b: la.block_matrix([[a, b]]), la.trace_product,
+    la.kron,
 ], ids=["mat_mul", "mat_add", "mat_sub", "mat_equal", "block_diag",
-        "stack_rows", "block_matrix", "trace_product"])
+        "stack_rows", "block_matrix", "trace_product", "kron"])
 def test_mixed_exact_and_float_operands_rejected(op):
-    with pytest.raises(ValidationError):
-        op(EXACT, FLOAT)
-    with pytest.raises(ValidationError):
-        op(FLOAT, EXACT)
+    # an ExactMatrix with a FloatMatrix, and each with a nested sequence
+    assert type(EXACT) is la.ExactMatrix and type(FLOAT) is la.FloatMatrix
+    for exact in (EXACT, la.entries(EXACT)):
+        for floats in (FLOAT, la.entries(FLOAT)):
+            with pytest.raises(ValidationError):
+                op(exact, floats)
+            with pytest.raises(ValidationError):
+                op(floats, exact)
+
+
+# -- the packed-type contract ------------------------------------------------
+# A and B are 2 x 2, A invertible and B of rank 1.  Each matrix-valued op
+# maps (a, b) to a matrix; REFERENCE gives numpy's answer on the same arrays.
+
+A_ROWS = [[1, 2], [3, 5]]
+B_ROWS = [[2, 4], [1, Fraction(2)]]
+
+MATRIX_OPS = {
+    "mat_add": la.mat_add,
+    "mat_sub": la.mat_sub,
+    "mat_neg": lambda a, b: la.mat_neg(a),
+    "scalar_mul": lambda a, b: la.scalar_mul(Fraction(1, 3), a),
+    "mat_mul": la.mat_mul,
+    "kron": la.kron,
+    "conj_transpose": lambda a, b: la.conj_transpose(a),
+    "transpose": lambda a, b: la.transpose(a),
+    "block_diag": la.block_diag,
+    "stack_rows": la.stack_rows,
+    "block_matrix": lambda a, b: la.block_matrix([[a, b], [b, a]]),
+    "grid_cell": lambda a, b: la.grid_cell(a, 1, 1, 0),
+    "invert": lambda a, b: la.invert(a),
+    "kernel_basis": lambda a, b: la.kernel_basis(b),
+    "projection_onto_columns":
+        lambda a, b: la.projection_onto_columns(la.kernel_basis(b)),
+}
+
+SCALAR_OPS = {
+    "trace": lambda a, b: la.trace(a),
+    "trace_product": la.trace_product,
+    "op_norm": lambda a, b: la.op_norm(a),
+    "rank": lambda a, b: la.rank(b),
+    "pivot_columns": lambda a, b: la.pivot_columns(b),
+    "mat_equal": la.mat_equal,
+    "is_zero_matrix": lambda a, b: la.is_zero_matrix(la.mat_sub(a, a)),
+    "entries": lambda a, b: la.entries(a),
+    "is_exact_matrix": lambda a, b: la.is_exact_matrix(a),
+    "shape": lambda a, b: la.shape(b),
+}
+
+
+def _kernel(b):
+    _, s, vh = np.linalg.svd(b)
+    return vh[int(np.sum(s > get_epsilon())):].conj().T
+
+
+REFERENCE = {
+    "mat_add": lambda a, b: a + b,
+    "mat_sub": lambda a, b: a - b,
+    "mat_neg": lambda a, b: -a,
+    "scalar_mul": lambda a, b: a / 3,
+    "mat_mul": lambda a, b: a @ b,
+    "kron": np.kron,
+    "conj_transpose": lambda a, b: a.conj().T,
+    "transpose": lambda a, b: a.T,
+    "block_diag": lambda a, b: np.block([[a, 0 * b], [0 * a, b]]),
+    "stack_rows": lambda a, b: np.vstack([a, b]),
+    "block_matrix": lambda a, b: np.block([[a, b], [b, a]]),
+    "grid_cell": lambda a, b: a[1:, :1],
+    "invert": lambda a, b: np.linalg.inv(a),
+    "kernel_basis": lambda a, b: _kernel(b),
+    "projection_onto_columns":
+        lambda a, b: _kernel(b) @ _kernel(b).conj().T,
+    "trace": lambda a, b: np.trace(a),
+    "trace_product": lambda a, b: np.trace(a @ b),
+    "op_norm": lambda a, b: np.linalg.norm(a, 2),
+    "rank": lambda a, b: np.linalg.matrix_rank(b),
+    "pivot_columns": lambda a, b: [0],
+    "mat_equal": lambda a, b: False,
+    "is_zero_matrix": lambda a, b: True,
+    "entries": lambda a, b: a,
+    "is_exact_matrix": lambda a, b: False,
+    "shape": lambda a, b: b.shape,
+}
+
+
+def _operands(exact: bool, packed: bool):
+    rows = [A_ROWS, B_ROWS] if exact else \
+        [[[complex(x) for x in row] for row in m] for m in (A_ROWS, B_ROWS)]
+    return [la.as_matrix(m) for m in rows] if packed else rows
+
+
+@pytest.mark.parametrize("name", MATRIX_OPS)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_matrix_ops_keep_the_packed_type(name, exact):
+    out = MATRIX_OPS[name](*_operands(exact, True))
+    assert type(out) is (la.ExactMatrix if exact else la.FloatMatrix)
+
+
+@pytest.mark.parametrize("name", [*MATRIX_OPS, *SCALAR_OPS])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_nested_operands_give_the_packed_result(name, exact):
+    op = {**MATRIX_OPS, **SCALAR_OPS}[name]
+    assert op(*_operands(exact, False)) == op(*_operands(exact, True))
+
+
+@pytest.mark.parametrize("name", [*MATRIX_OPS, *SCALAR_OPS])
+def test_float_results_match_numpy(name):
+    op = {**MATRIX_OPS, **SCALAR_OPS}[name]
+    got = op(*_operands(False, True))
+    want = REFERENCE[name](*map(la.to_numpy, _operands(False, True)))
+    if isinstance(got, (bool, list)):
+        assert got == want
+    else:
+        got = la.to_numpy(got) if type(got) is la.FloatMatrix else np.array(got)
+        assert got.shape == np.shape(want)
+        assert np.allclose(got, want, rtol=0, atol=get_epsilon())
+
+
+def test_float_matrices_are_read_only():
+    f = la.as_matrix([[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        la.to_numpy(f)[0, 0] = 3.0
+    copied = np.array([[1.0, 2.0]])
+    g = la.from_numpy(copied)
+    copied[0, 0] = 5.0
+    assert g == f and type(g) is la.FloatMatrix
 
 
 def test_empty_shape_is_kept():

@@ -53,6 +53,10 @@ def ref_conj_transpose(a, rows, cols):
     return [[a[i][j].conjugate() for i in range(rows)] for j in range(cols)]
 
 
+def ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
 def ref_trace(a):
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
@@ -198,6 +202,14 @@ def test_add_and_sub_match_reference(data):
 def test_scalar_mul_matches_reference(mat, s):
     a, r, c = mat
     assert same(la.scalar_mul(s, pack(a, r, c)), ref_scale(s, a), r, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_matrix(), one_matrix())
+def test_kron_matches_reference(x, y):
+    (a, r, c), (b, s, t) = x, y
+    assert same(la.kron(pack(a, r, c), pack(b, s, t)), ref_kron(a, b),
+                r * s, c * t)
 
 
 @settings(max_examples=60, deadline=None)
