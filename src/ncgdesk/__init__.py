@@ -70,21 +70,23 @@ from .ngroup import (
 )
 from .scalars import Cyclotomic, get_epsilon, set_epsilon
 from . import (algebra as _algebra, chern as _chern, cyclic as _cyclic,
-               lefschetz as _lefschetz)
+               lefschetz as _lefschetz, scalars as _scalars)
 
 __version__ = "0.1.0"
 
+# taken at import, since a tracer may rebind the public names to wrappers
+_CACHED = (
+    _cyclic.build_cyclic_space, _cyclic._boundary, _cyclic.hc_space,
+    _chern._unit_class, _algebra._spectral_decompose_exact,
+    _lefschetz._fourier, _scalars.cyclotomic_poly, _scalars._powers,
+    _scalars._mul_table, _scalars._galois, _scalars._promotion,
+    _scalars._subfields)
+
 
 def clear_caches() -> None:
-    """Empty the module caches: cyclic spaces, boundaries, homology spaces,
-    the diagonal-unit Chern classes, the exact spectral decompositions and
-    the Fourier matrices of the Lefschetz ranks.  Answers do not change;
-    the next call that needs a structure builds it again."""
-    for cache in (_cyclic._CYCLIC_CACHE, _cyclic._BOUNDARY_CACHE,
-                  _cyclic._HC_CACHE):
-        cache.clear()
-    for cached in (_chern._unit_class, _algebra._spectral_decompose_exact,
-                   _lefschetz._fourier):
+    """Empty every module cache, the field tables included.  Answers do not
+    change; the next call that needs a structure builds it again."""
+    for cached in _CACHED:
         cached.cache_clear()
 
 

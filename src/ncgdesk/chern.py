@@ -38,7 +38,7 @@ def _degree(l: int) -> int:
 def _power_class(algebra: MultiMatrixAlgebra, terms, l: int,
                  exact: bool = True) -> HCClass:
     """Class in HC_2l(A) of sum c * Tr(p^tensor(2l+1)) over (c, p) in terms,
-    read from the factored tensor, which is charged before it is built."""
+    read from the factored tensor, charged before its 2l+1 factors exist."""
     n = _degree(l)
     if not terms:
         return zero_class(algebra, n, exact)

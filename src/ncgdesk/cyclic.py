@@ -320,9 +320,6 @@ class CyclicSpace:
                 if _weight(k) == self.weight}
 
 
-_CYCLIC_CACHE: dict = {}
-
-
 def _all_units(algebra, m):
     units = []
     for j, d in enumerate(algebra.ambient_dims(m)):
@@ -383,15 +380,13 @@ def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
     return basis
 
 
+@functools.lru_cache(maxsize=256)
 def build_cyclic_space(algebra: MultiMatrixAlgebra, n: int,
                        amplification: int = 1,
                        weight: tuple = ()) -> CyclicSpace:
-    key = (algebra.block_dims, amplification, n, weight)
-    if key not in _CYCLIC_CACHE:
-        basis = _orbit_basis(algebra, amplification, n, weight)
-        _CYCLIC_CACHE[key] = CyclicSpace(algebra, amplification, n, tuple(basis),
-                                         {k: i for i, k in enumerate(basis)}, weight)
-    return _CYCLIC_CACHE[key]
+    basis = _orbit_basis(algebra, amplification, n, weight)
+    return CyclicSpace(algebra, amplification, n, tuple(basis),
+                       {k: i for i, k in enumerate(basis)}, weight)
 
 
 def _boundary_column(key, n: int, index: dict) -> dict:
@@ -428,19 +423,14 @@ class _Boundary:
     kernel: list
 
 
-_BOUNDARY_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _boundary(algebra, n: int, amplification: int,
               weight: tuple) -> _Boundary:
-    key = (algebra.block_dims, amplification, n, weight)
-    if key not in _BOUNDARY_CACHE:
-        target = build_cyclic_space(algebra, n - 1, amplification, weight)
-        source = build_cyclic_space(algebra, n, amplification, weight)
-        red, _, kernel = eliminate(_boundary_column(k, n, target.index)
-                                   for k in source.basis)
-        _BOUNDARY_CACHE[key] = _Boundary(source, target, red, kernel)
-    return _BOUNDARY_CACHE[key]
+    target = build_cyclic_space(algebra, n - 1, amplification, weight)
+    source = build_cyclic_space(algebra, n, amplification, weight)
+    red, _, kernel = eliminate(_boundary_column(k, n, target.index)
+                               for k in source.basis)
+    return _Boundary(source, target, red, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +553,10 @@ class HomologySpace:
                                       self.degree + 1, out)
 
 
-_HC_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def hc_space(algebra: MultiMatrixAlgebra, n: int,
              amplification: int = 1) -> HomologySpace:
-    key = (algebra.block_dims, amplification, n)
-    if key not in _HC_CACHE:
-        _HC_CACHE[key] = HomologySpace(algebra, n, amplification)
-    return _HC_CACHE[key]
+    return HomologySpace(algebra, n, amplification)
 
 
 def _check_degree(n: int, amplification: int = 1) -> None:

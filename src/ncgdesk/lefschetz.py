@@ -17,7 +17,7 @@ ch_l(e_i), e_i the diagonal units, are short reads.  The refined number
 resolves v = h_j u h_j: if v^t = h_j, the zeta_t^k eigenspace has rank
 (1/t) sum_s zeta_t^(-ks) tr_i(v^s), read from the powers that found t;
 otherwise ``spectral_decompose`` splits v.  It is kept on the complex per
-tuple of unitary objects, so Theorems 4 and 5 share one computation.
+tuple of unitary values, so Theorems 4 and 5 share one computation.
 Multiplicities and ranks that are not natural numbers raise
 ConsistencyError.
 """
@@ -327,9 +327,7 @@ class GAComplex:
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "_multiplicities", {})  # IrrepTable -> M
-        # ids of the unitaries -> (the unitaries, their refined number); the
-        # entry holds the objects, so their ids are not reused while it lives
-        object.__setattr__(self, "_refined", {})
+        object.__setattr__(self, "_refined", {})  # unitaries -> number
 
     @property
     def length(self) -> int:
@@ -539,12 +537,11 @@ def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
 _MAX_ORDER = 24  # the largest order t of v that the Fourier path reads
 
 
-def _powers_to_order(v: AlgebraElement, h: AlgebraElement,
-                     cap: int = _MAX_ORDER):
-    """[h, v, ..., v^(t-1)] for the least t <= cap with v^t = h, else None."""
+def _powers_to_order(v: AlgebraElement, h: AlgebraElement):
+    """[h, v, ..., v^(t-1)] for the least t <= _MAX_ORDER with v^t = h."""
     powers, power = [h], v
     while not power.equals(h):
-        if len(powers) == cap:
+        if len(powers) == _MAX_ORDER:
             return None
         powers.append(power)
         power = power * v
@@ -553,11 +550,11 @@ def _powers_to_order(v: AlgebraElement, h: AlgebraElement,
 
 @functools.lru_cache(maxsize=_MAX_ORDER)
 def _fourier(t: int):
-    """The t x t matrix zeta_t^(-ks)/t: row k maps (tr v^s)_s to the rank of
-    the zeta_t^k eigenspace of v when v^t = 1."""
-    return la.scalar_mul(Fraction(1, t), la.as_matrix(
-        [[Cyclotomic.root_of_unity(t, -k * s % t) for s in range(t)]
-         for k in range(t)]))
+    """(zeta_t^k for k < t, the t x t matrix zeta_t^(-ks)/t): row k maps
+    (tr v^s)_s to the rank of the zeta_t^k eigenspace of v when v^t = 1."""
+    roots = tuple(Cyclotomic.root_of_unity(t, k) for k in range(t))
+    return roots, la.scalar_mul(Fraction(1, t), la.as_matrix(
+        [[roots[-k * s % t] for s in range(t)] for k in range(t)]))
 
 
 def _restricted_n_class(h: Projection, u: AlgebraElement) -> N0Class:
@@ -576,13 +573,12 @@ def _restricted_n_class(h: Projection, u: AlgebraElement) -> N0Class:
     if v.is_exact():
         powers = _powers_to_order(v, h.element)
         if powers is not None:
-            t = len(powers)
+            roots, fourier = _fourier(len(powers))
             traces = la.as_matrix([p.trace_vector() for p in powers])
-            ranks = la.entries(la.mat_mul(_fourier(t), traces))
+            ranks = la.entries(la.mat_mul(fourier, traces))
             return N0Class(algebra, tuple(
-                (Cyclotomic.root_of_unity(t, k),
-                 tuple(_natural(r, "eigenspace rank") for r in row))
-                for k, row in enumerate(ranks)))
+                (root, tuple(_natural(r, "eigenspace rank") for r in row))
+                for root, row in zip(roots, ranks)))
     try:
         return n_class(spectral_decompose(v))
     except NumericalError:
@@ -602,14 +598,13 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
     ``unitaries`` is one AlgebraElement per module; it must be unitary on
     each module and commute with the differentials, but need not come from
     the group action.  The result is kept on the complex, keyed by the
-    identity of the unitary objects; a call that raises keeps nothing.
+    unitaries' values; a call that raises keeps nothing.
     """
     unitaries = tuple(unitaries)
     if len(unitaries) != c.length:
         raise ValidationError("one unitary per module required")
-    key = tuple(map(id, unitaries))
-    if key in c._refined:
-        return c._refined[key][1]
+    if unitaries in c._refined:
+        return c._refined[unitaries]
     problems = _map_problems(c, unitaries, "endomorphism")
     if problems:
         raise DomainError(problems[0])
@@ -618,7 +613,7 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
         part = _restricted_n_class(h, unitaries[j])
         total = total + (part if j % 2 == 0 else -part)
     result = GeneralizedLefschetz(total)
-    c._refined[key] = (unitaries, result)
+    c._refined[unitaries] = result
     return result
 
 

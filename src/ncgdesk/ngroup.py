@@ -7,6 +7,7 @@ happens on those supports.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .algebra import (
@@ -33,7 +34,11 @@ class K0Class:
     ranks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        ranks = tuple(self.ranks)
+        if any(isinstance(r, bool) or not isinstance(r, numbers.Rational)
+               or r.denominator != 1 for r in ranks):
+            raise ValidationError(f"K0 ranks must be integers, got {ranks!r}")
+        object.__setattr__(self, "ranks", tuple(map(int, ranks)))
 
     def __add__(self, other):
         if len(self.ranks) != len(other.ranks):

@@ -63,7 +63,7 @@ def set_epsilon(eps: float) -> None:
 # (the coefficients of 1, zeta, ..., zeta^(phi(n)-1)) over one positive
 # denominator; a plane is a scalar for Cyclotomic and a matrix in linalg.
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_poly(n: int) -> tuple:
     """Integer coefficients (low -> high) of the n-th cyclotomic polynomial."""
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1, the product of Phi_d over d | n
@@ -83,7 +83,7 @@ def _phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _powers(n: int):
     """Row k holds the integer coefficients of x^k mod Phi_n, for k < n."""
     phi = _phi(n)
@@ -109,7 +109,7 @@ def _fold(table: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return (table @ planes.reshape(q, -1)).reshape((len(table),) + planes.shape[1:])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _mul_table(n: int) -> np.ndarray:
     """(phi, phi^2) table: plane t of a product gets sum_ij M[t, i*phi+j] A_i B_j."""
     phi, pw = _phi(n), _powers(n)
@@ -117,7 +117,7 @@ def _mul_table(n: int) -> np.ndarray:
                    for t in range(phi)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _galois(n: int, k: int) -> np.ndarray:
     """Table of the automorphism zeta -> zeta^k of Q(zeta_n), gcd(k, n) = 1.
 
@@ -127,7 +127,7 @@ def _galois(n: int, k: int) -> np.ndarray:
     return _table([[pw[j * k % n][t] for j in range(phi)] for t in range(phi)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _promotion(n: int, big: int) -> np.ndarray:
     """Coordinates at order ``big`` of zeta_n^j (n | big), as rows t x cols j."""
     step, pw = big // n, _powers(big)
@@ -135,7 +135,7 @@ def _promotion(n: int, big: int) -> np.ndarray:
                    for t in range(_phi(big))])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _subfields(n: int):
     """Test data for each proper subfield Q(zeta_d), smallest d first.
 

@@ -201,19 +201,15 @@ def battery_kernel_h(seed: int, count: int) -> VerificationReport:
     return _run("kernel_h", seed, count, one)
 
 
-def battery_th2(seed: int, count: int, witness_every: int = 0) \
-        -> VerificationReport:
+def battery_th2(seed: int, count: int) -> VerificationReport:
     algebras = [MultiMatrixAlgebra((1,)), MultiMatrixAlgebra((1, 1))]
 
     def one(rng):
         algebra = rng.choice(algebras)
-        want_witness = bool(witness_every) \
-            and rng.random() < 1.0 / witness_every
-        # witness route works in the amplified complex, so keep it small
-        m = rng.randint(1, 2) if want_witness else rng.randint(1, 3)
+        m = rng.randint(1, 3)
         parts = rng.randint(1, 4)
         ps = random_orthogonal_family(algebra, rng, parts, m)
-        report = verify_eta_vanishes(ps, 1, witness=want_witness)
+        report = verify_eta_vanishes(ps, 1)
         return report.ok, None if report.ok else {"m": m, "parts": parts}
 
     return _run("th2", seed, count, one)
@@ -263,22 +259,17 @@ def battery_th8(seed: int, count: int) -> VerificationReport:
     return _run("th8", seed, count, one)
 
 
-_TABLES = None
-
-
 def _irrep_tables():
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = [IrrepTable.cyclic(2), IrrepTable.cyclic(3),
-                   IrrepTable.symmetric_3()]
-    return _TABLES
+    return (IrrepTable.cyclic(2), IrrepTable.cyclic(3),
+            IrrepTable.symmetric_3())
 
 
 def battery_th4(seed: int, count: int) -> VerificationReport:
     algebras = [MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,))]
+    tables = _irrep_tables()
 
     def one(rng):
-        table = rng.choice(_irrep_tables())
+        table = rng.choice(tables)
         algebra = rng.choice(algebras)
         c = random_ga_complex(algebra, table, rng, length=rng.randint(1, 3))
         g = rng.randrange(table.group.order)
@@ -290,9 +281,10 @@ def battery_th4(seed: int, count: int) -> VerificationReport:
 
 def battery_th5(seed: int, count: int) -> VerificationReport:
     algebras = [MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,))]
+    tables = _irrep_tables()
 
     def one(rng):
-        table = rng.choice(_irrep_tables())
+        table = rng.choice(tables)
         algebra = rng.choice(algebras)
         c = random_ga_complex(algebra, table, rng, length=rng.randint(1, 3))
         g = rng.randrange(table.group.order)

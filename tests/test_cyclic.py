@@ -38,6 +38,18 @@ CM2 = MultiMatrixAlgebra((1, 2))
 seeds = st.integers(0, 10 ** 6)
 
 
+@pytest.fixture
+def cold_cyclic():
+    """Empty cyclic caches for the test, emptied again after it, so that no
+    structure built under a patch outlives the patch."""
+    cached = (build_cyclic_space, cyclic._boundary, hc_space)
+    for f in cached:
+        f.cache_clear()
+    yield
+    for f in cached:
+        f.cache_clear()
+
+
 def random_tensor(algebra, m, degree, rng, terms=4):
     units = [(j, a, b)
              for j, d in enumerate(algebra.ambient_dims(m))
@@ -405,8 +417,7 @@ class TestKeyValidation:
 class TestWalkBudget:
     @pytest.mark.parametrize("blocks, n, nodes", [((2,), 3, 122),
                                                   ((3,), 4, 10_017)])
-    def test_walk_is_charged_its_nodes(self, monkeypatch, blocks, n, nodes):
-        monkeypatch.setattr(cyclic, "_CYCLIC_CACHE", {})
+    def test_walk_is_charged_its_nodes(self, cold_cyclic, blocks, n, nodes):
         try:
             set_budget(nodes - 1)
             with pytest.raises(ResourceError, match=f"CC_{n} basis"):
@@ -486,20 +497,16 @@ class TestReadout:
         ((1, 1), 1, 0), ((1, 1), 1, 2), ((2,), 1, 1), ((2,), 1, 2),
         ((1, 2), 1, 1), ((1,), 2, 2)])
     def test_cold_space_eliminates_once_per_boundary(self, monkeypatch,
-                                                     blocks, m, n):
-        for cache in ("_CYCLIC_CACHE", "_BOUNDARY_CACHE", "_HC_CACHE"):
-            monkeypatch.setattr(cyclic, cache, {})
+                                                     cold_cyclic, blocks, m, n):
         calls = []
         monkeypatch.setattr(cyclic, "eliminate",
                             lambda cols: calls.append(1) or eliminate(cols))
         hc_space(MultiMatrixAlgebra(blocks), n, m)
-        assert len(calls) == len(cyclic._BOUNDARY_CACHE) == (1 if n == 0
-                                                              else 2)
+        assert len(calls) == cyclic._boundary.cache_info().currsize \
+            == (1 if n == 0 else 2)
 
     @pytest.mark.parametrize("n", [0, 1])
-    def test_wrong_dimension_raises(self, monkeypatch, n):
-        for cache in ("_CYCLIC_CACHE", "_BOUNDARY_CACHE", "_HC_CACHE"):
-            monkeypatch.setattr(cyclic, cache, {})
+    def test_wrong_dimension_raises(self, monkeypatch, cold_cyclic, n):
         # a zero boundary leaves every weight-0 orbit as a class
         monkeypatch.setattr(cyclic, "_boundary_column", lambda *args: {})
         with pytest.raises(ConsistencyError):

@@ -68,6 +68,16 @@ class TestGroupLaws:
         with pytest.raises(ValidationError):
             N0Class(A, ((Cyclotomic.from_rational(0), K0Class((1, 0))),))
 
+    def test_ranks_must_be_integers(self):
+        assert K0Class((Fraction(4, 2), -3)).ranks == (2, -3)
+        assert type(K0Class((Fraction(4, 2),)).ranks[0]) is int
+        for rank in (Fraction(5, 2), 2.7, 2.0, True, "3"):
+            with pytest.raises(ValidationError):
+                K0Class((1, rank))
+        v = Cyclotomic.from_rational(1)
+        with pytest.raises(ValidationError):
+            N0Class(A, ((v, (1, Fraction(1, 2))),))
+
 
 class TestClassesOfElements:
     @settings(max_examples=25, deadline=None)
