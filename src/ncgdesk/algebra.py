@@ -18,10 +18,10 @@ factor's eigenprojection for lam is the Lagrange product
 prod (b - mu) / (lam - mu) over that factor's own snapped eigenvalues
 mu != lam, and a factor whose spectrum lacks lam gets the zero block.
 Every candidate is still checked exactly (see :func:`spectral_decompose`).
-An exact decomposition is kept per (element, epsilon), for at most 256
-inputs: an equal exact input at the same epsilon returns the form that
-was built and checked for the earlier one.  ``ncgdesk.clear_caches``
-empties that cache.
+Epsilon decides float comparisons only: no exact answer depends on it.  An
+exact decomposition is kept per element, for at most 256 inputs: an equal
+exact input returns the form that was built and checked for the earlier
+one.  ``ncgdesk.clear_caches`` empties that cache.
 """
 
 from __future__ import annotations
@@ -265,9 +265,6 @@ class BorelSetModel:
         object.__setattr__(self, "points",
                            tuple(sorted(self.points, key=sort_key)))
 
-    def is_admissible(self) -> bool:
-        return not any(map(scalar_is_zero, self.points))
-
     def contains(self, value) -> bool:
         return any(scalars_equal(value, p) for p in self.points)
 
@@ -456,30 +453,30 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
     """Split a normal element into eigenvalue/eigenprojection pairs.
 
     Exact elements are decomposed exactly when their eigenvalues are Gaussian
-    rationals.  Float eigenvalues of each block are clustered within 2*eps
-    and snapped, and each snapped value remembers the factors it came from.
-    A factor's idempotent for lam is the Lagrange product over its own
-    values only, formed from each b - mu once and scaled once by
-    prod (lam - mu)^-1; a factor without lam gets the zero block.  Where
-    the product over every snapped value succeeds, the two agree: a
-    factor's minimal polynomial divides that product, so each dropped
-    term is invertible on the block or the block is zero.
+    rationals.  Each float eigenvalue of each block is snapped on its own,
+    and each factor keeps its distinct snapped values.  A factor's
+    idempotent for lam is the Lagrange product over its own values only,
+    formed from each b - mu once and scaled once by prod (lam - mu)^-1; a
+    factor without lam gets the zero block.  Where the product over every
+    snapped value succeeds, the two agree: a factor's minimal polynomial
+    divides that product, so each dropped term is invertible on the block
+    or the block is zero.
 
     Each fact is checked once: the element is normal, each candidate is a
     projection, sum lam * p rebuilds x, and the kernel and the resolution
-    of the identity are checked by :class:`SpectralForm`.  The
-    NumericalError conditions are unchanged: a candidate that is not a
-    projection or a failed reconstruction raises it.  Float elements go
-    through Hermitian eigensolvers with 2*eps eigenvalue clustering;
-    eigenvalues that chain into a cluster wider than 2*eps raise
-    NumericalError.
+    of the identity are checked by :class:`SpectralForm`.  A candidate
+    that is not a projection or a failed reconstruction raises
+    NumericalError.  Epsilon decides float comparisons only, so no exact
+    decomposition depends on it.  Float elements go through Hermitian
+    eigensolvers with 2*eps eigenvalue clustering; eigenvalues that chain
+    into a cluster wider than 2*eps raise NumericalError.
 
-    An exact input equal to one decomposed before at the same eps returns
-    the form built and checked then (at most 256 are kept); an input that
-    raised raises again.  Float inputs are not kept.
+    An exact input equal to one decomposed before returns the form built
+    and checked then (at most 256 are kept); an input that raised raises
+    again.  Float inputs are not kept.
     """
     if x.is_exact():
-        return _spectral_decompose_exact(x, get_epsilon())
+        return _spectral_decompose_exact(x)
     return _spectral_decompose_float(x)
 
 
@@ -520,25 +517,16 @@ def _lagrange_idempotents(b, values):
 
 
 @functools.lru_cache(maxsize=256)
-def _spectral_decompose_exact(x, eps):
-    """Cached on (x, eps): ``eps``, the current epsilon, clusters the
-    numpy eigenvalues before they are snapped."""
+def _spectral_decompose_exact(x):
+    """Cached on x alone: no step reads epsilon."""
     if not is_normal(x):
         raise DomainError("spectral_decompose requires a normal element")
-    values, owners = [], []
-    for f, b in enumerate(x.blocks):
-        found = np.linalg.eigvals(la.to_numpy(b))
-        values.extend(found)
-        owners.extend([f] * len(found))
-    # distinct snapped values, and per factor those its own candidates gave
-    snapped, local = [], [[] for _ in x.blocks]
-    for c in _cluster([complex(v) for v in values], 2 * eps, bounded=False):
-        z = _snap_gaussian(complex(np.mean([values[i] for i in c])))
-        if z not in snapped:
-            snapped.append(z)
-        for f in {owners[i] for i in c}:
-            if z not in local[f]:
-                local[f].append(z)
+    # distinct snapped values per factor, then overall, in order of first
+    # appearance
+    local = [list(dict.fromkeys(map(_snap_gaussian,
+                                    np.linalg.eigvals(la.to_numpy(b)))))
+             for b in x.blocks]
+    snapped = dict.fromkeys(z for values in local for z in values)
     idempotents = [_lagrange_idempotents(b, vals) for b, vals in zip(x.blocks, local)]
     pairs = []
     for lam in snapped:

@@ -73,10 +73,6 @@ class CoverCell:
     points: tuple  # spectrum points inside the cell
     tag: object
 
-    @property
-    def side(self) -> Fraction:
-        return Fraction(1, 2 ** self.level)
-
 
 def _real_imag(z):
     """(re, im) as Fractions when available, floats otherwise."""
@@ -122,14 +118,11 @@ def dyadic_cover(spectrum, level: int, policy: str = "smallest"):
 
 def _merge_cells(a: SpectralForm, cover):
     """Pairs (tag, merged projection) following the cover's cells."""
-    index = {}
-    for cell in cover:
-        for z in cell.points:
-            index[sort_key(z)] = cell
+    index = {z: cell for cell in cover for z in cell.points}
     merged = {}
     order = []
     for value, proj in a.pairs:
-        cell = index.get(sort_key(value))
+        cell = index.get(value)
         if cell is None:
             raise ValidationError("cover does not cover the spectrum")
         key = cell.corner

@@ -194,7 +194,7 @@ def _cmd_n0(args) -> int:
     elif args.action == "t":
         v = sz.k0c_from_json(sz.load_file(args.k0c))
         algebra = sz.algebra_from_json(sz.load_file(args.algebra))
-        _emit(sz.n0_to_json(t_map(v, algebra=algebra)))
+        _emit(sz.n0_to_json(t_map(v, algebra)))
     elif args.action == "push":
         phi = sz.hom_from_json(sz.load_file(args.hom))
         x = sz.n0_from_json(sz.load_file(args.n0))

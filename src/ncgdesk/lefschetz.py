@@ -33,8 +33,7 @@ from .algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
     spectral_decompose
 from .chern import _unit_class, generalized_chern
 from .cyclic import HCClass, zero_class
-from .errors import ConsistencyError, DomainError, NumericalError, \
-    ValidationError
+from .errors import ConsistencyError, DomainError, ValidationError
 from .ngroup import K0TensorC, N0Class, h_map, n_class
 from .scalars import Cyclotomic, conj_scalar, scalar_is_zero, scalars_equal
 
@@ -114,15 +113,8 @@ class FiniteGroup:
 
     @staticmethod
     def symmetric_group_3() -> "FiniteGroup":
-        # element (a, b) = r^a s^b with r^3 = s^2 = e and s r = r^2 s,
-        # indexed as a + 3b
-        def mul(x, y):
-            a1, b1 = x % 3, x // 3
-            a2, b2 = y % 3, y // 3
-            a = (a1 + (a2 if b1 == 0 else -a2)) % 3
-            return a + 3 * ((b1 + b2) % 2)
-        return FiniteGroup(tuple(tuple(mul(x, y) for y in range(6))
-                                 for x in range(6)))
+        """S_3 with element a + 3b = r^a s^b (see ``IrrepTable.symmetric_3``)."""
+        return IrrepTable.symmetric_3().group
 
 
 @dataclass(frozen=True)
@@ -195,25 +187,24 @@ class IrrepTable:
 
     @staticmethod
     def symmetric_3() -> "IrrepTable":
-        group = FiniteGroup.symmetric_group_3()
-        one = Fraction(1)
+        """S_3 with element a + 3b = r^a s^b, where the standard irrep sends
+        r to diag(zeta_3, zeta_3^2) and s to the swap.  That irrep is
+        faithful, so the group table is read from its matrices."""
+        w = Cyclotomic.root_of_unity(3, 1)
+        zero, one = Cyclotomic.from_rational(0), Cyclotomic.from_rational(1)
+        rho_r = la.as_matrix(((w, zero), (zero, w * w)))
+        rho_s = la.as_matrix(((zero, one), (one, zero)))
+        mats = []
+        for g in range(6):
+            m = la.identity(2)
+            for _ in range(g % 3):
+                m = la.mat_mul(m, rho_r)
+            mats.append(la.mat_mul(m, rho_s) if g >= 3 else m)
+        group = FiniteGroup(tuple(tuple(mats.index(la.mat_mul(x, y))
+                                        for y in mats) for x in mats))
         triv = Irrep("trivial", 1, tuple(((one,),) for _ in range(6)))
         sign = Irrep("sign", 1, tuple((((one if g < 3 else -one),),)
                                       for g in range(6)))
-        w = Cyclotomic.root_of_unity(3, 1)
-        zero = Cyclotomic.from_rational(0)
-        rho_r = ((w, zero), (zero, w * w))
-        rho_s = ((zero, Cyclotomic.from_rational(1)),
-                 (Cyclotomic.from_rational(1), zero))
-        mats = []
-        for g in range(6):
-            a, b = g % 3, g // 3
-            m = la.identity(2)
-            for _ in range(a):
-                m = la.mat_mul(m, rho_r)
-            if b:
-                m = la.mat_mul(m, rho_s)
-            mats.append(m)
         std = Irrep("standard", 2, tuple(mats))
         return IrrepTable(group, (triv, sign, std))
 
@@ -563,8 +554,9 @@ def _restricted_n_class(h: Projection, u: AlgebraElement) -> N0Class:
     For v = h u h with v^t = h, the zeta_t^k eigenspace has per-factor rank
     (1/t) sum_s zeta_t^(-ks) tr(v^s): v is unitary on the range of h (the
     caller's ``_map_problems`` check), so these are the traces of its
-    Fourier spectral projections.  Otherwise the element is diagonalized
-    directly (exactly when its eigenvalues allow, in floats as a fallback).
+    Fourier spectral projections.  Otherwise ``spectral_decompose`` splits
+    v, and an exact v it cannot decide raises NumericalError: epsilon
+    decides float comparisons only, and no exact class depends on it.
     """
     v = h.element * u * h.element
     algebra = h.algebra
@@ -579,12 +571,7 @@ def _restricted_n_class(h: Projection, u: AlgebraElement) -> N0Class:
             return N0Class(algebra, tuple(
                 (root, tuple(_natural(r, "eigenspace rank") for r in row))
                 for root, row in zip(roots, ranks)))
-    try:
-        return n_class(spectral_decompose(v))
-    except NumericalError:
-        blocks = tuple(la.FloatMatrix(la.to_numpy(b)) for b in v.blocks)
-        v_float = AlgebraElement(algebra, v.amplification, blocks)
-        return n_class(spectral_decompose(v_float))
+    return n_class(spectral_decompose(v))
 
 
 @dataclass(frozen=True)

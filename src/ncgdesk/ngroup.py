@@ -174,11 +174,6 @@ class K0TensorC:
     def is_zero(self) -> bool:
         return all(scalar_is_zero(c) for c in self.coeffs)
 
-    @staticmethod
-    def zero(k: int):
-        from fractions import Fraction
-        return K0TensorC((Fraction(0),) * k)
-
 
 def h_map(x: N0Class) -> K0TensorC:
     """Collapse an N0 class to K0(A) tensor C: sum of value * ranks."""
@@ -242,27 +237,16 @@ def evaluate_h_list(algebra, gens) -> N0Class:
     return acc
 
 
-def default_reference_projections(algebra: MultiMatrixAlgebra):
-    """One rank-one diagonal unit per factor (the canonical t-map section)."""
-    return [Projection.diagonal_unit(algebra, f) for f in range(algebra.num_factors)]
-
-
-def t_map(v: K0TensorC, generators=None, algebra=None) -> N0Class:
-    """Canonical coset representative splitting h: c_i goes to c_i * e_i."""
-    if generators is None:
-        if algebra is None:
-            raise ValidationError("t_map needs reference projections or an algebra")
-        generators = default_reference_projections(algebra)
-    if algebra is None:
-        algebra = generators[0].algebra
-    if len(generators) != algebra.num_factors:
-        raise ValidationError("one reference projection per factor required")
-    support = []
-    for i, c in enumerate(v.coeffs):
-        if scalar_is_zero(c):
-            continue
-        support.append((c, k0_of_projection(generators[i])))
-    return N0Class(algebra, tuple(support))
+def t_map(v: K0TensorC, algebra: MultiMatrixAlgebra) -> N0Class:
+    """Canonical coset representative splitting h: c_i goes to c_i times
+    the unit rank vector of factor i (the class of a rank-one projection)."""
+    k = algebra.num_factors
+    if len(v.coeffs) != k:
+        raise ValidationError(
+            f"t_map needs one coefficient per factor: {k}, got {len(v.coeffs)}")
+    return N0Class(algebra, tuple(
+        (c, K0Class(tuple(int(j == i) for j in range(k))))
+        for i, c in enumerate(v.coeffs) if not scalar_is_zero(c)))
 
 
 def functorial_map(phi: StarHomomorphism, x: N0Class) -> N0Class:

@@ -399,7 +399,9 @@ class Cyclotomic:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        # a rational hashes as the Fraction it equals
+        return hash(self.coeffs[0]) if self.order == 1 else \
+            hash((self.order, self.coeffs))
 
     def __bool__(self):
         return not self.is_zero()

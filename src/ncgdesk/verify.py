@@ -188,7 +188,7 @@ def battery_kernel_h(seed: int, count: int) -> VerificationReport:
             return False, {"check": "h(generator) = 0"}
         v = K0TensorC(tuple(random_gaussian_rational(rng)
                             for _ in algebra.block_dims))
-        if h_map(t_map(v, algebra=algebra)) != v:
+        if h_map(t_map(v, algebra)) != v:
             return False, {"check": "h o t = id"}
         n = rng.randint(1, 20)
         if lam.is_zero():

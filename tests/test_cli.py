@@ -229,22 +229,38 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
-MALFORMED_ELEMENTS = {
-    "non-integer block": {"schema_version": 1, "algebra": {"blocks": [1, "x"]},
-                          "m": 1, "blocks": [[["1"]], [["1"]]]},
-    "missing blocks": {"schema_version": 1, "algebra": {}, "m": 1,
-                       "blocks": [[["1"]]]},
-    "zero denominator": {"schema_version": 1, "algebra": {"blocks": [1]},
-                         "m": 1, "blocks": [[["1/0"]]]},
+def _n0_class(element):
+    return {"x.json": element}, ["n0", "class", "--element", "x.json"]
+
+
+def _t_map(coeffs):
+    """``n0 t`` of the given coefficients over {"blocks": [1, 2]}."""
+    return ({"alg.json": {"schema_version": 1, "blocks": [1, 2]},
+             "v.json": {"schema_version": 1, "coeffs": coeffs}},
+            ["n0", "t", "--k0c", "v.json", "--algebra", "alg.json"])
+
+
+# documents by file name, and the command that reads them
+MALFORMED_INPUTS = {
+    "non-integer block": _n0_class(
+        {"schema_version": 1, "algebra": {"blocks": [1, "x"]}, "m": 1,
+         "blocks": [[["1"]], [["1"]]]}),
+    "missing blocks": _n0_class({"schema_version": 1, "algebra": {}, "m": 1,
+                                 "blocks": [[["1"]]]}),
+    "zero denominator": _n0_class(
+        {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
+         "blocks": [[["1/0"]]]}),
+    "t of three coefficients over two factors": _t_map(["1", "2", "3"]),
+    "t of one coefficient over two factors": _t_map(["1"]),
 }
 
 
-@pytest.mark.parametrize("doc", MALFORMED_ELEMENTS.values(),
-                         ids=MALFORMED_ELEMENTS.keys())
-def test_malformed_document_is_one_error_line(tmp_path, doc):
-    path = write(tmp_path, "x.json", doc)
+@pytest.mark.parametrize("files, argv", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_document_is_one_error_line(tmp_path, files, argv):
+    paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
     proc = subprocess.run(
-        [sys.executable, "-m", "ncgdesk.cli", "n0", "class", "--element", path],
+        [sys.executable, "-m", "ncgdesk.cli", *(paths.get(a, a) for a in argv)],
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -57,6 +57,21 @@ class TestFiniteGroup:
         for table in TABLES:
             assert sum(p.dim ** 2 for p in table.irreps) == table.group.order
 
+    def test_s3_table(self):
+        # element a + 3b = r^a s^b, read from the standard irrep's matrices
+        assert FiniteGroup.symmetric_group_3().table == (
+            (0, 1, 2, 3, 4, 5),
+            (1, 2, 0, 4, 5, 3),
+            (2, 0, 1, 5, 3, 4),
+            (3, 5, 4, 0, 2, 1),
+            (4, 3, 5, 1, 0, 2),
+            (5, 4, 3, 2, 1, 0))
+        table = IrrepTable.symmetric_3()
+        assert table.group == FiniteGroup.symmetric_group_3()
+        std = table.irreps[2].matrices
+        assert all(std[table.group.mul(x, y)] == la.mat_mul(std[x], std[y])
+                   for x in range(6) for y in range(6))
+
     def test_generators(self):
         assert FiniteGroup.cyclic_group(1).generators == ()
         assert FiniteGroup.cyclic_group(4).generators == (1,)
@@ -134,20 +149,38 @@ class TestComplexes:
         return c, AlgebraElement(C, 1, (((phase,),),))
 
     def _fail_exact(self, monkeypatch, error):
-        real = lefschetz.spectral_decompose
+        """Make every exact decomposition raise ``error``; returns the
+        list of the elements decomposed, in call order."""
+        real, seen = lefschetz.spectral_decompose, []
 
         def decompose(x):
+            seen.append(x)
             if x.is_exact():
                 raise error("exact decomposition failed")
             return real(x)
         monkeypatch.setattr(lefschetz, "spectral_decompose", decompose)
+        return seen
 
-    def test_numerical_error_falls_back_to_floats(self, monkeypatch):
-        self._fail_exact(monkeypatch, NumericalError)
+    def test_numerical_error_is_not_retried_in_floats(self, monkeypatch):
+        seen = self._fail_exact(monkeypatch, NumericalError)
         c, u = self._rotation_on_c()
-        (value, cls), = generalized_lefschetz(c, [u]).value.support
-        assert isinstance(value, complex) and abs(value - (0.6 + 0.8j)) < 1e-9
-        assert cls.ranks == (1,)
+        with pytest.raises(NumericalError, match="exact decomposition failed"):
+            generalized_lefschetz(c, [u])
+        assert [x.is_exact() for x in seen] == [True]
+
+    def test_undecidable_exact_unitary_raises(self):
+        # zeta_25 has order 25, beyond the Fourier read, and is not a
+        # Gaussian rational: no exact class is found, and none in floats
+        q = Projection.identity(C)
+        c = GAComplex(C, FiniteGroup.cyclic_group(25), (q,), (), tuple(
+            (q.element.scale(Cyclotomic.root_of_unity(25, g)),)
+            for g in range(25)))
+        assert validate_complex(c) == []
+        for _ in range(2):
+            with pytest.raises(NumericalError):
+                generalized_lefschetz(c, c.unitary(1))
+        x = generalized_lefschetz(c, c.unitary(5)).value  # zeta_5: order 5
+        assert x.support == ((Cyclotomic.root_of_unity(5, 1), K0Class((1,))),)
 
     def test_other_errors_are_not_retried_in_floats(self, monkeypatch):
         self._fail_exact(monkeypatch, TypeError)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgdesk.algebra import MultiMatrixAlgebra, Projection, SpectralForm
+from ncgdesk.cyclic import HCClass
 from ncgdesk.errors import ValidationError
 from ncgdesk.generate import (
     random_hom,
@@ -79,6 +80,17 @@ class TestGroupLaws:
             N0Class(A, ((v, (1, Fraction(1, 2))),))
 
 
+@pytest.mark.parametrize("q", [1, -2, Fraction(3, 4), Fraction(-5, 9)])
+def test_classes_from_either_rational_type_hash_alike(q):
+    """A rational Cyclotomic hashes as the Fraction it equals, so classes
+    built from either are one set element."""
+    made = [(N0Class(A, ((r, (1, 2)),)), HCClass(0, (r, 2 * r)),
+             K0TensorC((r, r)))
+            for r in (Fraction(q), Cyclotomic.from_rational(q))]
+    for a, b in zip(*made):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 class TestClassesOfElements:
     @settings(max_examples=25, deadline=None)
     @given(seeds)
@@ -124,6 +136,19 @@ class TestHAndT:
         v = K0TensorC((Cyclotomic.gaussian(Fraction(rng.randint(-6, 6), 3), 1),
                        Cyclotomic.from_rational(rng.randint(-3, 3))))
         assert h_map(t_map(v, algebra=A)) == v
+
+    def test_t_sends_each_coefficient_to_a_unit_rank(self):
+        half, i = Fraction(1, 2), Cyclotomic.gaussian(0, 1)
+        x = t_map(K0TensorC((half, i)), A)
+        assert x.value_at(half).ranks == (1, 0)
+        assert x.value_at(i).ranks == (0, 1)
+        assert t_map(K0TensorC((half, 0)), A).support == (
+            (half, K0Class((1, 0))),)
+
+    @pytest.mark.parametrize("coeffs", [(1,), (1, 2, 3)])
+    def test_t_needs_one_coefficient_per_factor(self, coeffs):
+        with pytest.raises(ValidationError, match="one coefficient per factor"):
+            t_map(K0TensorC(tuple(map(Fraction, coeffs))), A)
 
     @settings(max_examples=20, deadline=None)
     @given(seeds, st.integers(1, 20))

@@ -52,6 +52,13 @@ class TestCyclotomic:
         assert x.is_rational() and x.rational_value() == Fraction(3, 4)
         assert complex(x) == 0.75
 
+    @pytest.mark.parametrize("q", [0, 1, -1, Fraction(1, 2), Fraction(-7, 3),
+                                   Fraction(10 ** 30 + 1, 7), 2 ** 61 - 1])
+    def test_rational_hashes_as_its_fraction(self, q):
+        x = Cyclotomic.from_rational(q)
+        assert x == Fraction(q) and hash(x) == hash(Fraction(q))
+        assert len({x, Fraction(q)}) == 1
+
     def test_root_of_unity_powers(self):
         w = Cyclotomic.root_of_unity(3)
         assert (w ** 3).is_rational()
