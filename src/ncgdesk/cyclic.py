@@ -81,10 +81,14 @@ class TensorElement:
             key = tuple(tuple(u) for u in key)
             if len(key) != degree + 1:
                 raise ValidationError("index tuple length does not match degree")
-            for j, a, b in key:
+            for u in key:
+                if len(u) != 3:
+                    raise ValidationError(f"unit index {u} is not a "
+                                          "(factor, row, column) triple")
+                j, a, b = u
                 if not (0 <= j < algebra.num_factors
                         and 0 <= a < dims[j] and 0 <= b < dims[j]):
-                    raise ValidationError(f"unit index {(j, a, b)} out of range")
+                    raise ValidationError(f"unit index {u} out of range")
             if scalar_is_zero(c):
                 continue
             if key in clean:
@@ -244,20 +248,15 @@ def _cc_canonical(key, n):
     Rotating by k applies tau k times and multiplies by (-1)^(n*k); a
     rotation fixing the tuple with sign -1 forces the class to zero.
     """
-    best = key
-    best_k = 0
-    for k in range(1, n + 1):
-        rot = key[-k:] + key[:-k]
-        if rot < best:
-            best, best_k = rot, k
-    sign = 1 if (n * best_k) % 2 == 0 else -1
-    if n % 2:
-        # only odd degrees can produce sign-flipping stabilizers
-        for k in range(1, n + 1):
-            if k != best_k and key[-k:] + key[:-k] == best \
-                    and (n * k) % 2 != (n * best_k) % 2:
-                return best, 0
-    return best, sign
+    twice = key + key  # rots[k] = key[-k:] + key[:-k], one slice each
+    rots = [twice[n + 1 - k:2 * n + 2 - k] for k in range(n + 1)]
+    best = min(rots)
+    k = rots.index(best)
+    # only odd degrees have sign-flipping stabilizers: a later rotation of
+    # the other parity that also gives ``best``
+    if n % 2 and best in rots[k + 1::2]:
+        return best, 0
+    return best, -1 if n * k % 2 else 1
 
 
 def _cc_sum(terms, n: int) -> dict:

@@ -9,6 +9,7 @@ kernel projection forces d o d = 0.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -21,12 +22,7 @@ from .algebra import (
     StarHomomorphism,
 )
 from .errors import ValidationError
-from .lefschetz import (
-    GAComplex,
-    IrrepTable,
-    ModuleMap,
-    kernel_projection,
-)
+from .lefschetz import GAComplex, IrrepTable, compose, kernel_projection
 from .ngroup import K0Class, N0Class
 from .scalars import Cyclotomic
 
@@ -177,11 +173,11 @@ def _random_module_rep(irreps: IrrepTable, rng: random.Random, max_dim: int):
 
 
 def _random_a_matrix(algebra, target_size, source_size, rng):
-    blocks = tuple(tuple(tuple(random_gaussian_rational(rng, span=1)
-                               for _ in range(source_size * r))
-                         for _ in range(target_size * r))
-                   for r in algebra.block_dims)
-    return ModuleMap(algebra, target_size, source_size, blocks)
+    """Per-factor blocks of a random target_size x source_size matrix over A."""
+    return tuple(la.as_matrix([[random_gaussian_rational(rng, span=1)
+                                for _ in range(source_size * r)]
+                               for _ in range(target_size * r)])
+                 for r in algebra.block_dims)
 
 
 def random_ga_complex(algebra: MultiMatrixAlgebra, irreps: IrrepTable,
@@ -203,15 +199,15 @@ def random_ga_complex(algebra: MultiMatrixAlgebra, irreps: IrrepTable,
     for i in range(length - 1):
         raw = _random_a_matrix(algebra, modules[i].amplification,
                                modules[i + 1].amplification, rng)
-        avg = ModuleMap.zero(algebra, raw.target_size, raw.source_size)
-        for g in group.elements():
-            term = ModuleMap.from_element(actions[i][g]).compose(raw).compose(
-                ModuleMap.from_element(actions[i + 1][group.inverse(g)]))
-            avg = avg + term
-        avg = avg.scale(Fraction(1, group.order))
+        terms = [compose(actions[i][g].blocks, raw,
+                         actions[i + 1][group.inverse(g)].blocks)
+                 for g in group.elements()]
+        avg = tuple(la.scalar_mul(Fraction(1, group.order),
+                                  functools.reduce(la.mat_add, blocks))
+                    for blocks in zip(*terms))
         if i >= 1:
-            k = kernel_projection(diffs[i - 1], modules[i])
-            avg = ModuleMap.from_element(k).compose(avg)
+            avg = compose(kernel_projection(modules[i], [diffs[i - 1]]).blocks,
+                          avg)
         diffs.append(avg)
     action_table = tuple(tuple(actions[j][g] for j in range(length))
                          for g in group.elements())
@@ -233,9 +229,7 @@ def acyclic_augmentation(c: GAComplex, rng: random.Random) -> GAComplex:
     # append the summand to degrees 0 and 1 via direct sums
     new_modules = [modules[0].direct_sum(q), modules[1].direct_sum(q)] \
         + modules[2:]
-    ident = ModuleMap.from_element(q.element)
-    new_d0 = _direct_sum_maps(diffs[0], ident)
-    new_diffs = [new_d0]
+    new_diffs = [tuple(map(la.block_diag, diffs[0], q.element.blocks))]
     if len(diffs) > 1:
         new_diffs.append(_pad_target_rows(diffs[1], q))
         new_diffs.extend(diffs[2:])
@@ -250,18 +244,7 @@ def acyclic_augmentation(c: GAComplex, rng: random.Random) -> GAComplex:
                      tuple(new_action))
 
 
-def _direct_sum_maps(d: ModuleMap, e: ModuleMap) -> ModuleMap:
-    return ModuleMap(d.algebra, d.target_size + e.target_size,
-                     d.source_size + e.source_size,
-                     tuple(la.block_diag(a, b)
-                           for a, b in zip(d.blocks, e.blocks)))
-
-
-def _pad_target_rows(d: ModuleMap, q: Projection) -> ModuleMap:
+def _pad_target_rows(d, q: Projection) -> tuple:
     """Extend the target of d by zero rows for an appended summand."""
-    extra = q.amplification
-    blocks = []
-    for b, r in zip(d.blocks, d.algebra.block_dims):
-        blocks.append(la.stack_rows(b, la.zeros(extra * r, b.shape[1])))
-    return ModuleMap(d.algebra, d.target_size + extra, d.source_size,
-                     tuple(blocks))
+    return tuple(la.stack_rows(b, la.zeros(qb.shape[0], b.shape[1]))
+                 for b, qb in zip(d, q.element.blocks))

@@ -3,6 +3,8 @@ Lefschetz numbers.
 
 A complex is a finite chain of projective modules q_j * A^(n_j) with
 A-linear differentials and a commuting unitary action of a finite group.
+A differential is its tuple of per-factor blocks, whose shapes the
+complex checks against its modules.
 Finite-dimensional Hodge theory supplies the harmonic projections h_j,
 built once per complex and kept on it (``GAComplex.harmonic``).
 
@@ -31,6 +33,7 @@ from fractions import Fraction
 from . import linalg as la
 from .algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
     spectral_decompose
+from .budget import check_budget
 from .chern import _unit_class, generalized_chern
 from .cyclic import HCClass, zero_class
 from .errors import ConsistencyError, DomainError, ValidationError
@@ -48,6 +51,7 @@ class FiniteGroup:
     table: tuple
 
     def __post_init__(self):
+        check_budget(len(self.table) ** 3, "group associativity checks")
         table = tuple(tuple(int(x) for x in row) for row in self.table)
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
@@ -108,6 +112,7 @@ class FiniteGroup:
 
     @staticmethod
     def cyclic_group(n: int) -> "FiniteGroup":
+        check_budget(n ** 3, "group associativity checks")
         return FiniteGroup(tuple(tuple((i + j) % n for j in range(n))
                                  for i in range(n)))
 
@@ -210,84 +215,26 @@ class IrrepTable:
 
 
 # ---------------------------------------------------------------------------
-# A-linear maps between amplified free modules
-
-@dataclass(frozen=True)
-class ModuleMap:
-    """Left multiplication by a rectangular matrix over A.
-
-    Maps A^source_size -> A^target_size; per-factor blocks are plain
-    matrices in outer-major layout, which is exactly the matrix algebra
-    over A, so A-linearity is automatic.
-    """
-
-    algebra: MultiMatrixAlgebra
-    target_size: int
-    source_size: int
-    blocks: tuple
-
-    def __post_init__(self):
-        if self.target_size < 1 or self.source_size < 1:
-            raise ValidationError("module sizes must be positive")
-        blocks = tuple(la.as_matrix(b) for b in self.blocks)
-        if len(blocks) != self.algebra.num_factors:
-            raise ValidationError("one block per algebra factor required")
-        for b, r in zip(blocks, self.algebra.block_dims):
-            if b.shape != (self.target_size * r, self.source_size * r):
-                raise ValidationError("module map block has wrong shape")
-        object.__setattr__(self, "blocks", blocks)
-
-    @staticmethod
-    def zero(algebra, target_size, source_size, exact=True):
-        return ModuleMap(algebra, target_size, source_size, tuple(
-            la.zeros(target_size * r, source_size * r, exact)
-            for r in algebra.block_dims))
-
-    @staticmethod
-    def from_element(x: AlgebraElement) -> "ModuleMap":
-        return ModuleMap(x.algebra, x.amplification, x.amplification, x.blocks)
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        if self.algebra != other.algebra or self.source_size != other.target_size:
-            raise ValidationError("module map composition mismatch")
-        return ModuleMap(self.algebra, self.target_size, other.source_size,
-                         tuple(la.mat_mul(a, b)
-                               for a, b in zip(self.blocks, other.blocks)))
-
-    def __add__(self, other):
-        return ModuleMap(self.algebra, self.target_size, self.source_size,
-                         tuple(la.mat_add(a, b)
-                               for a, b in zip(self.blocks, other.blocks)))
-
-    def scale(self, c) -> "ModuleMap":
-        return ModuleMap(self.algebra, self.target_size, self.source_size,
-                         tuple(la.scalar_mul(c, b) for b in self.blocks))
-
-    def is_zero(self) -> bool:
-        return all(map(la.is_zero_matrix, self.blocks))
-
-    def equals(self, other) -> bool:
-        return all(map(la.mat_equal, self.blocks, other.blocks))
-
-
-# ---------------------------------------------------------------------------
 # the complexes
 
 @dataclass(frozen=True)
 class GAComplex:
     """Chain complex of projective modules with a unitary group action.
 
-    ``modules[j]`` is the range projection in M_{n_j}(A); ``diffs[i]`` maps
-    module i+1 to module i; ``action[g][j]`` is the unitary of g on module j.
-    The harmonic projections, their character table, the alternating
-    isotypic multiplicities per irrep table and the refined number per
-    tuple of unitaries are built on first use and kept.
+    ``modules[j]`` is the range projection in M_{n_j}(A).  ``diffs[i]``
+    maps module i+1 to module i by left multiplication by a matrix over A,
+    so it is A-linear; it is kept as that matrix's per-factor blocks,
+    factor f's of shape (n_i r_f, n_(i+1) r_f), which the complex checks.
+    ``action[g][j]`` is the unitary of g on module j.  The harmonic
+    projections, their character table, the alternating isotypic
+    multiplicities per irrep table and the refined number per tuple of
+    unitaries are built on first use and kept.
     """
 
     algebra: MultiMatrixAlgebra
     group: FiniteGroup
     modules: tuple  # of Projection
-    diffs: tuple    # of ModuleMap, len = len(modules) - 1
+    diffs: tuple    # of per-factor block tuples, len = len(modules) - 1
     action: tuple   # action[g][j]: AlgebraElement
 
     def __post_init__(self):
@@ -297,23 +244,21 @@ class GAComplex:
         for q in mods:
             if q.algebra != self.algebra:
                 raise ValidationError("module projection over wrong algebra")
-        diffs = tuple(self.diffs)
+        diffs = tuple(tuple(map(la.as_matrix, d)) for d in self.diffs)
         if len(diffs) != len(mods) - 1:
             raise ValidationError("need one differential per adjacent pair")
         for i, d in enumerate(diffs):
-            if (d.algebra != self.algebra
-                    or d.target_size != mods[i].amplification
-                    or d.source_size != mods[i + 1].amplification):
+            n, m = mods[i].amplification, mods[i + 1].amplification
+            if [b.shape for b in d] != [(n * r, m * r)
+                                        for r in self.algebra.block_dims]:
                 raise ValidationError(f"differential {i} has wrong shape")
         action = tuple(tuple(row) for row in self.action)
         if len(action) != self.group.order or any(
                 len(row) != len(mods) for row in action):
             raise ValidationError("action table has wrong shape")
-        for row in action:
-            for u, q in zip(row, mods):
-                if (u.algebra != self.algebra
-                        or u.amplification != q.amplification):
-                    raise ValidationError("action matrix has wrong shape")
+        if any(u.algebra != self.algebra or u.amplification != q.amplification
+               for row in action for u, q in zip(row, mods)):
+            raise ValidationError("action matrix has wrong shape")
         object.__setattr__(self, "modules", mods)
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "action", action)
@@ -347,15 +292,21 @@ class GAComplex:
         return list(self.action[g])
 
 
+def compose(*maps) -> tuple:
+    """The blockwise product of per-factor block tuples, each an element's
+    ``.blocks`` or a differential."""
+    return tuple(functools.reduce(la.mat_mul, blocks) for blocks in zip(*maps))
+
+
 def validate_complex(c: GAComplex) -> list:
     """All structural invariants; returns the list of violations."""
     problems = []
-    qmaps = [ModuleMap.from_element(m.element) for m in c.modules]
+    qs = [m.element.blocks for m in c.modules]
     for i, d in enumerate(c.diffs):
-        if not qmaps[i].compose(d).compose(qmaps[i + 1]).equals(d):
+        if not all(map(la.mat_equal, compose(qs[i], d, qs[i + 1]), d)):
             problems.append(f"differential {i} does not respect the ranges")
     for i in range(len(c.diffs) - 1):
-        if not c.diffs[i].compose(c.diffs[i + 1]).is_zero():
+        if not all(map(la.is_zero_matrix, compose(c.diffs[i], c.diffs[i + 1]))):
             problems.append(f"d{i} o d{i + 1} is not zero")
     e = c.group.identity
     for j, m in enumerate(c.modules):
@@ -384,41 +335,24 @@ def _map_problems(c: GAComplex, maps, who: str) -> list:
         if not (u.star() * u).equals(q.element):
             problems.append(f"{who} is not unitary on module {j}")
     for i, d in enumerate(c.diffs):
-        if not ModuleMap.from_element(maps[i]).compose(d).equals(
-                d.compose(ModuleMap.from_element(maps[i + 1]))):
+        if not all(map(la.mat_equal, compose(maps[i].blocks, d),
+                       compose(d, maps[i + 1].blocks))):
             problems.append(f"{who} does not commute with d{i}")
     return problems
 
 
-def _nullspace_projection(stacked_blocks):
-    """Per-factor orthogonal projection onto the joint kernel."""
+def kernel_projection(q: Projection, maps) -> AlgebraElement:
+    """Projection onto the joint kernel of ``maps`` (per-factor blocks on
+    q's module) inside the range of q."""
+    comp = AlgebraElement.identity(q.algebra, q.amplification,
+                                   exact=q.element.is_exact()) - q.element
     out = []
-    for rows in stacked_blocks:
-        basis = la.kernel_basis(rows)
+    for f, cb in enumerate(comp.blocks):
+        basis = la.kernel_basis(la.stack_rows(*(m[f] for m in maps), cb))
         d, k = basis.shape
         out.append(la.projection_onto_columns(basis) if k
                    else la.zeros(d, d, type(basis) is la.ExactMatrix))
-    return tuple(out)
-
-
-def kernel_projection(d: ModuleMap, q: Projection) -> AlgebraElement:
-    """Projection onto Ker d intersected with the range of q."""
-    return _joint_kernel(q, [d.blocks])
-
-
-def _joint_kernel(q: Projection, maps) -> AlgebraElement:
-    """Projection onto the joint kernel of ``maps`` (per-factor blocks on
-    q's module) intersected with the range of q."""
-    comp = _range_complement(q)
-    return AlgebraElement(q.algebra, q.amplification, _nullspace_projection(
-        [la.stack_rows(*(m[f] for m in maps), cb)
-         for f, cb in enumerate(comp.blocks)]))
-
-
-def _range_complement(q: Projection) -> AlgebraElement:
-    ident = AlgebraElement.identity(q.algebra, q.amplification,
-                                    exact=q.element.is_exact())
-    return ident - q.element
+    return AlgebraElement(q.algebra, q.amplification, tuple(out))
 
 
 def harmonic_modules(c: GAComplex):
@@ -431,10 +365,10 @@ def harmonic_modules(c: GAComplex):
     """
     out = []
     for j, q in enumerate(c.modules):
-        maps = [c.diffs[j - 1].blocks] if j >= 1 else []
+        maps = [c.diffs[j - 1]] if j >= 1 else []
         if j < c.length - 1:
-            maps.append([la.conj_transpose(b) for b in c.diffs[j].blocks])
-        out.append(Projection(_joint_kernel(q, maps)))
+            maps.append([la.conj_transpose(b) for b in c.diffs[j]])
+        out.append(Projection(kernel_projection(q, maps)))
     return out
 
 

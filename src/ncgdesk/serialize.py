@@ -27,7 +27,6 @@ from .lefschetz import (
     GAComplex,
     Irrep,
     IrrepTable,
-    ModuleMap,
     validate_complex,
 )
 from .ngroup import K0Class, K0TensorC, N0Class
@@ -221,7 +220,8 @@ def tensor_from_json(doc: dict) -> TensorElement:
     for term in _items(_field(doc, "terms"), "terms"):
         key = tuple(_ints(u, "tensor index")
                     for u in _items(_field(term, "indices"), "indices"))
-        coeffs[key] = _parse_entry(_field(term, "coeff"))
+        c = _parse_entry(_field(term, "coeff"))
+        coeffs[key] = coeffs[key] + c if key in coeffs else c  # sum repeats
     return TensorElement(algebra, _int(_field(doc, "m", 1), "m"),
                          _int(_field(doc, "degree"), "degree"), coeffs)
 
@@ -289,8 +289,7 @@ def complex_to_json(c: GAComplex) -> dict:
             "modules": [{"n": q.amplification,
                          "q": [matrix_to_json(b) for b in q.element.blocks]}
                         for q in c.modules],
-            "diffs": [[matrix_to_json(b) for b in d.blocks]
-                      for d in c.diffs],
+            "diffs": [[matrix_to_json(b) for b in d] for d in c.diffs],
             "action": [[[matrix_to_json(b) for b in u.blocks]
                         for u in row] for row in c.action]}
 
@@ -309,10 +308,7 @@ def complex_from_json(doc: dict) -> GAComplex:
             len(_items(row, "action row")) != len(modules) for row in action):
         raise ValidationError("complex needs one differential between each pair of "
                               "adjacent modules and one action block per module")
-    diffs = tuple(
-        ModuleMap(algebra, modules[i].amplification,
-                  modules[i + 1].amplification, _matrices(blocks, "diff"))
-        for i, blocks in enumerate(diffs))
+    diffs = tuple(_matrices(blocks, "diff") for blocks in diffs)
     action = tuple(
         tuple(AlgebraElement(algebra, modules[j].amplification, _matrices(u, "action"))
               for j, u in enumerate(row))

@@ -240,6 +240,14 @@ def _t_map(coeffs):
             ["n0", "t", "--k0c", "v.json", "--algebra", "alg.json"])
 
 
+def _hc(action, indices):
+    """``hc <action>`` of one degree-0 term with the given indices over C."""
+    return ({"xi.json": {"schema_version": 1, "algebra": {"blocks": [1]},
+                         "degree": 0,
+                         "terms": [{"indices": indices, "coeff": "1"}]}},
+            ["hc", action, "--tensor", "xi.json"])
+
+
 # documents by file name, and the command that reads them
 MALFORMED_INPUTS = {
     "non-integer block": _n0_class(
@@ -252,6 +260,8 @@ MALFORMED_INPUTS = {
          "blocks": [[["1/0"]]]}),
     "t of three coefficients over two factors": _t_map(["1", "2", "3"]),
     "t of one coefficient over two factors": _t_map(["1"]),
+    "hc class of a two-entry unit index": _hc("class", [[0, 0]]),
+    "hc trace of a two-entry unit index": _hc("trace", [[0, 0]]),
 }
 
 
@@ -309,6 +319,29 @@ def test_cyclotomic_order_is_charged_to_the_budget(tmp_path, capsys):
     code, doc = run_cli(capsys, "n0", "class", "--element",
                         cyclotomic_element(tmp_path, 24))
     assert code == 0 and doc["support"][0]["ranks"] == [1]
+
+
+def test_repeated_tensor_terms_are_summed(tmp_path, capsys):
+    files, argv = _hc("class", [[0, 0, 0]])
+    doc = files["xi.json"]
+    doc["terms"] *= 2
+    code, out = run_cli(capsys, *argv[:-1], write(tmp_path, "xi.json", doc))
+    assert code == 0 and out["coords"] == [["2", "0"]]
+
+
+def test_group_order_is_charged_to_the_budget(tmp_path, capsys):
+    C = MultiMatrixAlgebra((1,))
+    q = Projection.identity(C)
+    c = GAComplex(C, FiniteGroup.cyclic_group(1), (q,), (), ((q.element,),))
+    cx = write(tmp_path, "c.json", sz.complex_to_json(c))
+    irreps = write(tmp_path, "irreps.json", {"kind": "cyclic", "n": 10 ** 9})
+    start = time.perf_counter()
+    assert main(["lefschetz", "l1", "--g", "0", "--complex", cx,
+                 "--irreps", irreps]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: group associativity checks: ")
+    assert err.count("\n") == 1
 
 
 def test_consistency_error_exits_three(monkeypatch, capsys):

@@ -389,6 +389,11 @@ class TestKeyValidation:
         with pytest.raises(ValidationError):
             TensorElement.basis(C, 1, ((0, 0, 0), (1, 0, 0)))
 
+    @pytest.mark.parametrize("unit", [(0, 0), (0, 0, 0, 0)])
+    def test_constructor_rejects_non_triple_units(self, unit):
+        with pytest.raises(ValidationError, match="is not a .* triple"):
+            TensorElement(C, 1, 0, {(unit,): Fraction(1)})
+
     def test_serializer_rejects_out_of_range_keys(self):
         doc = sz.tensor_to_json(TensorElement.basis(C, 2, ((0, 0, 1),)))
         doc["terms"][0]["indices"] = [[0, 0, 2]]
@@ -409,6 +414,33 @@ class TestKeyValidation:
             hc_space(M2, n, m)
         with pytest.raises(ValidationError):
             hc_dims(M2, n, m)
+
+
+def _cc_canonical_two_loops(key, n):
+    """Reference for ``_cc_canonical`` in two scans: one for the least
+    rotation, then, in odd degree, one for a stabilizer of the other
+    sign."""
+    best, best_k = key, 0
+    for k in range(1, n + 1):
+        rot = key[-k:] + key[:-k]
+        if rot < best:
+            best, best_k = rot, k
+    sign = 1 if (n * best_k) % 2 == 0 else -1
+    if n % 2:
+        for k in range(1, n + 1):
+            if k != best_k and key[-k:] + key[:-k] == best \
+                    and (n * k) % 2 != (n * best_k) % 2:
+                return best, 0
+    return best, sign
+
+
+def test_cc_canonical_matches_the_two_loop_form():
+    words = [w for length in range(1, 8)
+             for w in itertools.product(range(3), repeat=length)]
+    assert len(words) == 3279
+    for w in words:
+        assert cyclic._cc_canonical(w, len(w) - 1) \
+            == _cc_canonical_two_loops(w, len(w) - 1), w
 
 
 # ---------------------------------------------------------------------------

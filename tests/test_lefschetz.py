@@ -8,14 +8,13 @@ from ncgdesk import lefschetz, linalg as la
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
     spectral_decompose
 from ncgdesk.errors import ConsistencyError, DomainError, NumericalError, \
-    ValidationError
+    ResourceError, ValidationError
 from ncgdesk.generate import acyclic_augmentation, random_ga_complex
 from ncgdesk.lefschetz import (
     FiniteGroup,
     GAComplex,
     Irrep,
     IrrepTable,
-    ModuleMap,
     generalized_lefschetz,
     harmonic_modules,
     lefschetz_first,
@@ -38,6 +37,16 @@ TABLES = [IrrepTable.cyclic(2), IrrepTable.cyclic(3), IrrepTable.symmetric_3()]
 
 
 class TestFiniteGroup:
+    def test_order_is_charged_to_the_budget(self):
+        # n^3 associativity checks: the default budget admits order 46
+        assert FiniteGroup.cyclic_group(46).order == 46
+        table = tuple(tuple((i + j) % 47 for j in range(47)) for i in range(47))
+        for build in (lambda: FiniteGroup.cyclic_group(47),
+                      lambda: FiniteGroup(table),
+                      lambda: IrrepTable.cyclic(10 ** 9)):
+            with pytest.raises(ResourceError, match="group associativity checks"):
+                build()
+
     def test_bad_table_rejected(self):
         with pytest.raises(ValidationError):
             FiniteGroup(((0, 1), (0, 1)))  # second row is not a bijection
@@ -93,10 +102,9 @@ class TestFiniteGroup:
 def two_term_complex(algebra, n=1):
     """0 -> A -> A -> 0 with the identity differential and trivial action."""
     q = Projection.identity(algebra, n)
-    d = ModuleMap.from_element(q.element)
     group = FiniteGroup.cyclic_group(2)
     action = tuple((q.element, q.element) for _ in group.elements())
-    return GAComplex(algebra, group, (q, q), (d,), action)
+    return GAComplex(algebra, group, (q, q), (q.element.blocks,), action)
 
 
 class TestComplexes:
@@ -135,11 +143,22 @@ class TestComplexes:
 
     def test_differential_shape_validated(self):
         q = Projection.identity(A)
-        d = ModuleMap.from_element(q.element)
+        d = q.element.blocks
         group = FiniteGroup.cyclic_group(2)
         action = tuple((q.element,) for _ in group.elements())
         with pytest.raises(ValidationError):
             GAComplex(A, group, (q,), (d,), action)  # too many differentials
+
+    @pytest.mark.parametrize("d", [
+        (((1,),), ((1,), (0,))),  # factor 1's block is 2 x 1, not 1 x 1
+        (((1,),),) * 3,           # three blocks over two factors
+        (((1,),),),               # one block over two factors
+    ], ids=["wrong block shape", "too many blocks", "too few blocks"])
+    def test_differential_blocks_checked_by_the_complex(self, d):
+        q = Projection.identity(A)
+        action = tuple((q.element, q.element) for _ in range(2))
+        with pytest.raises(ValidationError, match="differential 0 has wrong shape"):
+            GAComplex(A, FiniteGroup.cyclic_group(2), (q, q), (d,), action)
 
     def _rotation_on_c(self):
         """C with a trivial action, and the infinite-order unitary (3+4i)/5."""
@@ -226,7 +245,7 @@ class TestComplexes:
         q0, q1 = Projection.identity(C, 2), Projection.identity(C)
         swap = AlgebraElement(C, 2, (((0, 1), (1, 0)),))
         return GAComplex(C, FiniteGroup.cyclic_group(2), (q0, q1),
-                         (ModuleMap(C, 2, 1, (((1,), (0,)),)),),
+                         ((((1,), (0,)),),),
                          ((q0.element, q1.element), (swap, q1.element)))
 
     def _zero_on_c(self):
@@ -259,17 +278,16 @@ class TestComplexes:
         assert lefschetz_first(c, 1, table).coeffs == (0,)
 
     def test_float_complex_matches_exact(self):
-        def floated(x):
-            return tuple(la.from_numpy(la.to_numpy(b)) for b in x.blocks)
+        def floated(blocks):
+            return tuple(la.from_numpy(la.to_numpy(b)) for b in blocks)
 
         def element(x):
-            return AlgebraElement(x.algebra, x.amplification, floated(x))
+            return AlgebraElement(x.algebra, x.amplification, floated(x.blocks))
         for seed, table in enumerate(TABLES):
             c = random_ga_complex(A, table, random.Random(seed), length=3)
             f = GAComplex(A, c.group,
                           tuple(Projection(element(q.element)) for q in c.modules),
-                          tuple(ModuleMap(A, d.target_size, d.source_size,
-                                          floated(d)) for d in c.diffs),
+                          tuple(map(floated, c.diffs)),
                           tuple(tuple(map(element, row)) for row in c.action))
             for g in table.group.elements():
                 assert lefschetz_first(f, g, table) \
@@ -332,18 +350,12 @@ class TestTheorems:
 def per_g_harmonic(c):
     out = []
     for j, q in enumerate(c.modules):
-        comp = lefschetz._range_complement(q)
-        stacked = []
-        for f in range(c.algebra.num_factors):
-            parts = []
-            if j >= 1:
-                parts.append(c.diffs[j - 1].blocks[f])
-            if j < c.length - 1:
-                parts.append(la.conj_transpose(c.diffs[j].blocks[f]))
-            parts.append(comp.blocks[f])
-            stacked.append(la.stack_rows(*parts))
-        h = AlgebraElement(c.algebra, q.amplification,
-                           lefschetz._nullspace_projection(stacked))
+        maps = []
+        if j >= 1:
+            maps.append(c.diffs[j - 1])
+        if j < c.length - 1:
+            maps.append(tuple(map(la.conj_transpose, c.diffs[j])))
+        h = lefschetz.kernel_projection(q, maps)
         restricted = [h * c.action[g][j] * h for g in c.group.elements()]
         out.append((Projection(h), restricted))
     return out
@@ -475,12 +487,12 @@ class TestOneDecomposition:
     def test_decomposition_built_once_per_complex(self, monkeypatch):
         complexes = list(seeded_complexes())
         calls = []
-        real = lefschetz._nullspace_projection
+        real = lefschetz.kernel_projection
 
-        def counted(stacked):
+        def counted(q, maps):
             calls.append(1)
-            return real(stacked)
-        monkeypatch.setattr(lefschetz, "_nullspace_projection", counted)
+            return real(q, maps)
+        monkeypatch.setattr(lefschetz, "kernel_projection", counted)
         for c, table in complexes:
             for g in table.group.elements():
                 assert verify_th4(c, g, table)

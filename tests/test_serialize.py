@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncgdesk import serialize as sz
+from ncgdesk import linalg as la, serialize as sz
 from ncgdesk.algebra import MultiMatrixAlgebra, apply_hom
 from ncgdesk.cyclic import TensorElement, trace_map
 from ncgdesk.errors import ValidationError
@@ -66,6 +66,14 @@ def test_tensor_roundtrip_and_canonical_order():
     assert sz.tensor_from_json(reparse(doc)).equals(xi)
 
 
+def test_tensor_repeated_terms_are_summed():
+    def doc(*coeffs):
+        return {"schema_version": 1, "algebra": {"blocks": [1]}, "degree": 0,
+                "terms": [{"indices": [[0, 0, 0]], "coeff": c} for c in coeffs]}
+    assert sz.tensor_from_json(doc("1", "1")).coeffs == {((0, 0, 0),): 2}
+    assert sz.tensor_from_json(doc("1", "1/2", "-3/2")).coeffs == {}
+
+
 def test_hom_roundtrip():
     rng = random.Random(4)
     phi = random_hom(rng)
@@ -81,7 +89,18 @@ def test_complex_roundtrip_still_validates():
     assert validate_complex(c2) == []
     assert c2.length == c.length
     for d1, d2 in zip(c.diffs, c2.diffs):
-        assert d1.equals(d2)
+        assert len(d1) == len(d2)
+        assert all(map(la.mat_equal, d1, d2))
+
+
+@pytest.mark.parametrize("edit", [lambda d: d[1].pop(), lambda d: d.pop()],
+                         ids=["block missing a row", "missing block"])
+def test_complex_diff_shape_checked_by_the_complex(edit):
+    c = random_ga_complex(A, IrrepTable.cyclic(2), random.Random(5), length=2)
+    doc = reparse(sz.complex_to_json(c))
+    edit(doc["diffs"][0])
+    with pytest.raises(ValidationError, match="differential 0 has wrong shape"):
+        sz.complex_from_json(doc)
 
 
 def test_irreps_builtin_kinds():
