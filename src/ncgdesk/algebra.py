@@ -204,8 +204,8 @@ class Projection:
 
     @classmethod
     def _trusted(cls, element: AlgebraElement) -> "Projection":
-        """Wrap an element that has just passed ``is_projection``, or a sum
-        of projections that a validated spectral form holds orthogonal."""
+        """Wrap a projection by construction: an element that has just passed
+        ``is_projection``, a sum of orthogonal ones, a direct sum or a *-image."""
         out = object.__new__(cls)
         object.__setattr__(out, "element", element)
         return out
@@ -252,7 +252,7 @@ class Projection:
         return (self.element * other.element).is_zero()
 
     def direct_sum(self, other):
-        return Projection(self.element.direct_sum(other.element))
+        return Projection._trusted(self.element.direct_sum(other.element))
 
 
 @dataclass(frozen=True)
@@ -271,12 +271,11 @@ class BorelSetModel:
 
 @dataclass(frozen=True)
 class SpectralForm:
-    """A normal element presented as eigenvalue/eigenprojection pairs."""
+    """Distinct nonzero eigenvalues paired with orthogonal projections."""
 
     algebra: MultiMatrixAlgebra
     amplification: int
     pairs: tuple  # ((eigenvalue, Projection), ...), eigenvalues nonzero
-    kernel_projection: Projection
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(
@@ -284,7 +283,7 @@ class SpectralForm:
         self._validate()
 
     def _validate(self):
-        projs = [p for _, p in self.pairs] + [self.kernel_projection]
+        projs = [p for _, p in self.pairs]
         for p in projs:
             if p.algebra != self.algebra or p.amplification != self.amplification:
                 raise ValidationError("spectral projection over wrong algebra")
@@ -299,29 +298,28 @@ class SpectralForm:
             for q in projs[i + 1:]:
                 if not p.orthogonal_to(q):
                     raise ValidationError("spectral projections are not orthogonal")
-        total = projs[0].element
-        for p in projs[1:]:
-            total = total + p.element
-        if not total.equals(AlgebraElement.identity(
-                self.algebra, self.amplification, exact=total.is_exact())):
-            raise ValidationError("spectral projections do not resolve the identity")
+
+    def _exact_projections(self) -> bool:  # the kernel and padding follow it
+        return all(p.element.is_exact() for _, p in self.pairs)
+
+    @property
+    def kernel_projection(self) -> Projection:
+        """1 - sum p: pairwise orthogonal projections sum to a projection."""
+        total = AlgebraElement.identity(self.algebra, self.amplification,
+                                        self._exact_projections())
+        for _, p in self.pairs:
+            total = total - p.element
+        return Projection._trusted(total)
 
     @staticmethod
     def from_pairs(algebra, amplification, pairs):
-        """Build a spectral form, deriving the kernel projection from the pairs."""
-        exact = all(p.element.is_exact() for _, p in pairs)
-        total = AlgebraElement.zero(algebra, amplification, exact)
-        kept = []
-        for v, p in pairs:
-            if not scalar_is_zero(v) and not p.element.is_zero():
-                total = total + p.element
-                kept.append((v, p))
-        kernel = AlgebraElement.identity(algebra, amplification, exact) - total
-        return SpectralForm(algebra, amplification, tuple(kept), Projection(kernel))
+        """The spectral form of the pairs whose value and projection are nonzero."""
+        return SpectralForm(algebra, amplification, tuple(
+            (v, p) for v, p in pairs if not (scalar_is_zero(v) or p.element.is_zero())))
 
     @staticmethod
-    def zero(algebra, m=1, exact=True):
-        return SpectralForm(algebra, m, (), Projection.identity(algebra, m, exact))
+    def zero(algebra, m=1):
+        return SpectralForm(algebra, m, ())
 
     @staticmethod
     def scaled_projection(value, p: Projection):
@@ -342,7 +340,7 @@ class SpectralForm:
 
     def is_exact(self) -> bool:
         return all(is_exact_scalar(v) for v, _ in self.pairs) and \
-            self.kernel_projection.element.is_exact()
+            self._exact_projections()
 
     def eigenvalues(self):
         return tuple(v for v, _ in self.pairs)
@@ -351,8 +349,7 @@ class SpectralForm:
         if self.algebra != other.algebra:
             raise ValidationError("algebra mismatch in direct sum")
         m1, m2 = self.amplification, other.amplification
-        exact = self.kernel_projection.element.is_exact() and \
-            other.kernel_projection.element.is_exact()
+        exact = self._exact_projections() and other._exact_projections()
         zero1 = AlgebraElement.zero(self.algebra, m1, exact)
         zero2 = AlgebraElement.zero(self.algebra, m2, exact)
         merged = {}
@@ -365,7 +362,7 @@ class SpectralForm:
                 merged[v] = mate
             else:
                 merged[hit] = merged[hit] + mate
-        pairs = tuple((v, Projection(e)) for v, e in merged.items())
+        pairs = tuple((v, Projection._trusted(e)) for v, e in merged.items())
         return SpectralForm.from_pairs(self.algebra, m1 + m2, pairs)
 
 
@@ -463,9 +460,9 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
     or the block is zero.
 
     Each fact is checked once: the element is normal, each candidate is a
-    projection, sum lam * p rebuilds x, and the kernel and the resolution
-    of the identity are checked by :class:`SpectralForm`.  A candidate
-    that is not a projection or a failed reconstruction raises
+    projection, sum lam * p rebuilds x, and :class:`SpectralForm` checks
+    the projections orthogonal, so its kernel 1 - sum p is a projection.
+    A candidate that is not a projection or a failed reconstruction raises
     NumericalError.  Epsilon decides float comparisons only, so no exact
     decomposition depends on it.  Float elements go through Hermitian
     eigensolvers with 2*eps eigenvalue clustering; eigenvalues that chain
@@ -551,8 +548,7 @@ def _spectral_decompose_exact(x):
 
 def spectral_projection(a: SpectralForm, e: BorelSetModel) -> Projection:
     """P_a(E): the sum of eigenprojections whose eigenvalue lies in E."""
-    acc = AlgebraElement.zero(a.algebra, a.amplification,
-                              a.kernel_projection.element.is_exact())
+    acc = AlgebraElement.zero(a.algebra, a.amplification, a._exact_projections())
     for v, p in a.pairs:
         if e.contains(v):
             acc = acc + p.element
@@ -628,8 +624,8 @@ def apply_hom(phi: StarHomomorphism, x: AlgebraElement) -> AlgebraElement:
 
 def apply_hom_spectral(phi: StarHomomorphism, a: SpectralForm) -> SpectralForm:
     """Push a spectral form through phi without re-diagonalizing."""
-    pairs = tuple((v, Projection(apply_hom(phi, p.element))) for v, p in a.pairs)
-    return SpectralForm.from_pairs(phi.target, a.amplification, pairs)
+    return SpectralForm.from_pairs(phi.target, a.amplification, tuple(
+        (v, Projection._trusted(apply_hom(phi, p.element))) for v, p in a.pairs))
 
 
 def check_hom_spectral_commute(phi: StarHomomorphism, a: SpectralForm,

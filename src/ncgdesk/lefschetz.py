@@ -154,15 +154,18 @@ class IrrepTable:
         n = self.group.order
         if sum(p.dim ** 2 for p in irreps) != n:
             raise ValidationError("squared dimensions do not sum to the group order")
+        # rho(e) = 1 and rho(s) rho(g) = rho(sg) on generators s: each g is a word in S
         for p in irreps:
             if len(p.matrices) != n:
                 raise ValidationError(f"irrep {p.name}: wrong number of matrices")
-            for g in range(n):
-                for h in range(n):
-                    prod = la.mat_mul(p.matrices[g], p.matrices[h])
-                    if not la.mat_equal(prod, p.matrices[self.group.mul(g, h)]):
+            if not la.mat_equal(p.matrices[self.group.identity], la.identity(p.dim)):
+                raise ValidationError(f"irrep {p.name}: the identity does not act as 1")
+            for s in self.group.generators:
+                for g in range(n):
+                    prod = la.mat_mul(p.matrices[s], p.matrices[g])
+                    if not la.mat_equal(prod, p.matrices[self.group.mul(s, g)]):
                         raise ValidationError(
-                            f"irrep {p.name}: not a representation at ({g},{h})")
+                            f"irrep {p.name}: not a representation at ({s},{g})")
         duals = la.as_matrix([[conj_scalar(x) for x in p._characters]
                               for p in irreps])  # row chi: conj chi(g)
         gram = la.entries(la.mat_mul(la.as_matrix(
@@ -312,9 +315,10 @@ def validate_complex(c: GAComplex) -> list:
     for j, m in enumerate(c.modules):
         if not c.action[e][j].equals(m.element):
             problems.append(f"identity does not act as the projection on module {j}")
-    for g in c.group.elements():
-        problems += _map_problems(c, c.action[g], f"action of {g}")
-    # U_s U_g = U_sg for generators s suffices: every element is a word in S
+    # with U_e = q_j and U_s U_g = U_sg each U_g is a product of generator
+    # maps, and a product keeps what _map_problems checks of its factors
+    for s in c.group.generators:
+        problems += _map_problems(c, c.action[s], f"action of {s}")
     for s in c.group.generators:
         for g in c.group.elements():
             sg = c.group.mul(s, g)
@@ -375,20 +379,18 @@ def harmonic_modules(c: GAComplex):
 def _check_representation(c: GAComplex, j: int, h: AlgebraElement):
     """DomainError unless g -> h U_g is a representation on the range of h.
 
-    Checked: h U_g = U_g h for every g, h U_e = h, and h U_s U_g = h U_sg
-    for every generator s and every g.  Then (h U_a)(h U_b) = h U_ab for
-    all a, b, so each (dim chi/|G|) sum_g conj chi(g) h U_g is an
-    idempotent, and its rank is its trace.
+    Checked: U_e = q_j and U_s U_g = U_sg on module j, and h U_s = U_s h,
+    for every generator s and every g.  Then h commutes with every U_g and
+    (h U_a)(h U_b) = h U_ab for all a, b, so each (dim chi/|G|) sum_g
+    conj chi(g) h U_g is an idempotent, and its rank is its trace.
     """
-    if h.is_zero():  # every condition reads 0 = 0
+    if h.is_zero():  # a zero range carries the zero representation
         return
-    group = c.group
-    row = [c.action[g][j] for g in group.elements()]
-    hu = [h * u for u in row]
-    if not (hu[group.identity].equals(h)
-            and all((u * h).equals(x) for u, x in zip(row, hu))
-            and all((hu[s] * u).equals(hu[group.mul(s, g)])
-                    for s in group.generators for g, u in enumerate(row))):
+    group, row = c.group, [c.action[g][j] for g in c.group.elements()]
+    if not (row[group.identity].equals(c.modules[j].element)
+            and all((row[s] * u).equals(row[group.mul(s, g)])
+                    for s in group.generators for g, u in enumerate(row))
+            and all((h * row[s]).equals(row[s] * h) for s in group.generators)):
         raise DomainError(
             f"the action is not a representation on harmonic module {j}")
 

@@ -220,7 +220,7 @@ class Cyclotomic:
         re, im = Fraction(re), Fraction(im)
         if not im:
             return Cyclotomic.from_rational(re)
-        return Cyclotomic(4, (re, im))
+        return Cyclotomic(4, (re, im), _normalized=True)  # no field between Q and Q(i)
 
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> "Cyclotomic":

@@ -98,6 +98,28 @@ class TestFiniteGroup:
         with pytest.raises(ValidationError):
             IrrepTable(g, bad)
 
+    def test_irreps_checked_as_representations(self):
+        w = Cyclotomic.root_of_unity(3)
+        one = Cyclotomic.from_rational(1)
+        bad = (Irrep("chi0", 1, (((one,),),) * 3),
+               Irrep("chi1", 1, (((one,),), ((w,),), ((w,),))),  # 2 -> w, not w^2
+               Irrep("chi2", 1, (((one,),), ((w * w,),), ((w,),))))
+        with pytest.raises(ValidationError,
+                           match="chi1: not a representation at"):
+            IrrepTable(FiniteGroup.cyclic_group(3), bad)
+        with pytest.raises(ValidationError, match="identity does not act as 1"):
+            IrrepTable(FiniteGroup.cyclic_group(1),
+                       (Irrep("two", 1, (((Fraction(2),),),)),))
+
+    def test_irreps_checked_on_generators(self, monkeypatch):
+        # |S| * n products per irrep and one for the orthogonality check
+        calls = []
+        real = la.mat_mul
+        monkeypatch.setattr(la, "mat_mul",
+                            lambda a, b: calls.append(1) or real(a, b))
+        IrrepTable.cyclic(12)
+        assert len(calls) <= 12 ** 2 + 1
+
 
 def two_term_complex(algebra, n=1):
     """0 -> A -> A -> 0 with the identity differential and trivial action."""
@@ -263,6 +285,22 @@ class TestComplexes:
             with pytest.raises(DomainError, match="not a representation "
                                                   "on harmonic module 0"):
                 lefschetz_first(c, 1, IrrepTable.cyclic(2))
+
+    def test_harmonic_check_needs_a_representation_on_the_module(self):
+        # Z/2 acts by 2 on C and by diag(1, 2) on C^2, d0 = (0 1): not a
+        # representation on either module, although its compression to the
+        # harmonic part e1 of C^2 is one
+        q0, q1 = Projection.identity(C), Projection.identity(C, 2)
+        two = Fraction(2)
+        c = GAComplex(C, FiniteGroup.cyclic_group(2), (q0, q1),
+                      ((((0, 1),),),),
+                      ((q0.element, q1.element),
+                       (q0.element.scale(two),
+                        AlgebraElement.diagonal(C, [[Fraction(1), two]], 2))))
+        assert "action of 1 is not unitary on module 0" in validate_complex(c)
+        with pytest.raises(DomainError, match="not a representation "
+                                              "on harmonic module 1"):
+            lefschetz_first(c, 1, IrrepTable.cyclic(2))
 
     def test_non_unitary_representation_has_multiplicities(self):
         # C^2 with Z/2 acting by the involution [[1, 1], [0, -1]]: a
@@ -513,6 +551,16 @@ class TestOneDecomposition:
         other = next(t for t in TABLES if t.group != table.group)
         with pytest.raises(ValidationError):
             lefschetz.isotypic_decompose(c, other)
+
+    def test_action_maps_checked_on_generators(self, monkeypatch):
+        table = IrrepTable.symmetric_3()
+        c = random_ga_complex(A, table, random.Random(0), length=2)
+        calls = []
+        real = lefschetz._map_problems
+        monkeypatch.setattr(lefschetz, "_map_problems",
+                            lambda *args: calls.append(1) or real(*args))
+        assert validate_complex(c) == []
+        assert len(calls) == len(table.group.generators) == 2
 
     def test_endomorphism_checks_shared_with_validation(self):
         c = two_term_complex(A)

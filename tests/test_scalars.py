@@ -72,6 +72,14 @@ class TestCyclotomic:
         assert z.gaussian_parts() == (Fraction(1, 2), Fraction(-2))
         assert abs(complex(z) - complex(0.5, -2)) < 1e-12
 
+    def test_gaussian_is_the_generic_canonical_form(self):
+        grid = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 4, 6)]
+        for re in grid:
+            for im in grid:
+                fast, generic = Cyclotomic.gaussian(re, im), Cyclotomic(4, (re, im))
+                assert (fast.order, fast.coeffs) == (generic.order, generic.coeffs)
+                assert hash(fast) == hash(generic)
+
     def test_conjugate_of_root(self):
         w = Cyclotomic.root_of_unity(5)
         assert (w * w.conjugate()).rational_value() == 1
