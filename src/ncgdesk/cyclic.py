@@ -4,7 +4,12 @@ Tensors over M_m(A) are sparse linear combinations of matrix-unit tuples.
 The quotient by the image of (1 - cyclic operator) is realized by orbit
 canonicalization: each basis tuple is replaced by the lexicographically
 smallest rotation, carrying the accumulated sign; orbits whose stabilizer
-flips the sign die in the quotient.
+flips the sign die in the quotient.  A basis is enumerated as necklaces,
+words that are their own least rotation: the walk extends prenecklaces
+letter by letter, carrying the period (Fredricksen-Kessler-Maiorana;
+Ruskey, Savage and Wang, J. Algorithms 13, 1992), so it reaches each
+orbit once and canonicalizes nothing.  A boundary build canonicalizes
+each distinct face once.
 
 The complex is graded by weight: for each (factor, index), row uses minus
 column uses of the index in a tuple.  The face map and rotation preserve
@@ -329,11 +334,17 @@ def _all_units(algebra, m):
 def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
     """Canonical orbit representatives of the given weight in CC_n, sorted.
 
-    Walks unit tuples depth-first in lexicographic order.  A prefix is cut
-    when the L1 distance from its weight to the target exceeds 2 x (slots
-    left), since one unit moves that distance by at most 2, or when a unit
-    is smaller than the first one, since a smaller rotation then exists.
-    Each node visited is charged to the budget, a node's children at once.
+    Walks prenecklaces, the prefixes of least rotations, depth-first in
+    lexicographic order (Fredricksen-Kessler-Maiorana; Ruskey, Savage and
+    Wang, J. Algorithms 13, 1992).  The prefix's period p is carried down:
+    letter t is at least letter t - p, equal to it keeps p, and larger sets
+    p = t + 1.  A word of length n + 1 is then its own least rotation iff p
+    divides n + 1, and each orbit is reached once; the rotations fixing it
+    are the multiples of p, so in odd degree it dies iff p is odd.  A
+    prefix is also cut when the L1 distance from its weight to the target
+    exceeds 2 x (slots left), since one unit moves that distance by at most
+    2.  Each node visited is charged to the budget, a node's children at
+    once.
     """
     budget = get_budget()
     visited = 1  # the root
@@ -341,41 +352,41 @@ def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
     pos = {}
     for j, a, _ in units:
         pos.setdefault((j, a), len(pos))
-    moves = [(u, pos[u[0], u[1]], pos[u[0], u[2]]) for u in units]
+    moves = [(pos[j, a], pos[j, b]) for j, a, b in units]
     gap = [0] * len(pos)  # prefix weight minus target weight
     for p, c in weight:
         gap[pos[p]] -= c
     basis = []
-    prefix = []
+    prefix = []  # letters as positions in units
 
-    def walk(first, dist, left):
+    def walk(t, p, dist):
         nonlocal visited
-        if dist > 2 * left:
-            return
+        left = n + 1 - t
         if not left:
-            key = tuple(prefix)
-            rep, sign = _cc_canonical(key, n)
-            if sign == 1 and rep == key:
-                basis.append(key)
+            if (n + 1) % p == 0 and not (n % 2 and p % 2):
+                basis.append(tuple(units[i] for i in prefix))
             return
+        first = prefix[t - p] if t else 0
         visited += len(moves) - first
         if visited > budget:
             check_budget(visited, f"nodes walked so far for the CC_{n} basis")
         for i in range(first, len(moves)):
-            u, r, c = moves[i]
-            prefix.append(u)
-            nxt = i if left == n + 1 else first
-            if r == c:
-                walk(nxt, dist, left - 1)
-            else:
-                gr, gc = gap[r], gap[c]
-                gap[r], gap[c] = gr + 1, gc - 1
-                walk(nxt, dist - abs(gr) - abs(gc) + abs(gr + 1)
-                     + abs(gc - 1), left - 1)
-                gap[r], gap[c] = gr, gc
+            r, c = moves[i]
+            gr, gc = gap[r], gap[c]
+            d = dist if r == c else \
+                dist - abs(gr) - abs(gc) + abs(gr + 1) + abs(gc - 1)
+            if d > 2 * (left - 1):
+                continue
+            gap[r] += 1
+            gap[c] -= 1
+            prefix.append(i)
+            walk(t + 1, p if i == first else t + 1, d)
             prefix.pop()
+            gap[r], gap[c] = gr, gc
 
-    walk(0, sum(abs(g) for g in gap), n + 1)
+    dist = sum(abs(g) for g in gap)
+    if dist <= 2 * (n + 1):
+        walk(0, 1, dist)
     return basis
 
 
@@ -388,14 +399,15 @@ def build_cyclic_space(algebra: MultiMatrixAlgebra, n: int,
                        {k: i for i, k in enumerate(basis)}, weight)
 
 
-def _boundary_column(key, n: int, index: dict) -> dict:
-    """b(key) in CC_{n-1} coordinates {position in index: int}."""
+def _boundary_column(key, index: dict, canonical) -> dict:
+    """b(key) in CC_{n-1} coordinates {position in index: int}, each face
+    put in canonical form by ``canonical``."""
     col = {}
-    for i in range(n + 1):
+    for i in range(len(key)):
         face = _face(key, i, _unit_mul)
         if face is None:
             continue
-        rep, sign = _cc_canonical(face, n - 1)
+        rep, sign = canonical(face)
         if sign == 0:
             continue
         p = index[rep]
@@ -427,7 +439,9 @@ def _boundary(algebra, n: int, amplification: int,
               weight: tuple) -> _Boundary:
     target = build_cyclic_space(algebra, n - 1, amplification, weight)
     source = build_cyclic_space(algebra, n, amplification, weight)
-    red, _, kernel = eliminate(_boundary_column(k, n, target.index)
+    # faces repeat across columns: each distinct one is canonicalized once
+    canonical = functools.cache(lambda face: _cc_canonical(face, n - 1))
+    red, _, kernel = eliminate(_boundary_column(k, target.index, canonical)
                                for k in source.basis)
     return _Boundary(source, target, red, kernel)
 

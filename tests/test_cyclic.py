@@ -447,8 +447,8 @@ def test_cc_canonical_matches_the_two_loop_form():
 # the orbit walk is charged the nodes it visits
 
 class TestWalkBudget:
-    @pytest.mark.parametrize("blocks, n, nodes", [((2,), 3, 122),
-                                                  ((3,), 4, 10_017)])
+    @pytest.mark.parametrize("blocks, n, nodes", [((2,), 3, 115),
+                                                  ((3,), 4, 9_182)])
     def test_walk_is_charged_its_nodes(self, cold_cyclic, blocks, n, nodes):
         try:
             set_budget(nodes - 1)
@@ -464,6 +464,124 @@ class TestWalkBudget:
         assert hc_dims(M3, 4) == [1, 0, 1, 0, 1]
         with pytest.raises(ResourceError):
             hc_dims(M3, 5)
+
+
+# ---------------------------------------------------------------------------
+# the prenecklace walk against a walk that canonicalizes every leaf
+
+def leaf_canonical_orbit_basis(algebra, m, n, weight):
+    """Reference walk: every unit tuple whose letters are all at least its
+    first letter, cut by the weight gap, kept when ``_cc_canonical`` gives
+    it back with sign 1."""
+    units = cyclic._all_units(algebra, m)
+    pos = {}
+    for j, a, _ in units:
+        pos.setdefault((j, a), len(pos))
+    moves = [(u, pos[u[0], u[1]], pos[u[0], u[2]]) for u in units]
+    gap = [0] * len(pos)
+    for p, c in weight:
+        gap[pos[p]] -= c
+    basis = []
+    prefix = []
+
+    def walk(first, dist, left):
+        if dist > 2 * left:
+            return
+        if not left:
+            key = tuple(prefix)
+            rep, sign = cyclic._cc_canonical(key, n)
+            if sign == 1 and rep == key:
+                basis.append(key)
+            return
+        for i in range(first, len(moves)):
+            u, r, c = moves[i]
+            prefix.append(u)
+            nxt = i if left == n + 1 else first
+            if r == c:
+                walk(nxt, dist, left - 1)
+            else:
+                gr, gc = gap[r], gap[c]
+                gap[r], gap[c] = gr + 1, gc - 1
+                walk(nxt, dist - abs(gr) - abs(gc) + abs(gr + 1)
+                     + abs(gc - 1), left - 1)
+                gap[r], gap[c] = gr, gc
+            prefix.pop()
+
+    walk(0, sum(abs(g) for g in gap), n + 1)
+    return basis
+
+
+# (blocks, amplification, degree, a word of the weight to walk)
+WALK_CASES = [
+    ((1, 1), 1, 3, ()), ((1, 1), 1, 4, ()),
+    ((1, 1), 2, 2, ((0, 0, 1),)), ((1, 1), 2, 3, ((1, 1, 0),)),
+    ((2,), 1, 4, ((0, 0, 1), (0, 0, 1))), ((2,), 1, 5, ((0, 1, 0),)),
+    ((2,), 2, 1, ((0, 0, 3),)), ((2,), 2, 2, ()),
+    ((1, 2), 1, 3, ((1, 0, 1),)), ((1, 2), 1, 4, ()),
+    ((1, 2), 2, 1, ()), ((1, 2), 2, 2, ((0, 1, 0), (1, 2, 3))),
+    ((2, 2), 1, 2, ((0, 0, 1), (1, 1, 0))), ((2, 2), 1, 3, ()),
+    ((2, 2), 2, 1, ((1, 3, 0),)), ((2, 2), 2, 2, ()),
+]
+
+
+class TestPrenecklaceWalk:
+    @pytest.mark.parametrize("blocks, m, n, word", WALK_CASES)
+    def test_basis_equals_both_references(self, blocks, m, n, word):
+        algebra = MultiMatrixAlgebra(blocks)
+        w = cyclic._weight(word)
+        brute = [k for k in brute_force_orbits(algebra, m, n)
+                 if cyclic._weight(k) == w]
+        assert brute, "a case with an empty basis shows nothing"
+        assert list(build_cyclic_space(algebra, n, m, w).basis) \
+            == leaf_canonical_orbit_basis(algebra, m, n, w) == brute
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 2), min_size=1, max_size=3),
+           st.integers(0, 4), st.data())
+    def test_random_algebras_match_the_leaf_walk(self, blocks, n, data):
+        algebra = MultiMatrixAlgebra(tuple(blocks))
+        units = cyclic._all_units(algebra, 1)
+        word = data.draw(st.lists(st.sampled_from(units), max_size=n + 1))
+        w = cyclic._weight(word)
+        assert list(build_cyclic_space(algebra, n, 1, w).basis) \
+            == leaf_canonical_orbit_basis(algebra, 1, n, w)
+
+    def test_walk_canonicalizes_no_leaf(self, monkeypatch, cold_cyclic):
+        cases = [(M2, 1, 5, ()), (CM2, 1, 4, cyclic._weight(((1, 0, 1),))),
+                 (A, 2, 3, ())]
+        expected = [leaf_canonical_orbit_basis(algebra, m, n, w)
+                    for algebra, m, n, w in cases]
+
+        def refuse(key, n):
+            raise AssertionError("the walk canonicalized a leaf")
+        monkeypatch.setattr(cyclic, "_cc_canonical", refuse)
+        assert [list(build_cyclic_space(algebra, n, m, w).basis)
+                for algebra, m, n, w in cases] == expected
+
+
+class TestFaceMemo:
+    """A boundary build canonicalizes each distinct face once."""
+
+    @staticmethod
+    def count_canonicalizations(monkeypatch, algebra, n):
+        calls = []
+        canonical = cyclic._cc_canonical
+        monkeypatch.setattr(cyclic, "_cc_canonical",
+                            lambda key, n: calls.append(1) or canonical(key, n))
+        cyclic._boundary(algebra, n, 1, ())
+        return len(calls)
+
+    def test_one_call_over_c(self, monkeypatch, cold_cyclic):
+        assert self.count_canonicalizations(monkeypatch, C, 40) == 1
+
+    def test_one_call_per_distinct_face(self, monkeypatch, cold_cyclic):
+        calls = self.count_canonicalizations(monkeypatch, M2, 7)
+        faces = {face for key in build_cyclic_space(M2, 7).basis
+                 for i in range(len(key))
+                 if (face := cyclic._face(key, i, cyclic._unit_mul))
+                 is not None}
+        assert len(faces) == 1_745
+        assert calls == len(faces)
 
 
 # ---------------------------------------------------------------------------
