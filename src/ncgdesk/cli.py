@@ -239,7 +239,11 @@ def _cmd_gchern(args) -> int:
     return EXIT_OK if agree else EXIT_VERIFICATION
 
 
-def _run_batteries(names, seed: int, count: int) -> int:
+def _run_batteries(theorems: str, seed: int, count: int) -> int:
+    names = [s.strip() for s in theorems.split(",") if s.strip()]
+    if not names:
+        raise ValidationError(f"no theorem named in {theorems!r}; "
+                              f"choose from {sorted(BATTERIES)}")
     for name in names:
         if name not in BATTERIES:
             raise ValidationError(f"unknown theorem {name!r}; "
@@ -252,8 +256,7 @@ def _run_batteries(names, seed: int, count: int) -> int:
 
 def _cmd_lefschetz(args) -> int:
     if args.action == "verify":
-        names = [s.strip() for s in args.theorems.split(",") if s.strip()]
-        return _run_batteries(names, args.seed, args.count)
+        return _run_batteries(args.theorems, args.seed, args.count)
     if args.action not in ("l1", "l2", "gl1"):
         raise ValidationError("missing lefschetz action")
     c = sz.complex_from_json(sz.load_file(getattr(args, "complex")))
@@ -336,8 +339,7 @@ def run(argv) -> int:
     if args.command == "lefschetz":
         return _cmd_lefschetz(args)
     if args.command == "verify":
-        names = [s.strip() for s in args.theorems.split(",") if s.strip()]
-        return _run_batteries(names, args.seed, args.count)
+        return _run_batteries(args.theorems, args.seed, args.count)
     if args.command == "generate":
         return _cmd_generate(args)
     raise ValidationError(f"unknown command {args.command!r}")

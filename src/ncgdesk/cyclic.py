@@ -15,12 +15,12 @@ The complex is graded by weight: for each (factor, index), row uses minus
 column uses of the index in a tuple.  The face map and rotation preserve
 it, the diagonal unitary torus acts on the weight-w block by t^w, and
 inner automorphisms act trivially on cyclic homology, so blocks of
-nonzero weight are acyclic.  Homology spaces enumerate and eliminate the
-weight-0 block only; ``boundary_witness`` solves block by block, building
-a nonzero-weight block the first time a query needs it.  The elimination
-(:func:`~ncgdesk.scalars.eliminate`, on integer boundary columns) of
-b: CC_n -> CC_{n-1} is done once per (algebra, amplification, n, weight):
-it is the image for HC_{n-1} and the kernel for HC_n.
+nonzero weight are acyclic.  Only the weight-0 block is enumerated and
+eliminated; a boundary witness reads its other parts from the Cartan
+homotopy (Loday, Cyclic Homology, 1992, 4.1; Goodwillie, Topology 24,
+1985).  The elimination (:func:`~ncgdesk.scalars.eliminate`, on integer
+boundary columns) of b: CC_n -> CC_{n-1} is done once per (algebra,
+amplification, n): it is the image for HC_{n-1} and the kernel for HC_n.
 
 HC_2l = C^k has a fixed basis, the classes of e_{f,00} x ... x e_{f,00}
 (2l+1 factors), one per factor f, and HC is 0 in odd degree.  The trace
@@ -298,15 +298,15 @@ def _weight(key) -> tuple:
 
 @dataclass(frozen=True)
 class CyclicSpace:
-    """Basis of one weight block of CC_n(M_m(A)) by canonical cyclic-orbit
-    representatives, sorted."""
+    """Basis of the weight-0 block of CC_n(M_m(A)) by canonical cyclic-orbit
+    representatives, sorted.  No other block is built: a witness reads its
+    other parts from the Cartan homotopy (Loday 1992, 4.1)."""
 
     algebra: MultiMatrixAlgebra
     amplification: int
     degree: int
     basis: tuple
     index: dict
-    weight: tuple = ()
 
     @property
     def dimension(self) -> int:
@@ -314,14 +314,14 @@ class CyclicSpace:
 
     def coordinates(self, xi: TensorElement) -> dict:
         """Sparse CC coordinates {basis position: coefficient} of the
-        component of xi in this weight block."""
+        weight-0 component of xi."""
         if (xi.algebra != self.algebra
                 or xi.amplification != self.amplification
                 or xi.degree != self.degree):
             raise ValidationError("tensor does not live in this space")
-        # a key of this weight missing from the index is a bug: KeyError
+        # a weight-0 key missing from the index is a bug: KeyError
         return {self.index[k]: c for k, c in cc_reduce(xi).items()
-                if _weight(k) == self.weight}
+                if not _weight(k)}
 
 
 def _all_units(algebra, m):
@@ -331,8 +331,8 @@ def _all_units(algebra, m):
     return units
 
 
-def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
-    """Canonical orbit representatives of the given weight in CC_n, sorted.
+def _orbit_basis(algebra, m: int, n: int) -> list:
+    """Canonical orbit representatives of weight 0 in CC_n, sorted.
 
     Walks prenecklaces, the prefixes of least rotations, depth-first in
     lexicographic order (Fredricksen-Kessler-Maiorana; Ruskey, Savage and
@@ -341,10 +341,9 @@ def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
     p = t + 1.  A word of length n + 1 is then its own least rotation iff p
     divides n + 1, and each orbit is reached once; the rotations fixing it
     are the multiples of p, so in odd degree it dies iff p is odd.  A
-    prefix is also cut when the L1 distance from its weight to the target
-    exceeds 2 x (slots left), since one unit moves that distance by at most
-    2.  Each node visited is charged to the budget, a node's children at
-    once.
+    prefix is also cut when the L1 norm of its weight exceeds 2 x (slots
+    left), since one unit moves that norm by at most 2.  Each node visited
+    is charged to the budget, a node's children at once.
     """
     budget = get_budget()
     visited = 1  # the root
@@ -353,9 +352,7 @@ def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
     for j, a, _ in units:
         pos.setdefault((j, a), len(pos))
     moves = [(pos[j, a], pos[j, b]) for j, a, b in units]
-    gap = [0] * len(pos)  # prefix weight minus target weight
-    for p, c in weight:
-        gap[pos[p]] -= c
+    gap = [0] * len(pos)  # the prefix's weight
     basis = []
     prefix = []  # letters as positions in units
 
@@ -384,19 +381,16 @@ def _orbit_basis(algebra, m: int, n: int, weight: tuple) -> list:
             prefix.pop()
             gap[r], gap[c] = gr, gc
 
-    dist = sum(abs(g) for g in gap)
-    if dist <= 2 * (n + 1):
-        walk(0, 1, dist)
+    walk(0, 1, 0)
     return basis
 
 
 @functools.lru_cache(maxsize=256)
 def build_cyclic_space(algebra: MultiMatrixAlgebra, n: int,
-                       amplification: int = 1,
-                       weight: tuple = ()) -> CyclicSpace:
-    basis = _orbit_basis(algebra, amplification, n, weight)
+                       amplification: int = 1) -> CyclicSpace:
+    basis = _orbit_basis(algebra, amplification, n)
     return CyclicSpace(algebra, amplification, n, tuple(basis),
-                       {k: i for i, k in enumerate(basis)}, weight)
+                       {k: i for i, k in enumerate(basis)})
 
 
 def _boundary_column(key, index: dict, canonical) -> dict:
@@ -421,7 +415,7 @@ def _boundary_column(key, index: dict, canonical) -> dict:
 
 @dataclass(frozen=True)
 class _Boundary:
-    """Tracked elimination of b: CC_n -> CC_{n-1} on one weight block.
+    """Tracked elimination of b: CC_n -> CC_{n-1} on the weight-0 block.
 
     Columns are inserted in basis order, tagged by basis position; the
     reducer spans the image, and each dependent column gives a kernel
@@ -435,10 +429,9 @@ class _Boundary:
 
 
 @functools.lru_cache(maxsize=256)
-def _boundary(algebra, n: int, amplification: int,
-              weight: tuple) -> _Boundary:
-    target = build_cyclic_space(algebra, n - 1, amplification, weight)
-    source = build_cyclic_space(algebra, n, amplification, weight)
+def _boundary(algebra, n: int, amplification: int) -> _Boundary:
+    target = build_cyclic_space(algebra, n - 1, amplification)
+    source = build_cyclic_space(algebra, n, amplification)
     # faces repeat across columns: each distinct one is canonicalized once
     canonical = functools.cache(lambda face: _cc_canonical(face, n - 1))
     red, _, kernel = eliminate(_boundary_column(k, target.index, canonical)
@@ -506,10 +499,11 @@ class HomologySpace:
         self.algebra = algebra
         self.amplification = amplification
         self.degree = n
-        above = _boundary(algebra, n + 1, amplification, ())
+        above = _boundary(algebra, n + 1, amplification)
         self.cc = above.target
         # image of the boundary from one degree up, with witness tracking
         self._image = above.reducer
+        self._preimages = above.source.basis
         self.boundary_rank = self._image.rank
 
         # kernel of the boundary out of degree n
@@ -517,7 +511,7 @@ class HomologySpace:
             self.cycle_basis = [{i: 1} for i in range(self.cc.dimension)]
             rank_b = 0
         else:
-            below = _boundary(algebra, n, amplification, ())
+            below = _boundary(algebra, n, amplification)
             self.cycle_basis, rank_b = below.kernel, below.reducer.rank
         self.dimension = self.cc.dimension - rank_b - self.boundary_rank
         self.basis = () if n % 2 else tuple(
@@ -546,24 +540,28 @@ class HomologySpace:
                                           for i in range(self.dimension)))
 
     def boundary_witness(self, xi: TensorElement):
-        """A preimage of xi under the boundary from one degree up, or None.
+        """A preimage eta of xi under the boundary from one degree up, with
+        b(eta) = xi in CC, or None: a non-cycle fails that one check.
 
-        Solved weight block by weight block; a block of nonzero weight is
-        built the first time a query needs it.
+        The weight-0 part is eliminated against this space's boundary.  A
+        part xi_w of weight w != 0 is h(xi_w) / |w|^2, where h inserts
+        x_w = sum_p w_p e_pp after letter i with sign (-1)^(i+1): the Cartan
+        homotopy, b h + h b = L_(ad x_w) = |w|^2 on weight w (Loday, Cyclic
+        Homology, 1992, 4.1; Goodwillie, Topology 24, 1985).
         """
-        weights = {()} | {_weight(k) for k in cc_reduce(xi)}
-        out = {}
-        for weight in sorted(weights):
-            block = _boundary(self.algebra, self.degree + 1,
-                              self.amplification, weight)
-            residue, combo = block.reducer.reduce(
-                block.target.coordinates(xi), want_combo=True)
-            if any(not scalar_is_zero(v) for v in residue.values()):
-                return None
-            for tag, f in combo.items():
-                out[block.source.basis[tag]] = f
-        return TensorElement._trusted(self.algebra, self.amplification,
-                                      self.degree + 1, out)
+        _, combo = self._image.reduce(self.cc.coordinates(xi), want_combo=True)
+        out = {self._preimages[tag]: f for tag, f in combo.items()}
+        for key, c in cc_reduce(xi).items():
+            weight = _weight(key)
+            for (j, a), k in weight:
+                f = c * Fraction(k, sum(v * v for _, v in weight))
+                for i in range(len(key)):
+                    word = key[:i + 1] + ((j, a, a),) + key[i + 1:]
+                    out[word] = out.get(word, 0) + (f if i % 2 else -f)
+        eta = TensorElement._trusted(self.algebra, self.amplification,
+                                     self.degree + 1, out)
+        miss = cc_reduce(face_op(eta) - xi)
+        return eta if all(map(scalar_is_zero, miss.values())) else None
 
 
 @functools.lru_cache(maxsize=256)

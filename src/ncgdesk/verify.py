@@ -21,7 +21,9 @@ from .algebra import (
 )
 from .chern import T_cover, T_direct, verify_eta_vanishes, verify_th7, \
     verify_th8
-from .cyclic import DecompositionRep, check_face_bound, check_trace_bound
+from .cyclic import (DecompositionRep, TensorElement, _all_units, cc_reduce,
+                     check_face_bound, check_trace_bound, face_op, hc_class,
+                     hc_space, is_boundary)
 from .errors import NcgError, ValidationError
 from .generate import (
     random_exact_unitary,
@@ -47,6 +49,7 @@ from .ngroup import (
     K0Class,
     K0TensorC,
 )
+from .scalars import scalar_is_zero
 
 
 @dataclass
@@ -201,6 +204,38 @@ def battery_kernel_h(seed: int, count: int) -> VerificationReport:
     return _run("kernel_h", seed, count, one)
 
 
+def battery_hc(seed: int, count: int) -> VerificationReport:
+    """A random boundary b(eta), of mixed weight, reads class 0 and has a
+    witness; a projection power plus that boundary reads the class that
+    reduction modulo the boundaries finds."""
+    algebras = _small_algebras()
+
+    def one(rng):
+        algebra = rng.choice(algebras)
+        m = rng.randint(1, 2) if max(algebra.block_dims) == 1 else 1
+        n = rng.randint(0, 2)
+        units = _all_units(algebra, m)
+        eta = TensorElement(algebra, m, n + 1, {
+            tuple(rng.choice(units) for _ in range(n + 2)):
+            random_gaussian_rational(rng) for _ in range(4)})
+        xi = face_op(eta)
+        where = {"blocks": list(algebra.block_dims), "m": m, "n": n}
+        if not hc_class(xi).is_zero():
+            return False, {"check": "boundary class", **where}
+        witness = is_boundary(xi)
+        if witness is None or not all(map(
+                scalar_is_zero, cc_reduce(face_op(witness) - xi).values())):
+            return False, {"check": "witness", **where}
+        p = random_projection(algebra, rng, m)
+        cycle = TensorElement.from_summand((p.element,) * (n + 1)).scale(
+            random_gaussian_rational(rng)) + xi
+        if hc_class(cycle) != hc_space(algebra, n, m).reduced_class(cycle):
+            return False, {"check": "trace read", **where}
+        return True, None
+
+    return _run("hc", seed, count, one)
+
+
 def battery_th2(seed: int, count: int) -> VerificationReport:
     algebras = [MultiMatrixAlgebra((1,)), MultiMatrixAlgebra((1, 1))]
 
@@ -323,6 +358,7 @@ BATTERIES = {
     "th1": battery_th1,
     "lem2": battery_lem2,
     "kernel_h": battery_kernel_h,
+    "hc": battery_hc,
     "th2": battery_th2,
     "th4": battery_th4,
     "th5": battery_th5,

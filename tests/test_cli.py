@@ -138,6 +138,17 @@ def test_unknown_theorem_is_validation_error(capsys, command):
     assert main(command + ["--theorems", "th99"]) == 1
 
 
+@pytest.mark.parametrize("command", [["verify"], ["lefschetz", "verify"]],
+                         ids=["verify", "lefschetz verify"])
+@pytest.mark.parametrize("theorems", [",,", " , ", ""])
+def test_empty_theorem_list_is_one_error_line(capsys, command, theorems):
+    assert main(command + ["--theorems", theorems]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no theorem named") \
+        and captured.err.count("\n") == 1
+
+
 def test_non_equivariant_complex_is_one_error_line(tmp_path, capsys):
     # C with Z/2 acting by i, whose square -1 is not the identity's action
     one = AlgebraElement.identity(MultiMatrixAlgebra((1,)))

@@ -29,7 +29,9 @@ from ncgdesk.cyclic import (
 from ncgdesk.budget import set_budget
 from ncgdesk.errors import ConsistencyError, DomainError, ResourceError, \
     ValidationError
-from ncgdesk.scalars import Cyclotomic, eliminate
+from ncgdesk.chern import eta_cycle, verify_eta_vanishes
+from ncgdesk.generate import random_orthogonal_family
+from ncgdesk.scalars import Cyclotomic, eliminate, scalar_is_zero
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -298,24 +300,19 @@ GOLDEN_COORDS = {
     "gauss_deg2": [["0", "3/2"]],
     "amp_deg2": [["1", "0"]],
 }
+# The weight-0 terms of each witness, from the elimination of the weight-0
+# block; a witness is not unique, so its other terms are checked only by
+# b(witness) = xi in CC.
 GOLDEN_WITNESSES = {
     "m2_deg1": [
-        [[[0, 0, 0], [0, 0, 0], [0, 1, 1]], ["4", "0"]],
-        [[[0, 0, 0], [0, 0, 1], [0, 1, 1]], ["3", "0"]]],
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 1]], ["4", "0"]]],
     "m2_deg2": [
         [[[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]], ["3", "0"]],
-        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1]], ["-3", "0"]],
-        [[[0, 0, 0], [0, 1, 0], [0, 1, 1], [0, 1, 0]], ["-2", "0"]]],
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1]], ["-3", "0"]]],
     "cm2_deg1": [
-        [[[0, 0, 0], [0, 0, 0], [1, 0, 1]], ["1", "0"]],
-        [[[0, 0, 0], [0, 0, 0], [1, 1, 0]], ["-3", "0"]],
-        [[[0, 0, 0], [0, 0, 0], [1, 1, 1]], ["2", "0"]],
-        [[[1, 0, 0], [1, 1, 1], [1, 1, 0]], ["-1", "0"]]],
+        [[[0, 0, 0], [0, 0, 0], [1, 1, 1]], ["2", "0"]]],
     "amp_deg2": [
-        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1]], ["3", "0"]],
-        [[[0, 0, 0], [0, 0, 1], [0, 0, 1], [0, 0, 1]], ["2", "0"]],
-        [[[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 1]], ["-2", "0"]],
-        [[[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0]], ["-1", "0"]]],
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1]], ["3", "0"]]],
 }
 
 
@@ -355,10 +352,15 @@ class TestWeightGrading:
         assert got == GOLDEN_COORDS
 
     def test_golden_witnesses(self):
+        witnesses = {name: is_boundary(xi)
+                     for name, xi in golden_boundaries().items()}
         got = {name: [[t["indices"], t["coeff"]]
-                      for t in sz.tensor_to_json(is_boundary(xi))["terms"]]
-               for name, xi in golden_boundaries().items()}
+                      for t in sz.tensor_to_json(w)["terms"]
+                      if not weight(t["indices"])]
+               for name, w in witnesses.items()}
         assert got == GOLDEN_WITNESSES
+        for name, xi in golden_boundaries().items():
+            assert cc_reduce(face_op(witnesses[name])) == cc_reduce(xi)
 
     @pytest.mark.parametrize("eta", [
         *OFF_WEIGHT.values(),
@@ -532,31 +534,123 @@ class TestPrenecklaceWalk:
         brute = [k for k in brute_force_orbits(algebra, m, n)
                  if cyclic._weight(k) == w]
         assert brute, "a case with an empty basis shows nothing"
-        assert list(build_cyclic_space(algebra, n, m, w).basis) \
-            == leaf_canonical_orbit_basis(algebra, m, n, w) == brute
+        assert leaf_canonical_orbit_basis(algebra, m, n, w) == brute
+        # only weight 0 is built; a case of another weight checks the
+        # basis that the elimination oracle below walks
+        if not w:
+            assert list(build_cyclic_space(algebra, n, m).basis) == brute
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 2), min_size=1, max_size=3),
-           st.integers(0, 4), st.data())
-    def test_random_algebras_match_the_leaf_walk(self, blocks, n, data):
+           st.integers(0, 4))
+    def test_random_algebras_match_the_leaf_walk(self, blocks, n):
         algebra = MultiMatrixAlgebra(tuple(blocks))
-        units = cyclic._all_units(algebra, 1)
-        word = data.draw(st.lists(st.sampled_from(units), max_size=n + 1))
-        w = cyclic._weight(word)
-        assert list(build_cyclic_space(algebra, n, 1, w).basis) \
-            == leaf_canonical_orbit_basis(algebra, 1, n, w)
+        assert list(build_cyclic_space(algebra, n).basis) \
+            == leaf_canonical_orbit_basis(algebra, 1, n, ())
 
     def test_walk_canonicalizes_no_leaf(self, monkeypatch, cold_cyclic):
-        cases = [(M2, 1, 5, ()), (CM2, 1, 4, cyclic._weight(((1, 0, 1),))),
-                 (A, 2, 3, ())]
-        expected = [leaf_canonical_orbit_basis(algebra, m, n, w)
-                    for algebra, m, n, w in cases]
+        cases = [(M2, 1, 5), (CM2, 1, 4), (A, 2, 3)]
+        expected = [leaf_canonical_orbit_basis(algebra, m, n, ())
+                    for algebra, m, n in cases]
 
         def refuse(key, n):
             raise AssertionError("the walk canonicalized a leaf")
         monkeypatch.setattr(cyclic, "_cc_canonical", refuse)
-        assert [list(build_cyclic_space(algebra, n, m, w).basis)
-                for algebra, m, n, w in cases] == expected
+        assert [list(build_cyclic_space(algebra, n, m).basis)
+                for algebra, m, n in cases] == expected
+
+
+# ---------------------------------------------------------------------------
+# witnesses off weight 0 from the Cartan homotopy, against elimination
+
+def elimination_witness(xi):
+    """The per-weight elimination route: each weight block of xi, weight 0
+    included, is solved against the boundary of its own block, whose bases
+    come from the leaf walk.  A witness, or None."""
+    algebra, m, n = xi.algebra, xi.amplification, xi.degree
+    reduced = cc_reduce(xi)
+    out = {}
+    for w in {()} | {cyclic._weight(k) for k in reduced}:
+        source = leaf_canonical_orbit_basis(algebra, m, n + 1, w)
+        index = {k: i for i, k in enumerate(
+            leaf_canonical_orbit_basis(algebra, m, n, w))}
+        reducer, _, _ = eliminate(
+            cyclic._boundary_column(k, index,
+                                    lambda face: cyclic._cc_canonical(face, n))
+            for k in source)
+        residue, combo = reducer.reduce(
+            {index[k]: c for k, c in reduced.items()
+             if cyclic._weight(k) == w}, want_combo=True)
+        if any(not scalar_is_zero(v) for v in residue.values()):
+            return None
+        out.update((source[tag], f) for tag, f in combo.items())
+    return TensorElement(algebra, m, n + 1, out)
+
+
+def is_witness(eta, xi):
+    """b(eta) = xi in CC, exactly or within epsilon."""
+    return all(map(scalar_is_zero, cc_reduce(face_op(eta) - xi).values()))
+
+
+# (blocks, amplification, largest degree of xi): at most 2 factors of size
+# at most 2, m <= 2, n <= 3, within the default budget
+ORACLE_SPACES = [((1,), 1, 3), ((2,), 1, 3), ((1, 1), 1, 3), ((1, 2), 1, 3),
+                 ((2, 2), 1, 2), ((1,), 2, 3), ((2,), 2, 1), ((1, 1), 2, 2),
+                 ((1, 2), 2, 1), ((2, 2), 2, 0)]
+
+
+class TestCartanWitness:
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.sampled_from(ORACLE_SPACES),
+           st.sampled_from(["boundary", "float boundary", "noisy"]),
+           st.data())
+    def test_agrees_with_elimination(self, seed, case, kind, data):
+        blocks, m, top = case
+        algebra = MultiMatrixAlgebra(blocks)
+        n = data.draw(st.integers(0, top))
+        rng = random.Random(seed)
+        xi = face_op(random_tensor(algebra, m, n + 1, rng, terms=6))
+        if kind == "float boundary":
+            xi = xi.scale(complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+        elif kind == "noisy":  # often not a cycle, or not a boundary
+            xi = xi + random_tensor(algebra, m, n, rng, terms=2)
+        witness, oracle = is_boundary(xi), elimination_witness(xi)
+        assert (witness is None) == (oracle is None)
+        if kind != "noisy":
+            assert witness is not None
+        for eta in (witness, oracle):
+            assert eta is None or is_witness(eta, xi)
+
+    def test_non_cycle_off_weight_zero_has_no_witness(self):
+        # e00 x e01 has weight e_0 - e_1 and boundary e01: only the final
+        # check b(eta) = xi tells it from a boundary
+        xi = TensorElement.basis(M2, 1, ((0, 0, 0), (0, 0, 1)))
+        assert not xi.is_cycle() and all(map(cyclic._weight, cc_reduce(xi)))
+        assert is_boundary(xi) is None
+
+    @staticmethod
+    def criterion_7_families(count):
+        """The witness families of acceptance criterion 7, in order."""
+        rng = random.Random(1070)
+        while count:
+            ps = random_orthogonal_family(C, rng, 2, m=2)
+            if not any(p.element.is_zero() for p in ps):
+                count -= 1
+                yield ps
+
+    def test_criterion_7_builds_only_weight_zero_blocks(self, cold_cyclic):
+        ps, = self.criterion_7_families(1)
+        assert verify_eta_vanishes(ps, 1, witness=True).witness_found
+        # the boundaries into and out of CC_2, where the elimination route
+        # also built 4 blocks of nonzero weight
+        assert cyclic._boundary.cache_info().misses == 2
+
+    def test_criterion_7_families_agree_with_elimination(self):
+        for ps in self.criterion_7_families(10):
+            xi = eta_cycle(ps, 1)
+            witness = is_boundary(xi)
+            assert witness is not None and is_witness(witness, xi)
+            assert elimination_witness(xi) is not None
 
 
 class TestFaceMemo:
@@ -568,7 +662,7 @@ class TestFaceMemo:
         canonical = cyclic._cc_canonical
         monkeypatch.setattr(cyclic, "_cc_canonical",
                             lambda key, n: calls.append(1) or canonical(key, n))
-        cyclic._boundary(algebra, n, 1, ())
+        cyclic._boundary(algebra, n, 1)
         return len(calls)
 
     def test_one_call_over_c(self, monkeypatch, cold_cyclic):
