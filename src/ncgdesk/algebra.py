@@ -17,7 +17,8 @@ An exact spectral decomposition builds block-local idempotents: each
 factor's eigenprojection for lam is the Lagrange product
 prod (b - mu) / (lam - mu) over that factor's own snapped eigenvalues
 mu != lam, and a factor whose spectrum lacks lam gets the zero block.
-Every candidate is still checked exactly (see :func:`spectral_decompose`).
+Each factor is certified once, exactly, by prod (b - mu) = 0 over its
+values (see :func:`spectral_decompose`).
 Epsilon decides float comparisons only: no exact answer depends on it.  An
 exact decomposition is kept per element, for at most 256 inputs: an equal
 exact input returns the form that was built and checked for the earlier
@@ -204,8 +205,8 @@ class Projection:
 
     @classmethod
     def _trusted(cls, element: AlgebraElement) -> "Projection":
-        """Wrap a projection by construction: an element that has just passed
-        ``is_projection``, a sum of orthogonal ones, a direct sum or a *-image."""
+        """Wrap a projection by construction: a certified Lagrange product,
+        a sum of orthogonal ones, a direct sum or a *-image."""
         out = object.__new__(cls)
         object.__setattr__(out, "element", element)
         return out
@@ -454,19 +455,19 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
     and each factor keeps its distinct snapped values.  A factor's
     idempotent for lam is the Lagrange product over its own values only,
     formed from each b - mu once and scaled once by prod (lam - mu)^-1; a
-    factor without lam gets the zero block.  Where the product over every
-    snapped value succeeds, the two agree: a factor's minimal polynomial
-    divides that product, so each dropped term is invertible on the block
-    or the block is zero.
+    factor without lam gets the zero block.
 
-    Each fact is checked once: the element is normal, each candidate is a
-    projection, sum lam * p rebuilds x, and :class:`SpectralForm` checks
-    the projections orthogonal, so its kernel 1 - sum p is a projection.
-    A candidate that is not a projection or a failed reconstruction raises
-    NumericalError.  Epsilon decides float comparisons only, so no exact
-    decomposition depends on it.  Float elements go through Hermitian
-    eigensolvers with 2*eps eigenvalue clustering; eigenvalues that chain
-    into a cluster wider than 2*eps raise NumericalError.
+    Each fact is checked once: the element is normal, each factor b has
+    prod (b - mu) = 0 over its values, and :class:`SpectralForm` checks the
+    projections orthogonal, so its kernel 1 - sum p is a projection.  For a
+    normal b the certificate puts spec b inside the values, so each Lagrange
+    product is b's orthogonal eigenprojection for lam, or 0, and
+    sum lam * p = x; it fails, raising NumericalError, exactly where
+    p = p* = p^2 on every candidate and sum lam * p = x would.  Epsilon
+    decides float comparisons only, so no exact decomposition depends on
+    it.  Float elements go through Hermitian eigensolvers with 2*eps
+    eigenvalue clustering; eigenvalues that chain into a cluster wider than
+    2*eps raise NumericalError.
 
     An exact input equal to one decomposed before returns the form built
     and checked then (at most 256 are kept); an input that raised raises
@@ -494,22 +495,32 @@ def _spectral_decompose_float(x):
     return SpectralForm.from_pairs(x.algebra, x.amplification, pairs)
 
 
-def _lagrange_idempotents(b, values):
+def _lagrange_idempotents(b, values, factor):
     """{lam: prod_{mu != lam} (b - mu) / (lam - mu)} over one factor's values.
 
     Each difference b - mu is formed once; each product stays unscaled until
-    one multiplication by the scalar prod (lam - mu)^-1.
+    one multiplication by the scalar prod (lam - mu)^-1.  The certificate
+    prod_mu (b - mu), lam_0's product times b - lam_0, must be zero, or
+    NumericalError names the factor.
     """
     one = la.identity(b.shape[0])
-    if len(values) == 1:
-        return {values[0]: one}
     shifted = {mu: la.mat_sub(b, la.scalar_mul(mu, one)) for mu in values}
-    out = {}
-    for lam in values:
+    out, certificate = {}, shifted[values[0]]
+    for i, lam in enumerate(values):
         others = [mu for mu in values if mu != lam]
+        if not others:
+            out[lam] = one
+            continue
         prod = reduce(la.mat_mul, (shifted[mu] for mu in others))
+        if i == 0:
+            certificate = la.mat_mul(certificate, prod)
         denom = reduce(operator.mul, (lam - mu for mu in others))
         out[lam] = la.scalar_mul(denom.inverse(), prod)
+    if not la.is_zero_matrix(certificate):
+        raise NumericalError(
+            f"factor {factor}: prod (b - mu) is not zero over its snapped "
+            "Gaussian rational candidates mu; use the float backend or provide "
+            "the element as a spectral form")
     return out
 
 
@@ -518,32 +529,19 @@ def _spectral_decompose_exact(x):
     """Cached on x alone: no step reads epsilon."""
     if not is_normal(x):
         raise DomainError("spectral_decompose requires a normal element")
-    # distinct snapped values per factor, then overall, in order of first
-    # appearance
+    # each factor's distinct snapped values, then all, by first appearance
     local = [list(dict.fromkeys(map(_snap_gaussian,
                                     np.linalg.eigvals(la.to_numpy(b)))))
              for b in x.blocks]
     snapped = dict.fromkeys(z for values in local for z in values)
-    idempotents = [_lagrange_idempotents(b, vals) for b, vals in zip(x.blocks, local)]
-    pairs = []
-    for lam in snapped:
-        elem = AlgebraElement._trusted(x.algebra, x.amplification, tuple(
-            idem[lam] if lam in idem else la.zeros(*b.shape)
-            for idem, b in zip(idempotents, x.blocks)))
-        if not elem.is_projection():
-            raise NumericalError(
-                "eigenvalues are not Gaussian rational; use the float backend "
-                "or provide the element as a spectral form")
-        pairs.append((lam, elem))
-    recon = AlgebraElement.zero(x.algebra, x.amplification)
-    for lam, p in pairs:
-        recon = recon + p.scale(lam)
-    if not recon.equals(x):
-        raise NumericalError(
-            "exact spectral reconstruction failed; use the float backend "
-            "or provide the element as a spectral form")
-    kept = [(lam, Projection._trusted(p)) for lam, p in pairs if not p.is_zero()]
-    return SpectralForm.from_pairs(x.algebra, x.amplification, tuple(kept))
+    idempotents = [_lagrange_idempotents(b, vals, f)
+                   for f, (b, vals) in enumerate(zip(x.blocks, local))]
+    return SpectralForm.from_pairs(x.algebra, x.amplification, tuple(
+        (lam, Projection._trusted(AlgebraElement._trusted(
+            x.algebra, x.amplification, tuple(
+                idem[lam] if lam in idem else la.zeros(*b.shape)
+                for idem, b in zip(idempotents, x.blocks)))))
+        for lam in snapped))
 
 
 def spectral_projection(a: SpectralForm, e: BorelSetModel) -> Projection:

@@ -17,7 +17,9 @@ from .algebra import (
     MultiMatrixAlgebra,
     Projection,
     SpectralForm,
+    apply_hom,
     check_hom_spectral_commute,
+    spectral_decompose,
 )
 from .chern import T_cover, T_direct, verify_eta_vanishes, verify_th7, \
     verify_th8
@@ -40,6 +42,7 @@ from .lefschetz import IrrepTable, verify_th4, verify_th5
 from .ngroup import (
     N0Class,
     evaluate_h_list,
+    functorial_map,
     generator_g,
     generator_h,
     h_map,
@@ -176,6 +179,19 @@ def battery_lem2(seed: int, count: int) -> VerificationReport:
         return ok, None if ok else {"hom": str(phi.multiplicities)}
 
     return _run("lem2", seed, count, one)
+
+
+def battery_functoriality(seed: int, count: int) -> VerificationReport:
+    """Decomposing phi(a) again gives the class that phi's multiplicity
+    matrix pushes forward, over homomorphisms of up to three factors."""
+    def one(rng):
+        phi = random_hom(rng, max_factors=3)
+        a = random_normal(phi.source, rng)
+        pushed = n_class(spectral_decompose(apply_hom(phi, a.element())))
+        ok = pushed == functorial_map(phi, n_class(a))
+        return ok, None if ok else {"hom": str(phi.multiplicities)}
+
+    return _run("functoriality", seed, count, one)
 
 
 def battery_kernel_h(seed: int, count: int) -> VerificationReport:
@@ -357,6 +373,7 @@ def battery_norm_bounds(seed: int, count: int) -> VerificationReport:
 BATTERIES = {
     "th1": battery_th1,
     "lem2": battery_lem2,
+    "functoriality": battery_functoriality,
     "kernel_h": battery_kernel_h,
     "hc": battery_hc,
     "th2": battery_th2,

@@ -298,8 +298,29 @@ class TestBlockLocalIdempotents:
         nilpotent = AlgebraElement(m2, 1, (((0 * one, one), (0 * one, 0 * one)),))
         with pytest.raises(DomainError):
             decompose(nilpotent)
+        # both values snap to 1; zeta_3 snaps to a nearby Gaussian rational
+        for diag in ([one, one + Fraction(1, 10 ** 10)],
+                     [Cyclotomic.root_of_unity(3, 1), one]):
+            with pytest.raises(NumericalError):
+                decompose(AlgebraElement.diagonal(m2, [diag]))
 
-    @pytest.mark.parametrize("decompose, checks", [(spectral_decompose, 2),
+    def test_a_wrong_candidate_fails_the_certificate(self, monkeypatch):
+        x = AlgebraElement.diagonal(MultiMatrixAlgebra((2,)),
+                                    [[Fraction(2), Fraction(5)]])
+        snap = algebra._snap_gaussian
+
+        def off(z):
+            c = snap(z)
+            return c + Fraction(1, 1000) if c == 5 else c
+
+        ncgdesk.clear_caches()
+        monkeypatch.setattr(algebra, "_snap_gaussian", off)
+        with pytest.raises(NumericalError, match="factor 0"):
+            spectral_decompose(x)
+        monkeypatch.undo()
+        assert spectral_decompose(x).eigenvalues() == (2, 5)
+
+    @pytest.mark.parametrize("decompose, checks", [(spectral_decompose, 0),
                                                    (_global_lagrange_decompose, 4)])
     def test_each_projection_checked_once(self, monkeypatch, decompose, checks):
         ncgdesk.clear_caches()  # an earlier test may have decomposed this input
@@ -311,7 +332,9 @@ class TestBlockLocalIdempotents:
             return original(self)
 
         monkeypatch.setattr(AlgebraElement, "is_projection", counted)
-        # two snapped values, 2 and 5: one check each; the kernel is derived
+        # two snapped values, 2 and 5: the exact path certifies each factor
+        # once and checks no candidate; the oracle checks each candidate, then
+        # wraps it in a validated Projection; the kernel is derived
         decompose(AlgebraElement.diagonal(
             A, [[Fraction(2)], [Fraction(2), Fraction(5)]]))
         assert len(calls) == checks

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -312,6 +313,20 @@ def test_non_finite_number_is_one_error_line(tmp_path, blocks):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_uncertified_candidates_are_one_error_line(tmp_path):
+    # diag(1, 1 + 10^-10) over M_2: both eigenvalues snap to 1, and b - 1 != 0
+    # fails the spectral certificate
+    x = AlgebraElement.diagonal(MultiMatrixAlgebra((2,)),
+                                [[Fraction(1), 1 + Fraction(1, 10 ** 10)]])
+    path = write(tmp_path, "x.json", sz.element_to_json(x))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncgdesk.cli", "n0", "class", "--element", path],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: factor 0: prod (b - mu) ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def cyclotomic_element(tmp_path, order):

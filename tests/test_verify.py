@@ -1,3 +1,9 @@
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
 import pytest
 
 from ncgdesk.verify import BATTERIES, VerificationReport, run_batteries
@@ -33,3 +39,67 @@ def test_run_batteries_rejects_unknown():
 def test_run_batteries_order_preserved():
     reports = run_batteries(["th8", "th7"], 5, 4)
     assert [r.theorem for r in reports] == ["th8", "th7"]
+
+
+# One-line faults as (file under src/ncgdesk, old text, new text): each must
+# make at least one battery fail at seed 7, count 25.  Still open: T_cover
+# ignoring its tag policy ("pts[0] if policy == \"smallest\" else pts[-1]"
+# -> "pts[0]" in chern.py) keeps every answer right, so th6 cannot tell.
+MUTANTS = {
+    "b signs": ("cyclic.py", "yield face, (c if i % 2 == 0 else -c)",
+                "yield face, c"),
+    "+1 rotation sign": ("cyclic.py", "return best, -1 if n * k % 2 else 1",
+                         "return best, 1"),
+    "off-diagonal trace_values": ("cyclic.py", "if u and u[1] == u[2]:",
+                                  "if u:"),
+    "transposed functorial_map": ("ngroup.py", "for row in phi.multiplicities)",
+                                  "for row in zip(*phi.multiplicities))"),
+    "live odd orbit": ("cyclic.py", "return best, 0", "return best, 1"),
+    "conjugated Fourier root": ("lefschetz.py", "roots[-k * s % t]",
+                                "roots[k * s % t]"),
+    "Lefschetz module sign": ("lefschetz.py",
+                              "(part if j % 2 == 0 else -part)", "part"),
+    "Lefschetz isotypic sign": ("lefschetz.py",
+                                "total[i] += (-1) ** j * _natural(",
+                                "total[i] += _natural("),
+    "Chern projection sign": ("chern.py", "[((-1) ** l, p)]", "[(1, p)]"),
+    "generalized Chern sign": ("chern.py", "phi[i] += (-1) ** l * value * r",
+                               "phi[i] += value * r"),
+    "h drops lambda": ("ngroup.py", "coeffs[i] = coeffs[i] + v * r",
+                       "coeffs[i] = coeffs[i] + r"),
+}
+
+# prints the package it imported, then the first battery that fails; a
+# battery that raises fails
+_FIRST_FAILING_BATTERY = """
+import ncgdesk
+from ncgdesk.verify import BATTERIES, run_batteries
+print(ncgdesk.__file__)
+for name in BATTERIES:
+    try:
+        ok = run_batteries([name], 7, 25)[0].ok
+    except Exception:
+        ok = False
+    if not ok:
+        print(name)
+        break
+"""
+
+
+@pytest.mark.parametrize("path, old, new", MUTANTS.values(), ids=MUTANTS.keys())
+def test_batteries_kill_the_mutant(tmp_path, path, old, new):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    copy = tmp_path / "src"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    target = copy / "ncgdesk" / path
+    text = target.read_text()
+    assert text.count(old) == 1
+    target.write_text(text.replace(old, new))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_FAILING_BATTERY], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(copy)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported, *failed = proc.stdout.split()
+    assert pathlib.Path(imported).is_relative_to(copy)
+    assert failed, "every battery passes"
