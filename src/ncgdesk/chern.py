@@ -1,9 +1,10 @@
 """Chern character on projections and its extension to normal elements.
 
 The extension T is computed two ways: directly from the spectral form, and
-by refining dyadic square covers of the spectrum until every cell isolates
-one spectral point (at which point the class sequence is constant).  Both
-must agree, and the mixed-tensor obstruction eta is checked to vanish.
+as the limit over refining dyadic square covers of the spectrum, which is
+the class of the first cover whose cells each isolate one spectral point
+(every finer cover has the same cells and tags).  Both must agree, and the
+mixed-tensor obstruction eta is checked to vanish.
 
 Classes are read by the trace cocycles of :mod:`ncgdesk.cyclic`, building
 no homology space and no matrix-unit tensor: sum of c * p x ... x p stays
@@ -200,15 +201,15 @@ def T_direct(a: SpectralForm, l: int) -> HCClass:
 
 def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
             policy: str = "smallest") -> HCClass:
-    """T by dyadic refinement of spectral covers.
+    """T by dyadic refinement of spectral covers, read at the first depth
+    up to ``max_depth`` whose cover gives every spectral point its own cell.
 
-    Refinement stops once consecutive classes agree and every cell isolates
-    a single spectral point; past that depth the sequence is constant, so
-    the limit is reached.  The limit is tag-policy independent (checked
-    elsewhere by running both policies).  A cover's class depends only on
-    its cells (points and tag), so a class is read, and charged, only when
-    the cells change; a depth with the previous depth's cells reuses its
-    class.
+    A cover's class is the sum of tag * class(merged projection) over its
+    cells.  Once each cell holds one point, its tag is that point and its
+    merged projection is that point's eigenprojection, and every finer
+    cover has the same cells and tags: the first separated cover's class
+    is the limit, so it is the one class read (and charged).  ``policy``
+    picks tags only on the coarser covers, which are never read.
     """
     if max_depth < 0:
         raise ValidationError("cover depth must be >= 0")
@@ -216,19 +217,12 @@ def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
     if not spectrum:
         return T_direct(a, l)
     points = _split_spectrum(spectrum)
-    prev = prev_cells = None
     for depth in range(max_depth + 1):
         cover = _cover_cells(points, depth, policy)
-        cells = tuple((c.points, c.tag) for c in cover)
-        cls = prev if cells == prev_cells else \
-            _power_class(a.algebra, _merge_cells(a, cover), l)
-        separated = all(len(pts) == 1 for pts, _ in cells)
-        if prev is not None and separated and cls.equals(prev):
-            return cls
-        prev, prev_cells = cls, cells
+        if all(len(cell.points) == 1 for cell in cover):
+            return _power_class(a.algebra, _merge_cells(a, cover), l)
     raise NumericalError(
-        f"cover refinement did not stabilize by depth {max_depth}; "
-        f"last class {prev.coords}")
+        f"cover refinement did not separate the spectrum by depth {max_depth}")
 
 
 def generalized_chern(x: N0Class, l: int) -> HCClass:

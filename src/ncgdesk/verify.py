@@ -21,12 +21,12 @@ from .algebra import (
     check_hom_spectral_commute,
     spectral_decompose,
 )
-from .chern import T_cover, T_direct, verify_eta_vanishes, verify_th7, \
-    verify_th8
+from .chern import T_cover, T_direct, dyadic_cover, verify_eta_vanishes, \
+    verify_th7, verify_th8
 from .cyclic import (DecompositionRep, TensorElement, _all_units, cc_reduce,
                      check_face_bound, check_trace_bound, face_op, hc_class,
                      hc_space, is_boundary)
-from .errors import NcgError, ValidationError
+from .errors import NumericalError, ValidationError
 from .generate import (
     random_exact_unitary,
     random_ga_complex,
@@ -52,7 +52,7 @@ from .ngroup import (
     K0Class,
     K0TensorC,
 )
-from .scalars import scalar_is_zero
+from .scalars import Cyclotomic, scalar_is_zero
 
 
 @dataclass
@@ -84,8 +84,8 @@ def _run(theorem, seed, count, one):
     for i in range(count):
         try:
             ok, detail = one(rng)
-        except NcgError as exc:
-            ok, detail = False, {"error": str(exc)}
+        except Exception as exc:
+            ok, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
         if ok:
             report.passes += 1
         else:
@@ -163,6 +163,23 @@ def battery_th1(seed: int, count: int) -> VerificationReport:
             (v, K0Class(r)) for v, r in wanted))
         if n_class(realized) != target:
             return False, {"check": "surjectivity"}
+        # an eigenvalue p/q off the snap grid (10^6 < q <= 10^7) is
+        # decomposed right or refused
+        while True:
+            off = Fraction(rng.randint(-2 * 10 ** 7, 2 * 10 ** 7),
+                           rng.randint(10 ** 6 + 1, 10 ** 7))
+            if off.denominator > 10 ** 6:
+                break
+        diags = [[rng.choice(values) for _ in range(d)]
+                 for d in algebra.ambient_dims()]
+        diags[rng.randrange(len(diags))][0] = Cyclotomic.from_rational(off)
+        x = u * AlgebraElement.diagonal(algebra, diags) * u.star()
+        try:
+            if not spectral_decompose(x).element().equals(x):
+                return False, {"check": "off-grid decomposition",
+                               "eigenvalue": str(off)}
+        except NumericalError:
+            pass
         return True, None
 
     return _run("th1", seed, count, one)
@@ -274,12 +291,17 @@ def battery_th6(seed: int, count: int) -> VerificationReport:
         gap = Fraction(1, 512) if rng.random() < 0.4 else None
         a = random_normal(algebra, rng, max_values=3, near_gap=gap)
         l = 1 if (max(algebra.block_dims) == 1 and rng.random() < 0.3) else 0
+        spectrum = a.eigenvalues()
+        where = {"spectrum": [str(v) for v in spectrum], "l": l}
         direct = T_direct(a, l)
-        lo = T_cover(a, l, policy="smallest")
-        hi = T_cover(a, l, policy="largest")
-        ok = lo == direct and hi == direct
-        return ok, None if ok else {
-            "spectrum": [str(v) for v in a.eigenvalues()], "l": l}
+        for policy, end in (("smallest", 0), ("largest", -1)):
+            if T_cover(a, l, policy=policy) != direct:
+                return False, {"check": f"T_cover {policy}", **where}
+            # T reads no tag, so the tags are checked on the cover itself
+            if any(cell.tag != cell.points[end]
+                   for cell in dyadic_cover(spectrum, 0, policy)):
+                return False, {"check": f"{policy} tags", **where}
+        return True, None
 
     return _run("th6", seed, count, one)
 

@@ -140,21 +140,23 @@ class TestExtension:
 
 def per_depth_T_cover(a, l, max_depth=12, policy="smallest"):
     """T_cover as a loop that builds, merges and reads the cover at every
-    depth, whether or not its cells changed."""
+    depth: the first separated cover's class, which every later depth up to
+    max_depth must read again."""
     spectrum = a.eigenvalues()
     if not spectrum:
         return T_direct(a, l)
-    prev = None
+    first = None
     for depth in range(max_depth + 1):
         cover = dyadic_cover(spectrum, depth, policy)
         cls = _power_class(a.algebra, _merge_cells(a, cover), l)
-        separated = all(len(c.points) == 1 for c in cover)
-        if prev is not None and separated and cls.equals(prev):
-            return cls
-        prev = cls
-    raise NumericalError(
-        f"cover refinement did not stabilize by depth {max_depth}; "
-        f"last class {prev.coords}")
+        if first is not None:
+            assert cls.equals(first), f"depth {depth} reads another class"
+        elif all(len(c.points) == 1 for c in cover):
+            first = cls
+    if first is None:
+        raise NumericalError("cover refinement did not separate the "
+                             f"spectrum by depth {max_depth}")
+    return first
 
 
 def cover_outcome(cover, a, l, max_depth, policy):
@@ -166,7 +168,7 @@ def cover_outcome(cover, a, l, max_depth, policy):
 
 
 class TestCoverReads:
-    def test_one_read_per_distinct_cover(self, monkeypatch):
+    def test_one_read_per_call(self, monkeypatch):
         from ncgdesk.algebra import spectral_decompose
         a = spectral_decompose(AlgebraElement.diagonal(
             M2, [[Fraction(1), Fraction(1) + Fraction(1, 512)]]))
@@ -176,8 +178,8 @@ class TestCoverReads:
         for policy in ("smallest", "largest"):
             reads.clear()
             assert T_cover(a, 0, policy=policy) == direct
-            # depths 0-8 share one cell, depths 9 and 10 split the pair
-            assert len(reads) == 2
+            # depths 0-8 share one cell; depth 9 splits the pair
+            assert len(reads) == 1
 
     @settings(max_examples=30, deadline=None)
     @given(seeds, st.sampled_from([A, M2, CM2]), st.booleans(),
@@ -192,6 +194,27 @@ class TestCoverReads:
             for depth in (0, 5, 12):
                 assert cover_outcome(T_cover, a, l, depth, policy) \
                     == cover_outcome(per_depth_T_cover, a, l, depth, policy)
+
+    def test_pair_separated_at_the_depth_bound_answers(self):
+        from ncgdesk.algebra import spectral_decompose
+        a = spectral_decompose(AlgebraElement.diagonal(
+            M2, [[Fraction(1), Fraction(1) + Fraction(1, 4096)]]))
+        for policy in ("smallest", "largest"):
+            assert T_cover(a, 0, policy=policy) == T_direct(a, 0)
+
+    def test_pair_past_the_depth_bound_raises(self):
+        from ncgdesk.algebra import spectral_decompose
+        a = spectral_decompose(AlgebraElement.diagonal(
+            M2, [[Fraction(1), Fraction(1) + Fraction(1, 8192)]]))
+        with pytest.raises(NumericalError, match="^cover refinement did not "
+                           "separate the spectrum by depth 12$"):
+            T_cover(a, 0)
+
+    def test_one_eigenvalue_at_depth_zero(self):
+        a = SpectralForm.scaled_projection(Fraction(5),
+                                           Projection.diagonal_unit(A, 1))
+        for policy in ("smallest", "largest"):
+            assert T_cover(a, 1, max_depth=0, policy=policy) == T_direct(a, 1)
 
     def test_negative_depth_rejected(self):
         a = random_normal(M2, random.Random(3))

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import shutil
@@ -41,10 +42,24 @@ def test_run_batteries_order_preserved():
     assert [r.theorem for r in reports] == ["th8", "th7"]
 
 
+def test_an_internal_fault_is_a_failure_record(monkeypatch, capsys):
+    from ncgdesk import verify
+    from ncgdesk.cli import main
+
+    def fault(*args, **kwargs):
+        raise KeyError("fault")
+    monkeypatch.setattr(verify, "random_projection", fault)
+    assert main(["verify", "--theorems", "th7", "--count", "2"]) == 3
+    out, err = capsys.readouterr()
+    [report] = json.loads(out)["reports"]
+    assert report["passes"] == 0
+    assert report["failures"] == [{"error": "KeyError: 'fault'", "instance": i}
+                                  for i in range(2)]
+    assert "Traceback" not in err
+
+
 # One-line faults as (file under src/ncgdesk, old text, new text): each must
-# make at least one battery fail at seed 7, count 25.  Still open: T_cover
-# ignoring its tag policy ("pts[0] if policy == \"smallest\" else pts[-1]"
-# -> "pts[0]" in chern.py) keeps every answer right, so th6 cannot tell.
+# make at least one battery fail at seed 7, count 25.
 MUTANTS = {
     "b signs": ("cyclic.py", "yield face, (c if i % 2 == 0 else -c)",
                 "yield face, c"),
@@ -67,6 +82,12 @@ MUTANTS = {
                                "phi[i] += value * r"),
     "h drops lambda": ("ngroup.py", "coeffs[i] = coeffs[i] + v * r",
                        "coeffs[i] = coeffs[i] + r"),
+    "tag policy ignored": ("chern.py",
+                           'pts[0] if policy == "smallest" else pts[-1]',
+                           "pts[0]"),
+    "spectral certificate dropped": ("algebra.py",
+                                     "if not la.is_zero_matrix(certificate):",
+                                     "if False:"),
 }
 
 # prints the package it imported, then the first battery that fails; a
