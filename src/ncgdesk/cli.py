@@ -248,10 +248,9 @@ def _run_batteries(theorems: str, seed: int, count: int) -> int:
         if name not in BATTERIES:
             raise ValidationError(f"unknown theorem {name!r}; "
                                   f"choose from {sorted(BATTERIES)}")
-    reports = [r.to_json() for r in run_batteries(names, seed, count)]
-    _emit({"reports": reports})
-    failed = any(r["passes"] < r["instances"] for r in reports)
-    return EXIT_VERIFICATION if failed else EXIT_OK
+    reports = run_batteries(names, seed, count)
+    _emit({"reports": [r.to_json() for r in reports]})
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFICATION
 
 
 def _cmd_lefschetz(args) -> int:

@@ -385,9 +385,15 @@ def _orbit_basis(algebra, m: int, n: int) -> list:
     return basis
 
 
-@functools.lru_cache(maxsize=256)
 def build_cyclic_space(algebra: MultiMatrixAlgebra, n: int,
                        amplification: int = 1) -> CyclicSpace:
+    return _cyclic_space(algebra, n, amplification)
+
+
+# the caches take every argument positionally, so that each value has one
+# entry whichever form the public call took
+@functools.lru_cache(maxsize=256)
+def _cyclic_space(algebra, n: int, amplification: int) -> CyclicSpace:
     basis = _orbit_basis(algebra, amplification, n)
     return CyclicSpace(algebra, amplification, n, tuple(basis),
                        {k: i for i, k in enumerate(basis)})
@@ -564,9 +570,13 @@ class HomologySpace:
         return eta if all(map(scalar_is_zero, miss.values())) else None
 
 
-@functools.lru_cache(maxsize=256)
 def hc_space(algebra: MultiMatrixAlgebra, n: int,
              amplification: int = 1) -> HomologySpace:
+    return _hc_space(algebra, n, amplification)
+
+
+@functools.lru_cache(maxsize=256)
+def _hc_space(algebra, n: int, amplification: int) -> HomologySpace:
     return HomologySpace(algebra, n, amplification)
 
 

@@ -2,24 +2,34 @@
 Lefschetz numbers.
 
 A complex is a finite chain of projective modules q_j * A^(n_j) with
-A-linear differentials and a commuting unitary action of a finite group.
+A-linear differentials and a commuting action of a finite group.
 A differential is its tuple of per-factor blocks, whose shapes the
-complex checks against its modules.
-Finite-dimensional Hodge theory supplies the harmonic projections h_j,
-built once per complex and kept on it (``GAComplex.harmonic``).
+complex checks against its modules.  That each d respects the ranges and
+d o d = 0 it checks once, on first use; a failure raises DomainError
+naming the differential.
 
-Every rank is read as a trace.  Once g -> h_j U_g is checked to be a
-representation on each range (``_check_representation``), the complex
-keeps its character table tr_i(h_j U_g) (``GAComplex.characters``), and
-the multiplicity m_chi,j,i = (1/|G|) sum_g conj chi(g) tr_i(h_j U_g) is
-the trace of the idempotent (dim chi/|G|) sum_g conj chi(g) h_j U_g over
-dim chi.  Each (complex, irrep table) keeps M_chi = sum_j (-1)^j m_chi,j
-in Z^k, so L1(g) = sum_chi chi(g) M_chi and L2(g) = sum_i L1(g)_i
-ch_l(e_i), e_i the diagonal units, are short reads.  The refined number
-resolves v = h_j u h_j: if v^t = h_j, the zeta_t^k eigenspace has rank
-(1/t) sum_s zeta_t^(-ks) tr_i(v^s), read from the powers that found t;
-otherwise ``spectral_decompose`` splits v.  It is kept on the complex per
-tuple of unitary values, so Theorems 4 and 5 share one computation.
+Every Lefschetz number is read on the chain modules themselves.  A map
+that commutes with d splits the complex into its eigenvalue and isotypic
+subcomplexes, and each has the same alternating sum of ranks on chains as
+on homology (the Hopf trace formula), so no harmonic projection is built.
+Once g -> U_g is checked to be a representation on each module that
+commutes with every d, the complex keeps its character table tr_i(U_g)
+(``GAComplex.characters``), and the multiplicity m_chi,j,i = (1/|G|)
+sum_g conj chi(g) tr_i(U_g) on module j is the trace of the idempotent
+(dim chi/|G|) sum_g conj chi(g) U_g over dim chi.  Each (complex, irrep
+table) keeps M_chi = sum_j (-1)^j m_chi,j in Z^k, so L1(g) = sum_chi
+chi(g) M_chi and L2(g) = sum_i L1(g)_i ch_l(e_i), e_i the diagonal units,
+are short reads.  The refined number resolves u_j on module j: if
+u_j^t = q_j, the zeta_t^k eigenspace has rank (1/t) sum_s zeta_t^(-ks)
+tr_i(u_j^s), read from the powers that found t; otherwise
+``spectral_decompose`` splits u_j.  Where that read raises NumericalError
+on any module, every module is read on homology instead: h_j u_j h_j, h_j
+the harmonic projection (finite-dimensional Hodge theory,
+``GAComplex.harmonic``).  The trace formula holds for an all-chain or an
+all-homology sum only, and this is the one case that only homology
+answers, such as an order beyond the Fourier read on an acyclic summand.
+The number is kept on the complex per tuple of unitary values, so
+Theorems 4 and 5 share one computation.
 Multiplicities and ranks that are not natural numbers raise
 ConsistencyError.
 """
@@ -36,7 +46,8 @@ from .algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
 from .budget import check_budget
 from .chern import _unit_class, generalized_chern
 from .cyclic import HCClass, zero_class
-from .errors import ConsistencyError, DomainError, ValidationError
+from .errors import ConsistencyError, DomainError, NumericalError, \
+    ValidationError
 from .ngroup import K0TensorC, N0Class, h_map, n_class
 from .scalars import Cyclotomic, conj_scalar, scalar_is_zero, scalars_equal
 
@@ -228,10 +239,11 @@ class GAComplex:
     maps module i+1 to module i by left multiplication by a matrix over A,
     so it is A-linear; it is kept as that matrix's per-factor blocks,
     factor f's of shape (n_i r_f, n_(i+1) r_f), which the complex checks.
-    ``action[g][j]`` is the unitary of g on module j.  The harmonic
-    projections, their character table, the alternating isotypic
-    multiplicities per irrep table and the refined number per tuple of
-    unitaries are built on first use and kept.
+    ``action[g][j]`` is the unitary of g on module j.  The chain checks,
+    the character table, the alternating isotypic multiplicities per irrep
+    table, the refined number per tuple of unitaries and, where a refined
+    read needs them, the harmonic projections are made on first use and
+    kept.
     """
 
     algebra: MultiMatrixAlgebra
@@ -273,22 +285,35 @@ class GAComplex:
         return len(self.modules)
 
     @functools.cached_property
+    def _is_complex(self) -> bool:
+        """True once every d respects the ranges and d o d = 0, checked on
+        first use; otherwise DomainError, and the next use checks again."""
+        problems = _chain_problems(self)
+        if problems:
+            raise DomainError(problems[0])
+        return True
+
+    @functools.cached_property
     def harmonic(self) -> list:
         """``harmonic_modules(self)``, built once."""
         return harmonic_modules(self)
 
     @functools.cached_property
     def characters(self):
-        """The harmonic character table, built once: tr_i(h_j U_g) in row
-        g, column j * k + i (k factors), read after every module passes
-        ``_check_representation``."""
-        hs = [h.element for h in self.harmonic]
-        for j, h in enumerate(hs):
-            _check_representation(self, j, h)
-        return la.as_matrix([[la.trace_product(hb, ub)
-                              for j, h in enumerate(hs)
-                              for hb, ub in zip(h.blocks, self.action[g][j].blocks)]
-                             for g in self.group.elements()])
+        """The chain character table, built once: tr_i(U_g) on module j in
+        row g, column j * k + i (k factors), read once the complex is
+        checked, the action is a representation on every module
+        (``_check_representation``) and each generator commutes with d."""
+        self._is_complex
+        for j in range(self.length):
+            _check_representation(self, j)
+        for s in self.group.generators:
+            problems = _commute_problems(self, self.action[s],
+                                         f"the action of {s}")
+            if problems:
+                raise DomainError(problems[0])
+        return la.as_matrix([[t for u in row for t in u.trace_vector()]
+                             for row in self.action])
 
     def unitary(self, g: int):
         """The action of g as one AlgebraElement per module."""
@@ -301,8 +326,8 @@ def compose(*maps) -> tuple:
     return tuple(functools.reduce(la.mat_mul, blocks) for blocks in zip(*maps))
 
 
-def validate_complex(c: GAComplex) -> list:
-    """All structural invariants; returns the list of violations."""
+def _chain_problems(c: GAComplex) -> list:
+    """Where a differential leaves the ranges or d o d is not zero."""
     problems = []
     qs = [m.element.blocks for m in c.modules]
     for i, d in enumerate(c.diffs):
@@ -311,6 +336,12 @@ def validate_complex(c: GAComplex) -> list:
     for i in range(len(c.diffs) - 1):
         if not all(map(la.is_zero_matrix, compose(c.diffs[i], c.diffs[i + 1]))):
             problems.append(f"d{i} o d{i + 1} is not zero")
+    return problems
+
+
+def validate_complex(c: GAComplex) -> list:
+    """All structural invariants; returns the list of violations."""
+    problems = _chain_problems(c)
     e = c.group.identity
     for j, m in enumerate(c.modules):
         if not c.action[e][j].equals(m.element):
@@ -338,9 +369,15 @@ def _map_problems(c: GAComplex, maps, who: str) -> list:
             problems.append(f"{who} leaves module {j}")
         if not (u.star() * u).equals(q.element):
             problems.append(f"{who} is not unitary on module {j}")
+    return problems + _commute_problems(c, maps, who)
+
+
+def _commute_problems(c: GAComplex, maps, who: str) -> list:
+    """Where the per-module maps fail to commute with the differentials."""
+    problems = []
     for i, d in enumerate(c.diffs):
-        if not all(map(la.mat_equal, compose(maps[i].blocks, d),
-                       compose(d, maps[i + 1].blocks))):
+        left, right = compose(maps[i].blocks, d), compose(d, maps[i + 1].blocks)
+        if not all(map(la.mat_equal, left, right)):
             problems.append(f"{who} does not commute with d{i}")
     return problems
 
@@ -363,9 +400,9 @@ def harmonic_modules(c: GAComplex):
     """Per module: the harmonic projection.
 
     The harmonic submodule of module j is Ker(outgoing d) intersected with
-    Ker(incoming d adjoint) inside the range of q_j; its projection
-    commutes with the group action.  Every Lefschetz number reads the copy
-    kept as ``c.harmonic``.
+    Ker(incoming d adjoint) inside the range of q_j.  The refined number
+    reads the copy kept as ``c.harmonic`` only where the chain read of
+    some module raises NumericalError.
     """
     out = []
     for j, q in enumerate(c.modules):
@@ -376,23 +413,20 @@ def harmonic_modules(c: GAComplex):
     return out
 
 
-def _check_representation(c: GAComplex, j: int, h: AlgebraElement):
-    """DomainError unless g -> h U_g is a representation on the range of h.
+def _check_representation(c: GAComplex, j: int):
+    """DomainError unless g -> U_g is a representation on module j.
 
-    Checked: U_e = q_j and U_s U_g = U_sg on module j, and h U_s = U_s h,
-    for every generator s and every g.  Then h commutes with every U_g and
-    (h U_a)(h U_b) = h U_ab for all a, b, so each (dim chi/|G|) sum_g
-    conj chi(g) h U_g is an idempotent, and its rank is its trace.
+    Checked: U_e = q_j and U_s U_g = U_sg for every generator s and every
+    g.  Then U_s^m q_j = q_j (m the order of s) puts the range of U_s on
+    that of q_j, so q_j U_g = U_g = U_g q_j and U_a U_b = U_ab for all a,
+    b; each (dim chi/|G|) sum_g conj chi(g) U_g is an idempotent, and its
+    rank is its trace.
     """
-    if h.is_zero():  # a zero range carries the zero representation
-        return
     group, row = c.group, [c.action[g][j] for g in c.group.elements()]
     if not (row[group.identity].equals(c.modules[j].element)
             and all((row[s] * u).equals(row[group.mul(s, g)])
-                    for s in group.generators for g, u in enumerate(row))
-            and all((h * row[s]).equals(row[s] * h) for s in group.generators)):
-        raise DomainError(
-            f"the action is not a representation on harmonic module {j}")
+                    for s in group.generators for g, u in enumerate(row))):
+        raise DomainError(f"the action is not a representation on module {j}")
 
 
 def _natural(x, what: str) -> int:
@@ -412,11 +446,12 @@ def _natural(x, what: str) -> int:
 
 def isotypic_decompose(c: GAComplex, irreps: IrrepTable) -> tuple:
     """Per irreducible chi, (chi, M_chi): M_chi = sum_j (-1)^j m_chi,j in
-    Z^k, m_chi,j the multiplicity K0 class of chi in harmonic module j.
+    Z^k, m_chi,j the multiplicity K0 class of chi in chain module j.
 
-    m_chi,j,i = (1/|G|) sum_g conj chi(g) tr_i(h_j U_g): one product of the
-    table's dual characters with ``c.characters``.  Built once per
-    (complex, table) and kept on the complex.
+    m_chi,j,i = (1/|G|) sum_g conj chi(g) tr_i(U_g) on module j: one
+    product of the table's dual characters with ``c.characters``.  The
+    alternating sum is that of the homology (the Hopf trace formula).
+    Built once per (complex, table) and kept on the complex.
     """
     if irreps.group != c.group:
         raise ValidationError("irrep table is for a different group")
@@ -484,17 +519,15 @@ def _fourier(t: int):
         [[roots[-k * s % t] for s in range(t)] for k in range(t)]))
 
 
-def _restricted_n_class(h: Projection, u: AlgebraElement) -> N0Class:
-    """N0 class of a unitary restricted to the range of h.
+def _restricted_n_class(h: Projection, v: AlgebraElement) -> N0Class:
+    """N0 class of v = h v h, unitary on the range of h.
 
-    For v = h u h with v^t = h, the zeta_t^k eigenspace has per-factor rank
-    (1/t) sum_s zeta_t^(-ks) tr(v^s): v is unitary on the range of h (the
-    caller's ``_map_problems`` check), so these are the traces of its
-    Fourier spectral projections.  Otherwise ``spectral_decompose`` splits
-    v, and an exact v it cannot decide raises NumericalError: epsilon
-    decides float comparisons only, and no exact class depends on it.
+    If v^t = h, the zeta_t^k eigenspace has per-factor rank
+    (1/t) sum_s zeta_t^(-ks) tr(v^s): these are the traces of its Fourier
+    spectral projections.  Otherwise ``spectral_decompose`` splits v, and
+    an exact v it cannot decide raises NumericalError: epsilon decides
+    float comparisons only, and no exact class depends on it.
     """
-    v = h.element * u * h.element
     algebra = h.algebra
     if v.is_zero():
         return N0Class.zero(algebra)
@@ -516,7 +549,8 @@ class GeneralizedLefschetz:
 
 
 def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
-    """Alternating sum of spectral classes of U on the harmonic modules.
+    """Alternating sum of spectral classes of U on the chain modules,
+    which is that on homology (the Hopf trace formula).
 
     ``unitaries`` is one AlgebraElement per module; it must be unitary on
     each module and commute with the differentials, but need not come from
@@ -528,12 +562,24 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
         raise ValidationError("one unitary per module required")
     if unitaries in c._refined:
         return c._refined[unitaries]
+    c._is_complex
     problems = _map_problems(c, unitaries, "endomorphism")
     if problems:
         raise DomainError(problems[0])
+    try:
+        parts = [_restricted_n_class(q, u)
+                 for q, u in zip(c.modules, unitaries)]
+    except NumericalError:
+        # the trace formula needs every module read on chains or every one
+        # on homology, so one undecidable chain read sends all to homology,
+        # unless homology is the chains and would raise the same again
+        hs = c.harmonic
+        if all(h.element.equals(q.element) for h, q in zip(hs, c.modules)):
+            raise
+        parts = [_restricted_n_class(h, h.element * u * h.element)
+                 for h, u in zip(hs, unitaries)]
     total = N0Class.zero(c.algebra)
-    for j, h in enumerate(c.harmonic):
-        part = _restricted_n_class(h, unitaries[j])
+    for j, part in enumerate(parts):
         total = total + (part if j % 2 == 0 else -part)
     result = GeneralizedLefschetz(total)
     c._refined[unitaries] = result

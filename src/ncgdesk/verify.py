@@ -2,7 +2,9 @@
 
 Each battery draws instances from the generators, evaluates both sides of
 one theorem's identity, and reports pass counts plus reproducible failure
-records.  All identities are checked exactly on the exact backend.
+records.  A battery may also check, once per run, that fixed inputs
+outside the theorem's domain are rejected; a miss there is a failure
+record too.  All identities are checked exactly on the exact backend.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .chern import T_cover, T_direct, dyadic_cover, verify_eta_vanishes, \
 from .cyclic import (DecompositionRep, TensorElement, _all_units, cc_reduce,
                      check_face_bound, check_trace_bound, face_op, hc_class,
                      hc_space, is_boundary)
-from .errors import NumericalError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 from .generate import (
     random_exact_unitary,
     random_ga_complex,
@@ -38,7 +40,8 @@ from .generate import (
     random_projection,
     random_spectrum,
 )
-from .lefschetz import IrrepTable, verify_th4, verify_th5
+from .lefschetz import FiniteGroup, GAComplex, IrrepTable, \
+    generalized_lefschetz, lefschetz_first, verify_th4, verify_th5
 from .ngroup import (
     N0Class,
     evaluate_h_list,
@@ -64,7 +67,7 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.passes == self.instances
+        return self.passes == self.instances and not self.failures
 
     def to_json(self) -> dict:
         return {"theorem": self.theorem, "instances": self.instances,
@@ -76,7 +79,9 @@ def _small_algebras():
             MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((1, 2))]
 
 
-def _run(theorem, seed, count, one):
+def _run(theorem, seed, count, one, rejected=()):
+    """``count`` instances of ``one``; then each (name, call) in
+    ``rejected`` must raise DomainError, else a failure is recorded."""
     if count < 1:
         raise ValidationError(f"battery count must be >= 1, not {count}")
     rng = random.Random(seed)
@@ -92,6 +97,16 @@ def _run(theorem, seed, count, one):
             detail = dict(detail or {})
             detail["instance"] = i
             report.failures.append(detail)
+    for name, call in rejected:
+        try:
+            call()
+        except DomainError:
+            continue
+        except Exception as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        else:
+            got = "an answer"
+        report.failures.append({"check": f"{name} is rejected", "got": got})
     return report
 
 
@@ -337,9 +352,32 @@ def _irrep_tables():
             IrrepTable.symmetric_3())
 
 
+def _non_complexes():
+    """Two inputs over C with Z/2 that no Lefschetz number may answer:
+    0 -> C -(e1)-> C^2 -> 0 with the swap of C^2, a representation that
+    does not commute with d; and C -(1)-> C -(1)-> C acted on trivially,
+    where d o d = 1."""
+    C = MultiMatrixAlgebra((1,))
+    group = FiniteGroup.cyclic_group(2)
+    q1, q2 = Projection.identity(C), Projection.identity(C, 2)
+    swap = AlgebraElement(C, 2, (((0, 1), (1, 0)),))
+    swapped = GAComplex(C, group, (q2, q1), ((((1,), (0,)),),),
+                        ((q2.element, q1.element), (swap, q1.element)))
+    chain = GAComplex(C, group, (q1,) * 3, (q1.element.blocks,) * 2,
+                      ((q1.element,) * 3,) * 2)
+    return (("a d that the action does not commute with", swapped),
+            ("d o d != 0", chain))
+
+
 def battery_th4(seed: int, count: int) -> VerificationReport:
     algebras = [MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,))]
     tables = _irrep_tables()
+    rejected = []
+    for what, c in _non_complexes():
+        rejected += [(f"L1 of a complex with {what}",
+                      lambda c=c: lefschetz_first(c, 1, tables[0])),
+                     (f"the refined number of a complex with {what}",
+                      lambda c=c: generalized_lefschetz(c, c.unitary(1)))]
 
     def one(rng):
         table = rng.choice(tables)
@@ -349,7 +387,7 @@ def battery_th4(seed: int, count: int) -> VerificationReport:
         ok = verify_th4(c, g, table)
         return ok, None if ok else {"group": table.group.order, "g": g}
 
-    return _run("th4", seed, count, one)
+    return _run("th4", seed, count, one, rejected)
 
 
 def battery_th5(seed: int, count: int) -> VerificationReport:

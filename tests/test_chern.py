@@ -286,7 +286,7 @@ def test_clear_caches_empties_every_cache():
         return (hc_dims(CM2, 3), hc_space(M2, 2).dimension, verify_th8(x, 1),
                 spectral_decompose(y), roots, la.entries(fourier))
     before = answers()
-    cached = (cyclic.build_cyclic_space, cyclic._boundary, cyclic.hc_space,
+    cached = (cyclic._cyclic_space, cyclic._boundary, cyclic._hc_space,
               chern._unit_class, algebra._spectral_decompose_exact,
               lefschetz._fourier)
     assert all(f.cache_info().currsize for f in cached)
@@ -545,7 +545,7 @@ class TestReadsBuildNoSpace:
 
         def refuse(*args):
             raise AssertionError("a read built a homology space")
-        cyclic.hc_space.cache_clear()
+        cyclic._hc_space.cache_clear()
         monkeypatch.setattr(cyclic, "HomologySpace", refuse)
         assert chern_projection(p, 1) == expected["chern"]
         assert T_direct(a, 1) == expected["direct"]

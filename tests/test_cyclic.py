@@ -44,7 +44,7 @@ seeds = st.integers(0, 10 ** 6)
 def cold_cyclic():
     """Empty cyclic caches for the test, emptied again after it, so that no
     structure built under a patch outlives the patch."""
-    cached = (build_cyclic_space, cyclic._boundary, hc_space)
+    cached = (cyclic._cyclic_space, cyclic._boundary, cyclic._hc_space)
     for f in cached:
         f.cache_clear()
     yield

@@ -88,6 +88,12 @@ MUTANTS = {
     "spectral certificate dropped": ("algebra.py",
                                      "if not la.is_zero_matrix(certificate):",
                                      "if False:"),
+    "commute-with-d check dropped": ("lefschetz.py",
+                                     "if not all(map(la.mat_equal, left, right)):",
+                                     "if False:"),
+    "d o d check dropped": ("lefschetz.py", "if not all(map(la.is_zero_matrix, "
+                            "compose(c.diffs[i], c.diffs[i + 1]))):",
+                            "if False:"),
 }
 
 # prints the package it imported, then the first battery that fails; a
