@@ -180,11 +180,6 @@ class AlgebraElement:
     def is_projection(self) -> bool:
         return self.equals(self.star()) and (self * self).equals(self)
 
-    def is_unitary(self) -> bool:
-        return (self * self.star()).equals(
-            AlgebraElement.identity(self.algebra, self.amplification,
-                                    exact=self.is_exact()))
-
     def norm(self) -> float:
         """Operator norm: max over factors of the largest singular value."""
         return max(la.op_norm(b) for b in self.blocks)
@@ -353,17 +348,10 @@ class SpectralForm:
         exact = self._exact_projections() and other._exact_projections()
         zero1 = AlgebraElement.zero(self.algebra, m1, exact)
         zero2 = AlgebraElement.zero(self.algebra, m2, exact)
-        merged = {}
-        for v, p in self.pairs:
-            merged[v] = p.element.direct_sum(zero2)
-        for v, p in other.pairs:
-            mate = zero1.direct_sum(p.element)
-            hit = next((k for k in merged if scalars_equal(k, v)), None)
-            if hit is None:
-                merged[v] = mate
-            else:
-                merged[hit] = merged[hit] + mate
-        pairs = tuple((v, Projection._trusted(e)) for v, e in merged.items())
+        embedded = [(v, p.element.direct_sum(zero2)) for v, p in self.pairs] + \
+            [(v, zero1.direct_sum(p.element)) for v, p in other.pairs]
+        pairs = tuple((v, Projection._trusted(reduce(operator.add, es)))
+                      for v, es in _merge_values(embedded))
         return SpectralForm.from_pairs(self.algebra, m1 + m2, pairs)
 
 
@@ -379,7 +367,7 @@ def _cluster(values, radius, bounded=True):
 
     A chain of values, each within ``radius`` of the next, links values
     farther apart than ``radius``; when ``bounded``, a cluster that wide
-    raises NumericalError instead of passing as one eigenvalue.
+    raises NumericalError instead of passing as one value.
     """
     n = len(values)
     parent = list(range(n))
@@ -403,9 +391,32 @@ def _cluster(values, radius, bounded=True):
     if bounded and any(abs(values[i] - values[j]) > radius
                        for g in groups for i in g for j in g):
         raise NumericalError(
-            f"eigenvalues chain into a cluster wider than {radius:g}; "
+            f"values chain into a cluster wider than {radius:g}; "
             "lower the epsilon or use exact input")
     return groups
+
+
+def _merge_values(pairs):
+    """Group (value, item) pairs by value: [(key, [item, ...]), ...], each
+    group's items in input order.
+
+    Exact values group by equality.  Otherwise every value groups by
+    bounded single linkage within 2*eps, as float eigenvalues do, so a
+    chain wider than that raises NumericalError; a group's key is its
+    least value by (re, im), and the groups do not depend on the order.
+    """
+    pairs = list(pairs)
+    if all(is_exact_scalar(v) for v, _ in pairs):
+        groups = {}
+        for v, item in pairs:
+            groups.setdefault(v, []).append(item)
+        return list(groups.items())
+    zs = [to_complex(v) for v, _ in pairs]
+
+    def least(i):  # repr orders distinct values whose floats agree
+        return zs[i].real, zs[i].imag, repr(pairs[i][0])
+    return [(pairs[min(idx, key=least)][0], [pairs[i][1] for i in idx])
+            for idx in _cluster(zs, 2 * get_epsilon())]
 
 
 def _snap_gaussian(z: complex) -> Cyclotomic:

@@ -578,10 +578,9 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
             raise
         parts = [_restricted_n_class(h, h.element * u * h.element)
                  for h, u in zip(hs, unitaries)]
-    total = N0Class.zero(c.algebra)
-    for j, part in enumerate(parts):
-        total = total + (part if j % 2 == 0 else -part)
-    result = GeneralizedLefschetz(total)
+    result = GeneralizedLefschetz(N0Class(c.algebra, tuple(
+        (v, cls if j % 2 == 0 else -cls)
+        for j, part in enumerate(parts) for v, cls in part.support)))
     c._refined[unitaries] = result
     return result
 

@@ -17,7 +17,7 @@ raises ValidationError when exact and float operands meet.
 
 Exact entries become scalars (``Fraction`` or
 :class:`~ncgdesk.scalars.Cyclotomic`) only in :func:`entries` (and
-indexing or iterating), the traces and elimination: ``pivot_columns``,
+indexing or iterating), :func:`trace` and elimination: ``pivot_columns``,
 ``kernel_basis`` and ``invert`` hand the columns of den x the matrix to
 :func:`~ncgdesk.scalars.eliminate` once, and its kernel vectors and
 column combinations (those of the reduced row echelon form) are packed
@@ -368,22 +368,6 @@ def trace(a):
     if type(a) is FloatMatrix:
         return sum(a.arr.diagonal().tolist(), start=0j)
     return _scalar(a.order, np.trace(a.nums, axis1=1, axis2=2).tolist(), a.den)
-
-
-def trace_product(a, b):
-    """tr(a b) = sum_ij a_ij b_ji, without forming the product a b."""
-    a, b = _pair(a, b)
-    if a.shape != b.shape[::-1]:
-        raise ValidationError(f"trace_product shape mismatch {a.shape} x {b.shape}")
-    if type(a) is FloatMatrix:
-        return complex(np.sum(a.arr * b.arr.T))
-    order = math.lcm(a.order, b.order)
-    x, y = _at(a, order), _at(b, order)
-    phi = len(x)
-    # every plane pairing sum_ij A_k[i, j] B_l[j, i] in one matmul, then fold
-    pairs = x.reshape(phi, -1) @ y.transpose(0, 2, 1).reshape(phi, -1).T
-    coeffs = _mul_table(order) @ pairs.reshape(phi * phi)
-    return _scalar(order, coeffs.tolist(), a.den * b.den)
 
 
 # ---------------------------------------------------------------------------

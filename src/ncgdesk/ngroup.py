@@ -15,16 +15,10 @@ from .algebra import (
     Projection,
     SpectralForm,
     StarHomomorphism,
+    _merge_values,
 )
 from .errors import ValidationError
-from .scalars import (
-    get_epsilon,
-    is_exact_scalar,
-    scalar_is_zero,
-    scalars_equal,
-    sort_key,
-    to_complex,
-)
+from .scalars import scalar_is_zero, scalars_equal, sort_key
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ class N0Class:
 
     def __post_init__(self):
         k = self.algebra.num_factors
-        merged = []
+        support = []
         for value, cls in self.support:
             if not isinstance(cls, K0Class):
                 cls = K0Class(tuple(cls))
@@ -80,24 +74,11 @@ class N0Class:
                 raise ValidationError("K0 class length does not match algebra")
             if scalar_is_zero(value):
                 raise ValidationError("N0 support keys must be nonzero")
-            hit = None
-            for i, (v, _) in enumerate(merged):
-                if self._keys_match(v, value):
-                    hit = i
-                    break
-            if hit is None:
-                merged.append([value, cls])
-            else:
-                merged[hit][1] = merged[hit][1] + cls
-        pruned = tuple((v, c) for v, c in merged if not c.is_zero())
-        object.__setattr__(self, "support",
-                           tuple(sorted(pruned, key=lambda kv: sort_key(kv[0]))))
-
-    @staticmethod
-    def _keys_match(a, b) -> bool:
-        if is_exact_scalar(a) and is_exact_scalar(b):
-            return scalars_equal(a, b)
-        return abs(to_complex(a) - to_complex(b)) <= 2 * get_epsilon()
+            support.append((value, cls))
+        merged = ((v, sum(cs[1:], cs[0])) for v, cs in _merge_values(support))
+        object.__setattr__(self, "support", tuple(sorted(
+            ((v, c) for v, c in merged if not c.is_zero()),
+            key=lambda kv: sort_key(kv[0]))))
 
     @staticmethod
     def zero(algebra):
@@ -107,10 +88,11 @@ class N0Class:
         return not self.support
 
     def value_at(self, key) -> K0Class:
-        for v, c in self.support:
-            if self._keys_match(v, key):
-                return c
-        return K0Class((0,) * self.algebra.num_factors)
+        """The class at ``key``: the support's classes that merge with it."""
+        zero = K0Class((0,) * self.algebra.num_factors)
+        for _, classes in _merge_values(((key, None),) + self.support):
+            if classes[0] is None:
+                return sum(classes[1:], zero)
 
     def __add__(self, other):
         if self.algebra != other.algebra:
@@ -124,12 +106,16 @@ class N0Class:
         return self + (-other)
 
     def __eq__(self, other):
+        """p - q is the zero class.  Symmetric, but with float keys not
+        transitive: {1} == {1 + 1.5 eps} == {1 + 3 eps} != {1}."""
         if not isinstance(other, N0Class) or self.algebra != other.algebra:
             return NotImplemented
         return (self - other).is_zero()
 
     def __hash__(self):
-        return hash((self.algebra, self.support))
+        # merging keeps the summed ranks, and equal classes have equal sums
+        zero = K0Class((0,) * self.algebra.num_factors)
+        return hash((self.algebra, sum((c for _, c in self.support), zero)))
 
 
 def n_class(a: SpectralForm) -> N0Class:
@@ -155,11 +141,16 @@ class K0TensorC:
 
     coeffs: tuple
 
+    def _pairs(self, other):
+        if len(self.coeffs) != len(other.coeffs):
+            raise ValidationError("K0 tensor C elements over different algebras")
+        return zip(self.coeffs, other.coeffs)
+
     def __add__(self, other):
-        return K0TensorC(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return K0TensorC(tuple(a + b for a, b in self._pairs(other)))
 
     def __sub__(self, other):
-        return K0TensorC(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return K0TensorC(tuple(a - b for a, b in self._pairs(other)))
 
     def __eq__(self, other):
         if not isinstance(other, K0TensorC):

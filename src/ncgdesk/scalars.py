@@ -9,8 +9,10 @@ Two kinds of scalars flow through the package:
   (default 1e-9, set by :func:`set_epsilon` or the CLI's ``--epsilon``)
   decides every float comparison: :func:`scalar_is_zero` and
   :func:`scalars_equal` accept |x| <= eps and |x - y| <= eps.  Two rules
-  are derived from it: eigenvalue clusters and N0 keys merge values
-  within 2*eps, and float ranks and kernels drop singular values at most
+  are derived from it.  One grouping rule, bounded single linkage within
+  2*eps, merges float eigenvalue clusters, N0 keys and the values of a
+  direct sum; a chain of values wider than 2*eps raises NumericalError.
+  Float ranks and kernels drop singular values at most
   eps * max(1, ||m||_2).
 
 Plain ``int`` / ``Fraction`` values interoperate with :class:`Cyclotomic`
@@ -570,9 +572,9 @@ def eliminate(columns):
 # JSON-facing parse/format: numbers are floats, strings "p/q" are exact
 
 def parse_real(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
+    if isinstance(v, bool):
+        raise ValueError(f"not a number: {v!r}")
+    if isinstance(v, (str, int)):
         return Fraction(v)
     x = float(v)
     if not math.isfinite(x):
@@ -590,7 +592,9 @@ def parse_scalar(v):
             return Cyclotomic.gaussian(re, im)
         return complex(float(re), float(im))
     if isinstance(v, dict):
-        order = int(v["order"])
+        order = v["order"]
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise ValueError(f"cyclotomic order must be an integer: {order!r}")
         if order < 1:
             raise ValueError(f"cyclotomic order must be positive: {order}")
         # the field tables of order N hold about N^2 integers

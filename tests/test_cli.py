@@ -274,6 +274,18 @@ MALFORMED_INPUTS = {
     "t of one coefficient over two factors": _t_map(["1"]),
     "hc class of a two-entry unit index": _hc("class", [[0, 0]]),
     "hc trace of a two-entry unit index": _hc("trace", [[0, 0]]),
+    "boolean entry": _n0_class(
+        {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
+         "blocks": [[[True]]]}),
+    "boolean imaginary part": _n0_class(
+        {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
+         "blocks": [[[["1", False]]]]}),
+    "fractional cyclotomic order": _n0_class(
+        {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
+         "blocks": [[[{"order": 3.9, "coeffs": ["1", "0"]}]]]}),
+    "string cyclotomic order": _n0_class(
+        {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
+         "blocks": [[[{"order": "3", "coeffs": ["1", "0"]}]]]}),
 }
 
 

@@ -106,35 +106,15 @@ def test_trace_linear(m, c):
         or scalar_is_zero(la.trace(la.scalar_mul(c, m)) - c * la.trace(m))
 
 
-@settings(max_examples=40)
-@given(st.integers(1, 3).flatmap(lambda r: st.integers(1, 3).flatmap(
-    lambda k: st.tuples(
-        st.lists(st.lists(st.complex_numbers(max_magnitude=3), min_size=k,
-                          max_size=k), min_size=r, max_size=r),
-        st.lists(st.lists(st.complex_numbers(max_magnitude=3), min_size=r,
-                          max_size=r), min_size=k, max_size=k)))))
-def test_trace_product_matches_trace_of_float_product(pair):
-    a, b = map(la.as_matrix, pair)
-    got = la.trace_product(a, b)
-    assert isinstance(got, complex)
-    assert abs(got - la.trace(la.mat_mul(a, b))) <= 1e-9
-
-
-def test_trace_product_shape_checked():
-    with pytest.raises(ValidationError, match="trace_product shape"):
-        la.trace_product(la.zeros(2, 3), la.zeros(2, 3))
-
-
 EXACT = la.as_matrix([[1, 2], [3, 4]])
 FLOAT = la.as_matrix([[1.0, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("op", [
     la.mat_mul, la.mat_add, la.mat_sub, la.mat_equal, la.block_diag,
-    la.stack_rows, lambda a, b: la.block_matrix([[a, b]]), la.trace_product,
-    la.kron,
+    la.stack_rows, lambda a, b: la.block_matrix([[a, b]]), la.kron,
 ], ids=["mat_mul", "mat_add", "mat_sub", "mat_equal", "block_diag",
-        "stack_rows", "block_matrix", "trace_product", "kron"])
+        "stack_rows", "block_matrix", "kron"])
 def test_mixed_exact_and_float_operands_rejected(op):
     # an ExactMatrix with a FloatMatrix, and each with a nested sequence
     assert type(EXACT) is la.ExactMatrix and type(FLOAT) is la.FloatMatrix
@@ -174,7 +154,6 @@ MATRIX_OPS = {
 
 SCALAR_OPS = {
     "trace": lambda a, b: la.trace(a),
-    "trace_product": la.trace_product,
     "op_norm": lambda a, b: la.op_norm(a),
     "rank": lambda a, b: la.rank(b),
     "pivot_columns": lambda a, b: la.pivot_columns(b),
@@ -209,7 +188,6 @@ REFERENCE = {
     "projection_onto_columns":
         lambda a, b: _kernel(b) @ _kernel(b).conj().T,
     "trace": lambda a, b: np.trace(a),
-    "trace_product": lambda a, b: np.trace(a @ b),
     "op_norm": lambda a, b: np.linalg.norm(a, 2),
     "rank": lambda a, b: np.linalg.matrix_rank(b),
     "pivot_columns": lambda a, b: [0],

@@ -228,15 +228,6 @@ def test_trace_matches_reference(data):
     assert la.trace(pack(a, n, n)) == ref_trace(a)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_trace_product_matches_trace_of_product(data):
-    r, k = data.draw(sizes), data.draw(sizes)
-    a, b = pack(data.draw(matrices(r, k)), r, k), \
-        pack(data.draw(matrices(k, r)), k, r)
-    assert la.trace_product(a, b) == la.trace(la.mat_mul(a, b))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(one_matrix(), max_size=3))
 def test_block_diag_matches_reference(mats):

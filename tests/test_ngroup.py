@@ -1,12 +1,14 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncgdesk.algebra import MultiMatrixAlgebra, Projection, SpectralForm
 from ncgdesk.cyclic import HCClass
-from ncgdesk.errors import ValidationError
+from ncgdesk.errors import NumericalError, ValidationError
 from ncgdesk.generate import (
     random_hom,
     random_n0class,
@@ -27,7 +29,7 @@ from ncgdesk.ngroup import (
     reduce_g_to_h,
     t_map,
 )
-from ncgdesk.scalars import Cyclotomic
+from ncgdesk.scalars import Cyclotomic, get_epsilon, to_complex
 
 A = MultiMatrixAlgebra((1, 2))
 seeds = st.integers(0, 10 ** 6)
@@ -89,6 +91,107 @@ def test_classes_from_either_rational_type_hash_alike(q):
             for r in (Fraction(q), Cyclotomic.from_rational(q))]
     for a, b in zip(*made):
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_k0_tensor_c_lengths_must_agree():
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValidationError, match="different algebras"):
+            op(K0TensorC((1, 2)), K0TensorC((1,)))
+
+
+# A drawn key is a center, exact when its offset is None, else the float
+# center + offset * eps / 2; keys near one center may merge or chain.
+CENTERS = (Fraction(1), Fraction(-2), Cyclotomic.gaussian(Fraction(1, 2), 1))
+offsets = st.none() | st.integers(-3, 3)
+supports = st.lists(st.tuples(st.sampled_from(CENTERS), offsets,
+                              st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+                    max_size=5)
+
+
+def _support(drawn):
+    eps = get_epsilon()
+    return tuple((c if k is None else to_complex(c) + k * eps / 2, r)
+                 for c, k, r in drawn)
+
+
+def _built(support):
+    """The class of the support, or None where its keys chain too wide."""
+    try:
+        return N0Class(A, support)
+    except NumericalError:
+        return None
+
+
+def _equal(p, q):
+    try:
+        return p == q
+    except NumericalError:
+        return None
+
+
+class TestFloatKeys:
+    """N0 keys merge by bounded single linkage within 2 eps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(supports, st.randoms(use_true_random=False))
+    def test_key_order_does_not_matter(self, drawn, rnd):
+        support = _support(drawn)
+        first = _built(support)
+        for _ in range(4):
+            shuffled = list(support)
+            rnd.shuffle(shuffled)
+            got = _built(tuple(shuffled))
+            if first is None:
+                assert got is None
+            else:
+                assert got == first and got.support == first.support
+
+    @settings(max_examples=60, deadline=None)
+    @given(supports, st.data())
+    def test_equality_is_symmetric_and_agrees_with_the_hash(self, drawn, data):
+        moved = [(c, data.draw(offsets), r) for c, _, r in drawn]
+        p, q = _built(_support(drawn)), _built(_support(moved))
+        assume(p is not None and q is not None)
+        assert _equal(p, q) == _equal(q, p)
+        if _equal(p, q):
+            assert hash(p) == hash(q)
+
+    def test_a_chain_wider_than_two_eps_raises_in_every_order(self):
+        eps = get_epsilon()
+        keys = (1.0, 1 + 1.5 * eps, 1 + 3 * eps)
+        for order in itertools.permutations(keys):
+            with pytest.raises(NumericalError, match="chain"):
+                N0Class(A, tuple((v, (1, 0)) for v in order))
+
+    def test_a_chain_within_two_eps_is_one_key_in_every_order(self):
+        eps = get_epsilon()
+        keys = (1.0, 1 + 0.5 * eps, 1 + 1.5 * eps)
+        for order in itertools.permutations(keys):
+            x = N0Class(A, tuple((v, (1, 0)) for v in order))
+            assert x.support == ((1.0, K0Class((3, 0))),)
+
+    def test_equality_is_symmetric_across_a_chain(self):
+        eps = get_epsilon()
+        p = N0Class(A, ((1 + 1.5 * eps, (3, 0)),))
+        q = N0Class(A, ((1.0, (2, 0)), (1 + 3 * eps, (1, 0))))
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(NumericalError):
+                a == b
+        near = N0Class(A, ((1.0, (3, 0)),))
+        assert p == near and near == p
+
+    def test_equal_classes_hash_alike(self):
+        x = N0Class(A, ((1.0, (1, 0)),))
+        y = N0Class(A, ((1.0 + get_epsilon(), (1, 0)),))
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+
+    @pytest.mark.parametrize("offset", [0.5, 1.5])
+    def test_float_direct_sum_is_symmetric(self, offset):
+        a = SpectralForm.scaled_projection(1.0, Projection.diagonal_unit(A, 1))
+        b = SpectralForm.scaled_projection(
+            1.0 + offset * get_epsilon(), Projection.diagonal_unit(A, 0))
+        assert a.direct_sum(b).eigenvalues() == b.direct_sum(a).eigenvalues() \
+            == (1.0,)
 
 
 class TestClassesOfElements:

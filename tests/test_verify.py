@@ -73,7 +73,7 @@ MUTANTS = {
     "conjugated Fourier root": ("lefschetz.py", "roots[-k * s % t]",
                                 "roots[k * s % t]"),
     "Lefschetz module sign": ("lefschetz.py",
-                              "(part if j % 2 == 0 else -part)", "part"),
+                              "cls if j % 2 == 0 else -cls", "cls"),
     "Lefschetz isotypic sign": ("lefschetz.py",
                                 "total[i] += (-1) ** j * _natural(",
                                 "total[i] += _natural("),
