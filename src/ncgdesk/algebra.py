@@ -283,13 +283,11 @@ class SpectralForm:
         for p in projs:
             if p.algebra != self.algebra or p.amplification != self.amplification:
                 raise ValidationError("spectral projection over wrong algebra")
-        vals = [v for v, _ in self.pairs]
-        for i, v in enumerate(vals):
-            if scalar_is_zero(v):
-                raise ValidationError("zero eigenvalue must go to the kernel projection")
-            for w in vals[i + 1:]:
-                if scalars_equal(v, w):
-                    raise ValidationError("repeated eigenvalue in spectral form")
+        if any(scalar_is_zero(v) for v, _ in self.pairs):
+            raise ValidationError("zero eigenvalue must go to the kernel projection")
+        # values are distinct under the one grouping rule; a chain raises
+        if any(len(ps) > 1 for _, ps in _merge_values(self.pairs)):
+            raise ValidationError("repeated eigenvalue in spectral form")
         for i, p in enumerate(projs):
             for q in projs[i + 1:]:
                 if not p.orthogonal_to(q):

@@ -20,7 +20,7 @@ eliminated; a boundary witness reads its other parts from the Cartan
 homotopy (Loday, Cyclic Homology, 1992, 4.1; Goodwillie, Topology 24,
 1985).  The elimination (:func:`~ncgdesk.scalars.eliminate`, on integer
 boundary columns) of b: CC_n -> CC_{n-1} is done once per (algebra,
-amplification, n): it is the image for HC_{n-1} and the kernel for HC_n.
+amplification, n), for its rank; a witness eliminates it again, tagged.
 
 HC_2l = C^k has a fixed basis, the classes of e_{f,00} x ... x e_{f,00}
 (2l+1 factors), one per factor f, and HC is 0 in odd degree.  The trace
@@ -49,7 +49,7 @@ from .algebra import AlgebraElement, MultiMatrixAlgebra
 from .budget import check_budget, get_budget
 from .errors import ConsistencyError, DomainError, ValidationError
 from .scalars import (_SparseReducer, eliminate, get_epsilon, is_exact_scalar,
-                      scalar_is_zero, scalars_equal, to_complex)
+                      scalar_is_zero, scalars_equal, tagged, tags, to_complex)
 
 # A basis unit of M_m(A) is (factor index j, row a, col b) with a, b < m*r_j.
 Unit = tuple
@@ -419,30 +419,35 @@ def _boundary_column(key, index: dict, canonical) -> dict:
     return col
 
 
+def _boundary_columns(source: CyclicSpace, target: CyclicSpace):
+    """b of each source tuple, each distinct face canonicalized once; b_0 = 0."""
+    if not source.degree:
+        return [{}] * source.dimension
+    canonical = functools.cache(lambda face: _cc_canonical(face, target.degree))
+    return (_boundary_column(k, target.index, canonical) for k in source.basis)
+
+
 @dataclass(frozen=True)
 class _Boundary:
-    """Tracked elimination of b: CC_n -> CC_{n-1} on the weight-0 block.
-
-    Columns are inserted in basis order, tagged by basis position; the
-    reducer spans the image, and each dependent column gives a kernel
-    vector.
-    """
+    """b: CC_n -> CC_{n-1} on the weight-0 block; ``reducer`` spans the
+    image of its columns, eliminated untagged in basis order."""
 
     source: CyclicSpace
     target: CyclicSpace
     reducer: _SparseReducer
-    kernel: list
+
+    @functools.cached_property
+    def tracked(self):
+        """:func:`eliminate` on the columns again, tagged."""
+        return eliminate(tagged(_boundary_columns(self.source, self.target)))
 
 
 @functools.lru_cache(maxsize=256)
 def _boundary(algebra, n: int, amplification: int) -> _Boundary:
     target = build_cyclic_space(algebra, n - 1, amplification)
     source = build_cyclic_space(algebra, n, amplification)
-    # faces repeat across columns: each distinct one is canonicalized once
-    canonical = functools.cache(lambda face: _cc_canonical(face, n - 1))
-    red, _, kernel = eliminate(_boundary_column(k, target.index, canonical)
-                               for k in source.basis)
-    return _Boundary(source, target, red, kernel)
+    red, _, _ = eliminate(_boundary_columns(source, target))
+    return _Boundary(source, target, red)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +495,14 @@ class HCClass:
 class HomologySpace:
     """HC_n of an amplified multi-matrix algebra, with solve machinery.
 
-    Built from the weight-0 block: ``cc``, ``cycle_basis`` and
+    Built from the ranks of the weight-0 block: ``cc`` and
     ``boundary_rank`` are its sizes.  ``basis`` holds the unit tuples
     (f, 0, 0) x ... x (f, 0, 0), one per factor in even degree and none in
-    odd degree; the boundary ranks must give that dimension.  At finite
-    dimension images are closed, so this space simultaneously realizes
-    the Banach variant and the comparison map between them is the
-    identity on coordinates.
+    odd degree; the boundary ranks must give that dimension.  Combinations
+    (``cycle_basis``, witnesses) come from tagged eliminations, run when
+    first asked for.  At finite dimension images are closed, so this space
+    simultaneously realizes the Banach variant and the comparison map
+    between them is the identity on coordinates.
     """
 
     def __init__(self, algebra: MultiMatrixAlgebra, n: int,
@@ -505,26 +511,22 @@ class HomologySpace:
         self.algebra = algebra
         self.amplification = amplification
         self.degree = n
-        above = _boundary(algebra, n + 1, amplification)
-        self.cc = above.target
-        # image of the boundary from one degree up, with witness tracking
-        self._image = above.reducer
-        self._preimages = above.source.basis
-        self.boundary_rank = self._image.rank
-
-        # kernel of the boundary out of degree n
-        if n == 0:
-            self.cycle_basis = [{i: 1} for i in range(self.cc.dimension)]
-            rank_b = 0
-        else:
-            below = _boundary(algebra, n, amplification)
-            self.cycle_basis, rank_b = below.kernel, below.reducer.rank
+        self._above = _boundary(algebra, n + 1, amplification)
+        self.cc = self._above.target
+        self.boundary_rank = self._above.reducer.rank
+        rank_b = _boundary(algebra, n, amplification).reducer.rank if n else 0
         self.dimension = self.cc.dimension - rank_b - self.boundary_rank
         self.basis = () if n % 2 else tuple(
             ((f, 0, 0),) * (n + 1) for f in range(algebra.num_factors))
         if self.dimension != len(self.basis):
             raise ConsistencyError(f"HC_{n} has dimension {self.dimension}, "
                                    f"not {len(self.basis)}")
+
+    @functools.cached_property
+    def cycle_basis(self) -> list:
+        """Kernel vectors {position in cc: coefficient} of b out of CC_n."""
+        return _boundary(self.algebra, self.degree,
+                         self.amplification).tracked[2]
 
     # -- queries ------------------------------------------------------------
     def reduced_class(self, xi: TensorElement) -> HCClass:
@@ -534,29 +536,32 @@ class HomologySpace:
         if not xi.is_cycle():
             raise DomainError("tensor is not a cycle in CC coordinates")
         # the other weight blocks are acyclic: only the weight-0 part counts
-        residue = self._image.reduce(self.cc.coordinates(xi))
-        basis, _, _ = eliminate(
-            self._image.reduce({self.cc.index[key]: 1}, is_zero=operator.not_)
-            for key in self.basis)
-        rest, combo = basis.reduce(residue, want_combo=True)
-        if any(not scalar_is_zero(v) for v in rest.values()):
+        residue = self._above.reducer.reduce(self.cc.coordinates(xi))
+        basis, _, _ = eliminate(tagged(
+            self._above.reducer.reduce({self.cc.index[key]: 1}, operator.not_)
+            for key in self.basis))
+        rest = basis.reduce(residue)
+        if any(k >= 0 for k in rest):
             raise DomainError("cycle does not reduce into the basis")
         zero = Fraction(0) if xi.is_exact() else 0j
-        return HCClass(self.degree, tuple(combo.get(i, zero)
+        minus = tags(rest)  # minus the coordinates
+        return HCClass(self.degree, tuple(zero - minus.get(i, 0)
                                           for i in range(self.dimension)))
 
     def boundary_witness(self, xi: TensorElement):
         """A preimage eta of xi under the boundary from one degree up, with
         b(eta) = xi in CC, or None: a non-cycle fails that one check.
 
-        The weight-0 part is eliminated against this space's boundary.  A
-        part xi_w of weight w != 0 is h(xi_w) / |w|^2, where h inserts
-        x_w = sum_p w_p e_pp after letter i with sign (-1)^(i+1): the Cartan
-        homotopy, b h + h b = L_(ad x_w) = |w|^2 on weight w (Loday, Cyclic
-        Homology, 1992, 4.1; Goodwillie, Topology 24, 1985).
+        The weight-0 part is reduced against the tagged elimination of the
+        boundary from one degree up, built on the first call.  A part xi_w
+        of weight w != 0 is h(xi_w) / |w|^2, where h inserts x_w = sum_p
+        w_p e_pp after letter i with sign (-1)^(i+1): the Cartan homotopy,
+        b h + h b = L_(ad x_w) = |w|^2 on weight w (Loday, Cyclic Homology,
+        1992, 4.1; Goodwillie, Topology 24, 1985).
         """
-        _, combo = self._image.reduce(self.cc.coordinates(xi), want_combo=True)
-        out = {self._preimages[tag]: f for tag, f in combo.items()}
+        residue = self._above.tracked[0].reduce(self.cc.coordinates(xi))
+        out = {self._above.source.basis[j]: -f
+               for j, f in tags(residue).items()}
         for key, c in cc_reduce(xi).items():
             weight = _weight(key)
             for (j, a), k in weight:

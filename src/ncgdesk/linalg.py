@@ -18,10 +18,10 @@ raises ValidationError when exact and float operands meet.
 Exact entries become scalars (``Fraction`` or
 :class:`~ncgdesk.scalars.Cyclotomic`) only in :func:`entries` (and
 indexing or iterating), :func:`trace` and elimination: ``pivot_columns``,
-``kernel_basis`` and ``invert`` hand the columns of den x the matrix to
-:func:`~ncgdesk.scalars.eliminate` once, and its kernel vectors and
-column combinations (those of the reduced row echelon form) are packed
-straight back into planes.
+``kernel_basis`` and ``invert`` hand the tagged columns of den x the
+matrix to :func:`~ncgdesk.scalars.eliminate` once, and the kernel vectors
+and column combinations (those of the reduced row echelon form) that the
+residues' tags give are packed straight back into planes.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from .scalars import (
     get_epsilon,
     is_exact_scalar,
     minimal_field,
+    tagged,
+    tags,
     to_complex,
 )
 
@@ -464,7 +466,7 @@ def op_norm(a) -> float:
 # elimination
 
 def _eliminate(a: ExactMatrix):
-    """:func:`~ncgdesk.scalars.eliminate` on the columns of den * ``a``.
+    """:func:`~ncgdesk.scalars.eliminate` on the tagged columns of den * ``a``.
 
     den * a has the pivots and kernel of ``a``, and its solutions are those
     of ``a`` divided by den.  A rational matrix enters as Python ints, so
@@ -475,7 +477,8 @@ def _eliminate(a: ExactMatrix):
     else:
         cols = [[_scalar(a.order, cs, 1) for cs in col]
                 for col in a.nums.transpose(2, 1, 0).tolist()]
-    return eliminate({i: x for i, x in enumerate(col) if x} for col in cols)
+    return eliminate(tagged({i: x for i, x in enumerate(col) if x}
+                            for col in cols))
 
 
 def _float_tol(m: np.ndarray) -> float:
@@ -535,8 +538,9 @@ def invert(a):
     red, pivots, _ = _eliminate(a)
     if len(pivots) != r:
         raise ValidationError("invert: singular matrix")
-    combos = (red.reduce({j: 1}, want_combo=True)[1] for j in range(r))
-    return _pack({(i, j): x for j, combo in enumerate(combos)
+    # the residue of e_j holds minus its combination as tags
+    combos = (tags(red.reduce({j: 1})) for j in range(r))
+    return _pack({(i, j): -x for j, combo in enumerate(combos)
                   for i, x in combo.items()}, r, r, a.den)
 
 

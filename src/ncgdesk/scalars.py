@@ -27,7 +27,8 @@ of integer numerator planes over one denominator into canonical form.
 :mod:`ncgdesk.linalg` stores whole matrices the same way.
 
 It also holds the one exact eliminator, :func:`eliminate`, behind the
-subfield tables, :mod:`ncgdesk.linalg` and :mod:`ncgdesk.cyclic`.
+subfield tables, :mod:`ncgdesk.linalg` and :mod:`ncgdesk.cyclic`.  It keeps
+rows only; a caller that needs combinations eliminates :func:`tagged` columns.
 """
 
 from __future__ import annotations
@@ -151,12 +152,12 @@ def _subfields(n: int):
         if n % d or d % 4 == 2:  # Q(zeta_d) = Q(zeta_{d/2}) when d = 2 mod 4
             continue
         embed = _promotion(d, n)
-        red, rows, _ = eliminate({j: x for j, x in enumerate(row) if x}
-                                 for row in embed.tolist())
-        # e_j as a combination of the rows E[rows[k]] is row j of (E[rows])^-1
-        combos = [red.reduce({j: 1}, want_combo=True)[1]
-                  for j in range(embed.shape[1])]
-        inv = [[combo.get(t, 0) for t in rows] for combo in combos]
+        red, rows, _ = eliminate(tagged({j: x for j, x in enumerate(row) if x}
+                                        for row in embed.tolist()))
+        # minus the tags of e_j's residue: e_j as a combination of the rows
+        # E[rows[k]], which is row j of (E[rows])^-1
+        combos = [tags(red.reduce({j: 1})) for j in range(embed.shape[1])]
+        inv = [[-combo.get(t, 0) for t in rows] for combo in combos]
         scale = math.lcm(*(x.denominator for row in inv for x in row))
         inv = _table([[int(x * scale) for x in row] for row in inv])
         out.append((d, rows, inv, embed, scale))
@@ -478,40 +479,38 @@ def sort_key(x):
 
 
 # ---------------------------------------------------------------------------
-# the one exact eliminator: sparse echelon form with combination tracking
+# the one exact eliminator: sparse echelon form
 
 class _SparseReducer:
     """Incremental row space in echelon form over sparse {index: scalar} rows.
 
-    Each stored row has a pivot (its smallest index) normalized to 1; rows
-    may overlap on non-pivot indices, which still yields canonical residues
-    because any row-space element has a pivot as smallest index.  Each row
-    remembers its expression in the originally inserted vectors, so
-    reductions can report preimage combinations.  Inserted vectors are
-    exact (int, Fraction or Cyclotomic entries); a row stays in Python ints
-    while its pivot is +-1.
+    Each stored row has a pivot (its smallest index >= 0) normalized to 1;
+    rows may overlap on non-pivot indices, which still yields canonical
+    residues because any row-space element has a pivot as smallest index
+    >= 0.  Negative indices are tags and are never pivots.  Inserted
+    vectors are exact (int, Fraction or Cyclotomic entries); a row stays in
+    Python ints while its pivot is +-1.
     """
 
     def __init__(self):
         self.rows = {}  # pivot index -> row dict
-        self.combos = {}  # pivot index -> {insertion tag: coefficient}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict, want_combo: bool = False,
-               is_zero=scalar_is_zero):
-        """Residue of vec modulo the rows (and the subtracted combination).
+    def reduce(self, vec: dict, is_zero=scalar_is_zero) -> dict:
+        """Residue of vec modulo the rows.  Its tags are minus the
+        combination of tagged columns it subtracted.
 
-        Pivots are cleared in increasing order; a row only reaches indices
-        above its pivot, so a heap of the pivots present suffices.
+        Pivots are cleared in increasing order; past its pivot a row only
+        reaches larger indices and tags, so a heap of the pivots present
+        suffices.
         """
         rows = self.rows
         vec = {k: v for k, v in vec.items() if not is_zero(v)}
         hits = [k for k in vec if k in rows]
         heapq.heapify(hits)
-        combo = {}
         while hits:
             hit = heapq.heappop(hits)
             f = vec.get(hit)
@@ -525,46 +524,40 @@ class _SparseReducer:
                     if k not in vec and k in rows:
                         heapq.heappush(hits, k)
                     vec[k] = acc
-            if want_combo:
-                for cid, cv in self.combos[hit].items():
-                    combo[cid] = combo.get(cid, 0) + f * cv
-        if want_combo:
-            return vec, {k: v for k, v in combo.items() if not is_zero(v)}
         return vec
 
-    def insert(self, vec: dict, tag):
-        """Add an exact vector.  Returns None when it enlarges the row space,
-        and otherwise vec as a combination {tag: coefficient} of the earlier
-        inserted vectors."""
-        vec, combo = self.reduce(vec, True, operator.not_)
-        if not vec:
-            return combo
-        pivot = min(vec)
-        pv = vec[pivot]
-        inv = pv if pv in (1, -1) else Fraction(1) / pv
-        self.rows[pivot] = {k: v * inv for k, v in vec.items()}
-        combo = {k: -v * inv for k, v in combo.items()}
-        combo[tag] = combo.get(tag, 0) + inv
-        self.combos[pivot] = combo
-        return None
+
+def tagged(columns):
+    """The columns of [A; I]: column j with the tag -1 - j set to 1."""
+    return ({**col, -1 - j: 1} for j, col in enumerate(columns))
+
+
+def tags(residue: dict) -> dict:
+    """The tags of a residue, as {column position: coefficient}."""
+    return {-1 - k: v for k, v in residue.items() if k < 0}
 
 
 def eliminate(columns):
-    """Insert sparse exact columns in order, each tagged by its position.
+    """Insert sparse exact columns in order.
 
-    Returns the reducer, the independent tags (the leftmost-greedy pivot
-    columns) and one kernel vector e_j - combo per dependent column j,
-    where combo is the unique expression of column j in the earlier pivot
-    columns: the column j of the reduced row echelon form.
+    Returns the reducer, the positions of the independent columns (the
+    leftmost-greedy pivot columns) and, for tagged columns, the kernel
+    vector e_j - combo of each dependent column j, read from its residue's
+    tags: combo is column j in the earlier pivot columns, the column j of
+    the reduced row echelon form.  Untagged columns give no kernel vector.
     """
     red = _SparseReducer()
     independent, kernel = [], []
     for j, col in enumerate(columns):
-        combo = red.insert(col, j)
-        if combo is None:
+        vec = red.reduce(col, operator.not_)
+        pivot = min((k for k in vec if k >= 0), default=None)
+        if pivot is not None:
+            pv = vec[pivot]
+            inv = pv if pv in (1, -1) else Fraction(1) / pv
+            red.rows[pivot] = {k: v * inv for k, v in vec.items()}
             independent.append(j)
-        else:
-            kernel.append({j: 1, **{k: -v for k, v in combo.items()}})
+        elif vec:  # the tags of a dependent tagged column
+            kernel.append(tags(vec))
     return red, independent, kernel
 
 

@@ -122,6 +122,18 @@ class TestSpectralForm:
         assert s.kernel_projection.element.is_exact()
         assert all(q.element.is_exact() for _, q in s.pairs)
 
+    def test_values_are_distinct_under_the_grouping_rule(self):
+        # values within 2 eps are one N0 key, so the form may not hold both;
+        # a chain wider than 2 eps has no N0 class, so the form raises too
+        eps = get_epsilon()
+        m3 = MultiMatrixAlgebra((3,))
+        units = [Projection.diagonal_unit(m3, 0, i) for i in range(3)]
+        with pytest.raises(ValidationError, match="repeated eigenvalue"):
+            SpectralForm(m3, 1, ((1.0, units[0]), (1 + 1.5 * eps, units[1])))
+        with pytest.raises(NumericalError):
+            SpectralForm(m3, 1, tuple(zip((1.0, 1 + 1.5 * eps, 1 + 3 * eps),
+                                          units)))
+
     def test_element_reconstruction(self):
         diag = AlgebraElement.diagonal(
             A, [[Fraction(2)], [Fraction(0), Fraction(-1)]])

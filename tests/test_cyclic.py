@@ -31,7 +31,8 @@ from ncgdesk.errors import ConsistencyError, DomainError, ResourceError, \
     ValidationError
 from ncgdesk.chern import eta_cycle, verify_eta_vanishes
 from ncgdesk.generate import random_orthogonal_family
-from ncgdesk.scalars import Cyclotomic, eliminate, scalar_is_zero
+from ncgdesk.scalars import (Cyclotomic, eliminate, scalar_is_zero, tagged,
+                             tags)
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -574,16 +575,17 @@ def elimination_witness(xi):
         source = leaf_canonical_orbit_basis(algebra, m, n + 1, w)
         index = {k: i for i, k in enumerate(
             leaf_canonical_orbit_basis(algebra, m, n, w))}
-        reducer, _, _ = eliminate(
+        reducer, _, _ = eliminate(tagged(
             cyclic._boundary_column(k, index,
                                     lambda face: cyclic._cc_canonical(face, n))
-            for k in source)
-        residue, combo = reducer.reduce(
+            for k in source))
+        residue = reducer.reduce(
             {index[k]: c for k, c in reduced.items()
-             if cyclic._weight(k) == w}, want_combo=True)
-        if any(not scalar_is_zero(v) for v in residue.values()):
+             if cyclic._weight(k) == w})
+        if any(k >= 0 for k in residue):
             return None
-        out.update((source[tag], f) for tag, f in combo.items())
+        # the residue's tags are minus the preimage combination
+        out.update((source[j], -f) for j, f in tags(residue).items())
     return TensorElement(algebra, m, n + 1, out)
 
 
@@ -748,6 +750,23 @@ class TestReadout:
         hc_space(MultiMatrixAlgebra(blocks), n, m)
         assert len(calls) == cyclic._boundary.cache_info().currsize \
             == (1 if n == 0 else 2)
+
+    def test_witness_elimination_is_built_once(self, monkeypatch, cold_cyclic):
+        # ranks need one elimination per boundary; the first witness
+        # eliminates the boundary above once more, tagged, and keeps it
+        calls = []
+        monkeypatch.setattr(cyclic, "eliminate",
+                            lambda cols: calls.append(1) or eliminate(cols))
+        # e00 x e11 in CC_1
+        xi = face_op(TensorElement.basis(
+            M2, 1, ((0, 0, 1), (0, 1, 0), (0, 1, 1))))
+        assert cc_reduce(xi)
+        hc_space(M2, 1)
+        assert len(calls) == 2
+        assert is_boundary(xi) is not None
+        assert len(calls) == 3
+        assert is_boundary(xi) is not None
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_wrong_dimension_raises(self, monkeypatch, cold_cyclic, n):

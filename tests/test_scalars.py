@@ -11,6 +11,7 @@ from ncgdesk.cyclic import DecompositionRep, HCClass, TensorElement, check_face_
 from ncgdesk.scalars import (
     Cyclotomic,
     conj_scalar,
+    eliminate,
     format_scalar,
     get_epsilon,
     parse_scalar,
@@ -18,6 +19,8 @@ from ncgdesk.scalars import (
     scalars_equal,
     set_epsilon,
     sort_key,
+    tagged,
+    tags,
     to_complex,
 )
 
@@ -206,6 +209,64 @@ class TestHelpers:
         xs = [Cyclotomic.gaussian(1, 0), Cyclotomic.gaussian(0, 1),
               Cyclotomic.gaussian(0, -1)]
         assert sorted(xs, key=sort_key) == [xs[2], xs[1], xs[0]]
+
+
+# sparse exact columns over a few rows, so that many columns are dependent
+entries = st.one_of(st.integers(-2, 2), small, elements)
+sparse = st.dictionaries(st.integers(0, 4), entries, max_size=4)
+column_lists = st.lists(sparse, max_size=8)
+
+
+def untagged(vec: dict) -> dict:
+    return {k: v for k, v in vec.items() if k >= 0}
+
+
+def combine(coeffs: dict, cols) -> dict:
+    """sum of c * cols[j] over coeffs {j: c}, zeros dropped."""
+    out = {}
+    for j, c in coeffs.items():
+        for i, x in cols[j].items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+class TestEliminator:
+    """The eliminator keeps rows only; tagged columns [A; I] carry the
+    combinations, and change nothing at indices >= 0."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(column_lists, sparse)
+    def test_tags_change_no_row_and_no_residue(self, cols, vec):
+        plain, independent, kernel = eliminate(cols)
+        red, independent_t, _ = eliminate(tagged(cols))
+        assert plain.rank == red.rank == len(independent)
+        assert independent == independent_t
+        assert kernel == []
+        assert plain.rows == {p: untagged(row) for p, row in red.rows.items()}
+        assert plain.reduce(vec) == untagged(red.reduce(vec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(column_lists)
+    def test_kernel_vectors(self, cols):
+        _, independent, kernel = eliminate(tagged(cols))
+        positions = [j for j in range(len(cols)) if j not in independent]
+        assert len(kernel) == len(positions)
+        for j, k in zip(positions, kernel):
+            assert k[j] == 1
+            assert set(k) - {j} <= {i for i in independent if i < j}
+            assert combine(k, cols) == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(column_lists, sparse)
+    def test_tags_rebuild_the_subtracted_combination(self, cols, vec):
+        red, _, _ = eliminate(tagged(cols))
+        residue = red.reduce(vec)
+        combo = {j: -c for j, c in tags(residue).items()}
+        rebuilt = combine(combo, cols)
+        for i, x in untagged(residue).items():
+            rebuilt[i] = rebuilt.get(i, 0) + x
+        assert {i: x for i, x in rebuilt.items() if x} \
+            == {i: x for i, x in vec.items() if x}
 
 
 class TestJson:
