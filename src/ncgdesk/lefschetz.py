@@ -19,17 +19,15 @@ sum_g conj chi(g) tr_i(U_g) on module j is the trace of the idempotent
 (dim chi/|G|) sum_g conj chi(g) U_g over dim chi.  Each (complex, irrep
 table) keeps M_chi = sum_j (-1)^j m_chi,j in Z^k, so L1(g) = sum_chi
 chi(g) M_chi and L2(g) = sum_i L1(g)_i ch_l(e_i), e_i the diagonal units,
-are short reads.  The refined number resolves u_j on module j: if
-u_j^t = q_j, the zeta_t^k eigenspace has rank (1/t) sum_s zeta_t^(-ks)
-tr_i(u_j^s), read from the powers that found t; otherwise
-``spectral_decompose`` splits u_j.  Where that read raises NumericalError
-on any module, every module is read on homology instead: h_j u_j h_j, h_j
-the harmonic projection (finite-dimensional Hodge theory,
-``GAComplex.harmonic``).  The trace formula holds for an all-chain or an
-all-homology sum only, and this is the one case that only homology
-answers, such as an order beyond the Fourier read on an acyclic summand.
-The number is kept on the complex per tuple of unitary values, so
-Theorems 4 and 5 share one computation.
+are short reads.  The refined number of u reads on module j, if u_j^t = q_j,
+the zeta_t^k eigenspace rank (1/t) sum_s zeta_t^(-ks) tr_i(u_j^s): for
+u = U_g, t = ord(g) and the traces are rows g^s of the character table;
+another u finds t <= 24 by its powers, or else ``spectral_decompose``
+splits u_j.  If that raises NumericalError on any module, every module is
+read on homology (h_j u_j h_j, h_j the harmonic projection,
+``GAComplex.harmonic``), as the trace formula holds for an all-chain or an
+all-homology sum only.  The number is kept on the complex per g or per
+tuple of unitaries, so Theorems 4 and 5 share one computation.
 Multiplicities and ranks that are not natural numbers raise
 ConsistencyError.
 """
@@ -48,7 +46,7 @@ from .chern import _unit_class, generalized_chern
 from .cyclic import HCClass, zero_class
 from .errors import ConsistencyError, DomainError, NumericalError, \
     ValidationError
-from .ngroup import K0TensorC, N0Class, h_map, n_class
+from .ngroup import K0Class, K0TensorC, N0Class, h_map, n_class
 from .scalars import Cyclotomic, conj_scalar, scalar_is_zero, scalars_equal
 
 
@@ -241,9 +239,9 @@ class GAComplex:
     factor f's of shape (n_i r_f, n_(i+1) r_f), which the complex checks.
     ``action[g][j]`` is the unitary of g on module j.  The chain checks,
     the character table, the alternating isotypic multiplicities per irrep
-    table, the refined number per tuple of unitaries and, where a refined
-    read needs them, the harmonic projections are made on first use and
-    kept.
+    table, the refined number per element or tuple of unitaries and, where
+    a refined read needs them, the harmonic projections are made on first
+    use and kept.
     """
 
     algebra: MultiMatrixAlgebra
@@ -278,7 +276,7 @@ class GAComplex:
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "_multiplicities", {})  # IrrepTable -> M
-        object.__setattr__(self, "_refined", {})  # unitaries -> number
+        object.__setattr__(self, "_refined", {})  # g or unitaries -> number
 
     @property
     def length(self) -> int:
@@ -315,9 +313,9 @@ class GAComplex:
         return la.as_matrix([[t for u in row for t in u.trace_vector()]
                              for row in self.action])
 
-    def unitary(self, g: int):
-        """The action of g as one AlgebraElement per module."""
-        return list(self.action[g])
+    def unitary(self, g: int) -> tuple:
+        """Row g of ``action``: the unitary of g on each module."""
+        return self.action[g]
 
 
 def compose(*maps) -> tuple:
@@ -496,7 +494,7 @@ def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
     return out
 
 
-_MAX_ORDER = 24  # the largest order t of v that the Fourier path reads
+_MAX_ORDER = 24  # the largest order t of v that a power search finds
 
 
 def _powers_to_order(v: AlgebraElement, h: AlgebraElement):
@@ -510,13 +508,20 @@ def _powers_to_order(v: AlgebraElement, h: AlgebraElement):
     return powers
 
 
-@functools.lru_cache(maxsize=_MAX_ORDER)
+@functools.lru_cache(maxsize=64)  # the default budget admits orders <= 46
 def _fourier(t: int):
     """(zeta_t^k for k < t, the t x t matrix zeta_t^(-ks)/t): row k maps
     (tr v^s)_s to the rank of the zeta_t^k eigenspace of v when v^t = 1."""
     roots = tuple(Cyclotomic.root_of_unity(t, k) for k in range(t))
     return roots, la.scalar_mul(Fraction(1, t), la.as_matrix(
         [[roots[-k * s % t] for s in range(t)] for k in range(t)]))
+
+
+def _eigenspace_ranks(traces):
+    """Per k < t, zeta_t^k and its eigenspace ranks, from t rows tr(v^s), v^t = 1."""
+    roots, fourier = _fourier(traces.shape[0])
+    return [(root, [_natural(r, "eigenspace rank") for r in row])
+            for root, row in zip(roots, la.entries(la.mat_mul(fourier, traces)))]
 
 
 def _restricted_n_class(h: Projection, v: AlgebraElement) -> N0Class:
@@ -528,19 +533,27 @@ def _restricted_n_class(h: Projection, v: AlgebraElement) -> N0Class:
     an exact v it cannot decide raises NumericalError: epsilon decides
     float comparisons only, and no exact class depends on it.
     """
-    algebra = h.algebra
     if v.is_zero():
-        return N0Class.zero(algebra)
-    if v.is_exact():
-        powers = _powers_to_order(v, h.element)
-        if powers is not None:
-            roots, fourier = _fourier(len(powers))
-            traces = la.as_matrix([p.trace_vector() for p in powers])
-            ranks = la.entries(la.mat_mul(fourier, traces))
-            return N0Class(algebra, tuple(
-                (root, tuple(_natural(r, "eigenspace rank") for r in row))
-                for root, row in zip(roots, ranks)))
+        return N0Class.zero(h.algebra)
+    if v.is_exact() and (powers := _powers_to_order(v, h.element)):
+        return N0Class(h.algebra, _eigenspace_ranks(
+            la.as_matrix([p.trace_vector() for p in powers])))
     return n_class(spectral_decompose(v))
+
+
+def _table_read(c: GAComplex, g: int) -> list:
+    """Per module, the (eigenvalue, K0 class) pairs of U_g, read from rows
+    g^s, s < ord(g), of ``c.characters`` (U_g^s = U_(g^s)).  The table proves the complex, the
+    representation and that it commutes with d; unitarity is checked here."""
+    table, powers = c.characters, [c.group.identity]
+    for j, (u, q) in enumerate(zip(c.action[g], c.modules)):
+        if not q.element.equals(u.star() * u):
+            raise DomainError(f"the action of {g} is not unitary on module {j}")
+    while (x := c.group.mul(powers[-1], g)) != c.group.identity:
+        powers.append(x)
+    k, ranks = c.algebra.num_factors, _eigenspace_ranks(la.select_rows(table, powers))
+    return [[(root, K0Class(row[j:j + k])) for root, row in ranks if any(row[j:j + k])]
+            for j in range(0, c.length * k, k)]
 
 
 @dataclass(frozen=True)
@@ -554,34 +567,41 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
 
     ``unitaries`` is one AlgebraElement per module; it must be unitary on
     each module and commute with the differentials, but need not come from
-    the group action.  The result is kept on the complex, keyed by the
-    unitaries' values; a call that raises keeps nothing.
+    the group action.  An exact row g of the action is read from the
+    character table (``_table_read``), others module by module.  The result
+    is kept on the complex, keyed by g or the unitaries; a call that raises
+    keeps nothing.
     """
     unitaries = tuple(unitaries)
     if len(unitaries) != c.length:
         raise ValidationError("one unitary per module required")
-    if unitaries in c._refined:
-        return c._refined[unitaries]
-    c._is_complex
-    problems = _map_problems(c, unitaries, "endomorphism")
-    if problems:
-        raise DomainError(problems[0])
-    try:
-        parts = [_restricted_n_class(q, u)
-                 for q, u in zip(c.modules, unitaries)]
-    except NumericalError:
-        # the trace formula needs every module read on chains or every one
-        # on homology, so one undecidable chain read sends all to homology,
-        # unless homology is the chains and would raise the same again
-        hs = c.harmonic
-        if all(h.element.equals(q.element) for h, q in zip(hs, c.modules)):
-            raise
-        parts = [_restricted_n_class(h, h.element * u * h.element)
-                 for h, u in zip(hs, unitaries)]
+    rows = enumerate(c.action) if unitaries[0].is_exact() else ()  # exact tables only
+    key = next((g for g, row in rows if row == unitaries), unitaries)  # g, or the maps
+    if key in c._refined:
+        return c._refined[key]
+    if key is not unitaries:
+        parts = _table_read(c, key)
+    else:
+        c._is_complex
+        problems = _map_problems(c, unitaries, "endomorphism")
+        if problems:
+            raise DomainError(problems[0])
+        try:
+            parts = [_restricted_n_class(q, u).support
+                     for q, u in zip(c.modules, unitaries)]
+        except NumericalError:
+            # the trace formula needs every module read on chains or every one
+            # on homology, so one undecidable chain read sends all to homology,
+            # unless homology is the chains and would raise the same again
+            hs = c.harmonic
+            if all(h.element.equals(q.element) for h, q in zip(hs, c.modules)):
+                raise
+            parts = [_restricted_n_class(h, h.element * u * h.element).support
+                     for h, u in zip(hs, unitaries)]
     result = GeneralizedLefschetz(N0Class(c.algebra, tuple(
         (v, cls if j % 2 == 0 else -cls)
-        for j, part in enumerate(parts) for v, cls in part.support)))
-    c._refined[unitaries] = result
+        for j, part in enumerate(parts) for v, cls in part)))
+    c._refined[key] = result
     return result
 
 

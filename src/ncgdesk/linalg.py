@@ -435,6 +435,11 @@ def grid_cell(a, size: int, s: int, t: int):
     return _make(a.order, a.nums[:, rs, cs], a.den)
 
 
+def select_rows(a: ExactMatrix, rows) -> ExactMatrix:
+    """The rows of the exact matrix ``a`` at the indices ``rows``, in order."""
+    return _make(a.order, a.nums[:, list(rows)], a.den)
+
+
 # ---------------------------------------------------------------------------
 # comparison and norms
 

@@ -378,6 +378,11 @@ def battery_th4(seed: int, count: int) -> VerificationReport:
                       lambda c=c: lefschetz_first(c, 1, tables[0])),
                      (f"the refined number of a complex with {what}",
                       lambda c=c: generalized_lefschetz(c, c.unitary(1)))]
+    q = Projection.identity(MultiMatrixAlgebra((1,)), 2)  # Z/2 by an involution
+    skew = GAComplex(q.algebra, tables[0].group, (q,), (), (
+        (q.element,), (AlgebraElement(q.algebra, 2, (((1, 1), (0, -1)),)),)))
+    rejected.append(("the refined number of a non-unitary representation",
+                     lambda: generalized_lefschetz(skew, skew.unitary(1))))
 
     def one(rng):
         table = rng.choice(tables)

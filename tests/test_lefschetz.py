@@ -210,18 +210,27 @@ class TestComplexes:
         assert [x.is_exact() for x in seen] == [True]
 
     def test_undecidable_exact_unitary_raises(self):
-        # zeta_25 has order 25, beyond the Fourier read, and is not a
-        # Gaussian rational: no exact class is found, and none in floats
+        # as the action of 1 in Z/25, zeta_25 is read from the character
+        # table; passed on its own it has order 25, beyond the chain's
+        # Fourier read, and is not a Gaussian rational: no exact class is
+        # found, and none in floats
         q = Projection.identity(C)
+        z = q.element.scale(Cyclotomic.root_of_unity(25, 1))
         c = GAComplex(C, FiniteGroup.cyclic_group(25), (q,), (), tuple(
             (q.element.scale(Cyclotomic.root_of_unity(25, g)),)
             for g in range(25)))
         assert validate_complex(c) == []
-        for _ in range(2):
-            with pytest.raises(NumericalError):
-                generalized_lefschetz(c, c.unitary(1))
+        first = generalized_lefschetz(c, c.unitary(1))
+        assert first.value.support == (
+            (Cyclotomic.root_of_unity(25, 1), K0Class((1,))),)
+        assert generalized_lefschetz(c, [z]) is first  # a row, by value
         x = generalized_lefschetz(c, c.unitary(5)).value  # zeta_5: order 5
         assert x.support == ((Cyclotomic.root_of_unity(5, 1), K0Class((1,))),)
+        trivial = GAComplex(C, FiniteGroup.cyclic_group(1), (q,), (),
+                            ((q.element,),))
+        for _ in range(2):
+            with pytest.raises(NumericalError):
+                generalized_lefschetz(trivial, [z])
 
     def test_other_errors_are_not_retried_in_floats(self, monkeypatch):
         self._fail_exact(monkeypatch, TypeError)
@@ -286,6 +295,8 @@ class TestComplexes:
         for _ in range(2):
             with pytest.raises(DomainError, match=message):
                 lefschetz_first(c, 1, IrrepTable.cyclic(2))
+            with pytest.raises(DomainError, match=message):
+                generalized_lefschetz(c, c.unitary(1))
 
     def test_harmonic_check_needs_a_representation_on_the_module(self):
         # Z/2 acts by 2 on C and by diag(1, 2) on C^2, d0 = (0 1): not a
@@ -315,6 +326,8 @@ class TestComplexes:
         table = IrrepTable.cyclic(2)
         assert lefschetz_first(c, 0, table).coeffs == (2,)
         assert lefschetz_first(c, 1, table).coeffs == (0,)
+        with pytest.raises(DomainError, match="of 1 is not unitary on module 0"):
+            generalized_lefschetz(c, c.unitary(1))
 
     def test_non_unitary_equivariant_representation_has_homology_multiplicities(self):
         # 0 -> C^2 -> C -> 0 with d0 = (2 1) and Z/2 acting by the
@@ -363,9 +376,20 @@ class TestComplexes:
             with pytest.raises(DomainError, match=message):
                 generalized_lefschetz(c, c.unitary(0))
 
+    def _harmonic_read(self, c, g):
+        """The refined number of c's action of g on the same chain with
+        Z/1 acting trivially, where no character table reads it; checks
+        that the harmonic projections answered."""
+        trivial = GAComplex(c.algebra, FiniteGroup.cyclic_group(1), c.modules,
+                            c.diffs, (tuple(q.element for q in c.modules),))
+        x = generalized_lefschetz(trivial, list(c.unitary(g))).value
+        assert "harmonic" in vars(trivial)
+        return x
+
     def test_acyclic_pair_beyond_the_fourier_read(self):
-        # Z/25 acting by zeta_25 on C -(1)-> C: at g = 1 neither module has
-        # an exact read, and their harmonic parts are zero
+        # Z/25 acting by zeta_25 on C -(1)-> C: the table reads g = 1; as
+        # unitaries alone, neither module has an exact read, and their
+        # harmonic parts are zero
         q = Projection.identity(C)
         c = GAComplex(C, FiniteGroup.cyclic_group(25), (q, q),
                       (q.element.blocks,), tuple(
@@ -375,6 +399,7 @@ class TestComplexes:
         assert validate_complex(c) == []
         assert generalized_lefschetz(c, c.unitary(1)).value.is_zero()
         assert lefschetz_first(c, 1, IrrepTable.cyclic(25)).is_zero()
+        assert self._harmonic_read(c, 1).is_zero()
 
     def test_mixed_decidable_and_undecidable_modules(self):
         # the acyclic C -(0,1)^T-> C^2 -(1 0)-> C with Z/25 acting by
@@ -396,6 +421,7 @@ class TestComplexes:
         assert generalized_lefschetz(c, c.unitary(1)).value.is_zero()
         assert lefschetz_first(c, 1, table).is_zero()
         assert verify_th4(c, 1, table)
+        assert self._harmonic_read(c, 1).is_zero()
 
     def test_float_complex_matches_exact(self):
         def floated(blocks):
@@ -444,6 +470,15 @@ class TestTheorems:
                               length=rng.randint(1, 3))
         g = rng.randrange(table.group.order)
         assert verify_th5(c, g, table, 0)
+
+    def test_every_element_of_z25(self):
+        # 20 elements have order 25, beyond the power search of 24, and
+        # the table reads every order
+        table = IrrepTable.cyclic(25)
+        c = random_ga_complex(A, table, random.Random(3), length=2)
+        for g in table.group.elements():
+            assert verify_th4(c, g, table)
+            assert verify_th5(c, g, table, 0)
 
     @settings(max_examples=8, deadline=None)
     @given(seeds)
@@ -621,6 +656,21 @@ class TestOneDecomposition:
                 lefschetz_second(c, g, table, 1)
                 generalized_lefschetz(c, c.unitary(g))
         assert calls == []
+
+    def test_group_elements_read_from_the_table(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("read module by module")
+        monkeypatch.setattr(lefschetz, "_powers_to_order", fail)
+        monkeypatch.setattr(lefschetz, "_map_problems", fail)
+        for c, table in seeded_complexes():
+            for g in table.group.elements():
+                assert verify_th4(c, g, table)
+                assert verify_th5(c, g, table, 0)
+                generalized_lefschetz(c, c.unitary(g))
+        # unitaries that are no row of the action are still checked and read
+        turn = [u.scale(Cyclotomic.root_of_unity(8, 1)) for u in c.unitary(0)]
+        with pytest.raises(AssertionError, match="read module by module"):
+            generalized_lefschetz(c, turn)
 
     def test_multiplicities_kept_per_table(self):
         c, table = next(seeded_complexes())

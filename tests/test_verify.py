@@ -91,6 +91,9 @@ MUTANTS = {
     "commute-with-d check dropped": ("lefschetz.py",
                                      "if not all(map(la.mat_equal, left, right)):",
                                      "if False:"),
+    "table read skips the unitarity check": ("lefschetz.py",
+                                             "if not q.element.equals(u.star() * u):",
+                                             "if False:"),
     "d o d check dropped": ("lefschetz.py", "if not all(map(la.is_zero_matrix, "
                             "compose(c.diffs[i], c.diffs[i + 1]))):",
                             "if False:"),
