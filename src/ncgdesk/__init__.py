@@ -53,7 +53,6 @@ from .lefschetz import (
     GAComplex,
     IrrepTable,
     generalized_lefschetz,
-    harmonic_modules,
     lefschetz_first,
     lefschetz_second,
     validate_complex,
@@ -103,8 +102,7 @@ __all__ = [
     "ConsistencyError", "DomainError", "NcgError", "NumericalError",
     "ResourceError", "ValidationError",
     "FiniteGroup", "GAComplex", "IrrepTable", "generalized_lefschetz",
-    "harmonic_modules", "lefschetz_first", "lefschetz_second",
-    "validate_complex",
+    "lefschetz_first", "lefschetz_second", "validate_complex",
     "K0Class", "K0TensorC", "N0Class", "functorial_map", "h_map", "n_class",
     "n_equiv", "t_map",
     "Cyclotomic", "get_epsilon", "set_epsilon",

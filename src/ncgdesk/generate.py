@@ -4,7 +4,9 @@ homomorphisms, and equivariant complexes.
 Everything is exact by construction: rotations use Pythagorean cosines,
 phases are fourth roots of unity, and complex generation builds the group
 action first so that averaging makes the differentials equivariant and a
-kernel projection forces d o d = 0.
+kernel projection forces d o d = 0.  A d x d unitary costs about d^4
+scalar products, which each generator charges to the budget before it
+builds anything.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .algebra import (
     SpectralForm,
     StarHomomorphism,
 )
+from .budget import check_budget
 from .errors import ValidationError
 from .lefschetz import GAComplex, IrrepTable, compose, kernel_projection
 from .ngroup import K0Class, N0Class
@@ -31,8 +34,15 @@ _PHASES = (Cyclotomic.from_rational(1), Cyclotomic.from_rational(-1),
            Cyclotomic.gaussian(0, 1), Cyclotomic.gaussian(0, -1))
 
 
+def _charge_unitaries(dims) -> None:
+    """Charge one random unitary per d in ``dims``: d rotations of d^3
+    scalar products each."""
+    check_budget(sum(d ** 4 for d in dims), "random unitary products")
+
+
 def random_exact_unitary(d: int, rng: random.Random):
     """Product of Pythagorean plane rotations and quarter-turn phases."""
+    _charge_unitaries((d,))
     u = la.identity(d)
     for _ in range(d):
         if d >= 2:
@@ -51,6 +61,7 @@ def random_exact_unitary(d: int, rng: random.Random):
 
 def random_projection(algebra: MultiMatrixAlgebra, rng: random.Random,
                       m: int = 1, nonzero: bool = False) -> Projection:
+    _charge_unitaries(algebra.ambient_dims(m))
     while True:
         blocks = []
         total = 0
@@ -91,6 +102,7 @@ def random_spectrum(rng: random.Random, count: int,
 def random_orthogonal_family(algebra: MultiMatrixAlgebra, rng: random.Random,
                              parts: int, m: int = 1):
     """Pairwise orthogonal projections from one conjugated diagonal split."""
+    _charge_unitaries(algebra.ambient_dims(m))
     units = [random_exact_unitary(d, rng) for d in algebra.ambient_dims(m)]
     assignment = {(f, s): rng.randrange(parts)
                   for f, d in enumerate(algebra.ambient_dims(m)) for s in range(d)}

@@ -4,32 +4,34 @@ Lefschetz numbers.
 A complex is a finite chain of projective modules q_j * A^(n_j) with
 A-linear differentials and a commuting action of a finite group.
 A differential is its tuple of per-factor blocks, whose shapes the
-complex checks against its modules.  That each d respects the ranges and
-d o d = 0 it checks once, on first use; a failure raises DomainError
-naming the differential.
+complex checks against its modules.  Each structural fact is checked once
+per complex, on first use, and the list of its failures kept: that each d
+respects the ranges and d o d = 0, and that g -> U_g is a representation
+on each module whose generators commute with d.  ``validate_complex``
+returns those lists and where a generator is not unitary; a number that
+needs a fact raises DomainError naming its first failure.
 
 Every Lefschetz number is read on the chain modules themselves.  A map
 that commutes with d splits the complex into its eigenvalue and isotypic
 subcomplexes, and each has the same alternating sum of ranks on chains as
 on homology (the Hopf trace formula), so no harmonic projection is built.
-Once g -> U_g is checked to be a representation on each module that
-commutes with every d, the complex keeps its character table tr_i(U_g)
-(``GAComplex.characters``), and the multiplicity m_chi,j,i = (1/|G|)
-sum_g conj chi(g) tr_i(U_g) on module j is the trace of the idempotent
-(dim chi/|G|) sum_g conj chi(g) U_g over dim chi.  Each (complex, irrep
-table) keeps M_chi = sum_j (-1)^j m_chi,j in Z^k, so L1(g) = sum_chi
-chi(g) M_chi and L2(g) = sum_i L1(g)_i ch_l(e_i), e_i the diagonal units,
-are short reads.  The refined number of u reads on module j, if u_j^t = q_j,
-the zeta_t^k eigenspace rank (1/t) sum_s zeta_t^(-ks) tr_i(u_j^s): for
-u = U_g, t = ord(g) and the traces are rows g^s of the character table;
-another u finds t <= 24 by its powers, or else ``spectral_decompose``
-splits u_j.  If that raises NumericalError on any module, every module is
-read on homology (h_j u_j h_j, h_j the harmonic projection,
-``GAComplex.harmonic``), as the trace formula holds for an all-chain or an
-all-homology sum only.  The number is kept on the complex per g or per
-tuple of unitaries, so Theorems 4 and 5 share one computation.
-Multiplicities and ranks that are not natural numbers raise
-ConsistencyError.
+Once the action facts hold, the complex keeps its character table
+tr_i(U_g) (``GAComplex.characters``), and the multiplicity m_chi,j,i =
+(1/|G|) sum_g conj chi(g) tr_i(U_g) on module j is the trace of the
+idempotent (dim chi/|G|) sum_g conj chi(g) U_g over dim chi.  Each
+(complex, irrep table) keeps M_chi = sum_j (-1)^j m_chi,j in Z^k, so
+L1(g) = sum_chi chi(g) M_chi and L2(g) = sum_i L1(g)_i ch_l(e_i), e_i the
+diagonal units, are short reads.  The refined number of u reads on module
+j, if u_j^t = q_j, the zeta_t^k eigenspace rank (1/t) sum_s zeta_t^(-ks)
+tr_i(u_j^s), one Fourier read of t rows of traces (``_fourier_read``): for
+u = U_g, t = ord(g) and the rows are g^s of the character table; another
+u finds t <= 24 by its powers, or else ``spectral_decompose`` splits u_j.
+If that raises NumericalError on any module, every module is read on
+homology (h_j u_j h_j, h_j the harmonic projection, ``GAComplex.harmonic``),
+as the trace formula holds for an all-chain or an all-homology sum only.
+The number is kept on the complex per g or per tuple of unitaries, so
+Theorems 4 and 5 share one computation.  Multiplicities and ranks that are
+not natural numbers raise ConsistencyError.
 """
 
 from __future__ import annotations
@@ -229,6 +231,43 @@ class IrrepTable:
 # ---------------------------------------------------------------------------
 # the complexes
 
+def _chain_problems(c: GAComplex) -> list:
+    """Where a differential leaves the ranges or d o d is not zero."""
+    problems = []
+    qs = [m.element.blocks for m in c.modules]
+    for i, d in enumerate(c.diffs):
+        if not all(map(la.mat_equal, compose(qs[i], d, qs[i + 1]), d)):
+            problems.append(f"differential {i} does not respect the ranges")
+    for i in range(len(c.diffs) - 1):
+        if not all(map(la.is_zero_matrix, compose(c.diffs[i], c.diffs[i + 1]))):
+            problems.append(f"d{i} o d{i + 1} is not zero")
+    return problems
+
+
+def _action_problems(c: GAComplex) -> list:
+    """Where g -> U_g fails to be a representation on a module, or a
+    generator's action fails to commute with d.
+
+    Checked on the generators S: U_e = q_j and U_s U_g = U_sg for every s
+    and g.  Then U_s^m = q_j (m the order of s) puts the range of U_s on
+    that of q_j, so q_j U_g = U_g = U_g q_j and U_a U_b = U_ab for all a,
+    b; each (dim chi/|G|) sum_g conj chi(g) U_g is an idempotent, and its
+    rank is its trace.  Each U_g is a product of generator maps, so it
+    commutes with d, and is unitary if they are.
+    """
+    group = c.group
+    problems = [f"identity does not act as the projection on module {j}"
+                for j, (u, q) in enumerate(zip(c.action[group.identity], c.modules))
+                if not u.equals(q.element)]
+    problems += [f"action is not multiplicative at ({s},{g}) on module {j}"
+                 for s in group.generators for g in group.elements()
+                 for j, (u, v) in enumerate(zip(c.action[s], c.action[g]))
+                 if not (u * v).equals(c.action[group.mul(s, g)][j])]
+    for s in group.generators:
+        problems += _commute_problems(c, c.action[s], f"action of {s}")
+    return problems
+
+
 @dataclass(frozen=True)
 class GAComplex:
     """Chain complex of projective modules with a unitary group action.
@@ -237,11 +276,11 @@ class GAComplex:
     maps module i+1 to module i by left multiplication by a matrix over A,
     so it is A-linear; it is kept as that matrix's per-factor blocks,
     factor f's of shape (n_i r_f, n_(i+1) r_f), which the complex checks.
-    ``action[g][j]`` is the unitary of g on module j.  The chain checks,
-    the character table, the alternating isotypic multiplicities per irrep
-    table, the refined number per element or tuple of unitaries and, where
-    a refined read needs them, the harmonic projections are made on first
-    use and kept.
+    ``action[g][j]`` is the unitary of g on module j.  The chain and action
+    problems, the character table, the alternating isotypic multiplicities
+    per irrep table, the refined number per element or tuple of unitaries
+    and, where a refined read needs them, the harmonic projections are
+    made on first use and kept.
     """
 
     algebra: MultiMatrixAlgebra
@@ -282,34 +321,30 @@ class GAComplex:
     def length(self) -> int:
         return len(self.modules)
 
-    @functools.cached_property
-    def _is_complex(self) -> bool:
-        """True once every d respects the ranges and d o d = 0, checked on
-        first use; otherwise DomainError, and the next use checks again."""
-        problems = _chain_problems(self)
-        if problems:
-            raise DomainError(problems[0])
-        return True
+    # each fact is checked once per complex; an empty list means it holds
+    _chain_verdict = functools.cached_property(_chain_problems)
+    _action_verdict = functools.cached_property(_action_problems)
 
     @functools.cached_property
     def harmonic(self) -> list:
-        """``harmonic_modules(self)``, built once."""
-        return harmonic_modules(self)
+        """Per module, the harmonic projection, built once: Ker(outgoing d)
+        intersected with Ker(incoming d adjoint) inside the range of q_j.
+        The refined number reads it only where the chain read of some
+        module raises NumericalError."""
+        out = []
+        for j, q in enumerate(self.modules):
+            maps = [self.diffs[j - 1]] if j >= 1 else []
+            if j < self.length - 1:
+                maps.append([la.conj_transpose(b) for b in self.diffs[j]])
+            out.append(Projection(kernel_projection(q, maps)))
+        return out
 
     @functools.cached_property
     def characters(self):
         """The chain character table, built once: tr_i(U_g) on module j in
-        row g, column j * k + i (k factors), read once the complex is
-        checked, the action is a representation on every module
-        (``_check_representation``) and each generator commutes with d."""
-        self._is_complex
-        for j in range(self.length):
-            _check_representation(self, j)
-        for s in self.group.generators:
-            problems = _commute_problems(self, self.action[s],
-                                         f"the action of {s}")
-            if problems:
-                raise DomainError(problems[0])
+        row g, column j * k + i (k factors), read once the complex has no
+        chain or action problem."""
+        _require(self._chain_verdict or self._action_verdict)
         return la.as_matrix([[t for u in row for t in u.trace_vector()]
                              for row in self.action])
 
@@ -324,50 +359,34 @@ def compose(*maps) -> tuple:
     return tuple(functools.reduce(la.mat_mul, blocks) for blocks in zip(*maps))
 
 
-def _chain_problems(c: GAComplex) -> list:
-    """Where a differential leaves the ranges or d o d is not zero."""
-    problems = []
-    qs = [m.element.blocks for m in c.modules]
-    for i, d in enumerate(c.diffs):
-        if not all(map(la.mat_equal, compose(qs[i], d, qs[i + 1]), d)):
-            problems.append(f"differential {i} does not respect the ranges")
-    for i in range(len(c.diffs) - 1):
-        if not all(map(la.is_zero_matrix, compose(c.diffs[i], c.diffs[i + 1]))):
-            problems.append(f"d{i} o d{i + 1} is not zero")
-    return problems
+def _require(problems: list):
+    """DomainError naming the first of ``problems``, if there is one."""
+    if problems:
+        raise DomainError(problems[0])
 
 
 def validate_complex(c: GAComplex) -> list:
-    """All structural invariants; returns the list of violations."""
-    problems = _chain_problems(c)
-    e = c.group.identity
-    for j, m in enumerate(c.modules):
-        if not c.action[e][j].equals(m.element):
-            problems.append(f"identity does not act as the projection on module {j}")
-    # with U_e = q_j and U_s U_g = U_sg each U_g is a product of generator
-    # maps, and a product keeps what _map_problems checks of its factors
-    for s in c.group.generators:
-        problems += _map_problems(c, c.action[s], f"action of {s}")
-    for s in c.group.generators:
-        for g in c.group.elements():
-            sg = c.group.mul(s, g)
-            for j in range(c.length):
-                if not (c.action[s][j] * c.action[g][j]).equals(c.action[sg][j]):
-                    problems.append(
-                        f"action is not multiplicative at ({s},{g}) on module {j}")
-    return problems
+    """All structural invariants; returns the list of violations: the
+    chain and action problems, then where a generator is not unitary."""
+    return c._chain_verdict + c._action_verdict + [
+        p for s in c.group.generators
+        for p in _unitary_problems(c, c.action[s], f"action of {s}")]
+
+
+def _unitary_problems(c: GAComplex, maps, who: str) -> list:
+    """Where the per-module maps fail u* u = q_j."""
+    return [f"{who} is not unitary on module {j}"
+            for j, (u, q) in enumerate(zip(maps, c.modules))
+            if not (u.star() * u).equals(q.element)]
 
 
 def _map_problems(c: GAComplex, maps, who: str) -> list:
     """Where the per-module maps leave their module, fail to be unitary on
     it, or fail to commute with the differentials."""
-    problems = []
-    for j, (u, q) in enumerate(zip(maps, c.modules)):
-        if not (q.element * u * q.element).equals(u):
-            problems.append(f"{who} leaves module {j}")
-        if not (u.star() * u).equals(q.element):
-            problems.append(f"{who} is not unitary on module {j}")
-    return problems + _commute_problems(c, maps, who)
+    return [f"{who} leaves module {j}"
+            for j, (u, q) in enumerate(zip(maps, c.modules))
+            if not (q.element * u * q.element).equals(u)] \
+        + _unitary_problems(c, maps, who) + _commute_problems(c, maps, who)
 
 
 def _commute_problems(c: GAComplex, maps, who: str) -> list:
@@ -392,39 +411,6 @@ def kernel_projection(q: Projection, maps) -> AlgebraElement:
         out.append(la.projection_onto_columns(basis) if k
                    else la.zeros(d, d, type(basis) is la.ExactMatrix))
     return AlgebraElement(q.algebra, q.amplification, tuple(out))
-
-
-def harmonic_modules(c: GAComplex):
-    """Per module: the harmonic projection.
-
-    The harmonic submodule of module j is Ker(outgoing d) intersected with
-    Ker(incoming d adjoint) inside the range of q_j.  The refined number
-    reads the copy kept as ``c.harmonic`` only where the chain read of
-    some module raises NumericalError.
-    """
-    out = []
-    for j, q in enumerate(c.modules):
-        maps = [c.diffs[j - 1]] if j >= 1 else []
-        if j < c.length - 1:
-            maps.append([la.conj_transpose(b) for b in c.diffs[j]])
-        out.append(Projection(kernel_projection(q, maps)))
-    return out
-
-
-def _check_representation(c: GAComplex, j: int):
-    """DomainError unless g -> U_g is a representation on module j.
-
-    Checked: U_e = q_j and U_s U_g = U_sg for every generator s and every
-    g.  Then U_s^m q_j = q_j (m the order of s) puts the range of U_s on
-    that of q_j, so q_j U_g = U_g = U_g q_j and U_a U_b = U_ab for all a,
-    b; each (dim chi/|G|) sum_g conj chi(g) U_g is an idempotent, and its
-    rank is its trace.
-    """
-    group, row = c.group, [c.action[g][j] for g in c.group.elements()]
-    if not (row[group.identity].equals(c.modules[j].element)
-            and all((row[s] * u).equals(row[group.mul(s, g)])
-                    for s in group.generators for g, u in enumerate(row))):
-        raise DomainError(f"the action is not a representation on module {j}")
 
 
 def _natural(x, what: str) -> int:
@@ -517,43 +503,40 @@ def _fourier(t: int):
         [[roots[-k * s % t] for s in range(t)] for k in range(t)]))
 
 
-def _eigenspace_ranks(traces):
-    """Per k < t, zeta_t^k and its eigenspace ranks, from t rows tr(v^s), v^t = 1."""
+def _fourier_read(traces, k: int) -> list:
+    """Per module, the (zeta_t^m, K0 class) pairs of v, v^t = 1, from t
+    rows s of traces tr_i(v^s) whose columns are (module, factor i), k
+    factors: the zeta_t^m eigenspace has ranks (1/t) sum_s zeta_t^(-ms)
+    tr_i(v^s), the traces of its Fourier spectral projection."""
     roots, fourier = _fourier(traces.shape[0])
-    return [(root, [_natural(r, "eigenspace rank") for r in row])
-            for root, row in zip(roots, la.entries(la.mat_mul(fourier, traces)))]
+    ranks = [(root, [_natural(r, "eigenspace rank") for r in row])
+             for root, row in zip(roots, la.entries(la.mat_mul(fourier, traces)))]
+    return [[(root, K0Class(row[j:j + k])) for root, row in ranks if any(row[j:j + k])]
+            for j in range(0, traces.shape[1], k)]
 
 
-def _restricted_n_class(h: Projection, v: AlgebraElement) -> N0Class:
-    """N0 class of v = h v h, unitary on the range of h.
-
-    If v^t = h, the zeta_t^k eigenspace has per-factor rank
-    (1/t) sum_s zeta_t^(-ks) tr(v^s): these are the traces of its Fourier
-    spectral projections.  Otherwise ``spectral_decompose`` splits v, and
-    an exact v it cannot decide raises NumericalError: epsilon decides
-    float comparisons only, and no exact class depends on it.
-    """
-    if v.is_zero():
-        return N0Class.zero(h.algebra)
+def _module_read(h: Projection, v: AlgebraElement) -> list:
+    """The (eigenvalue, K0 class) pairs of v = h v h, unitary on the range
+    of h: the Fourier read of its powers if v^t = h, t <= _MAX_ORDER, else
+    ``spectral_decompose``, where an exact v it cannot decide raises
+    NumericalError: epsilon decides float comparisons only, and no exact
+    class depends on it."""
     if v.is_exact() and (powers := _powers_to_order(v, h.element)):
-        return N0Class(h.algebra, _eigenspace_ranks(
-            la.as_matrix([p.trace_vector() for p in powers])))
-    return n_class(spectral_decompose(v))
+        return _fourier_read(la.as_matrix([p.trace_vector() for p in powers]),
+                             h.algebra.num_factors)[0]
+    return n_class(spectral_decompose(v)).support
 
 
 def _table_read(c: GAComplex, g: int) -> list:
     """Per module, the (eigenvalue, K0 class) pairs of U_g, read from rows
-    g^s, s < ord(g), of ``c.characters`` (U_g^s = U_(g^s)).  The table proves the complex, the
-    representation and that it commutes with d; unitarity is checked here."""
+    g^s, s < ord(g), of ``c.characters`` (U_g^s = U_(g^s)).  The table
+    proves the complex, the representation and that it commutes with d;
+    unitarity is checked here."""
     table, powers = c.characters, [c.group.identity]
-    for j, (u, q) in enumerate(zip(c.action[g], c.modules)):
-        if not q.element.equals(u.star() * u):
-            raise DomainError(f"the action of {g} is not unitary on module {j}")
+    _require(_unitary_problems(c, c.action[g], f"action of {g}"))
     while (x := c.group.mul(powers[-1], g)) != c.group.identity:
         powers.append(x)
-    k, ranks = c.algebra.num_factors, _eigenspace_ranks(la.select_rows(table, powers))
-    return [[(root, K0Class(row[j:j + k])) for root, row in ranks if any(row[j:j + k])]
-            for j in range(0, c.length * k, k)]
+    return _fourier_read(la.select_rows(table, powers), c.algebra.num_factors)
 
 
 @dataclass(frozen=True)
@@ -582,13 +565,10 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
     if key is not unitaries:
         parts = _table_read(c, key)
     else:
-        c._is_complex
-        problems = _map_problems(c, unitaries, "endomorphism")
-        if problems:
-            raise DomainError(problems[0])
+        _require(c._chain_verdict
+                 or _map_problems(c, unitaries, "endomorphism"))
         try:
-            parts = [_restricted_n_class(q, u).support
-                     for q, u in zip(c.modules, unitaries)]
+            parts = [_module_read(q, u) for q, u in zip(c.modules, unitaries)]
         except NumericalError:
             # the trace formula needs every module read on chains or every one
             # on homology, so one undecidable chain read sends all to homology,
@@ -596,7 +576,7 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
             hs = c.harmonic
             if all(h.element.equals(q.element) for h, q in zip(hs, c.modules)):
                 raise
-            parts = [_restricted_n_class(h, h.element * u * h.element).support
+            parts = [_module_read(h, h.element * u * h.element)
                      for h, u in zip(hs, unitaries)]
     result = GeneralizedLefschetz(N0Class(c.algebra, tuple(
         (v, cls if j % 2 == 0 else -cls)

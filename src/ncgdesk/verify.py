@@ -353,10 +353,11 @@ def _irrep_tables():
 
 
 def _non_complexes():
-    """Two inputs over C with Z/2 that no Lefschetz number may answer:
+    """Four inputs over C with Z/2 that no Lefschetz number may answer:
     0 -> C -(e1)-> C^2 -> 0 with the swap of C^2, a representation that
-    does not commute with d; and C -(1)-> C -(1)-> C acted on trivially,
-    where d o d = 1."""
+    does not commute with d; C -(1)-> C -(1)-> C acted on trivially,
+    where d o d = 1; and C with 1 acting by i, whose square is not the
+    identity's action, or with both elements acting by 0."""
     C = MultiMatrixAlgebra((1,))
     group = FiniteGroup.cyclic_group(2)
     q1, q2 = Projection.identity(C), Projection.identity(C, 2)
@@ -365,8 +366,14 @@ def _non_complexes():
                         ((q2.element, q1.element), (swap, q1.element)))
     chain = GAComplex(C, group, (q1,) * 3, (q1.element.blocks,) * 2,
                       ((q1.element,) * 3,) * 2)
+    by_i = GAComplex(C, group, (q1,), (), (
+        (q1.element,), (q1.element.scale(Cyclotomic.gaussian(0, 1)),)))
+    zero = AlgebraElement.zero(C)
+    by_zero = GAComplex(C, group, (q1,), (), ((zero,), (zero,)))
     return (("a d that the action does not commute with", swapped),
-            ("d o d != 0", chain))
+            ("d o d != 0", chain),
+            ("Z/2 acting by i", by_i),
+            ("Z/2 acting by 0", by_zero))
 
 
 def battery_th4(seed: int, count: int) -> VerificationReport:

@@ -1,9 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgdesk import linalg as la
 from ncgdesk.algebra import MultiMatrixAlgebra, is_normal
+from ncgdesk.cli import main
+from ncgdesk.errors import ResourceError
 from ncgdesk.generate import (
     acyclic_augmentation,
     random_exact_unitary,
@@ -99,3 +102,27 @@ def test_augmented_complexes_validate(seed):
     assert validate_complex(aug) == []
     assert aug.length == c.length
     assert aug.modules[0].amplification > c.modules[0].amplification
+
+
+def test_generators_are_charged_before_building(monkeypatch, capsys):
+    # a d x d unitary costs about d^4 products: the default budget admits
+    # M_17 and refuses M_18, two M_17 blocks at once, and the CLI's
+    # M_300 with one error line, before any product is taken
+    for kind in ("normal-element", "projection-family", "ga-complex"):
+        assert main(["generate", "--kind", kind, "--blocks", "300"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: random unitary products: ")
+    rng, table = random.Random(0), IrrepTable.cyclic(2)
+    assert is_normal(random_normal(MultiMatrixAlgebra((17,)), rng).element())
+
+    def refuse(*args):
+        raise AssertionError("built before the charge")
+    monkeypatch.setattr(la, "mat_mul", refuse)
+    for build in (
+            lambda: random_exact_unitary(18, rng),
+            lambda: random_projection(MultiMatrixAlgebra((17, 17)), rng),
+            lambda: random_orthogonal_family(MultiMatrixAlgebra((120,)), rng, 2),
+            lambda: random_ga_complex(MultiMatrixAlgebra((46,)), table, rng)):
+        with pytest.raises(ResourceError, match="random unitary products"):
+            build()

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgdesk import lefschetz, linalg as la
+from ncgdesk import lefschetz, linalg as la, serialize
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
     spectral_decompose
 from ncgdesk.errors import ConsistencyError, DomainError, NumericalError, \
@@ -16,7 +17,6 @@ from ncgdesk.lefschetz import (
     Irrep,
     IrrepTable,
     generalized_lefschetz,
-    harmonic_modules,
     lefschetz_first,
     lefschetz_second,
     validate_complex,
@@ -133,7 +133,7 @@ class TestComplexes:
     def test_two_term_identity_is_valid_and_acyclic(self):
         c = two_term_complex(A)
         assert validate_complex(c) == []
-        for h in harmonic_modules(c):
+        for h in c.harmonic:
             assert h.element.is_zero()
 
     def test_lefschetz_of_acyclic_is_zero(self):
@@ -288,9 +288,10 @@ class TestComplexes:
                              ["_i_on_c", "_swap_against_d", "_zero_on_c"])
     def test_non_representation_rejected(self, build):
         c = getattr(self, build)()
-        message = ("the action of 1 does not commute with d0"
-                   if build == "_swap_against_d"
-                   else "not a representation on module 0")
+        message = {"_i_on_c": r"action is not multiplicative at \(1,1\) on module 0",
+                   "_swap_against_d": "action of 1 does not commute with d0",
+                   "_zero_on_c": "identity does not act as the projection "
+                                 "on module 0"}[build]
         assert validate_complex(c)
         for _ in range(2):
             with pytest.raises(DomainError, match=message):
@@ -310,8 +311,8 @@ class TestComplexes:
                        (q0.element.scale(two),
                         AlgebraElement.diagonal(C, [[Fraction(1), two]], 2))))
         assert "action of 1 is not unitary on module 0" in validate_complex(c)
-        with pytest.raises(DomainError, match="not a representation "
-                                              "on module 0"):
+        with pytest.raises(DomainError, match="action is not multiplicative "
+                                              r"at \(1,1\) on module 0"):
             lefschetz_first(c, 1, IrrepTable.cyclic(2))
 
     def test_non_unitary_representation_has_multiplicities(self):
@@ -414,9 +415,9 @@ class TestComplexes:
         c = GAComplex(C, FiniteGroup.cyclic_group(25), (q0, q1, q0),
                       ((((1, 0),),), (((0,), (1,)),)), action)
         assert validate_complex(c) == []
-        lefschetz._restricted_n_class(q0, c.unitary(1)[0])
+        lefschetz._module_read(q0, c.unitary(1)[0])
         with pytest.raises(NumericalError):
-            lefschetz._restricted_n_class(q1, c.unitary(1)[1])
+            lefschetz._module_read(q1, c.unitary(1)[1])
         table = IrrepTable.cyclic(25)
         assert generalized_lefschetz(c, c.unitary(1)).value.is_zero()
         assert lefschetz_first(c, 1, table).is_zero()
@@ -657,6 +658,26 @@ class TestOneDecomposition:
                 generalized_lefschetz(c, c.unitary(g))
         assert calls == []
 
+    def test_each_fact_checked_once(self, monkeypatch):
+        # a JSON load, then L1 and the refined number at g = 1 of a
+        # length-3 S3 complex over C+M2: the representation check takes
+        # each product U_s U_g once, and the whole path 48 products
+        table = IrrepTable.symmetric_3()
+        doc = serialize.complex_to_json(random_ga_complex(
+            MultiMatrixAlgebra((1, 2)), table, random.Random(5), length=3))
+        products, real = [], AlgebraElement.__mul__
+        monkeypatch.setattr(AlgebraElement, "__mul__",
+                            lambda a, b: products.append((a, b)) or real(a, b))
+        c = serialize.complex_from_json(doc)
+        lefschetz_first(c, 1, table)
+        generalized_lefschetz(c, c.unitary(1))
+        entries = {id(u) for row in c.action for u in row}
+        checks = Counter((id(a), id(b)) for a, b in products
+                         if id(a) in entries and id(b) in entries)
+        assert len(checks) == len(c.group.generators) * c.group.order * c.length
+        assert set(checks.values()) == {1}
+        assert len(products) <= 48
+
     def test_group_elements_read_from_the_table(self, monkeypatch):
         def fail(*args):
             raise AssertionError("read module by module")
@@ -688,8 +709,8 @@ class TestOneDecomposition:
         table = IrrepTable.symmetric_3()
         c = random_ga_complex(A, table, random.Random(0), length=2)
         calls = []
-        real = lefschetz._map_problems
-        monkeypatch.setattr(lefschetz, "_map_problems",
+        real = lefschetz._unitary_problems
+        monkeypatch.setattr(lefschetz, "_unitary_problems",
                             lambda *args: calls.append(1) or real(*args))
         assert validate_complex(c) == []
         assert len(calls) == len(table.group.generators) == 2

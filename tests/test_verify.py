@@ -92,8 +92,13 @@ MUTANTS = {
                                      "if not all(map(la.mat_equal, left, right)):",
                                      "if False:"),
     "table read skips the unitarity check": ("lefschetz.py",
-                                             "if not q.element.equals(u.star() * u):",
-                                             "if False:"),
+                                             "if not (u.star() * u).equals(q.element)]",
+                                             "if False]"),
+    "multiplicativity check dropped": (
+        "lefschetz.py", "if not (u * v).equals(c.action[group.mul(s, g)][j])]",
+        "if False]"),
+    "identity check dropped": ("lefschetz.py", "if not u.equals(q.element)]",
+                               "if False]"),
     "d o d check dropped": ("lefschetz.py", "if not all(map(la.is_zero_matrix, "
                             "compose(c.diffs[i], c.diffs[i + 1]))):",
                             "if False:"),
