@@ -17,8 +17,12 @@ An exact spectral decomposition builds block-local idempotents: each
 factor's eigenprojection for lam is the Lagrange product
 prod (b - mu) / (lam - mu) over that factor's own snapped eigenvalues
 mu != lam, and a factor whose spectrum lacks lam gets the zero block.
-Each factor is certified once, exactly, by prod (b - mu) = 0 over its
-values (see :func:`spectral_decompose`).
+Two facts are checked per factor, exactly: the certificate
+prod (b - mu) = 0 over its values, and e = e* for each idempotent e.  The
+certificate makes the idempotents orthogonal with sum 1 and
+b = sum mu * e_mu, so b is normal exactly when each e is self-adjoint;
+neither normality nor orthogonality is checked again (see
+:func:`spectral_decompose`).
 Epsilon decides float comparisons only: no exact answer depends on it.  An
 exact decomposition is kept per element, for at most 256 inputs: an equal
 exact input returns the form that was built and checked for the earlier
@@ -48,6 +52,7 @@ from .scalars import (
 )
 
 _SNAP_DENOMINATOR = 10**6
+_NOT_NORMAL = "spectral_decompose requires a normal element"
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,9 @@ class Projection:
 
     @classmethod
     def _trusted(cls, element: AlgebraElement) -> "Projection":
-        """Wrap a projection by construction: a certified Lagrange product,
-        a sum of orthogonal ones, a direct sum or a *-image."""
+        """Wrap a projection by construction: a certified self-adjoint
+        Lagrange product, a sum of orthogonal ones, a direct sum or a
+        *-image."""
         out = object.__new__(cls)
         object.__setattr__(out, "element", element)
         return out
@@ -265,6 +271,10 @@ class BorelSetModel:
         return any(scalars_equal(value, p) for p in self.points)
 
 
+def _by_value(pairs) -> tuple:
+    return tuple(sorted(pairs, key=lambda kv: sort_key(kv[0])))
+
+
 @dataclass(frozen=True)
 class SpectralForm:
     """Distinct nonzero eigenvalues paired with orthogonal projections."""
@@ -274,9 +284,20 @@ class SpectralForm:
     pairs: tuple  # ((eigenvalue, Projection), ...), eigenvalues nonzero
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(
-            sorted(self.pairs, key=lambda kv: sort_key(kv[0]))))
+        object.__setattr__(self, "pairs", _by_value(self.pairs))
         self._validate()
+
+    @classmethod
+    def _trusted(cls, algebra, amplification: int, pairs) -> "SpectralForm":
+        """Pairs that are a spectral form by construction, sorted as the
+        constructor sorts them: the nonzero distinct exact values and
+        nonzero certified idempotents of an exact decomposition, whose
+        certificate proves what the constructor would check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "algebra", algebra)
+        object.__setattr__(out, "amplification", amplification)
+        object.__setattr__(out, "pairs", _by_value(pairs))
+        return out
 
     def _validate(self):
         projs = [p for _, p in self.pairs]
@@ -466,13 +487,17 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
     formed from each b - mu once and scaled once by prod (lam - mu)^-1; a
     factor without lam gets the zero block.
 
-    Each fact is checked once: the element is normal, each factor b has
-    prod (b - mu) = 0 over its values, and :class:`SpectralForm` checks the
-    projections orthogonal, so its kernel 1 - sum p is a projection.  For a
-    normal b the certificate puts spec b inside the values, so each Lagrange
-    product is b's orthogonal eigenprojection for lam, or 0, and
-    sum lam * p = x; it fails, raising NumericalError, exactly where
-    p = p* = p^2 on every candidate and sum lam * p = x would.  Epsilon
+    Each fact is checked once, and two are checked per factor b: the
+    certificate prod (b - mu) = 0 over its distinct values, and e = e* for
+    each Lagrange idempotent e.  The certificate alone makes the
+    idempotents orthogonal (prod (x - mu) divides the product of any two),
+    with sum 1 and sum mu * e_mu = b; so b is normal exactly when each e is
+    self-adjoint, and then each e is b's orthogonal eigenprojection for its
+    value, or 0, and the kernel 1 - sum p is a projection.  On a normal
+    element the certificate fails, raising NumericalError, exactly where
+    p = p* = p^2 on every candidate and sum lam * p = x would.  Only a
+    failed certificate tests normality (two products per factor), so a
+    non-normal element raises DomainError on either route.  Epsilon
     decides float comparisons only, so no exact decomposition depends on
     it.  Float elements go through Hermitian eigensolvers with 2*eps
     eigenvalue clustering; eigenvalues that chain into a cluster wider than
@@ -489,7 +514,7 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
 
 def _spectral_decompose_float(x):
     if not is_normal(x):
-        raise DomainError("spectral_decompose requires a normal element")
+        raise DomainError(_NOT_NORMAL)
     dims = x.algebra.ambient_dims(x.amplification)
     found = [(f, v, p) for f, b in enumerate(x.blocks)
              for v, p in zip(*_float_eigensystem(b))]
@@ -507,24 +532,24 @@ def _spectral_decompose_float(x):
 def _lagrange_idempotents(b, values, factor):
     """{lam: prod_{mu != lam} (b - mu) / (lam - mu)} over one factor's values.
 
-    Each difference b - mu is formed once; each product stays unscaled until
-    one multiplication by the scalar prod (lam - mu)^-1.  The certificate
-    prod_mu (b - mu), lam_0's product times b - lam_0, must be zero, or
-    NumericalError names the factor.
+    Each difference b - mu is formed once, mu written on the diagonal; each
+    product stays unscaled until one multiplication by the scalar
+    prod (lam - mu)^-1.  The Lagrange products sum to 1 for every b, so the
+    last value's is 1 minus the others.  The certificate prod_mu (b - mu),
+    lam_0's product times b - lam_0, must be zero, or NumericalError names
+    the factor.
     """
-    one = la.identity(b.shape[0])
-    shifted = {mu: la.mat_sub(b, la.scalar_mul(mu, one)) for mu in values}
+    n = b.shape[0]
+    shifted = {mu: la.mat_sub(b, la.scalar_matrix(mu, n)) for mu in values}
     out, certificate = {}, shifted[values[0]]
-    for i, lam in enumerate(values):
+    for i, lam in enumerate(values[:-1]):
         others = [mu for mu in values if mu != lam]
-        if not others:
-            out[lam] = one
-            continue
         prod = reduce(la.mat_mul, (shifted[mu] for mu in others))
         if i == 0:
             certificate = la.mat_mul(certificate, prod)
         denom = reduce(operator.mul, (lam - mu for mu in others))
         out[lam] = la.scalar_mul(denom.inverse(), prod)
+    out[values[-1]] = reduce(la.mat_sub, out.values(), la.identity(n))
     if not la.is_zero_matrix(certificate):
         raise NumericalError(
             f"factor {factor}: prod (b - mu) is not zero over its snapped "
@@ -535,22 +560,34 @@ def _lagrange_idempotents(b, values, factor):
 
 @functools.lru_cache(maxsize=256)
 def _spectral_decompose_exact(x):
-    """Cached on x alone: no step reads epsilon."""
-    if not is_normal(x):
-        raise DomainError("spectral_decompose requires a normal element")
-    # each factor's distinct snapped values, then all, by first appearance
-    local = [list(dict.fromkeys(map(_snap_gaussian,
-                                    np.linalg.eigvals(la.to_numpy(b)))))
-             for b in x.blocks]
-    snapped = dict.fromkeys(z for values in local for z in values)
-    idempotents = [_lagrange_idempotents(b, vals, f)
-                   for f, (b, vals) in enumerate(zip(x.blocks, local))]
-    return SpectralForm.from_pairs(x.algebra, x.amplification, tuple(
-        (lam, Projection._trusted(AlgebraElement._trusted(
-            x.algebra, x.amplification, tuple(
-                idem[lam] if lam in idem else la.zeros(*b.shape)
-                for idem, b in zip(idempotents, x.blocks)))))
-        for lam in snapped))
+    """Cached on x alone: no step reads epsilon.  The certificate and
+    e = e* are the only checks; the form is trusted."""
+    try:
+        # each factor's distinct snapped values, then all, by first appearance
+        local = [list(dict.fromkeys(map(_snap_gaussian,
+                                        np.linalg.eigvals(la.to_numpy(b)))))
+                 for b in x.blocks]
+        idempotents = [_lagrange_idempotents(b, vals, f)
+                       for f, (b, vals) in enumerate(zip(x.blocks, local))]
+    except (NumericalError, ArithmeticError, ValueError):
+        # an uncertified factor, a float overflow or a failed eigensolver:
+        # a non-normal input is named as such whatever stopped it
+        if not is_normal(x):
+            raise DomainError(_NOT_NORMAL) from None
+        raise
+    # certified idempotents are orthogonal and sum to 1: b = sum mu * e_mu
+    # is normal exactly when every e_mu is self-adjoint
+    for idem in idempotents:
+        if any(not la.mat_equal(e, la.conj_transpose(e)) for e in idem.values()):
+            raise DomainError(_NOT_NORMAL)
+    pairs = []  # as from_pairs keeps them: nonzero values and projections
+    for lam in dict.fromkeys(z for values in local for z in values):
+        blocks = tuple(idem[lam] if lam in idem else la.zeros(*b.shape)
+                       for idem, b in zip(idempotents, x.blocks))
+        if not (lam.is_zero() or all(map(la.is_zero_matrix, blocks))):
+            pairs.append((lam, Projection._trusted(AlgebraElement._trusted(
+                x.algebra, x.amplification, blocks))))
+    return SpectralForm._trusted(x.algebra, x.amplification, pairs)
 
 
 def spectral_projection(a: SpectralForm, e: BorelSetModel) -> Projection:

@@ -7,9 +7,9 @@ A differential is its tuple of per-factor blocks, whose shapes the
 complex checks against its modules.  Each structural fact is checked once
 per complex, on first use, and the list of its failures kept: that each d
 respects the ranges and d o d = 0, and that g -> U_g is a representation
-on each module whose generators commute with d.  ``validate_complex``
-returns those lists and where a generator is not unitary; a number that
-needs a fact raises DomainError naming its first failure.
+on each module whose generators commute with d and are unitary.
+``validate_complex`` returns those lists; a number that needs a fact
+raises DomainError naming its first failure.
 
 Every Lefschetz number is read on the chain modules themselves.  A map
 that commutes with d splits the complex into its eigenvalue and isotypic
@@ -244,6 +244,13 @@ def _chain_problems(c: GAComplex) -> list:
     return problems
 
 
+def _generator_unitary_problems(c: GAComplex) -> list:
+    """Where a generator's action fails U_s* U_s = q_j; with the action
+    facts, that decides every U_g (see :func:`_action_problems`)."""
+    return [p for s in c.group.generators
+            for p in _unitary_problems(c, c.action[s], f"action of {s}")]
+
+
 def _action_problems(c: GAComplex) -> list:
     """Where g -> U_g fails to be a representation on a module, or a
     generator's action fails to commute with d.
@@ -276,11 +283,11 @@ class GAComplex:
     maps module i+1 to module i by left multiplication by a matrix over A,
     so it is A-linear; it is kept as that matrix's per-factor blocks,
     factor f's of shape (n_i r_f, n_(i+1) r_f), which the complex checks.
-    ``action[g][j]`` is the unitary of g on module j.  The chain and action
-    problems, the character table, the alternating isotypic multiplicities
-    per irrep table, the refined number per element or tuple of unitaries
-    and, where a refined read needs them, the harmonic projections are
-    made on first use and kept.
+    ``action[g][j]`` is the unitary of g on module j.  The chain, action
+    and generator unitarity problems, the character table, the alternating
+    isotypic multiplicities per irrep table, the refined number per element
+    or tuple of unitaries and, where a refined read needs them, the
+    harmonic projections are made on first use and kept.
     """
 
     algebra: MultiMatrixAlgebra
@@ -324,6 +331,7 @@ class GAComplex:
     # each fact is checked once per complex; an empty list means it holds
     _chain_verdict = functools.cached_property(_chain_problems)
     _action_verdict = functools.cached_property(_action_problems)
+    _unitary_verdict = functools.cached_property(_generator_unitary_problems)
 
     @functools.cached_property
     def harmonic(self) -> list:
@@ -368,9 +376,7 @@ def _require(problems: list):
 def validate_complex(c: GAComplex) -> list:
     """All structural invariants; returns the list of violations: the
     chain and action problems, then where a generator is not unitary."""
-    return c._chain_verdict + c._action_verdict + [
-        p for s in c.group.generators
-        for p in _unitary_problems(c, c.action[s], f"action of {s}")]
+    return c._chain_verdict + c._action_verdict + c._unitary_verdict
 
 
 def _unitary_problems(c: GAComplex, maps, who: str) -> list:
@@ -531,9 +537,9 @@ def _table_read(c: GAComplex, g: int) -> list:
     """Per module, the (eigenvalue, K0 class) pairs of U_g, read from rows
     g^s, s < ord(g), of ``c.characters`` (U_g^s = U_(g^s)).  The table
     proves the complex, the representation and that it commutes with d;
-    unitarity is checked here."""
+    the generators' kept unitarity verdict makes every U_g unitary."""
     table, powers = c.characters, [c.group.identity]
-    _require(_unitary_problems(c, c.action[g], f"action of {g}"))
+    _require(c._unitary_verdict)
     while (x := c.group.mul(powers[-1], g)) != c.group.identity:
         powers.append(x)
     return _fourier_read(la.select_rows(table, powers), c.algebra.num_factors)

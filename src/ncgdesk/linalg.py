@@ -262,6 +262,13 @@ def identity(n: int, exact: bool = True):
     return ExactMatrix(1, np.eye(n, dtype=object)[None], 1)
 
 
+def scalar_matrix(c, n: int) -> ExactMatrix:
+    """The exact scalar c times the n x n identity, written on the diagonal
+    (``scalar_mul`` would multiply every plane of the identity)."""
+    order, coeffs, den = _scalar_coeffs(c)
+    return _make(order, _table(coeffs)[:, None, None] * np.eye(n, dtype=object), den)
+
+
 def to_numpy(a) -> np.ndarray:
     """The entries as a ``complex`` array (a float matrix's own, read-only)."""
     a = _packed(a)

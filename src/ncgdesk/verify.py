@@ -138,6 +138,26 @@ def _realize_support(algebra, values_ranks):
     return SpectralForm.from_pairs(algebra, m, tuple(pairs))
 
 
+def _non_normal(algebra, rng):
+    """u T u*, T upper triangular with distinct diagonal entries and a
+    nonzero entry above them on one factor of size >= 2: diagonalizable,
+    so its spectral certificate holds, but not normal."""
+    m = 1 if max(algebra.block_dims) > 1 else 2
+    dims = algebra.ambient_dims(m)
+    f = rng.choice([i for i, d in enumerate(dims) if d > 1])
+    blocks = []
+    for i, d in enumerate(dims):
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        for s, z in enumerate(random_spectrum(rng, d)):
+            rows[s][s] = z
+        if i == f:
+            s = rng.randrange(d - 1)
+            rows[s][rng.randrange(s + 1, d)] = random_spectrum(rng, 1)[0]
+        blocks.append(rows)
+    u = AlgebraElement(algebra, m, tuple(random_exact_unitary(d, rng) for d in dims))
+    return u * AlgebraElement(algebra, m, tuple(blocks)) * u.star()
+
+
 def battery_th1(seed: int, count: int) -> VerificationReport:
     algebras = _small_algebras() + [MultiMatrixAlgebra((3,))]
 
@@ -195,7 +215,12 @@ def battery_th1(seed: int, count: int) -> VerificationReport:
                                "eigenvalue": str(off)}
         except NumericalError:
             pass
-        return True, None
+        # a diagonalizable element that is not normal is refused
+        try:
+            spectral_decompose(_non_normal(algebra, rng))
+        except DomainError:
+            return True, None
+        return False, {"check": "non-normal element refused"}
 
     return _run("th1", seed, count, one)
 

@@ -332,6 +332,71 @@ class TestBlockLocalIdempotents:
         monkeypatch.undo()
         assert spectral_decompose(x).eigenvalues() == (2, 5)
 
+    @staticmethod
+    def _counted(monkeypatch):
+        """Calls of is_normal and Projection.orthogonal_to, by name."""
+        calls = {"is_normal": 0, "orthogonal_to": 0}
+        normal, orthogonal = algebra.is_normal, Projection.orthogonal_to
+
+        def counted_normal(x):
+            calls["is_normal"] += 1
+            return normal(x)
+
+        def counted_orthogonal(p, q):
+            calls["orthogonal_to"] += 1
+            return orthogonal(p, q)
+
+        ncgdesk.clear_caches()
+        monkeypatch.setattr(algebra, "is_normal", counted_normal)
+        monkeypatch.setattr(Projection, "orthogonal_to", counted_orthogonal)
+        return calls
+
+    def test_diagonalizable_non_normal_fails_self_adjointness(self, monkeypatch):
+        # distinct eigenvalues 1 and 2: the certificate holds, and the
+        # idempotent (b - 2)/(1 - 2) = [[1, -1], [0, 0]] is not self-adjoint
+        one = Fraction(1)
+        x = AlgebraElement(MultiMatrixAlgebra((2,)), 1,
+                           (((one, one), (0 * one, 2 * one)),))
+        calls = self._counted(monkeypatch)
+        with pytest.raises(DomainError,
+                           match="^spectral_decompose requires a normal element$"):
+            spectral_decompose(x)
+        assert calls["is_normal"] == 0
+
+    def test_conjugated_gaussian_triangular_block_is_refused(self):
+        rng = random.Random(12)
+        g = Cyclotomic.gaussian
+        t = AlgebraElement(A, 1, (((g(3, -1),),),
+                                  ((g(1, 1), g(Fraction(2, 3), 5)),
+                                   (g(0, 0), g(-2, Fraction(1, 2))))))
+        u = AlgebraElement(A, 1, tuple(random_exact_unitary(d, rng)
+                                       for d in A.ambient_dims()))
+        x = u * t * u.star()
+        assert not is_normal(x)
+        with pytest.raises(DomainError, match="requires a normal element"):
+            spectral_decompose(x)
+
+    def test_non_normal_beyond_float_range_is_refused(self):
+        # the float eigensolver cannot take the entries; the input is
+        # still named non-normal
+        big, one = Fraction(10 ** 400), Fraction(1)
+        x = AlgebraElement(MultiMatrixAlgebra((2,)), 1,
+                           (((big, big), (0 * one, one)),))
+        with pytest.raises(DomainError, match="requires a normal element"):
+            spectral_decompose(x)
+
+    def test_normality_is_tested_only_on_a_failed_certificate(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        x = AlgebraElement.diagonal(
+            A, [[Fraction(2)], [Fraction(2), Cyclotomic.gaussian(1, 5)]])
+        assert spectral_decompose(x).element().equals(x)
+        assert calls == {"is_normal": 0, "orthogonal_to": 0}
+        one = Fraction(1)
+        with pytest.raises(NumericalError, match="factor 0"):  # +-sqrt 2
+            spectral_decompose(AlgebraElement(MultiMatrixAlgebra((2,)), 1,
+                                              (((one, one), (one, -one)),)))
+        assert calls == {"is_normal": 1, "orthogonal_to": 0}
+
     @pytest.mark.parametrize("decompose, checks", [(spectral_decompose, 0),
                                                    (_global_lagrange_decompose, 4)])
     def test_each_projection_checked_once(self, monkeypatch, decompose, checks):

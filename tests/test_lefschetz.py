@@ -329,6 +329,9 @@ class TestComplexes:
         assert lefschetz_first(c, 1, table).coeffs == (0,)
         with pytest.raises(DomainError, match="of 1 is not unitary on module 0"):
             generalized_lefschetz(c, c.unitary(1))
+        # the verdict is on the generators, so every row g raises, e too
+        with pytest.raises(DomainError, match="of 1 is not unitary on module 0"):
+            generalized_lefschetz(c, c.unitary(0))
 
     def test_non_unitary_equivariant_representation_has_homology_multiplicities(self):
         # 0 -> C^2 -> C -> 0 with d0 = (2 1) and Z/2 acting by the
@@ -661,7 +664,8 @@ class TestOneDecomposition:
     def test_each_fact_checked_once(self, monkeypatch):
         # a JSON load, then L1 and the refined number at g = 1 of a
         # length-3 S3 complex over C+M2: the representation check takes
-        # each product U_s U_g once, and the whole path 48 products
+        # each product U_s U_g once, and the whole path 45 products (the
+        # table read reuses the generators' unitarity verdict)
         table = IrrepTable.symmetric_3()
         doc = serialize.complex_to_json(random_ga_complex(
             MultiMatrixAlgebra((1, 2)), table, random.Random(5), length=3))
@@ -676,7 +680,7 @@ class TestOneDecomposition:
                          if id(a) in entries and id(b) in entries)
         assert len(checks) == len(c.group.generators) * c.group.order * c.length
         assert set(checks.values()) == {1}
-        assert len(products) <= 48
+        assert len(products) <= 45
 
     def test_group_elements_read_from_the_table(self, monkeypatch):
         def fail(*args):
@@ -713,6 +717,9 @@ class TestOneDecomposition:
         monkeypatch.setattr(lefschetz, "_unitary_problems",
                             lambda *args: calls.append(1) or real(*args))
         assert validate_complex(c) == []
+        # the table read at every g reuses the generators' verdict
+        for g in table.group.elements():
+            generalized_lefschetz(c, c.unitary(g))
         assert len(calls) == len(table.group.generators) == 2
 
     def test_endomorphism_checks_shared_with_validation(self):

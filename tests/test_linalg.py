@@ -23,6 +23,14 @@ def test_mat_mul_identity():
     assert la.mat_equal(la.mat_mul(m, la.identity(2)), m)
 
 
+@pytest.mark.parametrize("c", [0, 3, Fraction(-5, 6),
+                               Cyclotomic.gaussian(1, Fraction(2, 3)),
+                               Cyclotomic.root_of_unity(3, 1)])
+def test_scalar_matrix_is_the_scaled_identity(c):
+    for n in (1, 3):
+        assert la.scalar_matrix(c, n) == la.scalar_mul(c, la.identity(n))
+
+
 def test_block_diag_shapes():
     a = la.as_matrix([[1]])
     b = la.as_matrix([[2, 0], [0, 2]])

@@ -99,6 +99,10 @@ MUTANTS = {
         "if False]"),
     "identity check dropped": ("lefschetz.py", "if not u.equals(q.element)]",
                                "if False]"),
+    "self-adjoint idempotent test dropped": (
+        "algebra.py",
+        "if any(not la.mat_equal(e, la.conj_transpose(e)) for e in idem.values()):",
+        "if False:"),
     "d o d check dropped": ("lefschetz.py", "if not all(map(la.is_zero_matrix, "
                             "compose(c.diffs[i], c.diffs[i + 1]))):",
                             "if False:"),
