@@ -497,11 +497,12 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
     element the certificate fails, raising NumericalError, exactly where
     p = p* = p^2 on every candidate and sum lam * p = x would.  Only a
     failed certificate tests normality (two products per factor), so a
-    non-normal element raises DomainError on either route.  Epsilon
-    decides float comparisons only, so no exact decomposition depends on
-    it.  Float elements go through Hermitian eigensolvers with 2*eps
-    eigenvalue clustering; eigenvalues that chain into a cluster wider than
-    2*eps raise NumericalError.
+    non-normal element raises DomainError on either route.  A normal one
+    whose float candidates cannot be computed (entries beyond float range)
+    raises NumericalError.  Epsilon decides float comparisons only, so no
+    exact decomposition depends on it.  Float elements go through Hermitian
+    eigensolvers with 2*eps eigenvalue clustering; eigenvalues that chain
+    into a cluster wider than 2*eps raise NumericalError.
 
     An exact input equal to one decomposed before returns the form built
     and checked then (at most 256 are kept); an input that raised raises
@@ -569,12 +570,15 @@ def _spectral_decompose_exact(x):
                  for b in x.blocks]
         idempotents = [_lagrange_idempotents(b, vals, f)
                        for f, (b, vals) in enumerate(zip(x.blocks, local))]
-    except (NumericalError, ArithmeticError, ValueError):
+    except (NumericalError, ArithmeticError, ValueError) as exc:
         # an uncertified factor, a float overflow or a failed eigensolver:
         # a non-normal input is named as such whatever stopped it
         if not is_normal(x):
             raise DomainError(_NOT_NORMAL) from None
-        raise
+        if isinstance(exc, NumericalError):
+            raise
+        raise NumericalError("eigenvalue candidates cannot be computed in "
+                             f"floating point ({type(exc).__name__})") from None
     # certified idempotents are orthogonal and sum to 1: b = sum mu * e_mu
     # is normal exactly when every e_mu is self-adjoint
     for idem in idempotents:

@@ -3,8 +3,9 @@
 The extension T is computed two ways: directly from the spectral form, and
 as the limit over refining dyadic square covers of the spectrum, which is
 the class of the first cover whose cells each isolate one spectral point
-(every finer cover has the same cells and tags).  Both must agree, and the
-mixed-tensor obstruction eta is checked to vanish.
+(every finer cover has the same cells and tags), found on integer cell
+keys floor(x * 2^n).  Both must agree, and the mixed-tensor obstruction
+eta is checked to vanish.
 
 Classes are read by the trace cocycles of :mod:`ncgdesk.cyclic`, building
 no homology space and no matrix-unit tensor: sum of c * p x ... x p stays
@@ -12,6 +13,7 @@ a ``DecompositionRep``, phi_f of a summand is tr_f(p^(2l+1)), and its
 cycle check sees b(p^(2l+1)) = p^(2l) die in odd degree since p^2 = p.
 The obstruction eta = (sum p_j)^(2l+1) - sum p_j^(2l+1) is such a sum,
 with coefficients 1, -1, ..., -1; only its witness route expands it.
+Each distinct set of terms is read once, and charged on every call.
 The generalized character needs no tensor: rank vector r has phi_f = r_f.
 """
 
@@ -27,7 +29,7 @@ from .cyclic import (DecompositionRep, HCClass, TensorElement, charge_read,
                      hc_class, is_boundary, read_class, zero_class)
 from .errors import DomainError, NumericalError, ValidationError
 from .ngroup import N0Class, h_map
-from .scalars import Cyclotomic, sort_key
+from .scalars import Cyclotomic, get_epsilon, sort_key
 
 
 def _degree(l: int) -> int:
@@ -39,13 +41,22 @@ def _degree(l: int) -> int:
 def _power_class(algebra: MultiMatrixAlgebra, terms, l: int,
                  exact: bool = True) -> HCClass:
     """Class in HC_2l(A) of sum c * Tr(p^tensor(2l+1)) over (c, p) in terms,
-    read from the factored tensor, charged before its 2l+1 factors exist."""
+    read from the factored tensor, charged before its 2l+1 factors exist,
+    hit or miss.  The read is keyed by the coefficients' types too (1 and
+    1.0 are equal keys, yet a float one reads a float class) and epsilon
+    (a float cycle check reads it)."""
     n = _degree(l)
     if not terms:
         return zero_class(algebra, n, exact)
     charge_read(algebra, terms[0][1].amplification, n, len(terms))
+    return _read_terms(tuple(terms), tuple(type(c) for c, _ in terms), l,
+                       get_epsilon())
+
+
+@functools.lru_cache(maxsize=256)
+def _read_terms(terms: tuple, types: tuple, l: int, epsilon) -> HCClass:
     return hc_class(DecompositionRep(
-        tuple((p.element,) * (n + 1) for _, p in terms),
+        tuple((p.element,) * (2 * l + 1) for _, p in terms),
         tuple(c for c, _ in terms)))
 
 
@@ -88,23 +99,29 @@ def _real_imag(z):
     return c.real, c.imag
 
 
-def _split_spectrum(spectrum):
-    """(z, re, im) per point, ordered by ``sort_key``: the part of a cover
-    that does not depend on its level."""
+def _split_spectrum(spectrum, policy: str):
+    """(z, re, im) per point, ordered by ``sort_key``, once the tag policy
+    is checked: the part of a cover that does not depend on its level."""
+    if policy not in ("smallest", "largest"):
+        raise ValidationError(f"unknown tag policy {policy!r}")
     return sorted(((z,) + _real_imag(z) for z in spectrum),
                   key=lambda point: sort_key(point[0]))
 
 
+def _cell_key(re, im, level: int) -> tuple:
+    """The level-n cell (floor(re * 2^n), floor(im * 2^n)), in integers for
+    a Fraction: (num << n) // den is floor(num / den * 2^n)."""
+    return tuple((x.numerator << level) // x.denominator
+                 if isinstance(x, Fraction) else math.floor(x * 2 ** level)
+                 for x in (re, im))
+
+
 def _cover_cells(points, level: int, policy: str):
     """Level-n cells of split points; each cell keeps the sort order."""
-    if policy not in ("smallest", "largest"):
-        raise ValidationError(f"unknown tag policy {policy!r}")
-    scale = 2 ** level
     buckets = {}
     for z, re, im in points:
-        buckets.setdefault((math.floor(re * scale), math.floor(im * scale)),
-                           []).append(z)
-    side = Fraction(1, scale)
+        buckets.setdefault(_cell_key(re, im, level), []).append(z)
+    side = Fraction(1, 2 ** level)
     return [CoverCell(level, (i * side, j * side), tuple(pts),
                       pts[0] if policy == "smallest" else pts[-1])
             for (i, j), pts in sorted(buckets.items())]
@@ -114,7 +131,7 @@ def dyadic_cover(spectrum, level: int, policy: str = "smallest"):
     """Level-n dyadic squares meeting the spectrum, each with a tag point."""
     if level < 0:
         raise ValidationError("cover level must be >= 0")
-    return _cover_cells(_split_spectrum(spectrum), level, policy)
+    return _cover_cells(_split_spectrum(spectrum, policy), level, policy)
 
 
 def _merge_cells(a: SpectralForm, cover):
@@ -208,18 +225,20 @@ def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
     cells.  Once each cell holds one point, its tag is that point and its
     merged projection is that point's eigenprojection, and every finer
     cover has the same cells and tags: the first separated cover's class
-    is the limit, so it is the one class read (and charged).  ``policy``
-    picks tags only on the coarser covers, which are never read.
+    is the limit.  Depths compare integer cell keys, and only that cover
+    is built; its terms are the form's pairs, so its read is the one
+    T_direct memoized (charged again).  Its tags ignore ``policy``.
     """
     if max_depth < 0:
         raise ValidationError("cover depth must be >= 0")
     spectrum = a.eigenvalues()
     if not spectrum:
         return T_direct(a, l)
-    points = _split_spectrum(spectrum)
+    points = _split_spectrum(spectrum, policy)
     for depth in range(max_depth + 1):
-        cover = _cover_cells(points, depth, policy)
-        if all(len(cell.points) == 1 for cell in cover):
+        keys = {_cell_key(re, im, depth) for _, re, im in points}
+        if len(keys) == len(points):
+            cover = _cover_cells(points, depth, policy)
             return _power_class(a.algebra, _merge_cells(a, cover), l)
     raise NumericalError(
         f"cover refinement did not separate the spectrum by depth {max_depth}")

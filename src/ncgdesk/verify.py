@@ -23,6 +23,7 @@ from .algebra import (
     check_hom_spectral_commute,
     spectral_decompose,
 )
+from .budget import check_budget
 from .chern import T_cover, T_direct, dyadic_cover, verify_eta_vanishes, \
     verify_th7, verify_th8
 from .cyclic import (DecompositionRep, TensorElement, _all_units, cc_reduce,
@@ -80,10 +81,12 @@ def _small_algebras():
 
 
 def _run(theorem, seed, count, one, rejected=()):
-    """``count`` instances of ``one``; then each (name, call) in
-    ``rejected`` must raise DomainError, else a failure is recorded."""
+    """``count`` instances of ``one``, charged to the budget before the
+    first; then each (name, call) in ``rejected`` must raise DomainError,
+    else a failure is recorded."""
     if count < 1:
         raise ValidationError(f"battery count must be >= 1, not {count}")
+    check_budget(count, "battery instances")
     rng = random.Random(seed)
     report = VerificationReport(theorem, count, 0)
     for i in range(count):

@@ -385,6 +385,13 @@ class TestBlockLocalIdempotents:
         with pytest.raises(DomainError, match="requires a normal element"):
             spectral_decompose(x)
 
+    def test_normal_beyond_float_range_is_a_numerical_error(self):
+        x = AlgebraElement.diagonal(MultiMatrixAlgebra((2,)),
+                                    [[Fraction(10 ** 400), Fraction(1)]])
+        with pytest.raises(NumericalError, match="^eigenvalue candidates "
+                           "cannot be computed in floating point"):
+            spectral_decompose(x)
+
     def test_normality_is_tested_only_on_a_failed_certificate(self, monkeypatch):
         calls = self._counted(monkeypatch)
         x = AlgebraElement.diagonal(

@@ -1,9 +1,10 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncgdesk import linalg as la
 from ncgdesk.algebra import (AlgebraElement, MultiMatrixAlgebra, Projection,
@@ -36,7 +37,7 @@ from ncgdesk.generate import (
     random_spectrum,
 )
 from ncgdesk.ngroup import K0Class, N0Class
-from ncgdesk.scalars import Cyclotomic
+from ncgdesk.scalars import Cyclotomic, get_epsilon, set_epsilon
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -220,6 +221,107 @@ class TestCoverReads:
         a = random_normal(M2, random.Random(3))
         with pytest.raises(ValidationError, match="cover depth must be >= 0"):
             T_cover(a, 0, max_depth=-1)
+
+
+def near_gap_form():
+    from ncgdesk.algebra import spectral_decompose
+    return spectral_decompose(AlgebraElement.diagonal(
+        M2, [[Fraction(1), Fraction(1) + Fraction(1, 512)]]))
+
+
+class TestSharedRead:
+    def test_direct_and_both_covers_read_once(self, monkeypatch):
+        reads = []
+        hc_class = chern.hc_class
+        monkeypatch.setattr(chern, "hc_class",
+                            lambda rep: reads.append(1) or hc_class(rep))
+        for a in (near_gap_form(), random_normal(CM2, random.Random(5))):
+            chern._read_terms.cache_clear()
+            reads.clear()
+            direct = T_direct(a, 1)
+            for policy in ("smallest", "largest"):
+                assert T_cover(a, 1, policy=policy) == direct
+            assert len(reads) == 1
+
+    def test_a_hit_is_charged(self):
+        a = near_gap_form()
+        T_direct(a, 1)
+        set_budget(1)
+        try:
+            with pytest.raises(ResourceError, match="letters read"):
+                T_cover(a, 1)
+        finally:
+            set_budget(100_000)
+
+    def test_epsilon_keys_the_read(self):
+        a = to_float(random_normal(CM2, random.Random(6)))
+        before = get_epsilon()
+        try:
+            T_direct(a, 1)
+            set_epsilon(1e-7)
+            misses = chern._read_terms.cache_info().misses
+            warm = T_cover(a, 1)
+            assert chern._read_terms.cache_info().misses == misses + 1
+            chern._read_terms.cache_clear()
+            assert warm == T_cover(a, 1)
+        finally:
+            set_epsilon(before)
+
+    def test_a_float_coefficient_reads_apart(self):
+        p = Projection.diagonal_unit(A, 0)
+        floated = T_direct(SpectralForm.scaled_projection(1.0, p), 0)
+        assert floated.coords == (1 + 0j, 0j)
+        exact = chern_projection(p, 0)
+        assert [type(c) for c in exact.coords] == [Fraction, Fraction]
+
+
+def spectral_values():
+    """One to three distinct nonzero values: Fractions of both signs,
+    Gaussian rationals or floats, or a pair 2^-j apart, j <= 14."""
+    fractions = st.fractions(-2, 2, max_denominator=10 ** 9)
+    kinds = st.sampled_from([
+        fractions, st.builds(Cyclotomic.gaussian, fractions, fractions),
+        st.floats(-2, 2, allow_nan=False)])
+    twins = st.builds(lambda v, j: [v, v + Fraction(1, 2 ** j)],
+                      fractions, st.integers(0, 14))
+    return st.one_of(kinds.flatmap(lambda values: st.lists(
+        values, min_size=1, max_size=3, unique=True)), twins).filter(all)
+
+
+class TestCellKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.fractions(max_denominator=10 ** 9),
+                     st.floats(-1e6, 1e6, allow_nan=False)),
+           st.fractions(max_denominator=10 ** 9), st.integers(0, 12))
+    def test_key_is_the_floor(self, re, im, level):
+        assert chern._cell_key(re, im, level) \
+            == (math.floor(re * 2 ** level), math.floor(im * 2 ** level))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectral_values())
+    def test_read_depth_is_the_first_separating_depth(self, values):
+        three = MultiMatrixAlgebra((1, 1, 1))
+        try:
+            a = SpectralForm.from_pairs(three, 1, tuple(
+                (v, Projection.diagonal_unit(three, i))
+                for i, v in enumerate(values)))
+        except ValidationError:  # float values within 2 epsilon
+            assume(False)
+        spectrum = a.eigenvalues()
+        assume(len(spectrum) == len(values))  # a float within epsilon of 0
+        depth = next((d for d in range(13) if all(
+            len(cell.points) == 1 for cell in dyadic_cover(spectrum, d))), None)
+        read = []
+        cover_cells = chern._cover_cells
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chern, "_cover_cells", lambda points, level, policy:
+                       read.append(level) or cover_cells(points, level, policy))
+            if depth is None:
+                with pytest.raises(NumericalError):
+                    T_cover(a, 0)
+            else:
+                assert T_cover(a, 0) == T_direct(a, 0)
+        assert read == ([] if depth is None else [depth])
 
 
 class TestUnitClassCache:

@@ -58,6 +58,29 @@ def test_an_internal_fault_is_a_failure_record(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_battery_count_is_charged_before_the_first_instance():
+    from ncgdesk.budget import set_budget
+    from ncgdesk.errors import ResourceError
+    from ncgdesk.verify import _run
+
+    ran = []
+
+    def one(rng):
+        ran.append(1)
+        return True, None
+
+    with pytest.raises(ResourceError, match="^battery instances: 100001, "
+                       "budget is 100000$"):
+        _run("th1", 0, 100_001, one)
+    assert ran == []
+    set_budget(100_001)
+    try:
+        assert _run("th1", 0, 100_001, one).ok
+    finally:
+        set_budget(100_000)
+    assert len(ran) == 100_001
+
+
 # One-line faults as (file under src/ncgdesk, old text, new text): each must
 # make at least one battery fail at seed 7, count 25.
 MUTANTS = {
