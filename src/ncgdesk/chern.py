@@ -87,40 +87,40 @@ class CoverCell:
 
 
 def _real_imag(z):
-    """(re, im) as Fractions when available, floats otherwise."""
-    if isinstance(z, Cyclotomic):
-        if z.is_gaussian():
-            return z.gaussian_parts()
-        c = complex(z)
-        return c.real, c.imag
+    """(re, im, den): an exact Gaussian point's integer numerators over its
+    denominator, else float parts and den None."""
     if isinstance(z, Fraction):
-        return z, Fraction(0)
+        return z.numerator, 0, z.denominator
+    if isinstance(z, Cyclotomic) and z.is_gaussian():
+        re, im = (*z.nums, 0)[:2]
+        return re, im, z.den
     c = complex(z)
-    return c.real, c.imag
+    return c.real, c.imag, None
 
 
 def _split_spectrum(spectrum, policy: str):
-    """(z, re, im) per point, ordered by ``sort_key``, once the tag policy
-    is checked: the part of a cover that does not depend on its level."""
+    """(z, re, im, den) per point, ordered by ``sort_key``, once the tag
+    policy is checked: the part of a cover that does not depend on its
+    level."""
     if policy not in ("smallest", "largest"):
         raise ValidationError(f"unknown tag policy {policy!r}")
     return sorted(((z,) + _real_imag(z) for z in spectrum),
                   key=lambda point: sort_key(point[0]))
 
 
-def _cell_key(re, im, level: int) -> tuple:
-    """The level-n cell (floor(re * 2^n), floor(im * 2^n)), in integers for
-    a Fraction: (num << n) // den is floor(num / den * 2^n)."""
-    return tuple((x.numerator << level) // x.denominator
-                 if isinstance(x, Fraction) else math.floor(x * 2 ** level)
-                 for x in (re, im))
+def _cell_key(re, im, level: int, den=None) -> tuple:
+    """The level-n cell (floor(re * 2^n), floor(im * 2^n)); for integer
+    numerators over ``den``, (num << n) // den is floor(num / den * 2^n)."""
+    if den is None:
+        return math.floor(re * 2 ** level), math.floor(im * 2 ** level)
+    return (re << level) // den, (im << level) // den
 
 
 def _cover_cells(points, level: int, policy: str):
     """Level-n cells of split points; each cell keeps the sort order."""
     buckets = {}
-    for z, re, im in points:
-        buckets.setdefault(_cell_key(re, im, level), []).append(z)
+    for z, re, im, den in points:
+        buckets.setdefault(_cell_key(re, im, level, den), []).append(z)
     side = Fraction(1, 2 ** level)
     return [CoverCell(level, (i * side, j * side), tuple(pts),
                       pts[0] if policy == "smallest" else pts[-1])
@@ -236,7 +236,7 @@ def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
         return T_direct(a, l)
     points = _split_spectrum(spectrum, policy)
     for depth in range(max_depth + 1):
-        keys = {_cell_key(re, im, depth) for _, re, im in points}
+        keys = {_cell_key(re, im, depth, den) for _, re, im, den in points}
         if len(keys) == len(points):
             cover = _cover_cells(points, depth, policy)
             return _power_class(a.algebra, _merge_cells(a, cover), l)

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import ValidationError
 from .scalars import (
     Cyclotomic,
+    _cyclotomic,
     _fold,
     _galois,
     _mul_table,
@@ -158,17 +159,17 @@ def _common(mats):
 
 def _scalar_coeffs(x):
     """(order, integer coefficients, denominator) of an exact scalar."""
-    if not isinstance(x, Cyclotomic):  # an int or a Fraction, in lowest terms
-        return 1, [x.numerator], x.denominator
-    den = math.lcm(*(c.denominator for c in x.coeffs))
-    return x.order, [c.numerator * (den // c.denominator) for c in x.coeffs], den
+    if isinstance(x, Cyclotomic):
+        return x.order, x.nums, x.den
+    return 1, (x.numerator,), x.denominator  # an int or a Fraction
 
 
 def _scalar(order: int, coeffs, den: int):
-    """The scalar sum_k coeffs[k] zeta_order^k / den."""
+    """The scalar sum_k coeffs[k] zeta_order^k / den: a Fraction when it is
+    rational, else a Cyclotomic."""
     if not any(coeffs[1:]):
         return Fraction(coeffs[0], den)
-    return Cyclotomic._from_planes(order, _table(coeffs), den)
+    return _cyclotomic(order, coeffs, den)
 
 
 def _pack(cells: dict, r: int, c: int, scale: int = 1) -> ExactMatrix:

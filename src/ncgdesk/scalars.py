@@ -16,15 +16,16 @@ Two kinds of scalars flow through the package:
   eps * max(1, ||m||_2).
 
 Plain ``int`` / ``Fraction`` values interoperate with :class:`Cyclotomic`
-through the usual arithmetic operators, so exact matrices may freely store
-rationals without wrapping.
+through the usual arithmetic operators, which read them as (numerator,
+denominator) pairs, so exact matrices may freely store rationals unwrapped.
 
 This module is also the one implementation of the field Q(zeta_n): the
 integer tables of x^k mod Phi_n, products, Galois automorphisms and
 promotion to a larger field, and :func:`minimal_field`, which puts a stack
-of integer numerator planes over one denominator into canonical form.
-:class:`Cyclotomic` is the case of one scalar per plane;
-:mod:`ncgdesk.linalg` stores whole matrices the same way.
+of integer numerator planes over one denominator into canonical form.  A
+:class:`Cyclotomic` is the one-plane case, a tuple of Python-int numerators
+over one int whose arithmetic needs no numpy; :mod:`ncgdesk.linalg` stores
+whole matrices as numpy planes.
 
 It also holds the one exact eliminator, :func:`eliminate`, behind the
 subfield tables, :mod:`ncgdesk.linalg` and :mod:`ncgdesk.cyclic`.  It keeps
@@ -38,7 +39,8 @@ import heapq
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -142,7 +144,7 @@ def _promotion(n: int, big: int) -> np.ndarray:
 def _subfields(n: int):
     """Test data for each proper subfield Q(zeta_d), smallest d first.
 
-    With E the embedding of Q(zeta_d) and ``inv`` = scale * (E[rows])^-1
+    With E = _promotion(d, n) and ``inv`` = scale * (E[rows])^-1
     for some invertible square row selection, a plane stack v lies in
     Q(zeta_d) iff E @ inv @ v[rows] == scale * v, and inv @ v[rows] / scale
     are then its coordinates there.
@@ -159,8 +161,7 @@ def _subfields(n: int):
         combos = [tags(red.reduce({j: 1})) for j in range(embed.shape[1])]
         inv = [[-combo.get(t, 0) for t in rows] for combo in combos]
         scale = math.lcm(*(x.denominator for row in inv for x in row))
-        inv = _table([[int(x * scale) for x in row] for row in inv])
-        out.append((d, rows, inv, embed, scale))
+        out.append((d, rows, [[int(x * scale) for x in row] for row in inv], scale))
     return tuple(out)
 
 
@@ -178,9 +179,9 @@ def minimal_field(order: int, nums: np.ndarray, den: int):
         return 1, nums, den
     if not np.count_nonzero(nums[1:]):
         return 1, nums[:1], den
-    for d, rows, inv, embed, scale in _subfields(order):
-        coords = _fold(inv, nums[rows])
-        if (_fold(embed, coords) == nums * scale).all():
+    for d, rows, inv, scale in _subfields(order):
+        coords = _fold(_table(inv), nums[rows])
+        if (_fold(_promotion(d, order), coords) == nums * scale).all():
             den *= scale
             g = math.gcd(den, *coords.flat)
             return d, coords // g, den // g
@@ -188,27 +189,22 @@ def minimal_field(order: int, nums: np.ndarray, den: int):
 
 
 class Cyclotomic:
-    """Exact element of Q(zeta_n), normalized to its minimal cyclotomic field.
+    """Exact element sum_k nums[k] zeta^k / den of Q(zeta_order): phi(order)
+    Python ints over a positive int, in the canonical form
+    :func:`minimal_field` gives a matrix (lowest terms, least order), so
+    ``order == 1`` is a rational and ``order == 4`` a non-real Gaussian one.
+    Arithmetic runs on the ints with the field tables and one gcd per
+    result, reading ``int`` and ``Fraction`` operands as (numerator,
+    denominator).  Values are immutable and hashable."""
 
-    ``order == 1`` means a plain rational; ``order == 4`` covers the Gaussian
-    rationals.  Values are immutable and hashable.
-    """
+    __slots__ = ("order", "nums", "den")
 
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs, _normalized=False):
-        if not _normalized:
-            coeffs = [Fraction(c) for c in coeffs]
-            den = math.lcm(1, *(c.denominator for c in coeffs))
-            nums = [0] * _phi(order)
-            for k, c in enumerate(coeffs):
-                c = c.numerator * (den // c.denominator)
-                for t, p in enumerate(_powers(order)[k % order]):
-                    nums[t] += c * p
-            value = Cyclotomic._from_planes(order, _table(nums), den)
-            order, coeffs = value.order, value.coeffs
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __new__(cls, order, coeffs):
+        """The element sum_k coeffs[k] zeta_order^k, for any exact coefficients."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(1, *(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return _cyclotomic(order, _spread(nums, 1, order), den)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Cyclotomic is immutable")
@@ -216,156 +212,81 @@ class Cyclotomic:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def from_rational(q) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(q),), _normalized=True)
+        return Cyclotomic(1, (q,))
 
     @staticmethod
     def gaussian(re, im) -> "Cyclotomic":
         re, im = Fraction(re), Fraction(im)
-        if not im:
-            return Cyclotomic.from_rational(re)
-        return Cyclotomic(4, (re, im), _normalized=True)  # no field between Q and Q(i)
+        den = math.lcm(re.denominator, im.denominator)
+        return _cyclotomic(4, [re.numerator * (den // re.denominator),
+                               im.numerator * (den // im.denominator)], den)
 
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> "Cyclotomic":
         return Cyclotomic(n, [0] * (k % n) + [1])
 
-    @staticmethod
-    def _from_planes(order, nums, den) -> "Cyclotomic":
-        """The scalar sum_k nums[k] zeta_order^k / den."""
-        order, nums, den = minimal_field(order, nums, den)
-        coeffs = tuple(Fraction(x, den) for x in nums)
-        return Cyclotomic(order, coeffs, _normalized=True)
-
     # -- ring/field structure ----------------------------------------------
-    def _planes(self, n):
-        """(integer numerators at order n, denominator); self.order | n."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        nums = _table([c.numerator * (den // c.denominator) for c in self.coeffs])
-        if n != self.order:
-            nums = _fold(_promotion(self.order, n), nums)
-        return nums, den
-
     def _sigma(self, k: int) -> "Cyclotomic":
-        """The Galois conjugate zeta -> zeta^k, gcd(k, order) = 1."""
-        nums, den = self._planes(self.order)
-        n = self.order
-        return Cyclotomic._from_planes(n, _fold(_galois(n, k), nums), den)
+        """zeta -> zeta^k, gcd(k, order) = 1, which keeps the canonical form."""
+        return _new(self.order, _spread(self.nums, k, self.order), self.den)
 
+    # x + 0, x - 0, x * 1 and x * 0 build nothing: accumulators start at 0,
+    # and ranks multiply by 0 or 1
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Cyclotomic(1, (self.coeffs[0] + other.coeffs[0],), _normalized=True)
-        if self.order == 4 and other.order == 4:
-            re = self.coeffs[0] + other.coeffs[0]
-            im = self.coeffs[1] + other.coeffs[1]
-            if not im:
-                return Cyclotomic(1, (re,), _normalized=True)
-            return Cyclotomic(4, (re, im), _normalized=True)
-        if {self.order, other.order} == {1, 4}:
-            g, q = (self, other) if self.order == 4 else (other, self)
-            return Cyclotomic(4, (g.coeffs[0] + q.coeffs[0], g.coeffs[1]),
-                              _normalized=True)
-        n = math.lcm(self.order, other.order)
-        (a, da), (b, db) = self._planes(n), other._planes(n)
-        return Cyclotomic._from_planes(n, a * db + b * da, da * db)
+        b = _operand(other)
+        if b is None or b[1] == (0,):
+            return self if b else NotImplemented
+        return _add(self.order, self.nums, self.den, *b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.coeffs), _normalized=True)
+        return _new(self.order, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other if _operand(other) else NotImplemented
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Cyclotomic(1, (self.coeffs[0] * other.coeffs[0],), _normalized=True)
-        if self.order == 1:
-            q = self.coeffs[0]
-            return Cyclotomic(other.order, tuple(q * c for c in other.coeffs),
-                              _normalized=True) if q else _ZERO
-        if other.order == 1:
-            q = other.coeffs[0]
-            return Cyclotomic(self.order, tuple(q * c for c in self.coeffs),
-                              _normalized=True) if q else _ZERO
-        if self.order == 4 and other.order == 4:
-            a, b = self.coeffs
-            c, d = other.coeffs
-            re, im = a * c - b * d, a * d + b * c
-            if not im:
-                return Cyclotomic(1, (re,), _normalized=True)
-            return Cyclotomic(4, (re, im), _normalized=True)
-        n = math.lcm(self.order, other.order)
-        (a, da), (b, db) = self._planes(n), other._planes(n)
-        prod = np.multiply.outer(a, b).reshape(-1)
-        return Cyclotomic._from_planes(n, _fold(_mul_table(n), prod), da * db)
+        b = _operand(other)
+        if b is None or b[1] == (0,):
+            return _ZERO if b else NotImplemented
+        if b[1:] == ((1,), 1):
+            return self
+        return _mul(self.order, self.nums, self.den, *b)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
-        if self.order == 1:
-            return Cyclotomic(1, (1 / self.coeffs[0],), _normalized=True)
-        if self.order == 4:  # conj(z) / |z|^2
-            re, im = self.coeffs
-            norm = re * re + im * im
-            return Cyclotomic(4, (re / norm, -im / norm), _normalized=True)
-        # self times the product of its other Galois conjugates is its norm
-        n = self.order
-        rest = reduce(operator.mul, (
-            self._sigma(k) for k in range(2, n) if math.gcd(k, n) == 1))
-        return rest * (1 / (self * rest).rational_value())
+        return _cyclotomic(*_reciprocal(self.order, self.nums, self.den))
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        b = _operand(other)
+        return self * _cyclotomic(*_reciprocal(*b)) if b else NotImplemented
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        b = _operand(other)
+        return _mul(*b, *_reciprocal(*_operand(self))) if b else NotImplemented
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = _ONE
-        base = self
+        out, base, k = _ONE, self if k >= 0 else self.inverse(), abs(k)
         while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+            out, base, k = out * base if k & 1 else out, base * base, k >> 1
         return out
 
     def conjugate(self) -> "Cyclotomic":
-        if self.order <= 2:
-            return self
-        if self.order == 4:
-            return Cyclotomic(4, (self.coeffs[0], -self.coeffs[1]),
-                              _normalized=True)
         return self._sigma(self.order - 1)
 
     # -- predicates / views -------------------------------------------------
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of 1, zeta, ..., as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
     def is_zero(self) -> bool:
-        return self.order == 1 and not self.coeffs[0]
+        return self.order == 1 and not self.nums[0]
 
     def is_rational(self) -> bool:
         return self.order == 1
@@ -373,56 +294,137 @@ class Cyclotomic:
     def rational_value(self) -> Fraction:
         if self.order != 1:
             raise ValueError("not a rational scalar")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_gaussian(self) -> bool:
         return self.order in (1, 2, 4)
 
     def gaussian_parts(self):
         """(re, im) as Fractions; only valid for Gaussian rationals."""
-        if self.order == 1:
-            return self.coeffs[0], Fraction(0)
-        if self.order == 4:
-            return self.coeffs[0], self.coeffs[1]
-        raise ValueError("scalar is not a Gaussian rational")
+        if not self.is_gaussian():
+            raise ValueError("scalar is not a Gaussian rational")
+        return (*self.coeffs, Fraction(0))[:2]
 
     def __complex__(self):
+        # each term is an int true division, rounded as float(Fraction) is
         z = cmath.exp(2j * math.pi / self.order)
-        acc = 0j
-        p = 1 + 0j
-        for c in self.coeffs:
-            acc += float(c) * p
+        acc, p = 0j, 1 + 0j
+        for x in self.nums:
+            acc += x / self.den * p
             p *= z
         return acc
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        b = _operand(other)
+        return (self.order, self.nums, self.den) == b if b else NotImplemented
 
     def __hash__(self):
         # a rational hashes as the Fraction it equals
-        return hash(self.coeffs[0]) if self.order == 1 else \
-            hash((self.order, self.coeffs))
+        return hash(self.rational_value()) if self.order == 1 else \
+            hash((self.order, self.nums, self.den))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
-        if self.order == 1:
-            return f"Cyc({self.coeffs[0]})"
-        if self.order == 4:
-            return f"Cyc({self.coeffs[0]}+{self.coeffs[1]}i)"
-        return f"Cyc(order={self.order}, coeffs={self.coeffs})"
+        if self.order not in (1, 4):
+            return f"Cyc(order={self.order}, coeffs={self.coeffs})"
+        # the strings of the Gaussian parts' Fractions, written from the ints
+        parts = [f"{x // g}" if g == self.den else f"{x // g}/{self.den // g}"
+                 for x in self.nums for g in [math.gcd(x, self.den)]]
+        return f"Cyc({'+'.join(parts)}{'i' * (self.order == 4)})"
 
 
-def _coerce(x):
+# the slots' own setters, past the immutability guard
+_set_order, _set_nums, _set_den = (
+    vars(Cyclotomic)[name].__set__ for name in Cyclotomic.__slots__)
+
+
+def _new(order: int, nums: tuple, den: int) -> Cyclotomic:
+    """A Cyclotomic from a canonical (order, nums, den), unchecked."""
+    x = object.__new__(Cyclotomic)
+    _set_order(x, order)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
+
+
+def _cyclotomic(order: int, nums, den: int) -> Cyclotomic:
+    """The canonical Cyclotomic sum_k nums[k] zeta_order^k / den, den > 0:
+    :func:`minimal_field` of one scalar, on Python ints."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        nums, den = [x // g for x in nums], den // g
+    if not any(nums[1:]):
+        return _new(1, (nums[0],), den)
+    for d, rows, inv, scale in _subfields(order):
+        coords = [sum(c * nums[r] for c, r in zip(row, rows)) for row in inv]
+        if _spread(coords, order // d, order) == tuple(x * scale for x in nums):
+            g = math.gcd(den * scale, *coords)
+            return _new(d, tuple(x // g for x in coords), den * scale // g)
+    return _new(order, tuple(nums), den)
+
+
+def _spread(nums, k: int, n: int) -> tuple:
+    """sum_j nums[j] zeta_n^(j k) in the power basis: the Galois map
+    zeta -> zeta^k, or with k = n / m the promotion from Q(zeta_m)."""
+    pw = _powers(n)
+    out = [0] * len(pw[0])
+    for j, x in enumerate(nums):
+        for t, p in enumerate(pw[j * k % n]):
+            out[t] += x * p
+    return tuple(out)
+
+
+def _common_field(n: int, a, m: int, b):
+    """(lcm(n, m), a, b), promoting every tuple but a rational's one int."""
+    order = math.lcm(n, m)
+    if n != order and len(a) > 1:
+        a = _spread(a, order // n, order)
+    if m != order and len(b) > 1:
+        b = _spread(b, order // m, order)
+    return order, a, b
+
+
+def _add(n: int, a, da: int, m: int, b, db: int) -> Cyclotomic:
+    n, a, b = _common_field(n, a, m, b)
+    return _cyclotomic(n, [x * db + y * da for x, y in
+                           zip_longest(a, b, fillvalue=0)], da * db)
+
+
+def _mul(n: int, a, da: int, m: int, b, db: int) -> Cyclotomic:
+    n, a, b = _common_field(n, a, m, b)
+    return _cyclotomic(n, _times(a, b, n), da * db)
+
+
+def _times(a, b, n: int) -> tuple:
+    """The product of numerator tuples at order n, reduced mod Phi_n."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _spread(conv, 1, n)
+
+
+def _reciprocal(n: int, nums, den: int):
+    """(n, R * den, N) for 1 / (nums / den): R, the product of the other
+    Galois conjugates of nums, makes nums * R the rational integer N."""
+    rest = (1,)
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            rest = _times(rest, _spread(nums, k, n), n)
+    norm = _times(nums, rest, n)[0]
+    if not norm:
+        raise ZeroDivisionError("division by zero scalar")
+    return n, [x * den * (1 if norm > 0 else -1) for x in rest], abs(norm)
+
+
+def _operand(x):
+    """(order, nums, den) of an exact scalar, else None."""
     if isinstance(x, Cyclotomic):
-        return x
+        return x.order, x.nums, x.den
     if isinstance(x, (int, Fraction)):
-        return Cyclotomic(1, (Fraction(x),), _normalized=True)
-    return NotImplemented
+        return 1, (x.numerator,), x.denominator
 
 
 _ZERO = Cyclotomic.from_rational(0)
@@ -436,16 +438,7 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (Cyclotomic, Fraction, int))
 
 
-def ensure_exact(x) -> Cyclotomic:
-    c = _coerce(x)
-    if c is NotImplemented:
-        raise TypeError(f"not an exact scalar: {x!r}")
-    return c
-
-
 def to_complex(x) -> complex:
-    if isinstance(x, Cyclotomic):
-        return complex(x)
     return complex(x)
 
 
@@ -467,7 +460,7 @@ def scalar_is_zero(x) -> bool:
 
 def scalars_equal(x, y) -> bool:
     if is_exact_scalar(x) and is_exact_scalar(y):
-        return ensure_exact(x) == ensure_exact(y)
+        return x == y
     return abs(to_complex(x) - to_complex(y)) <= _EPSILON
 
 
@@ -603,11 +596,10 @@ def parse_scalar(v):
 
 def format_scalar(x):
     if isinstance(x, (int, Fraction)):
-        x = ensure_exact(x)
+        x = Cyclotomic.from_rational(x)
     if isinstance(x, Cyclotomic):
         if x.is_gaussian():
-            re, im = x.gaussian_parts()
-            return [str(re), str(im)]
+            return [str(c) for c in x.gaussian_parts()]
         return {"order": x.order, "coeffs": [str(c) for c in x.coeffs]}
     z = complex(x)
     return [z.real, z.imag]

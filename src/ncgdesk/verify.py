@@ -29,7 +29,7 @@ from .chern import T_cover, T_direct, dyadic_cover, verify_eta_vanishes, \
 from .cyclic import (DecompositionRep, TensorElement, _all_units, cc_reduce,
                      check_face_bound, check_trace_bound, face_op, hc_class,
                      hc_space, is_boundary)
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, NumericalError, ResourceError, ValidationError
 from .generate import (
     random_exact_unitary,
     random_ga_complex,
@@ -83,7 +83,8 @@ def _small_algebras():
 def _run(theorem, seed, count, one, rejected=()):
     """``count`` instances of ``one``, charged to the budget before the
     first; then each (name, call) in ``rejected`` must raise DomainError,
-    else a failure is recorded."""
+    else a failure is recorded.  A ResourceError is a refusal, not a
+    failure: it ends the run, as a refused construction does elsewhere."""
     if count < 1:
         raise ValidationError(f"battery count must be >= 1, not {count}")
     check_budget(count, "battery instances")
@@ -92,6 +93,8 @@ def _run(theorem, seed, count, one, rejected=()):
     for i in range(count):
         try:
             ok, detail = one(rng)
+        except ResourceError:
+            raise
         except Exception as exc:
             ok, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
         if ok:
@@ -105,6 +108,8 @@ def _run(theorem, seed, count, one, rejected=()):
             call()
         except DomainError:
             continue
+        except ResourceError:
+            raise
         except Exception as exc:
             got = f"{type(exc).__name__}: {exc}"
         else:

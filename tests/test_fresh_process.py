@@ -4,13 +4,14 @@ Each case runs ``python -m ncgdesk.cli`` with its argv, in which a name in
 braces is the path of an input document written by ``DOCUMENTS``.  Every
 case must end with its exit code, no traceback and at most one ``error:``
 line; a nonzero exit prints exactly that one line, and a case may also
-check the JSON on stdout.  ``verify`` exits 0 only when every battery
-passes.
+check the JSON on stdout or match that line against a pattern.  ``verify``
+exits 0 only when every battery passes.
 """
 
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,6 +30,10 @@ def _diagonal(*values):
     return sz.element_to_json(AlgebraElement.diagonal(M2, [list(values)]))
 
 
+def _matrix(rows):
+    return lambda: sz.element_to_json(AlgebraElement(M2, 1, (rows,)))
+
+
 def _gap(gap):
     """diag(1, 1 + 1/gap) over M_2: the cover separates it at depth log2(gap)."""
     return lambda: _diagonal(Fraction(1), 1 + Fraction(1, gap))
@@ -40,6 +45,12 @@ DOCUMENTS = {
     "gap8192": _gap(8192),
     # a normal element whose float eigenvalue candidates overflow
     "huge": lambda: _diagonal(Fraction(10 ** 400), Fraction(1)),
+    # eigenvalues 10^-10 apart: both float candidates snap to 1
+    "near": lambda: _diagonal(Fraction(1), 1 + Fraction(1, 10 ** 10)),
+    # not normal: diagonalizable (its certificate holds) and nilpotent (it
+    # fails)
+    "triangular": _matrix(((1, 1), (0, 2))),
+    "nilpotent": _matrix(((0, 1), (0, 0))),
 }
 
 
@@ -52,6 +63,7 @@ class Case(NamedTuple):
     code: int
     stdout: Optional[Callable[[str], bool]] = None
     timeout: float = 60
+    error: Optional[str] = None  # a pattern the error line must match
 
 
 CASES = {
@@ -82,6 +94,27 @@ CASES = {
     "battery count within a raised budget": Case(
         ("verify", "--theorems", "th7", "--count", "25", "--budget", "25"),
         0),
+    # a budget refusal inside an instance is a refused construction, not a
+    # failed theorem
+    "battery instance over a lowered budget": Case(
+        ("verify", "--theorems", "lem2", "--count", "3", "--budget", "200"),
+        2),
+    # an exact decomposition certifies each factor once, by
+    # prod (b - mu) = 0 over its candidates: the functoriality battery
+    # decomposes pushed elements, and a wrong candidate fails the certificate
+    "spectral certificate batteries": Case(
+        ("verify", "--theorems", "functoriality,lem2,th1", "--seed", "7",
+         "--count", "25"), 0, timeout=30),
+    "spectral certificate on candidates that snap together": Case(
+        ("n0", "class", "--element", "{near}"), 2),
+    # the certificate and e = e* are checked per idempotent, and normality
+    # only where the certificate fails
+    "normality of a diagonalizable element": Case(
+        ("n0", "class", "--element", "{triangular}"), 1,
+        error="^error: .*normal"),
+    "normality of a nilpotent element": Case(
+        ("n0", "class", "--element", "{nilpotent}"), 1,
+        error="^error: .*normal"),
 }
 
 
@@ -104,6 +137,7 @@ def test_fresh_process(tmp_path, case):
               if line.startswith("error:")]
     if case.code:
         assert proc.stderr.splitlines() == errors and len(errors) == 1
+        assert case.error is None or re.search(case.error, errors[0])
     else:
         assert errors == []
     if case.stdout is not None:
