@@ -422,7 +422,7 @@ def _merge_values(pairs):
     Exact values group by equality.  Otherwise every value groups by
     bounded single linkage within 2*eps, as float eigenvalues do, so a
     chain wider than that raises NumericalError; a group's key is its
-    least value by (re, im), and the groups do not depend on the order.
+    first value by ``sort_key``, and the groups do not depend on the order.
     """
     pairs = list(pairs)
     if all(is_exact_scalar(v) for v, _ in pairs):
@@ -431,10 +431,8 @@ def _merge_values(pairs):
             groups.setdefault(v, []).append(item)
         return list(groups.items())
     zs = [to_complex(v) for v, _ in pairs]
-
-    def least(i):  # repr orders distinct values whose floats agree
-        return zs[i].real, zs[i].imag, repr(pairs[i][0])
-    return [(pairs[min(idx, key=least)][0], [pairs[i][1] for i in idx])
+    return [(min((pairs[i][0] for i in idx), key=sort_key),
+             [pairs[i][1] for i in idx])
             for idx in _cluster(zs, 2 * get_epsilon())]
 
 

@@ -3,9 +3,11 @@
 The extension T is computed two ways: directly from the spectral form, and
 as the limit over refining dyadic square covers of the spectrum, which is
 the class of the first cover whose cells each isolate one spectral point
-(every finer cover has the same cells and tags), found on integer cell
-keys floor(x * 2^n).  Both must agree, and the mixed-tensor obstruction
-eta is checked to vanish.
+(every finer cover has the same cells and tags).  That depth is found on
+the cell keys floor(x * 2^n) of the points' :func:`~ncgdesk.scalars.real_imag`
+parts, integer for exact Gaussian points, and cover points are ordered by
+:func:`~ncgdesk.scalars.sort_key`.  Both must agree, and the mixed-tensor
+obstruction eta is checked to vanish.
 
 Classes are read by the trace cocycles of :mod:`ncgdesk.cyclic`, building
 no homology space and no matrix-unit tensor: sum of c * p x ... x p stays
@@ -29,7 +31,7 @@ from .cyclic import (DecompositionRep, HCClass, TensorElement, charge_read,
                      hc_class, is_boundary, read_class, zero_class)
 from .errors import DomainError, NumericalError, ValidationError
 from .ngroup import N0Class, h_map
-from .scalars import Cyclotomic, get_epsilon, sort_key
+from .scalars import get_epsilon, real_imag, sort_key
 
 
 def _degree(l: int) -> int:
@@ -86,28 +88,6 @@ class CoverCell:
     tag: object
 
 
-def _real_imag(z):
-    """(re, im, den): an exact Gaussian point's integer numerators over its
-    denominator, else float parts and den None."""
-    if isinstance(z, Fraction):
-        return z.numerator, 0, z.denominator
-    if isinstance(z, Cyclotomic) and z.is_gaussian():
-        re, im = (*z.nums, 0)[:2]
-        return re, im, z.den
-    c = complex(z)
-    return c.real, c.imag, None
-
-
-def _split_spectrum(spectrum, policy: str):
-    """(z, re, im, den) per point, ordered by ``sort_key``, once the tag
-    policy is checked: the part of a cover that does not depend on its
-    level."""
-    if policy not in ("smallest", "largest"):
-        raise ValidationError(f"unknown tag policy {policy!r}")
-    return sorted(((z,) + _real_imag(z) for z in spectrum),
-                  key=lambda point: sort_key(point[0]))
-
-
 def _cell_key(re, im, level: int, den=None) -> tuple:
     """The level-n cell (floor(re * 2^n), floor(im * 2^n)); for integer
     numerators over ``den``, (num << n) // den is floor(num / den * 2^n)."""
@@ -117,7 +97,7 @@ def _cell_key(re, im, level: int, den=None) -> tuple:
 
 
 def _cover_cells(points, level: int, policy: str):
-    """Level-n cells of split points; each cell keeps the sort order."""
+    """Level-n cells of (z, re, im, den) points; each cell keeps their order."""
     buckets = {}
     for z, re, im, den in points:
         buckets.setdefault(_cell_key(re, im, level, den), []).append(z)
@@ -127,32 +107,19 @@ def _cover_cells(points, level: int, policy: str):
             for (i, j), pts in sorted(buckets.items())]
 
 
+def _check_policy(policy: str):
+    if policy not in ("smallest", "largest"):
+        raise ValidationError(f"unknown tag policy {policy!r}")
+
+
 def dyadic_cover(spectrum, level: int, policy: str = "smallest"):
-    """Level-n dyadic squares meeting the spectrum, each with a tag point."""
+    """Level-n dyadic squares meeting the spectrum, each with a tag point:
+    the least or greatest of its points by ``sort_key``."""
     if level < 0:
         raise ValidationError("cover level must be >= 0")
-    return _cover_cells(_split_spectrum(spectrum, policy), level, policy)
-
-
-def _merge_cells(a: SpectralForm, cover):
-    """Pairs (tag, merged projection) following the cover's cells."""
-    index = {z: cell for cell in cover for z in cell.points}
-    merged = {}
-    order = []
-    for value, proj in a.pairs:
-        cell = index.get(value)
-        if cell is None:
-            raise ValidationError("cover does not cover the spectrum")
-        key = cell.corner
-        if key not in merged:
-            merged[key] = (cell.tag, proj)
-            order.append(key)
-        else:
-            # the form's projections are pairwise orthogonal
-            tag, acc = merged[key]
-            merged[key] = (tag,
-                           Projection._trusted(acc.element + proj.element))
-    return [merged[k] for k in order]
+    _check_policy(policy)
+    return _cover_cells([(z, *real_imag(z)) for z in
+                         sorted(spectrum, key=sort_key)], level, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +192,19 @@ def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
     cells.  Once each cell holds one point, its tag is that point and its
     merged projection is that point's eigenprojection, and every finer
     cover has the same cells and tags: the first separated cover's class
-    is the limit.  Depths compare integer cell keys, and only that cover
-    is built; its terms are the form's pairs, so its read is the one
-    T_direct memoized (charged again).  Its tags ignore ``policy``.
+    is the limit, and its terms are the form's pairs.  So the depth is
+    found on the points' cell keys, no cover is built, and the read is
+    the one T_direct memoized (charged again); ``policy`` does not enter
+    it.  An empty spectrum separates at depth 0.
     """
     if max_depth < 0:
         raise ValidationError("cover depth must be >= 0")
-    spectrum = a.eigenvalues()
-    if not spectrum:
-        return T_direct(a, l)
-    points = _split_spectrum(spectrum, policy)
+    _check_policy(policy)
+    points = [real_imag(z) for z in a.eigenvalues()]
     for depth in range(max_depth + 1):
-        keys = {_cell_key(re, im, depth, den) for _, re, im, den in points}
-        if len(keys) == len(points):
-            cover = _cover_cells(points, depth, policy)
-            return _power_class(a.algebra, _merge_cells(a, cover), l)
+        if len({_cell_key(re, im, depth, den)
+                for re, im, den in points}) == len(points):
+            return _power_class(a.algebra, a.pairs, l, a.is_exact())
     raise NumericalError(
         f"cover refinement did not separate the spectrum by depth {max_depth}")
 

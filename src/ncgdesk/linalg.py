@@ -40,6 +40,7 @@ from .scalars import (
     _fold,
     _galois,
     _mul_table,
+    _operand,
     _phi,
     _promotion,
     _table,
@@ -157,13 +158,6 @@ def _common(mats):
     return order, den, stacks
 
 
-def _scalar_coeffs(x):
-    """(order, integer coefficients, denominator) of an exact scalar."""
-    if isinstance(x, Cyclotomic):
-        return x.order, x.nums, x.den
-    return 1, (x.numerator,), x.denominator  # an int or a Fraction
-
-
 def _scalar(order: int, coeffs, den: int):
     """The scalar sum_k coeffs[k] zeta_order^k / den: a Fraction when it is
     rational, else a Cyclotomic."""
@@ -175,7 +169,7 @@ def _scalar(order: int, coeffs, den: int):
 def _pack(cells: dict, r: int, c: int, scale: int = 1) -> ExactMatrix:
     """The r x c matrix with entry (i, j) = scale * cells[i, j], exact
     scalars (already validated); absent cells are 0."""
-    parts = [(i * c + j, *_scalar_coeffs(x)) for (i, j), x in cells.items()]
+    parts = [(i * c + j, *_operand(x)) for (i, j), x in cells.items()]
     order = math.lcm(1, *(o for _, o, _, _ in parts))
     den = math.lcm(1, *(d for _, _, _, d in parts))
     phi = _phi(order)
@@ -266,7 +260,7 @@ def identity(n: int, exact: bool = True):
 def scalar_matrix(c, n: int) -> ExactMatrix:
     """The exact scalar c times the n x n identity, written on the diagonal
     (``scalar_mul`` would multiply every plane of the identity)."""
-    order, coeffs, den = _scalar_coeffs(c)
+    order, coeffs, den = _operand(c)
     return _make(order, _table(coeffs)[:, None, None] * np.eye(n, dtype=object), den)
 
 
@@ -317,7 +311,7 @@ def scalar_mul(c, a):
     a = _packed(a)
     if type(a) is FloatMatrix or not is_exact_scalar(c):
         return FloatMatrix(to_complex(c) * to_numpy(a))
-    order, coeffs, den = _scalar_coeffs(c)
+    order, coeffs, den = _operand(c)
     if order == 1:
         return _make(a.order, a.nums * coeffs[0], den * a.den)
     return kron(ExactMatrix(order, _table(coeffs).reshape(-1, 1, 1), den), a)

@@ -19,6 +19,9 @@ Plain ``int`` / ``Fraction`` values interoperate with :class:`Cyclotomic`
 through the usual arithmetic operators, which read them as (numerator,
 denominator) pairs, so exact matrices may freely store rationals unwrapped.
 
+Where a value sits in the plane is read here only: :func:`real_imag` reads
+its (re, im), and :func:`sort_key` is the one order of values.
+
 This module is also the one implementation of the field Q(zeta_n): the
 integer tables of x^k mod Phi_n, products, Galois automorphisms and
 promotion to a larger field, and :func:`minimal_field`, which puts a stack
@@ -45,7 +48,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .budget import check_budget
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 _EPSILON = 1e-9
 
@@ -439,7 +442,11 @@ def is_exact_scalar(x) -> bool:
 
 
 def to_complex(x) -> complex:
-    return complex(x)
+    """complex(x); an exact value beyond float range raises NumericalError."""
+    try:
+        return complex(x)
+    except OverflowError:
+        raise NumericalError("an exact value is beyond float range") from None
 
 
 def conj_scalar(x):
@@ -464,11 +471,31 @@ def scalars_equal(x, y) -> bool:
     return abs(to_complex(x) - to_complex(y)) <= _EPSILON
 
 
-def sort_key(x):
-    """Deterministic (re, im)-lexicographic key; works for both backends."""
+def real_imag(x):
+    """(re, im, den): an exact Gaussian value's integer numerators over its
+    denominator, else float parts (:func:`to_complex`) and den None."""
+    b = _operand(x)
+    if b is not None and b[0] in (1, 4):
+        order, nums, den = b
+        return nums[0], nums[1] if order == 4 else 0, den
     z = to_complex(x)
-    tie = repr(x) if isinstance(x, Cyclotomic) else ""
-    return (round(z.real, 12), round(z.imag, 12), tie)
+    return z.real, z.imag, None
+
+
+def sort_key(x):
+    """The one order of values, lexicographic in (re, im): (re, im, tie).
+    An exact Gaussian value's parts are Fractions, exact against each
+    other and against floats; a float's are its own, any other exact
+    value's :func:`to_complex`'s.  Equal parts order by ``tie``: (-1,
+    signs) for a float (-0.0 first), (0,) for an exact Gaussian value and
+    the canonical (1, order, nums, den) for any other."""
+    re, im, den = real_imag(x)
+    if den is not None:
+        return Fraction(re, den), Fraction(im, den), (0,)
+    b = _operand(x)
+    if b is None:
+        return re, im, (-1, math.copysign(1, re), math.copysign(1, im))
+    return re, im, (1, *b)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from .ngroup import (
     K0Class,
     K0TensorC,
 )
-from .scalars import Cyclotomic, scalar_is_zero
+from .scalars import Cyclotomic, scalar_is_zero, sort_key
 
 
 @dataclass
@@ -345,10 +345,14 @@ def battery_th6(seed: int, count: int) -> VerificationReport:
         for policy, end in (("smallest", 0), ("largest", -1)):
             if T_cover(a, l, policy=policy) != direct:
                 return False, {"check": f"T_cover {policy}", **where}
-            # T reads no tag, so the tags are checked on the cover itself
-            if any(cell.tag != cell.points[end]
-                   for cell in dyadic_cover(spectrum, 0, policy)):
-                return False, {"check": f"{policy} tags", **where}
+            # T reads no tag, so the cells' order and tags are checked on
+            # the cover itself, built from the spectrum in a random order
+            shuffled = rng.sample(spectrum, len(spectrum))
+            for cell in dyadic_cover(shuffled, 0, policy):
+                if list(cell.points) != sorted(cell.points, key=sort_key):
+                    return False, {"check": f"{policy} cell order", **where}
+                if cell.tag != cell.points[end]:
+                    return False, {"check": f"{policy} tags", **where}
         return True, None
 
     return _run("th6", seed, count, one)

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncgdesk import linalg as la
-from ncgdesk.algebra import (AlgebraElement, MultiMatrixAlgebra, Projection,
-                             SpectralForm)
+from ncgdesk.algebra import (AlgebraElement, BorelSetModel, MultiMatrixAlgebra,
+                             Projection, SpectralForm)
 from ncgdesk.budget import set_budget
 from ncgdesk import chern
 from ncgdesk.chern import (
     EtaReport,
     T_cover,
     T_direct,
-    _merge_cells,
     _power_class,
     chern_projection,
     dyadic_cover,
@@ -137,6 +136,22 @@ class TestExtension:
         p = Projection.diagonal_unit(A, 0)
         a = SpectralForm.scaled_projection(Fraction(5), p)
         assert T_direct(a, 0) == chern_projection(p, 0).scale(Fraction(5))
+
+
+def _merge_cells(a, cover):
+    """Pairs (tag, merged projection) following the cover's cells: the
+    terms whose class is the cover's."""
+    index = {z: cell for cell in cover for z in cell.points}
+    merged = {}
+    for value, proj in a.pairs:
+        cell = index[value]
+        if cell.corner not in merged:
+            merged[cell.corner] = (cell.tag, proj)
+        else:  # the form's projections are pairwise orthogonal
+            tag, acc = merged[cell.corner]
+            merged[cell.corner] = (tag, Projection._trusted(
+                acc.element + proj.element))
+    return list(merged.values())
 
 
 def per_depth_T_cover(a, l, max_depth=12, policy="smallest"):
@@ -298,8 +313,8 @@ class TestCellKeys:
             == (math.floor(re * 2 ** level), math.floor(im * 2 ** level))
 
     @settings(max_examples=100, deadline=None)
-    @given(spectral_values())
-    def test_read_depth_is_the_first_separating_depth(self, values):
+    @given(spectral_values(), st.data())
+    def test_read_depth_is_the_first_separating_depth(self, values, data):
         three = MultiMatrixAlgebra((1, 1, 1))
         try:
             a = SpectralForm.from_pairs(three, 1, tuple(
@@ -309,19 +324,72 @@ class TestCellKeys:
             assume(False)
         spectrum = a.eigenvalues()
         assume(len(spectrum) == len(values))  # a float within epsilon of 0
-        depth = next((d for d in range(13) if all(
-            len(cell.points) == 1 for cell in dyadic_cover(spectrum, d))), None)
-        read = []
+        max_depth = data.draw(st.integers(0, 14))
+        depth = next((d for d in range(max_depth + 1) if all(
+            len(cell.points) == 1 for cell in dyadic_cover(spectrum, d))),
+            None)
+        built = []
         cover_cells = chern._cover_cells
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chern, "_cover_cells", lambda points, level, policy:
-                       read.append(level) or cover_cells(points, level, policy))
+            mp.setattr(chern, "_cover_cells", lambda *args:
+                       built.append(args) or cover_cells(*args))
             if depth is None:
-                with pytest.raises(NumericalError):
-                    T_cover(a, 0)
+                with pytest.raises(NumericalError,
+                                   match=f"by depth {max_depth}$"):
+                    T_cover(a, 0, max_depth)
             else:
-                assert T_cover(a, 0) == T_direct(a, 0)
-        assert read == ([] if depth is None else [depth])
+                assert T_cover(a, 0, max_depth) == T_direct(a, 0)
+        assert built == []
+
+
+@st.composite
+def close_gaussians(draw):
+    """Two to four distinct nonzero exact Gaussian values, as close as
+    10^-20, each paired with its (re, im) as Fractions; a real one is a
+    Fraction or a Cyclotomic.  Listed in a drawn order."""
+    tiny = Fraction(1, 10 ** 20)
+    re0 = draw(st.fractions(-2, 2, max_denominator=8))
+    im0 = draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))
+    offsets = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 1)),
+                            min_size=2, max_size=4, unique=True))
+    parts = [(re0 + i * tiny, im0 + j * tiny) for i, j in offsets]
+    assume(all(re or im for re, im in parts))  # no zero value
+    values = [(Cyclotomic.gaussian(re, im) if im or draw(st.booleans())
+               else re, (re, im)) for re, im in parts]
+    return draw(st.permutations(values))
+
+
+class TestExactOrder:
+    """Every listing of spectral values is ascending in exact (re, im),
+    whatever the input order."""
+
+    @staticmethod
+    def assert_ascending(listed, values):
+        parts = dict(values)
+        listed = [parts[z] for z in listed]
+        assert listed == sorted(listed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(close_gaussians())
+    def test_supports_pairs_and_points(self, values):
+        zs = [z for z, _ in values]
+        n0 = N0Class(C, tuple((z, (1,)) for z in zs))
+        assert len(n0.support) == len(zs)
+        self.assert_ascending([z for z, _ in n0.support], values)
+        blocks = MultiMatrixAlgebra((1,) * len(zs))
+        a = SpectralForm.from_pairs(blocks, 1, tuple(
+            (z, Projection.diagonal_unit(blocks, i)) for i, z in enumerate(zs)))
+        self.assert_ascending(a.eigenvalues(), values)
+        self.assert_ascending(BorelSetModel(tuple(zs)).points, values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(close_gaussians(), st.integers(0, 2))
+    def test_cover_points_and_tags(self, values, level):
+        zs = [z for z, _ in values]
+        for policy, end in (("smallest", 0), ("largest", -1)):
+            for cell in dyadic_cover(zs, level, policy):
+                self.assert_ascending(cell.points, values)
+                assert cell.tag is cell.points[end]
 
 
 class TestUnitClassCache:

@@ -20,9 +20,12 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 
 from ncgdesk import serialize as sz
-from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra
+from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
+from ncgdesk.lefschetz import FiniteGroup, GAComplex
+from ncgdesk.scalars import Cyclotomic
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+C = MultiMatrixAlgebra((1,))
 M2 = MultiMatrixAlgebra((2,))
 
 
@@ -39,6 +42,29 @@ def _gap(gap):
     return lambda: _diagonal(Fraction(1), 1 + Fraction(1, gap))
 
 
+def _n0(blocks, *support):
+    """An N0 document with (lambda, ranks) support entries as written."""
+    return lambda: {"schema_version": 1, "algebra": {"blocks": list(blocks)},
+                    "support": [{"lambda": v, "ranks": list(r)}
+                                for v, r in support]}
+
+
+def _z25(modules):
+    """C with Z/25 acting by zeta_25 (one module), or the acyclic pair
+    C -(1)-> C with that action on both (two modules)."""
+    def build():
+        q = Projection.identity(C)
+        action = tuple((q.element.scale(Cyclotomic.root_of_unity(25, g)),)
+                       * modules for g in range(25))
+        return sz.complex_to_json(GAComplex(
+            C, FiniteGroup.cyclic_group(25), (q,) * modules,
+            (q.element.blocks,) * (modules - 1), action))
+    return build
+
+
+NEAR = 1 + 1.5e-9  # within 2 epsilon of 1.0 at the default epsilon
+ZETA25 = {"order": 25, "coeffs": ["0", "1"] + ["0"] * 18}
+
 DOCUMENTS = {
     "gap512": _gap(512),
     "gap4096": _gap(4096),
@@ -51,11 +77,44 @@ DOCUMENTS = {
     # fails)
     "triangular": _matrix(((1, 1), (0, 2))),
     "nilpotent": _matrix(((0, 1), (0, 0))),
+    # eigenvalues 1 and 21/20, within 2 epsilon at epsilon 0.1
+    "close": lambda: _diagonal(Fraction(1), Fraction(21, 20)),
+    "z25": _z25(1),
+    "z25pair": _z25(2),
+    # float keys 1 and 1 + 1.5e-9 are one key, listed in either order;
+    # three keys 1.5e-9 apart chain wider than 2 epsilon
+    "near_ab": _n0((1,), ([1.0, 0.0], (1,)), ([NEAR, 0.0], (2,))),
+    "near_ba": _n0((1,), ([NEAR, 0.0], (2,)), ([1.0, 0.0], (1,))),
+    "chain": _n0((1,), ([1.0, 0.0], (1,)), ([NEAR, 0.0], (1,)),
+                 ([1 + 3e-9, 0.0], (1,))),
+    # exact keys beyond float range
+    "huge_key": _n0((1, 1), (["1e400", "0"], (1, 0)), (["1/2", "0"], (0, 1))),
+    "huge_z3_key": _n0((1,), ({"order": 3, "coeffs": ["0", "1e400"]}, (1,))),
 }
 
 
 def _agree(out):
     return json.loads(out)["agree"] is True
+
+
+def _support(expected):
+    """stdout is an N0 document with this support."""
+    return lambda out: json.loads(out)["support"] == expected
+
+
+def _equal(out):
+    return json.loads(out) == {"equal": True}
+
+
+def _exact_huge(key):
+    """The 10^400 and 1/2 of the huge_key document, printed exactly."""
+    return lambda out: json.loads(out)[key] == [[str(10 ** 400), "0"],
+                                                ["1/2", "0"]]
+
+
+# a + b and b + a: one key, the least of the merged floats, whichever
+# document lists it first
+_MERGED = _support([{"lambda": [1.0, 0.0], "ranks": [6]}])
 
 
 class Case(NamedTuple):
@@ -115,6 +174,39 @@ CASES = {
     "normality of a nilpotent element": Case(
         ("n0", "class", "--element", "{nilpotent}"), 1,
         error="^error: .*normal"),
+    # exact answers ignore epsilon: both eigenvalues are kept at epsilon
+    # 0.1; gl1 reads the order-25 action from the exact character table,
+    # zeta_25 with rank 1 and not a float class, and the zero class on the
+    # acyclic pair
+    "exact eigenvalues within 2 epsilon": Case(
+        ("n0", "class", "--epsilon", "0.1", "--element", "{close}"), 0,
+        _support([{"lambda": ["1", "0"], "ranks": [1]},
+                  {"lambda": ["21/20", "0"], "ranks": [1]}])),
+    "gl1 of an order-25 action": Case(
+        ("lefschetz", "gl1", "--g", "1", "--complex", "{z25}"), 0,
+        _support([{"lambda": ZETA25, "ranks": [1]}])),
+    "gl1 of an order-25 acyclic pair": Case(
+        ("lefschetz", "gl1", "--g", "1", "--complex", "{z25pair}"), 0,
+        _support([])),
+    # N0 keys merge by one rule: eq and add answer alike in both orders
+    "n0 eq on float keys, a then b": Case(
+        ("n0", "eq", "--a", "{near_ab}", "--b", "{near_ba}"), 0, _equal),
+    "n0 eq on float keys, b then a": Case(
+        ("n0", "eq", "--a", "{near_ba}", "--b", "{near_ab}"), 0, _equal),
+    "n0 add on float keys, a then b": Case(
+        ("n0", "add", "--a", "{near_ab}", "--b", "{near_ba}"), 0, _MERGED),
+    "n0 add on float keys, b then a": Case(
+        ("n0", "add", "--a", "{near_ba}", "--b", "{near_ab}"), 0, _MERGED),
+    "n0 h on keys chained wider than 2 epsilon": Case(
+        ("n0", "h", "--n0", "{chain}"), 2),
+    # exact keys are ordered exactly, even beyond float range; a
+    # non-Gaussian one has no exact order yet, and its float parts overflow
+    "n0 h on a key beyond float range": Case(
+        ("n0", "h", "--n0", "{huge_key}"), 0, _exact_huge("coeffs")),
+    "gchern on a key beyond float range": Case(
+        ("gchern", "--n0", "{huge_key}"), 0, _exact_huge("coords")),
+    "n0 h on a non-Gaussian key beyond float range": Case(
+        ("n0", "h", "--n0", "{huge_z3_key}"), 2),
 }
 
 

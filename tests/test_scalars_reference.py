@@ -176,63 +176,60 @@ F = Fraction
 BIG = 10 ** 30 + 1
 
 
-def _gaussian(make, re, im, key, value):
+def _gaussian(make, re, im, value):
+    """The key is the exact parts, tied by (0,)."""
     text = f"Cyc({re})" if im is None else f"Cyc({re}+{im}i)"
-    return make, text, [re, im or "0"], key + (text,), value
+    key = (Fraction(re), Fraction(im or 0), (0,))
+    return make, text, [re, im or "0"], key, value
 
 
-def _cyclic(make, order, coeffs, key, value):
+def _cyclic(make, order, coeffs, value):
+    """The key is complex()'s parts, tied by the canonical (order, nums, den)."""
     fractions = [Fraction(c) for c in coeffs]
     text = ", ".join(f"Fraction({c.numerator}, {c.denominator})"
                      for c in fractions)
     text = f"Cyc(order={order}, coeffs=({text}))"
     doc = {"order": order, "coeffs": [str(c) for c in fractions]}
-    return make, text, doc, key + (text,), value
+    den = math.lcm(*(c.denominator for c in fractions))
+    nums = tuple(int(c * den) for c in fractions)
+    return make, text, doc, value + ((1, order, nums, den),), value
 
 
-# name: (value, repr, format_scalar, sort_key, complex() as (re, im)), as
-# printed before Cyclotomic stored integer numerators
+# name: (value, repr, format_scalar, sort_key, complex() as (re, im)); all
+# but sort_key as printed before Cyclotomic stored integer numerators
 PINNED = {
     "0": _gaussian(lambda: Cyclotomic.from_rational(0), "0", None,
-                   (0.0, 0.0), (0.0, 0.0)),
+                   (0.0, 0.0)),
     "-7/3": _gaussian(lambda: Cyclotomic.from_rational(F(-7, 3)), "-7/3", None,
-                      (-2.333333333333, 0.0), (-2.3333333333333335, 0.0)),
+                      (-2.3333333333333335, 0.0)),
     "big/7": _gaussian(lambda: Cyclotomic.from_rational(F(BIG, 7)),
-                       f"{BIG}/7", None, (1.4285714285714285e+29, 0.0),
-                       (1.4285714285714285e+29, 0.0)),
+                       f"{BIG}/7", None, (1.4285714285714285e+29, 0.0)),
     "i": _gaussian(lambda: Cyclotomic.gaussian(0, 1), "0", "1",
-                   (0.0, 1.0), (6.123233995736766e-17, 1.0)),
+                   (6.123233995736766e-17, 1.0)),
     "1/2-2i": _gaussian(lambda: Cyclotomic.gaussian(F(1, 2), -2), "1/2", "-2",
-                        (0.5, -2.0), (0.4999999999999999, -2.0)),
+                        (0.4999999999999999, -2.0)),
     "-3/7+5/11i": _gaussian(lambda: Cyclotomic.gaussian(F(-3, 7), F(5, 11)),
-                            "-3/7", "5/11", (-0.428571428571, 0.454545454545),
+                            "-3/7", "5/11",
                             (-0.4285714285714285, 0.45454545454545453)),
-    "z3": _cyclic(lambda: z(3), 3, [0, 1], (-0.5, 0.866025403784),
+    "z3": _cyclic(lambda: z(3), 3, [0, 1],
                   (-0.4999999999999998, 0.8660254037844387)),
-    "1+2z3": _cyclic(lambda: 1 + 2 * z(3), 3, [1, 2], (0.0, 1.732050807569),
+    "1+2z3": _cyclic(lambda: 1 + 2 * z(3), 3, [1, 2],
                      (4.440892098500626e-16, 1.7320508075688774)),
     "1/2-3/5z3": _cyclic(lambda: F(1, 2) - F(3, 5) * z(3), 3, ["1/2", "-3/5"],
-                         (0.8, -0.519615242271),
                          (0.7999999999999998, -0.5196152422706632)),
     "z8": _cyclic(lambda: z(8), 8, [0, 1, 0, 0],
-                  (0.707106781187, 0.707106781187),
                   (0.7071067811865476, 0.7071067811865475)),
     "z8+z8^7": _cyclic(lambda: z(8) + z(8, 7), 8, [0, 1, 0, -1],
-                       (1.414213562373, -0.0),
                        (1.414213562373095, -2.220446049250313e-16)),
     "z8^3/3-2": _cyclic(lambda: F(1, 3) * z(8, 3) - 2, 8, [-2, 0, 0, "1/3"],
-                        (-2.235702260396, 0.235702260396),
                         (-2.2357022603955157, 0.2357022603955159)),
     "z25": _cyclic(lambda: z(25), 25, [0, 1] + [0] * 18,
-                   (0.968583161129, 0.248689887165),
                    (0.9685831611286311, 0.2486898871648548)),
     "z25^7-3/4": _cyclic(lambda: z(25, 7) - F(3, 4), 25,
                          ["-3/4"] + [0] * 6 + [1] + [0] * 12,
-                         (-0.937381314586, 0.982287250729),
                          (-0.9373813145857247, 0.9822872507286885)),
     "z25^24/5+z25^3": _cyclic(lambda: z(25, 24) / 5 + z(25, 3), 25,
                               [0, 0, 0, 1] + (["-1/5"] + [0] * 4) * 3 + ["-1/5"],
-                              (0.922685259647, 0.634809128496),
                               (0.9226852596471375, 0.6348091284957176)),
 }
 

@@ -108,6 +108,9 @@ MUTANTS = {
     "tag policy ignored": ("chern.py",
                            'pts[0] if policy == "smallest" else pts[-1]',
                            "pts[0]"),
+    "cover points keep input order": ("chern.py",
+                                      "sorted(spectrum, key=sort_key)",
+                                      "spectrum"),
     "spectral certificate dropped": ("algebra.py",
                                      "if not la.is_zero_matrix(certificate):",
                                      "if False:"),
