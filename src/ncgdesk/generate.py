@@ -4,9 +4,10 @@ homomorphisms, and equivariant complexes.
 Everything is exact by construction: rotations use Pythagorean cosines,
 phases are fourth roots of unity, and complex generation builds the group
 action first so that averaging makes the differentials equivariant and a
-kernel projection forces d o d = 0.  A d x d unitary costs about d^4
-scalar products, which each generator charges to the budget before it
-builds anything.
+kernel projection forces d o d = 0.  A d x d unitary is built on d integer
+columns over one denominator, about d^3 integer operations; each generator
+charges d^4 scalar products per unitary to the budget before it builds
+anything.
 """
 
 from __future__ import annotations
@@ -30,33 +31,60 @@ from .ngroup import K0Class, N0Class
 from .scalars import Cyclotomic
 
 _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
-_PHASES = (Cyclotomic.from_rational(1), Cyclotomic.from_rational(-1),
-           Cyclotomic.gaussian(0, 1), Cyclotomic.gaussian(0, -1))
+# the phases 1, -1, i, -i as (plane, sign): a column's real or imaginary plane
+_PHASES = ((0, 1), (0, -1), (1, 1), (1, -1))
 
 
 def _charge_unitaries(dims) -> None:
-    """Charge one random unitary per d in ``dims``: d rotations of d^3
-    scalar products each."""
+    """Charge one random unitary per d in ``dims`` at d^4 scalar products,
+    the cost of d dense rotation products; the integer build takes about
+    d^3 operations."""
     check_budget(sum(d ** 4 for d in dims), "random unitary products")
+
+
+def _rotated_columns(d: int, rng: random.Random):
+    """(cols, den, phases) of a random d x d unitary: the integer columns
+    of a product of d Pythagorean plane rotations over their one
+    denominator, and the quarter-turn phase of each column."""
+    cols = [[int(s == t) for s in range(d)] for t in range(d)]
+    den = 1
+    for _ in range(d if d >= 2 else 0):
+        i, j = rng.sample(range(d), 2)
+        a, b, c = rng.choice(_TRIPLES)
+        x, y = cols[i], cols[j]
+        # columns i, j become (a x + b y) / c and (a y - b x) / c; the
+        # others stay, as c times themselves over the new denominator
+        cols = [[c * v for v in col] for col in cols]
+        cols[i] = [a * p + b * q for p, q in zip(x, y)]
+        cols[j] = [a * q - b * p for p, q in zip(x, y)]
+        den *= c
+    return cols, den, [rng.choice(_PHASES) for _ in range(d)]
 
 
 def random_exact_unitary(d: int, rng: random.Random):
     """Product of Pythagorean plane rotations and quarter-turn phases."""
     _charge_unitaries((d,))
-    u = la.identity(d)
-    for _ in range(d):
-        if d >= 2:
-            i, j = rng.sample(range(d), 2)
-            a, b, c = rng.choice(_TRIPLES)
-            cos, sin = Fraction(a, c), Fraction(b, c)
-            rot = [[Fraction(1) if s == t else Fraction(0) for t in range(d)]
-                   for s in range(d)]
-            rot[i][i], rot[j][j] = cos, cos
-            rot[i][j], rot[j][i] = -sin, sin
-            u = la.mat_mul(u, tuple(tuple(r) for r in rot))
-    phase = tuple(tuple(rng.choice(_PHASES) if s == t else Fraction(0)
-                        for t in range(d)) for s in range(d))
-    return la.mat_mul(u, phase)
+    cols, den, phases = _rotated_columns(d, rng)
+    planes = [[[0] * d for _ in range(d)] for _ in range(2)]
+    for t, ((plane, sign), col) in enumerate(zip(phases, cols)):
+        for s, v in enumerate(col):
+            planes[plane][s][t] = sign * v
+    return la.from_numerators(4, planes, den)
+
+
+def _span_projections(cols, den: int, parts) -> list:
+    """u_S u_S* for each column set S in ``parts``, u the unitary whose
+    rotation part has the columns cols / den.  The phases cancel, so u_S u_S*
+    is r_S r_S^T for the rotation part r, that is v* v for v the rows S of
+    r^T, whose rows are ``cols``."""
+    d = len(cols)
+    rows = la.from_numerators(1, [cols], den)
+    out = []
+    for keep in parts:
+        v = la.select_rows(rows, keep)
+        out.append(la.mat_mul(la.conj_transpose(v), v) if keep
+                   else la.zeros(d, d))
+    return out
 
 
 def random_projection(algebra: MultiMatrixAlgebra, rng: random.Random,
@@ -66,12 +94,10 @@ def random_projection(algebra: MultiMatrixAlgebra, rng: random.Random,
         blocks = []
         total = 0
         for d in algebra.ambient_dims(m):
-            pattern = [rng.randint(0, 1) for _ in range(d)]
-            total += sum(pattern)
-            u = random_exact_unitary(d, rng)
-            diag = tuple(tuple(Fraction(pattern[s]) if s == t else Fraction(0)
-                               for t in range(d)) for s in range(d))
-            blocks.append(la.mat_mul(la.mat_mul(u, diag), la.conj_transpose(u)))
+            keep = [s for s in range(d) if rng.randint(0, 1)]
+            total += len(keep)
+            cols, den, _ = _rotated_columns(d, rng)
+            blocks += _span_projections(cols, den, [keep])
         if total or not nonzero:
             return Projection(AlgebraElement(algebra, m, tuple(blocks)))
 
@@ -102,21 +128,15 @@ def random_spectrum(rng: random.Random, count: int,
 def random_orthogonal_family(algebra: MultiMatrixAlgebra, rng: random.Random,
                              parts: int, m: int = 1):
     """Pairwise orthogonal projections from one conjugated diagonal split."""
-    _charge_unitaries(algebra.ambient_dims(m))
-    units = [random_exact_unitary(d, rng) for d in algebra.ambient_dims(m)]
-    assignment = {(f, s): rng.randrange(parts)
-                  for f, d in enumerate(algebra.ambient_dims(m)) for s in range(d)}
-    family = []
-    for part in range(parts):
-        blocks = []
-        for f, d in enumerate(algebra.ambient_dims(m)):
-            diag = tuple(tuple(
-                Fraction(1) if s == t and assignment[(f, s)] == part
-                else Fraction(0) for t in range(d)) for s in range(d))
-            u = units[f]
-            blocks.append(la.mat_mul(la.mat_mul(u, diag), la.conj_transpose(u)))
-        family.append(Projection(AlgebraElement(algebra, m, tuple(blocks))))
-    return family
+    dims = algebra.ambient_dims(m)
+    _charge_unitaries(dims)
+    bases = [_rotated_columns(d, rng)[:2] for d in dims]
+    assignment = [[rng.randrange(parts) for _ in range(d)] for d in dims]
+    per_factor = [_span_projections(cols, den, [
+        [s for s, part in enumerate(split) if part == k] for k in range(parts)])
+        for (cols, den), split in zip(bases, assignment)]
+    return [Projection(AlgebraElement(algebra, m, blocks))
+            for blocks in zip(*per_factor)]
 
 
 def random_normal(algebra: MultiMatrixAlgebra, rng: random.Random,

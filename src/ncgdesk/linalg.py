@@ -257,6 +257,13 @@ def identity(n: int, exact: bool = True):
     return ExactMatrix(1, np.eye(n, dtype=object)[None], 1)
 
 
+def from_numerators(order: int, nums, den: int) -> ExactMatrix:
+    """The exact matrix sum_k nums[k] zeta_order^k / den in canonical form:
+    ``nums`` holds phi(order) equal-shaped planes of Python ints (nested
+    lists or an object array), ``den`` is a positive int."""
+    return _make(order, np.array(nums, dtype=object), den)
+
+
 def scalar_matrix(c, n: int) -> ExactMatrix:
     """The exact scalar c times the n x n identity, written on the diagonal
     (``scalar_mul`` would multiply every plane of the identity)."""

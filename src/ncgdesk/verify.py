@@ -347,12 +347,15 @@ def battery_th6(seed: int, count: int) -> VerificationReport:
                 return False, {"check": f"T_cover {policy}", **where}
             # T reads no tag, so the cells' order and tags are checked on
             # the cover itself, built from the spectrum in a random order
+            # and reversed: the form lists its values ascending, so a cell
+            # with two points is out of order in one of them
             shuffled = rng.sample(spectrum, len(spectrum))
-            for cell in dyadic_cover(shuffled, 0, policy):
-                if list(cell.points) != sorted(cell.points, key=sort_key):
-                    return False, {"check": f"{policy} cell order", **where}
-                if cell.tag != cell.points[end]:
-                    return False, {"check": f"{policy} tags", **where}
+            for points in (shuffled, spectrum[::-1]):
+                for cell in dyadic_cover(points, 0, policy):
+                    if list(cell.points) != sorted(cell.points, key=sort_key):
+                        return False, {"check": f"{policy} cell order", **where}
+                    if cell.tag != cell.points[end]:
+                        return False, {"check": f"{policy} tags", **where}
         return True, None
 
     return _run("th6", seed, count, one)

@@ -153,6 +153,11 @@ CASES = {
     "battery count within a raised budget": Case(
         ("verify", "--theorems", "th7", "--count", "25", "--budget", "25"),
         0),
+    # a random d x d unitary is charged d^4 products, so M_300 is refused
+    # before any matrix is built
+    "generator over the default budget": Case(
+        ("generate", "--kind", "normal-element", "--blocks", "300"), 2,
+        timeout=10, error="random unitary products"),
     # a budget refusal inside an instance is a refused construction, not a
     # failed theorem
     "battery instance over a lowered budget": Case(

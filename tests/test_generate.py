@@ -1,10 +1,21 @@
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgdesk import linalg as la
-from ncgdesk.algebra import MultiMatrixAlgebra, is_normal
+from ncgdesk.algebra import (
+    AlgebraElement,
+    MultiMatrixAlgebra,
+    Projection,
+    SpectralForm,
+    StarHomomorphism,
+    apply_hom,
+    is_normal,
+)
 from ncgdesk.cli import main
 from ncgdesk.errors import ResourceError
 from ncgdesk.generate import (
@@ -17,14 +28,17 @@ from ncgdesk.generate import (
     random_projection,
     random_spectrum,
 )
-from ncgdesk.lefschetz import IrrepTable, validate_complex
+from ncgdesk.lefschetz import GAComplex, IrrepTable, validate_complex
+from ncgdesk.scalars import Cyclotomic
 
 A = MultiMatrixAlgebra((1, 2))
+# sha256 of _pinned_instances(), below, as the dense construction gave it
+PINNED = "7b10af794556106e3e767e898304d44775ded2b1a947d7966c52f44a389791a6"
 seeds = st.integers(0, 10 ** 6)
 
 
 @settings(max_examples=25, deadline=None)
-@given(seeds, st.integers(1, 4))
+@given(seeds, st.integers(1, 8))
 def test_exact_unitaries(seed, d):
     u = random_exact_unitary(d, random.Random(seed))
     assert la.is_exact_matrix(u)
@@ -39,7 +53,6 @@ def test_orthogonal_family_resolves_identity(seed):
     total = family[0].element
     for p in family[1:]:
         total = total + p.element
-    from ncgdesk.algebra import AlgebraElement
     assert total.equals(AlgebraElement.identity(A))
     for i, p in enumerate(family):
         for q in family[i + 1:]:
@@ -78,7 +91,6 @@ def test_determinism():
 @given(seeds)
 def test_homs_are_unital(seed):
     phi = random_hom(random.Random(seed))
-    from ncgdesk.algebra import AlgebraElement, apply_hom
     image = apply_hom(phi, AlgebraElement.identity(phi.source))
     assert image.equals(AlgebraElement.identity(phi.target))
 
@@ -105,7 +117,7 @@ def test_augmented_complexes_validate(seed):
 
 
 def test_generators_are_charged_before_building(monkeypatch, capsys):
-    # a d x d unitary costs about d^4 products: the default budget admits
+    # a d x d unitary is charged d^4 products: the default budget admits
     # M_17 and refuses M_18, two M_17 blocks at once, and the CLI's
     # M_300 with one error line, before any product is taken
     for kind in ("normal-element", "projection-family", "ga-complex"):
@@ -126,3 +138,143 @@ def test_generators_are_charged_before_building(monkeypatch, capsys):
             lambda: random_ga_complex(MultiMatrixAlgebra((46,)), table, rng)):
         with pytest.raises(ResourceError, match="random unitary products"):
             build()
+
+
+# ---------------------------------------------------------------------------
+# the generator streams, pinned and against the dense construction
+
+def _canon(x):
+    """A JSON form of a generated object: each exact matrix and scalar as
+    its canonical (order, den, nums)."""
+    if isinstance(x, la.ExactMatrix):
+        return [x.order, x.den, x.nums.tolist()]
+    if isinstance(x, Cyclotomic):
+        return [x.order, x.den, list(x.nums)]
+    if isinstance(x, Fraction):
+        return [1, x.denominator, [x.numerator]]
+    if isinstance(x, int):
+        return x
+    if isinstance(x, (tuple, list)):
+        return [_canon(y) for y in x]
+    if isinstance(x, MultiMatrixAlgebra):
+        return list(x.block_dims)
+    if isinstance(x, AlgebraElement):
+        return [_canon(x.algebra), x.amplification, _canon(x.blocks)]
+    if isinstance(x, Projection):
+        return _canon(x.element)
+    if isinstance(x, SpectralForm):
+        return _canon(x.pairs)
+    if isinstance(x, StarHomomorphism):
+        return _canon([x.source, x.target, x.multiplicities, x.unitaries])
+    if isinstance(x, GAComplex):
+        return _canon([x.modules, x.diffs, x.action])
+    raise TypeError(type(x))
+
+
+def _pinned_instances():
+    """(name, canonical output, next rng.random()) on fixed seeds."""
+    B = MultiMatrixAlgebra((3, 1))
+    builds = [(f"unitary {d}", lambda rng, d=d: random_exact_unitary(d, rng))
+              for d in range(1, 7)]
+    builds += [
+        ("projection", lambda rng: random_projection(A, rng)),
+        ("projection m=2", lambda rng: random_projection(B, rng, 2)),
+        ("nonzero projection", lambda rng: random_projection(
+            MultiMatrixAlgebra((1,)), rng, nonzero=True)),
+        ("family", lambda rng: random_orthogonal_family(A, rng, 3)),
+        ("family m=2", lambda rng: random_orthogonal_family(B, rng, 4, 2)),
+        ("normal", lambda rng: random_normal(A, rng)),
+        ("normal near gap", lambda rng: random_normal(
+            B, rng, near_gap=Fraction(1, 512))),
+        ("hom", lambda rng: random_hom(rng, max_factors=3)),
+        ("complex", lambda rng: random_ga_complex(
+            A, IrrepTable.symmetric_3(), rng, length=3)),
+        ("augmented", lambda rng: acyclic_augmentation(random_ga_complex(
+            A, IrrepTable.cyclic(3), rng, length=2), rng)),
+    ]
+    out = []
+    for name, build in builds:
+        for seed in range(3):
+            rng = random.Random(f"{name}:{seed}")
+            out.append([name, _canon(build(rng)), rng.random()])
+    return out
+
+
+def test_generated_instances_are_pinned():
+    # a digest of the outputs and rng streams of every generator; it
+    # changes only when a generator's output or its draws do
+    doc = json.dumps(_pinned_instances()).encode()
+    assert hashlib.sha256(doc).hexdigest() == PINNED
+
+
+# The dense construction the generators replace: d rotation matrices of
+# Fractions multiplied in turn, then the phases; a projection u diag u*.
+ORACLE_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
+ORACLE_PHASES = (1, -1, Cyclotomic.gaussian(0, 1), Cyclotomic.gaussian(0, -1))
+
+
+def _diagonal(values):
+    d = len(values)
+    return [[values[s] if s == t else 0 for t in range(d)] for s in range(d)]
+
+
+def _oracle_unitary(d, rng):
+    u = la.identity(d)
+    for _ in range(d):
+        if d >= 2:
+            i, j = rng.sample(range(d), 2)
+            a, b, c = rng.choice(ORACLE_TRIPLES)
+            rot = _diagonal([Fraction(1)] * d)
+            rot[i][i] = rot[j][j] = Fraction(a, c)
+            rot[i][j], rot[j][i] = Fraction(-b, c), Fraction(b, c)
+            u = la.mat_mul(u, rot)
+    return la.mat_mul(u, _diagonal([rng.choice(ORACLE_PHASES)
+                                    for _ in range(d)]))
+
+
+def _conjugated(u, diag):
+    return la.mat_mul(la.mat_mul(u, _diagonal(diag)), la.conj_transpose(u))
+
+
+def _oracle_projection(algebra, rng, m=1, nonzero=False):
+    while True:
+        blocks, total = [], 0
+        for d in algebra.ambient_dims(m):
+            pattern = [rng.randint(0, 1) for _ in range(d)]
+            total += sum(pattern)
+            blocks.append(_conjugated(_oracle_unitary(d, rng), pattern))
+        if total or not nonzero:
+            return tuple(blocks)
+
+
+def _oracle_family(algebra, rng, parts, m=1):
+    dims = algebra.ambient_dims(m)
+    units = [_oracle_unitary(d, rng) for d in dims]
+    split = [[rng.randrange(parts) for _ in range(d)] for d in dims]
+    return [tuple(_conjugated(u, [int(k == part) for k in row])
+                  for u, row in zip(units, split))
+            for part in range(parts)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.integers(1, 6), st.integers(1, 3), st.integers(1, 2))
+def test_builders_match_the_dense_construction(seed, d, parts, m):
+    # the same canonical (order, nums, den), and the same draws after
+    algebra = MultiMatrixAlgebra((d, 1))
+    builders = (
+        (lambda rng: random_exact_unitary(d, rng),
+         lambda rng: _oracle_unitary(d, rng)),
+        (lambda rng: random_projection(algebra, rng, m).element.blocks,
+         lambda rng: _oracle_projection(algebra, rng, m)),
+        (lambda rng: random_projection(MultiMatrixAlgebra((1,)), rng,
+                                       nonzero=True).element.blocks,
+         lambda rng: _oracle_projection(MultiMatrixAlgebra((1,)), rng,
+                                        nonzero=True)),
+        (lambda rng: [p.element.blocks for p in
+                      random_orthogonal_family(algebra, rng, parts, m)],
+         lambda rng: _oracle_family(algebra, rng, parts, m)),
+    )
+    for build, oracle in builders:
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert _canon(build(rng)) == _canon(oracle(twin))
+        assert rng.random() == twin.random()

@@ -129,6 +129,9 @@ MUTANTS = {
         "algebra.py",
         "if any(not la.mat_equal(e, la.conj_transpose(e)) for e in idem.values()):",
         "if False:"),
+    "rotation leaves the other columns unscaled": (
+        "generate.py", "cols = [[c * v for v in col] for col in cols]",
+        "cols = list(cols)"),
     "d o d check dropped": ("lefschetz.py", "if not all(map(la.is_zero_matrix, "
                             "compose(c.diffs[i], c.diffs[i + 1]))):",
                             "if False:"),
