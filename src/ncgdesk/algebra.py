@@ -32,6 +32,7 @@ one.  ``ncgdesk.clear_caches`` empties that cache.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,7 @@ from . import linalg as la
 from .errors import DomainError, NumericalError, ValidationError
 from .scalars import (
     Cyclotomic,
+    _cyclotomic,
     get_epsilon,
     is_exact_scalar,
     scalar_is_zero,
@@ -240,14 +242,17 @@ class Projection:
     def rank_vector(self):
         """Per-factor rank; the trace of a projection counts its eigenvalue-1 space."""
         out = []
-        for t in self.element.trace_vector():
-            if is_exact_scalar(t):
-                q = t.rational_value() if isinstance(t, Cyclotomic) else Fraction(t)
-                if q.denominator != 1:
-                    raise DomainError("projection trace is not an integer")
-                out.append(int(q))
-            else:
-                out.append(int(round(to_complex(t).real)))
+        for b in self.element.blocks:
+            if type(b) is la.FloatMatrix:
+                out.append(int(round(la.trace(b).real)))
+                continue
+            _, nums, den = la.trace_numerators(b)
+            if any(nums[1:]):
+                raise ValueError("not a rational scalar")
+            rank, rest = divmod(nums[0], den)
+            if rest:
+                raise DomainError("projection trace is not an integer")
+            out.append(rank)
         return tuple(out)
 
     def orthogonal_to(self, other) -> bool:
@@ -436,10 +441,41 @@ def _merge_values(pairs):
             for idx in _cluster(zs, 2 * get_epsilon())]
 
 
+def _best_rational(x: float):
+    """(p, q) in lowest terms, q > 0: the closest p/q to x with q at most
+    _SNAP_DENOMINATOR, ``Fraction(x).limit_denominator(_SNAP_DENOMINATOR)``
+    computed on ints.
+
+    The continued fraction of x gives its last convergent p1/q1 and the
+    semiconvergent (p0 + k p1)/(q0 + k q1) within the bound; x lies
+    between them, d/(q1 den) from p1/q1, and they lie 1/(q1 (q0 + k q1))
+    apart, so one product picks the closer (a tie goes to p1/q1).  A
+    non-finite x raises as ``Fraction(x)`` does.
+    """
+    n, d = x.as_integer_ratio()
+    if d <= _SNAP_DENOMINATOR:
+        return n, d
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > _SNAP_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (_SNAP_DENOMINATOR - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _snap_gaussian(z: complex) -> Cyclotomic:
-    re = Fraction(z.real).limit_denominator(_SNAP_DENOMINATOR)
-    im = Fraction(z.imag).limit_denominator(_SNAP_DENOMINATOR)
-    return Cyclotomic.gaussian(re, im)
+    """The Gaussian rational whose parts are the best rational
+    approximations of z's with denominator at most _SNAP_DENOMINATOR."""
+    (p, q), (r, s) = _best_rational(z.real), _best_rational(z.imag)
+    den = math.lcm(q, s)
+    return _cyclotomic(4, [p * (den // q), r * (den // s)], den)
 
 
 def _split(part, basis, bounded):
@@ -633,13 +669,17 @@ class StarHomomorphism:
         object.__setattr__(self, "multiplicities", mult)
         if self.unitaries is not None:
             us = tuple(la.as_matrix(u) for u in self.unitaries)
-            for u, d in zip(us, self.target.block_dims):
+            adjoints = tuple(map(la.conj_transpose, us))
+            for u, u_star, d in zip(us, adjoints, self.target.block_dims):
                 if u.shape != (d, d):
                     raise ValidationError("embedding unitary has wrong size")
-                if not la.mat_equal(la.mat_mul(u, la.conj_transpose(u)),
+                if not la.mat_equal(la.mat_mul(u, u_star),
                                     la.identity(d, type(u) is la.ExactMatrix)):
                     raise ValidationError("embedding matrix is not unitary")
             object.__setattr__(self, "unitaries", us)
+            # kept for apply_hom, outside the fields: equality and hashing
+            # ignore it
+            object.__setattr__(self, "_adjoints", adjoints)
 
 
 def apply_hom(phi: StarHomomorphism, x: AlgebraElement) -> AlgebraElement:
@@ -650,7 +690,7 @@ def apply_hom(phi: StarHomomorphism, x: AlgebraElement) -> AlgebraElement:
     out_blocks = []
     for i in range(phi.target.num_factors):
         u = phi.unitaries[i] if phi.unitaries is not None else None
-        u_star = la.conj_transpose(u) if u is not None else None
+        u_star = phi._adjoints[i] if u is not None else None
         grid = []
         for s in range(m):
             row = []

@@ -43,6 +43,7 @@ from .scalars import (
     _operand,
     _phi,
     _promotion,
+    _spread,
     _table,
     eliminate,
     get_epsilon,
@@ -321,7 +322,13 @@ def scalar_mul(c, a):
     order, coeffs, den = _operand(c)
     if order == 1:
         return _make(a.order, a.nums * coeffs[0], den * a.den)
-    return kron(ExactMatrix(order, _table(coeffs).reshape(-1, 1, 1), den), a)
+    big = math.lcm(order, a.order)
+    if big != order:
+        coeffs = _spread(coeffs, big // order, big)
+    phi = _phi(big)
+    # c's multiplication table: column j is c zeta^j in the power basis
+    table = _table(coeffs) @ _mul_table(big).reshape(phi, phi, phi)
+    return _make(big, _fold(table, _at(a, big)), den * a.den)
 
 
 def mat_mul(a, b):
@@ -378,7 +385,14 @@ def trace(a):
     a = _packed(a)
     if type(a) is FloatMatrix:
         return sum(a.arr.diagonal().tolist(), start=0j)
-    return _scalar(a.order, np.trace(a.nums, axis1=1, axis2=2).tolist(), a.den)
+    return _scalar(*trace_numerators(a))
+
+
+def trace_numerators(a: ExactMatrix):
+    """(order, nums, den): the trace of the exact matrix ``a`` as the integer
+    power-basis numerators of its planes' traces over ``a``'s denominator,
+    not reduced; it is rational exactly when every nums[1:] is 0."""
+    return a.order, np.trace(a.nums, axis1=1, axis2=2).tolist(), a.den
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +409,8 @@ def _operands(mats):
 def block_diag(*mats):
     """Block-diagonal matrix; with no arguments, the exact 0 x 0 matrix."""
     mats = _operands(mats) or [zeros(0, 0)]
+    if len(mats) == 1:
+        return mats[0]
     exact = type(mats[0]) is ExactMatrix
     rows = sum(m.shape[0] for m in mats)
     cols = sum(m.shape[1] for m in mats)
@@ -438,6 +454,8 @@ def block_matrix(grid):
 def grid_cell(a, size: int, s: int, t: int):
     """Cell (s, t) of ``a`` viewed as a grid of size x size cells."""
     a = _packed(a)
+    if a.shape == (size, size) and s == t == 0:
+        return a  # the one cell is the whole matrix, already canonical
     rs, cs = slice(s * size, (s + 1) * size), slice(t * size, (t + 1) * size)
     if type(a) is FloatMatrix:
         return FloatMatrix(a.arr[rs, cs])

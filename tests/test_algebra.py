@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -93,6 +94,26 @@ class TestProjection:
             random_exact_unitary(d, rng) for d in A.ambient_dims(1)))
         q = Projection(u * p.element * u.star())
         assert q.rank_vector() == p.rank_vector()
+
+    def test_rank_vector_errors(self):
+        # traces are read as integer numerators over the denominator; an
+        # element that is not a projection can break either fact
+        m2 = MultiMatrixAlgebra((2,))
+        half = Projection._trusted(AlgebraElement.identity(A).scale(Fraction(1, 2)))
+        with pytest.raises(DomainError, match="^projection trace is not an integer$"):
+            half.rank_vector()
+        gaussian = Projection._trusted(AlgebraElement.diagonal(
+            m2, [[Cyclotomic.gaussian(0, 1), Fraction(1)]]))
+        with pytest.raises(ValueError, match="^not a rational scalar$"):
+            gaussian.rank_vector()
+        # i and -i cancel in the trace, and 5/2 + 5/2 is an integer
+        cancel = Projection._trusted(AlgebraElement.diagonal(
+            m2, [[Cyclotomic.gaussian(Fraction(5, 2), 1),
+                  Cyclotomic.gaussian(Fraction(5, 2), -1)]]))
+        assert cancel.rank_vector() == (5,)
+        floats = Projection._trusted(AlgebraElement.diagonal(
+            m2, [[0.9999999999, 1.0000000001j]]))
+        assert floats.rank_vector() == (1,)
 
 
 class TestSpectralForm:
@@ -207,12 +228,69 @@ class TestStarHomomorphism:
         e = BorelSetModel(a.eigenvalues()[:1] or (Fraction(1),))
         assert check_hom_spectral_commute(phi, a, e)
 
+    def test_adjoints_kept_outside_the_fields(self, monkeypatch):
+        rng = random.Random(5)
+        phi = random_hom(rng)
+        twin = StarHomomorphism(phi.source, phi.target, phi.multiplicities,
+                                phi.unitaries)
+        assert twin == phi and hash(twin) == hash(phi)
+        assert repr(twin) == repr(phi)
+        x = random_normal(phi.source, rng).element()
+        expected = apply_hom(phi, x)
+        monkeypatch.setattr(la, "conj_transpose", None)  # apply_hom reads the kept ones
+        assert apply_hom(phi, x).equals(expected)
+
     def test_pushforward_spectrum_is_preserved(self):
         rng = random.Random(9)
         phi = random_hom(rng)
         a = random_normal(phi.source, rng)
         b = apply_hom_spectral(phi, a)
         assert set(map(str, b.eigenvalues())) <= set(map(str, a.eigenvalues()))
+
+
+def _limit_denominator_snap(z):
+    """The snap as Fractions: each part's limit_denominator(10^6)."""
+    return Cyclotomic.gaussian(Fraction(z.real).limit_denominator(10 ** 6),
+                               Fraction(z.imag).limit_denominator(10 ** 6))
+
+
+@st.composite
+def _near(draw, x):
+    """x, or one of the floats up to three steps from it."""
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, draw(st.sampled_from([math.inf, -math.inf])))
+    return x
+
+
+_bounded = st.fractions(min_value=-40, max_value=40, max_denominator=10 ** 6)
+snap_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormal to huge
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    # denominators near the bound, and values near halfway between two
+    # candidates
+    st.builds(Fraction, st.integers(-10 ** 8, 10 ** 8),
+              st.integers(10 ** 6 - 64, 10 ** 6 + 64)).map(float).flatmap(_near),
+    st.tuples(_bounded, _bounded).map(lambda ab: float(sum(ab) / 2)).flatmap(_near),
+)
+
+
+class TestSnap:
+    @settings(max_examples=300, deadline=None)
+    @given(snap_parts, snap_parts, st.booleans())
+    def test_equals_limit_denominator(self, re, im, numpy_scalar):
+        z = np.complex128(complex(re, im)) if numpy_scalar else complex(re, im)
+        got, want = _snap_gaussian(z), _limit_denominator_snap(complex(re, im))
+        assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+
+    @pytest.mark.parametrize("z, error", [
+        (complex(math.inf, 0), OverflowError), (complex(1, -math.inf), OverflowError),
+        (complex(math.nan, 0), ValueError), (complex(0, math.nan), ValueError)])
+    def test_non_finite_parts_raise_as_fractions_do(self, z, error):
+        with pytest.raises(error):
+            _limit_denominator_snap(z)
+        with pytest.raises(error):
+            _snap_gaussian(z)
 
 
 class TestFloatSpectrum:

@@ -90,6 +90,9 @@ DOCUMENTS = {
     # exact keys beyond float range
     "huge_key": _n0((1, 1), (["1e400", "0"], (1, 0)), (["1/2", "0"], (0, 1))),
     "huge_z3_key": _n0((1,), ({"order": 3, "coeffs": ["0", "1e400"]}, (1,))),
+    "c": lambda: {"blocks": [1]},
+    "m2": lambda: {"blocks": [2]},
+    "c3": lambda: {"blocks": [1, 1, 1]},
 }
 
 
@@ -104,6 +107,12 @@ def _support(expected):
 
 def _equal(out):
     return json.loads(out) == {"equal": True}
+
+
+def _dims(degree, k):
+    """HC_n = C^k in even degree n and 0 in odd degree, n <= degree."""
+    return lambda out: json.loads(out)["dims"] == [
+        0 if n % 2 else k for n in range(degree + 1)]
 
 
 def _exact_huge(key):
@@ -212,6 +221,27 @@ CASES = {
         ("gchern", "--n0", "{huge_key}"), 0, _exact_huge("coords")),
     "n0 h on a non-Gaussian key beyond float range": Case(
         ("n0", "h", "--n0", "{huge_z3_key}"), 2),
+    # every CC_n over C is one orbit whose n + 1 faces are one word: each
+    # boundary build canonicalizes it once, so 401 degrees answer well
+    # inside 10 s
+    "hc dims over C to degree 400": Case(
+        ("hc", "dims", "--algebra", "{c}", "--max-degree", "400"), 0,
+        _dims(400, 1), timeout=10),
+    # HC is built from boundary ranks alone: M_2 to degree 7 and C^3 to
+    # degree 6 eliminate thousands of columns and keep no combination
+    "hc dims over M_2 to degree 7": Case(
+        ("hc", "dims", "--algebra", "{m2}", "--max-degree", "7"), 0,
+        _dims(7, 1), timeout=20),
+    "hc dims over C^3 to degree 6": Case(
+        ("hc", "dims", "--algebra", "{c3}", "--max-degree", "6"), 0,
+        _dims(6, 3), timeout=20),
+    # the hc battery asks for witnesses of mixed-weight boundaries, whose
+    # parts off weight 0 come from the Cartan homotopy; an empty battery
+    # list is one error line and exit 1, not an empty report
+    "boundary witness batteries": Case(
+        ("verify", "--theorems", "hc,th2", "--seed", "7", "--count", "25"), 0,
+        timeout=30),
+    "verify with no battery": Case(("verify", "--theorems", ","), 1),
 }
 
 

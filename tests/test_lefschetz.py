@@ -299,6 +299,12 @@ class TestComplexes:
             with pytest.raises(DomainError, match=message):
                 generalized_lefschetz(c, c.unitary(1))
 
+    def test_unitary_generators_of_a_non_representation(self):
+        # i is unitary although i * i is not the identity's action: only
+        # the multiplicativity problem is listed, none of unitarity
+        assert validate_complex(self._i_on_c()) == [
+            "action is not multiplicative at (1,1) on module 0"]
+
     def test_harmonic_check_needs_a_representation_on_the_module(self):
         # Z/2 acts by 2 on C and by diag(1, 2) on C^2, d0 = (0 1): not a
         # representation on either module, although its compression to the

@@ -31,6 +31,14 @@ def test_scalar_matrix_is_the_scaled_identity(c):
         assert la.scalar_matrix(c, n) == la.scalar_mul(c, la.identity(n))
 
 
+def test_one_block_and_one_cell_are_the_matrix():
+    for m in (la.as_matrix([[1, Fraction(1, 2)], [Cyclotomic.gaussian(0, 1), 3]]),
+              la.as_matrix([[1.0, 2j], [0.5, 0.0]])):
+        assert la.block_diag(m) is m
+        assert la.grid_cell(m, 2, 0, 0) is m
+        assert la.grid_cell(m, 1, 1, 0) == la.as_matrix([[m[1][0]]])
+
+
 def test_block_diag_shapes():
     a = la.as_matrix([[1]])
     b = la.as_matrix([[2, 0], [0, 2]])

@@ -26,7 +26,7 @@ from ncgdesk.scalars import Cyclotomic, _promotion, _subfields
 
 ZERO = Cyclotomic.from_rational(0)
 ORDERS = (1, 3, 4, 12)
-PHI = {1: 1, 3: 2, 4: 2, 12: 4}
+PHI = {1: 1, 3: 2, 4: 2, 5: 4, 8: 4, 12: 4}
 NEAR_2_64 = st.integers(2 ** 64 - 2 ** 8, 2 ** 64 + 2 ** 8)
 
 
@@ -201,6 +201,23 @@ def test_add_and_sub_match_reference(data):
 @given(one_matrix(), st.one_of(scalars(), rationals))
 def test_scalar_mul_matches_reference(mat, s):
     a, r, c = mat
+    assert same(la.scalar_mul(s, pack(a, r, c)), ref_scale(s, a), r, c)
+
+
+# scalar and matrix over any two fields: promotion to their compositum,
+# whose multiplication table scales the matrix
+SCALE_ORDERS = (1, 3, 4, 5, 8, 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scalar_mul_is_entrywise_across_fields(data):
+    n, m = data.draw(st.sampled_from(SCALE_ORDERS)), \
+        data.draw(st.sampled_from(SCALE_ORDERS))
+    r, c = data.draw(sizes), data.draw(sizes)
+    a = data.draw(st.lists(st.lists(scalars((m,)), min_size=c, max_size=c),
+                           min_size=r, max_size=r))
+    s = data.draw(scalars((n,)))
     assert same(la.scalar_mul(s, pack(a, r, c)), ref_scale(s, a), r, c)
 
 

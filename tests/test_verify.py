@@ -135,6 +135,11 @@ MUTANTS = {
     "d o d check dropped": ("lefschetz.py", "if not all(map(la.is_zero_matrix, "
                             "compose(c.diffs[i], c.diffs[i + 1]))):",
                             "if False:"),
+    "scalar multiplication table transposed": (
+        "linalg.py", "_fold(table, _at(a, big))", "_fold(table.T, _at(a, big))"),
+    "snap keeps the farther bound": ("algebra.py",
+                                     "if 2 * d * (q0 + k * q1) <= den:",
+                                     "if 2 * d * (q0 + k * q1) > den:"),
 }
 
 # prints the package it imported, then the first battery that fails; a
