@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
-
 from . import linalg as la
 from .errors import DomainError, NumericalError, ValidationError
 from .scalars import (
@@ -47,6 +45,7 @@ from .scalars import (
     _cyclotomic,
     get_epsilon,
     is_exact_scalar,
+    np,
     scalar_is_zero,
     scalars_equal,
     sort_key,

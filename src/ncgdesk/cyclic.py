@@ -748,13 +748,17 @@ class DecompositionRep:
 
     def trace_values(self) -> list:
         """(phi_f(xi))_f: phi_f of a summand is tr_f of the product
-        x_0 x_1 ... x_n, over the f-block of M_m(A)."""
+        x_0 x_1 ... x_n, over the f-block of M_m(A).  As in
+        :func:`read_class`, one float coefficient makes every value
+        complex."""
         words, product, elements = self._spelling
+        exact = all(map(is_exact_scalar, self.coeffs))
         phi = [0] * self.algebra.num_factors
         for word, c in words:
             x = elements[functools.reduce(product, word)]
             for f, block in enumerate(x.blocks):
-                phi[f] += c * la.trace(block)
+                t = la.trace(block)
+                phi[f] += c * t if exact else to_complex(c) * to_complex(t)
         return phi
 
 

@@ -31,8 +31,6 @@ import math
 import operator
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ValidationError
 from .scalars import (
     Cyclotomic,
@@ -49,6 +47,7 @@ from .scalars import (
     get_epsilon,
     is_exact_scalar,
     minimal_field,
+    np,
     tagged,
     tags,
     to_complex,

@@ -39,16 +39,39 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import importlib.util
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
-import numpy as np
-
 from .budget import check_budget
 from .errors import NumericalError, ValidationError
+
+
+def _lazy_import(name: str):
+    """The module ``name``, whose own import runs on its first attribute
+    read.  A missing module raises ModuleNotFoundError here, as ``import``
+    does.  LazyLoader is not thread-safe on first access before Python
+    3.12; ncgdesk starts no threads."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the one binding of numpy, which linalg and algebra import: ``import
+# ncgdesk`` and cyclic homology on rational or Gaussian tensors never
+# run numpy's import
+np = _lazy_import("numpy")
 
 _EPSILON = 1e-9
 

@@ -36,7 +36,7 @@ from ncgdesk.generate import (
     random_spectrum,
 )
 from ncgdesk.ngroup import K0Class, N0Class
-from ncgdesk.scalars import Cyclotomic, get_epsilon, set_epsilon
+from ncgdesk.scalars import Cyclotomic, get_epsilon, real_imag, set_epsilon
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -108,6 +108,21 @@ class TestDyadicCovers:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValidationError):
             dyadic_cover([Cyclotomic.from_rational(1)], 0, "median")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(*[st.fractions(-2, 2, max_denominator=16)] * 2),
+                    min_size=1, max_size=5, unique=True),
+           st.integers(0, 3))
+    def test_cells_hold_their_points(self, parts, level):
+        """corner <= (re, im) < corner + side in each part, exactly."""
+        side = Fraction(1, 2 ** level)
+        spectrum = [Cyclotomic.gaussian(re, im) for re, im in parts]
+        for cell in dyadic_cover(spectrum, level):
+            for z in cell.points:
+                re, im, den = real_imag(z)
+                for low, x in zip(cell.corner, (Fraction(re, den),
+                                                Fraction(im, den))):
+                    assert low <= x < low + side
 
 
 class TestExtension:

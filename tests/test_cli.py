@@ -13,7 +13,7 @@ from ncgdesk.budget import set_budget
 from ncgdesk.errors import ConsistencyError
 from ncgdesk.cli import main
 from ncgdesk.lefschetz import FiniteGroup, GAComplex
-from ncgdesk.scalars import Cyclotomic
+from ncgdesk.scalars import Cyclotomic, _lazy_import
 
 
 @pytest.fixture(autouse=True)
@@ -234,11 +234,70 @@ def test_eq_json_roundtrip_through_files(tmp_path, capsys):
     assert code == 0 and out == {"equal": True}
 
 
+# Imports, a CLI usage error and the cyclic layer on rational tensors, then
+# one matrix.  sys.modules holds numpy itself as an unexecuted lazy module
+# from the import on, so only its submodules show that it ran; any attribute
+# read of that module, __dict__ included, would run it.
+LAZY_NUMPY = """
+import contextlib, io, json, sys
+from fractions import Fraction
+import ncgdesk, ncgdesk.cli
+from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra
+from ncgdesk.cyclic import TensorElement, hc_class, hc_dims, trace_map
+
+def loaded():
+    return sorted(k for k in sys.modules if k.startswith(("numpy.", "scipy")))
+
+def answers():
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ncgdesk.cli.main(["hc", "dims"])
+        except SystemExit:
+            pass
+    ncgdesk.clear_caches()
+    a = MultiMatrixAlgebra((1, 2))
+    xi = TensorElement(a, 2, 2, {((1, 2, 2),) * 3: Fraction(3, 2)})
+    return [hc_dims(a, 4), [[list(map(list, k)), str(c)]
+                            for k, c in trace_map(xi).coeffs.items()],
+            list(map(str, hc_class(xi).coords))]
+
+before = answers()
+cold = loaded()
+AlgebraElement(MultiMatrixAlgebra((1,)), 1, (((1,),),))
+print(json.dumps([cold, before, "numpy.linalg" in loaded(), answers()]))
+"""
+
+
 def test_import_does_not_load_scipy():
+    """Nor numpy, until the first matrix."""
+    proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY],
+                          capture_output=True, text=True, check=True)
+    cold, before, numpy_ran, after = json.loads(proc.stdout)
+    assert cold == []
+    assert before == [[2, 0, 2, 0, 2],
+                      [[[[1, 0, 0]] * 3, "3/2"]], ["0", "3/2"]]
+    assert numpy_ran and after == before
+
+
+def test_import_without_numpy_names_it():
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ncgdesk; print('scipy' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys\n"
+         "class NoNumpy:\n"
+         "    def find_spec(self, name, path=None, target=None):\n"
+         "        if name.split('.')[0] == 'numpy':\n"
+         "            raise ModuleNotFoundError(f'No module named {name!r}',"
+         " name=name)\n"
+         "sys.meta_path.insert(0, NoNumpy())\n"
+         "try:\n"
+         "    import ncgdesk\n"
+         "except ModuleNotFoundError as exc:\n"
+         "    print(exc.name)\n"],
         capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "numpy"
+    with pytest.raises(ModuleNotFoundError) as caught:
+        _lazy_import("ncgdesk_no_such_module")
+    assert caught.value.name == "ncgdesk_no_such_module"
 
 
 def _n0_class(element):

@@ -31,8 +31,8 @@ from ncgdesk.errors import ConsistencyError, DomainError, ResourceError, \
     ValidationError
 from ncgdesk.chern import eta_cycle, verify_eta_vanishes
 from ncgdesk.generate import random_orthogonal_family
-from ncgdesk.scalars import (Cyclotomic, eliminate, scalar_is_zero, tagged,
-                             tags)
+from ncgdesk.scalars import (Cyclotomic, eliminate, scalar_is_zero,
+                             scalars_equal, tagged, tags)
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -847,3 +847,12 @@ class TestFactoredCycles:
         assert rep.trace_values() \
             == power(P_AMP, 3).scale(Fraction(5)).trace_values() \
             == trace_map(power(P_AMP, 3).scale(Fraction(5))).trace_values()
+
+    def test_float_coefficient_makes_the_class_complex(self):
+        # as in read_class, one float value makes every coordinate complex;
+        # an exact coefficient keeps the exact value
+        x = AlgebraElement(C, 1, (((I,),),))
+        (got,) = hc_class(DecompositionRep(((x,),), (0.5,))).coords
+        assert isinstance(got, complex) and scalars_equal(got, 0.5j)
+        assert hc_class(DecompositionRep(((x,),), (Fraction(1, 2),))).coords \
+            == (I * Fraction(1, 2),)

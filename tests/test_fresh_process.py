@@ -1,10 +1,12 @@
 """CLI checks run as fresh processes, from one table of cases.
 
-Each case runs ``python -m ncgdesk.cli`` with its argv, in which a name in
-braces is the path of an input document written by ``DOCUMENTS``.  Every
-case must end with its exit code, no traceback and at most one ``error:``
-line; a nonzero exit prints exactly that one line, and a case may also
-check the JSON on stdout or match that line against a pattern.  ``verify``
+Each case runs ``python -m ncgdesk.cli`` (or, for a case with no module,
+``python``) with its argv, in which a name in braces is the path of an
+input document written by ``DOCUMENTS``: a JSON document, or a script when
+its builder returns a string.  Every case must end with its exit code, no
+traceback and at most one ``error:`` line; a nonzero exit prints exactly
+that one line, and a case may also check stdout or match that line
+against a pattern.  ``verify``
 exits 0 only when every battery passes.
 """
 
@@ -21,10 +23,11 @@ import pytest
 
 from ncgdesk import serialize as sz
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
-from ncgdesk.lefschetz import FiniteGroup, GAComplex
+from ncgdesk.lefschetz import FiniteGroup, GAComplex, IrrepTable
 from ncgdesk.scalars import Cyclotomic
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 C = MultiMatrixAlgebra((1,))
 M2 = MultiMatrixAlgebra((2,))
 
@@ -62,6 +65,38 @@ def _z25(modules):
     return build
 
 
+def _trivial(n):
+    """C with Z/n acting trivially on one module."""
+    def build():
+        q = Projection.identity(C)
+        return sz.complex_to_json(GAComplex(
+            C, FiniteGroup.cyclic_group(n), (q,), (),
+            tuple((q.element,) for _ in range(n))))
+    return build
+
+
+def _tensor(*indices):
+    """A degree-0 tensor over C: one term of coefficient 1 per index."""
+    return lambda: {"schema_version": 1, "algebra": {"blocks": [1]},
+                    "degree": 0, "terms": [{"indices": [u], "coeff": "1"}
+                                           for u in indices]}
+
+
+def _not_a_representation():
+    """The Z/3 table with chi1 sending 2 where it sends 1."""
+    doc = sz.irreps_to_json(IrrepTable.cyclic(3))
+    chi1 = doc["irreps"][1]
+    chi1["matrices"][2] = chi1["matrices"][1]
+    return doc
+
+
+def _readme_example():
+    """The README's Python block, as the README shows it."""
+    fence = "`" * 3
+    return re.search(fence + "python\n(.*?)" + fence,
+                     (ROOT / "README.md").read_text(), re.S).group(1)
+
+
 NEAR = 1 + 1.5e-9  # within 2 epsilon of 1.0 at the default epsilon
 ZETA25 = {"order": 25, "coeffs": ["0", "1"] + ["0"] * 18}
 
@@ -93,6 +128,14 @@ DOCUMENTS = {
     "c": lambda: {"blocks": [1]},
     "m2": lambda: {"blocks": [2]},
     "c3": lambda: {"blocks": [1, 1, 1]},
+    "trivial1": _trivial(1),
+    "trivial3": _trivial(3),
+    "trivial25": _trivial(25),
+    "cyclic1e9": lambda: {"kind": "cyclic", "n": 10 ** 9},
+    "not_a_rep": _not_a_representation,
+    "pair": _tensor([0, 0]),
+    "twice": _tensor([0, 0, 0], [0, 0, 0]),
+    "readme": _readme_example,
 }
 
 
@@ -103,6 +146,11 @@ def _agree(out):
 def _support(expected):
     """stdout is an N0 document with this support."""
     return lambda out: json.loads(out)["support"] == expected
+
+
+def _field(key, value):
+    """stdout is a JSON object with this value at key."""
+    return lambda out: json.loads(out)[key] == value
 
 
 def _equal(out):
@@ -132,6 +180,7 @@ class Case(NamedTuple):
     stdout: Optional[Callable[[str], bool]] = None
     timeout: float = 60
     error: Optional[str] = None  # a pattern the error line must match
+    module: Optional[str] = "ncgdesk.cli"  # None runs argv as a script
 
 
 CASES = {
@@ -242,6 +291,30 @@ CASES = {
         ("verify", "--theorems", "hc,th2", "--seed", "7", "--count", "25"), 0,
         timeout=30),
     "verify with no battery": Case(("verify", "--theorems", ","), 1),
+    # the README's library example runs as written and prints HC dims
+    "README library example": Case(
+        ("{readme}",), 0, lambda out: "[2, 0, 2]" in out, module=None),
+    # a two-entry unit index is one error line, not a traceback; a term
+    # listed twice counts twice
+    "hc class on a two-entry unit index": Case(
+        ("hc", "class", "--tensor", "{pair}"), 1),
+    "hc class on a term listed twice": Case(
+        ("hc", "class", "--tensor", "{twice}"), 0,
+        _field("coords", [["2", "0"]])),
+    # a cyclic group of order 10^9 is charged its n^3 associativity checks
+    # before its table is built
+    "l1 with a cyclic group of order 10^9": Case(
+        ("lefschetz", "l1", "--g", "0", "--complex", "{trivial1}",
+         "--irreps", "{cyclic1e9}"), 2),
+    # tables are checked on generators: the built-in Z/25 table answers l1
+    # at once; a Z/3 table whose chi1 sends 2 where it sends 1 is not a
+    # representation
+    "l1 of a trivial Z/25 action": Case(
+        ("lefschetz", "l1", "--g", "1", "--complex", "{trivial25}"), 0,
+        _field("coeffs", [["1", "0"]])),
+    "l1 with a non-representation irrep table": Case(
+        ("lefschetz", "l1", "--g", "0", "--complex", "{trivial3}",
+         "--irreps", "{not_a_rep}"), 1, error="^error: .*chi1"),
 }
 
 
@@ -250,12 +323,15 @@ def test_fresh_process(tmp_path, case):
     paths = {}
     for name, build in DOCUMENTS.items():
         if any("{" + name + "}" in arg for arg in case.argv):
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(sz.dumps(build()))
+            doc = build()
+            script = isinstance(doc, str)
+            paths[name] = tmp_path / f"{name}.{'py' if script else 'json'}"
+            paths[name].write_text(doc if script else sz.dumps(doc))
     argv = [arg.format(**paths) for arg in case.argv]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "ncgdesk.cli", *argv],
+    module = ("-m", case.module) if case.module else ()
+    proc = subprocess.run([sys.executable, *module, *argv],
                           env=env, capture_output=True, text=True,
                           timeout=case.timeout)
     assert proc.returncode == case.code, proc.stderr

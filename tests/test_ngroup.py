@@ -93,6 +93,15 @@ def test_classes_from_either_rational_type_hash_alike(q):
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
+def test_k0_tensor_c_adds_and_subtracts_coordinatewise():
+    a = K0TensorC((Fraction(1, 2), Cyclotomic.gaussian(0, 1)))
+    b = K0TensorC((Fraction(3), Fraction(-1, 4)))
+    assert a + b == K0TensorC((Fraction(7, 2),
+                               Cyclotomic.gaussian(Fraction(-1, 4), 1)))
+    assert a - b == K0TensorC((Fraction(-5, 2),
+                               Cyclotomic.gaussian(Fraction(1, 4), 1)))
+
+
 def test_k0_tensor_c_lengths_must_agree():
     for op in (operator.add, operator.sub):
         with pytest.raises(ValidationError, match="different algebras"):
