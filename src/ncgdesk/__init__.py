@@ -75,8 +75,8 @@ __version__ = "0.1.0"
 
 # taken at import, since a tracer may rebind the public names to wrappers
 _CACHED = (
-    _cyclic._cyclic_space, _cyclic._boundary, _cyclic._hc_space,
-    _chern._unit_class, _chern._read_terms,
+    _cyclic._letters, _cyclic._cyclic_space, _cyclic._boundary,
+    _cyclic._hc_space, _chern._unit_class, _chern._read_terms,
     _algebra._spectral_decompose_exact,
     _lefschetz._fourier, _scalars.cyclotomic_poly, _scalars._powers,
     _scalars._mul_table, _scalars._galois, _scalars._promotion,

@@ -18,9 +18,9 @@ inner automorphisms act trivially on cyclic homology, so blocks of
 nonzero weight are acyclic.  Only the weight-0 block is enumerated and
 eliminated; a boundary witness reads its other parts from the Cartan
 homotopy (Loday, Cyclic Homology, 1992, 4.1; Goodwillie, Topology 24,
-1985).  The elimination (:func:`~ncgdesk.scalars.eliminate`, on integer
-boundary columns) of b: CC_n -> CC_{n-1} is done once per (algebra,
-amplification, n), for its rank; a witness eliminates it again, tagged.
+1985).  b: CC_n -> CC_{n-1}, on words of integer letters, is eliminated
+(:func:`~ncgdesk.scalars.eliminate`) once per (algebra, amplification,
+n), for its rank, by rows; a witness eliminates its columns, tagged.
 
 HC_2l = C^k has a fixed basis, the classes of e_{f,00} x ... x e_{f,00}
 (2l+1 factors), one per factor f, and HC is 0 in odd degree.  The trace
@@ -48,7 +48,7 @@ from . import linalg as la
 from .algebra import AlgebraElement, MultiMatrixAlgebra
 from .budget import check_budget, get_budget
 from .errors import ConsistencyError, DomainError, ValidationError
-from .scalars import (_SparseReducer, eliminate, get_epsilon, is_exact_scalar,
+from .scalars import (eliminate, get_epsilon, is_exact_scalar,
                       scalar_is_zero, scalars_equal, tagged, tags, to_complex)
 
 # A basis unit of M_m(A) is (factor index j, row a, col b) with a, b < m*r_j.
@@ -298,19 +298,26 @@ def _weight(key) -> tuple:
 
 @dataclass(frozen=True)
 class CyclicSpace:
-    """Basis of the weight-0 block of CC_n(M_m(A)) by canonical cyclic-orbit
-    representatives, sorted.  No other block is built: a witness reads its
-    other parts from the Cartan homotopy (Loday 1992, 4.1)."""
+    """Basis of the weight-0 block of CC_n(M_m(A)): canonical cyclic-orbit
+    representatives as sorted words of :func:`_letters`.  No other block is
+    built: a witness reads its other parts from the Cartan homotopy."""
 
     algebra: MultiMatrixAlgebra
     amplification: int
     degree: int
-    basis: tuple
+    words: tuple
     index: dict
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.words)
+
+    def key(self, i: int) -> tuple:
+        """Word i as a unit tuple."""
+        units = _letters(self.algebra, self.amplification)[0]
+        return tuple(units[x] for x in self.words[i])
+
+    basis = property(lambda self: tuple(map(self.key, range(self.dimension))))
 
     def coordinates(self, xi: TensorElement) -> dict:
         """Sparse CC coordinates {basis position: coefficient} of the
@@ -319,9 +326,10 @@ class CyclicSpace:
                 or xi.amplification != self.amplification
                 or xi.degree != self.degree):
             raise ValidationError("tensor does not live in this space")
+        letter = _letters(self.algebra, self.amplification)[1]
         # a weight-0 key missing from the index is a bug: KeyError
-        return {self.index[k]: c for k, c in cc_reduce(xi).items()
-                if not _weight(k)}
+        return {self.index[tuple(map(letter.get, k))]: c
+                for k, c in cc_reduce(xi).items() if not _weight(k)}
 
 
 def _all_units(algebra, m):
@@ -329,6 +337,21 @@ def _all_units(algebra, m):
     for j, d in enumerate(algebra.ambient_dims(m)):
         units.extend((j, a, b) for a in range(d) for b in range(d))
     return units
+
+
+@functools.lru_cache(maxsize=256)
+def _letters(algebra, m: int) -> tuple:
+    """(units, letter, moves, mul): letter i is units[i], letter[units[i]] = i;
+    moves[i] numbers its row and column among the (factor, index) pairs,
+    and mul(x, y), nonzero iff col x = row y, has x's row and y's column."""
+    units = _all_units(algebra, m)
+    pos = {p: i for i, p in enumerate(dict.fromkeys(u[:2] for u in units))}
+    moves = [(pos[j, a], pos[j, b]) for j, a, b in units]
+
+    def mul(x, y):
+        if moves[x][1] == moves[y][0]:
+            return x + moves[y][1] - moves[x][1]
+    return units, {u: i for i, u in enumerate(units)}, moves, mul
 
 
 def _orbit_basis(algebra, m: int, n: int) -> list:
@@ -347,21 +370,17 @@ def _orbit_basis(algebra, m: int, n: int) -> list:
     """
     budget = get_budget()
     visited = 1  # the root
-    units = _all_units(algebra, m)
-    pos = {}
-    for j, a, _ in units:
-        pos.setdefault((j, a), len(pos))
-    moves = [(pos[j, a], pos[j, b]) for j, a, b in units]
-    gap = [0] * len(pos)  # the prefix's weight
+    moves = _letters(algebra, m)[2]
+    gap = [0] * (moves[-1][0] + 1)  # the prefix's weight
     basis = []
-    prefix = []  # letters as positions in units
+    prefix = []
 
     def walk(t, p, dist):
         nonlocal visited
         left = n + 1 - t
         if not left:
             if (n + 1) % p == 0 and not (n % 2 and p % 2):
-                basis.append(tuple(units[i] for i in prefix))
+                basis.append(tuple(prefix))
             return
         first = prefix[t - p] if t else 0
         visited += len(moves) - first
@@ -394,17 +413,17 @@ def build_cyclic_space(algebra: MultiMatrixAlgebra, n: int,
 # entry whichever form the public call took
 @functools.lru_cache(maxsize=256)
 def _cyclic_space(algebra, n: int, amplification: int) -> CyclicSpace:
-    basis = _orbit_basis(algebra, amplification, n)
-    return CyclicSpace(algebra, amplification, n, tuple(basis),
-                       {k: i for i, k in enumerate(basis)})
+    words = _orbit_basis(algebra, amplification, n)
+    return CyclicSpace(algebra, amplification, n, tuple(words),
+                       {w: i for i, w in enumerate(words)})
 
 
-def _boundary_column(key, index: dict, canonical) -> dict:
-    """b(key) in CC_{n-1} coordinates {position in index: int}, each face
-    put in canonical form by ``canonical``."""
+def _boundary_column(word, mul, index: dict, canonical) -> dict:
+    """b(word) in CC_{n-1} coordinates {position in index: int}, letters
+    multiplied by ``mul``, each face put in canonical form by ``canonical``."""
     col = {}
-    for i in range(len(key)):
-        face = _face(key, i, _unit_mul)
+    for i in range(len(word)):
+        face = _face(word, i, mul)
         if face is None:
             continue
         rep, sign = canonical(face)
@@ -420,25 +439,26 @@ def _boundary_column(key, index: dict, canonical) -> dict:
 
 
 def _boundary_columns(source: CyclicSpace, target: CyclicSpace):
-    """b of each source tuple, each distinct face canonicalized once; b_0 = 0."""
+    """b of each source word, each distinct face canonicalized once; b_0 = 0."""
     if not source.degree:
         return [{}] * source.dimension
+    mul = _letters(source.algebra, source.amplification)[3]
     canonical = functools.cache(lambda face: _cc_canonical(face, target.degree))
-    return (_boundary_column(k, target.index, canonical) for k in source.basis)
+    return (_boundary_column(w, mul, target.index, canonical)
+            for w in source.words)
 
 
 @dataclass(frozen=True)
 class _Boundary:
-    """b: CC_n -> CC_{n-1} on the weight-0 block; ``reducer`` spans the
-    image of its columns, eliminated untagged in basis order."""
+    """b: CC_n -> CC_{n-1} on the weight-0 block, and its rank."""
 
     source: CyclicSpace
     target: CyclicSpace
-    reducer: _SparseReducer
+    rank: int
 
     @functools.cached_property
     def tracked(self):
-        """:func:`eliminate` on the columns again, tagged."""
+        """:func:`eliminate` on the columns, tagged."""
         return eliminate(tagged(_boundary_columns(self.source, self.target)))
 
 
@@ -446,8 +466,12 @@ class _Boundary:
 def _boundary(algebra, n: int, amplification: int) -> _Boundary:
     target = build_cyclic_space(algebra, n - 1, amplification)
     source = build_cyclic_space(algebra, n, amplification)
-    red, _, _ = eliminate(_boundary_columns(source, target))
-    return _Boundary(source, target, red)
+    rows = [{} for _ in range(target.dimension)]
+    for j, col in enumerate(_boundary_columns(source, target)):
+        for p, c in col.items():
+            rows[p][j] = c
+    red, _, _ = eliminate(rows)
+    return _Boundary(source, target, red.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +537,8 @@ class HomologySpace:
         self.degree = n
         self._above = _boundary(algebra, n + 1, amplification)
         self.cc = self._above.target
-        self.boundary_rank = self._above.reducer.rank
-        rank_b = _boundary(algebra, n, amplification).reducer.rank if n else 0
+        self.boundary_rank = self._above.rank
+        rank_b = _boundary(algebra, n, amplification).rank if n else 0
         self.dimension = self.cc.dimension - rank_b - self.boundary_rank
         self.basis = () if n % 2 else tuple(
             ((f, 0, 0),) * (n + 1) for f in range(algebra.num_factors))
@@ -535,12 +559,15 @@ class HomologySpace:
         :func:`hc_class`, which does not use the trace cocycles."""
         if not xi.is_cycle():
             raise DomainError("tensor is not a cycle in CC coordinates")
-        # the other weight blocks are acyclic: only the weight-0 part counts
-        residue = self._above.reducer.reduce(self.cc.coordinates(xi))
-        basis, _, _ = eliminate(tagged(
-            self._above.reducer.reduce({self.cc.index[key]: 1}, operator.not_)
+
+        # weight 0 only; tags never pivot, so the untagged part is b's residue
+        def reduce(xi, is_zero=scalar_is_zero):
+            out = self._above.tracked[0].reduce(self.cc.coordinates(xi), is_zero)
+            return {k: v for k, v in out.items() if k >= 0}
+        basis, _, _ = eliminate(tagged(reduce(TensorElement.basis(
+            self.algebra, self.amplification, key), operator.not_)
             for key in self.basis))
-        rest = basis.reduce(residue)
+        rest = basis.reduce(reduce(xi))
         if any(k >= 0 for k in rest):
             raise DomainError("cycle does not reduce into the basis")
         zero = Fraction(0) if xi.is_exact() else 0j
@@ -560,7 +587,7 @@ class HomologySpace:
         1992, 4.1; Goodwillie, Topology 24, 1985).
         """
         residue = self._above.tracked[0].reduce(self.cc.coordinates(xi))
-        out = {self._above.source.basis[j]: -f
+        out = {self._above.source.key(j): -f
                for j, f in tags(residue).items()}
         for key, c in cc_reduce(xi).items():
             weight = _weight(key)

@@ -333,6 +333,8 @@ class Cyclotomic:
 
     def __complex__(self):
         # each term is an int true division, rounded as float(Fraction) is
+        if self.order in (1, 4):  # the parts real_imag reads, rounded once
+            return complex(*(x / self.den for x in real_imag(self)[:2]))
         z = cmath.exp(2j * math.pi / self.order)
         acc, p = 0j, 1 + 0j
         for x in self.nums:

@@ -234,8 +234,9 @@ def test_eq_json_roundtrip_through_files(tmp_path, capsys):
     assert code == 0 and out == {"equal": True}
 
 
-# Imports, a CLI usage error and the cyclic layer on rational tensors, then
-# one matrix.  sys.modules holds numpy itself as an unexecuted lazy module
+# Imports, a CLI usage error and the cyclic layer on rational tensors, the
+# letter tables and boundary ranks of C + M_2 amplified twice among them,
+# then one matrix.  sys.modules holds numpy itself as an unexecuted lazy module
 # from the import on, so only its submodules show that it ran; any attribute
 # read of that module, __dict__ included, would run it.
 LAZY_NUMPY = """
@@ -243,7 +244,7 @@ import contextlib, io, json, sys
 from fractions import Fraction
 import ncgdesk, ncgdesk.cli
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra
-from ncgdesk.cyclic import TensorElement, hc_class, hc_dims, trace_map
+from ncgdesk.cyclic import TensorElement, hc_class, hc_dims, hc_space, trace_map
 
 def loaded():
     return sorted(k for k in sys.modules if k.startswith(("numpy.", "scipy")))
@@ -257,8 +258,9 @@ def answers():
     ncgdesk.clear_caches()
     a = MultiMatrixAlgebra((1, 2))
     xi = TensorElement(a, 2, 2, {((1, 2, 2),) * 3: Fraction(3, 2)})
-    return [hc_dims(a, 4), [[list(map(list, k)), str(c)]
-                            for k, c in trace_map(xi).coeffs.items()],
+    return [hc_dims(a, 4), hc_space(a, 2, 2).dimension,
+            [[list(map(list, k)), str(c)]
+             for k, c in trace_map(xi).coeffs.items()],
             list(map(str, hc_class(xi).coords))]
 
 before = answers()
@@ -274,7 +276,7 @@ def test_import_does_not_load_scipy():
                           capture_output=True, text=True, check=True)
     cold, before, numpy_ran, after = json.loads(proc.stdout)
     assert cold == []
-    assert before == [[2, 0, 2, 0, 2],
+    assert before == [[2, 0, 2, 0, 2], 2,
                       [[[[1, 0, 0]] * 3, "3/2"]], ["0", "3/2"]]
     assert numpy_ran and after == before
 

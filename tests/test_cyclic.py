@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from ncgdesk import cyclic, serialize as sz
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
@@ -31,8 +31,7 @@ from ncgdesk.errors import ConsistencyError, DomainError, ResourceError, \
     ValidationError
 from ncgdesk.chern import eta_cycle, verify_eta_vanishes
 from ncgdesk.generate import random_orthogonal_family
-from ncgdesk.scalars import (Cyclotomic, eliminate, scalar_is_zero,
-                             scalars_equal, tagged, tags)
+from ncgdesk.scalars import Cyclotomic, eliminate, scalar_is_zero, tagged, tags
 
 C = MultiMatrixAlgebra((1,))
 A = MultiMatrixAlgebra((1, 1))
@@ -329,9 +328,11 @@ class TestWeightGrading:
 
     def test_missing_weight_zero_key_fails_loudly(self):
         full = build_cyclic_space(M2, 2)
-        short = full.basis[1:]
+        short = full.words[1:]
         broken = CyclicSpace(M2, 1, 2, short,
                              {k: i for i, k in enumerate(short)})
+        assert broken.coordinates(
+            TensorElement.basis(M2, 1, full.basis[1])) == {0: 1}
         with pytest.raises(KeyError):
             broken.coordinates(TensorElement.basis(M2, 1, full.basis[0]))
 
@@ -567,20 +568,30 @@ class TestPrenecklaceWalk:
 def elimination_witness(xi):
     """The per-weight elimination route: each weight block of xi, weight 0
     included, is solved against the boundary of its own block, whose bases
-    come from the leaf walk.  A witness, or None."""
+    come from the leaf walk.  Words are encoded in the library's letters
+    and multiplied as their units are.  A witness, or None."""
     algebra, m, n = xi.algebra, xi.amplification, xi.degree
+    units, letter, _, _ = cyclic._letters(algebra, m)
+
+    def encode(key):
+        return tuple(letter[u] for u in key)
+
+    def mul(x, y):
+        u = cyclic._unit_mul(units[x], units[y])
+        return None if u is None else letter[u]
+
     reduced = cc_reduce(xi)
     out = {}
     for w in {()} | {cyclic._weight(k) for k in reduced}:
         source = leaf_canonical_orbit_basis(algebra, m, n + 1, w)
-        index = {k: i for i, k in enumerate(
+        index = {encode(k): i for i, k in enumerate(
             leaf_canonical_orbit_basis(algebra, m, n, w))}
         reducer, _, _ = eliminate(tagged(
-            cyclic._boundary_column(k, index,
+            cyclic._boundary_column(encode(k), mul, index,
                                     lambda face: cyclic._cc_canonical(face, n))
             for k in source))
         residue = reducer.reduce(
-            {index[k]: c for k, c in reduced.items()
+            {index[encode(k)]: c for k, c in reduced.items()
              if cyclic._weight(k) == w})
         if any(k >= 0 for k in residue):
             return None
@@ -678,6 +689,55 @@ class TestFaceMemo:
                  is not None}
         assert len(faces) == 1_745
         assert calls == len(faces)
+
+
+# ---------------------------------------------------------------------------
+# words on integer letters, and ranks from the rows of b
+
+# the algebras of the benchmark's cold builds, and C + M_2 amplified twice
+LETTER_CASES = [((2,), 1), ((3,), 1), ((1, 2), 1), ((2, 2), 1),
+                ((1, 1, 1), 1), ((1, 2), 2)]
+
+
+class TestLetters:
+    @pytest.mark.parametrize("blocks, m", LETTER_CASES)
+    def test_letters_sort_and_multiply_as_their_units(self, blocks, m):
+        algebra = MultiMatrixAlgebra(blocks)
+        units, letter, _, mul = cyclic._letters(algebra, m)
+        assert units == sorted(
+            (j, a, b) for j, d in enumerate(algebra.ambient_dims(m))
+            for a in range(d) for b in range(d))
+        assert [letter[u] for u in units] == list(range(len(units)))
+        for x, y in itertools.product(range(len(units)), repeat=2):
+            u = cyclic._unit_mul(units[x], units[y])
+            assert mul(x, y) == (None if u is None else letter[u])
+
+
+class TestRanksFromRows:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           st.integers(1, 2), st.integers(1, 4))
+    def test_rank_equals_the_column_elimination(self, blocks, m, n):
+        algebra = MultiMatrixAlgebra(tuple(blocks))
+        try:
+            boundary = cyclic._boundary(algebra, n, m)
+        except ResourceError:
+            reject()  # beyond the default budget
+        columns = cyclic._boundary_columns(boundary.source, boundary.target)
+        assert boundary.rank == eliminate(columns)[0].rank
+
+    def test_rank_of_b7_over_m2_inserts_its_rows(self, monkeypatch,
+                                                 cold_cyclic):
+        inserted = []
+
+        def counting(vectors):
+            vectors = list(vectors)
+            inserted.append(len(vectors))
+            return eliminate(vectors)
+        monkeypatch.setattr(cyclic, "eliminate", counting)
+        boundary = cyclic._boundary(M2, 7, 1)
+        assert boundary.source.dimension == 1_618
+        assert inserted == [boundary.target.dimension] == [492]
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +913,6 @@ class TestFactoredCycles:
         # an exact coefficient keeps the exact value
         x = AlgebraElement(C, 1, (((I,),),))
         (got,) = hc_class(DecompositionRep(((x,),), (0.5,))).coords
-        assert isinstance(got, complex) and scalars_equal(got, 0.5j)
+        assert isinstance(got, complex) and got == 0.5j
         assert hc_class(DecompositionRep(((x,),), (Fraction(1, 2),))).coords \
             == (I * Fraction(1, 2),)

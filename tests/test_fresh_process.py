@@ -276,8 +276,10 @@ CASES = {
     "hc dims over C to degree 400": Case(
         ("hc", "dims", "--algebra", "{c}", "--max-degree", "400"), 0,
         _dims(400, 1), timeout=10),
-    # HC is built from boundary ranks alone: M_2 to degree 7 and C^3 to
-    # degree 6 eliminate thousands of columns and keep no combination
+    # HC is built from boundary ranks alone, on words of integer letters,
+    # each rank taken from the rows of b: M_2 to degree 7 and C^3 to
+    # degree 6 build thousands of columns, eliminate the fewer rows (492
+    # for the 1,618 columns of b_7 over M_2) and keep no combination
     "hc dims over M_2 to degree 7": Case(
         ("hc", "dims", "--algebra", "{m2}", "--max-degree", "7"), 0,
         _dims(7, 1), timeout=20),

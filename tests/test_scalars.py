@@ -75,6 +75,14 @@ class TestCyclotomic:
         assert z.gaussian_parts() == (Fraction(1, 2), Fraction(-2))
         assert abs(complex(z) - complex(0.5, -2)) < 1e-12
 
+    @given(fractions, fractions)
+    def test_gaussian_embeds_as_its_rounded_parts(self, re, im):
+        assert complex(Cyclotomic.gaussian(0, 1)) == 1j
+        assert complex(Cyclotomic.gaussian(1, 2)) == 1 + 2j
+        # float(Fraction) rounds correctly, as the int division does
+        assert complex(Cyclotomic.gaussian(re, im)) == complex(float(re),
+                                                               float(im))
+
     def test_gaussian_is_the_generic_canonical_form(self):
         grid = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 4, 6)]
         for re in grid:

@@ -196,7 +196,8 @@ def _cyclic(make, order, coeffs, value):
 
 
 # name: (value, repr, format_scalar, sort_key, complex() as (re, im)); all
-# but sort_key as printed before Cyclotomic stored integer numerators
+# but sort_key as printed before Cyclotomic stored integer numerators, and
+# a Gaussian value's complex() its exact parts, each correctly rounded
 PINNED = {
     "0": _gaussian(lambda: Cyclotomic.from_rational(0), "0", None,
                    (0.0, 0.0)),
@@ -205,12 +206,12 @@ PINNED = {
     "big/7": _gaussian(lambda: Cyclotomic.from_rational(F(BIG, 7)),
                        f"{BIG}/7", None, (1.4285714285714285e+29, 0.0)),
     "i": _gaussian(lambda: Cyclotomic.gaussian(0, 1), "0", "1",
-                   (6.123233995736766e-17, 1.0)),
+                   (0.0, 1.0)),
     "1/2-2i": _gaussian(lambda: Cyclotomic.gaussian(F(1, 2), -2), "1/2", "-2",
-                        (0.4999999999999999, -2.0)),
+                        (0.5, -2.0)),
     "-3/7+5/11i": _gaussian(lambda: Cyclotomic.gaussian(F(-3, 7), F(5, 11)),
                             "-3/7", "5/11",
-                            (-0.4285714285714285, 0.45454545454545453)),
+                            (-0.42857142857142855, 0.45454545454545453)),
     "z3": _cyclic(lambda: z(3), 3, [0, 1],
                   (-0.4999999999999998, 0.8660254037844387)),
     "1+2z3": _cyclic(lambda: 1 + 2 * z(3), 3, [1, 2],
