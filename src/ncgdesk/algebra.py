@@ -13,16 +13,10 @@ already guarantees their shapes and backend: sums, differences,
 negations, products, ``scale``, ``star``, ``direct_sum``, ``zero``,
 ``identity``, and the blocks of ``apply_hom`` and of the spectral path.
 
-An exact spectral decomposition builds block-local idempotents: each
-factor's eigenprojection for lam is the Lagrange product
-prod (b - mu) / (lam - mu) over that factor's own snapped eigenvalues
-mu != lam, and a factor whose spectrum lacks lam gets the zero block.
-Two facts are checked per factor, exactly: the certificate
-prod (b - mu) = 0 over its values, and e = e* for each idempotent e.  The
-certificate makes the idempotents orthogonal with sum 1 and
-b = sum mu * e_mu, so b is normal exactly when each e is self-adjoint;
-neither normality nor orthogonality is checked again (see
-:func:`spectral_decompose`).
+An exact spectral decomposition takes its candidate eigenvalues from
+numpy, snapped to 0 and roots of unity where they lie close to those, and
+to Gaussian rationals; block-local Lagrange idempotents and two exact
+checks per factor decide them (see :func:`spectral_decompose`).
 Epsilon decides float comparisons only: no exact answer depends on it.  An
 exact decomposition is kept per element, for at most 256 inputs: an equal
 exact input returns the form that was built and checked for the earlier
@@ -31,6 +25,7 @@ one.  ``ncgdesk.clear_caches`` empties that cache.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -41,6 +36,7 @@ from functools import reduce
 from . import linalg as la
 from .errors import DomainError, NumericalError, ValidationError
 from .scalars import (
+    _ZERO,
     Cyclotomic,
     _cyclotomic,
     get_epsilon,
@@ -53,6 +49,7 @@ from .scalars import (
 )
 
 _SNAP_DENOMINATOR = 10**6
+_ROOT_ORDER = 24  # the largest common order of root-of-unity candidates
 _NOT_NORMAL = "spectral_decompose requires a normal element"
 
 
@@ -440,10 +437,9 @@ def _merge_values(pairs):
             for idx in _cluster(zs, 2 * get_epsilon())]
 
 
-def _best_rational(x: float):
+def _best_rational(x: float, bound: int = _SNAP_DENOMINATOR):
     """(p, q) in lowest terms, q > 0: the closest p/q to x with q at most
-    _SNAP_DENOMINATOR, ``Fraction(x).limit_denominator(_SNAP_DENOMINATOR)``
-    computed on ints.
+    ``bound``, ``Fraction(x).limit_denominator(bound)`` computed on ints.
 
     The continued fraction of x gives its last convergent p1/q1 and the
     semiconvergent (p0 + k p1)/(q0 + k q1) within the bound; x lies
@@ -452,18 +448,18 @@ def _best_rational(x: float):
     non-finite x raises as ``Fraction(x)`` does.
     """
     n, d = x.as_integer_ratio()
-    if d <= _SNAP_DENOMINATOR:
+    if d <= bound:
         return n, d
     den = d
     p0, q0, p1, q1 = 0, 1, 1, 0
     while True:
         a = n // d
         q2 = q0 + a * q1
-        if q2 > _SNAP_DENOMINATOR:
+        if q2 > bound:
             break
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
         n, d = d, n - a * d
-    k = (_SNAP_DENOMINATOR - q0) // q1
+    k = (bound - q0) // q1
     if 2 * d * (q0 + k * q1) <= den:
         return p1, q1
     return p0 + k * p1, q0 + k * q1
@@ -475,6 +471,21 @@ def _snap_gaussian(z: complex) -> Cyclotomic:
     (p, q), (r, s) = _best_rational(z.real), _best_rational(z.imag)
     den = math.lcm(q, s)
     return _cyclotomic(4, [p * (den // q), r * (den // s)], den)
+
+
+def _snap_root(z: complex):
+    """(0, 1) if |z| < 1/2, else (zeta_q^p, q) for the best approximation
+    p/q of z's angle over 2 pi with q <= _ROOT_ORDER; None if z lies
+    farther than 1/_SNAP_DENOMINATOR from that candidate, which is then
+    never built."""
+    if abs(z) < 0.5:
+        return (_ZERO, 1) if abs(z) <= 1 / _SNAP_DENOMINATOR else None
+    if abs(abs(z) - 1) > 1 / _SNAP_DENOMINATOR:
+        return None
+    p, q = _best_rational(cmath.phase(z) / (2 * math.pi), _ROOT_ORDER)
+    if abs(z - cmath.rect(1, 2 * math.pi * p / q)) <= 1 / _SNAP_DENOMINATOR:
+        return Cyclotomic.root_of_unity(q, p % q), q
+    return None
 
 
 def _split(part, basis, bounded):
@@ -514,11 +525,16 @@ def spectral_decompose(x: AlgebraElement) -> SpectralForm:
     """Split a normal element into eigenvalue/eigenprojection pairs.
 
     Exact elements are decomposed exactly when their eigenvalues are Gaussian
-    rationals.  Each float eigenvalue of each block is snapped on its own,
-    and each factor keeps its distinct snapped values.  A factor's
-    idempotent for lam is the Lagrange product over its own values only,
-    formed from each b - mu once and scaled once by prod (lam - mu)^-1; a
-    factor without lam gets the zero block.
+    rationals, or 0 and roots of unity.  Each float eigenvalue of each
+    block is snapped on its own twice: to a Gaussian rational, and to 0 if
+    |z| < 1/2, else to the nearest zeta_q^p, q <= 24.  A block whose values
+    all lie within 10^-6 of their second snaps tries those first, if the
+    lcm of their orders over all such blocks is at most 24, which keeps
+    every field at Q(zeta_t), t <= 24; the certificate (below) picks the
+    first set it holds on.  Each factor keeps its distinct snapped values.
+    A factor's idempotent for lam is the Lagrange product over its own
+    values only, formed from each b - mu once and scaled once by
+    prod (lam - mu)^-1; a factor without lam gets the zero block.
 
     Each fact is checked once, and two are checked per factor b: the
     certificate prod (b - mu) = 0 over its distinct values, and e = e* for
@@ -563,15 +579,14 @@ def _spectral_decompose_float(x):
     return SpectralForm.from_pairs(x.algebra, x.amplification, pairs)
 
 
-def _lagrange_idempotents(b, values, factor):
+def _lagrange_idempotents(b, values):
     """{lam: prod_{mu != lam} (b - mu) / (lam - mu)} over one factor's values.
 
     Each difference b - mu is formed once, mu written on the diagonal; each
     product stays unscaled until one multiplication by the scalar
     prod (lam - mu)^-1.  The Lagrange products sum to 1 for every b, so the
     last value's is 1 minus the others.  The certificate prod_mu (b - mu),
-    lam_0's product times b - lam_0, must be zero, or NumericalError names
-    the factor.
+    lam_0's product times b - lam_0, must be zero, else None.
     """
     n = b.shape[0]
     shifted = {mu: la.mat_sub(b, la.scalar_matrix(mu, n)) for mu in values}
@@ -585,10 +600,7 @@ def _lagrange_idempotents(b, values, factor):
         out[lam] = la.scalar_mul(denom.inverse(), prod)
     out[values[-1]] = reduce(la.mat_sub, out.values(), la.identity(n))
     if not la.is_zero_matrix(certificate):
-        raise NumericalError(
-            f"factor {factor}: prod (b - mu) is not zero over its snapped "
-            "Gaussian rational candidates mu; use the float backend or provide "
-            "the element as a spectral form")
+        return None
     return out
 
 
@@ -597,12 +609,29 @@ def _spectral_decompose_exact(x):
     """Cached on x alone: no step reads epsilon.  The certificate and
     e = e* are the only checks; the form is trusted."""
     try:
-        # each factor's distinct snapped values, then all, by first appearance
-        local = [list(dict.fromkeys(map(_snap_gaussian,
-                                        np.linalg.eigvals(la.to_numpy(b)))))
-                 for b in x.blocks]
-        idempotents = [_lagrange_idempotents(b, vals, f)
-                       for f, (b, vals) in enumerate(zip(x.blocks, local))]
+        zs = [np.linalg.eigvals(la.to_numpy(b)) for b in x.blocks]
+        # each factor's distinct snapped candidates, by first appearance: 0
+        # and roots of unity first where every value snaps to one, if their
+        # orders over all factors have an lcm <= 24; else Gaussian rationals
+        roots = [[_snap_root(z) for z in zf] for zf in zs]
+        tries = [[list(dict.fromkeys(map(_snap_gaussian, z)))] for z in zs]
+        if math.lcm(*(q for rs in roots if all(rs) for _, q in rs)) <= _ROOT_ORDER:
+            for t, rs in zip(tries, roots):
+                if all(rs) and (r := list(dict.fromkeys(w for w, _ in rs))) != t[0]:
+                    t.insert(0, r)
+        local, idempotents = [], []
+        for b, t in zip(x.blocks, tries):
+            for values in t:
+                if (idem := _lagrange_idempotents(b, values)) is not None:
+                    break
+            local.append(values)  # then all values, by first appearance
+            idempotents.append(idem)
+        if None in idempotents:
+            raise NumericalError(
+                f"factor {idempotents.index(None)}: prod (b - mu) is not zero "
+                "over its snapped candidates mu, Gaussian rationals or 0 and "
+                f"roots of unity of common order <= {_ROOT_ORDER}; use the "
+                "float backend or provide the element as a spectral form")
     except (NumericalError, ArithmeticError, ValueError) as exc:
         # an uncertified factor, a float overflow or a failed eigensolver:
         # a non-normal input is named as such whatever stopped it

@@ -89,10 +89,11 @@ class CoverCell:
 
 
 def _cell_key(re, im, level: int, den=None) -> tuple:
-    """The level-n cell (floor(re * 2^n), floor(im * 2^n)); for integer
-    numerators over ``den``, (num << n) // den is floor(num / den * 2^n)."""
+    """The level-n cell (floor(re * 2^n), floor(im * 2^n)), of a float on
+    its exact ratio (re * 2^n may overflow); for integer numerators over
+    ``den``, (num << n) // den is floor(num / den * 2^n)."""
     if den is None:
-        return math.floor(re * 2 ** level), math.floor(im * 2 ** level)
+        return tuple(math.floor(Fraction(t) * 2 ** level) for t in (re, im))
     return (re << level) // den, (im << level) // den
 
 

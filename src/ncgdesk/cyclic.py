@@ -71,6 +71,15 @@ def _nonzero_entries(x: AlgebraElement) -> list:
             for b, c in enumerate(row) if not scalar_is_zero(c)]
 
 
+def _add_coefficients(a, b):
+    """a + b, where a cyclotomic and a float have no common arithmetic."""
+    try:
+        return a + b
+    except TypeError:
+        raise ValidationError("tensor sums cyclotomic and float "
+                              "coefficients") from None
+
+
 class TensorElement:
     """Sparse element of C_n(M_m(A)) = M_m(A)^tensor(n+1)."""
 
@@ -97,7 +106,7 @@ class TensorElement:
             if scalar_is_zero(c):
                 continue
             if key in clean:
-                c = clean[key] + c
+                c = _add_coefficients(clean[key], c)
                 if scalar_is_zero(c):
                     del clean[key]
                     continue
@@ -196,7 +205,7 @@ class TensorElement:
         for key, c in self.coeffs.items():
             u = functools.reduce(lambda u, v: u and _unit_mul(u, v), key)
             if u and u[1] == u[2]:
-                phi[u[0]] += c
+                phi[u[0]] = _add_coefficients(phi[u[0]], c)
         return phi
 
     def __repr__(self):

@@ -21,11 +21,10 @@ tr_i(U_g) (``GAComplex.characters``), and the multiplicity m_chi,j,i =
 idempotent (dim chi/|G|) sum_g conj chi(g) U_g over dim chi.  Each
 (complex, irrep table) keeps M_chi = sum_j (-1)^j m_chi,j in Z^k, so
 L1(g) = sum_chi chi(g) M_chi and L2(g) = sum_i L1(g)_i ch_l(e_i), e_i the
-diagonal units, are short reads.  The refined number of u reads on module
-j, if u_j^t = q_j, the zeta_t^k eigenspace rank (1/t) sum_s zeta_t^(-ks)
-tr_i(u_j^s), one Fourier read of t rows of traces (``_fourier_read``): for
-u = U_g, t = ord(g) and the rows are g^s of the character table; another
-u finds t <= 24 by its powers, or else ``spectral_decompose`` splits u_j.
+diagonal units, are short reads.  The refined number of U_g reads on
+module j the zeta_t^k eigenspace rank (1/t) sum_s zeta_t^(-ks) tr_i(U_g^s),
+t = ord(g), one Fourier read of the rows g^s of the character table
+(``_fourier_read``); ``spectral_decompose`` splits any other u_j.
 If that raises NumericalError on any module, every module is read on
 homology (h_j u_j h_j, h_j the harmonic projection, ``GAComplex.harmonic``),
 as the trace formula holds for an all-chain or an all-homology sum only.
@@ -486,20 +485,6 @@ def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
     return out
 
 
-_MAX_ORDER = 24  # the largest order t of v that a power search finds
-
-
-def _powers_to_order(v: AlgebraElement, h: AlgebraElement):
-    """[h, v, ..., v^(t-1)] for the least t <= _MAX_ORDER with v^t = h."""
-    powers, power = [h], v
-    while not power.equals(h):
-        if len(powers) == _MAX_ORDER:
-            return None
-        powers.append(power)
-        power = power * v
-    return powers
-
-
 @functools.lru_cache(maxsize=64)  # the default budget admits orders <= 46
 def _fourier(t: int):
     """(zeta_t^k for k < t, the t x t matrix zeta_t^(-ks)/t): row k maps
@@ -519,18 +504,6 @@ def _fourier_read(traces, k: int) -> list:
              for root, row in zip(roots, la.entries(la.mat_mul(fourier, traces)))]
     return [[(root, K0Class(row[j:j + k])) for root, row in ranks if any(row[j:j + k])]
             for j in range(0, traces.shape[1], k)]
-
-
-def _module_read(h: Projection, v: AlgebraElement) -> list:
-    """The (eigenvalue, K0 class) pairs of v = h v h, unitary on the range
-    of h: the Fourier read of its powers if v^t = h, t <= _MAX_ORDER, else
-    ``spectral_decompose``, where an exact v it cannot decide raises
-    NumericalError: epsilon decides float comparisons only, and no exact
-    class depends on it."""
-    if v.is_exact() and (powers := _powers_to_order(v, h.element)):
-        return _fourier_read(la.as_matrix([p.trace_vector() for p in powers]),
-                             h.algebra.num_factors)[0]
-    return n_class(spectral_decompose(v)).support
 
 
 def _table_read(c: GAComplex, g: int) -> list:
@@ -574,7 +547,7 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
         _require(c._chain_verdict
                  or _map_problems(c, unitaries, "endomorphism"))
         try:
-            parts = [_module_read(q, u) for q, u in zip(c.modules, unitaries)]
+            forms = [spectral_decompose(u) for u in unitaries]
         except NumericalError:
             # the trace formula needs every module read on chains or every one
             # on homology, so one undecidable chain read sends all to homology,
@@ -582,8 +555,9 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
             hs = c.harmonic
             if all(h.element.equals(q.element) for h, q in zip(hs, c.modules)):
                 raise
-            parts = [_module_read(h, h.element * u * h.element)
+            forms = [spectral_decompose(h.element * u * h.element)
                      for h, u in zip(hs, unitaries)]
+        parts = [n_class(a).support for a in forms]
     result = GeneralizedLefschetz(N0Class(c.algebra, tuple(
         (v, cls if j % 2 == 0 else -cls)
         for j, part in enumerate(parts) for v, cls in part)))

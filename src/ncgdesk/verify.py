@@ -168,6 +168,10 @@ def _non_normal(algebra, rng):
 
 def battery_th1(seed: int, count: int) -> VerificationReport:
     algebras = _small_algebras() + [MultiMatrixAlgebra((3,))]
+    # orders 3 and 8 (lcm 24) under one conjugation per run, decomposed once
+    m3, z = algebras[-1], Cyclotomic.root_of_unity
+    v = AlgebraElement(m3, 1, (random_exact_unitary(3, random.Random(seed)),))
+    roots = v * AlgebraElement.diagonal(m3, [[z(3), z(8, 3), z(1)]]) * v.star()
 
     def one(rng):
         algebra = rng.choice(algebras)
@@ -223,6 +227,8 @@ def battery_th1(seed: int, count: int) -> VerificationReport:
                                "eigenvalue": str(off)}
         except NumericalError:
             pass
+        if not spectral_decompose(roots).element().equals(roots):
+            return False, {"check": "roots of unity of common order 24"}
         # a diagonalizable element that is not normal is refused
         try:
             spectral_decompose(_non_normal(algebra, rng))

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncgdesk
-from ncgdesk import algebra, linalg as la, serialize
+from ncgdesk import algebra, linalg as la, scalars, serialize
 from ncgdesk.algebra import (
     AlgebraElement,
     BorelSetModel,
@@ -32,6 +33,7 @@ from ncgdesk.generate import (
     random_normal,
     random_projection,
 )
+from ncgdesk.ngroup import K0Class, N0Class, n_class
 from ncgdesk.scalars import Cyclotomic, get_epsilon, set_epsilon
 
 A = MultiMatrixAlgebra((1, 2))
@@ -388,11 +390,10 @@ class TestBlockLocalIdempotents:
         nilpotent = AlgebraElement(m2, 1, (((0 * one, one), (0 * one, 0 * one)),))
         with pytest.raises(DomainError):
             decompose(nilpotent)
-        # both values snap to 1; zeta_3 snaps to a nearby Gaussian rational
-        for diag in ([one, one + Fraction(1, 10 ** 10)],
-                     [Cyclotomic.root_of_unity(3, 1), one]):
-            with pytest.raises(NumericalError):
-                decompose(AlgebraElement.diagonal(m2, [diag]))
+        # both values snap to 1
+        with pytest.raises(NumericalError):
+            decompose(AlgebraElement.diagonal(
+                m2, [[one, one + Fraction(1, 10 ** 10)]]))
 
     def test_a_wrong_candidate_fails_the_certificate(self, monkeypatch):
         x = AlgebraElement.diagonal(MultiMatrixAlgebra((2,)),
@@ -538,6 +539,74 @@ class TestBlockLocalIdempotents:
                     for p in (*(p for _, p in form.pairs), form.kernel_projection)]
         for r in results:
             assert r == AlgebraElement(r.algebra, r.amplification, r.blocks)
+
+
+class TestRootsOfUnity:
+    """A factor that fails its Gaussian candidates is tried on 0 and the
+    roots of unity its eigenvalues snap to, if the orders of all such
+    candidates have an lcm of at most 24."""
+
+    @pytest.mark.parametrize("order", [3, 8])
+    def test_root_and_one_over_m2(self, order):
+        w = Cyclotomic.root_of_unity(order, 1)
+        x = AlgebraElement.diagonal(MultiMatrixAlgebra((2,)), [[w, Fraction(1)]])
+        a = spectral_decompose(x)
+        assert set(a.eigenvalues()) == {w, 1}
+        assert a.element().equals(x)
+
+    def test_conjugated_orders_3_and_8(self):
+        # lcm 24, on one M_3 block with a kernel
+        m3, z = MultiMatrixAlgebra((3,)), Cyclotomic.root_of_unity
+        u = AlgebraElement(m3, 1, (random_exact_unitary(3, random.Random(2)),))
+        x = u * AlgebraElement.diagonal(m3, [[z(3, 1), z(8, 3), Fraction(0)]]) \
+            * u.star()
+        a = spectral_decompose(x)
+        assert set(a.eigenvalues()) == {z(3, 1), z(8, 3)}
+        assert a.element().equals(x)
+
+    def test_roots_on_the_unit_circle_are_tried_first(self, monkeypatch):
+        # the Gaussian candidates of zeta_23, zeta_23^5 and 1 would fail, and
+        # cost most of the call: one Lagrange pass, on the roots, decides
+        m3, z = MultiMatrixAlgebra((3,)), Cyclotomic.root_of_unity
+        u = AlgebraElement(m3, 1, (random_exact_unitary(3, random.Random(5)),))
+        x = u * AlgebraElement.diagonal(m3, [[z(23), z(23, 5), Fraction(1)]]) \
+            * u.star()
+        tried, real = [], algebra._lagrange_idempotents
+        monkeypatch.setattr(algebra, "_lagrange_idempotents",
+                            lambda b, values: tried.append(values) or real(b, values))
+        algebra._spectral_decompose_exact.cache_clear()
+        a = spectral_decompose(x)
+        assert len(tried) == 1 and set(tried[0]) == {z(23), z(23, 5), 1}
+        assert a.element().equals(x)
+
+    def test_common_order_beyond_24_is_refused(self, monkeypatch):
+        # zeta_5 and zeta_7 on two factors: their lcm is 35, so no root
+        # candidate is tried, and no table of Q(zeta_35) is built
+        z = Cyclotomic.root_of_unity
+        x = AlgebraElement.diagonal(MultiMatrixAlgebra((1, 1)), [[z(5)], [z(7)]])
+        ncgdesk.clear_caches()
+        orders, real = set(), scalars.cyclotomic_poly
+        monkeypatch.setattr(scalars, "cyclotomic_poly",
+                            lambda n: orders.add(n) or real(n))
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="^factor 0: .*Gaussian "
+                           "rationals or 0 and roots of unity"):
+            spectral_decompose(x)
+        assert time.perf_counter() - start < 5
+        assert 35 not in orders and {5, 7} <= orders
+
+    @settings(max_examples=15, deadline=None)
+    @given(seeds, st.integers(1, 24))
+    def test_conjugated_roots_decompose_to_their_class(self, seed, t):
+        rng = random.Random(seed)
+        dims = A.ambient_dims()
+        u = AlgebraElement(A, 1, tuple(random_exact_unitary(d, rng) for d in dims))
+        diags = [[Cyclotomic.root_of_unity(t, rng.randrange(t)) for _ in range(d)]
+                 for d in dims]
+        x = u * AlgebraElement.diagonal(A, diags) * u.star()
+        units = (K0Class((1, 0)), K0Class((0, 1)))
+        assert n_class(spectral_decompose(x)) == N0Class(A, tuple(
+            (w, units[f]) for f, diag in enumerate(diags) for w in diag))
 
 
 class TestExactAnswersIgnoreEpsilon:

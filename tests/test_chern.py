@@ -327,6 +327,17 @@ class TestCellKeys:
         assert chern._cell_key(re, im, level) \
             == (math.floor(re * 2 ** level), math.floor(im * 2 ** level))
 
+    def test_float_keys_near_the_top_of_float_range(self):
+        # 0.1 and 0.3 share the unit cell, and 1e308 * 2 overflows a float:
+        # the keys are floored on the exact ratios
+        three = MultiMatrixAlgebra((1, 1, 1))
+        a = SpectralForm.from_pairs(three, 1, tuple(
+            (v, Projection.diagonal_unit(three, i))
+            for i, v in enumerate((1e308, 0.1, 0.3))))
+        assert T_cover(a, 0) == T_direct(a, 0)
+        assert [cell.points for cell in dyadic_cover(a.eigenvalues(), 2)] \
+            == [(0.1,), (0.3,), (1e308,)]
+
     @settings(max_examples=100, deadline=None)
     @given(spectral_values(), st.data())
     def test_read_depth_is_the_first_separating_depth(self, values, data):

@@ -321,6 +321,15 @@ def _hc(action, indices):
             ["hc", action, "--tensor", "xi.json"])
 
 
+def _hc_terms(*terms):
+    """``hc class`` of a degree-0 tensor over M_2 with (indices, coeff)
+    terms."""
+    return ({"xi.json": {"schema_version": 1, "algebra": {"blocks": [2]},
+                         "degree": 0, "terms": [{"indices": u, "coeff": c}
+                                                for u, c in terms]}},
+            ["hc", "class", "--tensor", "xi.json"])
+
+
 # documents by file name, and the command that reads them
 MALFORMED_INPUTS = {
     "non-integer block": _n0_class(
@@ -341,6 +350,12 @@ MALFORMED_INPUTS = {
     "boolean imaginary part": _n0_class(
         {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
          "blocks": [[[["1", False]]]]}),
+    # a Gaussian coefficient has no sum with a float one, on two keys or
+    # on one key listed twice
+    "hc class mixing Gaussian and float coefficients": _hc_terms(
+        ([[0, 0, 0]], ["1", "1"]), ([[0, 1, 1]], 0.5)),
+    "hc class mixing them on a repeated key": _hc_terms(
+        ([[0, 0, 0]], ["1", "1"]), ([[0, 0, 0]], 0.5)),
     "fractional cyclotomic order": _n0_class(
         {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
          "blocks": [[[{"order": 3.9, "coeffs": ["1", "0"]}]]]}),
@@ -360,6 +375,19 @@ def test_malformed_document_is_one_error_line(tmp_path, files, argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("float_term", [([[0, 0, 1]], 0.5), ([[0, 1, 1]], 0.0)],
+                         ids=["off-diagonal", "zero"])
+def test_float_term_that_is_never_summed_keeps_the_exact_class(
+        tmp_path, capsys, float_term):
+    # the trace skips an off-diagonal unit and the tensor drops a zero, so
+    # no Gaussian value is added to a float
+    files, argv = _hc_terms(([[0, 0, 0]], ["1", "1"]), float_term)
+    paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
+    code, doc = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 0
+    assert doc["coords"] == [["1", "1"]]
 
 
 # JSON texts the standard parser reads as inf or nan, in float documents

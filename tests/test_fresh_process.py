@@ -22,7 +22,8 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 
 from ncgdesk import serialize as sz
-from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
+from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
+    SpectralForm
 from ncgdesk.lefschetz import FiniteGroup, GAComplex, IrrepTable
 from ncgdesk.scalars import Cyclotomic
 
@@ -30,6 +31,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 C = MultiMatrixAlgebra((1,))
 M2 = MultiMatrixAlgebra((2,))
+C3 = MultiMatrixAlgebra((1, 1, 1))
 
 
 def _diagonal(*values):
@@ -99,6 +101,7 @@ def _readme_example():
 
 NEAR = 1 + 1.5e-9  # within 2 epsilon of 1.0 at the default epsilon
 ZETA25 = {"order": 25, "coeffs": ["0", "1"] + ["0"] * 18}
+ZETA3 = {"order": 3, "coeffs": ["0", "1"]}
 
 DOCUMENTS = {
     "gap512": _gap(512),
@@ -125,6 +128,12 @@ DOCUMENTS = {
     # exact keys beyond float range
     "huge_key": _n0((1, 1), (["1e400", "0"], (1, 0)), (["1/2", "0"], (0, 1))),
     "huge_z3_key": _n0((1,), ({"order": 3, "coeffs": ["0", "1e400"]}, (1,))),
+    "z3": lambda: _diagonal(Cyclotomic.root_of_unity(3, 1), Fraction(1)),
+    # a float spectral form whose 0.1 and 0.3 share the unit cell, beside
+    # 1e308, whose float cell keys overflow from depth 1
+    "top_float": lambda: sz.spectral_to_json(SpectralForm.from_pairs(
+        C3, 1, tuple((v, Projection.diagonal_unit(C3, i))
+                     for i, v in enumerate((1e308, 0.1, 0.3))))),
     "c": lambda: {"blocks": [1]},
     "m2": lambda: {"blocks": [2]},
     "c3": lambda: {"blocks": [1, 1, 1]},
@@ -245,6 +254,14 @@ CASES = {
         ("n0", "class", "--epsilon", "0.1", "--element", "{close}"), 0,
         _support([{"lambda": ["1", "0"], "ranks": [1]},
                   {"lambda": ["21/20", "0"], "ranks": [1]}])),
+    # diag(zeta_3, 1) fails its Gaussian candidates and is certified on
+    # its root-of-unity ones
+    "n0 class of roots of unity": Case(
+        ("n0", "class", "--element", "{z3}"), 0,
+        _support([{"lambda": ZETA3, "ranks": [1]},
+                  {"lambda": ["1", "0"], "ranks": [1]}])),
+    "cover keys near the top of float range": Case(
+        ("gchern", "--element", "{top_float}", "--path", "cover"), 0),
     "gl1 of an order-25 action": Case(
         ("lefschetz", "gl1", "--g", "1", "--complex", "{z25}"), 0,
         _support([{"lambda": ZETA25, "ranks": [1]}])),

@@ -137,6 +137,10 @@ MUTANTS = {
                             "if False:"),
     "scalar multiplication table transposed": (
         "linalg.py", "_fold(table, _at(a, big))", "_fold(table.T, _at(a, big))"),
+    "root candidates never tried": (
+        "algebra.py",
+        "if math.lcm(*(q for rs in roots if all(rs) for _, q in rs)) <= _ROOT_ORDER:",
+        "if False:"),
     "snap keeps the farther bound": ("algebra.py",
                                      "if 2 * d * (q0 + k * q1) <= den:",
                                      "if 2 * d * (q0 + k * q1) > den:"),
