@@ -71,7 +71,7 @@ def _load_spectral(path):
 
 
 def _load_irreps(args, group: FiniteGroup) -> IrrepTable:
-    if getattr(args, "irreps", None):
+    if args.irreps:
         return sz.irreps_from_json(sz.load_file(args.irreps))
     # recognize the built-in tables by their multiplication tables
     n = group.order
@@ -158,7 +158,8 @@ def build_parser() -> _Parser:
         p = add(lef, name)
         p.add_argument("--complex", required=True)
         p.add_argument("--g", type=int, required=True)
-        p.add_argument("--irreps")
+        if name != "gl1":  # gl1 reads no irrep table
+            p.add_argument("--irreps")
         if name == "l2":
             p.add_argument("--l", type=int, default=0)
     p = add(lef, "verify")

@@ -71,15 +71,6 @@ def _nonzero_entries(x: AlgebraElement) -> list:
             for b, c in enumerate(row) if not scalar_is_zero(c)]
 
 
-def _add_coefficients(a, b):
-    """a + b, where a cyclotomic and a float have no common arithmetic."""
-    try:
-        return a + b
-    except TypeError:
-        raise ValidationError("tensor sums cyclotomic and float "
-                              "coefficients") from None
-
-
 class TensorElement:
     """Sparse element of C_n(M_m(A)) = M_m(A)^tensor(n+1)."""
 
@@ -106,7 +97,7 @@ class TensorElement:
             if scalar_is_zero(c):
                 continue
             if key in clean:
-                c = _add_coefficients(clean[key], c)
+                c = clean[key] + c
                 if scalar_is_zero(c):
                     del clean[key]
                     continue
@@ -205,7 +196,7 @@ class TensorElement:
         for key, c in self.coeffs.items():
             u = functools.reduce(lambda u, v: u and _unit_mul(u, v), key)
             if u and u[1] == u[2]:
-                phi[u[0]] = _add_coefficients(phi[u[0]], c)
+                phi[u[0]] += c
         return phi
 
     def __repr__(self):
@@ -784,17 +775,13 @@ class DecompositionRep:
 
     def trace_values(self) -> list:
         """(phi_f(xi))_f: phi_f of a summand is tr_f of the product
-        x_0 x_1 ... x_n, over the f-block of M_m(A).  As in
-        :func:`read_class`, one float coefficient makes every value
-        complex."""
+        x_0 x_1 ... x_n, over the f-block of M_m(A)."""
         words, product, elements = self._spelling
-        exact = all(map(is_exact_scalar, self.coeffs))
         phi = [0] * self.algebra.num_factors
         for word, c in words:
             x = elements[functools.reduce(product, word)]
             for f, block in enumerate(x.blocks):
-                t = la.trace(block)
-                phi[f] += c * t if exact else to_complex(c) * to_complex(t)
+                phi[f] += c * la.trace(block)
         return phi
 
 

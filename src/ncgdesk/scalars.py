@@ -18,6 +18,10 @@ Two kinds of scalars flow through the package:
 Plain ``int`` / ``Fraction`` values interoperate with :class:`Cyclotomic`
 through the usual arithmetic operators, which read them as (numerator,
 denominator) pairs, so exact matrices may freely store rationals unwrapped.
+An exact value meeting a float or complex in +, -, * or / gives the complex
+result, as a ``Fraction`` does (a :class:`Cyclotomic` beyond float range
+raises NumericalError); equality and hashing stay exact, so a mixed
+comparison goes through :func:`scalars_equal`.
 
 Where a value sits in the plane is read here only: :func:`real_imag` reads
 its (re, im), and :func:`sort_key` is the one order of values.
@@ -261,7 +265,7 @@ class Cyclotomic:
     def __add__(self, other):
         b = _operand(other)
         if b is None or b[1] == (0,):
-            return self if b else NotImplemented
+            return self if b else _inexact(operator.add, self, other)
         return _add(self.order, self.nums, self.den, *b)
 
     __radd__ = __add__
@@ -270,15 +274,17 @@ class Cyclotomic:
         return _new(self.order, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        return self + -other if _operand(other) else NotImplemented
+        return self + -other if _operand(other) else \
+            _inexact(operator.sub, self, other)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return (-self).__add__(other) if _operand(other) else \
+            _inexact(operator.sub, other, self)
 
     def __mul__(self, other):
         b = _operand(other)
         if b is None or b[1] == (0,):
-            return _ZERO if b else NotImplemented
+            return _ZERO if b else _inexact(operator.mul, self, other)
         if b[1:] == ((1,), 1):
             return self
         return _mul(self.order, self.nums, self.den, *b)
@@ -290,11 +296,13 @@ class Cyclotomic:
 
     def __truediv__(self, other):
         b = _operand(other)
-        return self * _cyclotomic(*_reciprocal(*b)) if b else NotImplemented
+        return self * _cyclotomic(*_reciprocal(*b)) if b else \
+            _inexact(operator.truediv, self, other)
 
     def __rtruediv__(self, other):
         b = _operand(other)
-        return _mul(*b, *_reciprocal(*_operand(self))) if b else NotImplemented
+        return _mul(*b, *_reciprocal(*_operand(self))) if b else \
+            _inexact(operator.truediv, other, self)
 
     def __pow__(self, k: int):
         out, base, k = _ONE, self if k >= 0 else self.inverse(), abs(k)
@@ -453,6 +461,16 @@ def _operand(x):
         return x.order, x.nums, x.den
     if isinstance(x, (int, Fraction)):
         return 1, (x.numerator,), x.denominator
+
+
+def _inexact(op, x, y):
+    """op(x, y) for a Cyclotomic and a float or complex, on the Cyclotomic's
+    :func:`to_complex`, as a Fraction computes; else NotImplemented."""
+    if isinstance(x, Cyclotomic) and isinstance(y, (float, complex)):
+        return op(to_complex(x), y)
+    if isinstance(y, Cyclotomic) and isinstance(x, (float, complex)):
+        return op(x, to_complex(y))
+    return NotImplemented
 
 
 _ZERO = Cyclotomic.from_rational(0)
@@ -638,8 +656,10 @@ def parse_scalar(v):
         # the field tables of order N hold about N^2 integers
         check_budget(order * order,
                      f"field-table entries for cyclotomic order {order}")
-        coeffs = [Fraction(parse_real(c)) for c in v["coeffs"]]
-        return Cyclotomic(order, coeffs)
+        coeffs = v["coeffs"]
+        if not isinstance(coeffs, (list, tuple)):
+            raise ValueError(f"cyclotomic coeffs must be a list: {coeffs!r}")
+        return Cyclotomic(order, [Fraction(parse_real(c)) for c in coeffs])
     re = parse_real(v)
     if isinstance(re, Fraction):
         return Cyclotomic.from_rational(re)

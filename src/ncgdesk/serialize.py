@@ -20,7 +20,7 @@ from .algebra import (
     SpectralForm,
     StarHomomorphism,
 )
-from .cyclic import HCClass, TensorElement, _add_coefficients
+from .cyclic import HCClass, TensorElement
 from .errors import ValidationError
 from .lefschetz import (
     FiniteGroup,
@@ -221,9 +221,7 @@ def tensor_from_json(doc: dict) -> TensorElement:
         key = tuple(_ints(u, "tensor index")
                     for u in _items(_field(term, "indices"), "indices"))
         c = _parse_entry(_field(term, "coeff"))
-        if key in coeffs:  # sum repeats
-            c = _add_coefficients(coeffs[key], c)
-        coeffs[key] = c
+        coeffs[key] = coeffs[key] + c if key in coeffs else c  # sum repeats
     return TensorElement(algebra, _int(_field(doc, "m", 1), "m"),
                          _int(_field(doc, "degree"), "degree"), coeffs)
 

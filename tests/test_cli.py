@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,8 +13,9 @@ from ncgdesk import serialize as sz
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
 from ncgdesk.budget import set_budget
 from ncgdesk.errors import ConsistencyError
-from ncgdesk.cli import main
-from ncgdesk.lefschetz import FiniteGroup, GAComplex
+from ncgdesk.cli import _to_float_doc, main
+from ncgdesk.generate import random_ga_complex
+from ncgdesk.lefschetz import FiniteGroup, GAComplex, IrrepTable
 from ncgdesk.scalars import Cyclotomic, _lazy_import
 
 
@@ -350,18 +353,20 @@ MALFORMED_INPUTS = {
     "boolean imaginary part": _n0_class(
         {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
          "blocks": [[[["1", False]]]]}),
-    # a Gaussian coefficient has no sum with a float one, on two keys or
-    # on one key listed twice
-    "hc class mixing Gaussian and float coefficients": _hc_terms(
-        ([[0, 0, 0]], ["1", "1"]), ([[0, 1, 1]], 0.5)),
-    "hc class mixing them on a repeated key": _hc_terms(
-        ([[0, 0, 0]], ["1", "1"]), ([[0, 0, 0]], 0.5)),
     "fractional cyclotomic order": _n0_class(
         {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
          "blocks": [[[{"order": 3.9, "coeffs": ["1", "0"]}]]]}),
     "string cyclotomic order": _n0_class(
         {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
          "blocks": [[[{"order": "3", "coeffs": ["1", "0"]}]]]}),
+    # coefficients are a list: a string is not read as its characters, nor
+    # an object as its keys
+    "string cyclotomic coefficients": _n0_class(
+        {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
+         "blocks": [[[{"order": 4, "coeffs": "12"}]]]}),
+    "object cyclotomic coefficients": _n0_class(
+        {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
+         "blocks": [[[{"order": 4, "coeffs": {"1": 0, "2": 0}}]]]}),
 }
 
 
@@ -377,6 +382,24 @@ def test_malformed_document_is_one_error_line(tmp_path, files, argv):
     assert "Traceback" not in proc.stderr
 
 
+# a Gaussian coefficient plus a float one is their complex sum, on two keys
+# or on one key listed twice
+MIXED_COEFFICIENTS = {
+    "hc class mixing Gaussian and float coefficients": _hc_terms(
+        ([[0, 0, 0]], ["1", "1"]), ([[0, 1, 1]], 0.5)),
+    "hc class mixing them on a repeated key": _hc_terms(
+        ([[0, 0, 0]], ["1", "1"]), ([[0, 0, 0]], 0.5)),
+}
+
+
+@pytest.mark.parametrize("files, argv", MIXED_COEFFICIENTS.values(),
+                         ids=MIXED_COEFFICIENTS.keys())
+def test_mixed_sums_are_complex(tmp_path, capsys, files, argv):
+    paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
+    code, doc = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 0 and doc["coords"] == [[1.5, 1.0]]
+
+
 @pytest.mark.parametrize("float_term", [([[0, 0, 1]], 0.5), ([[0, 1, 1]], 0.0)],
                          ids=["off-diagonal", "zero"])
 def test_float_term_that_is_never_summed_keeps_the_exact_class(
@@ -388,6 +411,172 @@ def test_float_term_that_is_never_summed_keeps_the_exact_class(
     code, doc = run_cli(capsys, *(paths.get(a, a) for a in argv))
     assert code == 0
     assert doc["coords"] == [["1", "1"]]
+
+
+# The mixing sweep: every subcommand that reads scalars, on documents that
+# mix exact and float scalars in one value, across keys and across factors,
+# exits 0-3 with at most one error line.  An exact part beside a float one
+# is read as a float pair, a float coefficient of a cyclotomic record
+# exactly.
+C, C2, M2 = {"blocks": [1]}, {"blocks": [1, 1]}, {"blocks": [2]}
+EXACT, FLOAT = ["1", "1"], [0.5, 0.0]
+IN_ONE_VALUE = (["1", 0.5], {"order": 3, "coeffs": ["1", 0.5]})
+
+
+def _doc(**fields):
+    return {"schema_version": 1, **fields}
+
+
+def _n0_doc(algebra, *support):
+    return _doc(algebra=algebra, support=[{"lambda": v, "ranks": r}
+                                          for v, r in support])
+
+
+def _tensor_doc(algebra, m, degree, *terms):
+    return _doc(algebra=algebra, m=m, degree=degree,
+                terms=[{"indices": u, "coeff": c} for u, c in terms])
+
+
+def _units(*values):
+    """One 1 x 1 block per value."""
+    return [[[v]] for v in values]
+
+
+def _float_imaginary(doc):
+    """doc with every exact [re, im] pair's imaginary part a float."""
+    if isinstance(doc, list):
+        if len(doc) == 2 and all(isinstance(x, str) for x in doc):
+            return [doc[0], float(Fraction(doc[1]))]
+        return [_float_imaginary(v) for v in doc]
+    if isinstance(doc, dict):
+        return {k: _float_imaginary(v) for k, v in doc.items()}
+    return doc
+
+
+def _ga_complex():
+    """An exact Z/2 complex over C + C."""
+    return sz.complex_to_json(random_ga_complex(
+        MultiMatrixAlgebra((1, 1)), IrrepTable.cyclic(2), random.Random(6)))
+
+
+def _complex_doc(mix):
+    """:func:`_ga_complex` with every imaginary part a float (in one value),
+    its action floated (across keys) or its factor-1 blocks floated (across
+    factors)."""
+    doc = _ga_complex()
+    if mix == "value":
+        return _float_imaginary(doc)
+    if mix == "keys":
+        return {**doc, "action": _to_float_doc(doc["action"])}
+    for blocks in ([q["q"] for q in doc["modules"]] + doc["diffs"]
+                   + [u for row in doc["action"] for u in row]):
+        blocks[1] = _to_float_doc(blocks[1])
+    return doc
+
+
+MIXED_DOCUMENTS = {
+    "element in one value": lambda: _doc(
+        algebra=C2, m=1, blocks=_units(*IN_ONE_VALUE)),
+    "element across keys": lambda: _doc(algebra=M2, m=1, blocks=[
+        [[["1", "0"], [0.0, 0.0]], [["0", "0"], FLOAT]]]),
+    "element across factors": lambda: _doc(
+        algebra=C2, m=1, blocks=_units(EXACT, FLOAT)),
+    "form in one pair": lambda: _doc(algebra=C, m=1, pairs=[
+        {"lambda": EXACT, "P": _units([1.0, 0.0])}]),
+    "form across pairs": lambda: _doc(algebra=C2, m=1, pairs=[
+        {"lambda": EXACT, "P": _units(["1", "0"], ["0", "0"])},
+        {"lambda": FLOAT, "P": _units(["0", "0"], ["1", "0"])}]),
+    "form across factors": lambda: _doc(algebra=C2, m=1, pairs=[
+        {"lambda": EXACT, "P": _units(["1", "0"], [1.0, 0.0])}]),
+    "n0 in one value": lambda: _n0_doc(
+        C, *((v, [1]) for v in IN_ONE_VALUE)),
+    "n0 across keys": lambda: _n0_doc(C, (EXACT, [1]), (FLOAT, [1])),
+    "n0 across factors": lambda: _n0_doc(C2, (EXACT, [1, 0]), (FLOAT, [0, 1])),
+    "n0 float": lambda: _n0_doc(C, (FLOAT, [2])),
+    "n0 exact": lambda: _n0_doc(C, (EXACT, [1])),
+    "k0c in one value": lambda: _doc(coeffs=list(IN_ONE_VALUE)),
+    "k0c across factors": lambda: _doc(coeffs=[EXACT, FLOAT]),
+    "c2": lambda: _doc(**C2),
+    "hom across factors": lambda: _doc(
+        source=C, target=C2, multiplicities=[[1], [1]],
+        unitaries=_units(["1", "0"], [1.0, 0.0])),
+    "tensor in one value": lambda: _tensor_doc(
+        C, 2, 0, *zip(([[0, 0, 0]], [[0, 1, 1]]), IN_ONE_VALUE)),
+    "tensor across keys": lambda: _tensor_doc(
+        C, 2, 0, ([[0, 0, 0]], EXACT), ([[0, 1, 1]], 0.5)),
+    "tensor on one key": lambda: _tensor_doc(
+        C, 1, 0, ([[0, 0, 0]], EXACT), ([[0, 0, 0]], 0.5)),
+    "tensor across factors": lambda: _tensor_doc(
+        C2, 1, 0, ([[0, 0, 0]], EXACT), ([[1, 0, 0]], 0.5)),
+    "tensor of degree 1": lambda: _tensor_doc(
+        M2, 1, 1, ([[0, 0, 1], [0, 1, 0]], EXACT), ([[0, 1, 0], [0, 0, 1]], 0.5)),
+    "projection across keys": lambda: _doc(algebra=M2, m=1, blocks=[
+        [[["1", "0"], [0.0, 0.0]], [["0", "0"], [1.0, 0.0]]]]),
+    "projection across factors": lambda: _doc(
+        algebra=C2, m=1, blocks=_units(["1", "0"], [1.0, 0.0])),
+    **{f"complex {how}": functools.partial(_complex_doc, mix) for how, mix in
+       (("in one value", "value"), ("across keys", "keys"),
+        ("across factors", "factors"))},
+}
+
+
+def _sweep():
+    """(id, argv) for each subcommand and each document it reads."""
+    def docs(kind):
+        return [name for name in MIXED_DOCUMENTS if name.startswith(kind)]
+    for name in docs("element") + docs("form"):
+        yield f"n0 class, {name}", ("n0", "class", "--element", name)
+        for path in ("direct", "cover", "both"):
+            yield (f"gchern --path {path}, {name}",
+                   ("gchern", "--element", name, "--path", path))
+    for name in docs("n0"):
+        yield f"n0 h, {name}", ("n0", "h", "--n0", name)
+        yield f"gchern --n0, {name}", ("gchern", "--n0", name)
+        for action in ("eq", "add"):
+            yield f"n0 {action}, {name}", ("n0", action, "--a", name, "--b", name)
+        if MIXED_DOCUMENTS[name]()["algebra"] == C:  # the hom's source
+            yield (f"n0 push, {name}",
+                   ("n0", "push", "--hom", "hom across factors", "--n0", name))
+    for action in ("eq", "add"):
+        yield (f"n0 {action}, n0 exact and n0 float",
+               ("n0", action, "--a", "n0 exact", "--b", "n0 float"))
+    for name in docs("k0c"):
+        yield f"n0 t, {name}", ("n0", "t", "--k0c", name, "--algebra", "c2")
+    for name in docs("tensor"):
+        for action in ("class", "trace"):
+            yield f"hc {action}, {name}", ("hc", action, "--tensor", name)
+    for name in docs("projection"):
+        yield f"chern, {name}", ("chern", "--projection", name)
+    for name in docs("complex"):
+        for action in ("l1", "l2", "gl1"):
+            yield (f"lefschetz {action}, {name}",
+                   ("lefschetz", action, "--complex", name, "--g", "1"))
+
+
+SWEEP = dict(_sweep())
+
+
+@pytest.mark.parametrize("argv", SWEEP.values(), ids=SWEEP.keys())
+def test_mixed_scalars_answer_or_refuse_in_one_line(tmp_path, capsys, argv):
+    paths = {name: write(tmp_path, f"{i}.json", MIXED_DOCUMENTS[name]())
+             for i, name in enumerate(MIXED_DOCUMENTS) if name in argv}
+    code = main([paths.get(a, a) for a in argv])  # a traceback fails here
+    err = capsys.readouterr().err
+    assert 0 <= code <= 3
+    assert err.count("error:") <= 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("action, code", [("l1", 0), ("l2", 0), ("gl1", 1)])
+def test_only_l1_and_l2_take_an_irrep_table(tmp_path, capsys, action, code):
+    # gl1 reads no table, so --irreps there is a usage error
+    paths = [write(tmp_path, "cx.json", _ga_complex()),
+             write(tmp_path, "irreps.json", {"kind": "cyclic", "n": 2})]
+    argv = ["lefschetz", action, "--complex", paths[0], "--g", "1",
+            "--irreps", paths[1]]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err == ("error: unrecognized arguments: --irreps "
+                   f"{paths[1]}\n" if code else "")
 
 
 # JSON texts the standard parser reads as inf or nan, in float documents

@@ -84,6 +84,13 @@ def _tensor(*indices):
                                            for u in indices]}
 
 
+def _terms(blocks, m, degree, *terms):
+    """A tensor document with (indices, coeff) terms as written."""
+    return lambda: {"schema_version": 1, "algebra": {"blocks": list(blocks)},
+                    "m": m, "degree": degree,
+                    "terms": [{"indices": u, "coeff": c} for u, c in terms]}
+
+
 def _not_a_representation():
     """The Z/3 table with chi1 sending 2 where it sends 1."""
     doc = sz.irreps_to_json(IrrepTable.cyclic(3))
@@ -142,6 +149,16 @@ DOCUMENTS = {
     "trivial25": _trivial(25),
     "cyclic1e9": lambda: {"kind": "cyclic", "n": 10 ** 9},
     "not_a_rep": _not_a_representation,
+    # exact and float scalars in one document: their sums are complex
+    "mixed_cycle": _terms((2,), 1, 1, ([[0, 0, 1], [0, 1, 0]], ["1", "1"]),
+                          ([[0, 1, 0], [0, 0, 1]], 0.5)),
+    "mixed_m2": _terms((1,), 2, 0, ([[0, 0, 0]], ["1", "1"]), ([[0, 1, 1]], 0.5)),
+    "mixed_factors": _terms((1, 1), 1, 0, ([[0, 0, 0]], ["1", "1"]),
+                            ([[1, 0, 0]], 0.5)),
+    "mixed_n0": _n0((1,), (["1", "1"], (1,)), ([0.5, 0.0], (1,))),
+    "mixed_n0_factors": _n0((1, 1), (["1", "1"], (1, 0)), ([0.5, 0.0], (0, 1))),
+    "mixed_form": lambda: {"schema_version": 1, "algebra": {"blocks": [1]},
+                           "pairs": [{"lambda": ["1", "1"], "P": [[[1.0]]]}]},
     "pair": _tensor([0, 0]),
     "twice": _tensor([0, 0, 0], [0, 0, 0]),
     "readme": _readme_example,
@@ -313,6 +330,33 @@ CASES = {
     # the README's library example runs as written and prints HC dims
     "README library example": Case(
         ("{readme}",), 0, lambda out: "[2, 0, 2]" in out, module=None),
+    # an exact scalar meeting a float gives the complex result: sums of
+    # coefficients, of trace values, of N0 keys times ranks, and exact
+    # values times float traces
+    "hc class of a mixed non-cycle": Case(
+        ("hc", "class", "--tensor", "{mixed_cycle}"), 1,
+        error="^error: tensor is not a cycle in CC coordinates$"),
+    "hc trace of mixed coefficients": Case(
+        ("hc", "trace", "--tensor", "{mixed_m2}"), 0,
+        _field("terms", [{"indices": [[0, 0, 0]], "coeff": [1.5, 1.0]}])),
+    "hc class of mixed coefficients": Case(
+        ("hc", "class", "--tensor", "{mixed_m2}"), 0,
+        _field("coords", [[1.5, 1.0]])),
+    "hc class of mixed coefficients across factors": Case(
+        ("hc", "class", "--tensor", "{mixed_factors}"), 0,
+        _field("coords", [[1.0, 1.0], [0.5, 0.0]])),
+    "n0 h of mixed keys": Case(
+        ("n0", "h", "--n0", "{mixed_n0}"), 0, _field("coeffs", [[1.5, 1.0]])),
+    "gchern of mixed keys": Case(
+        ("gchern", "--n0", "{mixed_n0}"), 0, _field("coords", [[1.5, 1.0]])),
+    "gchern of mixed keys across factors": Case(
+        ("gchern", "--n0", "{mixed_n0_factors}"), 0,
+        _field("coords", [[1.0, 1.0], [0.5, 0.0]])),
+    **{f"gchern --path {path} of an exact value on a float projection": Case(
+        ("gchern", "--element", "{mixed_form}", "--path", path), 0, check)
+       for path, check in (("direct", _field("coords", [[1.0, 1.0]])),
+                           ("cover", _field("coords", [[1.0, 1.0]])),
+                           ("both", _agree))},
     # a two-entry unit index is one error line, not a traceback; a term
     # listed twice counts twice
     "hc class on a two-entry unit index": Case(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncgdesk import linalg as la
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra
+from ncgdesk.errors import NumericalError
 from ncgdesk.cyclic import DecompositionRep, HCClass, TensorElement, check_face_bound
 from ncgdesk.scalars import (
     Cyclotomic,
@@ -169,6 +171,55 @@ class TestFieldOracle:
     ], ids=["z8+z8^7", "z12^4", "z6", "i*z3"])
     def test_conductor(self, make, order):
         assert make().order == order
+
+
+# exact values of every kind, and finite floats and complexes small enough
+# that no product or quotient overflows
+zetas = st.sampled_from((3, 5, 8, 12)).flatmap(
+    lambda n: st.lists(small, min_size=1, max_size=n).map(
+        lambda c: Cyclotomic(n, c)))
+exact = st.one_of(st.integers(-10, 10), fractions, gaussians, zetas)
+finite = st.floats(-1e6, 1e6)
+inexact = st.one_of(finite, st.builds(complex, finite, finite))
+OPERATIONS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _results(op, x, y):
+    """op in both orders, skipping a zero divisor."""
+    return [op(a, b) for a, b in ((x, y), (y, x))
+            if op is not operator.truediv or b != 0]
+
+
+class TestFloatOperands:
+    """An exact value meeting a float or complex gives the complex result,
+    as a Fraction does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact, inexact)
+    def test_mixed_operations_run_on_the_complex_value(self, x, y):
+        for op in OPERATIONS:
+            assert _results(op, x, y) == _results(op, complex(x), y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact, st.one_of(gaussians, zetas))
+    def test_exact_operations_stay_exact(self, x, y):
+        for op in OPERATIONS:
+            for got, want in zip(_results(op, x, y),
+                                 _results(op, complex(x), complex(y))):
+                assert isinstance(got, Cyclotomic) and close(complex(got), want)
+        assert (x + y) - y == x and (x - y) + y == x
+        if y:
+            assert (x * y) / y == x
+
+    @pytest.mark.parametrize("x", [
+        Cyclotomic.from_rational(10 ** 400), Cyclotomic.gaussian(1, 10 ** 400),
+        Cyclotomic(3, (0, 10 ** 400))], ids=["rational", "gaussian", "zeta3"])
+    @pytest.mark.parametrize("y", [0.5, 0.5j])
+    def test_beyond_float_range_is_a_numerical_error(self, x, y):
+        for op in OPERATIONS:
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(NumericalError):
+                    op(a, b)
 
 
 class TestHelpers:
