@@ -15,8 +15,12 @@ Every Lefschetz number is read on the chain modules themselves.  A map
 that commutes with d splits the complex into its eigenvalue and isotypic
 subcomplexes, and each has the same alternating sum of ranks on chains as
 on homology (the Hopf trace formula), so no harmonic projection is built.
-Once the action facts hold, the complex keeps its character table
-tr_i(U_g) (``GAComplex.characters``), and the multiplicity m_chi,j,i =
+On an exact action the blocks of every U_g stand side by side in one stack
+per module and factor, and one product U_s [U_g0 | U_g1 | ...] per
+generator s proves U_s U_g = U_sg for every g.  Once the action facts
+hold, the complex keeps its character table tr_i(U_g)
+(``GAComplex.characters``), the block traces of the same stacks, read on
+their integer numerators, and the multiplicity m_chi,j,i =
 (1/|G|) sum_g conj chi(g) tr_i(U_g) on module j is the trace of the
 idempotent (dim chi/|G|) sum_g conj chi(g) U_g over dim chi.  Each
 (complex, irrep table) keeps M_chi = sum_j (-1)^j m_chi,j in Z^k, so
@@ -259,19 +263,41 @@ def _action_problems(c: GAComplex) -> list:
     that of q_j, so q_j U_g = U_g = U_g q_j and U_a U_b = U_ab for all a,
     b; each (dim chi/|G|) sum_g conj chi(g) U_g is an idempotent, and its
     rank is its trace.  Each U_g is a product of generator maps, so it
-    commutes with d, and is unitary if they are.
+    commutes with d, and is unitary if they are.  On an exact action one
+    stacked product per (generator, module, factor) proves U_s U_g = U_sg
+    for every g at once (:func:`_stacked_products_match`); the products
+    are taken one by one only for a generator where it fails, to name
+    each (s, g, module) that does.
     """
     group = c.group
     problems = [f"identity does not act as the projection on module {j}"
                 for j, (u, q) in enumerate(zip(c.action[group.identity], c.modules))
                 if not u.equals(q.element)]
-    problems += [f"action is not multiplicative at ({s},{g}) on module {j}"
-                 for s in group.generators for g in group.elements()
-                 for j, (u, v) in enumerate(zip(c.action[s], c.action[g]))
-                 if not (u * v).equals(c.action[group.mul(s, g)][j])]
+    for s in group.generators:
+        if c._stacks is None or not _stacked_products_match(c, s):
+            problems += [f"action is not multiplicative at ({s},{g}) on module {j}"
+                         for g in group.elements()
+                         for j, (u, v) in enumerate(zip(c.action[s], c.action[g]))
+                         if not (u * v).equals(c.action[group.mul(s, g)][j])]
     for s in group.generators:
         problems += _commute_problems(c, c.action[s], f"action of {s}")
     return problems
+
+
+def _stacked_products_match(c: GAComplex, s: int) -> bool:
+    """Whether U_s W = W with column block g replaced by block s g, for
+    each stack W = [U_g0 | U_g1 | ...] of ``c._stacks``: then U_s U_g =
+    U_sg on every module for every g.  Both sides are canonical, so they
+    are equal exactly when their values are."""
+    moved = [c.group.mul(s, g) for g in c.group.elements()]  # g -> sg
+    k = c.algebra.num_factors
+    for t, w in enumerate(c._stacks):
+        phi, d, width = w.nums.shape
+        target = w.nums.reshape(phi, d, width // d, d)[:, :, moved]
+        product = la.mat_mul(c.action[s][t // k].blocks[t % k], w)
+        if product != la.ExactMatrix(w.order, target.reshape(phi, d, width), w.den):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -286,7 +312,10 @@ class GAComplex:
     and generator unitarity problems, the character table, the alternating
     isotypic multiplicities per irrep table, the refined number per element
     or tuple of unitaries and, where a refined read needs them, the
-    harmonic projections are made on first use and kept.
+    harmonic projections are made on first use and kept.  An exact action's
+    stacks [U_g0 | U_g1 | ...], on which one product per generator proves
+    the representation and whose block traces are the character table,
+    are kept only until the table is read.
     """
 
     algebra: MultiMatrixAlgebra
@@ -347,13 +376,31 @@ class GAComplex:
         return out
 
     @functools.cached_property
+    def _stacks(self):
+        """Per module j and factor f, in the order j * k + f of the
+        character table's columns (k factors), the blocks U_g of every g
+        side by side: W = [U_g0 | U_g1 | ...]; None unless every U_g is
+        exact.  Kept only until ``characters`` reads the table from them."""
+        if not all(u.is_exact() for row in self.action for u in row):
+            return None
+        return [la.block_matrix([[row[j].blocks[f] for row in self.action]])
+                for j in range(self.length)
+                for f in range(self.algebra.num_factors)]
+
+    @functools.cached_property
     def characters(self):
         """The chain character table, built once: tr_i(U_g) on module j in
         row g, column j * k + i (k factors), read once the complex has no
-        chain or action problem."""
+        chain or action problem.  An exact table is the block traces of
+        the stacks that proved the action, which are then let go; a float
+        one is read block by block."""
         _require(self._chain_verdict or self._action_verdict)
-        return la.as_matrix([[t for u in row for t in u.trace_vector()]
-                             for row in self.action])
+        stacks = self._stacks
+        del self.__dict__["_stacks"]
+        if stacks is None:
+            return la.as_matrix([[t for u in row for t in u.trace_vector()]
+                                 for row in self.action])
+        return la.block_traces(stacks)
 
     def unitary(self, g: int) -> tuple:
         """Row g of ``action``: the unitary of g on each module."""
@@ -430,6 +477,19 @@ def _natural(x, what: str) -> int:
     raise ConsistencyError(f"{what} {x} is not a natural number")
 
 
+def _naturals(m, scale: int, what: str) -> list:
+    """Rows of the entries of m / scale as natural numbers.  A rational
+    matrix whose numerators are all non-negative multiples of den * scale
+    is read on those ints; any other goes entry by entry through
+    :func:`_natural`, which names the first that is not one."""
+    if type(m) is la.ExactMatrix and m.order == 1:
+        step, rows = m.den * scale, m.nums[0].tolist()
+        if all(x >= 0 and not x % step for row in rows for x in row):
+            return [[x // step for x in row] for row in rows]
+    return [[_natural(x, what) for x in row]
+            for row in la.entries(la.scalar_mul(Fraction(1, scale), m))]
+
+
 # ---------------------------------------------------------------------------
 # isotypic decomposition and the Lefschetz numbers
 
@@ -451,14 +511,14 @@ def isotypic_decompose(c: GAComplex, irreps: IrrepTable) -> tuple:
     if type(table) is la.FloatMatrix:
         duals = la.FloatMatrix(la.to_numpy(duals))
     k = c.algebra.num_factors
-    sums = la.entries(la.scalar_mul(Fraction(1, c.group.order),
-                                    la.mat_mul(duals, table)))
+    sums = _naturals(la.mat_mul(duals, table), c.group.order,
+                     "isotypic multiplicity")
     out = []
     for irr, row in zip(irreps.irreps, sums):
         total = [0] * k
         for col, m in enumerate(row):
             j, i = divmod(col, k)
-            total[i] += (-1) ** j * _natural(m, "isotypic multiplicity")
+            total[i] += (-1) ** j * m
         out.append((irr, tuple(total)))
     c._multiplicities[irreps] = out = tuple(out)
     return out
@@ -487,11 +547,12 @@ def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
 
 @functools.lru_cache(maxsize=64)  # the default budget admits orders <= 46
 def _fourier(t: int):
-    """(zeta_t^k for k < t, the t x t matrix zeta_t^(-ks)/t): row k maps
-    (tr v^s)_s to the rank of the zeta_t^k eigenspace of v when v^t = 1."""
+    """(zeta_t^k for k < t, the t x t matrix zeta_t^(-ks)): row k over t
+    maps (tr v^s)_s to the rank of the zeta_t^k eigenspace of v when
+    v^t = 1."""
     roots = tuple(Cyclotomic.root_of_unity(t, k) for k in range(t))
-    return roots, la.scalar_mul(Fraction(1, t), la.as_matrix(
-        [[roots[-k * s % t] for s in range(t)] for k in range(t)]))
+    return roots, la.as_matrix(
+        [[roots[-k * s % t] for s in range(t)] for k in range(t)])
 
 
 def _fourier_read(traces, k: int) -> list:
@@ -499,9 +560,10 @@ def _fourier_read(traces, k: int) -> list:
     rows s of traces tr_i(v^s) whose columns are (module, factor i), k
     factors: the zeta_t^m eigenspace has ranks (1/t) sum_s zeta_t^(-ms)
     tr_i(v^s), the traces of its Fourier spectral projection."""
-    roots, fourier = _fourier(traces.shape[0])
-    ranks = [(root, [_natural(r, "eigenspace rank") for r in row])
-             for root, row in zip(roots, la.entries(la.mat_mul(fourier, traces)))]
+    t = traces.shape[0]
+    roots, fourier = _fourier(t)
+    ranks = list(zip(roots, _naturals(la.mat_mul(fourier, traces), t,
+                                      "eigenspace rank")))
     return [[(root, K0Class(row[j:j + k])) for root, row in ranks if any(row[j:j + k])]
             for j in range(0, traces.shape[1], k)]
 

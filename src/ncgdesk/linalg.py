@@ -394,6 +394,20 @@ def trace_numerators(a: ExactMatrix):
     return a.order, np.trace(a.nums, axis1=1, axis2=2).tolist(), a.den
 
 
+def block_traces(mats) -> ExactMatrix:
+    """The exact matrix whose column t holds, in order, the traces of the
+    square blocks set side by side in the exact r x (n r) matrix mats[t]:
+    one trace over each (phi, r, n, r) view, packed once from numerators."""
+    order = math.lcm(*(m.order for m in mats))
+    den = math.lcm(*(m.den for m in mats))
+    cols = []
+    for m in mats:
+        phi, r, c = m.nums.shape
+        col = m.nums.reshape(phi, r, c // r, r).trace(axis1=1, axis2=3)
+        cols.append(_at(ExactMatrix(m.order, col, m.den), order) * (den // m.den))
+    return _make(order, np.stack(cols, axis=2), den)
+
+
 # ---------------------------------------------------------------------------
 # assembling and slicing
 

@@ -639,7 +639,8 @@ def parse_real(v):
 
 
 def parse_scalar(v):
-    """[re, im] pair or bare number -> exact or float scalar."""
+    """[re, im] pair, {"order", "coeffs"} record or bare number -> exact
+    or float scalar; a float part makes the whole value a float."""
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise ValueError(f"scalar pair must have two entries: {v!r}")
@@ -659,7 +660,12 @@ def parse_scalar(v):
         coeffs = v["coeffs"]
         if not isinstance(coeffs, (list, tuple)):
             raise ValueError(f"cyclotomic coeffs must be a list: {coeffs!r}")
-        return Cyclotomic(order, [Fraction(parse_real(c)) for c in coeffs])
+        parts = [parse_real(c) for c in coeffs]
+        if all(isinstance(c, Fraction) for c in parts):
+            return Cyclotomic(order, parts)
+        # a float coefficient makes the value complex, as a float operand does
+        return sum((c * Cyclotomic.root_of_unity(order, k)
+                    for k, c in enumerate(parts)), 0j)
     re = parse_real(v)
     if isinstance(re, Fraction):
         return Cyclotomic.from_rational(re)

@@ -436,6 +436,12 @@ def battery_th4(seed: int, count: int) -> VerificationReport:
         (q.element,), (AlgebraElement(q.algebra, 2, (((1, 1), (0, -1)),)),)))
     rejected.append(("the refined number of a non-unitary representation",
                      lambda: generalized_lefschetz(skew, skew.unitary(1))))
+    s3, std = tables[2], tables[2].irreps[2]  # S3 by g -> rho(g^-1): U_s U_g = U_gs
+    right = GAComplex(q.algebra, s3.group, (q,), (), tuple(
+        (AlgebraElement(q.algebra, 2, (std.matrices[s3.group.inverse(g)],)),)
+        for g in s3.group.elements()))
+    rejected.append(("L1 of S3 acting on the right",
+                     lambda: lefschetz_first(right, 1, s3)))
 
     def one(rng):
         table = rng.choice(tables)

@@ -1,3 +1,4 @@
+import cmath
 import functools
 import json
 import os
@@ -413,11 +414,26 @@ def test_float_term_that_is_never_summed_keeps_the_exact_class(
     assert doc["coords"] == [["1", "1"]]
 
 
+def test_float_coefficient_of_a_record_is_read_as_a_float(tmp_path, capsys):
+    # a float coefficient makes a cyclotomic record the complex value
+    # sum c_k zeta_N^k, as a float part makes an [re, im] pair a float:
+    # 0.1 zeta_4 prints as the pair ["0", 0.1] does, 0.1 zeta_3 as a pair
+    def h(scalar):
+        path = write(tmp_path, "n0.json", _n0_doc(C, (scalar, [1])))
+        code, doc = run_cli(capsys, "n0", "h", "--n0", path)
+        assert code == 0
+        return doc["coeffs"]
+    assert h({"order": 4, "coeffs": ["0", 0.1]}) == h(["0", 0.1]) \
+        == [[0.0, 0.1]]
+    [[re, im]] = h({"order": 3, "coeffs": ["0", 0.1]})
+    assert complex(re, im) == pytest.approx(0.1 * cmath.exp(2j * cmath.pi / 3))
+
+
 # The mixing sweep: every subcommand that reads scalars, on documents that
 # mix exact and float scalars in one value, across keys and across factors,
 # exits 0-3 with at most one error line.  An exact part beside a float one
-# is read as a float pair, a float coefficient of a cyclotomic record
-# exactly.
+# makes the value a float pair, in an [re, im] pair and in a cyclotomic
+# record alike.
 C, C2, M2 = {"blocks": [1]}, {"blocks": [1, 1]}, {"blocks": [2]}
 EXACT, FLOAT = ["1", "1"], [0.5, 0.0]
 IN_ONE_VALUE = (["1", 0.5], {"order": 3, "coeffs": ["1", 0.5]})

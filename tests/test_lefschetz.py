@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -670,22 +671,33 @@ class TestOneDecomposition:
     def test_each_fact_checked_once(self, monkeypatch):
         # a JSON load, then L1 and the refined number at g = 1 of a
         # length-3 S3 complex over C+M2: the representation check takes
-        # each product U_s U_g once, and the whole path 45 products (the
-        # table read reuses the generators' unitarity verdict)
+        # each stacked product U_s [U_g0 | U_g1 | ...] once per generator,
+        # module and factor and no product U_s U_g, and the whole path at
+        # most 45 element products (the table read reuses the generators'
+        # unitarity verdict)
         table = IrrepTable.symmetric_3()
         doc = serialize.complex_to_json(random_ga_complex(
             MultiMatrixAlgebra((1, 2)), table, random.Random(5), length=3))
         products, real = [], AlgebraElement.__mul__
         monkeypatch.setattr(AlgebraElement, "__mul__",
                             lambda a, b: products.append((a, b)) or real(a, b))
+        stacked, real_mul = Counter(), la.mat_mul
+
+        def mat_mul(a, b):
+            rows, cols = la.shape(b)
+            if cols == table.group.order * rows:
+                stacked[id(a), id(b)] += 1
+            return real_mul(a, b)
+        monkeypatch.setattr(la, "mat_mul", mat_mul)
         c = serialize.complex_from_json(doc)
         lefschetz_first(c, 1, table)
         generalized_lefschetz(c, c.unitary(1))
         entries = {id(u) for row in c.action for u in row}
-        checks = Counter((id(a), id(b)) for a, b in products
-                         if id(a) in entries and id(b) in entries)
-        assert len(checks) == len(c.group.generators) * c.group.order * c.length
-        assert set(checks.values()) == {1}
+        assert not [(a, b) for a, b in products
+                    if id(a) in entries and id(b) in entries]
+        assert len(stacked) == len(c.group.generators) * c.length \
+            * c.algebra.num_factors
+        assert set(stacked.values()) == {1}
         assert len(products) <= 45
 
     def test_group_elements_read_from_the_table(self, monkeypatch):
@@ -742,3 +754,152 @@ class TestOneDecomposition:
         bad = GAComplex(A, c.group, c.modules, c.diffs,
                         (c.action[0], tuple(flip)))
         assert "action of 1 does not commute with d0" in validate_complex(bad)
+
+
+# The reference the stacked action check must reproduce: one product per
+# (generator, element, module), and the character table read one block
+# trace at a time.
+def per_product_action_problems(c):
+    group = c.group
+    problems = [f"identity does not act as the projection on module {j}"
+                for j, (u, q) in enumerate(zip(c.action[group.identity], c.modules))
+                if not u.equals(q.element)]
+    problems += [f"action is not multiplicative at ({s},{g}) on module {j}"
+                 for s in group.generators for g in group.elements()
+                 for j, (u, v) in enumerate(zip(c.action[s], c.action[g]))
+                 if not (u * v).equals(c.action[group.mul(s, g)][j])]
+    for s in group.generators:
+        problems += lefschetz._commute_problems(c, c.action[s], f"action of {s}")
+    return problems
+
+
+def per_product_validation(c):
+    return lefschetz._chain_problems(c) + per_product_action_problems(c) \
+        + lefschetz._generator_unitary_problems(c)
+
+
+def per_block_characters(c):
+    return la.as_matrix([[t for u in row for t in u.trace_vector()]
+                         for row in c.action])
+
+
+def with_action(c, action):
+    return GAComplex(c.algebra, c.group, c.modules, c.diffs,
+                     tuple(map(tuple, action)))
+
+
+def corrupted(c):
+    """Copies of c whose action may be no representation: on the last
+    module U_s is swapped for U_(s^2) (s the first generator), U_e is -q_0,
+    and g acts by U_(g^-1)."""
+    group, j = c.group, c.length - 1
+    s = group.generators[0]
+    swapped = [list(row) for row in c.action]
+    swapped[s][j] = c.action[group.mul(s, s)][j]
+    negated = [list(row) for row in c.action]
+    negated[group.identity][0] = c.action[group.identity][0].scale(-1)
+    right = [c.action[group.inverse(g)] for g in group.elements()]
+    return [with_action(c, a) for a in (swapped, negated, right)]
+
+
+def floated(c):
+    """c with every matrix a float copy of its values."""
+    def blocks(bs):
+        return tuple(la.from_numpy(la.to_numpy(b)) for b in bs)
+
+    def element(x):
+        return AlgebraElement(x.algebra, x.amplification, blocks(x.blocks))
+    return GAComplex(c.algebra, c.group,
+                     tuple(Projection(element(q.element)) for q in c.modules),
+                     tuple(map(blocks, c.diffs)),
+                     tuple(tuple(map(element, row)) for row in c.action))
+
+
+class TestStackedAction:
+    def _same_as_per_product(self, c):
+        problems = per_product_validation(c)
+        assert validate_complex(c) == problems
+        first = (lefschetz._chain_problems(c)
+                 + per_product_action_problems(c))[:1]
+        if first:
+            with pytest.raises(DomainError) as caught:
+                c.characters
+            assert str(caught.value) == first[0]
+        else:
+            table = per_block_characters(c)
+            assert type(c.characters) is type(table)
+            if type(table) is la.FloatMatrix:  # bit for bit
+                assert c.characters.arr.tobytes() == table.arr.tobytes()
+            else:
+                assert c.characters == table
+        return problems
+
+    def test_exact_verdicts_and_tables_match_the_per_product_check(self):
+        broken = 0
+        for c, table in seeded_complexes():
+            assert self._same_as_per_product(c) == []
+            for bad in corrupted(c):
+                broken += bool(self._same_as_per_product(bad))
+        assert broken >= 30
+
+    def test_float_verdicts_and_tables_match_the_per_product_check(self):
+        from ncgdesk.scalars import get_epsilon
+        c = floated(random_ga_complex(A, TABLES[2], random.Random(3),
+                                      length=3))
+        assert self._same_as_per_product(c) == []
+        s = c.group.generators[0]
+        u = c.action[s][0]
+        nudge = np.zeros(u.blocks[0].shape, dtype=complex)
+        nudge[0, 0] = 10 * get_epsilon()
+        bumped = AlgebraElement(u.algebra, u.amplification, (
+            la.from_numpy(la.to_numpy(u.blocks[0]) + nudge), *u.blocks[1:]))
+        action = [list(row) for row in c.action]
+        action[s][0] = bumped
+        assert self._same_as_per_product(with_action(c, action))
+
+    def test_stacks_are_let_go_once_the_table_is_read(self):
+        c, _ = next(seeded_complexes())
+        assert validate_complex(c) == []
+        assert "_stacks" in vars(c)
+        c.characters
+        assert "_stacks" not in vars(c)
+
+    def test_one_stacked_product_per_generator_module_and_factor(
+            self, monkeypatch):
+        c = random_ga_complex(A, TABLES[2], random.Random(8), length=3)
+        calls, real = [], la.mat_mul
+        monkeypatch.setattr(la, "mat_mul",
+                            lambda a, b: calls.append(1) or real(a, b))
+        assert lefschetz._action_problems(c) == []
+        gens, k = len(c.group.generators), c.algebra.num_factors
+        # U_s [U_g0 | U_g1 | ...], then U_s d and d U_s per differential
+        assert len(calls) == gens * c.length * k \
+            + gens * 2 * k * (c.length - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3),
+                    min_size=2, max_size=2),
+           st.sampled_from([1, 2, 3, 6]),
+           st.sampled_from([None, Fraction(1, 2), -1, Cyclotomic.gaussian(0, 1),
+                            Cyclotomic.root_of_unity(3, 1)]),
+           st.booleans())
+    def test_naturals_read_as_natural_reads_each_entry(self, rows, scale,
+                                                       flaw, floats):
+        cells = [[x * scale for x in row] for row in rows]
+        if flaw is not None:
+            cells[1][2] = flaw * scale
+        m = la.as_matrix(cells)
+        if floats:
+            m = la.from_numpy(la.to_numpy(m))
+
+        def read(f):
+            try:
+                return f()
+            except ConsistencyError as exc:
+                return str(exc)
+        each = read(lambda: [[lefschetz._natural(x, "rank") for x in row]
+                             for row in la.entries(la.scalar_mul(
+                                 Fraction(1, scale), m))])
+        assert read(lambda: lefschetz._naturals(m, scale, "rank")) == each
+        if flaw is None:
+            assert each == rows

@@ -122,6 +122,18 @@ def test_trace_linear(m, c):
         or scalar_is_zero(la.trace(la.scalar_mul(c, m)) - c * la.trace(m))
 
 
+def test_block_traces_are_the_traces_of_each_block():
+    z3, i = Cyclotomic.root_of_unity(3, 1), Cyclotomic.gaussian(0, 1)
+    blocks = [[la.as_matrix([[Fraction(1, 2), 0], [5, 2]]),
+               la.as_matrix([[z3, 1], [0, z3 * z3]]),
+               la.as_matrix([[Fraction(3, 4), 1], [1, Fraction(-3, 4)]])],
+              [la.as_matrix([[i]]), la.as_matrix([[Fraction(1, 6)]]),
+               la.as_matrix([[-1]])]]
+    table = la.block_traces([la.block_matrix([row]) for row in blocks])
+    assert table == la.as_matrix([[la.trace(row[g]) for row in blocks]
+                                  for g in range(3)])
+
+
 EXACT = la.as_matrix([[1, 2], [3, 4]])
 FLOAT = la.as_matrix([[1.0, 0.0], [0.0, 1.0]])
 

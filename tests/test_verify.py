@@ -98,8 +98,8 @@ MUTANTS = {
     "Lefschetz module sign": ("lefschetz.py",
                               "cls if j % 2 == 0 else -cls", "cls"),
     "Lefschetz isotypic sign": ("lefschetz.py",
-                                "total[i] += (-1) ** j * _natural(",
-                                "total[i] += _natural("),
+                                "total[i] += (-1) ** j * m",
+                                "total[i] += m"),
     "Chern projection sign": ("chern.py", "[((-1) ** l, p)]", "[(1, p)]"),
     "generalized Chern sign": ("chern.py", "phi[i] += (-1) ** l * value * r",
                                "phi[i] += value * r"),
@@ -125,6 +125,9 @@ MUTANTS = {
         "if False]"),
     "identity check dropped": ("lefschetz.py", "if not u.equals(q.element)]",
                                "if False]"),
+    "generator acts on the right": ("lefschetz.py",
+                                    "[c.group.mul(s, g) for g in",
+                                    "[c.group.mul(g, s) for g in"),
     "self-adjoint idempotent test dropped": (
         "algebra.py",
         "if any(not la.mat_equal(e, la.conj_transpose(e)) for e in idem.values()):",
