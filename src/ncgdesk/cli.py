@@ -250,7 +250,8 @@ def _run_batteries(theorems: str, seed: int, count: int) -> int:
             raise ValidationError(f"unknown theorem {name!r}; "
                                   f"choose from {sorted(BATTERIES)}")
     reports = run_batteries(names, seed, count)
-    _emit({"reports": [r.to_json() for r in reports]})
+    _emit({"reports": [{**r.to_json(), "elapsed_s": r.elapsed_s}
+                       for r in reports]})
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFICATION
 
 

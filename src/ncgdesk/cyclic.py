@@ -22,6 +22,16 @@ homotopy (Loday, Cyclic Homology, 1992, 4.1; Goodwillie, Topology 24,
 (:func:`~ncgdesk.scalars.eliminate`) once per (algebra, amplification,
 n), for its rank, by rows; a witness eliminates its columns, tagged.
 
+The complex is graded a second time, by the set of factors a tuple uses:
+units of different factors multiply to 0, so a face keeps that set or
+vanishes.  A block using two or more factors is acyclic, since HC of a
+product of unital algebras is the sum of theirs (Loday, Cyclic Homology,
+1992), and the block of factor f is the complex of M_{m r_f} with its
+letters renamed.  So ``hc_dims`` and a space of several factors sum
+the spaces of M_{m r_f}, one build per distinct size.
+``reduced_class``, ``cycle_basis`` and ``boundary_witness`` use the full
+weight-0 block, built on first use and checked against that sum.
+
 HC_2l = C^k has a fixed basis, the classes of e_{f,00} x ... x e_{f,00}
 (2l+1 factors), one per factor f, and HC is 0 in odd degree.  The trace
 cocycles (Connes, Publ. IHES 62, 1985; Loday, Cyclic Homology, 1992, 1.2
@@ -519,14 +529,16 @@ class HCClass:
 class HomologySpace:
     """HC_n of an amplified multi-matrix algebra, with solve machinery.
 
-    Built from the ranks of the weight-0 block: ``cc`` and
-    ``boundary_rank`` are its sizes.  ``basis`` holds the unit tuples
-    (f, 0, 0) x ... x (f, 0, 0), one per factor in even degree and none in
-    odd degree; the boundary ranks must give that dimension.  Combinations
-    (``cycle_basis``, witnesses) come from tagged eliminations, run when
-    first asked for.  At finite dimension images are closed, so this space
-    simultaneously realizes the Banach variant and the comparison map
-    between them is the identity on coordinates.
+    ``basis`` holds the unit tuples (f, 0, 0) x ... x (f, 0, 0), one per
+    factor in even degree and none in odd degree.  One factor is built
+    from the ranks of its weight-0 block, which must give that dimension;
+    several factors sum the dimensions of the spaces of M_{m r_f}, one per
+    factor.  ``cc`` and ``boundary_rank`` are the sizes of the full
+    weight-0 block, built on first use, when its ranks must give the same
+    sum.  Combinations (``cycle_basis``, witnesses) come from tagged
+    eliminations, run when first asked for.  At finite dimension images
+    are closed, so this space simultaneously realizes the Banach variant
+    and the comparison map between them is the identity on coordinates.
     """
 
     def __init__(self, algebra: MultiMatrixAlgebra, n: int,
@@ -535,16 +547,29 @@ class HomologySpace:
         self.algebra = algebra
         self.amplification = amplification
         self.degree = n
-        self._above = _boundary(algebra, n + 1, amplification)
-        self.cc = self._above.target
-        self.boundary_rank = self._above.rank
-        rank_b = _boundary(algebra, n, amplification).rank if n else 0
-        self.dimension = self.cc.dimension - rank_b - self.boundary_rank
         self.basis = () if n % 2 else tuple(
             ((f, 0, 0),) * (n + 1) for f in range(algebra.num_factors))
-        if self.dimension != len(self.basis):
-            raise ConsistencyError(f"HC_{n} has dimension {self.dimension}, "
-                                   f"not {len(self.basis)}")
+        if algebra.num_factors == 1:  # M_m(M_r) is M_{m r}: no sum to take
+            self.dimension = len(self.basis)
+            self._above  # the rank build checks it
+        else:
+            self.dimension = _factor_sum(algebra, n, amplification)
+
+    @functools.cached_property
+    def _above(self) -> _Boundary:
+        """b into the full weight-0 block of CC_n, from one degree up; its
+        ranks must give ``dimension``."""
+        n, m = self.degree, self.amplification
+        above = _boundary(self.algebra, n + 1, m)
+        rank_b = _boundary(self.algebra, n, m).rank if n else 0
+        dimension = above.target.dimension - rank_b - above.rank
+        if dimension != self.dimension:
+            raise ConsistencyError(f"HC_{n} has dimension {dimension}, "
+                                   f"not {self.dimension}")
+        return above
+
+    cc = property(lambda self: self._above.target)
+    boundary_rank = property(lambda self: self._above.rank)
 
     @functools.cached_property
     def cycle_basis(self) -> list:
@@ -656,10 +681,17 @@ def is_boundary(xi: TensorElement):
                     xi.amplification).boundary_witness(xi)
 
 
+def _factor_sum(algebra, n: int, m: int) -> int:
+    """dim HC_n(M_m(A)) as the sum over factors f of dim HC_n(M_{m r_f});
+    equal sizes share one cached space."""
+    return sum(hc_space(MultiMatrixAlgebra((m * r,)), n).dimension
+               for r in algebra.block_dims)
+
+
 def hc_dims(algebra: MultiMatrixAlgebra, max_degree: int,
             amplification: int = 1):
     _check_degree(max_degree, amplification)
-    return [hc_space(algebra, n, amplification).dimension
+    return [_factor_sum(algebra, n, amplification)
             for n in range(max_degree + 1)]
 
 

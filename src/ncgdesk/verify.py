@@ -10,6 +10,7 @@ record too.  All identities are checked exactly on the exact backend.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,6 +66,9 @@ class VerificationReport:
     instances: int
     passes: int
     failures: list = field(default_factory=list)
+    # the battery's wall time, emitted by the CLI beside to_json(); not
+    # compared, so the reports of one seed are equal
+    elapsed_s: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -88,6 +92,7 @@ def _run(theorem, seed, count, one, rejected=()):
     if count < 1:
         raise ValidationError(f"battery count must be >= 1, not {count}")
     check_budget(count, "battery instances")
+    started = time.perf_counter()
     rng = random.Random(seed)
     report = VerificationReport(theorem, count, 0)
     for i in range(count):
@@ -115,6 +120,7 @@ def _run(theorem, seed, count, one, rejected=()):
         else:
             got = "an answer"
         report.failures.append({"check": f"{name} is rejected", "got": got})
+    report.elapsed_s = time.perf_counter() - started
     return report
 
 

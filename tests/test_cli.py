@@ -123,6 +123,17 @@ def test_verify_reports(capsys):
     assert all(r["passes"] == r["instances"] for r in out["reports"])
 
 
+@pytest.mark.parametrize("command", [["verify", "--theorems", "th7,th8"],
+                                     ["lefschetz", "verify"]],
+                         ids=["verify", "lefschetz verify"])
+def test_verify_reports_carry_their_wall_time(capsys, command):
+    code, out = run_cli(capsys, *command, "--seed", "1", "--count", "2")
+    assert code == 0 and len(out["reports"]) == 2
+    for report in out["reports"]:
+        assert isinstance(report["elapsed_s"], float)
+        assert report["elapsed_s"] >= 0
+
+
 def test_verify_failure_exits_three(capsys, monkeypatch):
     import ncgdesk.cli as cli_mod
     from ncgdesk.verify import VerificationReport

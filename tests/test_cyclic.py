@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -741,6 +742,51 @@ class TestRanksFromRows:
 
 
 # ---------------------------------------------------------------------------
+# HC of M_m(A) as the sum over factors f of HC of M_{m r_f}
+
+def full_block_dimension(algebra, m, n):
+    """dim HC_n from the ranks of the full weight-0 block of M_m(A)."""
+    ranks = [cyclic._boundary(algebra, k, m).rank for k in (n, n + 1) if k]
+    return build_cyclic_space(algebra, n, m).dimension - sum(ranks)
+
+
+class TestFactorSum:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           st.integers(1, 2), st.integers(0, 4))
+    def test_factor_sum_equals_the_full_block(self, blocks, m, n):
+        algebra = MultiMatrixAlgebra(tuple(blocks))
+        try:
+            full = [full_block_dimension(algebra, m, k) for k in range(n + 1)]
+        except ResourceError:
+            reject()  # beyond the default budget
+        with mock.patch.object(cyclic, "hc_space",
+                               wraps=cyclic.hc_space) as spy:
+            assert hc_dims(algebra, n, m) == full
+        # the spaces read are those of the M_{m r_f}, at amplification 1
+        assert {c.args for c in spy.call_args_list} == {
+            (MultiMatrixAlgebra((m * r,)), k) for r in blocks
+            for k in range(n + 1)}
+        if len(blocks) > 1:
+            # the full block, built on first use, checks the factor sum
+            space = cyclic.HomologySpace(algebra, n, m)
+            space.dimension += 1
+            with pytest.raises(ConsistencyError):
+                space.cc
+
+    def test_cold_dims_build_one_factor_blocks_only(self, monkeypatch,
+                                                    cold_cyclic):
+        built = []
+        boundary = cyclic._boundary
+        monkeypatch.setattr(cyclic, "_boundary", lambda algebra, *args: (
+            built.append(algebra.block_dims) or boundary(algebra, *args)))
+        assert hc_dims(CM2, 4) == [2, 0, 2, 0, 2]
+        # b_1, ..., b_5 over C and over M_2; no block of C + M_2
+        assert set(built) == {(1,), (2,)}
+        assert boundary.cache_info().currsize == 10
+
+
+# ---------------------------------------------------------------------------
 # the trace-cocycle readout against the reducer
 
 # (blocks, amplification, largest degree) within the default budget
@@ -809,7 +855,7 @@ class TestReadout:
                             lambda cols: calls.append(1) or eliminate(cols))
         hc_space(MultiMatrixAlgebra(blocks), n, m)
         assert len(calls) == cyclic._boundary.cache_info().currsize \
-            == (1 if n == 0 else 2)
+            == (1 if n == 0 else 2) * len({m * r for r in blocks})
 
     def test_witness_elimination_is_built_once(self, monkeypatch, cold_cyclic):
         # ranks need one elimination per boundary; the first witness

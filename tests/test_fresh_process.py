@@ -144,6 +144,8 @@ DOCUMENTS = {
     "c": lambda: {"blocks": [1]},
     "m2": lambda: {"blocks": [2]},
     "c3": lambda: {"blocks": [1, 1, 1]},
+    "m2m2": lambda: {"blocks": [2, 2]},
+    "cm2": lambda: {"blocks": [1, 2]},
     "trivial1": _trivial(1),
     "trivial3": _trivial(3),
     "trivial25": _trivial(25),
@@ -311,15 +313,26 @@ CASES = {
         ("hc", "dims", "--algebra", "{c}", "--max-degree", "400"), 0,
         _dims(400, 1), timeout=10),
     # HC is built from boundary ranks alone, on words of integer letters,
-    # each rank taken from the rows of b: M_2 to degree 7 and C^3 to
-    # degree 6 build thousands of columns, eliminate the fewer rows (492
-    # for the 1,618 columns of b_7 over M_2) and keep no combination
+    # each rank taken from the rows of b: M_2 to degree 7 builds thousands
+    # of columns, eliminates the fewer rows (492 for the 1,618 columns of
+    # b_7 over M_2) and keeps no combination
     "hc dims over M_2 to degree 7": Case(
         ("hc", "dims", "--algebra", "{m2}", "--max-degree", "7"), 0,
         _dims(7, 1), timeout=20),
+    # several factors sum the spaces of their factors, one build per
+    # distinct size, and build no block that uses two factors: C^3 to
+    # degree 6 walks one orbit of C per degree, and the full weight-0
+    # blocks of M_2 + M_2 to degree 5 and C + M_2 to degree 7, beyond the
+    # default budget, are never walked
     "hc dims over C^3 to degree 6": Case(
         ("hc", "dims", "--algebra", "{c3}", "--max-degree", "6"), 0,
         _dims(6, 3), timeout=20),
+    "hc dims over M_2 + M_2 to degree 5": Case(
+        ("hc", "dims", "--algebra", "{m2m2}", "--max-degree", "5"), 0,
+        _dims(5, 2), timeout=20),
+    "hc dims over C + M_2 to degree 7": Case(
+        ("hc", "dims", "--algebra", "{cm2}", "--max-degree", "7"), 0,
+        _dims(7, 2), timeout=20),
     # the hc battery asks for witnesses of mixed-weight boundaries, whose
     # parts off weight 0 come from the Cartan homotopy; an empty battery
     # list is one error line and exit 1, not an empty report

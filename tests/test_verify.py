@@ -24,6 +24,13 @@ def test_reports_are_seed_deterministic():
     assert a.to_json() == b.to_json()
 
 
+def test_report_carries_its_wall_time_outside_equality():
+    a = BATTERIES["th7"](7, 4)
+    b = BATTERIES["th7"](7, 4)
+    assert isinstance(a.elapsed_s, float) and a.elapsed_s >= 0
+    assert a == b
+
+
 def test_report_json_shape():
     report = VerificationReport("th1", 3, 2, [{"instance": 1}])
     doc = report.to_json()
