@@ -227,13 +227,13 @@ class Projection:
         return Projection(AlgebraElement.identity(algebra, m, exact))
 
     @staticmethod
-    def diagonal_unit(algebra, factor, index=0, m=1):
+    def diagonal_unit(algebra, factor, index=0):
         """Rank-one diagonal matrix unit in the given factor."""
         diags = []
-        for f, d in enumerate(algebra.ambient_dims(m)):
+        for f, d in enumerate(algebra.ambient_dims()):
             diags.append([Fraction(1) if (f == factor and i == index) else Fraction(0)
                           for i in range(d)])
-        return Projection(AlgebraElement.diagonal(algebra, diags, m))
+        return Projection(AlgebraElement.diagonal(algebra, diags))
 
     def rank_vector(self):
         """Per-factor rank; the trace of a projection counts its eigenvalue-1 space."""
@@ -511,8 +511,6 @@ def _float_eigensystem(block):
     whose imaginary parts differ, which the later, bounded splits separate.
     """
     m = la.to_numpy(block)
-    if m.size == 0:
-        return [], []
     herm, skew = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
     spaces = [np.eye(len(m), dtype=complex)]
     for part, bounded in ((herm, False), (skew, True), (herm, True)):

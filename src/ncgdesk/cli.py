@@ -89,8 +89,6 @@ def _parse_blocks(text: str):
         blocks = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValidationError(f"bad block list {text!r}")
-    if not blocks or any(b < 1 for b in blocks):
-        raise ValidationError("block dimensions must be positive")
     return blocks
 
 
@@ -111,12 +109,15 @@ def build_parser() -> _Parser:
     _add_globals(parser, default=True)
     common = _Parser(add_help=False)
     _add_globals(common, default=False)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add(group, name):
         return group.add_parser(name, parents=[common])
 
-    n0 = sub.add_parser("n0", parents=[common]).add_subparsers(dest="action")
+    def actions(command):
+        return add(sub, command).add_subparsers(dest="action", required=True)
+
+    n0 = actions("n0")
     p = add(n0, "class")
     p.add_argument("--element", required=True)
     for name in ("eq", "add"):
@@ -132,7 +133,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hom", required=True)
     p.add_argument("--n0", required=True)
 
-    hc = sub.add_parser("hc", parents=[common]).add_subparsers(dest="action")
+    hc = actions("hc")
     p = add(hc, "dims")
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-degree", type=int, required=True)
@@ -153,7 +154,7 @@ def build_parser() -> _Parser:
     p.add_argument("--path", choices=("cover", "direct", "both"),
                    default="direct")
 
-    lef = sub.add_parser("lefschetz", parents=[common]).add_subparsers(dest="action")
+    lef = actions("lefschetz")
     for name in ("l1", "l2", "gl1"):
         p = add(lef, name)
         p.add_argument("--complex", required=True)
@@ -200,8 +201,6 @@ def _cmd_n0(args) -> int:
         phi = sz.hom_from_json(sz.load_file(args.hom))
         x = sz.n0_from_json(sz.load_file(args.n0))
         _emit(sz.n0_to_json(functorial_map(phi, x)))
-    else:
-        raise ValidationError("missing n0 action")
     return EXIT_OK
 
 
@@ -215,8 +214,6 @@ def _cmd_hc(args) -> int:
     elif args.action == "trace":
         xi = sz.tensor_from_json(sz.load_file(args.tensor))
         _emit(sz.tensor_to_json(trace_map(xi)))
-    else:
-        raise ValidationError("missing hc action")
     return EXIT_OK
 
 
@@ -258,8 +255,6 @@ def _run_batteries(theorems: str, seed: int, count: int) -> int:
 def _cmd_lefschetz(args) -> int:
     if args.action == "verify":
         return _run_batteries(args.theorems, args.seed, args.count)
-    if args.action not in ("l1", "l2", "gl1"):
-        raise ValidationError("missing lefschetz action")
     c = sz.complex_from_json(sz.load_file(getattr(args, "complex")))
     if not 0 <= args.g < c.group.order:
         raise ValidationError(f"group element index {args.g} out of range")
@@ -318,15 +313,11 @@ def _to_float_doc(doc):
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.epsilon is not None:
         set_epsilon(args.epsilon)
     if args.budget is not None:
         set_budget(args.budget)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_VALIDATION
     if args.command == "n0":
         return _cmd_n0(args)
     if args.command == "hc":
@@ -341,9 +332,7 @@ def run(argv) -> int:
         return _cmd_lefschetz(args)
     if args.command == "verify":
         return _run_batteries(args.theorems, args.seed, args.count)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    raise ValidationError(f"unknown command {args.command!r}")
+    return _cmd_generate(args)
 
 
 def main(argv=None) -> int:

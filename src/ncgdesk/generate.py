@@ -102,11 +102,10 @@ def random_projection(algebra: MultiMatrixAlgebra, rng: random.Random,
             return Projection(AlgebraElement(algebra, m, tuple(blocks)))
 
 
-def random_gaussian_rational(rng: random.Random, span: int = 2,
-                             denominator: int = 4) -> Cyclotomic:
+def random_gaussian_rational(rng: random.Random, span: int = 2) -> Cyclotomic:
+    """Real and imaginary parts in quarters between -span and span."""
     def part():
-        return Fraction(rng.randint(-span * denominator, span * denominator),
-                        denominator)
+        return Fraction(rng.randint(-4 * span, 4 * span), 4)
     return Cyclotomic.gaussian(part(), part())
 
 
@@ -140,21 +139,21 @@ def random_orthogonal_family(algebra: MultiMatrixAlgebra, rng: random.Random,
 
 
 def random_normal(algebra: MultiMatrixAlgebra, rng: random.Random,
-                  m: int = 1, max_values: int = 3,
-                  near_gap: Fraction | None = None) -> SpectralForm:
-    """A normal element as an exact spectral form with random projections."""
-    values = random_spectrum(rng, rng.randint(1, max_values), near_gap)
+                  m: int = 1, near_gap: Fraction | None = None) -> SpectralForm:
+    """A normal element as an exact spectral form with one to three values
+    (plus a near twin of the first for ``near_gap``) and random projections."""
+    values = random_spectrum(rng, rng.randint(1, 3), near_gap)
     family = random_orthogonal_family(algebra, rng, len(values) + 1, m)
     pairs = tuple((v, p) for v, p in zip(values, family[:-1]))
     return SpectralForm.from_pairs(algebra, m, pairs)
 
 
-def random_n0class(algebra: MultiMatrixAlgebra, rng: random.Random,
-                   max_support: int = 4, max_rank: int = 3) -> N0Class:
-    values = random_spectrum(rng, rng.randint(0, max_support))
+def random_n0class(algebra: MultiMatrixAlgebra, rng: random.Random) -> N0Class:
+    """A class of up to four values, each of rank -3 to 3 on every factor."""
+    values = random_spectrum(rng, rng.randint(0, 4))
     k = algebra.num_factors
     support = tuple(
-        (v, K0Class(tuple(rng.randint(-max_rank, max_rank) for _ in range(k))))
+        (v, K0Class(tuple(rng.randint(-3, 3) for _ in range(k))))
         for v in values)
     return N0Class(algebra, support)
 
@@ -213,16 +212,16 @@ def _random_a_matrix(algebra, target_size, source_size, rng):
 
 
 def random_ga_complex(algebra: MultiMatrixAlgebra, irreps: IrrepTable,
-                      rng: random.Random, length: int = 3,
-                      max_module_dim: int = 2) -> GAComplex:
-    """A valid complex: representation-shaped modules, averaged equivariant
-    differentials, and a kernel projection enforcing d o d = 0."""
+                      rng: random.Random, length: int = 3) -> GAComplex:
+    """A valid complex: modules carrying representations of dimension at
+    most 2, averaged equivariant differentials, and a kernel projection
+    enforcing d o d = 0."""
     group = irreps.group
     length = max(1, length)
     modules = []
     actions = []  # per module, list over g
     for _ in range(length):
-        rep, dim = _random_module_rep(irreps, rng, max_module_dim)
+        rep, dim = _random_module_rep(irreps, rng, 2)
         p = random_projection(algebra, rng, nonzero=True)
         act = _module_action(algebra, rep, p)
         modules.append(Projection(act[group.identity]))

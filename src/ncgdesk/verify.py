@@ -128,27 +128,18 @@ def _run(theorem, seed, count, one, rejected=()):
 
 def _realize_support(algebra, values_ranks):
     """Diagonal element whose class is the given finite map (needs ranks >= 0)."""
-    k = algebra.num_factors
-    per_factor_rows = [[] for _ in range(k)]
-    for value, ranks in values_ranks:
-        for i in range(k):
-            per_factor_rows[i].extend([value] * ranks[i])
-    m = max(1, max((len(rows) + algebra.block_dims[i] - 1)
-                   // algebra.block_dims[i]
-                   for i, rows in enumerate(per_factor_rows)))
+    totals = [sum(ranks[i] for _, ranks in values_ranks)
+              for i in range(algebra.num_factors)]
+    m = max(1, *((t + r - 1) // r for t, r in zip(totals, algebra.block_dims)))
+    used = [0] * algebra.num_factors
     pairs = []
-    dims = algebra.ambient_dims(m)
-    used = [0] * k
     for value, ranks in values_ranks:
-        blocks = []
-        for i, d in enumerate(dims):
-            start = used[i]
-            diag = [Fraction(1) if start <= s < start + ranks[i] else Fraction(0)
-                    for s in range(d)]
-            used[i] += ranks[i]
-            blocks.append(tuple(tuple(diag[s] if s == t else Fraction(0)
-                                      for t in range(d)) for s in range(d)))
-        pairs.append((value, Projection(AlgebraElement(algebra, m, tuple(blocks)))))
+        diags = [[Fraction(1) if u <= s < u + k else Fraction(0)
+                  for s in range(d)]
+                 for u, k, d in zip(used, ranks, algebra.ambient_dims(m))]
+        used = [u + k for u, k in zip(used, ranks)]
+        pairs.append((value, Projection(
+            AlgebraElement.diagonal(algebra, diags, m))))
     return SpectralForm.from_pairs(algebra, m, tuple(pairs))
 
 
@@ -349,7 +340,7 @@ def battery_th6(seed: int, count: int) -> VerificationReport:
     def one(rng):
         algebra = rng.choice(algebras)
         gap = Fraction(1, 512) if rng.random() < 0.4 else None
-        a = random_normal(algebra, rng, max_values=3, near_gap=gap)
+        a = random_normal(algebra, rng, near_gap=gap)
         l = 1 if (max(algebra.block_dims) == 1 and rng.random() < 0.3) else 0
         spectrum = a.eigenvalues()
         where = {"spectrum": [str(v) for v in spectrum], "l": l}
@@ -428,8 +419,24 @@ def _non_complexes():
             ("Z/2 acting by 0", by_zero))
 
 
-def battery_th4(seed: int, count: int) -> VerificationReport:
+def _complex_battery(theorem, seed, count, holds, rejected=()):
+    """``holds(c, g, table)`` on random complexes of length 1 to 3 over
+    C + C or M_2, with each irrep table and a random group element g."""
     algebras = [MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,))]
+    tables = _irrep_tables()
+
+    def one(rng):
+        table = rng.choice(tables)
+        algebra = rng.choice(algebras)
+        c = random_ga_complex(algebra, table, rng, length=rng.randint(1, 3))
+        g = rng.randrange(table.group.order)
+        ok = holds(c, g, table)
+        return ok, None if ok else {"group": table.group.order, "g": g}
+
+    return _run(theorem, seed, count, one, rejected)
+
+
+def battery_th4(seed: int, count: int) -> VerificationReport:
     tables = _irrep_tables()
     rejected = []
     for what, c in _non_complexes():
@@ -448,31 +455,12 @@ def battery_th4(seed: int, count: int) -> VerificationReport:
         for g in s3.group.elements()))
     rejected.append(("L1 of S3 acting on the right",
                      lambda: lefschetz_first(right, 1, s3)))
-
-    def one(rng):
-        table = rng.choice(tables)
-        algebra = rng.choice(algebras)
-        c = random_ga_complex(algebra, table, rng, length=rng.randint(1, 3))
-        g = rng.randrange(table.group.order)
-        ok = verify_th4(c, g, table)
-        return ok, None if ok else {"group": table.group.order, "g": g}
-
-    return _run("th4", seed, count, one, rejected)
+    return _complex_battery("th4", seed, count, verify_th4, rejected)
 
 
 def battery_th5(seed: int, count: int) -> VerificationReport:
-    algebras = [MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,))]
-    tables = _irrep_tables()
-
-    def one(rng):
-        table = rng.choice(tables)
-        algebra = rng.choice(algebras)
-        c = random_ga_complex(algebra, table, rng, length=rng.randint(1, 3))
-        g = rng.randrange(table.group.order)
-        ok = verify_th5(c, g, table, 0)
-        return ok, None if ok else {"group": table.group.order, "g": g}
-
-    return _run("th5", seed, count, one)
+    return _complex_battery("th5", seed, count,
+                            lambda c, g, table: verify_th5(c, g, table, 0))
 
 
 def battery_norm_bounds(seed: int, count: int) -> VerificationReport:

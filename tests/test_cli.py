@@ -379,6 +379,11 @@ MALFORMED_INPUTS = {
     "object cyclotomic coefficients": _n0_class(
         {"schema_version": 1, "algebra": {"blocks": [1]}, "m": 1,
          "blocks": [[[{"order": 4, "coeffs": {"1": 0, "2": 0}}]]]}),
+    # a missing command or action is a usage error, as a missing option is
+    "no command": ({}, []),
+    "n0 without an action": ({}, ["n0"]),
+    "hc without an action": ({}, ["hc"]),
+    "lefschetz without an action": ({}, ["lefschetz"]),
 }
 
 
@@ -742,3 +747,168 @@ def test_bad_epsilon_or_degree_is_one_error_line(tmp_path, capsys, argv):
 def test_battery_count_below_one_is_one_error_line(capsys, argv):
     assert main(argv) == 1
     assert one_error_line(capsys)
+
+
+# Refusals of documents that pass the JSON loaders but not the domain
+# constructors, and of complexes the CLI cannot answer, each by the command
+# that reads the document.  The complex is C with Z/2 acting trivially; the
+# others are over C unless named.
+Z2 = [[0, 1], [1, 0]]
+ONE = [[["1"]]]  # the blocks of the unit of C
+
+
+def _complex(table=Z2, **fields):
+    """The group acts trivially, by one action row per table row."""
+    doc = _doc(algebra=C, group={"table": table}, modules=[{"n": 1, "q": ONE}],
+               diffs=[], action=[[ONE]] * len(table))
+    return {**doc, **fields}
+
+
+def _l1_complex(doc, g="0"):
+    return {"c.json": doc}, ["lefschetz", "l1", "--complex", "c.json",
+                             "--g", g]
+
+
+def _l1_irreps(*irreps):
+    return ({"c.json": _complex(),
+             "irreps.json": _doc(group={"table": Z2}, irreps=[
+                 {"name": name, "dim": 1, "matrices": matrices}
+                 for name, matrices in irreps])},
+            ["lefschetz", "l1", "--complex", "c.json", "--g", "0",
+             "--irreps", "irreps.json"])
+
+
+def _push(source, target, multiplicities, **fields):
+    hom = _doc(source=source, target=target, multiplicities=multiplicities,
+               **fields)
+    return ({"hom.json": hom, "x.json": _n0_doc(source)},
+            ["n0", "push", "--hom", "hom.json", "--n0", "x.json"])
+
+
+def _pairs(*pairs, m=1):
+    return _n0_class(_doc(algebra=C, m=m, pairs=[
+        {"lambda": v, "P": p} for v, p in pairs]))
+
+
+REFUSALS = {
+    "group table not square": (
+        _l1_complex(_complex([[0, 1], [1]])), "must be square"),
+    "group table entry out of range": (
+        _l1_complex(_complex([[0, 2], [1, 0]])), "entries out of range"),
+    "group with no identity": (
+        _l1_complex(_complex([[0, 0], [0, 0]])), "no identity element"),
+    "group element with no unique inverse": (
+        _l1_complex(_complex([[0, 1], [1, 1]])), "no unique inverse"),
+    "group not associative": (
+        _l1_complex(_complex([[0, 1, 2], [1, 0, 2], [2, 2, 0]])),
+        "not associative"),
+    "action row longer than the modules": (
+        _l1_complex(_complex(action=[[ONE, ONE], [ONE]])),
+        "one action block per module"),
+    "too few action rows": (
+        _l1_complex(_complex(action=[[ONE]])), "action table has wrong shape"),
+    "complex document a list": (_l1_complex([]), "expected a JSON object"),
+    "modules not a list": (
+        _l1_complex(_complex(modules={})), "modules must be a list"),
+    "squared irrep dimensions off the order": (
+        _l1_irreps(("trivial", [ONE[0]] * 2)), "do not sum to the group order"),
+    "irrep with too few matrices": (
+        _l1_irreps(("trivial", [ONE[0]] * 2), ("sign", [ONE[0]])),
+        "wrong number of matrices"),
+    "float irrep matrices": (
+        _l1_irreps(("trivial", [[[[1.0, 0.0]]]] * 2),
+                   ("sign", [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]])),
+        "matrices must be exact"),
+    "multiplicity matrix of the wrong shape": (
+        _push(C, M2, [[2, 1]]), "multiplicity matrix has wrong shape"),
+    "negative multiplicity": (
+        _push(C2, C, [[-1, 2]]), "negative multiplicity"),
+    "non-unital homomorphism": (
+        _push(C, M2, [[1]]), "not unital"),
+    "embedding unitary of the wrong size": (
+        _push(C, M2, [[2]], unitaries=[ONE[0]]), "unitary has wrong size"),
+    "non-unitary embedding": (
+        _push(C, M2, [[2]], unitaries=[[["1", "1"], ["0", "1"]]]),
+        "not unitary"),
+    "spectral projections not orthogonal": (
+        _pairs(("1", ONE), ("2", ONE)), "not orthogonal"),
+    "repeated eigenvalue": (
+        _pairs(("1", ONE), ("1", ONE)), "repeated eigenvalue"),
+    "amplification 0": (
+        _pairs(("1", ONE), m=0), "amplification must be >= 1"),
+    "float element that is not normal": (
+        _n0_class(_doc(algebra=M2, m=1, blocks=[
+            [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]])),
+        "requires a normal element"),
+    "rank vector of the wrong length": (
+        ({"x.json": _n0_doc(C2, ("1", [1]))}, ["n0", "h", "--n0", "x.json"]),
+        "does not match algebra"),
+    "negative tensor degree": (
+        ({"xi.json": _tensor_doc(C, 1, -1)},
+         ["hc", "class", "--tensor", "xi.json"]), "degree must be >= 0"),
+    "tensor key of the wrong length": (
+        ({"xi.json": _tensor_doc(C, 1, 1, ([[0, 0, 0]], "1"))},
+         ["hc", "class", "--tensor", "xi.json"]), "does not match degree"),
+    "unit index out of range": (
+        ({"xi.json": _tensor_doc(C, 1, 0, ([[0, 1, 0]], "1"))},
+         ["hc", "class", "--tensor", "xi.json"]), "out of range"),
+    "block of size 0": (
+        ({"alg.json": _doc(blocks=[0])},
+         ["hc", "dims", "--algebra", "alg.json", "--max-degree", "1"]),
+        "invalid block dims (0,)"),
+    "group element beyond the order": (
+        _l1_complex(_complex(), g="2"), "group element index 2 out of range"),
+    "Z/2 x Z/2 without an irrep table": (
+        _l1_complex(_complex([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
+                              [3, 2, 1, 0]])),
+        "cannot infer an irreducible-representation table"),
+}
+
+
+@pytest.mark.parametrize("case, expected", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_domain_refusal_is_one_error_line(tmp_path, capsys, case, expected):
+    files, argv = case
+    paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
+def test_s3_table_is_inferred_from_the_group(tmp_path, capsys):
+    code, doc = run_cli(capsys, "generate", "--kind", "ga-complex",
+                        "--group", "s3")
+    assert code == 0
+    paths = [write(tmp_path, "cx.json", doc),
+             write(tmp_path, "irreps.json", {"kind": "s3"})]
+    for action in ("l1", "l2"):
+        argv = ["lefschetz", action, "--complex", paths[0], "--g", "3"]
+        code, inferred = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--irreps", paths[1]) == (0, inferred)
+
+
+def test_float_complex_has_the_exact_characters(tmp_path, capsys):
+    def generate(backend):
+        code, doc = run_cli(capsys, "generate", "--kind", "ga-complex",
+                            "--group", "cyclic:3", "--seed", "2",
+                            "--backend", backend)
+        assert code == 0
+        return doc
+
+    def records(doc):
+        """The number of {"order", "coeffs"} records in doc."""
+        if isinstance(doc, dict):
+            return (set(doc) == {"order", "coeffs"}) + sum(map(
+                records, doc.values()))
+        return sum(map(records, doc)) if isinstance(doc, list) else 0
+
+    exact, floated = generate("exact"), generate("float")
+    assert records(exact) == 8 and records(floated) == 0
+    paths = [write(tmp_path, "exact.json", exact),
+             write(tmp_path, "float.json", floated)]
+    for g in ("0", "1", "2"):
+        answers = [run_cli(capsys, "lefschetz", "l1", "--complex", p, "--g", g)
+                   for p in paths]
+        assert answers[0][0] == 0 and answers[0] == answers[1]
