@@ -58,9 +58,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _emit(doc) -> None:
-    # flushed here, so a closed pipe raises inside main
-    print(sz.dumps(doc), flush=True)
+def _read(path, from_json):
+    return from_json(sz.load_file(path))
 
 
 def _load_spectral(path):
@@ -70,18 +69,30 @@ def _load_spectral(path):
     return spectral_decompose(sz.element_from_json(doc))
 
 
-def _load_irreps(args, group: FiniteGroup) -> IrrepTable:
+def _load_complex(args):
+    """The --complex document, once --g is checked against its group."""
+    c = _read(args.complex, sz.complex_from_json)
+    if not 0 <= args.g < c.group.order:
+        raise ValidationError(f"group element index {args.g} out of range")
+    return c
+
+
+def _character_inputs(args):
+    """(complex, g, irrep table) of ``lefschetz l1`` and ``l2``; without
+    --irreps, a built-in table is recognized by the group's table."""
+    c = _load_complex(args)
+    n, table = c.group.order, c.group.table
     if args.irreps:
-        return sz.irreps_from_json(sz.load_file(args.irreps))
-    # recognize the built-in tables by their multiplication tables
-    n = group.order
-    if group.table == FiniteGroup.cyclic_group(n).table:
-        return IrrepTable.cyclic(n)
-    if n == 6 and group.table == FiniteGroup.symmetric_group_3().table:
-        return IrrepTable.symmetric_3()
-    raise ValidationError(
-        "cannot infer an irreducible-representation table for this group; "
-        "pass --irreps")
+        irreps = _read(args.irreps, sz.irreps_from_json)
+    elif table == FiniteGroup.cyclic_group(n).table:
+        irreps = IrrepTable.cyclic(n)
+    elif n == 6 and table == FiniteGroup.symmetric_group_3().table:
+        irreps = IrrepTable.symmetric_3()
+    else:
+        raise ValidationError(
+            "cannot infer an irreducible-representation table for this group; "
+            "pass --irreps")
+    return c, args.g, irreps
 
 
 def _parse_blocks(text: str):
@@ -111,42 +122,56 @@ def build_parser() -> _Parser:
     _add_globals(common, default=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(group, name):
-        return group.add_parser(name, parents=[common])
+    def add(group, name, run=None):
+        p = group.add_parser(name, parents=[common])
+        p.set_defaults(run=run)  # run(args): the document, or (it, exit code)
+        return p
 
     def actions(command):
         return add(sub, command).add_subparsers(dest="action", required=True)
 
     n0 = actions("n0")
-    p = add(n0, "class")
+    p = add(n0, "class",
+            lambda a: sz.n0_to_json(n_class(_load_spectral(a.element))))
     p.add_argument("--element", required=True)
-    for name in ("eq", "add"):
-        p = add(n0, name)
-        p.add_argument("--a", required=True)
-        p.add_argument("--b", required=True)
-    p = add(n0, "h")
+    p = add(n0, "eq", lambda a: {"equal": _read(a.a, sz.n0_from_json)
+                                 == _read(a.b, sz.n0_from_json)})
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p = add(n0, "add", lambda a: sz.n0_to_json(
+        _read(a.a, sz.n0_from_json) + _read(a.b, sz.n0_from_json)))
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p = add(n0, "h",
+            lambda a: sz.k0c_to_json(h_map(_read(a.n0, sz.n0_from_json))))
     p.add_argument("--n0", required=True)
-    p = add(n0, "t")
+    p = add(n0, "t", lambda a: sz.n0_to_json(t_map(
+        _read(a.k0c, sz.k0c_from_json), _read(a.algebra, sz.algebra_from_json))))
     p.add_argument("--k0c", required=True)
     p.add_argument("--algebra", required=True)
-    p = add(n0, "push")
+    p = add(n0, "push", lambda a: sz.n0_to_json(functorial_map(
+        _read(a.hom, sz.hom_from_json), _read(a.n0, sz.n0_from_json))))
     p.add_argument("--hom", required=True)
     p.add_argument("--n0", required=True)
 
     hc = actions("hc")
-    p = add(hc, "dims")
+    p = add(hc, "dims", lambda a: {"dims": hc_dims(
+        _read(a.algebra, sz.algebra_from_json), a.max_degree)})
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-degree", type=int, required=True)
-    p = add(hc, "class")
+    p = add(hc, "class", lambda a: sz.hc_class_to_json(
+        hc_class(_read(a.tensor, sz.tensor_from_json))))
     p.add_argument("--tensor", required=True)
-    p = add(hc, "trace")
+    p = add(hc, "trace", lambda a: sz.tensor_to_json(
+        trace_map(_read(a.tensor, sz.tensor_from_json))))
     p.add_argument("--tensor", required=True)
 
-    p = sub.add_parser("chern", parents=[common])
+    p = add(sub, "chern", lambda a: sz.hc_class_to_json(chern_projection(
+        _read(a.projection, sz.projection_from_json), a.l)))
     p.add_argument("--projection", required=True)
     p.add_argument("--l", type=int, default=0)
 
-    p = sub.add_parser("gchern", parents=[common])
+    p = add(sub, "gchern", _gchern)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--n0")
     src.add_argument("--element")
@@ -155,23 +180,28 @@ def build_parser() -> _Parser:
                    default="direct")
 
     lef = actions("lefschetz")
-    for name in ("l1", "l2", "gl1"):
-        p = add(lef, name)
+    for name, run in (
+            ("l1", lambda a: sz.k0c_to_json(
+                lefschetz_first(*_character_inputs(a)))),
+            ("l2", lambda a: sz.hc_class_to_json(
+                lefschetz_second(*_character_inputs(a), a.l))),
+            ("gl1", _gl1)):
+        p = add(lef, name, run)
         p.add_argument("--complex", required=True)
         p.add_argument("--g", type=int, required=True)
         if name != "gl1":  # gl1 reads no irrep table
             p.add_argument("--irreps")
         if name == "l2":
             p.add_argument("--l", type=int, default=0)
-    p = add(lef, "verify")
+    p = add(lef, "verify", _run_batteries)
     p.add_argument("--theorems", default="th4,th5")
     p.add_argument("--count", type=int, default=25)
 
-    p = sub.add_parser("verify", parents=[common])
+    p = add(sub, "verify", _run_batteries)
     p.add_argument("--theorems", required=True)
     p.add_argument("--count", type=int, default=25)
 
-    p = sub.add_parser("generate", parents=[common])
+    p = add(sub, "generate", _generate)
     p.add_argument("--kind", required=True, choices=(
         "normal-element", "n0class", "projection-family", "ga-complex"))
     p.add_argument("--blocks", default="1,2")
@@ -180,95 +210,41 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_n0(args) -> int:
-    if args.action == "class":
-        _emit(sz.n0_to_json(n_class(_load_spectral(args.element))))
-    elif args.action == "eq":
-        a = sz.n0_from_json(sz.load_file(args.a))
-        b = sz.n0_from_json(sz.load_file(args.b))
-        _emit({"equal": a == b})
-    elif args.action == "add":
-        a = sz.n0_from_json(sz.load_file(args.a))
-        b = sz.n0_from_json(sz.load_file(args.b))
-        _emit(sz.n0_to_json(a + b))
-    elif args.action == "h":
-        _emit(sz.k0c_to_json(h_map(sz.n0_from_json(sz.load_file(args.n0)))))
-    elif args.action == "t":
-        v = sz.k0c_from_json(sz.load_file(args.k0c))
-        algebra = sz.algebra_from_json(sz.load_file(args.algebra))
-        _emit(sz.n0_to_json(t_map(v, algebra)))
-    elif args.action == "push":
-        phi = sz.hom_from_json(sz.load_file(args.hom))
-        x = sz.n0_from_json(sz.load_file(args.n0))
-        _emit(sz.n0_to_json(functorial_map(phi, x)))
-    return EXIT_OK
-
-
-def _cmd_hc(args) -> int:
-    if args.action == "dims":
-        algebra = sz.algebra_from_json(sz.load_file(args.algebra))
-        _emit({"dims": hc_dims(algebra, args.max_degree)})
-    elif args.action == "class":
-        xi = sz.tensor_from_json(sz.load_file(args.tensor))
-        _emit(sz.hc_class_to_json(hc_class(xi)))
-    elif args.action == "trace":
-        xi = sz.tensor_from_json(sz.load_file(args.tensor))
-        _emit(sz.tensor_to_json(trace_map(xi)))
-    return EXIT_OK
-
-
-def _cmd_gchern(args) -> int:
+def _gchern(args):
     if args.n0:
-        x = sz.n0_from_json(sz.load_file(args.n0))
-        _emit(sz.hc_class_to_json(generalized_chern(x, args.l)))
-        return EXIT_OK
+        x = _read(args.n0, sz.n0_from_json)
+        return sz.hc_class_to_json(generalized_chern(x, args.l))
     a = _load_spectral(args.element)
     if args.path == "direct":
-        _emit(sz.hc_class_to_json(T_direct(a, args.l)))
-        return EXIT_OK
+        return sz.hc_class_to_json(T_direct(a, args.l))
     if args.path == "cover":
-        _emit(sz.hc_class_to_json(T_cover(a, args.l)))
-        return EXIT_OK
+        return sz.hc_class_to_json(T_cover(a, args.l))
     direct = T_direct(a, args.l)
     cover = T_cover(a, args.l)
     agree = direct == cover
-    _emit({"agree": agree, "direct": sz.hc_class_to_json(direct),
-           "cover": sz.hc_class_to_json(cover)})
-    return EXIT_OK if agree else EXIT_VERIFICATION
+    return ({"agree": agree, "direct": sz.hc_class_to_json(direct),
+             "cover": sz.hc_class_to_json(cover)},
+            EXIT_OK if agree else EXIT_VERIFICATION)
 
 
-def _run_batteries(theorems: str, seed: int, count: int) -> int:
-    names = [s.strip() for s in theorems.split(",") if s.strip()]
+def _run_batteries(args):
+    names = [s.strip() for s in args.theorems.split(",") if s.strip()]
     if not names:
-        raise ValidationError(f"no theorem named in {theorems!r}; "
+        raise ValidationError(f"no theorem named in {args.theorems!r}; "
                               f"choose from {sorted(BATTERIES)}")
     for name in names:
         if name not in BATTERIES:
             raise ValidationError(f"unknown theorem {name!r}; "
                                   f"choose from {sorted(BATTERIES)}")
-    reports = run_batteries(names, seed, count)
-    _emit({"reports": [{**r.to_json(), "elapsed_s": r.elapsed_s}
-                       for r in reports]})
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFICATION
+    reports = run_batteries(names, args.seed, args.count)
+    return ({"reports": [{**r.to_json(), "elapsed_s": r.elapsed_s}
+                         for r in reports]},
+            EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFICATION)
 
 
-def _cmd_lefschetz(args) -> int:
-    if args.action == "verify":
-        return _run_batteries(args.theorems, args.seed, args.count)
-    c = sz.complex_from_json(sz.load_file(getattr(args, "complex")))
-    if not 0 <= args.g < c.group.order:
-        raise ValidationError(f"group element index {args.g} out of range")
-    if args.action == "gl1":
-        result = generalized_lefschetz(c, c.unitary(args.g))
-        _emit(sz.n0_to_json(result.value))
-        return EXIT_OK
-    irreps = _load_irreps(args, c.group)
-    if args.action == "l1":
-        _emit(sz.k0c_to_json(lefschetz_first(c, args.g, irreps)))
-    else:
-        _emit(sz.hc_class_to_json(
-            lefschetz_second(c, args.g, irreps, args.l)))
-    return EXIT_OK
+def _gl1(args):
+    c = _load_complex(args)
+    return sz.n0_to_json(generalized_lefschetz(c, c.unitary(args.g)).value)
 
 
 def _group_table(name: str) -> IrrepTable:
@@ -277,7 +253,7 @@ def _group_table(name: str) -> IrrepTable:
     return IrrepTable.cyclic(int(name.split(":")[1]))
 
 
-def _cmd_generate(args) -> int:
+def _generate(args):
     rng = random.Random(args.seed)
     algebra = MultiMatrixAlgebra(_parse_blocks(args.blocks))
     if args.kind == "normal-element":
@@ -291,10 +267,7 @@ def _cmd_generate(args) -> int:
     else:
         doc = sz.complex_to_json(
             random_ga_complex(algebra, _group_table(args.group), rng))
-    if args.backend == "float":
-        doc = _to_float_doc(doc)
-    _emit(doc)
-    return EXIT_OK
+    return _to_float_doc(doc) if args.backend == "float" else doc
 
 
 def _to_float_doc(doc):
@@ -318,21 +291,11 @@ def run(argv) -> int:
         set_epsilon(args.epsilon)
     if args.budget is not None:
         set_budget(args.budget)
-    if args.command == "n0":
-        return _cmd_n0(args)
-    if args.command == "hc":
-        return _cmd_hc(args)
-    if args.command == "chern":
-        p = sz.projection_from_json(sz.load_file(args.projection))
-        _emit(sz.hc_class_to_json(chern_projection(p, args.l)))
-        return EXIT_OK
-    if args.command == "gchern":
-        return _cmd_gchern(args)
-    if args.command == "lefschetz":
-        return _cmd_lefschetz(args)
-    if args.command == "verify":
-        return _run_batteries(args.theorems, args.seed, args.count)
-    return _cmd_generate(args)
+    out = args.run(args)
+    doc, code = out if isinstance(out, tuple) else (out, EXIT_OK)
+    # flushed here, so a closed pipe raises inside main
+    print(sz.dumps(doc), flush=True)
+    return code
 
 
 def main(argv=None) -> int:

@@ -193,9 +193,8 @@ def _random_module_rep(irreps: IrrepTable, rng: random.Random, max_dim: int):
     chosen = [rng.choice(pool)]
     total = chosen[0].dim
     while total < max_dim and rng.random() < 0.5:
+        # never empty: a complete table holds the 1-dimensional trivial irrep
         more = [p for p in irreps.irreps if p.dim <= max_dim - total]
-        if not more:
-            break
         nxt = rng.choice(more)
         chosen.append(nxt)
         total += nxt.dim

@@ -15,12 +15,12 @@ Every Lefschetz number is read on the chain modules themselves.  A map
 that commutes with d splits the complex into its eigenvalue and isotypic
 subcomplexes, and each has the same alternating sum of ranks on chains as
 on homology (the Hopf trace formula), so no harmonic projection is built.
-On an exact action the blocks of every U_g stand side by side in one stack
+On either backend the blocks of every U_g stand side by side in one stack
 per module and factor, and one product U_s [U_g0 | U_g1 | ...] per
 generator s proves U_s U_g = U_sg for every g.  Once the action facts
 hold, the complex keeps its character table tr_i(U_g)
-(``GAComplex.characters``), the block traces of the same stacks, read on
-their integer numerators, and the multiplicity m_chi,j,i =
+(``GAComplex.characters``), the block traces of the same stacks, and the
+multiplicity m_chi,j,i =
 (1/|G|) sum_g conj chi(g) tr_i(U_g) on module j is the trace of the
 idempotent (dim chi/|G|) sum_g conj chi(g) U_g over dim chi.  Each
 (complex, irrep table) keeps M_chi = sum_j (-1)^j m_chi,j in Z^k, so
@@ -263,7 +263,7 @@ def _action_problems(c: GAComplex) -> list:
     that of q_j, so q_j U_g = U_g = U_g q_j and U_a U_b = U_ab for all a,
     b; each (dim chi/|G|) sum_g conj chi(g) U_g is an idempotent, and its
     rank is its trace.  Each U_g is a product of generator maps, so it
-    commutes with d, and is unitary if they are.  On an exact action one
+    commutes with d, and is unitary if they are.  On either backend one
     stacked product per (generator, module, factor) proves U_s U_g = U_sg
     for every g at once (:func:`_stacked_products_match`); the products
     are taken one by one only for a generator where it fails, to name
@@ -274,7 +274,7 @@ def _action_problems(c: GAComplex) -> list:
                 for j, (u, q) in enumerate(zip(c.action[group.identity], c.modules))
                 if not u.equals(q.element)]
     for s in group.generators:
-        if c._stacks is None or not _stacked_products_match(c, s):
+        if not _stacked_products_match(c, s):
             problems += [f"action is not multiplicative at ({s},{g}) on module {j}"
                          for g in group.elements()
                          for j, (u, v) in enumerate(zip(c.action[s], c.action[g]))
@@ -287,17 +287,13 @@ def _action_problems(c: GAComplex) -> list:
 def _stacked_products_match(c: GAComplex, s: int) -> bool:
     """Whether U_s W = W with column block g replaced by block s g, for
     each stack W = [U_g0 | U_g1 | ...] of ``c._stacks``: then U_s U_g =
-    U_sg on every module for every g.  Both sides are canonical, so they
-    are equal exactly when their values are."""
+    U_sg on every module for every g.  Each entry is compared as the
+    per-product check compares it (:func:`~ncgdesk.linalg.mat_equal`)."""
     moved = [c.group.mul(s, g) for g in c.group.elements()]  # g -> sg
     k = c.algebra.num_factors
-    for t, w in enumerate(c._stacks):
-        phi, d, width = w.nums.shape
-        target = w.nums.reshape(phi, d, width // d, d)[:, :, moved]
-        product = la.mat_mul(c.action[s][t // k].blocks[t % k], w)
-        if product != la.ExactMatrix(w.order, target.reshape(phi, d, width), w.den):
-            return False
-    return True
+    return all(la.mat_equal(la.mat_mul(c.action[s][t // k].blocks[t % k], w),
+                            la.permute_column_blocks(w, moved))
+               for t, w in enumerate(c._stacks))
 
 
 @dataclass(frozen=True)
@@ -312,10 +308,10 @@ class GAComplex:
     and generator unitarity problems, the character table, the alternating
     isotypic multiplicities per irrep table, the refined number per element
     or tuple of unitaries and, where a refined read needs them, the
-    harmonic projections are made on first use and kept.  An exact action's
+    harmonic projections are made on first use and kept.  The action's
     stacks [U_g0 | U_g1 | ...], on which one product per generator proves
     the representation and whose block traces are the character table,
-    are kept only until the table is read.
+    are kept only until the table is read, on either backend.
     """
 
     algebra: MultiMatrixAlgebra
@@ -379,10 +375,8 @@ class GAComplex:
     def _stacks(self):
         """Per module j and factor f, in the order j * k + f of the
         character table's columns (k factors), the blocks U_g of every g
-        side by side: W = [U_g0 | U_g1 | ...]; None unless every U_g is
-        exact.  Kept only until ``characters`` reads the table from them."""
-        if not all(u.is_exact() for row in self.action for u in row):
-            return None
+        side by side: W = [U_g0 | U_g1 | ...].  Kept only until
+        ``characters`` reads the table from them."""
         return [la.block_matrix([[row[j].blocks[f] for row in self.action]])
                 for j in range(self.length)
                 for f in range(self.algebra.num_factors)]
@@ -391,15 +385,11 @@ class GAComplex:
     def characters(self):
         """The chain character table, built once: tr_i(U_g) on module j in
         row g, column j * k + i (k factors), read once the complex has no
-        chain or action problem.  An exact table is the block traces of
-        the stacks that proved the action, which are then let go; a float
-        one is read block by block."""
+        chain or action problem: the block traces of the stacks that
+        proved the action, which are then let go."""
         _require(self._chain_verdict or self._action_verdict)
         stacks = self._stacks
         del self.__dict__["_stacks"]
-        if stacks is None:
-            return la.as_matrix([[t for u in row for t in u.trace_vector()]
-                                 for row in self.action])
         return la.block_traces(stacks)
 
     def unitary(self, g: int) -> tuple:

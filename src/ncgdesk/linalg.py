@@ -394,10 +394,16 @@ def trace_numerators(a: ExactMatrix):
     return a.order, np.trace(a.nums, axis1=1, axis2=2).tolist(), a.den
 
 
-def block_traces(mats) -> ExactMatrix:
-    """The exact matrix whose column t holds, in order, the traces of the
-    square blocks set side by side in the exact r x (n r) matrix mats[t]:
-    one trace over each (phi, r, n, r) view, packed once from numerators."""
+def block_traces(mats):
+    """The matrix whose column t holds, in order, the traces of the square
+    blocks side by side in the r x (n r) matrix mats[t]: exact, one trace
+    per (phi, r, n, r) view packed once from numerators; float, each block's
+    diagonal added in :func:`trace`'s order, so the traces are bit for bit."""
+    mats = _operands(mats)
+    if type(mats[0]) is FloatMatrix:  # entry (i, i) of block b: row i, b r + i
+        return FloatMatrix(np.stack(
+            [sum((row[i::len(m.arr)] for i, row in enumerate(m.arr)), 0j)
+             for m in mats], axis=1))
     order = math.lcm(*(m.order for m in mats))
     den = math.lcm(*(m.den for m in mats))
     cols = []
@@ -473,6 +479,17 @@ def grid_cell(a, size: int, s: int, t: int):
     if type(a) is FloatMatrix:
         return FloatMatrix(a.arr[rs, cs])
     return _make(a.order, a.nums[:, rs, cs], a.den)
+
+
+def permute_column_blocks(a, perm):
+    """[B_0 | B_1 | ...] = ``a``, square blocks side by side, as [B_perm[0] |
+    B_perm[1] | ...]; every entry stays, so an exact form stays canonical."""
+    a = _packed(a)
+    r, c = a.shape
+    if type(a) is FloatMatrix:
+        return FloatMatrix(a.arr.reshape(r, c // r, r)[:, perm].reshape(r, c))
+    nums = a.nums.reshape(-1, r, c // r, r)[:, :, perm].reshape(-1, r, c)
+    return ExactMatrix(a.order, nums, a.den)
 
 
 def select_rows(a: ExactMatrix, rows) -> ExactMatrix:

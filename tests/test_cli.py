@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import functools
 import json
@@ -14,7 +15,7 @@ from ncgdesk import serialize as sz
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
 from ncgdesk.budget import set_budget
 from ncgdesk.errors import ConsistencyError
-from ncgdesk.cli import _to_float_doc, main
+from ncgdesk.cli import _to_float_doc, build_parser, main
 from ncgdesk.generate import random_ga_complex
 from ncgdesk.lefschetz import FiniteGroup, GAComplex, IrrepTable
 from ncgdesk.scalars import Cyclotomic, _lazy_import
@@ -184,6 +185,34 @@ def test_missing_file_is_validation_error(capsys):
 
 def test_unknown_command_usage(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def _commands(parser, words=()):
+    """(words, parser) of every command: a parser with no actions."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for sub in subs:
+        for name, p in sub.choices.items():
+            yield from _commands(p, words + (name,))
+
+
+def test_every_command_binds_its_handler():
+    commands = dict(_commands(build_parser()))
+    assert len(commands) == 17
+    for words, p in commands.items():
+        assert callable(p.get_default("run")), words
+
+
+@pytest.mark.parametrize("words", [
+    words for words, p in _commands(build_parser())
+    if any(a.required for a in p._actions)
+    or any(g.required for g in p._mutually_exclusive_groups)], ids=" ".join)
+def test_command_without_its_required_options_is_one_error_line(capsys,
+                                                                 words):
+    assert main(list(words)) == 1
+    assert one_error_line(capsys)
 
 
 def test_budget_exhaustion_exits_two(tmp_path, capsys):
@@ -858,6 +887,9 @@ REFUSALS = {
         "invalid block dims (0,)"),
     "group element beyond the order": (
         _l1_complex(_complex(), g="2"), "group element index 2 out of range"),
+    "block list that is not integers": (
+        ({}, ["generate", "--kind", "n0class", "--blocks", "1,x"]),
+        "error: bad block list '1,x'"),
     "Z/2 x Z/2 without an irrep table": (
         _l1_complex(_complex([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
                               [3, 2, 1, 0]])),

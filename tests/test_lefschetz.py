@@ -844,6 +844,12 @@ class TestStackedAction:
 
     def test_float_verdicts_and_tables_match_the_per_product_check(self):
         from ncgdesk.scalars import get_epsilon
+        broken = 0
+        for c, table in seeded_complexes():
+            assert self._same_as_per_product(floated(c)) == []
+            for bad in corrupted(c):
+                broken += bool(self._same_as_per_product(floated(bad)))
+        assert broken == 56
         c = floated(random_ga_complex(A, TABLES[2], random.Random(3),
                                       length=3))
         assert self._same_as_per_product(c) == []
