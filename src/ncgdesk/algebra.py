@@ -187,9 +187,6 @@ class AlgebraElement:
         """Operator norm: max over factors of the largest singular value."""
         return max(la.op_norm(b) for b in self.blocks)
 
-    def trace_vector(self):
-        return tuple(la.trace(b) for b in self.blocks)
-
 
 @dataclass(frozen=True)
 class Projection:

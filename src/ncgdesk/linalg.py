@@ -532,7 +532,7 @@ def _eliminate(a: ExactMatrix):
 
     den * a has the pivots and kernel of ``a``, and its solutions are those
     of ``a`` divided by den.  A rational matrix enters as Python ints, so
-    the reducer's +-1 fast path applies.
+    the reducer's rows stay fraction-free.
     """
     if a.order == 1:
         cols = a.nums[0].T.tolist()

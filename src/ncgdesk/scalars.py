@@ -547,47 +547,82 @@ def sort_key(x):
 class _SparseReducer:
     """Incremental row space in echelon form over sparse {index: scalar} rows.
 
-    Each stored row has a pivot (its smallest index >= 0) normalized to 1;
-    rows may overlap on non-pivot indices, which still yields canonical
-    residues because any row-space element has a pivot as smallest index
-    >= 0.  Negative indices are tags and are never pivots.  Inserted
-    vectors are exact (int, Fraction or Cyclotomic entries); a row stays in
-    Python ints while its pivot is +-1.
+    Each stored row has a pivot (its smallest index >= 0); rows may overlap
+    on non-pivot indices, which still yields canonical residues because any
+    row-space element has a pivot as smallest index >= 0.  Negative indices
+    are tags and are never pivots.  Inserted vectors are exact (int,
+    Fraction or Cyclotomic entries).  Rational rows are fraction-free
+    (Bareiss, Math. Comp. 22, 1968): an int row is kept divided by the gcd
+    of its entries, its pivot p positive.  A rational vector, cleared of its
+    denominators, is multiplied by p / gcd(f, p), f its entry at p, before
+    that row clears p, so it ends as s times its residue for an int s,
+    divided out once at the end.  A vector with a Cyclotomic or float entry,
+    or a rational one from the first Cyclotomic row it meets, is reduced
+    against ``rows``: each row normalized to pivot 1, built on first use and
+    kept.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot index -> row dict
+        self._pivots = set()
+        self._ints = {}  # pivot -> int row with gcd 1 and pivot entry > 0
+        self._units = {}  # pivot -> row normalized to pivot 1
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    rank = property(lambda self: len(self._pivots))
+    rows = property(lambda self: {p: self._unit(p) for p in self._pivots})
+
+    def _unit(self, p) -> dict:
+        row = self._units.get(p) or _over(self._ints[p], self._ints[p][p])
+        return self._units.setdefault(p, row)
 
     def reduce(self, vec: dict, is_zero=scalar_is_zero) -> dict:
         """Residue of vec modulo the rows.  Its tags are minus the
-        combination of tagged columns it subtracted.
+        combination of tagged columns it subtracted."""
+        return _over(*self._reduce(vec, is_zero))
 
-        Pivots are cleared in increasing order; past its pivot a row only
-        reaches larger indices and tags, so a heap of the pivots present
-        suffices.
-        """
-        rows = self.rows
-        vec = {k: v for k, v in vec.items() if not is_zero(v)}
-        hits = [k for k in vec if k in rows]
+    def _reduce(self, vec: dict, is_zero):
+        """(s * residue, s) for an int s if vec and every row it meets are
+        rational, else (residue, None).  Pivots are cleared in increasing
+        order; past its pivot a row only reaches larger indices and tags, so
+        a heap of the pivots present suffices."""
+        pivots, ints = self._pivots, self._ints
+        kinds = set(map(type, vec.values()))
+        if kinds <= {int}:
+            s, vec = 1, {k: v for k, v in vec.items() if v}
+        elif kinds <= {int, Fraction}:
+            s = math.lcm(*(v.denominator for v in vec.values()))
+            vec = {k: int(v * s) for k, v in vec.items() if v}
+        else:
+            s, vec = None, {k: v for k, v in vec.items() if not is_zero(v)}
+        hits = [k for k in vec if k in pivots]
         heapq.heapify(hits)
         while hits:
             hit = heapq.heappop(hits)
             f = vec.get(hit)
             if f is None:
                 continue
-            for k, v in rows[hit].items():
+            row = None if s is None else ints.get(hit)
+            if row is None:
+                vec, s = _over(vec, s), None
+                f, row = vec[hit], self._unit(hit)
+            elif row[hit] != 1:  # vec times p / g, then f / g times the row
+                g = math.gcd(f, row[hit])
+                a = row[hit] // g
+                s, f = s * a, f // g
+                vec = {k: v * a for k, v in vec.items()}
+            for k, v in row.items():
                 acc = vec.get(k, 0) - f * v
-                if is_zero(acc):
+                if not acc or s is None and is_zero(acc):
                     vec.pop(k, None)
                 else:
-                    if k not in vec and k in rows:
+                    if k not in vec and k in pivots:
                         heapq.heappush(hits, k)
                     vec[k] = acc
-        return vec
+        return vec, s
+
+
+def _over(vec: dict, s) -> dict:
+    """vec / s, for s an int or None (vec as it is)."""
+    return vec if s in (None, 1) else {k: Fraction(v, s) for k, v in vec.items()}
 
 
 def tagged(columns):
@@ -608,19 +643,27 @@ def eliminate(columns):
     vector e_j - combo of each dependent column j, read from its residue's
     tags: combo is column j in the earlier pivot columns, the column j of
     the reduced row echelon form.  Untagged columns give no kernel vector.
+    A rational column is stored as its int residue over the gcd of its
+    entries, a Cyclotomic one over its pivot (see :class:`_SparseReducer`).
     """
     red = _SparseReducer()
     independent, kernel = [], []
     for j, col in enumerate(columns):
-        vec = red.reduce(col, operator.not_)
+        vec, s = red._reduce(col, operator.not_)
         pivot = min((k for k in vec if k >= 0), default=None)
         if pivot is not None:
             pv = vec[pivot]
-            inv = pv if pv in (1, -1) else Fraction(1) / pv
-            red.rows[pivot] = {k: v * inv for k, v in vec.items()}
+            if s is None:
+                inv = pv if pv in (1, -1) else Fraction(1) / pv
+                red._units[pivot] = {k: v * inv for k, v in vec.items()}
+            else:  # over the gcd, with the sign of the pivot
+                g = pv if pv in (1, -1) else math.gcd(*vec.values()) * (pv // abs(pv))
+                red._ints[pivot] = vec if g == 1 else {
+                    k: v // g for k, v in vec.items()}
+            red._pivots.add(pivot)
             independent.append(j)
         elif vec:  # the tags of a dependent tagged column
-            kernel.append(tags(vec))
+            kernel.append(tags(_over(vec, s)))
     return red, independent, kernel
 
 

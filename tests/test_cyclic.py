@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from ncgdesk import cyclic, serialize as sz
+from ncgdesk import cyclic, scalars, serialize as sz
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection
 from ncgdesk.cyclic import (
     CyclicSpace,
@@ -739,6 +739,28 @@ class TestRanksFromRows:
         boundary = cyclic._boundary(M2, 7, 1)
         assert boundary.source.dimension == 1_618
         assert inserted == [boundary.target.dimension] == [492]
+
+    def test_rows_of_b7_over_m2_stay_in_ints(self, monkeypatch, cold_cyclic):
+        # some pivots of b7 are 2: the rows keep them, and no Fraction is built
+        reducers, built = [], []
+
+        class Counting(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return Fraction(*args)
+
+        def keeping(vectors):
+            out = eliminate(vectors)
+            reducers.append(out[0])
+            return out
+        monkeypatch.setattr(scalars, "Fraction", Counting)
+        monkeypatch.setattr(cyclic, "eliminate", keeping)
+        assert cyclic._boundary(M2, 7, 1).rank == 378
+        assert built == []
+        [red] = reducers
+        assert len(red._ints) == red.rank == 378
+        assert {type(v) for row in red._ints.values() for v in row.values()} == {int}
+        assert {row[p] for p, row in red._ints.items()} == {1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -779,7 +779,7 @@ def per_product_validation(c):
 
 
 def per_block_characters(c):
-    return la.as_matrix([[t for u in row for t in u.trace_vector()]
+    return la.as_matrix([[la.trace(b) for u in row for b in u.blocks]
                          for row in c.action])
 
 

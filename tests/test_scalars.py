@@ -283,6 +283,17 @@ sparse = st.dictionaries(st.integers(0, 4), entries, max_size=4)
 column_lists = st.lists(sparse, max_size=8)
 
 
+# integer columns whose pivots need not be units
+small_ints = st.integers(-6, 6)
+int_columns = st.lists(st.dictionaries(st.integers(0, 4), small_ints, max_size=4),
+                       max_size=8)
+
+
+def rational1(vec: dict) -> dict:
+    """vec with each entry an order-1 Cyclotomic: the pivot-1 path."""
+    return {k: Cyclotomic.from_rational(v) for k, v in vec.items()}
+
+
 def untagged(vec: dict) -> dict:
     return {k: v for k, v in vec.items() if k >= 0}
 
@@ -333,6 +344,32 @@ class TestEliminator:
             rebuilt[i] = rebuilt.get(i, 0) + x
         assert {i: x for i, x in rebuilt.items() if x} \
             == {i: x for i, x in vec.items() if x}
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_columns, st.dictionaries(st.integers(0, 4),
+                                        st.one_of(small_ints, small), max_size=4),
+           st.booleans())
+    def test_fraction_free_rows_match_the_pivot_one_path(self, cols, vec, tag):
+        wrap = tagged if tag else list
+        red, independent, kernel = eliminate(wrap(cols))
+        unit, independent_1, kernel_1 = eliminate(wrap(map(rational1, cols)))
+        assert red.rank == unit.rank
+        assert (independent, kernel) == (independent_1, kernel_1)
+        assert red.rows == unit.rows
+        assert red.reduce(vec) == unit.reduce(rational1(vec))
+
+    def test_an_int_vector_meets_a_cyclotomic_row(self):
+        # row 0 is 2 e_0 + e_1 in ints, row 1 is e_1 + w e_2 over Q(w), w^3 = 1
+        w = Cyclotomic.root_of_unity(3)
+        cols = [{0: 2, 1: 1}, {1: 1, 2: w}]
+        red, independent, _ = eliminate(tagged(cols))
+        assert independent == [0, 1]
+        # e_0 - col_0 / 2 = -e_1 / 2 leaves the int path at row 1
+        residue = {2: w / 2, -1: Fraction(-1, 2), -2: Fraction(1, 2)}
+        assert red.reduce({0: 1}) == residue
+        assert red.reduce({0: Fraction(1, 3), 3: 5}) \
+            == {3: 5} | {k: v / 3 for k, v in residue.items()}
+        assert red.rows[0] == {0: 1, 1: Fraction(1, 2), -1: Fraction(1, 2)}
 
 
 class TestJson:
