@@ -40,7 +40,7 @@ def get_budget() -> int:
 
 def set_budget(value: int) -> None:
     global _BUDGET
-    if not isinstance(value, int) or value <= 0:
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
         raise ValidationError("budget must be a positive integer")
     _BUDGET = value
 

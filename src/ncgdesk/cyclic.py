@@ -104,14 +104,8 @@ class TensorElement:
                 if not (0 <= j < algebra.num_factors
                         and 0 <= a < dims[j] and 0 <= b < dims[j]):
                     raise ValidationError(f"unit index {u} out of range")
-            if scalar_is_zero(c):
-                continue
-            if key in clean:
-                c = clean[key] + c
-                if scalar_is_zero(c):
-                    del clean[key]
-                    continue
-            clean[key] = c
+            if not scalar_is_zero(c):
+                clean[key] = c
         self.algebra = algebra
         self.amplification = amplification
         self.degree = degree
@@ -171,9 +165,6 @@ class TensorElement:
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, c) -> "TensorElement":
         return TensorElement._trusted(self.algebra, self.amplification,
@@ -830,9 +821,6 @@ def decomposition_norm(rep: DecompositionRep) -> float:
 
 
 def _face_of_rep(rep: DecompositionRep, i: int) -> DecompositionRep:
-    n = rep.degree
-    if not 0 <= i <= n:
-        raise DomainError(f"face index {i} out of range for degree {n}")
     return DecompositionRep(tuple(_face(s, i, operator.mul)
                                   for s in rep.summands), rep.coeffs)
 

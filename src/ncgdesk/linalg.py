@@ -517,10 +517,7 @@ def is_zero_matrix(a) -> bool:
 
 
 def op_norm(a) -> float:
-    """Largest singular value; empty matrices have norm 0."""
-    a = _packed(a)
-    if 0 in a.shape:
-        return 0.0
+    """Largest singular value."""
     return float(np.linalg.norm(to_numpy(a), 2))
 
 

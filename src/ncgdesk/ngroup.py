@@ -42,12 +42,6 @@ class K0Class:
     def __neg__(self):
         return K0Class(tuple(-a for a in self.ranks))
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, n: int):
-        return K0Class(tuple(n * a for a in self.ranks))
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.ranks)
 

@@ -723,3 +723,54 @@ class TestElementMemo:
         assert a.element() is x
         assert seen(a) == before
         assert x.equals(b.element())
+
+
+# Refusals of the public operations on elements, forms and homomorphisms
+# given operands over different algebras or shapes.
+C, M2 = MultiMatrixAlgebra((1,)), MultiMatrixAlgebra((2,))
+ONE_C, ONE_M2 = AlgebraElement.identity(C), AlgebraElement.identity(M2)
+FORM_C = SpectralForm.scaled_projection(1, Projection.identity(C))
+FORM_M2 = SpectralForm.scaled_projection(1, Projection.identity(M2))
+REFUSALS = {
+    "diagonal of the wrong length": (
+        lambda: AlgebraElement.diagonal(M2, [[Fraction(1)]]),
+        "diagonal length mismatch"),
+    "sum over different algebras": (
+        lambda: ONE_C + ONE_M2, "algebra/amplification mismatch"),
+    "product over different amplifications": (
+        lambda: ONE_C * AlgebraElement.identity(C, 2),
+        "algebra/amplification mismatch"),
+    "element direct sum over different algebras": (
+        lambda: ONE_C.direct_sum(ONE_M2), "algebra mismatch in direct sum"),
+    "form direct sum over different algebras": (
+        lambda: FORM_C.direct_sum(FORM_M2), "algebra mismatch in direct sum"),
+    "projection over another algebra": (
+        lambda: SpectralForm(C, 1, ((1, Projection.identity(M2)),)),
+        "spectral projection over wrong algebra"),
+    "zero eigenvalue": (
+        lambda: SpectralForm(C, 1, ((0, Projection.identity(C)),)),
+        "zero eigenvalue must go to the kernel projection"),
+    "homomorphism applied off its source": (
+        lambda: apply_hom(StarHomomorphism(C, M2, ((2,),)), ONE_M2),
+        "element is not over the homomorphism source"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_mismatched_operands_are_refused(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
+def test_elements_over_different_algebras_are_not_equal():
+    assert not ONE_C.equals(ONE_M2)
+    assert not ONE_C.equals(AlgebraElement.identity(C, 2))
+
+
+def test_eigensolver_failure_is_a_numerical_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    x = AlgebraElement.diagonal(M2, [[1.0, 2.0]])
+    with pytest.raises(NumericalError, match="^eigensolver failed: no convergence$"):
+        spectral_decompose(x)

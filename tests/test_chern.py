@@ -791,3 +791,21 @@ class TestBudgetCharges:
                 DecompositionRep(((full,) * 3, (full,) * 3)).expand()
         finally:
             set_budget(100_000)
+
+
+def test_negative_level_and_empty_family_are_refused():
+    with pytest.raises(ValidationError, match="^cover level must be >= 0$"):
+        dyadic_cover([Fraction(1)], -1)
+    with pytest.raises(DomainError, match="^need at least one projection$"):
+        eta_cycle([], 1)
+
+
+def test_float_family_orthogonal_within_epsilon_may_not_be_a_cycle():
+    # p q = diag(0, d) passes the orthogonality test, but b of the cross
+    # terms sums to about 3d > epsilon: the family is reported, not refused
+    d = 0.9 * get_epsilon()
+    p = Projection(AlgebraElement(M2, 1, (((1.0, 0.0), (0.0, d)),)))
+    q = Projection(AlgebraElement(M2, 1, (((0.0, 0.0), (0.0, 1.0)),)))
+    assert p.orthogonal_to(q)
+    report = verify_eta_vanishes([p, q], 1, witness=True)
+    assert report == EtaReport(False, False, False, False) and not report.ok

@@ -256,6 +256,23 @@ def test_bad_env_budget_is_one_error_line(tmp_path):
     assert proc.stderr == "error: NCG_BUDGET is not an integer: 'abc'\n"
 
 
+def test_zero_env_budget_is_one_error_line(capsys, monkeypatch):
+    from ncgdesk import budget
+    monkeypatch.setenv("NCG_BUDGET", "0")
+    monkeypatch.setattr(budget, "_BUDGET", None)  # read again on first use
+    # a battery charges its count before its first instance
+    assert main(["verify", "--theorems", "th7", "--count", "1"]) == 1
+    assert capsys.readouterr().err == "error: NCG_BUDGET must be positive\n"
+
+
+@pytest.mark.parametrize("value", [True, False, 0, -1, 1.0])
+def test_set_budget_takes_only_a_positive_int(value):
+    from ncgdesk.errors import ValidationError
+    with pytest.raises(ValidationError,
+                       match="^budget must be a positive integer$"):
+        set_budget(value)
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     alg = write(tmp_path, "alg.json", {"schema_version": 1, "blocks": [2]})
     proc = subprocess.Popen(
@@ -894,6 +911,42 @@ REFUSALS = {
         _l1_complex(_complex([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
                               [3, 2, 1, 0]])),
         "cannot infer an irreducible-representation table"),
+    "budget of 0": (
+        ({"alg.json": _doc(blocks=[1])},
+         ["hc", "dims", "--algebra", "alg.json", "--max-degree", "1",
+          "--budget", "0"]), "error: budget must be a positive integer"),
+    "Chern character of negative degree": (
+        ({"p.json": sz.projection_to_json(
+            Projection.identity(MultiMatrixAlgebra((1,))))},
+         ["chern", "--projection", "p.json", "--l", "-1"]),
+        "error: degree parameter l must be >= 0"),
+    "generalized Chern character of negative degree": (
+        ({"x.json": _n0_doc(C, ("1", [1]))},
+         ["gchern", "--n0", "x.json", "--l", "-1"]),
+        "error: degree parameter l must be >= 0"),
+    "scalar pair of three entries": (
+        _n0_class(_doc(algebra=C, m=1, blocks=[[[["1", "2", "3"]]]])),
+        "scalar pair must have two entries"),
+    "cyclotomic order 0": (
+        _n0_class(_doc(algebra=C, m=1,
+                       blocks=[[[{"order": 0, "coeffs": ["1"]}]]])),
+        "cyclotomic order must be positive: 0"),
+    "class pushed from outside the homomorphism source": (
+        ({"hom.json": _doc(source=C, target=M2, multiplicities=[[2]]),
+          "x.json": _n0_doc(C2)},
+         ["n0", "push", "--hom", "hom.json", "--n0", "x.json"]),
+        "error: class is not over the homomorphism source"),
+    "sum of classes over different algebras": (
+        ({"a.json": _n0_doc(C), "b.json": _n0_doc(C2)},
+         ["n0", "add", "--a", "a.json", "--b", "b.json"]),
+        "error: N0 classes over different algebras"),
+    "complex with no modules": (
+        _l1_complex(_complex(modules=[], action=[[], []])),
+        "error: complex needs at least one module"),
+    "irrep matrices of the wrong size": (
+        _l1_irreps(("trivial", [[["1", "0"], ["0", "1"]]] * 2),
+                   ("sign", [ONE[0], [["-1"]]])),
+        "error: irrep trivial: matrix size mismatch"),
 }
 
 

@@ -984,3 +984,53 @@ class TestFactoredCycles:
         assert isinstance(got, complex) and got == 0.5j
         assert hc_class(DecompositionRep(((x,),), (Fraction(1, 2),))).coords \
             == (I * Fraction(1, 2),)
+
+
+E11 = (0, 0, 0)
+ONE_C = AlgebraElement.identity(C)
+REFUSALS = {
+    "empty summand": (lambda: TensorElement.from_summand(()),
+                      ValidationError, "empty tensor summand"),
+    "summand over two algebras": (
+        lambda: TensorElement.from_summand((ONE_C, AlgebraElement.identity(M2))),
+        ValidationError, "tensor factors over different algebras"),
+    "sum of two degrees": (
+        lambda: TensorElement.basis(C, 1, (E11,))
+        + TensorElement.basis(C, 1, (E11, E11)),
+        ValidationError, "tensor space mismatch"),
+    "coordinates of another degree": (
+        lambda: hc_space(C, 2).reduced_class(TensorElement.basis(C, 1, (E11,))),
+        ValidationError, "tensor does not live in this space"),
+    "reduced class of a non-cycle": (
+        # b(e11 x e12) = e12 - 0
+        lambda: hc_space(M2, 1).reduced_class(
+            TensorElement.basis(M2, 1, (E11, (0, 0, 1)))),
+        DomainError, "tensor is not a cycle in CC coordinates"),
+    "sum of classes of two degrees": (
+        lambda: HCClass(0, (1,)) + HCClass(2, (1,)),
+        ValidationError, "homology class mismatch"),
+    "empty decomposition": (lambda: DecompositionRep(()),
+                            DomainError, "empty decomposition"),
+    "summands of two lengths": (
+        lambda: DecompositionRep(((ONE_C,), (ONE_C, ONE_C))),
+        ValidationError, "summands must be nonempty and equal length"),
+    "two coefficients for one summand": (
+        lambda: DecompositionRep(((ONE_C,),), (1, 2)),
+        ValidationError, "one coefficient per summand required"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_malformed_operands_are_refused(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_tensors_and_classes_of_other_spaces_are_not_equal():
+    xi = TensorElement.basis(C, 1, (E11,))
+    assert not xi.equals(TensorElement.basis(C, 1, (E11, E11)))
+    assert not xi.equals(TensorElement.basis(C, 2, ((0, 0, 0),)))
+    assert HCClass(0, (1,)) != 1 and HCClass(0, (1,)) != (1,)
+    assert repr(TensorElement.basis(C, 1, (E11, E11))) \
+        == "TensorElement(degree=1, terms=1)"

@@ -909,3 +909,37 @@ class TestStackedAction:
         assert read(lambda: lefschetz._naturals(m, scale, "rank")) == each
         if flaw is None:
             assert each == rows
+
+
+def _trivial_complex(module, action_element):
+    """One module of C acted on by Z/2 through the given element."""
+    return GAComplex(C, FiniteGroup.cyclic_group(2), (module,), (),
+                     ((action_element,), (action_element,)))
+
+
+REFUSALS = {
+    "module over another algebra": (
+        lambda: _trivial_complex(Projection.identity(M2),
+                                 AlgebraElement.identity(C)),
+        "module projection over wrong algebra"),
+    "action of another amplification": (
+        lambda: _trivial_complex(Projection.identity(C),
+                                 AlgebraElement.identity(C, 2)),
+        "action matrix has wrong shape"),
+    "a unitary too many": (
+        lambda: generalized_lefschetz(
+            _trivial_complex(Projection.identity(C), AlgebraElement.identity(C)),
+            (AlgebraElement.identity(C),) * 2),
+        "one unitary per module required"),
+    "augmenting a one-module complex": (
+        lambda: acyclic_augmentation(_trivial_complex(
+            Projection.identity(C), AlgebraElement.identity(C)),
+            random.Random(0)),
+        "need at least two modules to augment"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_malformed_complexes_are_refused(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()

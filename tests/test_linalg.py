@@ -289,3 +289,59 @@ def test_mat_mul_through_empty_inner_dimension():
 def test_empty_float_matrix_is_not_exact():
     assert not la.is_exact_matrix(la.zeros(0, 3, exact=False))
     assert not la.is_exact_matrix(la.zeros(2, 0, exact=False))
+
+
+# Refusals of the public operations, exact and float alike.
+EXACT_2x2 = la.as_matrix([[1, 2], [3, 4]])
+FLOAT_2x3 = la.as_matrix([[1.0, 0.0, 2j]] * 2)
+REFUSALS = {
+    "bool entry": (lambda: la.as_matrix([[1, True]]), "bool is not a scalar"),
+    "string entry": (lambda: la.as_matrix([["1"]]),
+                     "unsupported matrix entry '1'"),
+    "ragged rows": (lambda: la.as_matrix([[1, 2], [3]]), "ragged matrix rows"),
+    "sum of different shapes": (
+        lambda: la.mat_add(EXACT_2x2, la.identity(3)),
+        r"add shape mismatch \(2, 2\) vs \(3, 3\)"),
+    "product of mismatched shapes": (
+        lambda: la.mat_mul(FLOAT_2x3, la.identity(2, exact=False)),
+        r"matmul shape mismatch \(2, 3\) x \(2, 2\)"),
+    "rows of different widths stacked": (
+        lambda: la.stack_rows(EXACT_2x2, la.identity(3)),
+        "matrices to stack are missing or differ in size"),
+    "nothing stacked": (lambda: la.stack_rows(),
+                        "matrices to stack are missing or differ in size"),
+    "grid of misfitting blocks": (
+        lambda: la.block_matrix([[EXACT_2x2, la.identity(3)]]),
+        "matrices to stack are missing or differ in size"),
+    "inverse of a non-square matrix": (
+        lambda: la.invert(FLOAT_2x3), "invert: matrix not square"),
+    "projection onto no columns": (
+        lambda: la.projection_onto_columns([]),
+        "projection_onto_columns: empty basis"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_malformed_operands_are_refused(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
+def test_matrices_of_different_shapes_are_not_equal():
+    assert not la.mat_equal(EXACT_2x2, la.identity(3))
+    assert not la.mat_equal(FLOAT_2x3, la.zeros(3, 2, exact=False))
+
+
+def test_packed_matrices_compare_unequal_to_other_types():
+    for m in (EXACT_2x2, FLOAT_2x3):
+        assert m != 1 and m != la.entries(m)
+        assert (m == 1) is False
+
+
+def test_iterating_a_matrix_gives_its_rows():
+    for m in (EXACT_2x2, FLOAT_2x3):
+        assert list(m) == list(la.entries(m))
+
+
+def test_no_columns_with_a_row_count_are_that_many_empty_rows():
+    assert la.shape(la.from_columns([], 3)) == (3, 0)

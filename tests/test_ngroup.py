@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncgdesk.algebra import MultiMatrixAlgebra, Projection, SpectralForm
+from ncgdesk.algebra import MultiMatrixAlgebra, Projection, SpectralForm, \
+    StarHomomorphism
 from ncgdesk.cyclic import HCClass
 from ncgdesk.errors import NumericalError, ValidationError
 from ncgdesk.generate import (
@@ -294,3 +295,39 @@ class TestFunctoriality:
         y = random_n0class(phi.source, random.Random(s2 + 1))
         assert functorial_map(phi, x + y) \
             == functorial_map(phi, x) + functorial_map(phi, y)
+
+
+C = MultiMatrixAlgebra((1,))
+P_C = Projection.identity(C)
+REFUSALS = {
+    "K0 sum over different algebras": (
+        lambda: K0Class((1,)) + K0Class((1, 0)),
+        "K0 classes over different algebras"),
+    "N0 sum over different algebras": (
+        lambda: N0Class.zero(C) + N0Class.zero(A),
+        "N0 classes over different algebras"),
+    "equivalence over different algebras": (
+        lambda: n_equiv(SpectralForm.zero(C), SpectralForm.zero(A)),
+        "elements over different algebras"),
+    "stacking generator of index 0": (
+        lambda: generator_g(0, 1, P_C), "generator index must be positive"),
+    "reduction of index 0": (
+        lambda: reduce_g_to_h(0, 1, P_C), "generator index must be positive"),
+    "push off the source": (
+        lambda: functorial_map(StarHomomorphism(C, A, ((1,), (2,))),
+                               N0Class.zero(A)),
+        "class is not over the homomorphism source"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_mismatched_operands_are_refused(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
+def test_classes_compare_unequal_across_algebras_and_types():
+    assert N0Class.zero(C) != N0Class.zero(A)
+    assert N0Class.zero(C) != 0
+    assert K0TensorC((1,)) != K0TensorC((1, 0))
+    assert K0TensorC((1,)) != (1,)

@@ -392,3 +392,32 @@ class TestJson:
     def test_bare_string_is_exact(self):
         x = parse_scalar("2/3")
         assert x.is_rational() and x.rational_value() == Fraction(2, 3)
+
+
+class TestRefusals:
+    def test_cyclotomic_is_immutable(self):
+        z = Cyclotomic.root_of_unity(3)
+        with pytest.raises(AttributeError, match="^Cyclotomic is immutable$"):
+            z.order = 6
+        assert z == Cyclotomic.root_of_unity(3)
+
+    def test_values_outside_a_subfield_are_refused(self):
+        w = Cyclotomic.root_of_unity(3)
+        with pytest.raises(ValueError, match="^not a rational scalar$"):
+            Cyclotomic.gaussian(0, 1).rational_value()
+        with pytest.raises(ValueError,
+                           match="^scalar is not a Gaussian rational$"):
+            w.gaussian_parts()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_a_foreign_operand_raises_type_error(self, op):
+        w = Cyclotomic.root_of_unity(3)
+        for a, b in ((w, "1"), ("1", w)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+    def test_lazy_import_returns_a_loaded_module(self):
+        import numpy
+        from ncgdesk.scalars import _lazy_import
+        assert _lazy_import("numpy") is numpy

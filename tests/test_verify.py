@@ -1,12 +1,18 @@
+import itertools
 import json
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import types
+from fractions import Fraction
 
 import pytest
 
+from ncgdesk.algebra import AlgebraElement
+from ncgdesk.cyclic import HCClass
+from ncgdesk.ngroup import K0TensorC
 from ncgdesk.verify import BATTERIES, VerificationReport, run_batteries
 
 
@@ -190,3 +196,90 @@ def test_batteries_kill_the_mutant(tmp_path, path, old, new):
     imported, *failed = proc.stdout.split()
     assert pathlib.Path(imported).is_relative_to(copy)
     assert failed, "every battery passes"
+
+
+class _Wrong:
+    """A decomposition whose element equals nothing."""
+
+    def element(self):
+        return self
+
+    def equals(self, other):
+        return False
+
+
+def _every_second_call_wrong(real):
+    calls = itertools.count(1)
+    return lambda x: real(x) if next(calls) % 2 else _Wrong()
+
+
+def _cell(points, tag):
+    return types.SimpleNamespace(points=tuple(map(Fraction, points)),
+                                 tag=Fraction(tag))
+
+
+# Each failure record of a battery by its check: (battery, name in
+# ncgdesk.verify, faulty replacement), the fault making that check fail in
+# the same process.  _every_second_call_wrong is given the real function.
+FAULTS = {
+    "conjugation invariance": ("th1", "n_class", lambda a: object()),
+    "separation": ("th1", "n_class", lambda a: 0),
+    "surjectivity": ("th1", "N0Class", lambda algebra, support: None),
+    "off-grid decomposition": ("th1", "spectral_decompose", lambda x: _Wrong()),
+    # the call after the off-grid one decomposes the roots of unity
+    "roots of unity of common order 24": (
+        "th1", "spectral_decompose", _every_second_call_wrong),
+    "non-normal element refused": (
+        "th1", "_non_normal",
+        lambda algebra, rng: AlgebraElement.identity(algebra)),
+    "h(generator) = 0": ("kernel_h", "h_map", lambda x: K0TensorC((1,))),
+    "h o t = id": ("kernel_h", "h_map", lambda x: K0TensorC(())),
+    "g reduces to h": ("kernel_h", "generator_g", lambda n, lam, p: None),
+    "boundary class": ("hc", "hc_class", lambda xi: HCClass(0, (1,))),
+    "witness": ("hc", "is_boundary", lambda xi: None),
+    "trace read": ("hc", "hc_space", lambda *a: types.SimpleNamespace(
+        reduced_class=lambda xi: None)),
+    "T_cover smallest": ("th6", "T_cover", lambda a, l, policy: None),
+    "smallest cell order": ("th6", "dyadic_cover",
+                            lambda points, level, policy: [_cell((2, 1), 2)]),
+    "smallest tags": ("th6", "dyadic_cover",
+                      lambda points, level, policy: [_cell((1,), 2)]),
+    "face 0": ("norm_bounds", "check_face_bound", lambda rep, i: False),
+    "trace": ("norm_bounds", "check_trace_bound", lambda rep: False),
+}
+
+
+@pytest.mark.parametrize("check", FAULTS, ids=FAULTS)
+def test_each_failure_record_is_reached(monkeypatch, check):
+    from ncgdesk import verify
+    battery, name, fault = FAULTS[check]
+    if fault is _every_second_call_wrong:
+        fault = fault(getattr(verify, name))
+    monkeypatch.setattr(verify, name, fault)
+    report = BATTERIES[battery](3, 2)
+    assert check in {f.get("check") for f in report.failures}, report.failures
+
+
+def test_an_answer_or_a_wrong_error_fails_a_refusal_check(monkeypatch):
+    from ncgdesk import verify
+
+    def wrong_error(*args):
+        raise ValueError("not a domain error")
+    monkeypatch.setattr(verify, "lefschetz_first", lambda *args: 0)
+    monkeypatch.setattr(verify, "generalized_lefschetz", wrong_error)
+    failures = BATTERIES["th4"](3, 1).failures
+    assert {"check": "L1 of a complex with d o d != 0 is rejected",
+            "got": "an answer"} in failures
+    assert {"check": "the refined number of a non-unitary representation "
+            "is rejected", "got": "ValueError: not a domain error"} in failures
+
+
+def test_a_refused_construction_in_a_refusal_check_ends_the_run(monkeypatch):
+    from ncgdesk import verify
+    from ncgdesk.errors import ResourceError
+
+    def refused(*args):
+        raise ResourceError("over budget", required=2, budget=1)
+    monkeypatch.setattr(verify, "lefschetz_first", refused)
+    with pytest.raises(ResourceError, match="^over budget$"):
+        BATTERIES["th4"](3, 1)
