@@ -40,8 +40,7 @@ def _degree(l: int) -> int:
     return 2 * l
 
 
-def _power_class(algebra: MultiMatrixAlgebra, terms, l: int,
-                 exact: bool = True) -> HCClass:
+def _power_class(algebra: MultiMatrixAlgebra, terms, l: int) -> HCClass:
     """Class in HC_2l(A) of sum c * Tr(p^tensor(2l+1)) over (c, p) in terms,
     read from the factored tensor, charged before its 2l+1 factors exist,
     hit or miss.  The read is keyed by the coefficients' types too (1 and
@@ -49,7 +48,7 @@ def _power_class(algebra: MultiMatrixAlgebra, terms, l: int,
     (a float cycle check reads it)."""
     n = _degree(l)
     if not terms:
-        return zero_class(algebra, n, exact)
+        return zero_class(algebra, n)
     charge_read(algebra, terms[0][1].amplification, n, len(terms))
     return _read_terms(tuple(terms), tuple(type(c) for c, _ in terms), l,
                        get_epsilon())
@@ -181,7 +180,7 @@ def verify_eta_vanishes(ps, l: int, witness: bool = False) -> EtaReport:
 
 def T_direct(a: SpectralForm, l: int) -> HCClass:
     """Sum over spectrum of lambda * class(Tr(P^(2l+1)))."""
-    return _power_class(a.algebra, a.pairs, l, a.is_exact())
+    return _power_class(a.algebra, a.pairs, l)
 
 
 def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
@@ -205,7 +204,7 @@ def T_cover(a: SpectralForm, l: int, max_depth: int = 12,
     for depth in range(max_depth + 1):
         if len({_cell_key(re, im, depth, den)
                 for re, im, den in points}) == len(points):
-            return _power_class(a.algebra, a.pairs, l, a.is_exact())
+            return _power_class(a.algebra, a.pairs, l)
     raise NumericalError(
         f"cover refinement did not separate the spectrum by depth {max_depth}")
 

@@ -19,18 +19,18 @@ nonzero weight are acyclic.  Only the weight-0 block is enumerated and
 eliminated; a boundary witness reads its other parts from the Cartan
 homotopy (Loday, Cyclic Homology, 1992, 4.1; Goodwillie, Topology 24,
 1985).  b: CC_n -> CC_{n-1}, on words of integer letters, is eliminated
-(:func:`~ncgdesk.scalars.eliminate`) once per (algebra, amplification,
-n), for its rank, by rows; a witness eliminates its columns, tagged.
+(:func:`~ncgdesk.scalars.eliminate`) once per (block sizes, n), for its
+rank, by rows; a witness eliminates its columns, tagged.
 
+M_m(A) is the sum of the M_{m r_f}, so every build (letters, bases,
+boundaries, spaces) is keyed by its block sizes ``A.ambient_dims(m)``.
 The complex is graded a second time, by the set of factors a tuple uses:
 units of different factors multiply to 0, so a face keeps that set or
-vanishes.  A block using two or more factors is acyclic, since HC of a
+vanishes.  A block of two or more factors is acyclic, since HC of a
 product of unital algebras is the sum of theirs (Loday, Cyclic Homology,
-1992), and the block of factor f is the complex of M_{m r_f} with its
-letters renamed.  So ``hc_dims`` and a space of several factors sum
-the spaces of M_{m r_f}, one build per distinct size.
-``reduced_class``, ``cycle_basis`` and ``boundary_witness`` use the full
-weight-0 block, built on first use and checked against that sum.
+1992).  So a space is checked, and ``hc_dims`` summed, per distinct size;
+the full weight-0 block is built only for witnesses, ``reduced_class``,
+``cycle_basis``, ``cc`` and ``boundary_rank``.
 
 HC_2l = C^k has a fixed basis, the classes of e_{f,00} x ... x e_{f,00}
 (2l+1 factors), one per factor f, and HC is 0 in odd degree.  The trace
@@ -303,8 +303,7 @@ class CyclicSpace:
     representatives as sorted words of :func:`_letters`.  No other block is
     built: a witness reads its other parts from the Cartan homotopy."""
 
-    algebra: MultiMatrixAlgebra
-    amplification: int
+    dims: tuple
     degree: int
     words: tuple
     index: dict
@@ -315,37 +314,30 @@ class CyclicSpace:
 
     def key(self, i: int) -> tuple:
         """Word i as a unit tuple."""
-        units = _letters(self.algebra, self.amplification)[0]
+        units = _letters(self.dims)[0]
         return tuple(units[x] for x in self.words[i])
 
     basis = property(lambda self: tuple(map(self.key, range(self.dimension))))
 
     def coordinates(self, xi: TensorElement) -> dict:
         """Sparse CC coordinates {basis position: coefficient} of the
-        weight-0 component of xi."""
-        if (xi.algebra != self.algebra
-                or xi.amplification != self.amplification
+        weight-0 component of xi, a tensor of the same block sizes."""
+        if (xi.algebra.ambient_dims(xi.amplification) != self.dims
                 or xi.degree != self.degree):
             raise ValidationError("tensor does not live in this space")
-        letter = _letters(self.algebra, self.amplification)[1]
+        letter = _letters(self.dims)[1]
         # a weight-0 key missing from the index is a bug: KeyError
         return {self.index[tuple(map(letter.get, k))]: c
                 for k, c in cc_reduce(xi).items() if not _weight(k)}
 
 
-def _all_units(algebra, m):
-    units = []
-    for j, d in enumerate(algebra.ambient_dims(m)):
-        units.extend((j, a, b) for a in range(d) for b in range(d))
-    return units
-
-
 @functools.lru_cache(maxsize=256)
-def _letters(algebra, m: int) -> tuple:
+def _letters(dims: tuple) -> tuple:
     """(units, letter, moves, mul): letter i is units[i], letter[units[i]] = i;
     moves[i] numbers its row and column among the (factor, index) pairs,
     and mul(x, y), nonzero iff col x = row y, has x's row and y's column."""
-    units = _all_units(algebra, m)
+    units = [(j, a, b) for j, d in enumerate(dims)
+             for a in range(d) for b in range(d)]
     pos = {p: i for i, p in enumerate(dict.fromkeys(u[:2] for u in units))}
     moves = [(pos[j, a], pos[j, b]) for j, a, b in units]
 
@@ -355,7 +347,11 @@ def _letters(algebra, m: int) -> tuple:
     return units, {u: i for i, u in enumerate(units)}, moves, mul
 
 
-def _orbit_basis(algebra, m: int, n: int) -> list:
+def _all_units(algebra, m: int) -> list:
+    return _letters(algebra.ambient_dims(m))[0]
+
+
+def _orbit_basis(dims: tuple, n: int) -> list:
     """Canonical orbit representatives of weight 0 in CC_n, sorted.
 
     Walks prenecklaces, the prefixes of least rotations, depth-first in
@@ -371,7 +367,7 @@ def _orbit_basis(algebra, m: int, n: int) -> list:
     """
     budget = get_budget()
     visited = 1  # the root
-    moves = _letters(algebra, m)[2]
+    moves = _letters(dims)[2]
     gap = [0] * (moves[-1][0] + 1)  # the prefix's weight
     basis = []
     prefix = []
@@ -407,15 +403,15 @@ def _orbit_basis(algebra, m: int, n: int) -> list:
 
 def build_cyclic_space(algebra: MultiMatrixAlgebra, n: int,
                        amplification: int = 1) -> CyclicSpace:
-    return _cyclic_space(algebra, n, amplification)
+    return _cyclic_space(algebra.ambient_dims(amplification), n)
 
 
-# the caches take every argument positionally, so that each value has one
-# entry whichever form the public call took
+# the caches are keyed by the block sizes, passed positionally, so that
+# each complex has one entry whichever algebra and amplification it serves
 @functools.lru_cache(maxsize=256)
-def _cyclic_space(algebra, n: int, amplification: int) -> CyclicSpace:
-    words = _orbit_basis(algebra, amplification, n)
-    return CyclicSpace(algebra, amplification, n, tuple(words),
+def _cyclic_space(dims: tuple, n: int) -> CyclicSpace:
+    words = _orbit_basis(dims, n)
+    return CyclicSpace(dims, n, tuple(words),
                        {w: i for i, w in enumerate(words)})
 
 
@@ -443,7 +439,7 @@ def _boundary_columns(source: CyclicSpace, target: CyclicSpace):
     """b of each source word, each distinct face canonicalized once; b_0 = 0."""
     if not source.degree:
         return [{}] * source.dimension
-    mul = _letters(source.algebra, source.amplification)[3]
+    mul = _letters(source.dims)[3]
     canonical = functools.cache(lambda face: _cc_canonical(face, target.degree))
     return (_boundary_column(w, mul, target.index, canonical)
             for w in source.words)
@@ -464,15 +460,26 @@ class _Boundary:
 
 
 @functools.lru_cache(maxsize=256)
-def _boundary(algebra, n: int, amplification: int) -> _Boundary:
-    target = build_cyclic_space(algebra, n - 1, amplification)
-    source = build_cyclic_space(algebra, n, amplification)
+def _boundary(dims: tuple, n: int) -> _Boundary:
+    target = _cyclic_space(dims, n - 1)
+    source = _cyclic_space(dims, n)
     rows = [{} for _ in range(target.dimension)]
     for j, col in enumerate(_boundary_columns(source, target)):
         for p, c in col.items():
             rows[p][j] = c
     red, _, _ = eliminate(rows)
     return _Boundary(source, target, red.rank)
+
+
+def _checked_above(dims: tuple, n: int, dimension: int) -> _Boundary:
+    """b into the weight-0 block of CC_n from one degree up, once its ranks
+    give dim HC_n = dim CC_n - rank b_n - rank b_{n+1} = ``dimension``."""
+    above = _boundary(dims, n + 1)
+    rank_b = _boundary(dims, n).rank if n else 0
+    found = above.target.dimension - rank_b - above.rank
+    if found != dimension:
+        raise ConsistencyError(f"HC_{n} has dimension {found}, not {dimension}")
+    return above
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +525,15 @@ class HCClass:
 
 
 class HomologySpace:
-    """HC_n of an amplified multi-matrix algebra, with solve machinery.
+    """HC_n of M_m(A), over its block sizes ``dims``, with solve machinery.
 
     ``basis`` holds the unit tuples (f, 0, 0) x ... x (f, 0, 0), one per
-    factor in even degree and none in odd degree.  One factor is built
-    from the ranks of its weight-0 block, which must give that dimension;
-    several factors sum the dimensions of the spaces of M_{m r_f}, one per
-    factor.  ``cc`` and ``boundary_rank`` are the sizes of the full
-    weight-0 block, built on first use, when its ranks must give the same
-    sum.  Combinations (``cycle_basis``, witnesses) come from tagged
-    eliminations, run when first asked for.  At finite dimension images
+    factor in even degree and none in odd degree.  Construction checks,
+    per distinct size d, that the ranks of the weight-0 block of M_d give
+    1 in even degree and 0 in odd.  The full weight-0 block is built on
+    first use, for ``cc``, ``boundary_rank``, ``cycle_basis``,
+    ``reduced_class`` and witnesses, and its ranks must give ``dimension``;
+    combinations come from tagged eliminations.  At finite dimension images
     are closed, so this space simultaneously realizes the Banach variant
     and the comparison map between them is the identity on coordinates.
     """
@@ -535,29 +541,18 @@ class HomologySpace:
     def __init__(self, algebra: MultiMatrixAlgebra, n: int,
                  amplification: int = 1):
         _check_degree(n, amplification)
-        self.algebra = algebra
-        self.amplification = amplification
+        self.dims = algebra.ambient_dims(amplification)
         self.degree = n
         self.basis = () if n % 2 else tuple(
             ((f, 0, 0),) * (n + 1) for f in range(algebra.num_factors))
-        if algebra.num_factors == 1:  # M_m(M_r) is M_{m r}: no sum to take
-            self.dimension = len(self.basis)
-            self._above  # the rank build checks it
-        else:
-            self.dimension = _factor_sum(algebra, n, amplification)
+        self.dimension = len(self.basis)
+        for d in set(self.dims):
+            _checked_above((d,), n, 1 - n % 2)
 
     @functools.cached_property
     def _above(self) -> _Boundary:
-        """b into the full weight-0 block of CC_n, from one degree up; its
-        ranks must give ``dimension``."""
-        n, m = self.degree, self.amplification
-        above = _boundary(self.algebra, n + 1, m)
-        rank_b = _boundary(self.algebra, n, m).rank if n else 0
-        dimension = above.target.dimension - rank_b - above.rank
-        if dimension != self.dimension:
-            raise ConsistencyError(f"HC_{n} has dimension {dimension}, "
-                                   f"not {self.dimension}")
-        return above
+        """b into the full weight-0 block of CC_n, from one degree up."""
+        return _checked_above(self.dims, self.degree, self.dimension)
 
     cc = property(lambda self: self._above.target)
     boundary_rank = property(lambda self: self._above.rank)
@@ -565,8 +560,7 @@ class HomologySpace:
     @functools.cached_property
     def cycle_basis(self) -> list:
         """Kernel vectors {position in cc: coefficient} of b out of CC_n."""
-        return _boundary(self.algebra, self.degree,
-                         self.amplification).tracked[2]
+        return _boundary(self.dims, self.degree).tracked[2]
 
     # -- queries ------------------------------------------------------------
     def reduced_class(self, xi: TensorElement) -> HCClass:
@@ -577,12 +571,11 @@ class HomologySpace:
             raise DomainError("tensor is not a cycle in CC coordinates")
 
         # weight 0 only; tags never pivot, so the untagged part is b's residue
-        def reduce(xi, is_zero=scalar_is_zero):
-            out = self._above.tracked[0].reduce(self.cc.coordinates(xi), is_zero)
+        def reduce(xi):
+            out = self._above.tracked[0].reduce(self.cc.coordinates(xi))
             return {k: v for k, v in out.items() if k >= 0}
         basis, _, _ = eliminate(tagged(reduce(TensorElement.basis(
-            self.algebra, self.amplification, key), operator.not_)
-            for key in self.basis))
+            xi.algebra, xi.amplification, key)) for key in self.basis))
         rest = basis.reduce(reduce(xi))
         if any(k >= 0 for k in rest):
             raise DomainError("cycle does not reduce into the basis")
@@ -612,7 +605,7 @@ class HomologySpace:
                 for i in range(len(key)):
                     word = key[:i + 1] + ((j, a, a),) + key[i + 1:]
                     out[word] = out.get(word, 0) + (f if i % 2 else -f)
-        eta = TensorElement._trusted(self.algebra, self.amplification,
+        eta = TensorElement._trusted(xi.algebra, xi.amplification,
                                      self.degree + 1, out)
         miss = cc_reduce(face_op(eta) - xi)
         return eta if all(map(scalar_is_zero, miss.values())) else None
@@ -620,12 +613,13 @@ class HomologySpace:
 
 def hc_space(algebra: MultiMatrixAlgebra, n: int,
              amplification: int = 1) -> HomologySpace:
-    return _hc_space(algebra, n, amplification)
+    _check_degree(n, amplification)
+    return _hc_space(algebra.ambient_dims(amplification), n)
 
 
 @functools.lru_cache(maxsize=256)
-def _hc_space(algebra, n: int, amplification: int) -> HomologySpace:
-    return HomologySpace(algebra, n, amplification)
+def _hc_space(dims: tuple, n: int) -> HomologySpace:
+    return HomologySpace(MultiMatrixAlgebra(dims), n)
 
 
 def _check_degree(n: int, amplification: int = 1) -> None:
@@ -645,8 +639,8 @@ def read_class(n: int, phi) -> HCClass:
     return HCClass(n, tuple(zero + v for v in phi))
 
 
-def zero_class(algebra: MultiMatrixAlgebra, n: int, exact: bool = True) -> HCClass:
-    return read_class(n, [Fraction(0) if exact else 0j] * algebra.num_factors)
+def zero_class(algebra: MultiMatrixAlgebra, n: int) -> HCClass:
+    return read_class(n, [Fraction(0)] * algebra.num_factors)
 
 
 def charge_read(algebra: MultiMatrixAlgebra, m: int, n: int, words: int):
@@ -672,17 +666,12 @@ def is_boundary(xi: TensorElement):
                     xi.amplification).boundary_witness(xi)
 
 
-def _factor_sum(algebra, n: int, m: int) -> int:
-    """dim HC_n(M_m(A)) as the sum over factors f of dim HC_n(M_{m r_f});
-    equal sizes share one cached space."""
-    return sum(hc_space(MultiMatrixAlgebra((m * r,)), n).dimension
-               for r in algebra.block_dims)
-
-
 def hc_dims(algebra: MultiMatrixAlgebra, max_degree: int,
             amplification: int = 1):
+    """dim HC_n(M_m(A)) for n <= max_degree, summed over the sizes m r_f."""
     _check_degree(max_degree, amplification)
-    return [_factor_sum(algebra, n, amplification)
+    return [sum(hc_space(MultiMatrixAlgebra((d,)), n).dimension
+                for d in algebra.ambient_dims(amplification))
             for n in range(max_degree + 1)]
 
 

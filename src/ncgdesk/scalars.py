@@ -574,12 +574,12 @@ class _SparseReducer:
         row = self._units.get(p) or _over(self._ints[p], self._ints[p][p])
         return self._units.setdefault(p, row)
 
-    def reduce(self, vec: dict, is_zero=scalar_is_zero) -> dict:
+    def reduce(self, vec: dict) -> dict:
         """Residue of vec modulo the rows.  Its tags are minus the
         combination of tagged columns it subtracted."""
-        return _over(*self._reduce(vec, is_zero))
+        return _over(*self._reduce(vec))
 
-    def _reduce(self, vec: dict, is_zero):
+    def _reduce(self, vec: dict):
         """(s * residue, s) for an int s if vec and every row it meets are
         rational, else (residue, None).  Pivots are cleared in increasing
         order; past its pivot a row only reaches larger indices and tags, so
@@ -592,7 +592,7 @@ class _SparseReducer:
             s = math.lcm(*(v.denominator for v in vec.values()))
             vec = {k: int(v * s) for k, v in vec.items() if v}
         else:
-            s, vec = None, {k: v for k, v in vec.items() if not is_zero(v)}
+            s, vec = None, {k: v for k, v in vec.items() if not scalar_is_zero(v)}
         hits = [k for k in vec if k in pivots]
         heapq.heapify(hits)
         while hits:
@@ -611,7 +611,7 @@ class _SparseReducer:
                 vec = {k: v * a for k, v in vec.items()}
             for k, v in row.items():
                 acc = vec.get(k, 0) - f * v
-                if not acc or s is None and is_zero(acc):
+                if not acc or s is None and scalar_is_zero(acc):
                     vec.pop(k, None)
                 else:
                     if k not in vec and k in pivots:
@@ -649,7 +649,7 @@ def eliminate(columns):
     red = _SparseReducer()
     independent, kernel = [], []
     for j, col in enumerate(columns):
-        vec, s = red._reduce(col, operator.not_)
+        vec, s = red._reduce(col)
         pivot = min((k for k in vec if k >= 0), default=None)
         if pivot is not None:
             pv = vec[pivot]

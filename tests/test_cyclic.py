@@ -330,7 +330,7 @@ class TestWeightGrading:
     def test_missing_weight_zero_key_fails_loudly(self):
         full = build_cyclic_space(M2, 2)
         short = full.words[1:]
-        broken = CyclicSpace(M2, 1, 2, short,
+        broken = CyclicSpace((2,), 2, short,
                              {k: i for i, k in enumerate(short)})
         assert broken.coordinates(
             TensorElement.basis(M2, 1, full.basis[1])) == {0: 1}
@@ -572,7 +572,7 @@ def elimination_witness(xi):
     come from the leaf walk.  Words are encoded in the library's letters
     and multiplied as their units are.  A witness, or None."""
     algebra, m, n = xi.algebra, xi.amplification, xi.degree
-    units, letter, _, _ = cyclic._letters(algebra, m)
+    units, letter, _, _ = cyclic._letters(algebra.ambient_dims(m))
 
     def encode(key):
         return tuple(letter[u] for u in key)
@@ -676,7 +676,7 @@ class TestFaceMemo:
         canonical = cyclic._cc_canonical
         monkeypatch.setattr(cyclic, "_cc_canonical",
                             lambda key, n: calls.append(1) or canonical(key, n))
-        cyclic._boundary(algebra, n, 1)
+        cyclic._boundary(algebra.ambient_dims(), n)
         return len(calls)
 
     def test_one_call_over_c(self, monkeypatch, cold_cyclic):
@@ -704,7 +704,7 @@ class TestLetters:
     @pytest.mark.parametrize("blocks, m", LETTER_CASES)
     def test_letters_sort_and_multiply_as_their_units(self, blocks, m):
         algebra = MultiMatrixAlgebra(blocks)
-        units, letter, _, mul = cyclic._letters(algebra, m)
+        units, letter, _, mul = cyclic._letters(algebra.ambient_dims(m))
         assert units == sorted(
             (j, a, b) for j, d in enumerate(algebra.ambient_dims(m))
             for a in range(d) for b in range(d))
@@ -721,7 +721,7 @@ class TestRanksFromRows:
     def test_rank_equals_the_column_elimination(self, blocks, m, n):
         algebra = MultiMatrixAlgebra(tuple(blocks))
         try:
-            boundary = cyclic._boundary(algebra, n, m)
+            boundary = cyclic._boundary(algebra.ambient_dims(m), n)
         except ResourceError:
             reject()  # beyond the default budget
         columns = cyclic._boundary_columns(boundary.source, boundary.target)
@@ -736,7 +736,7 @@ class TestRanksFromRows:
             inserted.append(len(vectors))
             return eliminate(vectors)
         monkeypatch.setattr(cyclic, "eliminate", counting)
-        boundary = cyclic._boundary(M2, 7, 1)
+        boundary = cyclic._boundary((2,), 7)
         assert boundary.source.dimension == 1_618
         assert inserted == [boundary.target.dimension] == [492]
 
@@ -755,7 +755,7 @@ class TestRanksFromRows:
             return out
         monkeypatch.setattr(scalars, "Fraction", Counting)
         monkeypatch.setattr(cyclic, "eliminate", keeping)
-        assert cyclic._boundary(M2, 7, 1).rank == 378
+        assert cyclic._boundary((2,), 7).rank == 378
         assert built == []
         [red] = reducers
         assert len(red._ints) == red.rank == 378
@@ -768,7 +768,8 @@ class TestRanksFromRows:
 
 def full_block_dimension(algebra, m, n):
     """dim HC_n from the ranks of the full weight-0 block of M_m(A)."""
-    ranks = [cyclic._boundary(algebra, k, m).rank for k in (n, n + 1) if k]
+    ranks = [cyclic._boundary(algebra.ambient_dims(m), k).rank
+             for k in (n, n + 1) if k]
     return build_cyclic_space(algebra, n, m).dimension - sum(ranks)
 
 
@@ -800,12 +801,52 @@ class TestFactorSum:
                                                     cold_cyclic):
         built = []
         boundary = cyclic._boundary
-        monkeypatch.setattr(cyclic, "_boundary", lambda algebra, *args: (
-            built.append(algebra.block_dims) or boundary(algebra, *args)))
+        monkeypatch.setattr(cyclic, "_boundary", lambda dims, n: (
+            built.append(dims) or boundary(dims, n)))
         assert hc_dims(CM2, 4) == [2, 0, 2, 0, 2]
         # b_1, ..., b_5 over C and over M_2; no block of C + M_2
         assert set(built) == {(1,), (2,)}
         assert boundary.cache_info().currsize == 10
+
+
+class TestBlockSizeKeys:
+    """M_m(A) is the sum of the M_{m r_f}: equal block sizes share one build."""
+
+    def test_equal_sizes_share_one_space(self):
+        for n in range(5):
+            assert hc_space(C, n, 2) is hc_space(M2, n)
+        assert build_cyclic_space(A, 3, 2) \
+            is build_cyclic_space(MultiMatrixAlgebra((2, 2)), 3)
+
+    def test_sizes_built_once_are_not_built_again(self, cold_cyclic):
+        assert hc_dims(M2, 3, 2) == [1, 0, 1, 0]
+        size = cyclic._boundary.cache_info().currsize
+        hc_space(MultiMatrixAlgebra((4,)), 3)
+        assert hc_space(M2, 3, 2).cc.dimension > 0
+        assert cyclic._boundary.cache_info().currsize == size
+
+    def test_answers_come_back_over_the_tensors_algebra(self, cold_cyclic):
+        hc_space(M2, 1)
+        hc_space(M2, 2)  # the spaces of C at m = 2, built over M_2
+        eta = TensorElement(C, 2, 2, {
+            ((0, 0, 1), (0, 1, 0), (0, 1, 1)): Fraction(2),
+            ((0, 0, 0), (0, 0, 1), (0, 1, 1)): Fraction(1, 3)})
+        witness = is_boundary(face_op(eta))
+        assert (witness.algebra, witness.amplification) == (C, 2)
+        sixth = Fraction(1, 6)
+        assert witness.coeffs == {
+            ((0, 0, 0), (0, 0, 0), (0, 0, 1)): sixth,
+            ((0, 0, 0), (0, 0, 0), (0, 1, 1)): 2,
+            ((0, 0, 0), (0, 0, 1), (0, 0, 0)): -sixth,
+            ((0, 0, 0), (0, 0, 1), (0, 1, 1)): sixth,
+            ((0, 0, 0), (0, 1, 1), (0, 0, 1)): -sixth,
+            ((0, 0, 1), (0, 0, 0), (0, 1, 1)): -sixth,
+            ((0, 0, 1), (0, 1, 1), (0, 0, 0)): sixth}
+        cycle = TensorElement.basis(C, 2, ((0, 0, 0),) * 3).scale(3) \
+            + face_op(TensorElement.basis(
+                C, 2, ((0, 0, 1), (0, 1, 0), (0, 0, 1), (0, 1, 1))))
+        assert hc_space(C, 2, 2).reduced_class(cycle) \
+            == HCClass(2, (Fraction(3),))
 
 
 # ---------------------------------------------------------------------------
