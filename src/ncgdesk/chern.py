@@ -30,8 +30,8 @@ from .algebra import MultiMatrixAlgebra, Projection, SpectralForm
 from .cyclic import (DecompositionRep, HCClass, TensorElement, charge_read,
                      hc_class, is_boundary, read_class, zero_class)
 from .errors import DomainError, NumericalError, ValidationError
-from .ngroup import N0Class, h_map
-from .scalars import get_epsilon, real_imag, sort_key
+from .ngroup import K0TensorC, N0Class, h_map
+from .scalars import get_epsilon, real_imag, scalar_is_zero, sort_key
 
 
 def _degree(l: int) -> int:
@@ -72,6 +72,16 @@ def _unit_class(algebra: MultiMatrixAlgebra, i: int, l: int) -> HCClass:
     (algebra, i, l); a hit builds nothing and is charged nothing, and a
     ResourceError is raised again on the next call (it is not cached)."""
     return chern_projection(Projection.diagonal_unit(algebra, i), l)
+
+
+def k0c_chern(v: K0TensorC, algebra: MultiMatrixAlgebra, l: int) -> HCClass:
+    """Chern character on K0(A) x C: sum of v_i ch_l(e_i) over the factors,
+    e_i the diagonal units; a zero coefficient reads no class."""
+    out = zero_class(algebra, _degree(l))
+    for i, coeff in enumerate(v.coeffs):
+        if not scalar_is_zero(coeff):
+            out = out + _unit_class(algebra, i, l).scale(coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +245,4 @@ def verify_th7(p: Projection, l: int) -> bool:
 
 def verify_th8(x: N0Class, l: int) -> bool:
     """The generalized character factors through the collapse to K0 x C."""
-    lhs = generalized_chern(x, l)
-    coeffs = h_map(x).coeffs
-    rhs = zero_class(x.algebra, 2 * l)
-    for i in range(x.algebra.num_factors):
-        rhs = rhs + _unit_class(x.algebra, i, l).scale(coeffs[i])
-    return lhs == rhs
+    return generalized_chern(x, l) == k0c_chern(h_map(x), x.algebra, l)

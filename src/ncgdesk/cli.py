@@ -105,12 +105,8 @@ def _parse_blocks(text: str):
 
 def _add_globals(parser, default):
     """Global flags, accepted both before and after the subcommand."""
-    parser.add_argument("--backend", choices=("exact", "float"),
-                        default="exact" if default else argparse.SUPPRESS)
     parser.add_argument("--epsilon", type=float,
                         default=None if default else argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int,
-                        default=0 if default else argparse.SUPPRESS)
     parser.add_argument("--budget", type=int,
                         default=None if default else argparse.SUPPRESS)
 
@@ -176,8 +172,7 @@ def build_parser() -> _Parser:
     src.add_argument("--n0")
     src.add_argument("--element")
     p.add_argument("--l", type=int, default=0)
-    p.add_argument("--path", choices=("cover", "direct", "both"),
-                   default="direct")
+    p.add_argument("--path", choices=("cover", "direct", "both"))
 
     lef = actions("lefschetz")
     for name, run in (
@@ -193,29 +188,30 @@ def build_parser() -> _Parser:
             p.add_argument("--irreps")
         if name == "l2":
             p.add_argument("--l", type=int, default=0)
-    p = add(lef, "verify", _run_batteries)
-    p.add_argument("--theorems", default="th4,th5")
-    p.add_argument("--count", type=int, default=25)
 
     p = add(sub, "verify", _run_batteries)
     p.add_argument("--theorems", required=True)
     p.add_argument("--count", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
 
     p = add(sub, "generate", _generate)
     p.add_argument("--kind", required=True, choices=(
         "normal-element", "n0class", "projection-family", "ga-complex"))
     p.add_argument("--blocks", default="1,2")
-    p.add_argument("--group", default="cyclic:2",
-                   choices=("cyclic:2", "cyclic:3", "s3"))
+    p.add_argument("--group", choices=("cyclic:2", "cyclic:3", "s3"))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--backend", choices=("exact", "float"), default="exact")
     return parser
 
 
 def _gchern(args):
     if args.n0:
+        if args.path:
+            raise ValidationError("--path reads an --element, not an --n0 class")
         x = _read(args.n0, sz.n0_from_json)
         return sz.hc_class_to_json(generalized_chern(x, args.l))
     a = _load_spectral(args.element)
-    if args.path == "direct":
+    if args.path in (None, "direct"):
         return sz.hc_class_to_json(T_direct(a, args.l))
     if args.path == "cover":
         return sz.hc_class_to_json(T_cover(a, args.l))
@@ -254,6 +250,8 @@ def _group_table(name: str) -> IrrepTable:
 
 
 def _generate(args):
+    if args.group and args.kind != "ga-complex":
+        raise ValidationError("--group is read by --kind ga-complex only")
     rng = random.Random(args.seed)
     algebra = MultiMatrixAlgebra(_parse_blocks(args.blocks))
     if args.kind == "normal-element":
@@ -266,7 +264,8 @@ def _generate(args):
                "projections": [sz.projection_to_json(p) for p in family]}
     else:
         doc = sz.complex_to_json(
-            random_ga_complex(algebra, _group_table(args.group), rng))
+            random_ga_complex(algebra, _group_table(args.group or "cyclic:2"),
+                              rng))
     return _to_float_doc(doc) if args.backend == "float" else doc
 
 

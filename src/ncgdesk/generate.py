@@ -5,8 +5,8 @@ Everything is exact by construction: rotations use Pythagorean cosines,
 phases are fourth roots of unity, and complex generation builds the group
 action first so that averaging makes the differentials equivariant and a
 kernel projection forces d o d = 0.  A d x d unitary is built on d integer
-columns over one denominator, about d^3 integer operations; each generator
-charges d^4 scalar products per unitary to the budget before it builds
+columns over one denominator, about d^3 integer operations, and each
+generator charges those d^3 per unitary to the budget before it builds
 anything.
 """
 
@@ -36,10 +36,9 @@ _PHASES = ((0, 1), (0, -1), (1, 1), (1, -1))
 
 
 def _charge_unitaries(dims) -> None:
-    """Charge one random unitary per d in ``dims`` at d^4 scalar products,
-    the cost of d dense rotation products; the integer build takes about
-    d^3 operations."""
-    check_budget(sum(d ** 4 for d in dims), "random unitary products")
+    """Charge one random unitary per d in ``dims`` at d^3, the integer
+    operations of its build: d rotations, each rewriting d columns of d."""
+    check_budget(sum(d ** 3 for d in dims), "random unitary products")
 
 
 def _rotated_columns(d: int, rng: random.Random):

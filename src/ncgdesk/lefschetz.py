@@ -47,12 +47,12 @@ from . import linalg as la
 from .algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
     spectral_decompose
 from .budget import check_budget
-from .chern import _unit_class, generalized_chern
-from .cyclic import HCClass, zero_class
+from .chern import generalized_chern, k0c_chern
+from .cyclic import HCClass
 from .errors import ConsistencyError, DomainError, NumericalError, \
     ValidationError
 from .ngroup import K0Class, K0TensorC, N0Class, h_map, n_class
-from .scalars import Cyclotomic, conj_scalar, scalar_is_zero, scalars_equal
+from .scalars import Cyclotomic, conj_scalar, scalars_equal
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +528,7 @@ def lefschetz_first(c: GAComplex, g: int, irreps: IrrepTable) -> K0TensorC:
 def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
                      l: int) -> HCClass:
     """sum over factors i of L1(g)_i ch_l(e_i), e_i the diagonal units."""
-    out = zero_class(c.algebra, 2 * l)
-    for i, coeff in enumerate(lefschetz_first(c, g, irreps).coeffs):
-        if not scalar_is_zero(coeff):
-            out = out + _unit_class(c.algebra, i, l).scale(coeff)
-    return out
+    return k0c_chern(lefschetz_first(c, g, irreps), c.algebra, l)
 
 
 @functools.lru_cache(maxsize=64)  # the default budget admits orders <= 46

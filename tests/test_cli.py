@@ -124,9 +124,8 @@ def test_verify_reports(capsys):
     assert all(r["passes"] == r["instances"] for r in out["reports"])
 
 
-@pytest.mark.parametrize("command", [["verify", "--theorems", "th7,th8"],
-                                     ["lefschetz", "verify"]],
-                         ids=["verify", "lefschetz verify"])
+@pytest.mark.parametrize("command", [["verify", "--theorems", "th7,th8"]],
+                         ids=["verify"])
 def test_verify_reports_carry_their_wall_time(capsys, command):
     code, out = run_cli(capsys, *command, "--seed", "1", "--count", "2")
     assert code == 0 and len(out["reports"]) == 2
@@ -149,14 +148,12 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert out["reports"][0]["failures"]
 
 
-@pytest.mark.parametrize("command", [["verify"], ["lefschetz", "verify"]],
-                         ids=["verify", "lefschetz verify"])
+@pytest.mark.parametrize("command", [["verify"]], ids=["verify"])
 def test_unknown_theorem_is_validation_error(capsys, command):
     assert main(command + ["--theorems", "th99"]) == 1
 
 
-@pytest.mark.parametrize("command", [["verify"], ["lefschetz", "verify"]],
-                         ids=["verify", "lefschetz verify"])
+@pytest.mark.parametrize("command", [["verify"]], ids=["verify"])
 @pytest.mark.parametrize("theorems", [",,", " , ", ""])
 def test_empty_theorem_list_is_one_error_line(capsys, command, theorems):
     assert main(command + ["--theorems", theorems]) == 1
@@ -200,9 +197,76 @@ def _commands(parser, words=()):
 
 def test_every_command_binds_its_handler():
     commands = dict(_commands(build_parser()))
-    assert len(commands) == 17
+    assert len(commands) == 16
     for words, p in commands.items():
         assert callable(p.get_default("run")), words
+
+
+# Each command's own options; every command also takes the global ones.
+GLOBAL_OPTIONS = ["--budget", "--epsilon"]
+OPTIONS = {
+    "n0 class": ["--element"],
+    "n0 eq": ["--a", "--b"],
+    "n0 add": ["--a", "--b"],
+    "n0 h": ["--n0"],
+    "n0 t": ["--algebra", "--k0c"],
+    "n0 push": ["--hom", "--n0"],
+    "hc dims": ["--algebra", "--max-degree"],
+    "hc class": ["--tensor"],
+    "hc trace": ["--tensor"],
+    "chern": ["--l", "--projection"],
+    "gchern": ["--element", "--l", "--n0", "--path"],
+    "lefschetz l1": ["--complex", "--g", "--irreps"],
+    "lefschetz l2": ["--complex", "--g", "--irreps", "--l"],
+    "lefschetz gl1": ["--complex", "--g"],
+    "verify": ["--count", "--seed", "--theorems"],
+    "generate": ["--backend", "--blocks", "--group", "--kind", "--seed"],
+}
+
+
+def test_each_command_accepts_its_options():
+    accepted = {" ".join(words): sorted(
+        o for a in p._actions for o in a.option_strings if o.startswith("--")
+        and o != "--help") for words, p in _commands(build_parser())}
+    assert accepted == {command: sorted(options + GLOBAL_OPTIONS)
+                        for command, options in OPTIONS.items()}
+    assert sum(map(len, accepted.values())) == 69
+
+
+REFUSED_OPTIONS = [
+    (["n0", "class", "--element", "a.json", "--backend", "float"],
+     "unrecognized arguments: --backend float"),
+    (["hc", "dims", "--algebra", "alg.json", "--max-degree", "2",
+      "--seed", "3"], "unrecognized arguments: --seed 3"),
+    # before the command, --seed is no option and 3 is read as the command
+    (["--seed", "3", "generate", "--kind", "n0class"], "invalid choice: '3'"),
+    (["gchern", "--n0", "x.json", "--path", "cover"],
+     "--path reads an --element, not an --n0 class"),
+    (["generate", "--kind", "n0class", "--group", "s3"],
+     "--group is read by --kind ga-complex only"),
+    (["lefschetz", "verify"], "invalid choice: 'verify'"),
+]
+
+
+@pytest.mark.parametrize("argv, error", REFUSED_OPTIONS,
+                         ids=[" ".join(argv) for argv, _ in REFUSED_OPTIONS])
+def test_option_no_handler_reads_is_one_error_line(capsys, argv, error):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert error in err
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize("flag, code", [(["--budget", "100"], 2),
+                                        (["--epsilon", "nan"], 1)],
+                         ids=["budget", "epsilon"])
+def test_global_options_go_before_or_after_the_command(tmp_path, capsys,
+                                                        before, flag, code):
+    alg = write(tmp_path, "alg.json", {"schema_version": 1, "blocks": [3]})
+    argv = ["hc", "dims", "--algebra", alg, "--max-degree", "3"]
+    assert main(flag + argv if before else argv + flag) == code
+    assert one_error_line(capsys)
 
 
 @pytest.mark.parametrize("words", [
@@ -788,8 +852,7 @@ def test_bad_epsilon_or_degree_is_one_error_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--theorems", "th1,th6", "--count", "-1"],
-    ["verify", "--theorems", "th8", "--count", "0"],
-    ["lefschetz", "verify", "--count", "0"]])
+    ["verify", "--theorems", "th8", "--count", "0"]])
 def test_battery_count_below_one_is_one_error_line(capsys, argv):
     assert main(argv) == 1
     assert one_error_line(capsys)

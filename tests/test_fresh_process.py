@@ -14,6 +14,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -99,11 +100,18 @@ def _not_a_representation():
     return doc
 
 
-def _readme_example():
-    """The README's Python block, as the README shows it."""
+def _readme_block(section, language):
+    """The first ``language`` block of a README section, as shown."""
     fence = "`" * 3
-    return re.search(fence + "python\n(.*?)" + fence,
-                     (ROOT / "README.md").read_text(), re.S).group(1)
+    text = (ROOT / "README.md").read_text()
+    return re.search(fence + language + "\n(.*?)" + fence,
+                     text[text.index("## " + section):], re.S).group(1)
+
+
+def _env():
+    """This environment, with the source tree first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 NEAR = 1 + 1.5e-9  # within 2 epsilon of 1.0 at the default epsilon
@@ -163,7 +171,7 @@ DOCUMENTS = {
                            "pairs": [{"lambda": ["1", "1"], "P": [[[1.0]]]}]},
     "pair": _tensor([0, 0]),
     "twice": _tensor([0, 0, 0], [0, 0, 0]),
-    "readme": _readme_example,
+    "readme": lambda: _readme_block("Library example", "python"),
 }
 
 
@@ -239,16 +247,16 @@ CASES = {
     "battery count within a raised budget": Case(
         ("verify", "--theorems", "th7", "--count", "25", "--budget", "25"),
         0),
-    # a random d x d unitary is charged d^4 products, so M_300 is refused
+    # a random d x d unitary is charged d^3 operations, so M_300 is refused
     # before any matrix is built
     "generator over the default budget": Case(
         ("generate", "--kind", "normal-element", "--blocks", "300"), 2,
         timeout=10, error="random unitary products"),
     # a budget refusal inside an instance is a refused construction, not a
-    # failed theorem
+    # failed theorem: here a 5 x 5 unitary's 125 operations
     "battery instance over a lowered budget": Case(
-        ("verify", "--theorems", "lem2", "--count", "3", "--budget", "200"),
-        2),
+        ("verify", "--theorems", "lem2", "--count", "3", "--budget", "100"),
+        2, error="random unitary products: 125, budget is 100"),
     # an exact decomposition certifies each factor once, by
     # prod (b - mu) = 0 over its candidates: the functoriality battery
     # decomposes pushed elements, and a wrong candidate fails the certificate
@@ -404,11 +412,9 @@ def test_fresh_process(tmp_path, case):
             paths[name] = tmp_path / f"{name}.{'py' if script else 'json'}"
             paths[name].write_text(doc if script else sz.dumps(doc))
     argv = [arg.format(**paths) for arg in case.argv]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     module = ("-m", case.module) if case.module else ()
     proc = subprocess.run([sys.executable, *module, *argv],
-                          env=env, capture_output=True, text=True,
+                          env=_env(), capture_output=True, text=True,
                           timeout=case.timeout)
     assert proc.returncode == case.code, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -421,3 +427,19 @@ def test_fresh_process(tmp_path, case):
         assert errors == []
     if case.stdout is not None:
         assert case.stdout(proc.stdout)
+
+
+def test_readme_command_line_runs_as_written(tmp_path):
+    """Each line of the README's command-line block, in order in one
+    directory, with ``ncgdesk`` run as ``python -m ncgdesk.cli``, exits 0
+    and writes nothing to stderr."""
+    cli = shlex.quote(sys.executable) + " -m ncgdesk.cli"
+    lines = _readme_block("Command line", "sh").splitlines()
+    assert any(line.startswith("ncgdesk ") for line in lines)
+    for line in lines:
+        command = cli + line[len("ncgdesk"):] \
+            if line.startswith("ncgdesk ") else line
+        proc = subprocess.run(command, shell=True,
+                              cwd=tmp_path, env=_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), line

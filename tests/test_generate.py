@@ -117,25 +117,26 @@ def test_augmented_complexes_validate(seed):
 
 
 def test_generators_are_charged_before_building(monkeypatch, capsys):
-    # a d x d unitary is charged d^4 products: the default budget admits
-    # M_17 and refuses M_18, two M_17 blocks at once, and the CLI's
-    # M_300 with one error line, before any product is taken
+    # a d x d unitary is charged the d^3 integer operations of its build:
+    # the default budget admits M_46 and refuses M_47, two M_37 blocks at
+    # once (101,306), and the CLI's M_300 with one error line, before any
+    # product is taken
     for kind in ("normal-element", "projection-family", "ga-complex"):
         assert main(["generate", "--kind", kind, "--blocks", "300"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: random unitary products: ")
     rng, table = random.Random(0), IrrepTable.cyclic(2)
-    assert is_normal(random_normal(MultiMatrixAlgebra((17,)), rng).element())
+    assert is_normal(random_normal(MultiMatrixAlgebra((46,)), rng).element())
 
     def refuse(*args):
         raise AssertionError("built before the charge")
     monkeypatch.setattr(la, "mat_mul", refuse)
     for build in (
-            lambda: random_exact_unitary(18, rng),
-            lambda: random_projection(MultiMatrixAlgebra((17, 17)), rng),
+            lambda: random_exact_unitary(47, rng),
+            lambda: random_projection(MultiMatrixAlgebra((37, 37)), rng),
             lambda: random_orthogonal_family(MultiMatrixAlgebra((120,)), rng, 2),
-            lambda: random_ga_complex(MultiMatrixAlgebra((46,)), table, rng)):
+            lambda: random_ga_complex(MultiMatrixAlgebra((47,)), table, rng)):
         with pytest.raises(ResourceError, match="random unitary products"):
             build()
 
