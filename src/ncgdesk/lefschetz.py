@@ -126,6 +126,8 @@ class FiniteGroup:
 
     @staticmethod
     def cyclic_group(n: int) -> "FiniteGroup":
+        if n < 1:
+            raise ValidationError(f"cyclic group order must be >= 1: {n}")
         check_budget(n ** 3, "group associativity checks")
         return FiniteGroup(tuple(tuple((i + j) % n for j in range(n))
                                  for i in range(n)))
@@ -443,7 +445,11 @@ def _commute_problems(c: GAComplex, maps, who: str) -> list:
 
 def kernel_projection(q: Projection, maps) -> AlgebraElement:
     """Projection onto the joint kernel of ``maps`` (per-factor blocks on
-    q's module) inside the range of q."""
+    q's module) inside the range of q.  The elimination of each factor's
+    stacked r x d matrix is charged r d^2 before any starts."""
+    dims = q.algebra.ambient_dims(q.amplification)
+    check_budget(sum((sum(m[f].shape[0] for m in maps) + d) * d * d
+                     for f, d in enumerate(dims)), "kernel elimination steps")
     comp = AlgebraElement.identity(q.algebra, q.amplification,
                                    exact=q.element.is_exact()) - q.element
     out = []

@@ -1,9 +1,9 @@
 """Dense matrix helpers over either scalar backend.
 
 A matrix is one of two packed types.  Packing happens only in
-:func:`as_matrix`, at the public boundary: every operation also accepts
-a nested sequence of scalars, tests the type of each operand once, and
-raises ValidationError when exact and float operands meet.
+:func:`as_matrix`, at the public boundary: every operation takes packed
+matrices, tests the type of each operand once, and raises
+ValidationError when exact and float operands meet.
 
 - :class:`ExactMatrix`: a matrix over Q(zeta_N) as phi(N) numpy
   ``object`` planes of Python-int numerators (coefficients of 1, zeta,
@@ -16,12 +16,12 @@ raises ValidationError when exact and float operands meet.
   operation is numpy on it (SVD ranks and kernels, inverses).
 
 Exact entries become scalars (``Fraction`` or
-:class:`~ncgdesk.scalars.Cyclotomic`) only in :func:`entries` (and
-indexing or iterating), :func:`trace` and elimination: ``pivot_columns``,
-``kernel_basis`` and ``invert`` hand the tagged columns of den x the
-matrix to :func:`~ncgdesk.scalars.eliminate` once, and the kernel vectors
-and column combinations (those of the reduced row echelon form) that the
-residues' tags give are packed straight back into planes.
+:class:`~ncgdesk.scalars.Cyclotomic`) only in :func:`entries`,
+:func:`trace` and elimination: ``pivot_columns``, ``kernel_basis`` and
+``invert`` hand the tagged columns of den x the matrix to
+:func:`~ncgdesk.scalars.eliminate` once, and the kernel vectors and column
+combinations (those of the reduced row echelon form) that the residues'
+tags give are packed straight back into planes.
 """
 
 from __future__ import annotations
@@ -58,15 +58,9 @@ from .scalars import (
 # the packed types
 
 class _Rows:
-    """Indexing, iterating and repr give the rows of :func:`entries`."""
+    """The repr gives the rows of :func:`entries`."""
 
     __slots__ = ()
-
-    def __iter__(self):
-        return iter(entries(self))
-
-    def __getitem__(self, i):
-        return entries(self)[i]
 
     def __repr__(self):
         return f"{type(self).__name__}({entries(self)})"
@@ -100,7 +94,7 @@ class ExactMatrix(_Rows):
 
 class FloatMatrix(_Rows):
     """A float r x c matrix: ``arr``, a ``complex`` array of shape (r, c),
-    made read-only here (:func:`from_numpy` copies first)."""
+    made read-only here."""
 
     __slots__ = ("shape", "arr")
 
@@ -121,17 +115,10 @@ class FloatMatrix(_Rows):
 _PACKED = (ExactMatrix, FloatMatrix)
 
 
-def _packed(m):
-    """``m`` when it is packed, else ``as_matrix(m)``."""
-    return m if type(m) in _PACKED else as_matrix(m)
-
-
-def _pair(a, b):
-    """Both operands packed; ValidationError unless they share a backend."""
-    a, b = _packed(a), _packed(b)
-    if type(a) is not type(b):
+def _one_backend(*mats):
+    """ValidationError unless the operands share a backend."""
+    if len({type(m) for m in mats}) > 1:
         raise ValidationError("operation mixes exact and float matrices")
-    return a, b
 
 
 def _make(order: int, nums: np.ndarray, den: int) -> ExactMatrix:
@@ -226,7 +213,6 @@ def as_matrix(rows):
 def entries(a):
     """Rows of scalars: ``Fraction`` for rational entries of an exact
     matrix, ``Cyclotomic`` for the others, ``complex`` for a float one."""
-    a = _packed(a)
     if type(a) is FloatMatrix:
         return tuple(map(tuple, a.arr.tolist()))
     den = a.den
@@ -237,12 +223,7 @@ def entries(a):
 
 
 def shape(m):
-    return _packed(m).shape
-
-
-def is_exact_matrix(m) -> bool:
-    """True for exact matrices and nested sequences of exact scalars."""
-    return type(_packed(m)) is ExactMatrix
+    return m.shape
 
 
 def zeros(r: int, c: int, exact: bool = True):
@@ -273,7 +254,6 @@ def scalar_matrix(c, n: int) -> ExactMatrix:
 
 def to_numpy(a) -> np.ndarray:
     """The entries as a ``complex`` array (a float matrix's own, read-only)."""
-    a = _packed(a)
     if type(a) is FloatMatrix:
         return a.arr
     out = np.zeros(a.shape, dtype=complex)
@@ -283,16 +263,11 @@ def to_numpy(a) -> np.ndarray:
     return out
 
 
-def from_numpy(a) -> FloatMatrix:
-    """A float matrix holding a copy of the 2-d array ``a``."""
-    return FloatMatrix(np.array(a, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
 def _entrywise(a, b, op, name):
-    a, b = _pair(a, b)
+    _one_backend(a, b)
     if a.shape != b.shape:
         raise ValidationError(f"{name} shape mismatch {a.shape} vs {b.shape}")
     if type(a) is FloatMatrix:
@@ -315,7 +290,6 @@ def mat_neg(a):
 
 def scalar_mul(c, a):
     """c * a; a float scalar or matrix makes the product float."""
-    a = _packed(a)
     if type(a) is FloatMatrix or not is_exact_scalar(c):
         return FloatMatrix(to_complex(c) * to_numpy(a))
     order, coeffs, den = _operand(c)
@@ -331,7 +305,7 @@ def scalar_mul(c, a):
 
 
 def mat_mul(a, b):
-    a, b = _pair(a, b)
+    _one_backend(a, b)
     (r, k), (kb, c) = a.shape, b.shape
     if k != kb:
         raise ValidationError(f"matmul shape mismatch {a.shape} x {b.shape}")
@@ -351,7 +325,7 @@ def mat_mul(a, b):
 
 def kron(a, b):
     """The Kronecker product: block (i, j) is a[i][j] * b."""
-    a, b = _pair(a, b)
+    _one_backend(a, b)
     (r, c), (s, t) = a.shape, b.shape
     if type(a) is FloatMatrix:
         return FloatMatrix(np.kron(a.arr, b.arr))
@@ -364,7 +338,6 @@ def kron(a, b):
 
 
 def conj_transpose(a):
-    a = _packed(a)
     if type(a) is FloatMatrix:
         return FloatMatrix(a.arr.conj().T)
     nums = a.nums.transpose(0, 2, 1)
@@ -374,14 +347,12 @@ def conj_transpose(a):
 
 
 def transpose(a):
-    a = _packed(a)
     if type(a) is FloatMatrix:
         return FloatMatrix(a.arr.T)
     return ExactMatrix(a.order, a.nums.transpose(0, 2, 1), a.den)
 
 
 def trace(a):
-    a = _packed(a)
     if type(a) is FloatMatrix:
         return sum(a.arr.diagonal().tolist(), start=0j)
     return _scalar(*trace_numerators(a))
@@ -399,7 +370,7 @@ def block_traces(mats):
     blocks side by side in the r x (n r) matrix mats[t]: exact, one trace
     per (phi, r, n, r) view packed once from numerators; float, each block's
     diagonal added in :func:`trace`'s order, so the traces are bit for bit."""
-    mats = _operands(mats)
+    _one_backend(*mats)
     if type(mats[0]) is FloatMatrix:  # entry (i, i) of block b: row i, b r + i
         return FloatMatrix(np.stack(
             [sum((row[i::len(m.arr)] for i, row in enumerate(m.arr)), 0j)
@@ -417,17 +388,10 @@ def block_traces(mats):
 # ---------------------------------------------------------------------------
 # assembling and slicing
 
-def _operands(mats):
-    """The operands packed; ValidationError unless they share a backend."""
-    mats = [_packed(m) for m in mats]
-    if len({type(m) for m in mats}) > 1:
-        raise ValidationError("operation mixes exact and float matrices")
-    return mats
-
-
 def block_diag(*mats):
     """Block-diagonal matrix; with no arguments, the exact 0 x 0 matrix."""
-    mats = _operands(mats) or [zeros(0, 0)]
+    _one_backend(*mats)
+    mats = mats or [zeros(0, 0)]
     if len(mats) == 1:
         return mats[0]
     exact = type(mats[0]) is ExactMatrix
@@ -448,7 +412,7 @@ def block_diag(*mats):
 
 
 def _concat(mats, axis: int):
-    mats = _operands(mats)
+    _one_backend(*mats)
     other = 1 - axis
     if not mats or len({m.shape[other] for m in mats}) > 1:
         raise ValidationError("matrices to stack are missing or differ in size")
@@ -472,7 +436,6 @@ def block_matrix(grid):
 
 def grid_cell(a, size: int, s: int, t: int):
     """Cell (s, t) of ``a`` viewed as a grid of size x size cells."""
-    a = _packed(a)
     if a.shape == (size, size) and s == t == 0:
         return a  # the one cell is the whole matrix, already canonical
     rs, cs = slice(s * size, (s + 1) * size), slice(t * size, (t + 1) * size)
@@ -484,7 +447,6 @@ def grid_cell(a, size: int, s: int, t: int):
 def permute_column_blocks(a, perm):
     """[B_0 | B_1 | ...] = ``a``, square blocks side by side, as [B_perm[0] |
     B_perm[1] | ...]; every entry stays, so an exact form stays canonical."""
-    a = _packed(a)
     r, c = a.shape
     if type(a) is FloatMatrix:
         return FloatMatrix(a.arr.reshape(r, c // r, r)[:, perm].reshape(r, c))
@@ -501,7 +463,7 @@ def select_rows(a: ExactMatrix, rows) -> ExactMatrix:
 # comparison and norms
 
 def mat_equal(a, b) -> bool:
-    a, b = _pair(a, b)
+    _one_backend(a, b)
     if a.shape != b.shape:
         return False
     if type(a) is ExactMatrix:
@@ -510,7 +472,6 @@ def mat_equal(a, b) -> bool:
 
 
 def is_zero_matrix(a) -> bool:
-    a = _packed(a)
     if type(a) is ExactMatrix:
         return not np.count_nonzero(a.nums)
     return bool((np.abs(a.arr) <= get_epsilon()).all())
@@ -545,7 +506,6 @@ def _float_tol(m: np.ndarray) -> float:
 
 
 def rank(a) -> int:
-    a = _packed(a)
     if type(a) is FloatMatrix and 0 not in a.shape:
         return int(np.linalg.matrix_rank(a.arr, tol=_float_tol(a.arr)))
     return len(pivot_columns(a))
@@ -553,7 +513,6 @@ def rank(a) -> int:
 
 def pivot_columns(a):
     """Indices of a maximal independent column subset, leftmost-greedy."""
-    a = _packed(a)
     if 0 in a.shape:
         return []
     if type(a) is ExactMatrix:
@@ -570,7 +529,6 @@ def pivot_columns(a):
 def kernel_basis(a):
     """The c x k matrix of a basis of the right kernel of the r x c matrix ``a``:
     reduced row echelon kernel vectors, or orthonormal singular vectors."""
-    a = _packed(a)
     if type(a) is ExactMatrix:
         kernel = _eliminate(a)[2]
         return _pack({(i, j): x for j, vec in enumerate(kernel)
@@ -580,15 +538,9 @@ def kernel_basis(a):
     return FloatMatrix(vh[int(np.sum(s > tol)):].conj().T)
 
 
-def nullspace(a):
-    """Basis of the right kernel, as a list of column tuples."""
-    return [tuple(col) for col in entries(transpose(kernel_basis(a)))]
-
-
 def invert(a):
     """Inverse of a square matrix; column j of an exact inverse is den
     times the combination of den * a's columns that gives e_j."""
-    a = _packed(a)
     r, c = a.shape
     if r != c:
         raise ValidationError("invert: matrix not square")
@@ -611,11 +563,9 @@ def from_columns(cols, nrows=None):
     return as_matrix(rows) if rows else zeros(0, len(cols))
 
 
-def projection_onto_columns(cols):
-    """Orthogonal projection onto the span of independent columns, w.r.t.
-    the standard inner product: n (n* n)^-1 n* for the packed matrix n of
-    columns, or for ``from_columns(cols)`` given a list of column tuples."""
-    n = cols if type(cols) in _PACKED else from_columns(cols)
+def projection_onto_columns(n):
+    """Orthogonal projection onto the span of the independent columns of
+    ``n``, w.r.t. the standard inner product: n (n* n)^-1 n*."""
     if not n.shape[1]:
         raise ValidationError("projection_onto_columns: empty basis")
     nh = conj_transpose(n)

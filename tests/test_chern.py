@@ -640,7 +640,7 @@ def to_float(a):
     """The spectral form a over the float backend."""
     def element(x):
         return AlgebraElement(x.algebra, x.amplification, tuple(
-            la.from_numpy(la.to_numpy(b)) for b in x.blocks))
+            la.as_matrix(la.to_numpy(b)) for b in x.blocks))
     return SpectralForm.from_pairs(a.algebra, a.amplification, tuple(
         (complex(v), Projection(element(p.element))) for v, p in a.pairs))
 

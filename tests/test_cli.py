@@ -887,6 +887,11 @@ def _l1_irreps(*irreps):
              "--irreps", "irreps.json"])
 
 
+def _l1_cyclic(n):
+    files, argv = _l1_irreps()
+    return {**files, "irreps.json": {"kind": "cyclic", "n": n}}, argv
+
+
 def _push(source, target, multiplicities, **fields):
     hom = _doc(source=source, target=target, multiplicities=multiplicities,
                **fields)
@@ -919,6 +924,10 @@ REFUSALS = {
     "complex document a list": (_l1_complex([]), "expected a JSON object"),
     "modules not a list": (
         _l1_complex(_complex(modules={})), "modules must be a list"),
+    "cyclic irrep table of order 0": (
+        _l1_cyclic(0), "error: cyclic group order must be >= 1: 0"),
+    "cyclic irrep table of negative order": (
+        _l1_cyclic(-3), "error: cyclic group order must be >= 1: -3"),
     "squared irrep dimensions off the order": (
         _l1_irreps(("trivial", [ONE[0]] * 2)), "do not sum to the group order"),
     "irrep with too few matrices": (

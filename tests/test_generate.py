@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from ncgdesk.algebra import (
     apply_hom,
     is_normal,
 )
+from ncgdesk.budget import set_budget
 from ncgdesk.cli import main
 from ncgdesk.errors import ResourceError
 from ncgdesk.generate import (
@@ -41,7 +43,7 @@ seeds = st.integers(0, 10 ** 6)
 @given(seeds, st.integers(1, 8))
 def test_exact_unitaries(seed, d):
     u = random_exact_unitary(d, random.Random(seed))
-    assert la.is_exact_matrix(u)
+    assert type(u) is la.ExactMatrix
     assert la.mat_equal(la.mat_mul(u, la.conj_transpose(u)), la.identity(d))
 
 
@@ -141,6 +143,36 @@ def test_generators_are_charged_before_building(monkeypatch, capsys):
             build()
 
 
+def test_kernel_eliminations_are_charged_before_eliminating(monkeypatch, capsys):
+    # each factor's kernel elimination of a stacked r x d matrix is charged
+    # r d^2 before any starts: the CLI's M_46 complex is refused at its first
+    # kernel projection, about 0.6 s in, and the default complex prints the
+    # pinned bytes
+    assert main(["generate", "--kind", "ga-complex"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a70a53d992afcfed1d838b9bfc26c680832623150fd367568fec40fda38f9bcd")
+
+    def refuse(*args):
+        raise AssertionError("eliminated before the charge")
+    monkeypatch.setattr(la, "kernel_basis", refuse)
+    start = time.perf_counter()
+    assert main(["generate", "--kind", "ga-complex", "--blocks", "46",
+                 "--seed", "0"]) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: kernel elimination steps: ")
+    # GAComplex.harmonic projects through the same charge
+    c = random_ga_complex(A, IrrepTable.cyclic(2), random.Random(0), length=2)
+    set_budget(1)
+    try:
+        with pytest.raises(ResourceError, match="kernel elimination steps"):
+            c.harmonic
+    finally:
+        set_budget(100_000)
+
+
 # ---------------------------------------------------------------------------
 # the generator streams, pinned and against the dense construction
 
@@ -228,13 +260,14 @@ def _oracle_unitary(d, rng):
             rot = _diagonal([Fraction(1)] * d)
             rot[i][i] = rot[j][j] = Fraction(a, c)
             rot[i][j], rot[j][i] = Fraction(-b, c), Fraction(b, c)
-            u = la.mat_mul(u, rot)
-    return la.mat_mul(u, _diagonal([rng.choice(ORACLE_PHASES)
-                                    for _ in range(d)]))
+            u = la.mat_mul(u, la.as_matrix(rot))
+    return la.mat_mul(u, la.as_matrix(_diagonal([rng.choice(ORACLE_PHASES)
+                                                 for _ in range(d)])))
 
 
 def _conjugated(u, diag):
-    return la.mat_mul(la.mat_mul(u, _diagonal(diag)), la.conj_transpose(u))
+    return la.mat_mul(la.mat_mul(u, la.as_matrix(_diagonal(diag))),
+                      la.conj_transpose(u))
 
 
 def _oracle_projection(algebra, rng, m=1, nonzero=False):

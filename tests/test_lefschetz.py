@@ -436,7 +436,7 @@ class TestComplexes:
 
     def test_float_complex_matches_exact(self):
         def floated(blocks):
-            return tuple(la.from_numpy(la.to_numpy(b)) for b in blocks)
+            return tuple(la.as_matrix(la.to_numpy(b)) for b in blocks)
 
         def element(x):
             return AlgebraElement(x.algebra, x.amplification, floated(x.blocks))
@@ -805,7 +805,7 @@ def corrupted(c):
 def floated(c):
     """c with every matrix a float copy of its values."""
     def blocks(bs):
-        return tuple(la.from_numpy(la.to_numpy(b)) for b in bs)
+        return tuple(la.as_matrix(la.to_numpy(b)) for b in bs)
 
     def element(x):
         return AlgebraElement(x.algebra, x.amplification, blocks(x.blocks))
@@ -858,7 +858,7 @@ class TestStackedAction:
         nudge = np.zeros(u.blocks[0].shape, dtype=complex)
         nudge[0, 0] = 10 * get_epsilon()
         bumped = AlgebraElement(u.algebra, u.amplification, (
-            la.from_numpy(la.to_numpy(u.blocks[0]) + nudge), *u.blocks[1:]))
+            la.as_matrix(la.to_numpy(u.blocks[0]) + nudge), *u.blocks[1:]))
         action = [list(row) for row in c.action]
         action[s][0] = bumped
         assert self._same_as_per_product(with_action(c, action))
@@ -896,7 +896,7 @@ class TestStackedAction:
             cells[1][2] = flaw * scale
         m = la.as_matrix(cells)
         if floats:
-            m = la.from_numpy(la.to_numpy(m))
+            m = la.as_matrix(la.to_numpy(m))
 
         def read(f):
             try:

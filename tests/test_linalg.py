@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ def test_one_block_and_one_cell_are_the_matrix():
               la.as_matrix([[1.0, 2j], [0.5, 0.0]])):
         assert la.block_diag(m) is m
         assert la.grid_cell(m, 2, 0, 0) is m
-        assert la.grid_cell(m, 1, 1, 0) == la.as_matrix([[m[1][0]]])
+        assert la.grid_cell(m, 1, 1, 0) == la.as_matrix([[la.entries(m)[1][0]]])
 
 
 def test_block_diag_shapes():
@@ -44,7 +46,8 @@ def test_block_diag_shapes():
     b = la.as_matrix([[2, 0], [0, 2]])
     d = la.block_diag(a, b)
     assert la.shape(d) == (3, 3)
-    assert d[0][0] == 1 and d[2][2] == 2 and d[0][1] == 0
+    rows = la.entries(d)
+    assert rows[0][0] == 1 and rows[2][2] == 2 and rows[0][1] == 0
 
 
 def test_rank_and_rref():
@@ -55,11 +58,9 @@ def test_rank_and_rref():
 
 def test_nullspace_is_in_kernel():
     m = la.as_matrix([[1, 2, 3], [2, 4, 6]])
-    basis = la.nullspace(m)
-    assert len(basis) == 2
-    for v in basis:
-        image = la.mat_mul(m, la.from_columns([v]))
-        assert la.is_zero_matrix(image)
+    basis = la.kernel_basis(m)
+    assert la.shape(basis) == (3, 2)
+    assert la.is_zero_matrix(la.mat_mul(m, basis))
 
 
 def test_invert_round_trip():
@@ -72,14 +73,14 @@ def test_complex_exact_entries():
     i = Cyclotomic.gaussian(0, 1)
     m = la.as_matrix([[i, 0], [0, i]])
     sq = la.mat_mul(m, m)
-    assert scalars_equal(sq[0][0], Fraction(-1))
+    assert scalars_equal(la.entries(sq)[0][0], Fraction(-1))
     assert la.rank(m) == 2
 
 
 def test_projection_onto_columns_is_idempotent():
     cols = [(Fraction(1), Fraction(0), Fraction(1)),
             (Fraction(0), Fraction(1), Fraction(0))]
-    p = la.projection_onto_columns(cols)
+    p = la.projection_onto_columns(la.from_columns(cols))
     assert la.mat_equal(la.mat_mul(p, p), p)
     assert la.mat_equal(la.conj_transpose(p), p)
     # fixes the column space
@@ -106,7 +107,7 @@ def test_rank_bounded_and_stable_under_transpose(m):
 @given(small_matrices())
 def test_nullity_plus_rank(m):
     r, c = la.shape(m)
-    assert la.rank(m) + len(la.nullspace(m)) == c
+    assert la.rank(m) + la.shape(la.kernel_basis(m))[1] == c
 
 
 def square_matrices(n=2):
@@ -144,14 +145,11 @@ FLOAT = la.as_matrix([[1.0, 0.0], [0.0, 1.0]])
 ], ids=["mat_mul", "mat_add", "mat_sub", "mat_equal", "block_diag",
         "stack_rows", "block_matrix", "kron"])
 def test_mixed_exact_and_float_operands_rejected(op):
-    # an ExactMatrix with a FloatMatrix, and each with a nested sequence
     assert type(EXACT) is la.ExactMatrix and type(FLOAT) is la.FloatMatrix
-    for exact in (EXACT, la.entries(EXACT)):
-        for floats in (FLOAT, la.entries(FLOAT)):
-            with pytest.raises(ValidationError):
-                op(exact, floats)
-            with pytest.raises(ValidationError):
-                op(floats, exact)
+    with pytest.raises(ValidationError):
+        op(EXACT, FLOAT)
+    with pytest.raises(ValidationError):
+        op(FLOAT, EXACT)
 
 
 # -- the packed-type contract ------------------------------------------------
@@ -188,7 +186,6 @@ SCALAR_OPS = {
     "mat_equal": la.mat_equal,
     "is_zero_matrix": lambda a, b: la.is_zero_matrix(la.mat_sub(a, a)),
     "entries": lambda a, b: la.entries(a),
-    "is_exact_matrix": lambda a, b: la.is_exact_matrix(a),
     "shape": lambda a, b: la.shape(b),
 }
 
@@ -222,7 +219,6 @@ REFERENCE = {
     "mat_equal": lambda a, b: False,
     "is_zero_matrix": lambda a, b: True,
     "entries": lambda a, b: a,
-    "is_exact_matrix": lambda a, b: False,
     "shape": lambda a, b: b.shape,
 }
 
@@ -240,11 +236,22 @@ def test_matrix_ops_keep_the_packed_type(name, exact):
     assert type(out) is (la.ExactMatrix if exact else la.FloatMatrix)
 
 
+def _built(exact: bool):
+    """A and B built from their numerators or their array, not by as_matrix."""
+    if exact:
+        return [la.from_numerators(1, [[[int(x) for x in row] for row in m]], 1)
+                for m in (A_ROWS, B_ROWS)]
+    return [la.FloatMatrix(np.array(m, dtype=complex)) for m in (A_ROWS, B_ROWS)]
+
+
 @pytest.mark.parametrize("name", [*MATRIX_OPS, *SCALAR_OPS])
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_nested_operands_give_the_packed_result(name, exact):
+    # as_matrix, the one packer of nested operands, gives the matrices
+    # the other constructors build, so every operation answers alike
     op = {**MATRIX_OPS, **SCALAR_OPS}[name]
-    assert op(*_operands(exact, False)) == op(*_operands(exact, True))
+    nested = _operands(exact, False)
+    assert op(*map(la.as_matrix, nested)) == op(*_built(exact))
 
 
 @pytest.mark.parametrize("name", [*MATRIX_OPS, *SCALAR_OPS])
@@ -265,7 +272,7 @@ def test_float_matrices_are_read_only():
     with pytest.raises(ValueError):
         la.to_numpy(f)[0, 0] = 3.0
     copied = np.array([[1.0, 2.0]])
-    g = la.from_numpy(copied)
+    g = la.as_matrix(copied)
     copied[0, 0] = 5.0
     assert g == f and type(g) is la.FloatMatrix
 
@@ -276,9 +283,9 @@ def test_empty_shape_is_kept():
 
 
 def test_nullspace_of_zero_row_matrix_is_everything():
-    basis = la.nullspace(la.zeros(0, 3))
-    assert len(basis) == 3
-    assert la.mat_equal(la.from_columns(basis), la.identity(3))
+    basis = la.kernel_basis(la.zeros(0, 3))
+    assert la.shape(basis)[1] == 3
+    assert la.mat_equal(basis, la.identity(3))
 
 
 def test_mat_mul_through_empty_inner_dimension():
@@ -287,8 +294,8 @@ def test_mat_mul_through_empty_inner_dimension():
 
 
 def test_empty_float_matrix_is_not_exact():
-    assert not la.is_exact_matrix(la.zeros(0, 3, exact=False))
-    assert not la.is_exact_matrix(la.zeros(2, 0, exact=False))
+    assert type(la.zeros(0, 3, exact=False)) is la.FloatMatrix
+    assert type(la.zeros(2, 0, exact=False)) is la.FloatMatrix
 
 
 # Refusals of the public operations, exact and float alike.
@@ -316,7 +323,7 @@ REFUSALS = {
     "inverse of a non-square matrix": (
         lambda: la.invert(FLOAT_2x3), "invert: matrix not square"),
     "projection onto no columns": (
-        lambda: la.projection_onto_columns([]),
+        lambda: la.projection_onto_columns(la.as_matrix([])),
         "projection_onto_columns: empty basis"),
 }
 
@@ -338,10 +345,55 @@ def test_packed_matrices_compare_unequal_to_other_types():
         assert (m == 1) is False
 
 
-def test_iterating_a_matrix_gives_its_rows():
-    for m in (EXACT_2x2, FLOAT_2x3):
-        assert list(m) == list(la.entries(m))
-
-
 def test_no_columns_with_a_row_count_are_that_many_empty_rows():
     assert la.shape(la.from_columns([], 3)) == (3, 0)
+
+
+# -- the public surface ------------------------------------------------------
+# Every public top-level function of linalg has a caller in another module
+# of the package, directly or through a linalg function that has one; the
+# only exceptions are these, with what reads them.
+UNCALLED = {
+    "shape": "perfbench's tracer reads it in its mat_mul hook",
+    "rank": "acceptance criterion 5",
+    "pivot_columns": "acceptance criterion 5",
+    "from_columns": "acceptance criterion 5",
+}
+
+
+def _linalg_names(tree, aliases):
+    """Names of linalg read in ``tree``: attributes of an alias of the
+    module, and names imported from it."""
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+            names |= {a.name for a in node.names}
+    return names
+
+
+def test_every_public_linalg_function_has_a_caller():
+    package = Path(la.__file__).parent
+    tree = ast.parse((package / "linalg.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    reached = set()
+    for path in package.glob("*.py"):
+        if path.name != "linalg.py":
+            other = ast.parse(path.read_text())
+            aliases = {a.asname or a.name for node in ast.walk(other)
+                       if isinstance(node, ast.ImportFrom) and node.level == 1
+                       and not node.module for a in node.names
+                       if a.name == "linalg"}
+            reached |= _linalg_names(other, aliases)
+    todo = [name for name in reached if name in functions]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in functions \
+                    and node.id not in reached:
+                reached.add(node.id)
+                todo.append(node.id)
+    public = {name for name in functions if not name.startswith("_")}
+    assert set(UNCALLED) <= public
+    assert sorted(public - reached - set(UNCALLED)) == []

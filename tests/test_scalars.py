@@ -242,7 +242,8 @@ class TestHelpers:
 
     @pytest.mark.parametrize("accepts", [
         lambda d: scalar_is_zero(d),
-        lambda d: la.mat_equal(((1.0,),), ((1.0 + d,),)),
+        lambda d: la.mat_equal(la.as_matrix(((1.0,),)),
+                               la.as_matrix(((1.0 + d,),))),
         lambda d: _point(1.0).equals(_point(1.0 + d)),
         lambda d: TensorElement.from_summand((_point(1.0),)).equals(
             TensorElement.from_summand((_point(1.0 + d),))),
