@@ -20,7 +20,10 @@ checks per factor decide them (see :func:`spectral_decompose`).
 Epsilon decides float comparisons only: no exact answer depends on it.  An
 exact decomposition is kept per element, for at most 256 inputs: an equal
 exact input returns the form that was built and checked for the earlier
-one.  ``ncgdesk.clear_caches`` empties that cache.
+one.  ``ncgdesk.clear_caches`` empties that cache.  Kept outside the
+fields, so that equality, hashing and repr ignore them: a form's sum
+lam * p, a homomorphism's adjoint unitaries, and on each element each image
+``apply_hom`` built from it, per homomorphism object.
 """
 
 from __future__ import annotations
@@ -315,14 +318,24 @@ class SpectralForm:
     def _exact_projections(self) -> bool:  # the kernel and padding follow it
         return all(p.element.is_exact() for _, p in self.pairs)
 
+    def _sum(self, terms) -> AlgebraElement:
+        """sum c * x over the (c, AlgebraElement) pairs of ``terms``, a block
+        per factor in one ``la.combine``; 0 when there are none."""
+        terms = [(c, x.blocks) for c, x in terms]
+        if not terms:
+            return AlgebraElement.zero(self.algebra, self.amplification,
+                                       self._exact_projections())
+        return AlgebraElement._trusted(self.algebra, self.amplification, tuple(
+            la.combine([(c, blocks[f]) for c, blocks in terms])
+            for f in range(self.algebra.num_factors)))
+
     @property
     def kernel_projection(self) -> Projection:
         """1 - sum p: pairwise orthogonal projections sum to a projection."""
-        total = AlgebraElement.identity(self.algebra, self.amplification,
-                                        self._exact_projections())
-        for _, p in self.pairs:
-            total = total - p.element
-        return Projection._trusted(total)
+        one = AlgebraElement.identity(self.algebra, self.amplification,
+                                      self._exact_projections())
+        return Projection._trusted(self._sum(
+            [(1, one)] + [(-1, p.element) for _, p in self.pairs]))
 
     @staticmethod
     def from_pairs(algebra, amplification, pairs):
@@ -344,16 +357,9 @@ class SpectralForm:
         (outside the fields, so equality, hashing and repr ignore it)."""
         acc = self.__dict__.get("_element")
         if acc is None:
-            exact = self.is_exact()
-            acc = AlgebraElement.zero(self.algebra, self.amplification, exact)
-            for v, p in self.pairs:
-                acc = acc + p.element.scale(v if exact else to_complex(v))
+            acc = self._sum((v, p.element) for v, p in self.pairs)
             object.__setattr__(self, "_element", acc)
         return acc
-
-    def is_exact(self) -> bool:
-        return all(is_exact_scalar(v) for v, _ in self.pairs) and \
-            self._exact_projections()
 
     def eigenvalues(self):
         return tuple(v for v, _ in self.pairs)
@@ -653,12 +659,9 @@ def _spectral_decompose_exact(x):
 
 def spectral_projection(a: SpectralForm, e: BorelSetModel) -> Projection:
     """P_a(E): the sum of eigenprojections whose eigenvalue lies in E."""
-    acc = AlgebraElement.zero(a.algebra, a.amplification, a._exact_projections())
-    for v, p in a.pairs:
-        if e.contains(v):
-            acc = acc + p.element
     # a sum of the form's pairwise orthogonal projections
-    return Projection._trusted(acc)
+    return Projection._trusted(a._sum((1, p.element) for v, p in a.pairs
+                                      if e.contains(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +709,14 @@ class StarHomomorphism:
 
 
 def apply_hom(phi: StarHomomorphism, x: AlgebraElement) -> AlgebraElement:
-    """Entrywise application of phi to an element of M_m(source)."""
+    """Entrywise application of phi to an element of M_m(source).  The image
+    is kept on x, outside the fields, per homomorphism object: the same phi
+    gets it again, an equal phi that is another object builds its own."""
     if x.algebra != phi.source:
         raise ValidationError("element is not over the homomorphism source")
+    images = x.__dict__.setdefault("_images", {})  # id(phi): (phi, image)
+    if images.get(id(phi), (None,))[0] is phi:
+        return images[id(phi)][1]
     m = x.amplification
     out_blocks = []
     for i in range(phi.target.num_factors):
@@ -728,7 +736,9 @@ def apply_hom(phi: StarHomomorphism, x: AlgebraElement) -> AlgebraElement:
                 row.append(sub)
             grid.append(row)
         out_blocks.append(la.block_matrix(grid))
-    return AlgebraElement._trusted(phi.target, m, tuple(out_blocks))
+    image = AlgebraElement._trusted(phi.target, m, tuple(out_blocks))
+    images[id(phi)] = (phi, image)  # phi is held, so its id is not reused
+    return image
 
 
 def apply_hom_spectral(phi: StarHomomorphism, a: SpectralForm) -> SpectralForm:

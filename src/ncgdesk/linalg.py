@@ -304,6 +304,31 @@ def scalar_mul(c, a):
     return _make(big, _fold(table, _at(a, big)), den * a.den)
 
 
+def combine(terms):
+    """sum c * m over the (c, m) pairs of ``terms`` (at least one) in one
+    pass: exact, on one field and denominator, canonical once; float if any c
+    or m is, each to_complex(c) * m added in order to 0, as scalar_mul's are."""
+    _one_backend(*(m for _, m in terms))
+    scalars = [_operand(c) for c, _ in terms]  # None for a float
+    if type(terms[0][1]) is FloatMatrix or None in scalars:
+        return FloatMatrix(sum(to_complex(c) * to_numpy(m) for c, m in terms))
+    big = math.lcm(*(o for o, _, _ in scalars), *(m.order for _, m in terms))
+    den = math.lcm(*(d * m.den for (_, _, d), (_, m) in zip(scalars, terms)))
+    phi, total = _phi(big), None
+    for (o, coeffs, d), (_, m) in zip(scalars, terms):
+        k = den // (d * m.den)  # onto the common denominator
+        if o == 1:  # a rational c k, multiplied in unless it is 1
+            x = _at(m, big) if coeffs[0] * k == 1 else _at(m, big) * (coeffs[0] * k)
+        else:  # c's coefficients at big
+            cs = _table(coeffs if o == big else _spread(coeffs, big // o, big)) * k
+            if m.order == 1:  # each plane of c times m's one plane
+                x = np.multiply.outer(cs, m.nums[0])
+            else:  # by c's multiplication table, as in scalar_mul
+                x = _fold(cs @ _mul_table(big).reshape(phi, phi, phi), _at(m, big))
+        total = x if total is None else total + x
+    return _make(big, total, den)
+
+
 def mat_mul(a, b):
     _one_backend(a, b)
     (r, k), (kb, c) = a.shape, b.shape

@@ -18,7 +18,7 @@ from .algebra import (
     _merge_values,
 )
 from .errors import ValidationError
-from .scalars import scalar_is_zero, scalars_equal, sort_key
+from .scalars import is_exact_scalar, scalar_is_zero, scalars_equal, sort_key
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,14 @@ class N0Class:
         return self + (-other)
 
     def __eq__(self, other):
-        """p - q is the zero class.  Symmetric, but with float keys not
-        transitive: {1} == {1 + 1.5 eps} == {1 + 3 eps} != {1}."""
+        """p - q is the zero class: for exact keys, which merge by equality,
+        equal supports as maps, with no difference built.  Symmetric, but
+        with float keys not transitive: {1} == {1 + 1.5 eps} == {1 + 3 eps}
+        != {1}."""
         if not isinstance(other, N0Class) or self.algebra != other.algebra:
             return NotImplemented
+        if all(is_exact_scalar(v) for v, _ in self.support + other.support):
+            return dict(self.support) == dict(other.support)
         return (self - other).is_zero()
 
     def __hash__(self):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ncgdesk
 from ncgdesk import algebra, linalg as la, scalars, serialize
@@ -137,7 +137,7 @@ class TestSpectralForm:
         # spectral projections and the direct sum stay exact
         p = Projection.diagonal_unit(A, 0)
         a = SpectralForm.from_pairs(A, 1, ((0.5, p),))
-        assert not a.is_exact()
+        assert not a.element().is_exact()
         assert a.kernel_projection.element.is_exact()
         assert spectral_projection(a, BorelSetModel((0.5,))).element.is_exact()
         assert spectral_projection(a, BorelSetModel(())).element.is_exact()
@@ -173,6 +173,33 @@ class TestSpectralForm:
         assert again.element().equals(x)
         assert sorted(map(str, again.eigenvalues())) \
             == sorted(map(str, a.eigenvalues()))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seeds)
+    def test_float_sums_are_the_sums_one_term_at_a_time(self, seed):
+        # bit for bit: sum lam p from 0, 1 - p - q - ... from 1, and the
+        # selected projections added from 0
+        rng = random.Random(seed)
+        alg = MultiMatrixAlgebra((3, 2))
+        x = random_normal(alg, rng).element()
+        a = spectral_decompose(AlgebraElement(alg, 1, tuple(
+            la.as_matrix(la.to_numpy(b).tolist()) for b in x.blocks)))
+        assume(a.pairs)  # an empty form pads with exact blocks
+        e = BorelSetModel(tuple(v for v, _ in a.pairs if rng.random() < 0.6))
+        zero = AlgebraElement.zero(alg, 1, exact=False)
+        total, kernel, selected = zero, AlgebraElement.identity(alg, 1, False), zero
+        for v, p in a.pairs:
+            total = total + p.element.scale(v)
+            kernel = kernel - p.element
+            if e.contains(v):
+                selected = selected + p.element
+
+        def bits(y):
+            return [b.arr.tobytes() for b in y.blocks]
+
+        assert bits(a.element()) == bits(total)
+        assert bits(a.kernel_projection.element) == bits(kernel)
+        assert bits(spectral_projection(a, e).element) == bits(selected)
 
     def test_decompose_float_backend(self):
         x = AlgebraElement(MultiMatrixAlgebra((2,)), 1,
@@ -240,7 +267,39 @@ class TestStarHomomorphism:
         x = random_normal(phi.source, rng).element()
         expected = apply_hom(phi, x)
         monkeypatch.setattr(la, "conj_transpose", None)  # apply_hom reads the kept ones
-        assert apply_hom(phi, x).equals(expected)
+        # a fresh element equal to x, which has no kept image of its own
+        fresh = AlgebraElement(x.algebra, x.amplification, x.blocks)
+        assert apply_hom(phi, fresh) is not expected
+        assert apply_hom(phi, fresh).equals(expected)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_images_kept_per_element_and_homomorphism_object(self, exact):
+        rng = random.Random(6)  # x is not 0, and psi moves it elsewhere than phi
+        phi = random_hom(rng)
+        psi = StarHomomorphism(phi.source, phi.target, phi.multiplicities, tuple(
+            random_exact_unitary(d, rng) for d in phi.target.block_dims))
+        x = random_normal(phi.source, rng).element()
+        if not exact:
+            def floats(hom):
+                return StarHomomorphism(hom.source, hom.target, hom.multiplicities,
+                                        tuple(la.as_matrix(la.to_numpy(u).tolist())
+                                              for u in hom.unitaries))
+            phi, psi = floats(phi), floats(psi)
+            x = AlgebraElement(x.algebra, x.amplification, tuple(
+                la.as_matrix(la.to_numpy(b).tolist()) for b in x.blocks))
+        twin = StarHomomorphism(phi.source, phi.target, phi.multiplicities,
+                                phi.unitaries)
+        assert x.is_exact() is exact and twin == phi
+        fresh = AlgebraElement(x.algebra, x.amplification, x.blocks)
+        image = apply_hom(phi, x)
+        assert apply_hom(phi, x) is image
+        again = apply_hom(twin, x)  # equal, but another object: built again
+        assert again is not image and again.equals(image)
+        other = apply_hom(psi, x)
+        assert other.equals(apply_hom(psi, fresh)) and not other.equals(image)
+        assert apply_hom(phi, x) is image and apply_hom(psi, x) is other
+        # the kept images are outside the fields
+        assert fresh == x and hash(fresh) == hash(x) and repr(fresh) == repr(x)
 
     def test_pushforward_spectrum_is_preserved(self):
         rng = random.Random(9)

@@ -66,7 +66,7 @@ def test_orthogonal_family_resolves_identity(seed):
 def test_normal_elements_are_normal(seed):
     a = random_normal(A, random.Random(seed))
     assert is_normal(a.element())
-    assert a.is_exact()
+    assert a.element().is_exact()
 
 
 @settings(max_examples=20, deadline=None)

@@ -142,8 +142,9 @@ FLOAT = la.as_matrix([[1.0, 0.0], [0.0, 1.0]])
 @pytest.mark.parametrize("op", [
     la.mat_mul, la.mat_add, la.mat_sub, la.mat_equal, la.block_diag,
     la.stack_rows, lambda a, b: la.block_matrix([[a, b]]), la.kron,
+    lambda a, b: la.combine([(1, a), (2, b)]),
 ], ids=["mat_mul", "mat_add", "mat_sub", "mat_equal", "block_diag",
-        "stack_rows", "block_matrix", "kron"])
+        "stack_rows", "block_matrix", "kron", "combine"])
 def test_mixed_exact_and_float_operands_rejected(op):
     assert type(EXACT) is la.ExactMatrix and type(FLOAT) is la.FloatMatrix
     with pytest.raises(ValidationError):
@@ -291,6 +292,25 @@ def test_nullspace_of_zero_row_matrix_is_everything():
 def test_mat_mul_through_empty_inner_dimension():
     out = la.mat_mul(la.zeros(2, 0), la.zeros(0, 3))
     assert la.shape(out) == (2, 3) and la.is_zero_matrix(out)
+
+
+def test_float_combine_adds_in_order_from_zero():
+    # bit for bit the sum of scalar_mul products added one at a time to 0
+    rng = np.random.default_rng(3)
+    mats = [la.FloatMatrix(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            for _ in range(4)]
+    scalars = [0.3 - 1.7j, Fraction(2, 3), Cyclotomic.root_of_unity(3), -1]
+    total = la.zeros(3, 3, exact=False)
+    for c, m in zip(scalars, mats):
+        total = la.mat_add(total, la.scalar_mul(c, m))
+    got = la.combine(list(zip(scalars, mats)))
+    assert type(got) is la.FloatMatrix and got.arr.tobytes() == total.arr.tobytes()
+    # a float scalar makes the sum of exact matrices float
+    exact = la.as_matrix([[1, Fraction(1, 3)], [0, Cyclotomic.root_of_unity(8)]])
+    got = la.combine([(0.5, exact), (Fraction(1, 2), exact)])
+    want = la.mat_add(la.mat_add(la.zeros(2, 2, exact=False), la.scalar_mul(0.5, exact)),
+                      la.scalar_mul(Fraction(1, 2), la.FloatMatrix(la.to_numpy(exact))))
+    assert type(got) is la.FloatMatrix and got.arr.tobytes() == want.arr.tobytes()
 
 
 def test_empty_float_matrix_is_not_exact():

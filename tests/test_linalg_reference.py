@@ -222,6 +222,24 @@ def test_scalar_mul_is_entrywise_across_fields(data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_combine_matches_reference(data):
+    # one to three terms, each scalar and matrix over its own field
+    r, c = data.draw(sizes), data.draw(sizes)
+    terms = data.draw(st.lists(st.tuples(
+        st.sampled_from(SCALE_ORDERS).flatmap(
+            lambda n: st.one_of(scalars((n,)), rationals)),
+        st.sampled_from(SCALE_ORDERS).flatmap(lambda m: st.lists(
+            st.lists(scalars((m,)), min_size=c, max_size=c),
+            min_size=r, max_size=r))), min_size=1, max_size=3))
+    want = ref_scale(*terms[0])
+    for s, a in terms[1:]:
+        want = ref_add(want, ref_scale(s, a))
+    got = la.combine([(s, pack(a, r, c)) for s, a in terms])
+    assert same(got, want, r, c)
+
+
+@settings(max_examples=60, deadline=None)
 @given(one_matrix(), one_matrix())
 def test_kron_matches_reference(x, y):
     (a, r, c), (b, s, t) = x, y

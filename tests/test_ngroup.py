@@ -109,6 +109,32 @@ def test_k0_tensor_c_lengths_must_agree():
             op(K0TensorC((1, 2)), K0TensorC((1,)))
 
 
+# Exact keys: rational, Gaussian, in Q(zeta_3) and in Q(zeta_8).  Each
+# non-Gaussian value has a twin 10^-30 away with the same float parts, so
+# their sort keys tie up to the canonical tie (F3).
+_TINY = Fraction(1, 10 ** 30)
+EXACT_KEYS = (Fraction(1), Fraction(-1, 2), Cyclotomic.gaussian(Fraction(1, 2), 1),
+              Cyclotomic.root_of_unity(3), Cyclotomic.root_of_unity(3) + _TINY,
+              Cyclotomic.root_of_unity(8, 3), Cyclotomic.root_of_unity(8, 3) + _TINY)
+exact_supports = st.lists(st.tuples(
+    st.sampled_from(EXACT_KEYS), st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+    max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_supports, exact_supports, exact_supports, st.randoms(use_true_random=False))
+def test_exact_equality_is_the_difference_being_zero(s1, s2, s3, rnd):
+    x, y, z = (N0Class(A, tuple(s)) for s in (s1, s2, s3))
+    shuffled = list(s1)
+    rnd.shuffle(shuffled)
+    pairs = [(x, y), (x, N0Class(A, tuple(shuffled))), (x + y, y + x),
+             (x + y, z), (-x, y), ((x - y) + y, x), (x - y, z - y), (x + z, y)]
+    for p, q in pairs:
+        assert (p == q) is (p - q).is_zero() is (q == p)
+        if p == q:
+            assert hash(p) == hash(q)
+
+
 # A drawn key is a center, exact when its offset is None, else the float
 # center + offset * eps / 2; keys near one center may merge or chain.
 CENTERS = (Fraction(1), Fraction(-2), Cyclotomic.gaussian(Fraction(1, 2), 1))

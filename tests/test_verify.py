@@ -160,6 +160,16 @@ MUTANTS = {
     "snap keeps the farther bound": ("algebra.py",
                                      "if 2 * d * (q0 + k * q1) <= den:",
                                      "if 2 * d * (q0 + k * q1) > den:"),
+    # th1's separation check: moving an eigenvalue keeps the summed classes
+    "exact N0 equality compares summed K0 classes": (
+        "ngroup.py", "return dict(self.support) == dict(other.support)",
+        "zero = K0Class((0,) * self.algebra.num_factors); "
+        "return sum((c for _, c in self.support), zero) "
+        "== sum((c for _, c in other.support), zero)"),
+    # th1's sum lam p = x checks: a term left off the common denominator
+    "combine leaves a term unscaled": (
+        "linalg.py", "k = den // (d * m.den)  # onto the common denominator",
+        "k = 1"),
 }
 
 # prints the package it imported, then the first battery that fails; a
