@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     MultiMatrixAlgebra,
@@ -74,6 +75,15 @@ class N0Class:
             ((v, c) for v, c in merged if not c.is_zero()),
             key=lambda kv: sort_key(kv[0]))))
 
+    @classmethod
+    def _trusted(cls, algebra, support: tuple) -> "N0Class":
+        """A support that is canonical by construction: distinct nonzero
+        values in ``sort_key`` order, each with a nonzero K0Class."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "algebra", algebra)
+        object.__setattr__(out, "support", support)
+        return out
+
     @staticmethod
     def zero(algebra):
         return N0Class(algebra, ())
@@ -117,9 +127,17 @@ class N0Class:
 
 
 def n_class(a: SpectralForm) -> N0Class:
-    """The N0 class of a normal element: lambda -> [P_a({lambda})]."""
-    return N0Class(a.algebra, tuple(
-        (v, k0_of_projection(p)) for v, p in a.pairs))
+    """The N0 class of a normal element: lambda -> [P_a({lambda})], read
+    off the form, whose values are already distinct, nonzero and sorted;
+    a zero projection, which ``SpectralForm(...)`` accepts, is dropped."""
+    support = []
+    for v, p in a.pairs:
+        ranks = p.rank_vector()
+        if any(ranks):
+            cls = object.__new__(K0Class)
+            object.__setattr__(cls, "ranks", ranks)
+            support.append((v, cls))
+    return N0Class._trusted(a.algebra, tuple(support))
 
 
 def n_equiv(a: SpectralForm, b: SpectralForm) -> bool:
@@ -166,7 +184,6 @@ class K0TensorC:
 
 def h_map(x: N0Class) -> K0TensorC:
     """Collapse an N0 class to K0(A) tensor C: sum of value * ranks."""
-    from fractions import Fraction
     k = x.algebra.num_factors
     coeffs = [Fraction(0)] * k
     for v, cls in x.support:

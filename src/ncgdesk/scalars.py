@@ -225,7 +225,8 @@ class Cyclotomic:
     ``order == 1`` is a rational and ``order == 4`` a non-real Gaussian one.
     Arithmetic runs on the ints with the field tables and one gcd per
     result, reading ``int`` and ``Fraction`` operands as (numerator,
-    denominator).  Values are immutable and hashable."""
+    denominator); a sum or product of two Q or Q(i) operands skips the
+    tables.  Values are immutable and hashable."""
 
     __slots__ = ("order", "nums", "den")
 
@@ -422,13 +423,29 @@ def _common_field(n: int, a, m: int, b):
     return order, a, b
 
 
+def _gaussian(re: int, im: int, den: int) -> Cyclotomic:
+    """The canonical (re + im i) / den, den > 0: what :func:`_cyclotomic`
+    gives at order 4, as Q(i) has no proper subfield but Q."""
+    g = math.gcd(den, re, im)
+    if g != 1:
+        re, im, den = re // g, im // g, den // g
+    return _new(4, (re, im), den) if im else _new(1, (re,), den)
+
+
+# Q and Q(i) operands, orders 1 and 4, skip the field tables
 def _add(n: int, a, da: int, m: int, b, db: int) -> Cyclotomic:
+    if n in (1, 4) and m in (1, 4):
+        a1, b1 = a[1] if n == 4 else 0, b[1] if m == 4 else 0
+        return _gaussian(a[0] * db + b[0] * da, a1 * db + b1 * da, da * db)
     n, a, b = _common_field(n, a, m, b)
     return _cyclotomic(n, [x * db + y * da for x, y in
                            zip_longest(a, b, fillvalue=0)], da * db)
 
 
 def _mul(n: int, a, da: int, m: int, b, db: int) -> Cyclotomic:
+    if n in (1, 4) and m in (1, 4):
+        a1, b1 = a[1] if n == 4 else 0, b[1] if m == 4 else 0
+        return _gaussian(a[0] * b[0] - a1 * b1, a[0] * b1 + a1 * b[0], da * db)
     n, a, b = _common_field(n, a, m, b)
     return _cyclotomic(n, _times(a, b, n), da * db)
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncgdesk.algebra import MultiMatrixAlgebra, Projection, SpectralForm, \
-    StarHomomorphism
+from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
+    SpectralForm, StarHomomorphism
 from ncgdesk.cyclic import HCClass
 from ncgdesk.errors import NumericalError, ValidationError
 from ncgdesk.generate import (
@@ -25,6 +25,7 @@ from ncgdesk.ngroup import (
     generator_g,
     generator_h,
     h_map,
+    k0_of_projection,
     n_class,
     n_equiv,
     reduce_g_to_h,
@@ -230,7 +231,48 @@ class TestFloatKeys:
             == (1.0,)
 
 
+# Float keys far apart under the grouping rule, a root of unity among them
+FLOAT_KEYS = (1.0, 1.0 + 1e-6, -0.5, 0.5 + 1j, 0.5 - 1j, to_complex(Cyclotomic.root_of_unity(3)))
+
+
+@st.composite
+def diagonal_forms(draw):
+    """A public SpectralForm over A at amplification 1 or 2: exact keys
+    with exact diagonal projections, or float keys with float ones.  Each
+    diagonal slot goes to one key or to the kernel, so a key may get the
+    zero projection."""
+    exact = draw(st.booleans())
+    keys = draw(st.lists(st.sampled_from(EXACT_KEYS if exact else FLOAT_KEYS),
+                         unique=True, max_size=4))
+    m = draw(st.integers(1, 2))
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    owners = [[draw(st.integers(-1, len(keys) - 1)) for _ in range(d)]
+              for d in A.ambient_dims(m)]
+    pairs = [(v, Projection(AlgebraElement.diagonal(
+        A, [[one if o == j else zero for o in factor] for factor in owners], m)))
+        for j, v in enumerate(keys)]
+    return SpectralForm(A, m, tuple(draw(st.permutations(pairs))))
+
+
+forms = diagonal_forms() | seeds.map(lambda s: random_normal(A, random.Random(s)))
+
+
 class TestClassesOfElements:
+    @settings(max_examples=150, deadline=None)
+    @given(forms)
+    def test_n_class_is_the_constructor_class(self, a):
+        got = n_class(a)
+        built = N0Class(a.algebra, tuple((v, k0_of_projection(p)) for v, p in a.pairs))
+        assert got.support == built.support
+        assert repr(got.support) == repr(built.support)  # the same key types
+        assert hash(got) == hash(built)
+
+    def test_a_zero_projection_leaves_no_value(self):
+        a = SpectralForm(A, 1, ((Fraction(1), Projection.zero(A)),
+                                (Fraction(2), Projection.identity(A))))
+        assert len(a.pairs) == 2
+        assert n_class(a).support == ((Fraction(2), K0Class((1, 2))),)
+
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_class_ranks_match_spectral_projections(self, seed):

@@ -57,3 +57,45 @@ def test_a_wrong_run_or_digest_is_reported():
                             END_TO_END)
     assert other["correct"] and not other["digests_match"]
     assert "one digest on both sides: NO" in pairs.report(other)
+
+
+BOUNDED = [{"name": "run_s", "better": "lower", "bound": 0.25},
+           {"name": "score", "better": "higher", "bound": 0.1}]
+# median 1.0, quartiles 0.9875 and 1.0125; pairs 1, 6, 9 and 10 read 1.0
+PARENT_RUN_S = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("change_run_s, won, claim", [
+    ([0.8] * 9 + [1.0], 9, True),  # the tie in pair 10 counts for no side
+    ([0.8] * 8 + [1.0, 1.0], 8, False),  # two ties: 8 of 10 won
+    ([x - 0.001 for x in PARENT_RUN_S], 10, False),  # gap 0.001, IQR 0.025
+    ([1.2] * 10, 0, False),  # a gap past the IQR the wrong way
+])
+def test_claim_needs_nine_in_ten_and_a_gap_past_the_parent_iqr(
+        change_run_s, won, claim):
+    summary = pairs.summarize(_runs(PARENT_RUN_S, [1] * 10),
+                              _runs(change_run_s, [1] * 10), BOUNDED)
+    run_s = summary["metrics"][0]
+    assert run_s["won"] == won and run_s["claim"] is claim
+    line = pairs.report(summary).splitlines()[1].split()
+    assert line[-2] == ("yes" if claim else "no")
+
+
+@pytest.mark.parametrize("run_s, score, within", [
+    (1.2, 9.5, (True, True)),  # 1.2 of 1.25 allowed, 9.5 of 9 allowed
+    (1.3, 8.5, (False, False)),
+    (0.5, 20, (True, True)),  # better is always within
+])
+def test_within_bound_allows_the_relative_bound_the_worse_way(run_s, score, within):
+    summary = pairs.summarize(_runs([1.0] * 3, [10] * 3),
+                              _runs([run_s] * 3, [score] * 3), BOUNDED)
+    assert tuple(row["within_bound"] for row in summary["metrics"]) == within
+    lines = pairs.report(summary).splitlines()[1:3]
+    assert [line.split()[-1] for line in lines] == \
+        ["yes" if w else "no" for w in within]
+
+
+def test_a_metric_without_a_bound_has_no_bound_verdict():
+    summary = pairs.summarize(_runs([1.0], [1]), _runs([9.0], [1]), END_TO_END)
+    assert summary["metrics"][0]["within_bound"] is None
+    assert pairs.report(summary).splitlines()[1].split()[-1] == "-"

@@ -173,6 +173,60 @@ class TestFieldOracle:
         assert make().order == order
 
 
+# Q(i) operands with parts up to 2^80: a second operand drawn on its own,
+# or as the first's negation, a rational multiple of its conjugate or a
+# value with the opposite imaginary part, so sums, differences and products
+# reach zero and rational results
+huge = st.integers(-2 ** 80, 2 ** 80)
+big_rationals = st.builds(Fraction, huge, st.just(1) | st.integers(1, 2 ** 80))
+im_parts = big_rationals | st.just(Fraction(0))
+
+
+def _gaussian_operand(draw, re, im):
+    """An exact operand of value re + im i: an int, a Fraction or a
+    Cyclotomic, as its value allows."""
+    kinds = ["cyclotomic"]
+    if not im:
+        kinds += ["fraction", "int"] if re.denominator == 1 else ["fraction"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return int(re)
+    return re if kind == "fraction" else Cyclotomic.gaussian(re, im)
+
+
+@st.composite
+def gaussian_pairs(draw):
+    re, im = draw(big_rationals), draw(im_parts)
+    r, s, t = draw(big_rationals), draw(big_rationals), draw(im_parts)
+    second = draw(st.sampled_from([(s, t), (-re, -im), (re * r, -im * r), (s, -im)]))
+    x, y = _gaussian_operand(draw, re, im), _gaussian_operand(draw, *second)
+    if not isinstance(y, Cyclotomic):  # one Cyclotomic makes the results one
+        x = Cyclotomic.gaussian(re, im)
+    return x, y
+
+
+def _pair_parts(x):
+    return x.gaussian_parts() if isinstance(x, Cyclotomic) else (Fraction(x), Fraction(0))
+
+
+def _canonical(x):
+    return x.order, x.nums, x.den
+
+
+class TestGaussianRoute:
+    """Q and Q(i) operands skip the field tables; their sums, differences
+    and products are the canonical Cyclotomic of the Fraction-pair result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaussian_pairs())
+    def test_matches_fraction_pair_arithmetic(self, xy):
+        for x, y in (xy, xy[::-1]):
+            (a, b), (c, d) = _pair_parts(x), _pair_parts(y)
+            for got, re, im in ((x + y, a + c, b + d), (x - y, a - c, b - d),
+                                (x * y, a * c - b * d, a * d + b * c)):
+                assert _canonical(got) == _canonical(Cyclotomic.gaussian(re, im))
+
+
 # exact values of every kind, and finite floats and complexes small enough
 # that no product or quotient overflows
 zetas = st.sampled_from((3, 5, 8, 12)).flatmap(

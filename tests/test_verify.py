@@ -170,6 +170,8 @@ MUTANTS = {
     "combine leaves a term unscaled": (
         "linalg.py", "k = den // (d * m.den)  # onto the common denominator",
         "k = 1"),
+    "ℚ(i) product adds a1·b1": ("scalars.py", "a[0] * b[0] - a1 * b1",
+                                "a[0] * b[0] + a1 * b1"),
 }
 
 # prints the package it imported, then the first battery that fails; a

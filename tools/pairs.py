@@ -13,10 +13,15 @@ it is odd.  For each end-to-end metric that CHANGE's ``BENCHMARK.json``
 lists, the tool prints both sides' medians and quartiles, the
 change/parent ratio of the medians, the number of pairs the change won
 (better in its ``better`` direction) and whether the gap between the
-medians exceeds the parent's interquartile range.  Then it says whether
-every run was correct and whether every run of both sides gave one answer
-digest.  Exits 1 when a run is not correct or the digests differ, and 2
-when a run fails.  Give the two checkouts directory names of one length:
+medians exceeds the parent's interquartile range.  Two verdicts follow:
+"claim" is yes when the change won at least 9 in 10 of the pairs (a tie
+counts for neither side) and its median is better than the parent's by
+more than the parent's interquartile range; "within bound" is yes when
+the change's median is worse than the parent's by no more than the
+metric's relative ``bound``.  Then it says whether every run was correct
+and whether every run of both sides gave one answer digest.  Exits 1
+when a run is not correct or the digests differ, and 2 when a run fails.
+Give the two checkouts directory names of one length:
 ``peak_rss_mb`` reads a little higher under a longer path.
 """
 
@@ -55,18 +60,24 @@ def quartiles(values):
 def summarize(parent, change, end_to_end):
     """The comparison of two equally long lists of runs, pair i being
     (parent[i], change[i]), on the metrics of ``end_to_end`` (BENCHMARK.json
-    entries with ``name`` and ``better``)."""
+    entries with ``name``, ``better`` and, optionally, ``bound``)."""
     rows = []
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         p = [r["metrics"][name] for r in parent]
         c = [r["metrics"][name] for r in change]
         pq, cq = quartiles(p), quartiles(c)
+        won = sum(sign * (y - x) < 0 for x, y in zip(p, c))
+        bound = metric.get("bound")
         rows.append({
             "name": name, "parent": pq, "change": cq,
             "ratio": cq[1] / pq[1] if pq[1] else None,
-            "won": sum(sign * (y - x) < 0 for x, y in zip(p, c)),
+            "won": won,
             "gap_exceeds_parent_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0],
+            "claim": 10 * won >= 9 * len(p)
+                     and sign * (pq[1] - cq[1]) > pq[2] - pq[0],
+            "within_bound": None if bound is None else
+                            sign * (cq[1] - pq[1]) <= bound * abs(pq[1]),
         })
     runs = parent + change
     return {"pairs": len(parent), "metrics": rows,
@@ -79,14 +90,17 @@ def report(summary) -> str:
         return f"{q[1]:.4g} [{q[0]:.4g}–{q[2]:.4g}]"
 
     lines = [f"{'metric':<18} {'parent median [q1–q3]':<28} "
-             f"{'change median [q1–q3]':<28} ratio   won   gap > parent IQR"]
+             f"{'change median [q1–q3]':<28} ratio   won   gap > parent IQR  "
+             "claim  within bound"]
     for row in summary["metrics"]:
         ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
+        bound = {None: "-", True: "yes", False: "no"}[row["within_bound"]]
         lines.append(
             f"{row['name']:<18} {span(row['parent']):<28} "
             f"{span(row['change']):<28} {ratio:<7} "
             f"{row['won']}/{summary['pairs']:<3} "
-            f"{'yes' if row['gap_exceeds_parent_iqr'] else 'no'}")
+            f"{'yes' if row['gap_exceeds_parent_iqr'] else 'no':<17} "
+            f"{'yes' if row['claim'] else 'no':<6} {bound}")
     lines.append(f"every run correct: {'yes' if summary['correct'] else 'NO'}")
     lines.append("one digest on both sides: "
                  f"{'yes' if summary['digests_match'] else 'NO'}")
