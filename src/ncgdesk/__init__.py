@@ -12,7 +12,6 @@ from .algebra import (
     SpectralForm,
     StarHomomorphism,
     apply_hom,
-    apply_hom_spectral,
     is_normal,
     spectral_decompose,
     spectral_projection,
@@ -64,7 +63,6 @@ from .ngroup import (
     functorial_map,
     h_map,
     n_class,
-    n_equiv,
     t_map,
 )
 from .scalars import Cyclotomic, get_epsilon, set_epsilon
@@ -92,8 +90,8 @@ def clear_caches() -> None:
 
 __all__ = [
     "AlgebraElement", "BorelSetModel", "MultiMatrixAlgebra", "Projection",
-    "SpectralForm", "StarHomomorphism", "apply_hom", "apply_hom_spectral",
-    "is_normal", "spectral_decompose", "spectral_projection",
+    "SpectralForm", "StarHomomorphism", "apply_hom", "is_normal",
+    "spectral_decompose", "spectral_projection",
     "get_budget", "set_budget",
     "T_cover", "T_direct", "chern_projection", "dyadic_cover", "eta_cycle",
     "generalized_chern", "verify_eta_vanishes",
@@ -105,7 +103,7 @@ __all__ = [
     "FiniteGroup", "GAComplex", "IrrepTable", "generalized_lefschetz",
     "lefschetz_first", "lefschetz_second", "validate_complex",
     "K0Class", "K0TensorC", "N0Class", "functorial_map", "h_map", "n_class",
-    "n_equiv", "t_map",
+    "t_map",
     "Cyclotomic", "get_epsilon", "set_epsilon",
     "clear_caches",
 ]

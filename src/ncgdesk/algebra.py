@@ -741,12 +741,6 @@ def apply_hom(phi: StarHomomorphism, x: AlgebraElement) -> AlgebraElement:
     return image
 
 
-def apply_hom_spectral(phi: StarHomomorphism, a: SpectralForm) -> SpectralForm:
-    """Push a spectral form through phi without re-diagonalizing."""
-    return SpectralForm.from_pairs(phi.target, a.amplification, tuple(
-        (v, Projection._trusted(apply_hom(phi, p.element))) for v, p in a.pairs))
-
-
 def check_hom_spectral_commute(phi: StarHomomorphism, a: SpectralForm,
                                e: BorelSetModel) -> bool:
     """Does taking spectral projections commute with applying phi?"""

@@ -401,11 +401,6 @@ def _orbit_basis(dims: tuple, n: int) -> list:
     return basis
 
 
-def build_cyclic_space(algebra: MultiMatrixAlgebra, n: int,
-                       amplification: int = 1) -> CyclicSpace:
-    return _cyclic_space(algebra.ambient_dims(amplification), n)
-
-
 # the caches are keyed by the block sizes, passed positionally, so that
 # each complex has one entry whichever algebra and amplification it serves
 @functools.lru_cache(maxsize=256)

@@ -47,11 +47,6 @@ class K0Class:
         return all(r == 0 for r in self.ranks)
 
 
-def k0_of_projection(p: Projection) -> K0Class:
-    """Stable equivalence class of a projection: its per-factor ranks."""
-    return K0Class(p.rank_vector())
-
-
 @dataclass(frozen=True)
 class N0Class:
     """Finitely supported map from nonzero spectral values to K0 classes."""
@@ -90,13 +85,6 @@ class N0Class:
 
     def is_zero(self) -> bool:
         return not self.support
-
-    def value_at(self, key) -> K0Class:
-        """The class at ``key``: the support's classes that merge with it."""
-        zero = K0Class((0,) * self.algebra.num_factors)
-        for _, classes in _merge_values(((key, None),) + self.support):
-            if classes[0] is None:
-                return sum(classes[1:], zero)
 
     def __add__(self, other):
         if self.algebra != other.algebra:
@@ -138,17 +126,6 @@ def n_class(a: SpectralForm) -> N0Class:
             object.__setattr__(cls, "ranks", ranks)
             support.append((v, cls))
     return N0Class._trusted(a.algebra, tuple(support))
-
-
-def n_equiv(a: SpectralForm, b: SpectralForm) -> bool:
-    """Equivalence of normal elements: equal spectral projections per point.
-
-    For finite spectra every admissible Borel set acts through its
-    intersection with sp(a) and sp(b), so singletons decide equivalence.
-    """
-    if a.algebra != b.algebra:
-        raise ValidationError("elements over different algebras")
-    return n_class(a) == n_class(b)
 
 
 @dataclass(frozen=True)

@@ -46,13 +46,14 @@ import heapq
 import importlib.util
 import math
 import operator
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
 from .budget import check_budget
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ResourceError, ValidationError
 
 
 def _lazy_import(name: str):
@@ -687,9 +688,21 @@ def eliminate(columns):
 # ---------------------------------------------------------------------------
 # JSON-facing parse/format: numbers are floats, strings "p/q" are exact
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_real(v):
+    """A JSON number or numeric string; a string whose exponent gives more
+    digits than ``int`` parses from a digit string is refused before
+    ``Fraction`` builds its power of ten."""
     if isinstance(v, bool):
         raise ValueError(f"not a number: {v!r}")
+    if isinstance(v, str) and (exp := _EXPONENT.search(v)):
+        limit = sys.get_int_max_str_digits()
+        digits = sum(map(str.isdigit, v[:exp.start()])) + abs(int(exp[1]))
+        if limit and digits > limit:
+            raise ValueError(f"Exceeds the limit ({limit} digits): "
+                             f"its exponent gives {digits} digits")
     if isinstance(v, (str, int)):
         return Fraction(v)
     x = float(v)
@@ -736,8 +749,12 @@ def format_scalar(x):
     if isinstance(x, (int, Fraction)):
         x = Cyclotomic.from_rational(x)
     if isinstance(x, Cyclotomic):
-        if x.is_gaussian():
-            return [str(c) for c in x.gaussian_parts()]
-        return {"order": x.order, "coeffs": [str(c) for c in x.coeffs]}
+        gaussian = x.is_gaussian()
+        try:
+            parts = [str(c) for c in
+                     (x.gaussian_parts() if gaussian else x.coeffs)]
+        except ValueError as exc:  # more digits than str(int) prints
+            raise ResourceError(f"cannot print an exact value: {exc}") from None
+        return parts if gaussian else {"order": x.order, "coeffs": parts}
     z = complex(x)
     return [z.real, z.imag]

@@ -1,4 +1,4 @@
-"""JSON encoding of every domain value.
+"""JSON decoding of every input document, and encoding of every answer.
 
 Exact rationals travel as strings "p/q", complex values as [re, im]
 pairs, and non-Gaussian exact scalars as {"order", "coeffs"} records.
@@ -111,10 +111,6 @@ def _check_version(doc):
 
 # -- algebra ----------------------------------------------------------------
 
-def algebra_to_json(a: MultiMatrixAlgebra) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "blocks": list(a.block_dims)}
-
-
 def algebra_from_json(doc: dict) -> MultiMatrixAlgebra:
     _check_version(doc)
     return _algebra(doc)
@@ -196,13 +192,6 @@ def hc_class_to_json(c: HCClass) -> dict:
             "coords": [format_scalar(x) for x in c.coords]}
 
 
-def hc_class_from_json(doc: dict) -> HCClass:
-    _check_version(doc)
-    coords = _items(_field(doc, "coords"), "coords")
-    return HCClass(_int(_field(doc, "degree"), "degree"),
-                   tuple(_parse_entry(x) for x in coords))
-
-
 # -- tensors ----------------------------------------------------------------
 
 def tensor_to_json(xi: TensorElement) -> dict:
@@ -228,16 +217,6 @@ def tensor_from_json(doc: dict) -> TensorElement:
 
 # -- homomorphisms ----------------------------------------------------------
 
-def hom_to_json(phi: StarHomomorphism) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION,
-           "source": {"blocks": list(phi.source.block_dims)},
-           "target": {"blocks": list(phi.target.block_dims)},
-           "multiplicities": [list(row) for row in phi.multiplicities]}
-    if phi.unitaries is not None:
-        doc["unitaries"] = [matrix_to_json(u) for u in phi.unitaries]
-    return doc
-
-
 def hom_from_json(doc: dict) -> StarHomomorphism:
     _check_version(doc)
     unitaries = _field(doc, "unitaries", None)
@@ -255,14 +234,6 @@ def hom_from_json(doc: dict) -> StarHomomorphism:
 
 def group_table_to_json(group: FiniteGroup) -> dict:
     return {"table": [list(row) for row in group.table]}
-
-
-def irreps_to_json(table: IrrepTable) -> dict:
-    return {"schema_version": SCHEMA_VERSION,
-            "group": group_table_to_json(table.group),
-            "irreps": [{"name": p.name, "dim": p.dim,
-                        "matrices": [matrix_to_json(m) for m in p.matrices]}
-                       for p in table.irreps]}
 
 
 def irreps_from_json(doc: dict) -> IrrepTable:
@@ -331,5 +302,6 @@ def load_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and UTF-8, RecursionError deep nesting
         raise ValidationError(f"cannot load {path}: {exc}") from None

@@ -5,7 +5,7 @@ import sys
 
 import ncgdesk
 from ncgdesk.algebra import MultiMatrixAlgebra, spectral_decompose
-from ncgdesk.cyclic import build_cyclic_space, hc_dims, hc_space
+from ncgdesk.cyclic import hc_dims, hc_space
 from ncgdesk.generate import random_normal
 from ncgdesk.verify import battery_th4, battery_th5
 
@@ -45,9 +45,8 @@ def test_every_module_cache_is_bounded_and_cleared():
 
 def test_one_cache_entry_per_value():
     ncgdesk.clear_caches()
-    for build in (hc_space, build_cyclic_space):
-        first = build(CM2, 2)
-        assert build(CM2, 2, 1) is first
-        assert build(CM2, n=2, amplification=1) is first
-        assert build(algebra=CM2, n=2) is first
-        assert build(CM2, 2, 2) is not first
+    first = hc_space(CM2, 2)
+    assert hc_space(CM2, 2, 1) is first
+    assert hc_space(CM2, n=2, amplification=1) is first
+    assert hc_space(algebra=CM2, n=2) is first
+    assert hc_space(CM2, 2, 2) is not first

@@ -754,8 +754,8 @@ class TestReadsBuildNoSpace:
         assert hc_class(xi) == expected["tensor"]
         assert hc_class(rep) == expected["rep"]
         assert main(["hc", "class", "--tensor", str(path)]) == 0
-        assert sz.hc_class_from_json(json.loads(capsys.readouterr().out)) \
-            == expected["tensor"]
+        assert json.loads(capsys.readouterr().out) \
+            == sz.hc_class_to_json(expected["tensor"])
 
 
 class TestBudgetCharges:

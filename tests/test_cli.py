@@ -34,8 +34,9 @@ def run_cli(capsys, *argv):
 
 
 def write(tmp_path, name, doc):
+    """``doc`` as JSON, or a string as written."""
     path = tmp_path / name
-    path.write_text(sz.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else sz.dumps(doc))
     return str(path)
 
 
@@ -467,6 +468,15 @@ MALFORMED_INPUTS = {
          "blocks": [[["1/0"]]]}),
     "t of three coefficients over two factors": _t_map(["1", "2", "3"]),
     "t of one coefficient over two factors": _t_map(["1"]),
+    # an exponent is held to the digits int() parses, as a digit string is
+    "exponent of 10^8 digits": _t_map(["1e99999999", "1"]),
+    "exponent of 5000 digits": _t_map(["1e5000", "1"]),
+    "negative exponent of 5000 digits": _t_map(["1e-5000", "1"]),
+    # as text: json.dumps would itself recurse
+    "document nested 5000 arrays deep": (
+        {"alg.json": {"schema_version": 1, "blocks": [1, 2]},
+         "v.json": "[" * 5000 + "]" * 5000},
+        ["n0", "t", "--k0c", "v.json", "--algebra", "alg.json"]),
     "hc class of a two-entry unit index": _hc("class", [[0, 0]]),
     "hc trace of a two-entry unit index": _hc("trace", [[0, 0]]),
     "boolean entry": _n0_class(
@@ -503,7 +513,7 @@ def test_malformed_document_is_one_error_line(tmp_path, files, argv):
     paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
     proc = subprocess.run(
         [sys.executable, "-m", "ncgdesk.cli", *(paths.get(a, a) for a in argv)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr

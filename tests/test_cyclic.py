@@ -13,7 +13,6 @@ from ncgdesk.cyclic import (
     DecompositionRep,
     HCClass,
     TensorElement,
-    build_cyclic_space,
     cc_reduce,
     check_face_bound,
     check_trace_bound,
@@ -325,10 +324,11 @@ class TestWeightGrading:
         for n in range(max_degree + 1):
             expected = [k for k in brute_force_orbits(algebra, m, n)
                         if not weight(k)]
-            assert list(build_cyclic_space(algebra, n, m).basis) == expected
+            space = cyclic._cyclic_space(algebra.ambient_dims(m), n)
+            assert list(space.basis) == expected
 
     def test_missing_weight_zero_key_fails_loudly(self):
-        full = build_cyclic_space(M2, 2)
+        full = cyclic._cyclic_space((2,), 2)
         short = full.words[1:]
         broken = CyclicSpace((2,), 2, short,
                              {k: i for i, k in enumerate(short)})
@@ -458,9 +458,9 @@ class TestWalkBudget:
         try:
             set_budget(nodes - 1)
             with pytest.raises(ResourceError, match=f"CC_{n} basis"):
-                build_cyclic_space(MultiMatrixAlgebra(blocks), n)
+                cyclic._cyclic_space(blocks, n)
             set_budget(nodes)
-            build_cyclic_space(MultiMatrixAlgebra(blocks), n)
+            cyclic._cyclic_space(blocks, n)
         finally:
             set_budget(100_000)
 
@@ -541,14 +541,15 @@ class TestPrenecklaceWalk:
         # only weight 0 is built; a case of another weight checks the
         # basis that the elimination oracle below walks
         if not w:
-            assert list(build_cyclic_space(algebra, n, m).basis) == brute
+            space = cyclic._cyclic_space(algebra.ambient_dims(m), n)
+            assert list(space.basis) == brute
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 2), min_size=1, max_size=3),
            st.integers(0, 4))
     def test_random_algebras_match_the_leaf_walk(self, blocks, n):
         algebra = MultiMatrixAlgebra(tuple(blocks))
-        assert list(build_cyclic_space(algebra, n).basis) \
+        assert list(cyclic._cyclic_space(algebra.block_dims, n).basis) \
             == leaf_canonical_orbit_basis(algebra, 1, n, ())
 
     def test_walk_canonicalizes_no_leaf(self, monkeypatch, cold_cyclic):
@@ -559,7 +560,7 @@ class TestPrenecklaceWalk:
         def refuse(key, n):
             raise AssertionError("the walk canonicalized a leaf")
         monkeypatch.setattr(cyclic, "_cc_canonical", refuse)
-        assert [list(build_cyclic_space(algebra, n, m).basis)
+        assert [list(cyclic._cyclic_space(algebra.ambient_dims(m), n).basis)
                 for algebra, m, n in cases] == expected
 
 
@@ -684,7 +685,7 @@ class TestFaceMemo:
 
     def test_one_call_per_distinct_face(self, monkeypatch, cold_cyclic):
         calls = self.count_canonicalizations(monkeypatch, M2, 7)
-        faces = {face for key in build_cyclic_space(M2, 7).basis
+        faces = {face for key in cyclic._cyclic_space((2,), 7).basis
                  for i in range(len(key))
                  if (face := cyclic._face(key, i, cyclic._unit_mul))
                  is not None}
@@ -768,9 +769,9 @@ class TestRanksFromRows:
 
 def full_block_dimension(algebra, m, n):
     """dim HC_n from the ranks of the full weight-0 block of M_m(A)."""
-    ranks = [cyclic._boundary(algebra.ambient_dims(m), k).rank
-             for k in (n, n + 1) if k]
-    return build_cyclic_space(algebra, n, m).dimension - sum(ranks)
+    dims = algebra.ambient_dims(m)
+    ranks = [cyclic._boundary(dims, k).rank for k in (n, n + 1) if k]
+    return cyclic._cyclic_space(dims, n).dimension - sum(ranks)
 
 
 class TestFactorSum:
@@ -815,8 +816,6 @@ class TestBlockSizeKeys:
     def test_equal_sizes_share_one_space(self):
         for n in range(5):
             assert hc_space(C, n, 2) is hc_space(M2, n)
-        assert build_cyclic_space(A, 3, 2) \
-            is build_cyclic_space(MultiMatrixAlgebra((2, 2)), 3)
 
     def test_sizes_built_once_are_not_built_again(self, cold_cyclic):
         assert hc_dims(M2, 3, 2) == [1, 0, 1, 0]

@@ -25,7 +25,7 @@ import pytest
 from ncgdesk import serialize as sz
 from ncgdesk.algebra import AlgebraElement, MultiMatrixAlgebra, Projection, \
     SpectralForm
-from ncgdesk.lefschetz import FiniteGroup, GAComplex, IrrepTable
+from ncgdesk.lefschetz import FiniteGroup, GAComplex
 from ncgdesk.scalars import Cyclotomic
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -94,10 +94,15 @@ def _terms(blocks, m, degree, *terms):
 
 def _not_a_representation():
     """The Z/3 table with chi1 sending 2 where it sends 1."""
-    doc = sz.irreps_to_json(IrrepTable.cyclic(3))
-    chi1 = doc["irreps"][1]
-    chi1["matrices"][2] = chi1["matrices"][1]
-    return doc
+    one = [[["1", "0"]]]
+    zeta = [[{"order": 3, "coeffs": ["0", "1"]}]]
+    zeta2 = [[{"order": 3, "coeffs": ["-1", "-1"]}]]  # -1 - zeta
+    return {"schema_version": 1,
+            "group": {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+            "irreps": [{"name": name, "dim": 1, "matrices": matrices}
+                       for name, matrices in (("chi0", [one, one, one]),
+                                              ("chi1", [one, zeta, zeta]),
+                                              ("chi2", [one, zeta2, zeta]))]}
 
 
 def _readme_block(section, language):
@@ -143,6 +148,8 @@ DOCUMENTS = {
     # exact keys beyond float range
     "huge_key": _n0((1, 1), (["1e400", "0"], (1, 0)), (["1/2", "0"], (0, 1))),
     "huge_z3_key": _n0((1,), ({"order": 3, "coeffs": ["0", "1e400"]}, (1,))),
+    # 4,300 nines, the most digits int() parses: h doubles it to 4,301
+    "nines": _n0((1, 2), (["9" * 4300, "0"], (0, 2))),
     "z3": lambda: _diagonal(Cyclotomic.root_of_unity(3, 1), Fraction(1)),
     # a float spectral form whose 0.1 and 0.3 share the unit cell, beside
     # 1e308, whose float cell keys overflow from depth 1
@@ -314,6 +321,8 @@ CASES = {
         ("gchern", "--n0", "{huge_key}"), 0, _exact_huge("coords")),
     "n0 h on a non-Gaussian key beyond float range": Case(
         ("n0", "h", "--n0", "{huge_z3_key}"), 2),
+    "n0 h of a value too long to print": Case(
+        ("n0", "h", "--n0", "{nines}"), 2, error="^error: cannot print"),
     # every CC_n over C is one orbit whose n + 1 faces are one word: each
     # boundary build canonicalizes it once, so 401 degrees answer well
     # inside 10 s

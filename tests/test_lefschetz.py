@@ -26,8 +26,7 @@ from ncgdesk.lefschetz import (
 )
 from ncgdesk.chern import chern_projection
 from ncgdesk.cyclic import zero_class
-from ncgdesk.ngroup import K0Class, K0TensorC, N0Class, h_map, \
-    k0_of_projection, n_class
+from ncgdesk.ngroup import K0Class, K0TensorC, N0Class, h_map, n_class
 from ncgdesk.scalars import Cyclotomic, conj_scalar, scalar_is_zero
 
 C = MultiMatrixAlgebra((1,))
@@ -162,7 +161,7 @@ class TestComplexes:
         action = ((q.element, ), (q.element.scale(-1),))
         c = GAComplex(C, group, (q,), (), action)
         x = generalized_lefschetz(c, c.unitary(1)).value
-        assert x.value_at(Cyclotomic.from_rational(-1)).ranks == (1,)
+        assert x.support == ((-1, K0Class((1,))),)
 
     def test_differential_shape_validated(self):
         q = Projection.identity(A)
@@ -593,7 +592,7 @@ def per_g_restricted(h, u, cap=24):
         proj = acc.scale(Fraction(1, t))
         if not proj.is_zero():
             support.append((Cyclotomic.root_of_unity(t, k),
-                            k0_of_projection(Projection(proj))))
+                            K0Class(Projection(proj).rank_vector())))
     return N0Class(h.algebra, tuple(support))
 
 

@@ -1,6 +1,4 @@
-import ast
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,52 +366,3 @@ def test_packed_matrices_compare_unequal_to_other_types():
 def test_no_columns_with_a_row_count_are_that_many_empty_rows():
     assert la.shape(la.from_columns([], 3)) == (3, 0)
 
-
-# -- the public surface ------------------------------------------------------
-# Every public top-level function of linalg has a caller in another module
-# of the package, directly or through a linalg function that has one; the
-# only exceptions are these, with what reads them.
-UNCALLED = {
-    "shape": "perfbench's tracer reads it in its mat_mul hook",
-    "rank": "acceptance criterion 5",
-    "pivot_columns": "acceptance criterion 5",
-    "from_columns": "acceptance criterion 5",
-}
-
-
-def _linalg_names(tree, aliases):
-    """Names of linalg read in ``tree``: attributes of an alias of the
-    module, and names imported from it."""
-    names = {node.attr for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.value, ast.Name) and node.value.id in aliases}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "linalg":
-            names |= {a.name for a in node.names}
-    return names
-
-
-def test_every_public_linalg_function_has_a_caller():
-    package = Path(la.__file__).parent
-    tree = ast.parse((package / "linalg.py").read_text())
-    functions = {node.name: node for node in tree.body
-                 if isinstance(node, ast.FunctionDef)}
-    reached = set()
-    for path in package.glob("*.py"):
-        if path.name != "linalg.py":
-            other = ast.parse(path.read_text())
-            aliases = {a.asname or a.name for node in ast.walk(other)
-                       if isinstance(node, ast.ImportFrom) and node.level == 1
-                       and not node.module for a in node.names
-                       if a.name == "linalg"}
-            reached |= _linalg_names(other, aliases)
-    todo = [name for name in reached if name in functions]
-    while todo:
-        for node in ast.walk(functions[todo.pop()]):
-            if isinstance(node, ast.Name) and node.id in functions \
-                    and node.id not in reached:
-                reached.add(node.id)
-                todo.append(node.id)
-    public = {name for name in functions if not name.startswith("_")}
-    assert set(UNCALLED) <= public
-    assert sorted(public - reached - set(UNCALLED)) == []
