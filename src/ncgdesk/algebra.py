@@ -315,7 +315,7 @@ class SpectralForm:
                 if not p.orthogonal_to(q):
                     raise ValidationError("spectral projections are not orthogonal")
 
-    def _exact_projections(self) -> bool:  # the kernel and padding follow it
+    def _exact_projections(self) -> bool:  # the padding follows it
         return all(p.element.is_exact() for _, p in self.pairs)
 
     def _sum(self, terms) -> AlgebraElement:
@@ -328,14 +328,6 @@ class SpectralForm:
         return AlgebraElement._trusted(self.algebra, self.amplification, tuple(
             la.combine([(c, blocks[f]) for c, blocks in terms])
             for f in range(self.algebra.num_factors)))
-
-    @property
-    def kernel_projection(self) -> Projection:
-        """1 - sum p: pairwise orthogonal projections sum to a projection."""
-        one = AlgebraElement.identity(self.algebra, self.amplification,
-                                      self._exact_projections())
-        return Projection._trusted(self._sum(
-            [(1, one)] + [(-1, p.element) for _, p in self.pairs]))
 
     @staticmethod
     def from_pairs(algebra, amplification, pairs):

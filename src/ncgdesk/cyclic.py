@@ -28,8 +28,14 @@ The complex is graded a second time, by the set of factors a tuple uses:
 units of different factors multiply to 0, so a face keeps that set or
 vanishes.  A block of two or more factors is acyclic, since HC of a
 product of unital algebras is the sum of theirs (Loday, Cyclic Homology,
-1992).  So a space is checked, and ``hc_dims`` summed, per distinct size;
-the full weight-0 block is built only for witnesses, ``reduced_class``,
+1992).  The weight-0 block of M_d is graded a third time, by its breaks,
+the positions k where the column of letter k is not the row of letter
+k + 1 (cyclically): faces and rotation keep their number.  The break-free
+words are the closed walks e_{v_0 v_1} x ... x e_{v_n v_0}, the only
+words the generalized trace keeps; it kills the rest and is injective on
+HC, so the rest is acyclic (Loday, 1.2.1 and 2.2.9).  So a space is
+checked, and ``hc_dims`` summed, per distinct size on closed walks; the
+full weight-0 block is built only for witnesses, ``reduced_class``,
 ``cycle_basis``, ``cc`` and ``boundary_rank``.
 
 HC_2l = C^k has a fixed basis, the classes of e_{f,00} x ... x e_{f,00}
@@ -299,9 +305,10 @@ def _weight(key) -> tuple:
 
 @dataclass(frozen=True)
 class CyclicSpace:
-    """Basis of the weight-0 block of CC_n(M_m(A)): canonical cyclic-orbit
-    representatives as sorted words of :func:`_letters`.  No other block is
-    built: a witness reads its other parts from the Cartan homotopy."""
+    """Basis of the weight-0 block of CC_n(M_m(A)), or of its closed walks:
+    canonical cyclic-orbit representatives as sorted words of
+    :func:`_letters`.  No block of nonzero weight is built: a witness
+    reads those parts from the Cartan homotopy."""
 
     dims: tuple
     degree: int
@@ -351,8 +358,9 @@ def _all_units(algebra, m: int) -> list:
     return _letters(algebra.ambient_dims(m))[0]
 
 
-def _orbit_basis(dims: tuple, n: int) -> list:
-    """Canonical orbit representatives of weight 0 in CC_n, sorted.
+def _orbit_basis(dims: tuple, n: int, closed: bool) -> list:
+    """Canonical orbit representatives of weight 0 in CC_n, sorted; with
+    ``closed``, only the closed walks e_{v_0 v_1} x ... x e_{v_n v_0}.
 
     Walks prenecklaces, the prefixes of least rotations, depth-first in
     lexicographic order (Fredricksen-Kessler-Maiorana; Ruskey, Savage and
@@ -362,8 +370,10 @@ def _orbit_basis(dims: tuple, n: int) -> list:
     divides n + 1, and each orbit is reached once; the rotations fixing it
     are the multiples of p, so in odd degree it dies iff p is odd.  A
     prefix is also cut when the L1 norm of its weight exceeds 2 x (slots
-    left), since one unit moves that norm by at most 2.  Each node visited
-    is charged to the budget, a node's children at once.
+    left), since one unit moves that norm by at most 2, and for a closed
+    walk when its last two letters do not chain: a chained word of weight
+    0 ends where it starts, so its last letter chains to its first.  Each
+    node visited is charged to the budget, a node's children at once.
     """
     budget = get_budget()
     visited = 1  # the root
@@ -383,8 +393,12 @@ def _orbit_basis(dims: tuple, n: int) -> list:
         visited += len(moves) - first
         if visited > budget:
             check_budget(visited, f"nodes walked so far for the CC_{n} basis")
+        # the row a closed walk's next letter must start from
+        row = moves[prefix[-1]][1] if closed and t else None
         for i in range(first, len(moves)):
             r, c = moves[i]
+            if row is not None and r != row:
+                continue
             gr, gc = gap[r], gap[c]
             d = dist if r == c else \
                 dist - abs(gr) - abs(gc) + abs(gr + 1) + abs(gc - 1)
@@ -401,11 +415,12 @@ def _orbit_basis(dims: tuple, n: int) -> list:
     return basis
 
 
-# the caches are keyed by the block sizes, passed positionally, so that
-# each complex has one entry whichever algebra and amplification it serves
+# the caches are keyed by the block sizes and the closed-walk cut, passed
+# positionally, so that each complex has one entry whichever algebra and
+# amplification it serves
 @functools.lru_cache(maxsize=256)
-def _cyclic_space(dims: tuple, n: int) -> CyclicSpace:
-    words = _orbit_basis(dims, n)
+def _cyclic_space(dims: tuple, n: int, closed: bool = False) -> CyclicSpace:
+    words = _orbit_basis(dims, n, closed)
     return CyclicSpace(dims, n, tuple(words),
                        {w: i for i, w in enumerate(words)})
 
@@ -442,7 +457,8 @@ def _boundary_columns(source: CyclicSpace, target: CyclicSpace):
 
 @dataclass(frozen=True)
 class _Boundary:
-    """b: CC_n -> CC_{n-1} on the weight-0 block, and its rank."""
+    """b: CC_n -> CC_{n-1} on the weight-0 block or its closed walks, and
+    its rank."""
 
     source: CyclicSpace
     target: CyclicSpace
@@ -455,9 +471,9 @@ class _Boundary:
 
 
 @functools.lru_cache(maxsize=256)
-def _boundary(dims: tuple, n: int) -> _Boundary:
-    target = _cyclic_space(dims, n - 1)
-    source = _cyclic_space(dims, n)
+def _boundary(dims: tuple, n: int, closed: bool = False) -> _Boundary:
+    target = _cyclic_space(dims, n - 1, closed)
+    source = _cyclic_space(dims, n, closed)
     rows = [{} for _ in range(target.dimension)]
     for j, col in enumerate(_boundary_columns(source, target)):
         for p, c in col.items():
@@ -466,11 +482,13 @@ def _boundary(dims: tuple, n: int) -> _Boundary:
     return _Boundary(source, target, red.rank)
 
 
-def _checked_above(dims: tuple, n: int, dimension: int) -> _Boundary:
-    """b into the weight-0 block of CC_n from one degree up, once its ranks
-    give dim HC_n = dim CC_n - rank b_n - rank b_{n+1} = ``dimension``."""
-    above = _boundary(dims, n + 1)
-    rank_b = _boundary(dims, n).rank if n else 0
+def _checked_above(dims: tuple, n: int, dimension: int,
+                   closed: bool) -> _Boundary:
+    """b into the weight-0 block of CC_n, or its closed walks, from one
+    degree up, once its ranks give dim HC_n = dim CC_n - rank b_n -
+    rank b_{n+1} = ``dimension``."""
+    above = _boundary(dims, n + 1, closed)
+    rank_b = _boundary(dims, n, closed).rank if n else 0
     found = above.target.dimension - rank_b - above.rank
     if found != dimension:
         raise ConsistencyError(f"HC_{n} has dimension {found}, not {dimension}")
@@ -524,7 +542,7 @@ class HomologySpace:
 
     ``basis`` holds the unit tuples (f, 0, 0) x ... x (f, 0, 0), one per
     factor in even degree and none in odd degree.  Construction checks,
-    per distinct size d, that the ranks of the weight-0 block of M_d give
+    per distinct size d, that the ranks of the closed walks of M_d give
     1 in even degree and 0 in odd.  The full weight-0 block is built on
     first use, for ``cc``, ``boundary_rank``, ``cycle_basis``,
     ``reduced_class`` and witnesses, and its ranks must give ``dimension``;
@@ -542,12 +560,12 @@ class HomologySpace:
             ((f, 0, 0),) * (n + 1) for f in range(algebra.num_factors))
         self.dimension = len(self.basis)
         for d in set(self.dims):
-            _checked_above((d,), n, 1 - n % 2)
+            _checked_above((d,), n, 1 - n % 2, True)
 
     @functools.cached_property
     def _above(self) -> _Boundary:
         """b into the full weight-0 block of CC_n, from one degree up."""
-        return _checked_above(self.dims, self.degree, self.dimension)
+        return _checked_above(self.dims, self.degree, self.dimension, False)
 
     cc = property(lambda self: self._above.target)
     boundary_rank = property(lambda self: self._above.rank)
@@ -555,7 +573,7 @@ class HomologySpace:
     @functools.cached_property
     def cycle_basis(self) -> list:
         """Kernel vectors {position in cc: coefficient} of b out of CC_n."""
-        return _boundary(self.dims, self.degree).tracked[2]
+        return _boundary(self.dims, self.degree, False).tracked[2]
 
     # -- queries ------------------------------------------------------------
     def reduced_class(self, xi: TensorElement) -> HCClass:

@@ -70,11 +70,19 @@ def _ints(v, what):
     return tuple(_int(x, what) for x in _items(v, what))
 
 
+def _cut(text: str, limit: int = 160) -> str:
+    """text, or its first ``limit`` characters and its length."""
+    return text if len(text) <= limit else \
+        f"{text[:limit]}... ({len(text)} characters)"
+
+
 def _scalar(v):
     try:
         return parse_scalar(v)
     except (ValueError, TypeError, ZeroDivisionError, KeyError) as exc:
-        raise ValidationError(f"bad scalar {v!r}: {exc}") from None
+        # the message repeats a rejected string: both are cut
+        raise ValidationError(
+            f"bad scalar {_cut(repr(v))}: {_cut(str(exc))}") from None
 
 
 def _parse_entry(v):

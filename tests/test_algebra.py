@@ -125,23 +125,27 @@ class TestSpectralForm:
         assert a.eigenvalues() == (Fraction(2),)
 
     def test_kernel_is_one_minus_the_pairs(self):
-        assert SpectralForm.zero(A).kernel_projection == Projection.identity(A)
+        # 1 - P(all eigenvalues) is a projection orthogonal to every pair
+        zero = SpectralForm.zero(A)
+        assert AlgebraElement.identity(A) - spectral_projection(
+            zero, BorelSetModel(())).element == Projection.identity(A).element
         p = Projection.diagonal_unit(A, 0)
         a = SpectralForm.from_pairs(A, 1, ((Fraction(2), p),))
-        assert a.kernel_projection.element.equals(
-            AlgebraElement.identity(A) - p.element)
+        kernel = Projection(AlgebraElement.identity(A) - spectral_projection(
+            a, BorelSetModel(a.eigenvalues())).element)
+        assert kernel.element.equals(AlgebraElement.identity(A) - p.element)
+        assert kernel.orthogonal_to(p)
 
     def test_padding_follows_the_projections(self):
-        # a float eigenvalue with an exact projection: the kernel, the
-        # spectral projections and the direct sum stay exact
+        # a float eigenvalue with an exact projection: the spectral
+        # projections and the direct sum stay exact
         p = Projection.diagonal_unit(A, 0)
         a = SpectralForm.from_pairs(A, 1, ((0.5, p),))
         assert not a.element().is_exact()
-        assert a.kernel_projection.element.is_exact()
         assert spectral_projection(a, BorelSetModel((0.5,))).element.is_exact()
         assert spectral_projection(a, BorelSetModel(())).element.is_exact()
         s = a.direct_sum(SpectralForm.zero(A))
-        assert s.kernel_projection.element.is_exact()
+        assert spectral_projection(s, BorelSetModel(())).element.is_exact()
         assert all(q.element.is_exact() for _, q in s.pairs)
 
     def test_values_are_distinct_under_the_grouping_rule(self):
@@ -176,8 +180,8 @@ class TestSpectralForm:
     @settings(max_examples=15, deadline=None)
     @given(seeds)
     def test_float_sums_are_the_sums_one_term_at_a_time(self, seed):
-        # bit for bit: sum lam p from 0, 1 - p - q - ... from 1, and the
-        # selected projections added from 0
+        # bit for bit: sum lam p from 0, and the selected projections added
+        # from 0
         rng = random.Random(seed)
         alg = MultiMatrixAlgebra((3, 2))
         x = random_normal(alg, rng).element()
@@ -186,10 +190,9 @@ class TestSpectralForm:
         assume(a.pairs)  # an empty form pads with exact blocks
         e = BorelSetModel(tuple(v for v, _ in a.pairs if rng.random() < 0.6))
         zero = AlgebraElement.zero(alg, 1, exact=False)
-        total, kernel, selected = zero, AlgebraElement.identity(alg, 1, False), zero
+        total, selected = zero, zero
         for v, p in a.pairs:
             total = total + p.element.scale(v)
-            kernel = kernel - p.element
             if e.contains(v):
                 selected = selected + p.element
 
@@ -197,7 +200,6 @@ class TestSpectralForm:
             return [b.arr.tobytes() for b in y.blocks]
 
         assert bits(a.element()) == bits(total)
-        assert bits(a.kernel_projection.element) == bits(kernel)
         assert bits(spectral_projection(a, e).element) == bits(selected)
 
     def test_decompose_float_backend(self):
@@ -594,7 +596,8 @@ class TestBlockLocalIdempotents:
                    apply_hom(phi, x)]
         results += [p.element for form in (spectral_decompose(apply_hom(phi, y)),
                                            spectral_decompose(f))
-                    for p in (*(p for _, p in form.pairs), form.kernel_projection)]
+                    for p in (*(p for _, p in form.pairs), spectral_projection(
+                        form, BorelSetModel(form.eigenvalues())))]
         for r in results:
             assert r == AlgebraElement(r.algebra, r.amplification, r.blocks)
 
@@ -685,7 +688,7 @@ class TestExactAnswersIgnoreEpsilon:
         for other in forms[1:]:
             for a, b in zip(forms[0], other):
                 assert a.pairs == b.pairs
-                assert a.kernel_projection == b.kernel_projection
+                assert a == b
 
     def test_values_closer_than_two_epsilon_stay_apart(self):
         # 1 and 21/20 are 0.05 apart, within 2 * 0.1
@@ -716,7 +719,7 @@ class TestSpectralCache:
             == hits + len(elements)
         for c, w in zip(cold, warm):
             assert c.pairs == w.pairs
-            assert c.kernel_projection == w.kernel_projection
+            assert c == w
 
     def test_epsilon_is_not_part_of_the_key(self):
         x = AlgebraElement.diagonal(A, [[Fraction(2)], [Fraction(2), Fraction(5)]])

@@ -519,6 +519,21 @@ def test_malformed_document_is_one_error_line(tmp_path, files, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("coeff, length", [
+    ("9" * 5001, 5003), (["x" * 3000, "1"], 3009)])
+def test_long_bad_scalar_is_cut_in_its_error_line(tmp_path, capsys, coeff,
+                                                  length):
+    # a 5,001-digit coefficient is past int()'s digit limit, and Fraction's
+    # message repeats a bad string: each is shown as a prefix and a length
+    files, argv = _t_map([coeff, "1"])
+    paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 400
+    assert err.startswith(f"error: bad scalar {coeff!r:.30}")
+    assert f"... ({length} characters): " in err
+
+
 # a Gaussian coefficient plus a float one is their complex sum, on two keys
 # or on one key listed twice
 MIXED_COEFFICIENTS = {
@@ -841,13 +856,15 @@ def test_high_degree_characters_exit_two(tmp_path, capsys):
         assert one_error_line(capsys)
 
 
-def test_walk_budget_reaches_hc7_of_m2(tmp_path, capsys):
+def test_walk_budget_reaches_hc14_of_m2(tmp_path, capsys):
     alg = write(tmp_path, "alg.json", {"schema_version": 1, "blocks": [2]})
     code, doc = run_cli(capsys, "hc", "dims", "--algebra", alg,
-                        "--max-degree", "7")
-    assert code == 0 and doc == {"dims": [1, 0, 1, 0, 1, 0, 1, 0]}
-    assert main(["hc", "dims", "--algebra", alg, "--max-degree", "8"]) == 2
-    assert one_error_line(capsys)
+                        "--max-degree", "14")
+    assert code == 0 and doc == {"dims": [1, 0] * 7 + [1]}
+    assert main(["hc", "dims", "--algebra", alg, "--max-degree", "15"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(
+        "error: nodes walked so far for the CC_16 basis")
 
 
 @pytest.mark.parametrize("argv", [

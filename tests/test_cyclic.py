@@ -464,11 +464,20 @@ class TestWalkBudget:
         finally:
             set_budget(100_000)
 
-    def test_default_budget_reaches_hc4_of_m3(self):
-        M3 = MultiMatrixAlgebra((3,))
-        assert hc_dims(M3, 4) == [1, 0, 1, 0, 1]
-        with pytest.raises(ResourceError):
-            hc_dims(M3, 5)
+    @staticmethod
+    def reaches(size, top):
+        """hc_dims of M_size answers to degree ``top`` and no further."""
+        algebra = MultiMatrixAlgebra((size,))
+        assert hc_dims(algebra, top) == [1 - n % 2 for n in range(top + 1)]
+        with pytest.raises(ResourceError,
+                           match=f"nodes walked so far for the CC_{top + 2} "):
+            hc_dims(algebra, top + 1)
+
+    def test_default_budget_reaches_hc7_of_m3(self):
+        self.reaches(3, 7)
+
+    def test_default_budget_reaches_hc5_of_m4(self):
+        self.reaches(4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -653,12 +662,19 @@ class TestCartanWitness:
                 count -= 1
                 yield ps
 
-    def test_criterion_7_builds_only_weight_zero_blocks(self, cold_cyclic):
+    def test_criterion_7_builds_only_weight_zero_blocks(self, monkeypatch,
+                                                        cold_cyclic):
+        built = []
+        boundary = cyclic._boundary
+        monkeypatch.setattr(cyclic, "_boundary", lambda dims, n, closed=False: (
+            built.append((n, closed)) or boundary(dims, n, closed)))
         ps, = self.criterion_7_families(1)
         assert verify_eta_vanishes(ps, 1, witness=True).witness_found
-        # the boundaries into and out of CC_2, where the elimination route
-        # also built 4 blocks of nonzero weight
-        assert cyclic._boundary.cache_info().misses == 2
+        # the boundaries into and out of CC_2: on closed walks for the
+        # space, then on the full weight-0 block for the witness, where the
+        # elimination route also built 4 blocks of nonzero weight
+        assert set(built) == {(2, True), (3, True), (2, False), (3, False)}
+        assert boundary.cache_info().misses == 4
 
     def test_criterion_7_families_agree_with_elimination(self):
         for ps in self.criterion_7_families(10):
@@ -802,12 +818,59 @@ class TestFactorSum:
                                                     cold_cyclic):
         built = []
         boundary = cyclic._boundary
-        monkeypatch.setattr(cyclic, "_boundary", lambda dims, n: (
-            built.append(dims) or boundary(dims, n)))
+        monkeypatch.setattr(cyclic, "_boundary", lambda dims, n, closed=False: (
+            built.append((dims, closed)) or boundary(dims, n, closed)))
         assert hc_dims(CM2, 4) == [2, 0, 2, 0, 2]
-        # b_1, ..., b_5 over C and over M_2; no block of C + M_2
-        assert set(built) == {(1,), (2,)}
+        # b_1, ..., b_5 on the closed walks over C and over M_2; no block of
+        # C + M_2, and no full weight-0 block
+        assert set(built) == {((1,), True), ((2,), True)}
         assert boundary.cache_info().currsize == 10
+
+
+# ---------------------------------------------------------------------------
+# HC of M_d on the closed walks, the words the generalized trace keeps
+
+def closes(key):
+    """Each unit's column is the next unit's row, the last wrapping to the
+    first: a closed walk e_{v_0 v_1} x ... x e_{v_n v_0} of one factor."""
+    return all(u[0] == v[0] and u[2] == v[1]
+               for u, v in zip(key, key[1:] + key[:1]))
+
+
+def closed_walk_dimension(dims, n):
+    """dim HC_n from the ranks of the closed walks alone."""
+    ranks = [cyclic._boundary(dims, k, True).rank for k in (n, n + 1) if k]
+    return cyclic._cyclic_space(dims, n, True).dimension - sum(ranks)
+
+
+# (size d, the top degree whose full weight-0 block of M_d the default
+# budget admits; over C every degree is one word)
+FULL_REACH = [(1, 14), (2, 7), (3, 4)]
+
+
+class TestClosedWalks:
+    @pytest.mark.parametrize("size, top", FULL_REACH)
+    def test_closed_walk_ranks_equal_full_block_ranks(self, size, top):
+        algebra = MultiMatrixAlgebra((size,))
+        closed = [closed_walk_dimension((size,), n) for n in range(top + 1)]
+        assert closed == [full_block_dimension(algebra, 1, n)
+                          for n in range(top + 1)]
+        assert closed == [1 - n % 2 for n in range(top + 1)]
+
+    # each size to its full reach, and sums of factors and amplifications,
+    # whose closed walks stay inside one factor
+    @pytest.mark.parametrize("dims, top", [((d,), top) for d, top in FULL_REACH]
+                             + [((1, 2), 3), ((2, 2), 2), ((1, 1, 1), 3),
+                                ((2, 4), 2)])
+    def test_basis_is_the_full_basis_filtered_to_closed_walks(self, dims,
+                                                              top):
+        dropped = 0
+        for n in range(top + 1):
+            full = cyclic._cyclic_space(dims, n).basis
+            closed = cyclic._cyclic_space(dims, n, True).basis
+            assert closed == tuple(filter(closes, full))
+            dropped += len(full) - len(closed)
+        assert (dropped > 0) == (dims != (1,))
 
 
 class TestBlockSizeKeys:
@@ -821,8 +884,13 @@ class TestBlockSizeKeys:
         assert hc_dims(M2, 3, 2) == [1, 0, 1, 0]
         size = cyclic._boundary.cache_info().currsize
         hc_space(MultiMatrixAlgebra((4,)), 3)
-        assert hc_space(M2, 3, 2).cc.dimension > 0
         assert cyclic._boundary.cache_info().currsize == size
+        # the first read of the full weight-0 block builds b_3 and b_4 of
+        # M_4 on it, and a second read builds nothing
+        assert hc_space(M2, 3, 2).cc.dimension > 0
+        assert cyclic._boundary.cache_info().currsize == size + 2
+        assert hc_space(MultiMatrixAlgebra((4,)), 3).cc.dimension > 0
+        assert cyclic._boundary.cache_info().currsize == size + 2
 
     def test_answers_come_back_over_the_tensors_algebra(self, cold_cyclic):
         hc_space(M2, 1)
@@ -920,8 +988,9 @@ class TestReadout:
             == (1 if n == 0 else 2) * len({m * r for r in blocks})
 
     def test_witness_elimination_is_built_once(self, monkeypatch, cold_cyclic):
-        # ranks need one elimination per boundary; the first witness
-        # eliminates the boundary above once more, tagged, and keeps it
+        # ranks need one elimination per boundary on the closed walks; the
+        # first witness eliminates both boundaries on the full weight-0
+        # block, and the one above once more, tagged, and keeps them
         calls = []
         monkeypatch.setattr(cyclic, "eliminate",
                             lambda cols: calls.append(1) or eliminate(cols))
@@ -932,9 +1001,9 @@ class TestReadout:
         hc_space(M2, 1)
         assert len(calls) == 2
         assert is_boundary(xi) is not None
-        assert len(calls) == 3
+        assert len(calls) == 5
         assert is_boundary(xi) is not None
-        assert len(calls) == 3
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_wrong_dimension_raises(self, monkeypatch, cold_cyclic, n):

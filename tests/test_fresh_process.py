@@ -158,6 +158,7 @@ DOCUMENTS = {
                      for i, v in enumerate((1e308, 0.1, 0.3))))),
     "c": lambda: {"blocks": [1]},
     "m2": lambda: {"blocks": [2]},
+    "m3": lambda: {"blocks": [3]},
     "c3": lambda: {"blocks": [1, 1, 1]},
     "m2m2": lambda: {"blocks": [2, 2]},
     "cm2": lambda: {"blocks": [1, 2]},
@@ -329,12 +330,16 @@ CASES = {
     "hc dims over C to degree 400": Case(
         ("hc", "dims", "--algebra", "{c}", "--max-degree", "400"), 0,
         _dims(400, 1), timeout=10),
-    # HC is built from boundary ranks alone, on words of integer letters,
-    # each rank taken from the rows of b: M_2 to degree 7 builds thousands
-    # of columns, eliminates the fewer rows (492 for the 1,618 columns of
-    # b_7 over M_2) and keeps no combination
+    # HC is built from boundary ranks alone, on the closed walks of integer
+    # letters, each rank taken from the rows of b: M_2 to degree 7 ranks
+    # 34 orbits in CC_7 and keeps no combination (the 492 rows for the
+    # 1,618 columns of b_7 over M_2 are the full weight-0 block, which only
+    # a witness builds); M_3 to degree 7 ranks 2,195 orbits in CC_8
     "hc dims over M_2 to degree 7": Case(
         ("hc", "dims", "--algebra", "{m2}", "--max-degree", "7"), 0,
+        _dims(7, 1), timeout=20),
+    "hc dims over M_3 to degree 7": Case(
+        ("hc", "dims", "--algebra", "{m3}", "--max-degree", "7"), 0,
         _dims(7, 1), timeout=20),
     # several factors sum the spaces of their factors, one build per
     # distinct size, and build no block that uses two factors: C^3 to

@@ -20,8 +20,6 @@ README = PACKAGE.parents[1] / "README.md"
 
 # public names no module of the package reads, with what does
 UNCALLED = {
-    "algebra.SpectralForm.kernel_projection": "the form's P({0}), which "
-    "tests check against 1 - sum p",
     "cli._Parser.error": "argparse calls it on a usage error",
     "cyclic.HomologySpace.cycle_basis": "perfbench's tracer reads it",
     "generate.acyclic_augmentation": "perfbench's lefschetz workload",
