@@ -11,32 +11,22 @@ Ruskey, Savage and Wang, J. Algorithms 13, 1992), so it reaches each
 orbit once and canonicalizes nothing.  A boundary build canonicalizes
 each distinct face once.
 
-The complex is graded by weight: for each (factor, index), row uses minus
-column uses of the index in a tuple.  The face map and rotation preserve
-it, the diagonal unitary torus acts on the weight-w block by t^w, and
-inner automorphisms act trivially on cyclic homology, so blocks of
-nonzero weight are acyclic.  Only the weight-0 block is enumerated and
-eliminated; a boundary witness reads its other parts from the Cartan
-homotopy (Loday, Cyclic Homology, 1992, 4.1; Goodwillie, Topology 24,
-1985).  b: CC_n -> CC_{n-1}, on words of integer letters, is eliminated
+A break of a word is a position k where letter k does not chain to letter
+k + 1, the last wrapping to the first; faces and rotation keep the number
+of breaks.  The break-free words are the closed walks e_{v_0 v_1} x ... x
+e_{v_n v_0} of one factor, the only words the generalized trace keeps; it
+kills the rest and is injective on HC, so the rest is acyclic (Loday,
+Cyclic Homology, 1992, 1.2.1 and 2.2.9).  Only closed walks are enumerated
+and eliminated; a witness contracts the broken words by the break
+homotopy.  b: CC_n -> CC_{n-1}, on words of integer letters, is eliminated
 (:func:`~ncgdesk.scalars.eliminate`) once per (block sizes, n), for its
 rank, by rows; a witness eliminates its columns, tagged.
 
 M_m(A) is the sum of the M_{m r_f}, so every build (letters, bases,
-boundaries, spaces) is keyed by its block sizes ``A.ambient_dims(m)``.
-The complex is graded a second time, by the set of factors a tuple uses:
-units of different factors multiply to 0, so a face keeps that set or
-vanishes.  A block of two or more factors is acyclic, since HC of a
-product of unital algebras is the sum of theirs (Loday, Cyclic Homology,
-1992).  The weight-0 block of M_d is graded a third time, by its breaks,
-the positions k where the column of letter k is not the row of letter
-k + 1 (cyclically): faces and rotation keep their number.  The break-free
-words are the closed walks e_{v_0 v_1} x ... x e_{v_n v_0}, the only
-words the generalized trace keeps; it kills the rest and is injective on
-HC, so the rest is acyclic (Loday, 1.2.1 and 2.2.9).  So a space is
-checked, and ``hc_dims`` summed, per distinct size on closed walks; the
-full weight-0 block is built only for witnesses, ``reduced_class``,
-``cycle_basis``, ``cc`` and ``boundary_rank``.
+boundaries, spaces) is keyed by its block sizes ``A.ambient_dims(m)``.  A
+closed walk stays in one factor, and HC of a product of unital algebras
+is the sum of theirs, so a space is checked, and ``hc_dims`` summed, per
+distinct size.
 
 HC_2l = C^k has a fixed basis, the classes of e_{f,00} x ... x e_{f,00}
 (2l+1 factors), one per factor f, and HC is 0 in odd degree.  The trace
@@ -289,26 +279,35 @@ def cc_reduce(xi: TensorElement) -> dict:
     return _cc_sum(xi.coeffs.items(), xi.degree)
 
 
-def _weight(key) -> tuple:
-    """Weight of a unit tuple: for each (factor, index), row uses minus column
-    uses, as sorted ((factor, index), count) pairs with count != 0.
+def _breaks(key) -> list:
+    """The positions k where unit k does not chain to unit k + 1, the last
+    wrapping to the first; none for a closed walk."""
+    return [k for k, u in enumerate(key)
+            if _unit_mul(u, key[k + 1 - len(key)]) is None]
 
-    The face map and rotation preserve it; () is weight zero.
-    """
-    w = {}
-    for j, a, b in key:
-        if a != b:
-            w[j, a] = w.get((j, a), 0) + 1
-            w[j, b] = w.get((j, b), 0) - 1
-    return tuple(sorted((p, c) for p, c in w.items() if c))
+
+def _break_homotopy(terms) -> dict:
+    """The sum of c * S(word) / r over (word, c) in ``terms``, r the number
+    of breaks of the word; closed walks give nothing.  S inserts e_vv
+    after each break k, v the row of unit k + 1, with sign (-1)^(k+1):
+    each insertion contracts the run it starts, so b S + S b = r on the
+    r-break summand of CC (Loday, Cyclic Homology, 1992, 1.2 and 4.1)."""
+    out = {}
+    for key, c in terms:
+        breaks = _breaks(key)
+        for k in breaks:
+            f = c * Fraction(1, len(breaks))
+            j, a, _ = key[k + 1 - len(key)]
+            word = key[:k + 1] + ((j, a, a),) + key[k + 1:]
+            out[word] = out.get(word, 0) + (f if k % 2 else -f)
+    return out
 
 
 @dataclass(frozen=True)
 class CyclicSpace:
-    """Basis of the weight-0 block of CC_n(M_m(A)), or of its closed walks:
-    canonical cyclic-orbit representatives as sorted words of
-    :func:`_letters`.  No block of nonzero weight is built: a witness
-    reads those parts from the Cartan homotopy."""
+    """Basis of the closed walks of CC_n(M_m(A)): canonical cyclic-orbit
+    representatives as sorted words of :func:`_letters`.  No broken word
+    is built: a witness reads those parts from the break homotopy."""
 
     dims: tuple
     degree: int
@@ -328,14 +327,14 @@ class CyclicSpace:
 
     def coordinates(self, xi: TensorElement) -> dict:
         """Sparse CC coordinates {basis position: coefficient} of the
-        weight-0 component of xi, a tensor of the same block sizes."""
+        closed-walk component of xi, a tensor of the same block sizes."""
         if (xi.algebra.ambient_dims(xi.amplification) != self.dims
                 or xi.degree != self.degree):
             raise ValidationError("tensor does not live in this space")
         letter = _letters(self.dims)[1]
-        # a weight-0 key missing from the index is a bug: KeyError
+        # a closed walk missing from the index is a bug: KeyError
         return {self.index[tuple(map(letter.get, k))]: c
-                for k, c in cc_reduce(xi).items() if not _weight(k)}
+                for k, c in cc_reduce(xi).items() if not _breaks(k)}
 
 
 @functools.lru_cache(maxsize=256)
@@ -358,9 +357,9 @@ def _all_units(algebra, m: int) -> list:
     return _letters(algebra.ambient_dims(m))[0]
 
 
-def _orbit_basis(dims: tuple, n: int, closed: bool) -> list:
-    """Canonical orbit representatives of weight 0 in CC_n, sorted; with
-    ``closed``, only the closed walks e_{v_0 v_1} x ... x e_{v_n v_0}.
+def _orbit_basis(dims: tuple, n: int) -> list:
+    """Canonical orbit representatives of the closed walks
+    e_{v_0 v_1} x ... x e_{v_n v_0} in CC_n, sorted.
 
     Walks prenecklaces, the prefixes of least rotations, depth-first in
     lexicographic order (Fredricksen-Kessler-Maiorana; Ruskey, Savage and
@@ -368,24 +367,20 @@ def _orbit_basis(dims: tuple, n: int, closed: bool) -> list:
     letter t is at least letter t - p, equal to it keeps p, and larger sets
     p = t + 1.  A word of length n + 1 is then its own least rotation iff p
     divides n + 1, and each orbit is reached once; the rotations fixing it
-    are the multiples of p, so in odd degree it dies iff p is odd.  A
-    prefix is also cut when the L1 norm of its weight exceeds 2 x (slots
-    left), since one unit moves that norm by at most 2, and for a closed
-    walk when its last two letters do not chain: a chained word of weight
-    0 ends where it starts, so its last letter chains to its first.  Each
-    node visited is charged to the budget, a node's children at once.
+    are the multiples of p, so in odd degree it dies iff p is odd.  Each
+    letter starts where the prefix ends, and the last letter ends where the
+    first starts.  Each node visited is charged to the budget, a node's
+    children at once.
     """
     budget = get_budget()
     visited = 1  # the root
     moves = _letters(dims)[2]
-    gap = [0] * (moves[-1][0] + 1)  # the prefix's weight
     basis = []
     prefix = []
 
-    def walk(t, p, dist):
+    def walk(t, p):
         nonlocal visited
-        left = n + 1 - t
-        if not left:
+        if t == n + 1:
             if (n + 1) % p == 0 and not (n % 2 and p % 2):
                 basis.append(tuple(prefix))
             return
@@ -393,34 +388,25 @@ def _orbit_basis(dims: tuple, n: int, closed: bool) -> list:
         visited += len(moves) - first
         if visited > budget:
             check_budget(visited, f"nodes walked so far for the CC_{n} basis")
-        # the row a closed walk's next letter must start from
-        row = moves[prefix[-1]][1] if closed and t else None
+        row = moves[prefix[-1]][1] if t else None
+        start = moves[prefix[0]][0] if t else None
         for i in range(first, len(moves)):
             r, c = moves[i]
-            if row is not None and r != row:
+            if t and r != row or t == n and c != (start if t else r):
                 continue
-            gr, gc = gap[r], gap[c]
-            d = dist if r == c else \
-                dist - abs(gr) - abs(gc) + abs(gr + 1) + abs(gc - 1)
-            if d > 2 * (left - 1):
-                continue
-            gap[r] += 1
-            gap[c] -= 1
             prefix.append(i)
-            walk(t + 1, p if i == first else t + 1, d)
+            walk(t + 1, p if i == first else t + 1)
             prefix.pop()
-            gap[r], gap[c] = gr, gc
 
-    walk(0, 1, 0)
+    walk(0, 1)
     return basis
 
 
-# the caches are keyed by the block sizes and the closed-walk cut, passed
-# positionally, so that each complex has one entry whichever algebra and
-# amplification it serves
+# the caches are keyed by the block sizes, passed positionally, so that
+# each complex has one entry whichever algebra and amplification it serves
 @functools.lru_cache(maxsize=256)
-def _cyclic_space(dims: tuple, n: int, closed: bool = False) -> CyclicSpace:
-    words = _orbit_basis(dims, n, closed)
+def _cyclic_space(dims: tuple, n: int) -> CyclicSpace:
+    words = _orbit_basis(dims, n)
     return CyclicSpace(dims, n, tuple(words),
                        {w: i for i, w in enumerate(words)})
 
@@ -457,8 +443,7 @@ def _boundary_columns(source: CyclicSpace, target: CyclicSpace):
 
 @dataclass(frozen=True)
 class _Boundary:
-    """b: CC_n -> CC_{n-1} on the weight-0 block or its closed walks, and
-    its rank."""
+    """b: CC_n -> CC_{n-1} on the closed walks, and its rank."""
 
     source: CyclicSpace
     target: CyclicSpace
@@ -471,9 +456,9 @@ class _Boundary:
 
 
 @functools.lru_cache(maxsize=256)
-def _boundary(dims: tuple, n: int, closed: bool = False) -> _Boundary:
-    target = _cyclic_space(dims, n - 1, closed)
-    source = _cyclic_space(dims, n, closed)
+def _boundary(dims: tuple, n: int) -> _Boundary:
+    target = _cyclic_space(dims, n - 1)
+    source = _cyclic_space(dims, n)
     rows = [{} for _ in range(target.dimension)]
     for j, col in enumerate(_boundary_columns(source, target)):
         for p, c in col.items():
@@ -482,13 +467,11 @@ def _boundary(dims: tuple, n: int, closed: bool = False) -> _Boundary:
     return _Boundary(source, target, red.rank)
 
 
-def _checked_above(dims: tuple, n: int, dimension: int,
-                   closed: bool) -> _Boundary:
-    """b into the weight-0 block of CC_n, or its closed walks, from one
-    degree up, once its ranks give dim HC_n = dim CC_n - rank b_n -
-    rank b_{n+1} = ``dimension``."""
-    above = _boundary(dims, n + 1, closed)
-    rank_b = _boundary(dims, n, closed).rank if n else 0
+def _checked_above(dims: tuple, n: int, dimension: int) -> _Boundary:
+    """b into the closed walks of CC_n from one degree up, once its ranks
+    give dim HC_n = dim CC_n - rank b_n - rank b_{n+1} = ``dimension``."""
+    above = _boundary(dims, n + 1)
+    rank_b = _boundary(dims, n).rank if n else 0
     found = above.target.dimension - rank_b - above.rank
     if found != dimension:
         raise ConsistencyError(f"HC_{n} has dimension {found}, not {dimension}")
@@ -543,9 +526,9 @@ class HomologySpace:
     ``basis`` holds the unit tuples (f, 0, 0) x ... x (f, 0, 0), one per
     factor in even degree and none in odd degree.  Construction checks,
     per distinct size d, that the ranks of the closed walks of M_d give
-    1 in even degree and 0 in odd.  The full weight-0 block is built on
-    first use, for ``cc``, ``boundary_rank``, ``cycle_basis``,
-    ``reduced_class`` and witnesses, and its ranks must give ``dimension``;
+    1 in even degree and 0 in odd.  ``cc``, ``boundary_rank``,
+    ``cycle_basis``, ``reduced_class`` and witnesses read the closed walks
+    of M_m(A), whose ranks must give ``dimension``, on first use;
     combinations come from tagged eliminations.  At finite dimension images
     are closed, so this space simultaneously realizes the Banach variant
     and the comparison map between them is the identity on coordinates.
@@ -560,12 +543,12 @@ class HomologySpace:
             ((f, 0, 0),) * (n + 1) for f in range(algebra.num_factors))
         self.dimension = len(self.basis)
         for d in set(self.dims):
-            _checked_above((d,), n, 1 - n % 2, True)
+            _checked_above((d,), n, 1 - n % 2)
 
     @functools.cached_property
     def _above(self) -> _Boundary:
-        """b into the full weight-0 block of CC_n, from one degree up."""
-        return _checked_above(self.dims, self.degree, self.dimension, False)
+        """b into the closed walks of CC_n, from one degree up."""
+        return _checked_above(self.dims, self.degree, self.dimension)
 
     cc = property(lambda self: self._above.target)
     boundary_rank = property(lambda self: self._above.rank)
@@ -573,7 +556,7 @@ class HomologySpace:
     @functools.cached_property
     def cycle_basis(self) -> list:
         """Kernel vectors {position in cc: coefficient} of b out of CC_n."""
-        return _boundary(self.dims, self.degree, False).tracked[2]
+        return _boundary(self.dims, self.degree).tracked[2]
 
     # -- queries ------------------------------------------------------------
     def reduced_class(self, xi: TensorElement) -> HCClass:
@@ -583,7 +566,7 @@ class HomologySpace:
         if not xi.is_cycle():
             raise DomainError("tensor is not a cycle in CC coordinates")
 
-        # weight 0 only; tags never pivot, so the untagged part is b's residue
+        # tags never pivot, so the untagged part is b's residue
         def reduce(xi):
             out = self._above.tracked[0].reduce(self.cc.coordinates(xi))
             return {k: v for k, v in out.items() if k >= 0}
@@ -591,7 +574,7 @@ class HomologySpace:
             xi.algebra, xi.amplification, key)) for key in self.basis))
         rest = basis.reduce(reduce(xi))
         if any(k >= 0 for k in rest):
-            raise DomainError("cycle does not reduce into the basis")
+            raise ConsistencyError("cycle does not reduce into the basis")
         zero = Fraction(0) if xi.is_exact() else 0j
         minus = tags(rest)  # minus the coordinates
         return HCClass(self.degree, tuple(zero - minus.get(i, 0)
@@ -601,23 +584,14 @@ class HomologySpace:
         """A preimage eta of xi under the boundary from one degree up, with
         b(eta) = xi in CC, or None: a non-cycle fails that one check.
 
-        The weight-0 part is reduced against the tagged elimination of the
-        boundary from one degree up, built on the first call.  A part xi_w
-        of weight w != 0 is h(xi_w) / |w|^2, where h inserts x_w = sum_p
-        w_p e_pp after letter i with sign (-1)^(i+1): the Cartan homotopy,
-        b h + h b = L_(ad x_w) = |w|^2 on weight w (Loday, Cyclic Homology,
-        1992, 4.1; Goodwillie, Topology 24, 1985).
+        The closed-walk part is reduced against the tagged elimination of
+        the boundary from one degree up, built on the first call; the
+        broken words are contracted by :func:`_break_homotopy`.
         """
         residue = self._above.tracked[0].reduce(self.cc.coordinates(xi))
-        out = {self._above.source.key(j): -f
-               for j, f in tags(residue).items()}
-        for key, c in cc_reduce(xi).items():
-            weight = _weight(key)
-            for (j, a), k in weight:
-                f = c * Fraction(k, sum(v * v for _, v in weight))
-                for i in range(len(key)):
-                    word = key[:i + 1] + ((j, a, a),) + key[i + 1:]
-                    out[word] = out.get(word, 0) + (f if i % 2 else -f)
+        out = _break_homotopy(cc_reduce(xi).items())
+        out.update((self._above.source.key(j), -f)
+                   for j, f in tags(residue).items())
         eta = TensorElement._trusted(xi.algebra, xi.amplification,
                                      self.degree + 1, out)
         miss = cc_reduce(face_op(eta) - xi)

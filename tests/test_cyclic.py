@@ -207,15 +207,16 @@ class TestNormBounds:
 
 
 # ---------------------------------------------------------------------------
-# the weight grading
+# the weight grading, kept here as the oracle for the closed-walk complex
 
-def weight(key):
-    """Per (factor, index): row uses minus column uses, zeros dropped."""
+def weight(key) -> tuple:
+    """Per (factor, index): row uses minus column uses, as sorted pairs with
+    a nonzero count; () is weight 0.  Faces and rotation keep it."""
     w = {}
     for j, a, b in key:
         w[j, a] = w.get((j, a), 0) + 1
         w[j, b] = w.get((j, b), 0) - 1
-    return {p: c for p, c in w.items() if c}
+    return tuple(sorted((p, c) for p, c in w.items() if c))
 
 
 def weight_zero_part(xi):
@@ -288,6 +289,11 @@ def golden_boundaries():
         "m2_deg2": face_op(random_tensor(M2, 1, 3, random.Random(22), 8)),
         "cm2_deg1": face_op(random_tensor(CM2, 1, 2, random.Random(23), 8)),
         "amp_deg2": face_op(random_tensor(C, 2, 3, random.Random(24), 6)),
+        # closed walks, whose part the elimination solves
+        "m2_deg2_walks": face_op(TensorElement(M2, 1, 3, {
+            ((0, 0, 1), (0, 1, 0), (0, 0, 0), (0, 0, 0)): Fraction(2),
+            ((0, 0, 1), (0, 1, 1), (0, 1, 0), (0, 0, 0)): Fraction(-1, 3),
+            ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 1)): Fraction(1)})),
     }
 
 
@@ -300,19 +306,49 @@ GOLDEN_COORDS = {
     "gauss_deg2": [["0", "3/2"]],
     "amp_deg2": [["1", "0"]],
 }
-# The weight-0 terms of each witness, from the elimination of the weight-0
-# block; a witness is not unique, so its other terms are checked only by
-# b(witness) = xi in CC.
+# Each witness in full: the closed-walk terms from the elimination of the
+# closed walks, the broken ones from the break homotopy.
 GOLDEN_WITNESSES = {
     "m2_deg1": [
-        [[[0, 0, 0], [0, 0, 0], [0, 1, 1]], ["4", "0"]]],
+        [[[0, 0, 0], [0, 0, 1], [0, 0, 0]], ["-3", "0"]],
+        [[[0, 0, 0], [0, 1, 1], [0, 0, 0]], ["2", "0"]],
+        [[[0, 0, 0], [0, 1, 1], [0, 1, 1]], ["-2", "0"]],
+        [[[0, 0, 1], [0, 1, 1], [0, 0, 0]], ["3", "0"]]],
     "m2_deg2": [
-        [[[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]], ["3", "0"]],
-        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1]], ["-3", "0"]]],
+        [[[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], ["-3/2", "0"]],
+        [[[0, 0, 0], [0, 1, 0], [0, 1, 1], [0, 1, 0]], ["-1", "0"]],
+        [[[0, 0, 0], [0, 1, 1], [0, 1, 0], [0, 0, 1]], ["-3/2", "0"]],
+        [[[0, 0, 0], [0, 1, 1], [0, 1, 0], [0, 1, 0]], ["1", "0"]],
+        [[[0, 0, 0], [0, 1, 1], [0, 1, 1], [0, 0, 0]], ["3/2", "0"]],
+        [[[0, 0, 0], [0, 1, 1], [0, 1, 1], [0, 1, 1]], ["3/2", "0"]],
+        [[[0, 1, 0], [0, 1, 0], [0, 1, 1], [0, 1, 1]], ["1", "0"]],
+        [[[0, 1, 0], [0, 1, 1], [0, 1, 0], [0, 1, 1]], ["-1", "0"]]],
     "cm2_deg1": [
-        [[[0, 0, 0], [0, 0, 0], [1, 1, 1]], ["2", "0"]]],
+        [[[0, 0, 0], [1, 0, 0], [1, 0, 1]], ["-1/2", "0"]],
+        [[[0, 0, 0], [1, 0, 1], [0, 0, 0]], ["1/2", "0"]],
+        [[[0, 0, 0], [1, 1, 0], [0, 0, 0]], ["-3/2", "0"]],
+        [[[0, 0, 0], [1, 1, 1], [0, 0, 0]], ["1", "0"]],
+        [[[0, 0, 0], [1, 1, 1], [1, 1, 0]], ["3/2", "0"]],
+        [[[0, 0, 0], [1, 1, 1], [1, 1, 1]], ["-1", "0"]],
+        [[[1, 0, 0], [1, 1, 1], [1, 1, 0]], ["-1", "0"]],
+        [[[1, 1, 0], [1, 1, 1], [1, 1, 1]], ["1", "0"]]],
     "amp_deg2": [
-        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1]], ["3", "0"]]],
+        [[[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]], ["-2", "0"]],
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 0, 0]], ["-3/2", "0"]],
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 0]], ["-1", "0"]],
+        [[[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1]], ["3/2", "0"]],
+        [[[0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 0, 0]], ["2", "0"]],
+        [[[0, 0, 0], [0, 1, 1], [0, 1, 1], [0, 0, 0]], ["-3/2", "0"]],
+        [[[0, 0, 0], [0, 1, 1], [0, 1, 1], [0, 1, 0]], ["-1", "0"]],
+        [[[0, 0, 0], [0, 1, 1], [0, 1, 1], [0, 1, 1]], ["-3/2", "0"]],
+        [[[0, 0, 1], [0, 0, 0], [0, 0, 1], [0, 0, 1]], ["-2/3", "0"]],
+        [[[0, 0, 1], [0, 0, 0], [0, 0, 1], [0, 1, 0]], ["2", "0"]],
+        [[[0, 0, 1], [0, 0, 1], [0, 0, 0], [0, 0, 1]], ["2/3", "0"]],
+        [[[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 0]], ["-2/3", "0"]],
+        [[[0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 0]], ["1", "0"]]],
+    "m2_deg2_walks": [
+        [[[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 0]], ["2", "0"]],
+        [[[0, 0, 1], [0, 1, 1], [0, 1, 1], [0, 0, 0]], ["-1", "0"]]],
 }
 
 
@@ -324,8 +360,7 @@ class TestWeightGrading:
         for n in range(max_degree + 1):
             expected = [k for k in brute_force_orbits(algebra, m, n)
                         if not weight(k)]
-            space = cyclic._cyclic_space(algebra.ambient_dims(m), n)
-            assert list(space.basis) == expected
+            assert leaf_canonical_orbit_basis(algebra, m, n, ()) == expected
 
     def test_missing_weight_zero_key_fails_loudly(self):
         full = cyclic._cyclic_space((2,), 2)
@@ -358,8 +393,7 @@ class TestWeightGrading:
         witnesses = {name: is_boundary(xi)
                      for name, xi in golden_boundaries().items()}
         got = {name: [[t["indices"], t["coeff"]]
-                      for t in sz.tensor_to_json(w)["terms"]
-                      if not weight(t["indices"])]
+                      for t in sz.tensor_to_json(w)["terms"]]
                for name, w in witnesses.items()}
         assert got == GOLDEN_WITNESSES
         for name, xi in golden_boundaries().items():
@@ -452,8 +486,8 @@ def test_cc_canonical_matches_the_two_loop_form():
 # the orbit walk is charged the nodes it visits
 
 class TestWalkBudget:
-    @pytest.mark.parametrize("blocks, n, nodes", [((2,), 3, 115),
-                                                  ((3,), 4, 9_182)])
+    @pytest.mark.parametrize("blocks, n, nodes", [((2,), 3, 55),
+                                                  ((3,), 4, 966)])
     def test_walk_is_charged_its_nodes(self, cold_cyclic, blocks, n, nodes):
         try:
             set_budget(nodes - 1)
@@ -478,6 +512,26 @@ class TestWalkBudget:
 
     def test_default_budget_reaches_hc5_of_m4(self):
         self.reaches(4, 5)
+
+    @pytest.mark.parametrize("size, top", [(2, 14), (3, 7), (4, 5)])
+    def test_default_budget_witnesses_reach_the_dims(self, cold_cyclic, size,
+                                                     top):
+        # a cold witness builds the closed walks hc_dims builds, one degree
+        # up, and nothing more
+        algebra = MultiMatrixAlgebra((size,))
+        rng = random.Random(size)
+
+        def boundary(n):
+            walk = ((0, 0, 1), (0, 1, 1), (0, 1, 0), (0, 0, 1),
+                    (0, 1, 0)) + ((0, 0, 0),) * (n - 3)
+            return face_op(random_tensor(algebra, 1, n + 1, rng)
+                           + TensorElement.basis(algebra, 1, walk))
+        xi = boundary(top)
+        assert not all(map(cyclic._breaks, cc_reduce(xi)))
+        assert is_witness(is_boundary(xi), xi)
+        with pytest.raises(ResourceError,
+                           match=f"nodes walked so far for the CC_{top + 2} "):
+            is_boundary(boundary(top + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -542,16 +596,16 @@ class TestPrenecklaceWalk:
     @pytest.mark.parametrize("blocks, m, n, word", WALK_CASES)
     def test_basis_equals_both_references(self, blocks, m, n, word):
         algebra = MultiMatrixAlgebra(blocks)
-        w = cyclic._weight(word)
+        w = weight(word)
         brute = [k for k in brute_force_orbits(algebra, m, n)
-                 if cyclic._weight(k) == w]
+                 if weight(k) == w]
         assert brute, "a case with an empty basis shows nothing"
         assert leaf_canonical_orbit_basis(algebra, m, n, w) == brute
-        # only weight 0 is built; a case of another weight checks the
-        # basis that the elimination oracle below walks
+        # only the closed walks, of weight 0, are built; every case checks
+        # the bases that the elimination oracle below walks
         if not w:
             space = cyclic._cyclic_space(algebra.ambient_dims(m), n)
-            assert list(space.basis) == brute
+            assert list(space.basis) == list(filter(closes, brute))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 2), min_size=1, max_size=3),
@@ -559,12 +613,13 @@ class TestPrenecklaceWalk:
     def test_random_algebras_match_the_leaf_walk(self, blocks, n):
         algebra = MultiMatrixAlgebra(tuple(blocks))
         assert list(cyclic._cyclic_space(algebra.block_dims, n).basis) \
-            == leaf_canonical_orbit_basis(algebra, 1, n, ())
+            == list(filter(closes, leaf_canonical_orbit_basis(algebra, 1, n,
+                                                              ())))
 
     def test_walk_canonicalizes_no_leaf(self, monkeypatch, cold_cyclic):
         cases = [(M2, 1, 5), (CM2, 1, 4), (A, 2, 3)]
-        expected = [leaf_canonical_orbit_basis(algebra, m, n, ())
-                    for algebra, m, n in cases]
+        expected = [list(filter(closes, leaf_canonical_orbit_basis(
+            algebra, m, n, ()))) for algebra, m, n in cases]
 
         def refuse(key, n):
             raise AssertionError("the walk canonicalized a leaf")
@@ -574,14 +629,13 @@ class TestPrenecklaceWalk:
 
 
 # ---------------------------------------------------------------------------
-# witnesses off weight 0 from the Cartan homotopy, against elimination
+# witnesses of broken words from the break homotopy, against elimination
 
-def elimination_witness(xi):
-    """The per-weight elimination route: each weight block of xi, weight 0
-    included, is solved against the boundary of its own block, whose bases
-    come from the leaf walk.  Words are encoded in the library's letters
-    and multiplied as their units are.  A witness, or None."""
-    algebra, m, n = xi.algebra, xi.amplification, xi.degree
+def block_boundary(algebra, m, n, w):
+    """b: CC_n -> CC_{n-1} on the block of weight w, both bases from the
+    leaf walk: (source words, encode, target index by encoded word, the
+    columns b(word) in target positions).  Words are encoded in the
+    library's letters and multiplied as their units are."""
     units, letter, _, _ = cyclic._letters(algebra.ambient_dims(m))
 
     def encode(key):
@@ -591,24 +645,33 @@ def elimination_witness(xi):
         u = cyclic._unit_mul(units[x], units[y])
         return None if u is None else letter[u]
 
+    source = leaf_canonical_orbit_basis(algebra, m, n, w)
+    index = {encode(k): i for i, k in enumerate(
+        leaf_canonical_orbit_basis(algebra, m, n - 1, w))}
+    columns = [cyclic._boundary_column(
+        encode(k), mul, index, lambda face: cyclic._cc_canonical(face, n - 1))
+        for k in source]
+    return source, encode, index, columns
+
+
+def elimination_witness(xi):
+    """The per-weight elimination route: each weight block of xi, weight 0
+    included, is solved against the boundary of its own block, broken
+    words and closed walks together.  A witness, or None."""
     reduced = cc_reduce(xi)
     out = {}
-    for w in {()} | {cyclic._weight(k) for k in reduced}:
-        source = leaf_canonical_orbit_basis(algebra, m, n + 1, w)
-        index = {encode(k): i for i, k in enumerate(
-            leaf_canonical_orbit_basis(algebra, m, n, w))}
-        reducer, _, _ = eliminate(tagged(
-            cyclic._boundary_column(encode(k), mul, index,
-                                    lambda face: cyclic._cc_canonical(face, n))
-            for k in source))
-        residue = reducer.reduce(
-            {index[encode(k)]: c for k, c in reduced.items()
-             if cyclic._weight(k) == w})
+    for w in {()} | {weight(k) for k in reduced}:
+        source, encode, index, columns = block_boundary(
+            xi.algebra, xi.amplification, xi.degree + 1, w)
+        reducer, _, _ = eliminate(tagged(columns))
+        residue = reducer.reduce({index[encode(k)]: c
+                                  for k, c in reduced.items()
+                                  if weight(k) == w})
         if any(k >= 0 for k in residue):
             return None
         # the residue's tags are minus the preimage combination
         out.update((source[j], -f) for j, f in tags(residue).items())
-    return TensorElement(algebra, m, n + 1, out)
+    return TensorElement(xi.algebra, xi.amplification, xi.degree + 1, out)
 
 
 def is_witness(eta, xi):
@@ -623,7 +686,28 @@ ORACLE_SPACES = [((1,), 1, 3), ((2,), 1, 3), ((1, 1), 1, 3), ((1, 2), 1, 3),
                  ((1, 2), 2, 1), ((2, 2), 2, 0)]
 
 
-class TestCartanWitness:
+class TestBreakHomotopy:
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.sampled_from([CM2, MultiMatrixAlgebra((1, 1, 1)),
+                                   MultiMatrixAlgebra((3,))]),
+           st.integers(1, 2), st.integers(0, 4))
+    def test_contracts_each_broken_part_of_a_boundary(self, seed, algebra,
+                                                       m, n):
+        # no complex is built: S is read off each word, over any size
+        xi = face_op(random_tensor(algebra, m, n + 1, random.Random(seed),
+                                   terms=6))
+        parts = {}
+        for key, c in cc_reduce(xi).items():
+            parts.setdefault(len(cyclic._breaks(key)), {})[key] = c
+        for r, part in parts.items():
+            xi_r = TensorElement(algebra, m, n, part)
+            assert xi_r.is_cycle()
+            assert (r == 0) == all(map(closes, part))
+            if r:
+                eta = TensorElement(algebra, m, n + 1,
+                                    cyclic._break_homotopy(part.items()))
+                assert cc_reduce(face_op(eta)) == part
+
     @settings(max_examples=60, deadline=None)
     @given(seeds, st.sampled_from(ORACLE_SPACES),
            st.sampled_from(["boundary", "float boundary", "noisy"]),
@@ -645,11 +729,11 @@ class TestCartanWitness:
         for eta in (witness, oracle):
             assert eta is None or is_witness(eta, xi)
 
-    def test_non_cycle_off_weight_zero_has_no_witness(self):
-        # e00 x e01 has weight e_0 - e_1 and boundary e01: only the final
-        # check b(eta) = xi tells it from a boundary
+    def test_broken_non_cycle_has_no_witness(self):
+        # e00 x e01 has two breaks and boundary e01: only the final check
+        # b(eta) = xi tells it from a boundary
         xi = TensorElement.basis(M2, 1, ((0, 0, 0), (0, 0, 1)))
-        assert not xi.is_cycle() and all(map(cyclic._weight, cc_reduce(xi)))
+        assert not xi.is_cycle() and all(map(cyclic._breaks, cc_reduce(xi)))
         assert is_boundary(xi) is None
 
     @staticmethod
@@ -662,19 +746,18 @@ class TestCartanWitness:
                 count -= 1
                 yield ps
 
-    def test_criterion_7_builds_only_weight_zero_blocks(self, monkeypatch,
-                                                        cold_cyclic):
+    def test_criterion_7_builds_only_closed_walks(self, monkeypatch,
+                                                   cold_cyclic):
         built = []
         boundary = cyclic._boundary
-        monkeypatch.setattr(cyclic, "_boundary", lambda dims, n, closed=False: (
-            built.append((n, closed)) or boundary(dims, n, closed)))
+        monkeypatch.setattr(cyclic, "_boundary", lambda dims, n: (
+            built.append(n) or boundary(dims, n)))
         ps, = self.criterion_7_families(1)
         assert verify_eta_vanishes(ps, 1, witness=True).witness_found
-        # the boundaries into and out of CC_2: on closed walks for the
-        # space, then on the full weight-0 block for the witness, where the
-        # elimination route also built 4 blocks of nonzero weight
-        assert set(built) == {(2, True), (3, True), (2, False), (3, False)}
-        assert boundary.cache_info().misses == 4
+        # the boundaries into and out of CC_2 on the closed walks of M_2,
+        # built for the space and read again by the witness
+        assert sorted(built) == [2, 2, 3, 3]
+        assert boundary.cache_info().misses == 2
 
     def test_criterion_7_families_agree_with_elimination(self):
         for ps in self.criterion_7_families(10):
@@ -705,7 +788,7 @@ class TestFaceMemo:
                  for i in range(len(key))
                  if (face := cyclic._face(key, i, cyclic._unit_mul))
                  is not None}
-        assert len(faces) == 1_745
+        assert len(faces) == 75
         assert calls == len(faces)
 
 
@@ -754,11 +837,12 @@ class TestRanksFromRows:
             return eliminate(vectors)
         monkeypatch.setattr(cyclic, "eliminate", counting)
         boundary = cyclic._boundary((2,), 7)
-        assert boundary.source.dimension == 1_618
-        assert inserted == [boundary.target.dimension] == [492]
+        assert boundary.source.dimension == 34
+        assert inserted == [boundary.target.dimension] == [20]
 
-    def test_rows_of_b7_over_m2_stay_in_ints(self, monkeypatch, cold_cyclic):
-        # some pivots of b7 are 2: the rows keep them, and no Fraction is built
+    @staticmethod
+    def int_rows(monkeypatch, dims, n):
+        """(rank, reducer, Fractions built) of the row elimination of b_n."""
         reducers, built = [], []
 
         class Counting(Fraction):
@@ -772,19 +856,31 @@ class TestRanksFromRows:
             return out
         monkeypatch.setattr(scalars, "Fraction", Counting)
         monkeypatch.setattr(cyclic, "eliminate", keeping)
-        assert cyclic._boundary((2,), 7).rank == 378
-        assert built == []
+        rank = cyclic._boundary(dims, n).rank
         [red] = reducers
-        assert len(red._ints) == red.rank == 378
+        assert len(red._ints) == red.rank == rank
         assert {type(v) for row in red._ints.values() for v in row.values()} == {int}
+        return rank, red, built
+
+    def test_rows_of_b7_over_m2_stay_in_ints(self, monkeypatch, cold_cyclic):
+        rank, red, built = self.int_rows(monkeypatch, (2,), 7)
+        assert rank == 15 and built == []
+        assert {row[p] for p, row in red._ints.items()} == {1}
+
+    def test_pivots_of_2_stay_in_ints(self, monkeypatch, cold_cyclic):
+        # some pivots of b5 over M_3 are 2: the rows keep them, and no
+        # Fraction is built
+        rank, red, built = self.int_rows(monkeypatch, (3,), 5)
+        assert rank == 38 and built == []
         assert {row[p] for p, row in red._ints.items()} == {1, 2}
 
 
 # ---------------------------------------------------------------------------
 # HC of M_m(A) as the sum over factors f of HC of M_{m r_f}
 
-def full_block_dimension(algebra, m, n):
-    """dim HC_n from the ranks of the full weight-0 block of M_m(A)."""
+def joint_dimension(algebra, m, n):
+    """dim HC_n from the ranks of the closed walks of M_m(A), all of its
+    factors in one complex."""
     dims = algebra.ambient_dims(m)
     ranks = [cyclic._boundary(dims, k).rank for k in (n, n + 1) if k]
     return cyclic._cyclic_space(dims, n).dimension - sum(ranks)
@@ -797,7 +893,7 @@ class TestFactorSum:
     def test_factor_sum_equals_the_full_block(self, blocks, m, n):
         algebra = MultiMatrixAlgebra(tuple(blocks))
         try:
-            full = [full_block_dimension(algebra, m, k) for k in range(n + 1)]
+            full = [joint_dimension(algebra, m, k) for k in range(n + 1)]
         except ResourceError:
             reject()  # beyond the default budget
         with mock.patch.object(cyclic, "hc_space",
@@ -808,7 +904,7 @@ class TestFactorSum:
             (MultiMatrixAlgebra((m * r,)), k) for r in blocks
             for k in range(n + 1)}
         if len(blocks) > 1:
-            # the full block, built on first use, checks the factor sum
+            # the joint complex, built on first use, checks the factor sum
             space = cyclic.HomologySpace(algebra, n, m)
             space.dimension += 1
             with pytest.raises(ConsistencyError):
@@ -818,12 +914,12 @@ class TestFactorSum:
                                                     cold_cyclic):
         built = []
         boundary = cyclic._boundary
-        monkeypatch.setattr(cyclic, "_boundary", lambda dims, n, closed=False: (
-            built.append((dims, closed)) or boundary(dims, n, closed)))
+        monkeypatch.setattr(cyclic, "_boundary", lambda dims, n: (
+            built.append(dims) or boundary(dims, n)))
         assert hc_dims(CM2, 4) == [2, 0, 2, 0, 2]
-        # b_1, ..., b_5 on the closed walks over C and over M_2; no block of
-        # C + M_2, and no full weight-0 block
-        assert set(built) == {((1,), True), ((2,), True)}
+        # b_1, ..., b_5 on the closed walks over C and over M_2; no complex
+        # of C + M_2
+        assert set(built) == {(1,), (2,)}
         assert boundary.cache_info().currsize == 10
 
 
@@ -839,12 +935,20 @@ def closes(key):
 
 def closed_walk_dimension(dims, n):
     """dim HC_n from the ranks of the closed walks alone."""
-    ranks = [cyclic._boundary(dims, k, True).rank for k in (n, n + 1) if k]
-    return cyclic._cyclic_space(dims, n, True).dimension - sum(ranks)
+    ranks = [cyclic._boundary(dims, k).rank for k in (n, n + 1) if k]
+    return cyclic._cyclic_space(dims, n).dimension - sum(ranks)
 
 
-# (size d, the top degree whose full weight-0 block of M_d the default
-# budget admits; over C every degree is one word)
+def full_block_dimension(algebra, m, n):
+    """dim HC_n from the ranks of the full weight-0 block of M_m(A), broken
+    words included, built from the leaf walk."""
+    ranks = [eliminate(block_boundary(algebra, m, k, ())[3])[0].rank
+             for k in (n, n + 1) if k]
+    return len(leaf_canonical_orbit_basis(algebra, m, n, ())) - sum(ranks)
+
+
+# (size d, the top degree to which the full weight-0 block of M_d is
+# checked; over C every degree is one word)
 FULL_REACH = [(1, 14), (2, 7), (3, 4)]
 
 
@@ -865,9 +969,10 @@ class TestClosedWalks:
     def test_basis_is_the_full_basis_filtered_to_closed_walks(self, dims,
                                                               top):
         dropped = 0
+        algebra = MultiMatrixAlgebra(dims)
         for n in range(top + 1):
-            full = cyclic._cyclic_space(dims, n).basis
-            closed = cyclic._cyclic_space(dims, n, True).basis
+            full = leaf_canonical_orbit_basis(algebra, 1, n, ())
+            closed = cyclic._cyclic_space(dims, n).basis
             assert closed == tuple(filter(closes, full))
             dropped += len(full) - len(closed)
         assert (dropped > 0) == (dims != (1,))
@@ -885,12 +990,10 @@ class TestBlockSizeKeys:
         size = cyclic._boundary.cache_info().currsize
         hc_space(MultiMatrixAlgebra((4,)), 3)
         assert cyclic._boundary.cache_info().currsize == size
-        # the first read of the full weight-0 block builds b_3 and b_4 of
-        # M_4 on it, and a second read builds nothing
+        # reading the closed walks of CC_3 of M_4 builds nothing more
         assert hc_space(M2, 3, 2).cc.dimension > 0
-        assert cyclic._boundary.cache_info().currsize == size + 2
         assert hc_space(MultiMatrixAlgebra((4,)), 3).cc.dimension > 0
-        assert cyclic._boundary.cache_info().currsize == size + 2
+        assert cyclic._boundary.cache_info().currsize == size
 
     def test_answers_come_back_over_the_tensors_algebra(self, cold_cyclic):
         hc_space(M2, 1)
@@ -900,15 +1003,12 @@ class TestBlockSizeKeys:
             ((0, 0, 0), (0, 0, 1), (0, 1, 1)): Fraction(1, 3)})
         witness = is_boundary(face_op(eta))
         assert (witness.algebra, witness.amplification) == (C, 2)
-        sixth = Fraction(1, 6)
+        third = Fraction(1, 3)
         assert witness.coeffs == {
-            ((0, 0, 0), (0, 0, 0), (0, 0, 1)): sixth,
-            ((0, 0, 0), (0, 0, 0), (0, 1, 1)): 2,
-            ((0, 0, 0), (0, 0, 1), (0, 0, 0)): -sixth,
-            ((0, 0, 0), (0, 0, 1), (0, 1, 1)): sixth,
-            ((0, 0, 0), (0, 1, 1), (0, 0, 1)): -sixth,
-            ((0, 0, 1), (0, 0, 0), (0, 1, 1)): -sixth,
-            ((0, 0, 1), (0, 1, 1), (0, 0, 0)): sixth}
+            ((0, 0, 0), (0, 0, 1), (0, 0, 0)): -third,
+            ((0, 0, 0), (0, 1, 1), (0, 0, 0)): 1,
+            ((0, 0, 0), (0, 1, 1), (0, 1, 1)): -1,
+            ((0, 0, 1), (0, 1, 1), (0, 0, 0)): third}
         cycle = TensorElement.basis(C, 2, ((0, 0, 0),) * 3).scale(3) \
             + face_op(TensorElement.basis(
                 C, 2, ((0, 0, 1), (0, 1, 0), (0, 0, 1), (0, 1, 1))))
@@ -989,8 +1089,8 @@ class TestReadout:
 
     def test_witness_elimination_is_built_once(self, monkeypatch, cold_cyclic):
         # ranks need one elimination per boundary on the closed walks; the
-        # first witness eliminates both boundaries on the full weight-0
-        # block, and the one above once more, tagged, and keeps them
+        # first witness eliminates the one above once more, tagged, and
+        # keeps it
         calls = []
         monkeypatch.setattr(cyclic, "eliminate",
                             lambda cols: calls.append(1) or eliminate(cols))
@@ -1001,16 +1101,25 @@ class TestReadout:
         hc_space(M2, 1)
         assert len(calls) == 2
         assert is_boundary(xi) is not None
-        assert len(calls) == 5
+        assert len(calls) == 3
         assert is_boundary(xi) is not None
-        assert len(calls) == 5
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_wrong_dimension_raises(self, monkeypatch, cold_cyclic, n):
-        # a zero boundary leaves every weight-0 orbit as a class
+        # a zero boundary leaves every closed walk as a class
         monkeypatch.setattr(cyclic, "_boundary_column", lambda *args: {})
         with pytest.raises(ConsistencyError):
             hc_space(M2, n)
+
+    def test_cycle_outside_a_boundary_basis_fails_loudly(self):
+        # a checked space's basis spans HC; a basis replaced by the
+        # boundary word e01 = b(e00 x e01) leaves the class of e00 outside
+        space = cyclic.HomologySpace(M2, 0)
+        space.basis = (((0, 0, 1),),)
+        with pytest.raises(ConsistencyError,
+                           match="^cycle does not reduce into the basis$"):
+            space.reduced_class(TensorElement.basis(M2, 1, ((0, 0, 0),)))
 
     def test_base_space_reads_the_trace(self):
         xi = golden_cycles()["amp_deg2"]

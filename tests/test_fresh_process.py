@@ -332,9 +332,8 @@ CASES = {
         _dims(400, 1), timeout=10),
     # HC is built from boundary ranks alone, on the closed walks of integer
     # letters, each rank taken from the rows of b: M_2 to degree 7 ranks
-    # 34 orbits in CC_7 and keeps no combination (the 492 rows for the
-    # 1,618 columns of b_7 over M_2 are the full weight-0 block, which only
-    # a witness builds); M_3 to degree 7 ranks 2,195 orbits in CC_8
+    # 34 orbits in CC_7 and keeps no combination (20 rows for the 34
+    # columns of b_7); M_3 to degree 7 ranks 2,195 orbits in CC_8
     "hc dims over M_2 to degree 7": Case(
         ("hc", "dims", "--algebra", "{m2}", "--max-degree", "7"), 0,
         _dims(7, 1), timeout=20),
@@ -342,10 +341,8 @@ CASES = {
         ("hc", "dims", "--algebra", "{m3}", "--max-degree", "7"), 0,
         _dims(7, 1), timeout=20),
     # several factors sum the spaces of their factors, one build per
-    # distinct size, and build no block that uses two factors: C^3 to
-    # degree 6 walks one orbit of C per degree, and the full weight-0
-    # blocks of M_2 + M_2 to degree 5 and C + M_2 to degree 7, beyond the
-    # default budget, are never walked
+    # distinct size, and build no complex of two factors: C^3 to degree 6
+    # walks one orbit of C per degree
     "hc dims over C^3 to degree 6": Case(
         ("hc", "dims", "--algebra", "{c3}", "--max-degree", "6"), 0,
         _dims(6, 3), timeout=20),
@@ -355,9 +352,9 @@ CASES = {
     "hc dims over C + M_2 to degree 7": Case(
         ("hc", "dims", "--algebra", "{cm2}", "--max-degree", "7"), 0,
         _dims(7, 2), timeout=20),
-    # the hc battery asks for witnesses of mixed-weight boundaries, whose
-    # parts off weight 0 come from the Cartan homotopy; an empty battery
-    # list is one error line and exit 1, not an empty report
+    # the hc battery asks for witnesses of random boundaries, whose broken
+    # words the break homotopy contracts; an empty battery list is one
+    # error line and exit 1, not an empty report
     "boundary witness batteries": Case(
         ("verify", "--theorems", "hc,th2", "--seed", "7", "--count", "25"), 0,
         timeout=30),

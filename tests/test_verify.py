@@ -106,6 +106,9 @@ MUTANTS = {
     "transposed functorial_map": ("ngroup.py", "for row in phi.multiplicities)",
                                   "for row in zip(*phi.multiplicities))"),
     "live odd orbit": ("cyclic.py", "return best, 0", "return best, 1"),
+    "break homotopy sign flipped": ("cyclic.py",
+                                    "out.get(word, 0) + (f if k % 2 else -f)",
+                                    "out.get(word, 0) + (-f if k % 2 else f)"),
     "conjugated Fourier root": ("lefschetz.py", "roots[-k * s % t]",
                                 "roots[k * s % t]"),
     "Lefschetz module sign": ("lefschetz.py",

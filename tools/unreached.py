@@ -36,7 +36,7 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "ncgdesk"
 # the most unreached statements a change may leave; lower it when tests
 # reach more, so that code added without a test fails
-CEILING = 1
+CEILING = 0
 
 SITECUSTOMIZE = '''\
 import atexit, os, sys, threading
