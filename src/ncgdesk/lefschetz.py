@@ -5,11 +5,11 @@ A complex is a finite chain of projective modules q_j * A^(n_j) with
 A-linear differentials and a commuting action of a finite group.
 A differential is its tuple of per-factor blocks, whose shapes the
 complex checks against its modules.  Each structural fact is checked once
-per complex, on first use, and the list of its failures kept: that each d
-respects the ranges and d o d = 0, and that g -> U_g is a representation
-on each module whose generators commute with d and are unitary.
-``validate_complex`` returns those lists; a number that needs a fact
-raises DomainError naming its first failure.
+per complex, on first use, and its failures kept: that each d respects the
+ranges and d o d = 0, and that g -> U_g is a representation on each module
+whose generators commute with d and are unitary (on an exact one U_s* =
+U_(s^-1), else U_s* U_s = q_j).  ``validate_complex`` returns those lists;
+a number that needs a fact raises DomainError naming its first failure.
 
 Every Lefschetz number is read on the chain modules themselves.  A map
 that commutes with d splits the complex into its eigenvalue and isotypic
@@ -20,14 +20,14 @@ per module and factor, and one product U_s [U_g0 | U_g1 | ...] per
 generator s proves U_s U_g = U_sg for every g.  Once the action facts
 hold, the complex keeps its character table tr_i(U_g)
 (``GAComplex.characters``), the block traces of the same stacks, and the
-multiplicity m_chi,j,i =
-(1/|G|) sum_g conj chi(g) tr_i(U_g) on module j is the trace of the
-idempotent (dim chi/|G|) sum_g conj chi(g) U_g over dim chi.  Each
-(complex, irrep table) keeps M_chi = sum_j (-1)^j m_chi,j in Z^k, so
-L1(g) = sum_chi chi(g) M_chi and L2(g) = sum_i L1(g)_i ch_l(e_i), e_i the
-diagonal units, are short reads.  The refined number of U_g reads on
-module j the zeta_t^k eigenspace rank (1/t) sum_s zeta_t^(-ks) tr_i(U_g^s),
-t = ord(g), one Fourier read of the rows g^s of the character table
+multiplicity m_chi,j,i = (1/|G|) sum_g conj chi(g) tr_i(U_g) on module j
+is the trace of the idempotent (dim chi/|G|) sum_g conj chi(g) U_g over
+dim chi.  Each (complex, irrep table) keeps M_chi = sum_j (-1)^j m_chi,j
+in Z^k, so L1(g) = sum_chi chi(g) M_chi and L2(g) = sum_i L1(g)_i
+ch_l(e_i), e_i the diagonal units, are short reads, each kept per (table,
+g) or (table, g, l).  The refined number of U_g reads on module j the
+zeta_t^k eigenspace rank (1/t) sum_s zeta_t^(-ks) tr_i(U_g^s), t = ord(g),
+one Fourier read of the rows g^s of the character table
 (``_fourier_read``); ``spectral_decompose`` splits any other u_j.
 If that raises NumericalError on any module, every module is read on
 homology (h_j u_j h_j, h_j the harmonic projection, ``GAComplex.harmonic``),
@@ -251,9 +251,12 @@ def _chain_problems(c: GAComplex) -> list:
 
 def _generator_unitary_problems(c: GAComplex) -> list:
     """Where a generator's action fails U_s* U_s = q_j; with the action
-    facts, that decides every U_g (see :func:`_action_problems`)."""
-    return [p for s in c.group.generators
-            for p in _unitary_problems(c, c.action[s], f"action of {s}")]
+    facts, that decides every U_g (see :func:`_action_problems`).  They put
+    every U_g on one backend and give U_(s^-1) U_s = q_j = U_s U_(s^-1), so
+    an exact action fails it exactly where U_s* != U_(s^-1) (no product)."""
+    adjoint = not c._action_verdict and c.action[0][0].is_exact()
+    return [p for s in c.group.generators for p in _unitary_problems(
+        c, c.action[s], f"action of {s}", adjoint and c.action[c.group.inverse(s)])]
 
 
 def _action_problems(c: GAComplex) -> list:
@@ -308,12 +311,12 @@ class GAComplex:
     factor f's of shape (n_i r_f, n_(i+1) r_f), which the complex checks.
     ``action[g][j]`` is the unitary of g on module j.  The chain, action
     and generator unitarity problems, the character table, the alternating
-    isotypic multiplicities per irrep table, the refined number per element
-    or tuple of unitaries and, where a refined read needs them, the
-    harmonic projections are made on first use and kept.  The action's
-    stacks [U_g0 | U_g1 | ...], on which one product per generator proves
-    the representation and whose block traces are the character table,
-    are kept only until the table is read, on either backend.
+    isotypic multiplicities per irrep table, L1 and L2 per (table, g[, l]),
+    the refined number per element or tuple of unitaries and, where a
+    refined read needs them, the harmonic projections are made on first use
+    and kept.  The action's stacks [U_g0 | U_g1 | ...], on which one product
+    per generator proves the representation and whose block traces are the
+    character table, are kept only until the table is read.
     """
 
     algebra: MultiMatrixAlgebra
@@ -349,6 +352,7 @@ class GAComplex:
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "_multiplicities", {})  # IrrepTable -> M
         object.__setattr__(self, "_refined", {})  # g or unitaries -> number
+        object.__setattr__(self, "_numbers", {})  # (table, g[, l]) -> L1 or L2
 
     @property
     def length(self) -> int:
@@ -417,8 +421,12 @@ def validate_complex(c: GAComplex) -> list:
     return c._chain_verdict + c._action_verdict + c._unitary_verdict
 
 
-def _unitary_problems(c: GAComplex, maps, who: str) -> list:
-    """Where the per-module maps fail u* u = q_j."""
+def _unitary_problems(c: GAComplex, maps, who: str, inverses=()) -> list:
+    """Where the per-module maps fail u* u = q_j, or, given inverses v, u* = v."""
+    if inverses:
+        return [f"{who} is not unitary on module {j}"
+                for j, (u, v) in enumerate(zip(maps, inverses)) if not all(
+                    map(la.mat_equal, map(la.conj_transpose, u.blocks), v.blocks))]
     return [f"{who} is not unitary on module {j}"
             for j, (u, q) in enumerate(zip(maps, c.modules))
             if not (u.star() * u).equals(q.element)]
@@ -521,20 +529,25 @@ def isotypic_decompose(c: GAComplex, irreps: IrrepTable) -> tuple:
 
 
 def lefschetz_first(c: GAComplex, g: int, irreps: IrrepTable) -> K0TensorC:
-    """sum over irreducibles chi of chi(g) M_chi."""
-    coeffs = [Fraction(0)] * c.algebra.num_factors
-    for irr, mult in isotypic_decompose(c, irreps):
-        chi = irr.character(g)
-        for i, m in enumerate(mult):
-            if m:
-                coeffs[i] = coeffs[i] + m * chi
-    return K0TensorC(tuple(coeffs))
+    """sum over irreducibles chi of chi(g) M_chi, kept per (table, g)."""
+    if (irreps, g) not in c._numbers:
+        coeffs = [Fraction(0)] * c.algebra.num_factors
+        for irr, mult in isotypic_decompose(c, irreps):
+            chi = irr.character(g)
+            for i, m in enumerate(mult):
+                if m:
+                    coeffs[i] = coeffs[i] + m * chi
+        c._numbers[irreps, g] = K0TensorC(tuple(coeffs))
+    return c._numbers[irreps, g]
 
 
 def lefschetz_second(c: GAComplex, g: int, irreps: IrrepTable,
                      l: int) -> HCClass:
     """sum over factors i of L1(g)_i ch_l(e_i), e_i the diagonal units."""
-    return k0c_chern(lefschetz_first(c, g, irreps), c.algebra, l)
+    if (irreps, g, l) not in c._numbers:
+        c._numbers[irreps, g, l] = k0c_chern(
+            lefschetz_first(c, g, irreps), c.algebra, l)
+    return c._numbers[irreps, g, l]
 
 
 @functools.lru_cache(maxsize=64)  # the default budget admits orders <= 46
@@ -591,8 +604,10 @@ def generalized_lefschetz(c: GAComplex, unitaries) -> GeneralizedLefschetz:
     unitaries = tuple(unitaries)
     if len(unitaries) != c.length:
         raise ValidationError("one unitary per module required")
-    rows = enumerate(c.action) if unitaries[0].is_exact() else ()  # exact tables only
-    key = next((g for g, row in rows if row == unitaries), unitaries)  # g, or the maps
+    rows = c.action if unitaries[0].is_exact() else ()  # exact tables only
+    key = next((g for g, row in enumerate(rows) if row is unitaries), None)
+    if key is None:  # g by value, or the maps
+        key = next((g for g, row in enumerate(rows) if row == unitaries), unitaries)
     if key in c._refined:
         return c._refined[key]
     if key is not unitaries:

@@ -116,9 +116,10 @@ _PACKED = (ExactMatrix, FloatMatrix)
 
 
 def _one_backend(*mats):
-    """ValidationError unless the operands share a backend."""
-    if len({type(m) for m in mats}) > 1:
-        raise ValidationError("operation mixes exact and float matrices")
+    """ValidationError unless each operand has the first one's backend."""
+    for m in mats[1:]:
+        if type(m) is not type(mats[0]):
+            raise ValidationError("operation mixes exact and float matrices")
 
 
 def _make(order: int, nums: np.ndarray, den: int) -> ExactMatrix:

@@ -449,6 +449,8 @@ def battery_th4(seed: int, count: int) -> VerificationReport:
         (q.element,), (AlgebraElement(q.algebra, 2, (((1, 1), (0, -1)),)),)))
     rejected.append(("the refined number of a non-unitary representation",
                      lambda: generalized_lefschetz(skew, skew.unitary(1))))
+    rejected.append(("the refined number of a non-unitary endomorphism",
+                     lambda: generalized_lefschetz(skew, (q.element.scale(2),))))
     s3, std = tables[2], tables[2].irreps[2]  # S3 by g -> rho(g^-1): U_s U_g = U_gs
     right = GAComplex(q.algebra, s3.group, (q,), (), tuple(
         (AlgebraElement(q.algebra, 2, (std.matrices[s3.group.inverse(g)],)),)

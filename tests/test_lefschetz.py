@@ -739,6 +739,29 @@ class TestOneDecomposition:
             generalized_lefschetz(c, c.unitary(g))
         assert len(calls) == len(table.group.generators) == 2
 
+    def test_l1_and_l2_kept_per_table_and_element(self, monkeypatch):
+        c, table = next(pair for pair in seeded_complexes()
+                        if pair[1] is TABLES[2])
+        calls = Counter()
+        for name in ("isotypic_decompose", "k0c_chern"):
+            real = getattr(lefschetz, name)
+            monkeypatch.setattr(lefschetz, name, lambda *a, name=name, real=real:
+                                calls.update([name]) or real(*a))
+        assert verify_th4(c, 1, table)
+        assert calls == {"isotypic_decompose": 1}
+        assert verify_th5(c, 1, table, 0)  # reads the kept L1
+        assert calls == {"isotypic_decompose": 1, "k0c_chern": 1}
+        first, second = lefschetz_first(c, 1, table), lefschetz_second(c, 1, table, 0)
+        assert verify_th5(c, 1, table, 0)
+        assert lefschetz_first(c, 1, table) is first
+        assert lefschetz_second(c, 1, table, 0) is second
+        assert calls == {"isotypic_decompose": 1, "k0c_chern": 1}
+        # another element, degree or table is read apart
+        assert lefschetz_second(c, 1, table, 1) is not second
+        swapped = IrrepTable(table.group, tuple(reversed(table.irreps)))
+        assert lefschetz_first(c, 2, swapped) == lefschetz_first(c, 2, table)
+        assert calls == {"isotypic_decompose": 3, "k0c_chern": 2}
+
     def test_endomorphism_checks_shared_with_validation(self):
         c = two_term_complex(A)
         flip = [AlgebraElement.identity(A),
@@ -861,6 +884,36 @@ class TestStackedAction:
         action = [list(row) for row in c.action]
         action[s][0] = bumped
         assert self._same_as_per_product(with_action(c, action))
+
+    def test_adjoint_and_product_unitarity_verdicts_agree(self, monkeypatch):
+        # Z/3 on C^2 by the rational companion matrix of x^2 + x + 1, a
+        # representation that is not unitary, beside C with Z/3 by zeta_3
+        q2, q1 = Projection.identity(C, 2), Projection.identity(C)
+        turn = AlgebraElement(C, 2, (((0, -1), (1, -1)),))
+        w = q1.element.scale(Cyclotomic.root_of_unity(3, 1))
+        skew = GAComplex(C, TABLES[1].group, (q2, q1), ((((0,), (0,)),),), (
+            (q2.element, q1.element), (turn, w), (turn * turn, w * w)))
+        complexes = [skew] + [
+            random_ga_complex(algebra, table, random.Random(seed),
+                              length=1 + seed % 3)
+            for table in TABLES for seed in (11, 12, 13)
+            for algebra in (A, M2)]
+        products = [[f"action of {s} is not unitary on module {j}"
+                     for s in c.group.generators
+                     for j, (u, q) in enumerate(zip(c.action[s], c.modules))
+                     if not (u.star() * u).equals(q.element)]
+                    for c in complexes]
+        assert products[0] == ["action of 1 is not unitary on module 0"]
+        assert not any(products[1:])
+        for c in complexes:
+            assert c._action_verdict == []
+
+        def fail(*args):
+            raise AssertionError("a product or an adjoint element")
+        monkeypatch.setattr(AlgebraElement, "__mul__", fail)
+        monkeypatch.setattr(AlgebraElement, "star", fail)
+        assert [lefschetz._generator_unitary_problems(c)
+                for c in complexes] == products
 
     def test_stacks_are_let_go_once_the_table_is_read(self):
         c, _ = next(seeded_complexes())

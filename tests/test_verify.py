@@ -133,9 +133,17 @@ MUTANTS = {
     "commute-with-d check dropped": ("lefschetz.py",
                                      "if not all(map(la.mat_equal, left, right)):",
                                      "if False:"),
+    # the product route, which checks the endomorphisms that are no row of
+    # the action table
     "table read skips the unitarity check": ("lefschetz.py",
                                              "if not (u.star() * u).equals(q.element)]",
                                              "if False]"),
+    # the adjoint route of exact representations: th4's skew involution
+    # equals its own inverse, and the valid Z/3 complexes have U_s* != U_s
+    "adjoint dropped": ("lefschetz.py", "map(la.conj_transpose, u.blocks)",
+                        "u.blocks"),
+    "inverse read as s": ("lefschetz.py", "c.action[c.group.inverse(s)]",
+                          "c.action[s]"),
     "multiplicativity check dropped": (
         "lefschetz.py", "if not (u * v).equals(c.action[group.mul(s, g)][j])]",
         "if False]"),
