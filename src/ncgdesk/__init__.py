@@ -22,14 +22,12 @@ from .chern import (
     T_direct,
     chern_projection,
     dyadic_cover,
-    eta_cycle,
     generalized_chern,
     verify_eta_vanishes,
 )
 from .cyclic import (
     HCClass,
     TensorElement,
-    cyclic_op,
     face_op,
     hc_class,
     hc_dims,
@@ -93,11 +91,10 @@ __all__ = [
     "SpectralForm", "StarHomomorphism", "apply_hom", "is_normal",
     "spectral_decompose", "spectral_projection",
     "get_budget", "set_budget",
-    "T_cover", "T_direct", "chern_projection", "dyadic_cover", "eta_cycle",
+    "T_cover", "T_direct", "chern_projection", "dyadic_cover",
     "generalized_chern", "verify_eta_vanishes",
-    "HCClass", "TensorElement", "cyclic_op", "face_op", "hc_class",
-    "hc_dims", "hc_space", "is_boundary", "read_class", "trace_map",
-    "zero_class",
+    "HCClass", "TensorElement", "face_op", "hc_class", "hc_dims",
+    "hc_space", "is_boundary", "read_class", "trace_map", "zero_class",
     "ConsistencyError", "DomainError", "NcgError", "NumericalError",
     "ResourceError", "ValidationError",
     "FiniteGroup", "GAComplex", "IrrepTable", "generalized_lefschetz",

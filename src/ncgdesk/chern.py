@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MultiMatrixAlgebra, Projection, SpectralForm
-from .cyclic import (DecompositionRep, HCClass, TensorElement, charge_read,
-                     hc_class, is_boundary, read_class, zero_class)
+from .cyclic import (DecompositionRep, HCClass, charge_read, hc_class,
+                     is_boundary, read_class, zero_class)
 from .errors import DomainError, NumericalError, ValidationError
 from .ngroup import K0TensorC, N0Class, h_map
 from .scalars import get_epsilon, real_imag, scalar_is_zero, sort_key
@@ -146,11 +146,6 @@ def _eta_rep(ps, l: int) -> DecompositionRep:
     return DecompositionRep(tuple((x,) * (2 * l + 1)
                                   for x in [sum(xs[1:], xs[0])] + xs),
                             (1,) + (-1,) * len(ps))
-
-
-def eta_cycle(ps, l: int) -> TensorElement:
-    """(sum p_j)^(2l+1) - sum p_j^(2l+1): the cross terms of the expansion."""
-    return _eta_rep(list(ps), l).expand()
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,13 @@ kills the rest and is injective on HC, so the rest is acyclic (Loday,
 Cyclic Homology, 1992, 1.2.1 and 2.2.9).  Only closed walks are enumerated
 and eliminated; a witness contracts the broken words by the break
 homotopy.  b: CC_n -> CC_{n-1}, on words of integer letters, is eliminated
-(:func:`~ncgdesk.scalars.eliminate`) once per (block sizes, n), for its
-rank, by rows; a witness eliminates its columns, tagged.
+(:func:`~ncgdesk.scalars.eliminate`) once per (size, n), for its rank, by
+rows; a witness eliminates its columns, tagged.
 
-M_m(A) is the sum of the M_{m r_f}, so every build (letters, bases,
-boundaries, spaces) is keyed by its block sizes ``A.ambient_dims(m)``.  A
-closed walk stays in one factor, and HC of a product of unital algebras
-is the sum of theirs, so a space is checked, and ``hc_dims`` summed, per
-distinct size.
+M_m(A) is the sum of the M_{m r_f}, and a closed walk stays in one factor,
+so HC of M_m(A) is the sum of theirs: a space is checked, ``hc_dims``
+summed and a witness or class solved size by size, each build (letters,
+bases, boundaries, spaces) keyed by its block sizes.
 
 HC_2l = C^k has a fixed basis, the classes of e_{f,00} x ... x e_{f,00}
 (2l+1 factors), one per factor f, and HC is 0 in odd degree.  The trace
@@ -86,6 +85,8 @@ class TensorElement:
                  degree: int, coeffs: dict):
         if degree < 0:
             raise ValidationError("tensor degree must be >= 0")
+        if amplification < 1:
+            raise ValidationError("amplification must be >= 1")
         dims = algebra.ambient_dims(amplification)
         clean = {}
         for key, c in coeffs.items():
@@ -201,17 +202,6 @@ class TensorElement:
                 f"terms={len(self.coeffs)})")
 
 
-def cyclic_op(xi: TensorElement) -> TensorElement:
-    """tau_n: a_0 x...x a_n -> (-1)^n a_n x a_0 x...x a_{n-1}, extended linearly."""
-    n = xi.degree
-    sign = -1 if n % 2 else 1
-    out = {}
-    for key, c in xi.coeffs.items():
-        rk = key[-1:] + key[:-1]
-        out[rk] = out.get(rk, 0) + sign * c
-    return TensorElement._trusted(xi.algebra, xi.amplification, n, out)
-
-
 def _face(word, i: int, mul):
     """d_i(word): letters i and i + 1 multiplied, the last wrapping around;
     None when the product vanishes (mul returns None)."""
@@ -324,17 +314,6 @@ class CyclicSpace:
         return tuple(units[x] for x in self.words[i])
 
     basis = property(lambda self: tuple(map(self.key, range(self.dimension))))
-
-    def coordinates(self, xi: TensorElement) -> dict:
-        """Sparse CC coordinates {basis position: coefficient} of the
-        closed-walk component of xi, a tensor of the same block sizes."""
-        if (xi.algebra.ambient_dims(xi.amplification) != self.dims
-                or xi.degree != self.degree):
-            raise ValidationError("tensor does not live in this space")
-        letter = _letters(self.dims)[1]
-        # a closed walk missing from the index is a bug: KeyError
-        return {self.index[tuple(map(letter.get, k))]: c
-                for k, c in cc_reduce(xi).items() if not _breaks(k)}
 
 
 @functools.lru_cache(maxsize=256)
@@ -467,17 +446,6 @@ def _boundary(dims: tuple, n: int) -> _Boundary:
     return _Boundary(source, target, red.rank)
 
 
-def _checked_above(dims: tuple, n: int, dimension: int) -> _Boundary:
-    """b into the closed walks of CC_n from one degree up, once its ranks
-    give dim HC_n = dim CC_n - rank b_n - rank b_{n+1} = ``dimension``."""
-    above = _boundary(dims, n + 1)
-    rank_b = _boundary(dims, n).rank if n else 0
-    found = above.target.dimension - rank_b - above.rank
-    if found != dimension:
-        raise ConsistencyError(f"HC_{n} has dimension {found}, not {dimension}")
-    return above
-
-
 # ---------------------------------------------------------------------------
 # homology
 
@@ -526,12 +494,11 @@ class HomologySpace:
     ``basis`` holds the unit tuples (f, 0, 0) x ... x (f, 0, 0), one per
     factor in even degree and none in odd degree.  Construction checks,
     per distinct size d, that the ranks of the closed walks of M_d give
-    1 in even degree and 0 in odd.  ``cc``, ``boundary_rank``,
-    ``cycle_basis``, ``reduced_class`` and witnesses read the closed walks
-    of M_m(A), whose ranks must give ``dimension``, on first use;
-    combinations come from tagged eliminations.  At finite dimension images
-    are closed, so this space simultaneously realizes the Banach variant
-    and the comparison map between them is the identity on coordinates.
+    1 in even degree and 0 in odd; ``reduced_class`` and witnesses solve
+    the closed walks of each factor f in the complex of M_{d_f} alone.  At
+    finite dimension images are closed, so this space simultaneously
+    realizes the Banach variant and the comparison map between them is the
+    identity on coordinates.
     """
 
     def __init__(self, algebra: MultiMatrixAlgebra, n: int,
@@ -542,16 +509,20 @@ class HomologySpace:
         self.basis = () if n % 2 else tuple(
             ((f, 0, 0),) * (n + 1) for f in range(algebra.num_factors))
         self.dimension = len(self.basis)
-        for d in set(self.dims):
-            _checked_above((d,), n, 1 - n % 2)
+        for d in set(self.dims):  # dim CC_n - rank b_n - rank b_{n+1}
+            above = _boundary((d,), n + 1)
+            found = above.target.dimension - above.rank - (
+                _boundary((d,), n).rank if n else 0)
+            if found != 1 - n % 2:
+                raise ConsistencyError(
+                    f"HC_{n} has dimension {found}, not {1 - n % 2}")
 
-    @functools.cached_property
-    def _above(self) -> _Boundary:
-        """b into the closed walks of CC_n, from one degree up."""
-        return _checked_above(self.dims, self.degree, self.dimension)
-
-    cc = property(lambda self: self._above.target)
-    boundary_rank = property(lambda self: self._above.rank)
+    # read by perfbench's tracer only: the closed walks of M_m(A), with no
+    # elimination
+    cc = property(lambda self: _cyclic_space(self.dims, self.degree))
+    # read by perfbench's tracer only: b is block-diagonal by factor
+    boundary_rank = property(lambda self: sum(
+        _boundary((d,), self.degree + 1).rank for d in self.dims))
 
     @functools.cached_property
     def cycle_basis(self) -> list:
@@ -559,17 +530,40 @@ class HomologySpace:
         return _boundary(self.dims, self.degree).tracked[2]
 
     # -- queries ------------------------------------------------------------
+    def _parts(self, xi: TensorElement) -> dict:
+        """{f: (above, coordinates)} over the factors f that the closed
+        walks of xi meet: b into CC_n of M_{d_f} from one degree up, and the
+        part's coordinates in its target, unit (f, a, b) spelt (0, a, b)."""
+        if (xi.algebra.ambient_dims(xi.amplification) != self.dims
+                or xi.degree != self.degree):
+            raise ValidationError("tensor does not live in this space")
+        parts = {}
+        for key, c in cc_reduce(xi).items():
+            if not _breaks(key):
+                parts.setdefault(key[0][0], {})[key] = c
+        for f, part in parts.items():
+            above = _boundary((self.dims[f],), self.degree + 1)
+            letter = _letters((self.dims[f],))[1]
+            # a closed walk missing from the index is a bug: KeyError
+            parts[f] = above, {above.target.index[tuple(
+                letter[0, a, b] for _, a, b in k)]: c for k, c in part.items()}
+        return parts
+
     def reduced_class(self, xi: TensorElement) -> HCClass:
         """The class of a cycle by reduction modulo the boundaries, solved
         in the span of the reduced basis tuples: the oracle for
         :func:`hc_class`, which does not use the trace cocycles."""
         if not xi.is_cycle():
             raise DomainError("tensor is not a cycle in CC coordinates")
+        factors = len(self.dims)
 
-        # tags never pivot, so the untagged part is b's residue
+        # tags never pivot, so the untagged part is b's residue; position p
+        # of factor f is p * factors + f
         def reduce(xi):
-            out = self._above.tracked[0].reduce(self.cc.coordinates(xi))
-            return {k: v for k, v in out.items() if k >= 0}
+            return {p * factors + f: v
+                    for f, (above, coords) in self._parts(xi).items()
+                    for p, v in above.tracked[0].reduce(coords).items()
+                    if p >= 0}
         basis, _, _ = eliminate(tagged(reduce(TensorElement.basis(
             xi.algebra, xi.amplification, key)) for key in self.basis))
         rest = basis.reduce(reduce(xi))
@@ -584,14 +578,15 @@ class HomologySpace:
         """A preimage eta of xi under the boundary from one degree up, with
         b(eta) = xi in CC, or None: a non-cycle fails that one check.
 
-        The closed-walk part is reduced against the tagged elimination of
-        the boundary from one degree up, built on the first call; the
-        broken words are contracted by :func:`_break_homotopy`.
+        The closed walks in factor f are reduced against the tagged
+        elimination of the boundary into CC_n of M_{d_f}, built on the
+        first call, and the preimage is read back in factor f; the broken
+        words are contracted by :func:`_break_homotopy`.
         """
-        residue = self._above.tracked[0].reduce(self.cc.coordinates(xi))
         out = _break_homotopy(cc_reduce(xi).items())
-        out.update((self._above.source.key(j), -f)
-                   for j, f in tags(residue).items())
+        for f, (above, coords) in self._parts(xi).items():
+            for j, c in tags(above.tracked[0].reduce(coords)).items():
+                out[tuple((f, a, b) for _, a, b in above.source.key(j))] = -c
         eta = TensorElement._trusted(xi.algebra, xi.amplification,
                                      self.degree + 1, out)
         miss = cc_reduce(face_op(eta) - xi)

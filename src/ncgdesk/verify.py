@@ -291,7 +291,8 @@ def battery_kernel_h(seed: int, count: int) -> VerificationReport:
 def battery_hc(seed: int, count: int) -> VerificationReport:
     """A random boundary b(eta), of mixed weight, reads class 0 and has a
     witness; a projection power plus that boundary reads the class that
-    reduction modulo the boundaries finds."""
+    reduction modulo the boundaries finds.  eta is four random words and a
+    closed walk e00 x...x e00 x e0t x et0 in the last factor, of size t + 1."""
     algebras = _small_algebras()
 
     def one(rng):
@@ -299,7 +300,9 @@ def battery_hc(seed: int, count: int) -> VerificationReport:
         m = rng.randint(1, 2) if max(algebra.block_dims) == 1 else 1
         n = rng.randint(0, 2)
         units = _all_units(algebra, m)
+        f, _, t = units[-1]
         eta = TensorElement(algebra, m, n + 1, {
+            ((f, 0, 0),) * n + ((f, 0, t), (f, t, 0)): 1} | {
             tuple(rng.choice(units) for _ in range(n + 2)):
             random_gaussian_rational(rng) for _ in range(4)})
         xi = face_op(eta)
@@ -507,9 +510,4 @@ BATTERIES = {
 
 
 def run_batteries(names, seed: int, count: int):
-    reports = []
-    for name in names:
-        if name not in BATTERIES:
-            raise KeyError(name)
-        reports.append(BATTERIES[name](seed, count))
-    return reports
+    return [BATTERIES[name](seed, count) for name in names]

@@ -15,10 +15,10 @@ from ncgdesk.chern import (
     EtaReport,
     T_cover,
     T_direct,
+    _eta_rep,
     _power_class,
     chern_projection,
     dyadic_cover,
-    eta_cycle,
     generalized_chern,
     verify_eta_vanishes,
     verify_th7,
@@ -495,11 +495,11 @@ class TestObstruction:
     def test_eta_requires_orthogonality(self):
         p = Projection.identity(A)
         with pytest.raises(DomainError):
-            eta_cycle([p, p], 1)
+            _eta_rep([p, p], 1)
 
     def test_eta_zero_for_single_projection(self):
         p = Projection.identity(A)
-        assert eta_cycle([p], 1).is_zero()
+        assert _eta_rep([p], 1).expand().is_zero()
 
     @settings(max_examples=15, deadline=None)
     @given(seeds)
@@ -570,7 +570,7 @@ class TestFactoredObstruction:
 
     def test_eta_cycle_is_the_expanded_difference(self):
         for ps, _ in list(self._families())[:12]:
-            assert eta_cycle(ps, 1).equals(expanded_eta(ps, 1))
+            assert _eta_rep(ps, 1).expand().equals(expanded_eta(ps, 1))
 
     def test_no_expansion_without_witness(self, monkeypatch):
         def refuse(self):
@@ -797,7 +797,7 @@ def test_negative_level_and_empty_family_are_refused():
     with pytest.raises(ValidationError, match="^cover level must be >= 0$"):
         dyadic_cover([Fraction(1)], -1)
     with pytest.raises(DomainError, match="^need at least one projection$"):
-        eta_cycle([], 1)
+        _eta_rep([], 1)
 
 
 def test_float_family_orthogonal_within_epsilon_may_not_be_a_cycle():

@@ -988,6 +988,14 @@ REFUSALS = {
     "rank vector of the wrong length": (
         ({"x.json": _n0_doc(C2, ("1", [1]))}, ["n0", "h", "--n0", "x.json"]),
         "does not match algebra"),
+    "tensor of amplification 0": (
+        ({"xi.json": _tensor_doc(C, 0, 0)},
+         ["hc", "class", "--tensor", "xi.json"]),
+        "amplification must be >= 1"),
+    "tensor of amplification -1": (
+        ({"xi.json": _tensor_doc(C, -1, 0)},
+         ["hc", "trace", "--tensor", "xi.json"]),
+        "amplification must be >= 1"),
     "negative tensor degree": (
         ({"xi.json": _tensor_doc(C, 1, -1)},
          ["hc", "class", "--tensor", "xi.json"]), "degree must be >= 0"),

@@ -16,7 +16,6 @@ from ncgdesk.cyclic import (
     cc_reduce,
     check_face_bound,
     check_trace_bound,
-    cyclic_op,
     decomposition_norm,
     face_op,
     hc_class,
@@ -29,7 +28,7 @@ from ncgdesk.cyclic import (
 from ncgdesk.budget import set_budget
 from ncgdesk.errors import ConsistencyError, DomainError, ResourceError, \
     ValidationError
-from ncgdesk.chern import eta_cycle, verify_eta_vanishes
+from ncgdesk.chern import _eta_rep, verify_eta_vanishes
 from ncgdesk.generate import random_orthogonal_family
 from ncgdesk.scalars import Cyclotomic, eliminate, scalar_is_zero, tagged, tags
 
@@ -50,6 +49,14 @@ def cold_cyclic():
     yield
     for f in cached:
         f.cache_clear()
+
+
+def cyclic_op(xi):
+    """tau_n: a_0 x...x a_n -> (-1)^n a_n x a_0 x...x a_{n-1}, extended
+    linearly: a reference operator for the CC quotient."""
+    sign = -1 if xi.degree % 2 else 1
+    return TensorElement(xi.algebra, xi.amplification, xi.degree, {
+        key[-1:] + key[:-1]: sign * c for key, c in xi.coeffs.items()})
 
 
 def random_tensor(algebra, m, degree, rng, terms=4):
@@ -362,15 +369,24 @@ class TestWeightGrading:
                         if not weight(k)]
             assert leaf_canonical_orbit_basis(algebra, m, n, ()) == expected
 
-    def test_missing_weight_zero_key_fails_loudly(self):
-        full = cyclic._cyclic_space((2,), 2)
-        short = full.words[1:]
+    def test_missing_weight_zero_key_fails_loudly(self, monkeypatch):
+        # the split spells the closed walks of factor 1 of C + M_2 in the
+        # index of M_2's CC_2; one missing from it is a bug: KeyError
+        space = hc_space(CM2, 2)
+        above = cyclic._boundary((2,), 3)
+        short = above.target.words[1:]
         broken = CyclicSpace((2,), 2, short,
                              {k: i for i, k in enumerate(short)})
-        assert broken.coordinates(
-            TensorElement.basis(M2, 1, full.basis[1])) == {0: 1}
+        monkeypatch.setattr(cyclic, "_boundary", lambda dims, n: (
+            cyclic._Boundary(above.source, broken, above.rank)))
+
+        def lifted(key):
+            return TensorElement.basis(CM2, 1, tuple((1, a, b)
+                                                     for _, a, b in key))
+        assert {f: coords for f, (_, coords) in space._parts(
+            lifted(above.target.basis[1])).items()} == {1: {0: 1}}
         with pytest.raises(KeyError):
-            broken.coordinates(TensorElement.basis(M2, 1, full.basis[0]))
+            space._parts(lifted(above.target.basis[0]))
 
     @settings(max_examples=20, deadline=None)
     @given(seeds, st.integers(1, 2))
@@ -755,13 +771,13 @@ class TestBreakHomotopy:
         ps, = self.criterion_7_families(1)
         assert verify_eta_vanishes(ps, 1, witness=True).witness_found
         # the boundaries into and out of CC_2 on the closed walks of M_2,
-        # built for the space and read again by the witness
-        assert sorted(built) == [2, 2, 3, 3]
+        # built for the space; the witness reads b_3 again
+        assert sorted(built) == [2, 3, 3]
         assert boundary.cache_info().misses == 2
 
     def test_criterion_7_families_agree_with_elimination(self):
         for ps in self.criterion_7_families(10):
-            xi = eta_cycle(ps, 1)
+            xi = _eta_rep(ps, 1).expand()  # the obstruction in matrix units
             witness = is_boundary(xi)
             assert witness is not None and is_witness(witness, xi)
             assert elimination_witness(xi) is not None
@@ -902,12 +918,6 @@ class TestFactorSum:
         assert {c.args for c in spy.call_args_list} == {
             (MultiMatrixAlgebra((m * r,)), k) for r in blocks
             for k in range(n + 1)}
-        if len(blocks) > 1:
-            # the joint complex, built on first use, checks the factor sum
-            space = cyclic.HomologySpace(algebra, n, m)
-            space.dimension += 1
-            with pytest.raises(ConsistencyError):
-                space.cc
 
     def test_cold_dims_build_one_factor_blocks_only(self, monkeypatch,
                                                     cold_cyclic):
@@ -1005,6 +1015,51 @@ class TestBlockSizeKeys:
         assert hc_space(MultiMatrixAlgebra((4,)), 3).cc.dimension > 0
         assert cyclic._boundary.cache_info().currsize == size
 
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (1, 1, 1)])
+    def test_queries_build_one_size_complexes_only(self, monkeypatch,
+                                                    cold_cyclic, dims):
+        # a closed walk stays in one factor: spaces, witnesses and reduced
+        # classes read the complexes of M_d alone, for each size d
+        keys = []
+        for name in ("_boundary", "_cyclic_space"):
+            monkeypatch.setattr(cyclic, name, lambda d, n, cached=getattr(
+                cyclic, name): keys.append(d) or cached(d, n))
+        algebra = MultiMatrixAlgebra(dims)
+        rng = random.Random(7)
+        walks = 0
+        for n in range(4):
+            space = hc_space(algebra, n)
+            eta = random_tensor(algebra, 1, n + 1, rng)
+            f = len(dims) - 1
+            if dims[f] > 1:  # e00 x ... x e00 x e01 x e10 in the last factor
+                eta = eta + TensorElement.basis(
+                    algebra, 1, ((f, 0, 0),) * n + ((f, 0, 1), (f, 1, 0)))
+            xi = face_op(eta)
+            walks += any(not cyclic._breaks(k) for k in cc_reduce(xi))
+            assert is_witness(is_boundary(xi), xi)
+            for key in space.basis:
+                xi = xi + TensorElement.basis(algebra, 1, key).scale(
+                    Fraction(rng.randint(1, 5)))
+            assert space.reduced_class(xi) == hc_class(xi)
+        # C + C + C has no boundary of a closed walk in CC
+        assert (walks > 0) == (dims != (1, 1, 1))
+        assert keys and all(len(d) == 1 for d in keys)
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2)])
+    def test_tracer_accessors_read_the_factor_sum(self, cold_cyclic, dims):
+        # cc, boundary_rank and cycle_basis are read by perfbench's tracer
+        algebra = MultiMatrixAlgebra(dims)
+        for n in range(4):
+            space = hc_space(algebra, n)
+            assert space.cc.dimension == sum(
+                cyclic._cyclic_space((d,), n).dimension for d in dims)
+            assert space.boundary_rank == sum(
+                cyclic._boundary((d,), n + 1).rank for d in dims) \
+                == cyclic._boundary(dims, n + 1).rank
+            ranks = sum(cyclic._boundary((d,), n).rank for d in dims) if n \
+                else 0
+            assert len(space.cycle_basis) == space.cc.dimension - ranks
+
     def test_answers_come_back_over_the_tensors_algebra(self, cold_cyclic):
         hc_space(M2, 1)
         hc_space(M2, 2)  # the spaces of C at m = 2, built over M_2
@@ -1099,21 +1154,30 @@ class TestReadout:
 
     def test_witness_elimination_is_built_once(self, monkeypatch, cold_cyclic):
         # ranks need one elimination per boundary on the closed walks; the
-        # first witness eliminates the one above once more, tagged, and
-        # keeps it
+        # first witness with a closed-walk part eliminates the one above
+        # once more, tagged, and keeps it; broken words need none
         calls = []
         monkeypatch.setattr(cyclic, "eliminate",
                             lambda cols: calls.append(1) or eliminate(cols))
-        # e00 x e11 in CC_1
-        xi = face_op(TensorElement.basis(
+        # e00 x e11 - e01 x e11 in CC_1, broken words only
+        broken = face_op(TensorElement.basis(
             M2, 1, ((0, 0, 1), (0, 1, 0), (0, 1, 1))))
-        assert cc_reduce(xi)
+        # e00 x e00 x e00 - e00 x e01 x e10 in CC_2, closed walks only
+        walks = face_op(TensorElement.basis(
+            M2, 1, ((0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 1, 0))))
+        assert cc_reduce(broken) and all(map(cyclic._breaks,
+                                             cc_reduce(broken)))
+        assert cc_reduce(walks) and not any(map(cyclic._breaks,
+                                                cc_reduce(walks)))
         hc_space(M2, 1)
-        assert len(calls) == 2
-        assert is_boundary(xi) is not None
+        hc_space(M2, 2)
         assert len(calls) == 3
-        assert is_boundary(xi) is not None
+        assert is_boundary(broken) is not None
         assert len(calls) == 3
+        assert is_boundary(walks) is not None
+        assert len(calls) == 4
+        assert is_boundary(walks) is not None
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_wrong_dimension_raises(self, monkeypatch, cold_cyclic, n):
@@ -1222,6 +1286,9 @@ REFUSALS = {
     "summand over two algebras": (
         lambda: TensorElement.from_summand((ONE_C, AlgebraElement.identity(M2))),
         ValidationError, "tensor factors over different algebras"),
+    "tensor of amplification 0": (
+        lambda: TensorElement(C, 0, 0, {}),
+        ValidationError, "amplification must be >= 1"),
     "sum of two degrees": (
         lambda: TensorElement.basis(C, 1, (E11,))
         + TensorElement.basis(C, 1, (E11, E11)),

@@ -35,7 +35,7 @@ EXPORTED = [
     "NumericalError", "Projection", "ResourceError", "SpectralForm",
     "StarHomomorphism", "T_cover", "T_direct", "TensorElement",
     "ValidationError", "apply_hom", "chern_projection", "clear_caches",
-    "cyclic_op", "dyadic_cover", "eta_cycle", "face_op", "functorial_map",
+    "dyadic_cover", "face_op", "functorial_map",
     "generalized_chern", "generalized_lefschetz", "get_budget",
     "get_epsilon", "h_map", "hc_class", "hc_dims", "hc_space", "is_boundary",
     "is_normal", "lefschetz_first", "lefschetz_second", "n_class",

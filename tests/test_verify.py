@@ -109,6 +109,12 @@ MUTANTS = {
     "break homotopy sign flipped": ("cyclic.py",
                                     "out.get(word, 0) + (f if k % 2 else -f)",
                                     "out.get(word, 0) + (-f if k % 2 else f)"),
+    # the hc battery adds a closed walk of the last factor to each boundary,
+    # factor 1 over C + C at m = 2 and over C + M_2
+    "witness maps every factor back to factor 0": (
+        "cyclic.py",
+        "out[tuple((f, a, b) for _, a, b in above.source.key(j))] = -c",
+        "out[above.source.key(j)] = -c"),
     "conjugated Fourier root": ("lefschetz.py", "roots[-k * s % t]",
                                 "roots[k * s % t]"),
     "Lefschetz module sign": ("lefschetz.py",
