@@ -229,8 +229,11 @@ class Projection:
     @staticmethod
     def diagonal_unit(algebra, factor, index=0):
         """Rank-one diagonal matrix unit in the given factor."""
+        dims = algebra.ambient_dims()
+        if not (0 <= factor < len(dims) and 0 <= index < dims[factor]):
+            raise ValidationError(f"no diagonal unit {index} in factor {factor}")
         diags = []
-        for f, d in enumerate(algebra.ambient_dims()):
+        for f, d in enumerate(dims):
             diags.append([Fraction(1) if (f == factor and i == index) else Fraction(0)
                           for i in range(d)])
         return Projection(AlgebraElement.diagonal(algebra, diags))

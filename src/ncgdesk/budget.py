@@ -52,5 +52,4 @@ def check_budget(required: int, what: str) -> None:
     if required > budget:
         # Python will not print an int of more than 4300 digits
         shown = required if required.bit_length() <= 64 else "over 2^64"
-        raise ResourceError(f"{what}: {shown}, budget is {budget}",
-                            required=required, budget=budget)
+        raise ResourceError(f"{what}: {shown}, budget is {budget}")

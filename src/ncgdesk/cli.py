@@ -69,24 +69,16 @@ def _load_spectral(path):
     return spectral_decompose(sz.element_from_json(doc))
 
 
-def _load_complex(args):
-    """The --complex document, once --g is checked against its group."""
-    c = _read(args.complex, sz.complex_from_json)
-    if not 0 <= args.g < c.group.order:
-        raise ValidationError(f"group element index {args.g} out of range")
-    return c
-
-
 def _character_inputs(args):
     """(complex, g, irrep table) of ``lefschetz l1`` and ``l2``; without
     --irreps, a built-in table is recognized by the group's table."""
-    c = _load_complex(args)
+    c = _read(args.complex, sz.complex_from_json)
     n, table = c.group.order, c.group.table
     if args.irreps:
         irreps = _read(args.irreps, sz.irreps_from_json)
     elif table == FiniteGroup.cyclic_group(n).table:
         irreps = IrrepTable.cyclic(n)
-    elif n == 6 and table == FiniteGroup.symmetric_group_3().table:
+    elif n == 6 and table == IrrepTable.symmetric_3().group.table:
         irreps = IrrepTable.symmetric_3()
     else:
         raise ValidationError(
@@ -239,7 +231,7 @@ def _run_batteries(args):
 
 
 def _gl1(args):
-    c = _load_complex(args)
+    c = _read(args.complex, sz.complex_from_json)
     return sz.n0_to_json(generalized_lefschetz(c, c.unitary(args.g)).value)
 
 

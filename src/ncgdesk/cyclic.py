@@ -501,13 +501,11 @@ class HomologySpace:
     identity on coordinates.
     """
 
-    def __init__(self, algebra: MultiMatrixAlgebra, n: int,
-                 amplification: int = 1):
-        _check_degree(n, amplification)
-        self.dims = algebra.ambient_dims(amplification)
+    def __init__(self, dims: tuple, n: int):
+        self.dims = dims
         self.degree = n
         self.basis = () if n % 2 else tuple(
-            ((f, 0, 0),) * (n + 1) for f in range(algebra.num_factors))
+            ((f, 0, 0),) * (n + 1) for f in range(len(dims)))
         self.dimension = len(self.basis)
         for d in set(self.dims):  # dim CC_n - rank b_n - rank b_{n+1}
             above = _boundary((d,), n + 1)
@@ -599,9 +597,7 @@ def hc_space(algebra: MultiMatrixAlgebra, n: int,
     return _hc_space(algebra.ambient_dims(amplification), n)
 
 
-@functools.lru_cache(maxsize=256)
-def _hc_space(dims: tuple, n: int) -> HomologySpace:
-    return HomologySpace(MultiMatrixAlgebra(dims), n)
+_hc_space = functools.lru_cache(maxsize=256)(HomologySpace)
 
 
 def _check_degree(n: int, amplification: int = 1) -> None:

@@ -20,11 +20,6 @@ class NumericalError(NcgError):
 class ResourceError(NcgError):
     """A configured size budget was exceeded."""
 
-    def __init__(self, message, required=None, budget=None):
-        super().__init__(message)
-        self.required = required
-        self.budget = budget
-
 
 class ConsistencyError(NcgError):
     """An internal cross-check failed (e.g. non-integral isotypic multiplicity)."""

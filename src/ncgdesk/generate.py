@@ -12,7 +12,6 @@ anything.
 
 from __future__ import annotations
 
-import functools
 import random
 from fractions import Fraction
 
@@ -231,8 +230,7 @@ def random_ga_complex(algebra: MultiMatrixAlgebra, irreps: IrrepTable,
         terms = [compose(actions[i][g].blocks, raw,
                          actions[i + 1][group.inverse(g)].blocks)
                  for g in group.elements()]
-        avg = tuple(la.scalar_mul(Fraction(1, group.order),
-                                  functools.reduce(la.mat_add, blocks))
+        avg = tuple(la.combine([(Fraction(1, group.order), b) for b in blocks])
                     for blocks in zip(*terms))
         if i >= 1:
             avg = compose(kernel_projection(modules[i], [diffs[i - 1]]).blocks,

@@ -132,11 +132,6 @@ class FiniteGroup:
         return FiniteGroup(tuple(tuple((i + j) % n for j in range(n))
                                  for i in range(n)))
 
-    @staticmethod
-    def symmetric_group_3() -> "FiniteGroup":
-        """S_3 with element a + 3b = r^a s^b (see ``IrrepTable.symmetric_3``)."""
-        return IrrepTable.symmetric_3().group
-
 
 @dataclass(frozen=True)
 class Irrep:
@@ -400,7 +395,14 @@ class GAComplex:
 
     def unitary(self, g: int) -> tuple:
         """Row g of ``action``: the unitary of g on each module."""
-        return self.action[g]
+        return self.action[_element(self, g)]
+
+
+def _element(c: GAComplex, g: int) -> int:
+    """g, once it indexes an element of the complex's group."""
+    if not 0 <= g < c.group.order:
+        raise ValidationError(f"group element index {g} out of range")
+    return g
 
 
 def compose(*maps) -> tuple:
@@ -530,7 +532,7 @@ def isotypic_decompose(c: GAComplex, irreps: IrrepTable) -> tuple:
 
 def lefschetz_first(c: GAComplex, g: int, irreps: IrrepTable) -> K0TensorC:
     """sum over irreducibles chi of chi(g) M_chi, kept per (table, g)."""
-    if (irreps, g) not in c._numbers:
+    if (irreps, _element(c, g)) not in c._numbers:
         coeffs = [Fraction(0)] * c.algebra.num_factors
         for irr, mult in isotypic_decompose(c, irreps):
             chi = irr.character(g)

@@ -190,33 +190,23 @@ def generator_g(n: int, lam, p: Projection) -> N0Class:
     return first - second
 
 
-@dataclass(frozen=True)
-class SignedHGenerator:
-    sign: int
-    lam: object
-    mu: object
-    projection: Projection
-
-    def evaluate(self) -> N0Class:
-        g = generator_h(self.lam, self.mu, self.projection)
-        return g if self.sign > 0 else -g
-
-
 def reduce_g_to_h(n: int, lam, p: Projection):
     """Write the n-th stacking generator as a signed sum of pair generators.
 
     Unrolling the induction g^(n) = g^(n-1) - h_{(n-1)lam, lam; p} gives a
-    list of n-1 signed h-generators.
+    list of n-1 (sign, lam, mu, p) tuples, each sign -1.
     """
     if n < 1:
         raise ValidationError("generator index must be positive")
-    return [SignedHGenerator(-1, k * lam, lam, p) for k in range(1, n)]
+    return [(-1, k * lam, lam, p) for k in range(1, n)]
 
 
 def evaluate_h_list(algebra, gens) -> N0Class:
+    """The sum of sign * h_{lam, mu; p} over the (sign, lam, mu, p) tuples."""
     acc = N0Class.zero(algebra)
-    for g in gens:
-        acc = acc + g.evaluate()
+    for sign, lam, mu, p in gens:
+        h = generator_h(lam, mu, p)
+        acc = acc + (h if sign > 0 else -h)
     return acc
 
 

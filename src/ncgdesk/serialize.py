@@ -70,10 +70,10 @@ def _ints(v, what):
     return tuple(_int(x, what) for x in _items(v, what))
 
 
-def _cut(text: str, limit: int = 160) -> str:
-    """text, or its first ``limit`` characters and its length."""
-    return text if len(text) <= limit else \
-        f"{text[:limit]}... ({len(text)} characters)"
+def _cut(text: str) -> str:
+    """text, or its first 160 characters and its length."""
+    return text if len(text) <= 160 else \
+        f"{text[:160]}... ({len(text)} characters)"
 
 
 def _scalar(v):

@@ -814,6 +814,15 @@ REFUSALS = {
     "homomorphism applied off its source": (
         lambda: apply_hom(StarHomomorphism(C, M2, ((2,),)), ONE_M2),
         "element is not over the homomorphism source"),
+    "diagonal unit of a factor past the last": (
+        lambda: Projection.diagonal_unit(A, 5),
+        "no diagonal unit 0 in factor 5"),
+    "diagonal unit of a negative factor": (
+        lambda: Projection.diagonal_unit(A, -1),
+        "no diagonal unit 0 in factor -1"),
+    "diagonal unit past its factor's size": (
+        lambda: Projection.diagonal_unit(A, 1, 7),
+        "no diagonal unit 7 in factor 1"),
 }
 
 

@@ -741,8 +741,7 @@ class TestReadsBuildNoSpace:
 
         def refuse(*args):
             raise AssertionError("a read built a homology space")
-        cyclic._hc_space.cache_clear()
-        monkeypatch.setattr(cyclic, "HomologySpace", refuse)
+        monkeypatch.setattr(cyclic, "_hc_space", refuse)
         assert chern_projection(p, 1) == expected["chern"]
         assert T_direct(a, 1) == expected["direct"]
         for policy in ("smallest", "largest"):

@@ -2,7 +2,6 @@ import argparse
 import cmath
 import functools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -295,8 +294,8 @@ def test_float_backend_generates_float_scalars(capsys):
     assert isinstance(lam[0], float) and isinstance(lam[1], float)
 
 
-def test_env_budget_override():
-    env = dict(os.environ, NCG_BUDGET="50")
+def test_env_budget_override(source_env):
+    env = dict(source_env, NCG_BUDGET="50")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import json;"
@@ -311,12 +310,12 @@ def test_env_budget_override():
     assert proc.returncode == 2
 
 
-def test_bad_env_budget_is_one_error_line(tmp_path):
+def test_bad_env_budget_is_one_error_line(tmp_path, source_env):
     alg = write(tmp_path, "alg.json", {"schema_version": 1, "blocks": [2]})
     proc = subprocess.run(
         [sys.executable, "-m", "ncgdesk.cli", "hc", "dims", "--algebra", alg,
          "--max-degree", "2"],
-        env=dict(os.environ, NCG_BUDGET="abc"), capture_output=True, text=True)
+        env=dict(source_env, NCG_BUDGET="abc"), capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr == "error: NCG_BUDGET is not an integer: 'abc'\n"
 
@@ -338,12 +337,13 @@ def test_set_budget_takes_only_a_positive_int(value):
         set_budget(value)
 
 
-def test_closed_stdout_exits_quietly(tmp_path):
+def test_closed_stdout_exits_quietly(tmp_path, source_env):
     alg = write(tmp_path, "alg.json", {"schema_version": 1, "blocks": [2]})
     proc = subprocess.Popen(
         [sys.executable, "-m", "ncgdesk.cli", "hc", "dims", "--algebra", alg,
          "--max-degree", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        env=source_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
     proc.stdout.close()  # before the interpreter has even started up
     stderr = proc.stderr.read()
     proc.stderr.close()
@@ -396,9 +396,9 @@ print(json.dumps([cold, before, "numpy.linalg" in loaded(), answers()]))
 """
 
 
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy(source_env):
     """Nor numpy, until the first matrix."""
-    proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY],
+    proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY], env=source_env,
                           capture_output=True, text=True, check=True)
     cold, before, numpy_ran, after = json.loads(proc.stdout)
     assert cold == []
@@ -407,7 +407,7 @@ def test_import_does_not_load_scipy():
     assert numpy_ran and after == before
 
 
-def test_import_without_numpy_names_it():
+def test_import_without_numpy_names_it(source_env):
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
@@ -421,7 +421,7 @@ def test_import_without_numpy_names_it():
          "    import ncgdesk\n"
          "except ModuleNotFoundError as exc:\n"
          "    print(exc.name)\n"],
-        capture_output=True, text=True, check=True)
+        env=source_env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "numpy"
     with pytest.raises(ModuleNotFoundError) as caught:
         _lazy_import("ncgdesk_no_such_module")
@@ -509,11 +509,12 @@ MALFORMED_INPUTS = {
 
 @pytest.mark.parametrize("files, argv", MALFORMED_INPUTS.values(),
                          ids=MALFORMED_INPUTS.keys())
-def test_malformed_document_is_one_error_line(tmp_path, files, argv):
+def test_malformed_document_is_one_error_line(tmp_path, source_env, files,
+                                              argv):
     paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
     proc = subprocess.run(
         [sys.executable, "-m", "ncgdesk.cli", *(paths.get(a, a) for a in argv)],
-        capture_output=True, text=True, timeout=60)
+        env=source_env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
@@ -760,19 +761,19 @@ NON_FINITE_ELEMENTS = {
 
 @pytest.mark.parametrize("blocks", NON_FINITE_ELEMENTS.values(),
                          ids=NON_FINITE_ELEMENTS.keys())
-def test_non_finite_number_is_one_error_line(tmp_path, blocks):
+def test_non_finite_number_is_one_error_line(tmp_path, source_env, blocks):
     path = tmp_path / "x.json"
     path.write_text('{"schema_version": 1, "algebra": {"blocks": [2]}, '
                     '"m": 1, "blocks": ' + blocks + '}')
     proc = subprocess.run(
         [sys.executable, "-m", "ncgdesk.cli", "n0", "class", "--element",
-         str(path)], capture_output=True, text=True)
+         str(path)], env=source_env, capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_uncertified_candidates_are_one_error_line(tmp_path):
+def test_uncertified_candidates_are_one_error_line(tmp_path, source_env):
     # diag(1, 1 + 10^-10) over M_2: both eigenvalues snap to 1, and b - 1 != 0
     # fails the spectral certificate
     x = AlgebraElement.diagonal(MultiMatrixAlgebra((2,)),
@@ -780,7 +781,7 @@ def test_uncertified_candidates_are_one_error_line(tmp_path):
     path = write(tmp_path, "x.json", sz.element_to_json(x))
     proc = subprocess.run(
         [sys.executable, "-m", "ncgdesk.cli", "n0", "class", "--element", path],
-        capture_output=True, text=True)
+        env=source_env, capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: factor 0: prod (b - mu) ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

@@ -1189,7 +1189,7 @@ class TestReadout:
     def test_cycle_outside_a_boundary_basis_fails_loudly(self):
         # a checked space's basis spans HC; a basis replaced by the
         # boundary word e01 = b(e00 x e01) leaves the class of e00 outside
-        space = cyclic.HomologySpace(M2, 0)
+        space = cyclic.HomologySpace((2,), 0)
         space.basis = (((0, 0, 1),),)
         with pytest.raises(ConsistencyError,
                            match="^cycle does not reduce into the basis$"):

@@ -11,7 +11,6 @@ exits 0 only when every battery passes.
 """
 
 import json
-import os
 import pathlib
 import re
 import shlex
@@ -29,7 +28,6 @@ from ncgdesk.lefschetz import FiniteGroup, GAComplex
 from ncgdesk.scalars import Cyclotomic
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
 C = MultiMatrixAlgebra((1,))
 M2 = MultiMatrixAlgebra((2,))
 C3 = MultiMatrixAlgebra((1, 1, 1))
@@ -111,12 +109,6 @@ def _readme_block(section, language):
     text = (ROOT / "README.md").read_text()
     return re.search(fence + language + "\n(.*?)" + fence,
                      text[text.index("## " + section):], re.S).group(1)
-
-
-def _env():
-    """This environment, with the source tree first on PYTHONPATH."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 NEAR = 1 + 1.5e-9  # within 2 epsilon of 1.0 at the default epsilon
@@ -414,7 +406,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
-def test_fresh_process(tmp_path, case):
+def test_fresh_process(tmp_path, source_env, case):
     paths = {}
     for name, build in DOCUMENTS.items():
         if any("{" + name + "}" in arg for arg in case.argv):
@@ -425,8 +417,8 @@ def test_fresh_process(tmp_path, case):
     argv = [arg.format(**paths) for arg in case.argv]
     module = ("-m", case.module) if case.module else ()
     proc = subprocess.run([sys.executable, *module, *argv],
-                          env=_env(), capture_output=True, text=True,
-                          timeout=case.timeout)
+                          env=source_env, capture_output=True,
+                          text=True, timeout=case.timeout)
     assert proc.returncode == case.code, proc.stderr
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines()
@@ -440,7 +432,7 @@ def test_fresh_process(tmp_path, case):
         assert case.stdout(proc.stdout)
 
 
-def test_readme_command_line_runs_as_written(tmp_path):
+def test_readme_command_line_runs_as_written(tmp_path, source_env):
     """Each line of the README's command-line block, in order in one
     directory, with ``ncgdesk`` run as ``python -m ncgdesk.cli``, exits 0
     and writes nothing to stderr."""
@@ -450,7 +442,7 @@ def test_readme_command_line_runs_as_written(tmp_path):
     for line in lines:
         command = cli + line[len("ncgdesk"):] \
             if line.startswith("ncgdesk ") else line
-        proc = subprocess.run(command, shell=True,
-                              cwd=tmp_path, env=_env(), capture_output=True,
+        proc = subprocess.run(command, shell=True, cwd=tmp_path,
+                              env=source_env, capture_output=True,
                               text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, ""), line

@@ -58,7 +58,7 @@ class TestFiniteGroup:
         assert g.inverse(3) == 1
 
     def test_s3_is_nonabelian(self):
-        g = FiniteGroup.symmetric_group_3()
+        g = IrrepTable.symmetric_3().group
         assert any(g.mul(a, b) != g.mul(b, a)
                    for a in g.elements() for b in g.elements())
 
@@ -68,15 +68,14 @@ class TestFiniteGroup:
 
     def test_s3_table(self):
         # element a + 3b = r^a s^b, read from the standard irrep's matrices
-        assert FiniteGroup.symmetric_group_3().table == (
+        table = IrrepTable.symmetric_3()
+        assert table.group.table == (
             (0, 1, 2, 3, 4, 5),
             (1, 2, 0, 4, 5, 3),
             (2, 0, 1, 5, 3, 4),
             (3, 5, 4, 0, 2, 1),
             (4, 3, 5, 1, 0, 2),
             (5, 4, 3, 2, 1, 0))
-        table = IrrepTable.symmetric_3()
-        assert table.group == FiniteGroup.symmetric_group_3()
         std = table.irreps[2].matrices
         assert all(std[table.group.mul(x, y)] == la.mat_mul(std[x], std[y])
                    for x in range(6) for y in range(6))
@@ -84,7 +83,7 @@ class TestFiniteGroup:
     def test_generators(self):
         assert FiniteGroup.cyclic_group(1).generators == ()
         assert FiniteGroup.cyclic_group(4).generators == (1,)
-        assert FiniteGroup.symmetric_group_3().generators == (1, 3)
+        assert IrrepTable.symmetric_3().group.generators == (1, 3)
         klein = FiniteGroup(tuple(tuple(a ^ b for b in range(4))
                                   for a in range(4)))
         assert klein.generators == (1, 2)
@@ -963,10 +962,13 @@ class TestStackedAction:
             assert each == rows
 
 
-def _trivial_complex(module, action_element):
-    """One module of C acted on by Z/2 through the given element."""
-    return GAComplex(C, FiniteGroup.cyclic_group(2), (module,), (),
-                     ((action_element,), (action_element,)))
+def _trivial_complex(module, action_element, order=2):
+    """One module of C acted on by Z/order through the given element."""
+    return GAComplex(C, FiniteGroup.cyclic_group(order), (module,), (),
+                     ((action_element,),) * order)
+
+
+Z3 = _trivial_complex(Projection.identity(C), AlgebraElement.identity(C), 3)
 
 
 REFUSALS = {
@@ -988,6 +990,19 @@ REFUSALS = {
             Projection.identity(C), AlgebraElement.identity(C)),
             random.Random(0)),
         "need at least two modules to augment"),
+    "unitary of g = -1": (
+        lambda: Z3.unitary(-1), "group element index -1 out of range"),
+    "unitary of g = |G|": (
+        lambda: Z3.unitary(3), "group element index 3 out of range"),
+    "L1 of g = -1": (
+        lambda: lefschetz_first(Z3, -1, IrrepTable.cyclic(3)),
+        "group element index -1 out of range"),
+    "L1 of g = |G|": (
+        lambda: lefschetz_first(Z3, 3, IrrepTable.cyclic(3)),
+        "group element index 3 out of range"),
+    "L2 of g = |G|": (
+        lambda: lefschetz_second(Z3, 3, IrrepTable.cyclic(3), 1),
+        "group element index 3 out of range"),
 }
 
 

@@ -127,6 +127,7 @@ MUTANTS = {
                                "phi[i] += value * r"),
     "h drops lambda": ("ngroup.py", "coeffs[i] = coeffs[i] + v * r",
                        "coeffs[i] = coeffs[i] + r"),
+    "h-generator sign dropped": ("ngroup.py", "h if sign > 0 else -h", "h"),
     "tag policy ignored": ("chern.py",
                            'pts[0] if policy == "smallest" else pts[-1]',
                            "pts[0]"),
@@ -308,7 +309,7 @@ def test_a_refused_construction_in_a_refusal_check_ends_the_run(monkeypatch):
     from ncgdesk.errors import ResourceError
 
     def refused(*args):
-        raise ResourceError("over budget", required=2, budget=1)
+        raise ResourceError("over budget")
     monkeypatch.setattr(verify, "lefschetz_first", refused)
     with pytest.raises(ResourceError, match="^over budget$"):
         BATTERIES["th4"](3, 1)
